@@ -15,10 +15,8 @@ from .market import (  # noqa: F401
     Campaign,
     GroundTruthUser,
     LIFT_BIDDER,
-    TIE,
     VALUE_BIDDER,
     dollars_to_micros,
-    head_to_head_winner,
     micros_to_dollars,
     run_auction,
 )
@@ -28,17 +26,12 @@ from .bidders import (  # noqa: F401
     PopulationStats,
     calibrate_beta,
     calibrate_equal_attribution,
-    lift_bid,
-    passive_bid,
-    rational_bid,
-    value_bid,
+    price_bids,
 )
 from .events import EventLog, TimelineEvent  # noqa: F401
 from .world import (  # noqa: F401
     WorldConfig,
     generate_population,
     precedent_impression_fraction,
-    realize_action,
     run_market,
-    simulate_market,
 )

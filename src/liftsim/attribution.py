@@ -1,31 +1,25 @@
-"""Attribution models and exact head-to-head market accounting.
+"""Exact head-to-head market accounting.
 
-Given a population with known (p, delta_p) and the two competing
-strategies (a value-style bidder versus a lift bidder), this module
-computes, in closed form:
+Given a population with known (p, delta_p) and two competing strategies,
+a value-style bidder against a lift bidder, this module computes in
+closed form:
 
-* the partition of users each side wins in a second-price duel,
-* expected total actions per attributed action for each side, and
-* cost per attributed action for each side.
+* the partition of users each side wins in a second-price duel, and
+* for each side, the expected total actions per attributed action and
+  the cost per attributed action.
 
-The dominance checks derived from these quantities are the core claims
-verified by the experiment harness: with (near-)equal attributed
-actions, the lift side yields more total actions per attributed action
-while costing more per attributed action, both in the plain value
-setting and in the generalized setting where the value side bids
-``cpa * p * a`` for an attribution probability ``a``.
+The value side bids ``cpa * p * a`` for a per-user attribution
+probability ``a``; the plain value bidder ``alpha * p`` is the case
+``a = 1``, ``cpa = alpha``. The dominance checks derived from these
+quantities are the core claims verified by the experiment harness: with
+(near-)equal attributed actions, the lift side yields more total actions
+per attributed action while costing more per attributed action.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import ACTION, IMPRESSION, EventLog, TimelineEvent
-from .market import LIFT_BIDDER, VALUE_BIDDER, GroundTruthUser
-
-LAST_TOUCH = "last_touch"
-LIFT_PROPORTIONAL = "lift_proportional"
-
-SECONDS_PER_DAY = 86_400
+from .market import GroundTruthUser
 
 
 class AccountingError(ValueError):
@@ -49,26 +43,6 @@ class Partition:
         sides = (set(self.value_won), set(self.lift_won), set(self.tied))
         if sides[0] & sides[1] or sides[0] & sides[2] or sides[1] & sides[2]:
             raise ValueError("partition sides must be disjoint")
-
-
-@dataclass(frozen=True)
-class AttributionModel:
-    """How an observed action is credited to a bidder.
-
-    ``last_touch`` gives full credit to the bidder with the latest
-    relevant impression. ``lift_proportional`` credits
-    ``normalization * delta_p / p``, the relative lift contributed,
-    clamped into [0, 1].
-    """
-
-    kind: str = LAST_TOUCH
-    normalization: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (LAST_TOUCH, LIFT_PROPORTIONAL):
-            raise ValueError(f"unknown attribution kind {self.kind!r}")
-        if self.normalization <= 0:
-            raise ValueError("normalization must be positive")
 
 
 @dataclass(frozen=True)
@@ -120,10 +94,8 @@ def partition_users(
     the lift side iff the inequality is reversed; offers equal to within
     ``TIE_REL_TOL`` are ties.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    bids = [(alpha * user.p, beta * user.delta_p) for user in population]
-    return _partition_from_bids(population, bids)
+    return generalized_partition(
+        population, [1.0] * len(population), alpha, beta)
 
 
 def generalized_partition(
@@ -137,20 +109,12 @@ def generalized_partition(
         raise ValueError("cpa and beta must be positive")
     if len(a_values) != len(population):
         raise ValueError("a_values must match the population length")
-    bids = [
-        (cpa * user.p * a, beta * user.delta_p)
-        for user, a in zip(population, a_values)
-    ]
-    return _partition_from_bids(population, bids)
-
-
-def _partition_from_bids(
-    population: list[GroundTruthUser], bids: list[tuple[float, float]]
-) -> Partition:
     value_won: list[str] = []
     lift_won: list[str] = []
     tied: list[str] = []
-    for user, (value_offer, lift_offer) in zip(population, bids):
+    for user, a in zip(population, a_values):
+        value_offer = cpa * user.p * a
+        lift_offer = beta * user.delta_p
         scale = max(abs(value_offer), abs(lift_offer))
         if abs(value_offer - lift_offer) <= TIE_REL_TOL * scale:
             tied.append(user.user_id)
@@ -161,70 +125,6 @@ def _partition_from_bids(
     return Partition(tuple(value_won), tuple(lift_won), tuple(tied))
 
 
-def _side_users(
-    population: list[GroundTruthUser], partition: Partition
-) -> tuple[list[GroundTruthUser], list[GroundTruthUser]]:
-    by_id = {user.user_id: user for user in population}
-    value_users = [by_id[uid] for uid in partition.value_won]
-    lift_users = [by_id[uid] for uid in partition.lift_won]
-    return value_users, lift_users
-
-
-def expected_actions_per_attributed(
-    population: list[GroundTruthUser],
-    partition: Partition,
-    side: str,
-) -> float:
-    """Expected total actions per attributed action if only ``side`` bids.
-
-    When only one side is in the market, its winners act at rate p and
-    everyone else at the background rate p - delta_p; the side's
-    attributed actions are the sum of p over its winners.
-    """
-    value_users, lift_users = _side_users(population, partition)
-    if side == VALUE_BIDDER:
-        own, other = value_users, lift_users
-    elif side == LIFT_BIDDER:
-        own, other = lift_users, value_users
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    attributed = sum(user.p for user in own)
-    if attributed <= 0:
-        raise AccountingError(f"no attributed actions on the {side} side")
-    total = attributed + sum(user.background_rate for user in other)
-    return total / attributed
-
-
-def cost_per_attributed(
-    population: list[GroundTruthUser],
-    partition: Partition,
-    alpha: float,
-    beta: float,
-    side: str,
-) -> float:
-    """Second-price cost per attributed action for ``side``, in micros.
-
-    The value side pays the lift bid on each user it wins and vice
-    versa. For the value-vs-lift duel the lift side's cost per
-    attributed action is ``alpha`` exactly (it pays ``alpha * p_k`` on
-    wins attributed at rate ``p_k``), so that identity is returned
-    directly rather than recomputed.
-    """
-    value_users, lift_users = _side_users(population, partition)
-    if side == VALUE_BIDDER:
-        attributed = sum(user.p for user in value_users)
-        if attributed <= 0:
-            raise AccountingError("no attributed actions on the value side")
-        cost = sum(beta * user.delta_p for user in value_users)
-        return cost / attributed
-    if side == LIFT_BIDDER:
-        attributed = sum(user.p for user in lift_users)
-        if attributed <= 0:
-            raise AccountingError("no attributed actions on the lift side")
-        return alpha
-    raise ValueError(f"unknown side {side!r}")
-
-
 def theorem_quantities(
     population: list[GroundTruthUser],
     partition: Partition,
@@ -232,21 +132,14 @@ def theorem_quantities(
     beta: float,
     attribution_residual: float = 0.0,
 ) -> TheoremReport:
-    """All four accounting quantities for the value-vs-lift duel."""
-    a_value = expected_actions_per_attributed(population, partition, VALUE_BIDDER)
-    a_lift = expected_actions_per_attributed(population, partition, LIFT_BIDDER)
-    c_value = cost_per_attributed(population, partition, alpha, beta, VALUE_BIDDER)
-    c_lift = cost_per_attributed(population, partition, alpha, beta, LIFT_BIDDER)
-    return TheoremReport(
-        actions_per_attr_value=a_value,
-        actions_per_attr_lift=a_lift,
-        cost_per_attr_value=c_value,
-        cost_per_attr_lift=c_lift,
-        attribution_residual=attribution_residual,
-        actions_dominance=a_value < a_lift,
-        cost_dominance=c_value < c_lift,
-        n_tied=len(partition.tied),
-    )
+    """All four accounting quantities for the value-vs-lift duel.
+
+    The lift side's cost per attributed action is ``alpha`` exactly: it
+    pays ``alpha * p_k`` on wins attributed at rate ``p_k``.
+    """
+    return generalized_theorem_quantities(
+        population, partition, [1.0] * len(population), alpha, beta,
+        attribution_residual)
 
 
 def generalized_theorem_quantities(
@@ -259,32 +152,37 @@ def generalized_theorem_quantities(
 ) -> TheoremReport:
     """Accounting quantities when the value side is a rational bidder.
 
-    Attributed actions accrue at rate ``p * a`` per winner on the
-    rational side and the same weighting is used for the lift side's
-    denominators. The lift side's cost per attributed action equals
-    ``cpa`` exactly, by the same cancellation as in the plain setting.
+    If only one side bids, its winners act at rate p and everyone else at
+    the background rate p - delta_p. Attributed actions accrue at rate
+    ``p * a`` per winner, on both sides. Each side pays the other's bid
+    on the users it wins, so the lift side's cost per attributed action
+    is ``cpa`` exactly and only the value side's is summed.
     """
     if len(a_values) != len(population):
         raise ValueError("a_values must match the population length")
-    a_by_id = {user.user_id: a for user, a in zip(population, a_values)}
-    value_users, lift_users = _side_users(population, partition)
+    index = {user.user_id: i for i, user in enumerate(population)}
+    value = [index[uid] for uid in partition.value_won]
+    lift = [index[uid] for uid in partition.lift_won]
 
-    attr_value = sum(user.p * a_by_id[user.user_id] for user in value_users)
-    attr_lift = sum(user.p * a_by_id[user.user_id] for user in lift_users)
+    def attributed(side: list[int]) -> float:
+        return sum(population[i].p * a_values[i] for i in side)
+
+    def exposed(side: list[int]) -> float:
+        return sum(population[i].p for i in side)
+
+    def background(side: list[int]) -> float:
+        return sum(population[i].background_rate for i in side)
+
+    attr_value = attributed(value)
+    attr_lift = attributed(lift)
     if attr_value <= 0:
         raise AccountingError("no attributed actions on the value side")
     if attr_lift <= 0:
         raise AccountingError("no attributed actions on the lift side")
 
-    total_if_value = (sum(user.p for user in value_users)
-                      + sum(user.background_rate for user in lift_users))
-    total_if_lift = (sum(user.background_rate for user in value_users)
-                     + sum(user.p for user in lift_users))
-    cost_value = sum(beta * user.delta_p for user in value_users)
-
-    a1 = total_if_value / attr_value
-    a2 = total_if_lift / attr_lift
-    c1 = cost_value / attr_value
+    a1 = (exposed(value) + background(lift)) / attr_value
+    a2 = (background(value) + exposed(lift)) / attr_lift
+    c1 = sum(beta * population[i].delta_p for i in value) / attr_value
     c2 = float(cpa)
     return TheoremReport(
         actions_per_attr_value=a1,
@@ -296,77 +194,3 @@ def generalized_theorem_quantities(
         cost_dominance=c1 < c2,
         n_tied=len(partition.tied),
     )
-
-
-def last_touch_attribute(
-    log: EventLog,
-    action_event: TimelineEvent,
-    lookback_days: int,
-) -> str | None:
-    """Bidder credited for an action under last-touch attribution.
-
-    Returns the bidder of the latest impression for the same user and
-    advertiser within ``lookback_days`` before the action, or None when
-    no such impression exists (a background action).
-    """
-    if action_event.kind != ACTION:
-        raise ValueError("action_event must be an action")
-    horizon = action_event.ts - lookback_days * SECONDS_PER_DAY
-    last: TimelineEvent | None = None
-    for event in log.events:
-        if event.kind != IMPRESSION:
-            continue
-        if event.user_id != action_event.user_id:
-            continue
-        if event.advertiser_id != action_event.advertiser_id:
-            continue
-        if not horizon <= event.ts <= action_event.ts:
-            continue
-        if last is None or event.ts >= last.ts:
-            last = event
-    return None if last is None else last.bidder
-
-
-def lift_proportional_credit(
-    p: float, delta_p: float, normalization: float = 1.0
-) -> float:
-    """Attribution probability proportional to the relative lift.
-
-    Returns ``clamp(normalization * delta_p / p, 0, 1)``. Callers that
-    credit whole populations should use :func:`lift_proportional_credits`
-    which also counts how often the clamp engaged.
-    """
-    if p <= 0:
-        raise AccountingError("lift-proportional credit undefined for p = 0")
-    raw = normalization * delta_p / p
-    return min(max(raw, 0.0), 1.0)
-
-
-@dataclass(frozen=True)
-class CreditAssignment:
-    """Per-user lift-proportional credits plus clamp accounting."""
-
-    credits: tuple[float, ...]
-    n_clamped_high: int
-    n_clamped_low: int
-
-
-def lift_proportional_credits(
-    population: list[GroundTruthUser], normalization: float = 1.0
-) -> CreditAssignment:
-    """Credit every user, counting values that had to be clamped to [0, 1]."""
-    credits: list[float] = []
-    high = 0
-    low = 0
-    for user in population:
-        if user.p <= 0:
-            raise AccountingError(
-                f"lift-proportional credit undefined for {user.user_id} (p = 0)"
-            )
-        raw = normalization * user.delta_p / user.p
-        if raw > 1.0:
-            high += 1
-        elif raw < 0.0:
-            low += 1
-        credits.append(min(max(raw, 0.0), 1.0))
-    return CreditAssignment(tuple(credits), high, low)

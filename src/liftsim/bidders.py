@@ -1,24 +1,31 @@
-"""Bidding strategies and the lift-bid scale calibration procedures.
+"""Bid pricing and the lift-scale calibration procedures.
 
-Four strategies are supported:
+Four strategies are supported, each priced by :func:`price_bids`:
 
 * passive: always bids zero (control group).
 * value:   bids ``alpha * p`` where ``p`` is the action rate.
 * lift:    bids ``beta * max(delta_p, 0)``; negative lift clamps to a
   zero bid because exchanges reject negative bids.
-* rational: bids ``cpa * p * a`` where ``a`` is the probability the
-  bidder is attributed given an action happens.
+* rational: bids ``cpa * p``, the expected attributed revenue
+  ``cpa * p * a`` with attribution probability ``a = 1`` (the industry
+  standard eCPM = AR x CPA).
 
 ``alpha`` and ``beta`` are real-valued scales in micros per unit
 probability; money conversion happens once, at bid emission.
+
+The equal-attribution calibration chooses the lift scale at which the
+value and lift sides win equal attributed actions. The split only
+changes at the users' indifference points, so an exact scan over the
+intervals between them finds the best scale.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
-from .market import GroundTruthUser, check_probability, to_money
+import numpy as np
+
+from .market import GroundTruthUser, check_probability
 
 PASSIVE = "passive"
 VALUE = "value"
@@ -37,16 +44,14 @@ class BidderConfig:
     """Configuration for one bidding strategy.
 
     ``alpha`` scales the value bidder, ``beta`` the lift bidder, both in
-    micros per unit probability and strictly positive when their kind is
-    active. ``attribution`` optionally maps a user to its attribution
-    probability ``a`` for the rational strategy (defaults to 1).
+    micros per unit probability, and ``cpa`` the rational bidder; each
+    is strictly positive when its kind is active.
     """
 
     kind: str
     alpha: float = 0.0
     beta: float = 0.0
     cpa: int = 0
-    attribution: object | None = None  # callable user -> a in [0, 1]
 
     def __post_init__(self) -> None:
         if self.kind not in BIDDER_KINDS:
@@ -77,9 +82,9 @@ class BetaCalibration:
     """Result of an equal-attribution calibration.
 
     ``residual`` is |sum_value p - sum_lift p| as a fraction of the
-    population total; ``converged`` is False when no scale in the bracket
-    achieves the requested tolerance (always reported, never silently
-    dropped, because the dominance checks assume near-equal attribution).
+    population total; ``converged`` is False when no scale achieves the
+    requested tolerance (always reported, never silently dropped,
+    because the dominance checks assume near-equal attribution).
     """
 
     beta: float
@@ -87,35 +92,20 @@ class BetaCalibration:
     converged: bool
 
 
-def passive_bid() -> int:
-    """The control strategy: always bid zero."""
-    return 0
+def price_bids(bidder: BidderConfig, p, delta_p) -> np.ndarray:
+    """Bids in micros for action rates ``p`` and lifts ``delta_p``.
 
-
-def value_bid(p: float, alpha: float) -> int:
-    """Bid proportional to the absolute action rate: round(alpha * p)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    check_probability(p, "p")
-    return to_money(alpha * p)
-
-
-def lift_bid(delta_p: float, beta: float) -> int:
-    """Bid proportional to the action-rate lift: round(beta * max(delta_p, 0))."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return to_money(beta * max(delta_p, 0.0))
-
-
-def rational_bid(p: float, a: float, cpa: int) -> int:
-    """Bid the expected attributed revenue per impression: round(cpa * p * a).
-
-    With ``a = 1`` this degenerates to the industry standard
-    eCPM = AR x CPA.
+    Each strategy bids ``round(scale * max(x, 0))``: the value bidder
+    prices ``p`` at ``alpha``, the lift bidder ``delta_p`` at ``beta``,
+    the rational bidder ``p`` at ``cpa``; the passive bidder bids zero.
+    Works elementwise on arrays or scalars and returns int64 micros;
+    ``np.rint`` rounds half to even, like Python's ``round``.
     """
-    check_probability(p, "p")
-    check_probability(a, "a")
-    return to_money(cpa * p * a)
+    if bidder.kind == PASSIVE:
+        return np.zeros(np.shape(p), dtype=np.int64)
+    scale, x = {VALUE: (bidder.alpha, p), LIFT: (bidder.beta, delta_p),
+                RATIONAL: (bidder.cpa, p)}[bidder.kind]
+    return np.rint(scale * np.maximum(x, 0.0)).astype(np.int64)
 
 
 def calibrate_beta(stats: PopulationStats, cpa: int) -> float:
@@ -153,21 +143,23 @@ def split_weight_gap(
     return lift_sum - value_sum
 
 
-def _bisect_equal_split(
+def _scan_equal_split(
     thresholds: list[float],
     weights: list[float],
     tolerance: float,
-    max_iter: int,
 ) -> BetaCalibration:
-    """Monotone bisection for a beta that balances the two side sums.
+    """The beta that best balances the two side sums, by an exact scan.
 
-    Exact equality is generally unattainable on a finite population; the
-    best achievable beta is returned with its residual either way, and
-    the returned scale never lands exactly on an indifference point.
+    The gap is a step function of beta that only changes at the users'
+    indifference points. Candidate betas lie strictly inside the
+    intervals between adjacent distinct points: half the smallest
+    point, the midpoints, and twice the largest. Exact equality is
+    generally unattainable on a finite population; the best candidate is
+    returned with its residual either way.
 
     Thresholds of +inf (no lift) pin a user to the value side; thresholds
     of 0 pin it to the lift side. Only strictly positive finite ones can
-    switch sides and span the search bracket.
+    switch sides and span the candidates.
     """
     finite = [t for t in thresholds if math.isfinite(t) and t > 0]
     if not finite:
@@ -176,72 +168,50 @@ def _bisect_equal_split(
     if total <= 0:
         raise CalibrationError("total attributable weight must be positive")
 
-    def gap(beta: float) -> float:
-        return split_weight_gap(thresholds, weights, beta)
+    def result(beta: float, gap: float) -> BetaCalibration:
+        residual = abs(gap) / total
+        return BetaCalibration(float(beta), residual, residual <= tolerance)
 
-    lo = min(finite) * 0.5
-    hi = max(finite) * 2.0
-    if gap(lo) > 0 or gap(hi) < 0:  # no crossing inside the bracket
-        best = lo if abs(gap(lo)) <= abs(gap(hi)) else hi
-        residual = abs(gap(best)) / total
-        return BetaCalibration(best, residual, residual <= tolerance)
+    uniq = np.unique(finite)
+    points = np.concatenate(
+        ([uniq[0] * 0.5], 0.5 * (uniq[:-1] + uniq[1:]), [uniq[-1] * 2.0]))
+    lo, hi = float(points[0]), float(points[-1])
+    gap_lo = split_weight_gap(thresholds, weights, lo)
+    gap_hi = split_weight_gap(thresholds, weights, hi)
+    if gap_lo > 0 or gap_hi < 0:  # no sign change between the outer points
+        return result(lo, gap_lo) if abs(gap_lo) <= abs(gap_hi) else result(hi, gap_hi)
 
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-
-    # The bracket now straddles one jump of the step function. Candidate
-    # betas are taken strictly inside the open intervals between adjacent
-    # indifference points around the jump, never exactly on one.
-    uniq = sorted(set(finite))
-
-    def interval_point(idx: int) -> float:
-        if idx <= 0:
-            return uniq[0] * 0.5
-        if idx >= len(uniq):
-            return uniq[-1] * 2.0
-        return 0.5 * (uniq[idx - 1] + uniq[idx])
-
-    lo_idx = bisect.bisect_right(uniq, lo)
-    hi_idx = bisect.bisect_right(uniq, hi)
-    candidates = {
-        interval_point(idx)
-        for idx in (lo_idx - 1, lo_idx, hi_idx, hi_idx + 1)
-    }
-    best = min(sorted(candidates), key=lambda b: abs(gap(b)))
-    residual = abs(gap(best)) / total
-    return BetaCalibration(beta=best, residual=residual,
-                           converged=residual <= tolerance)
+    # The gap of every candidate at once, from cumulative weights in
+    # threshold order. Its rounding differs from split_weight_gap's, so
+    # it only locates the sign change; the pick and the residual use
+    # split_weight_gap on the few candidates around it.
+    order = np.argsort(thresholds)
+    ordered = np.asarray(thresholds)[order]
+    cum = np.concatenate(([0.0], np.cumsum(np.asarray(weights)[order])))
+    lift_sum = cum[np.searchsorted(ordered, points, side="left")]
+    value_sum = cum[-1] - cum[np.searchsorted(ordered, points, side="right")]
+    crossed = lift_sum - value_sum >= 0
+    crossed[-1] = True  # gap_hi >= 0 exactly
+    first = int(np.argmax(crossed))
+    near = sorted({float(b) for b in points[max(first - 2, 0):first + 2]})
+    gaps = [split_weight_gap(thresholds, weights, b) for b in near]
+    best = min(range(len(near)), key=lambda k: abs(gaps[k]))
+    return result(near[best], gaps[best])
 
 
 def calibrate_equal_attribution(
     population: list[GroundTruthUser],
     alpha: float,
     tolerance: float = 1e-3,
-    max_iter: int = 200,
 ) -> BetaCalibration:
     """Find a lift scale that splits attributed actions evenly.
 
-    Searches for beta such that the attributed-action sums of the value
-    side (users with ``alpha * p > beta * delta_p``) and the lift side
-    (the complement) agree to within ``tolerance`` of the population
-    total. The lift-side sum is non-decreasing in beta, so the search is
-    a monotone bisection over the bracket spanned by the per-user
-    indifference points ``alpha * p_i / delta_p_i``.
+    The value side holds users with ``alpha * p > beta * delta_p``, the
+    lift side the reverse. This is the weighted calibration with every
+    attribution probability 1 and ``alpha`` as the CPA.
     """
-    if not population:
-        raise CalibrationError("population must be non-empty")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    thresholds = [
-        alpha * user.p / user.delta_p if user.delta_p > 0 else math.inf
-        for user in population
-    ]
-    weights = [user.p for user in population]
-    return _bisect_equal_split(thresholds, weights, tolerance, max_iter)
+    return calibrate_equal_attribution_weighted(
+        population, [1.0] * len(population), alpha, tolerance)
 
 
 def calibrate_equal_attribution_weighted(
@@ -249,13 +219,14 @@ def calibrate_equal_attribution_weighted(
     a_values: list[float],
     cpa: int,
     tolerance: float = 1e-3,
-    max_iter: int = 200,
 ) -> BetaCalibration:
     """Equal-attribution calibration against a rational bidder.
 
     The value side bids ``cpa * p_i * a_i`` where ``a_i`` is the
     per-user attribution probability, and attributed actions on each
-    side accrue at weight ``p_i * a_i``. Balances those weighted sums.
+    side accrue at weight ``p_i * a_i``. Returns the scan's beta whose
+    weighted side sums differ least, as a fraction of the population
+    total, and whether that residual is within ``tolerance``.
     """
     if not population:
         raise CalibrationError("population must be non-empty")
@@ -270,4 +241,4 @@ def calibrate_equal_attribution_weighted(
         for user, a in zip(population, a_values)
     ]
     weights = [user.p * a for user, a in zip(population, a_values)]
-    return _bisect_equal_split(thresholds, weights, tolerance, max_iter)
+    return _scan_equal_split(thresholds, weights, tolerance)

@@ -30,14 +30,15 @@ from .fileio import atomic_write_text
 from .liftmodel.features import FeatureSchema
 from .liftmodel.gbdt import TrainingError
 from .liftmodel.pipeline import (
-    CalibratedModel, ModelBidEstimator, SchemaMismatch, train_calibrated_model,
+    CalibratedModel, ModelBidEstimator, ModelFileError, SchemaMismatch,
+    train_calibrated_model,
 )
 from .liftmodel.sampling import SamplingError, export_samples, generate_samples
 from .market import micros_to_dollars
 from .seeds import derive_seed, rng_for
 from .world import (
-    WorldConfigError, generate_population, market_run_digest,
-    precedent_impression_fraction, run_market,
+    WorldConfig, WorldConfigError, generate_population, market_run_digest,
+    precedent_impression_fraction, run_market, split_budget,
 )
 
 EXIT_OK = 0
@@ -73,9 +74,7 @@ def _prepare_market(cfg: dict):
     stats = PopulationStats(p, dp, len(population)) if dp > 0 else None
     bidders, budgets = cfgmod.build_bidders(cfg, campaign, stats)
     if budgets is None:
-        budgets = [0 if b.kind == "passive" else campaign.budget //
-                   max(sum(x.kind != "passive" for x in bidders), 1)
-                   for b in bidders]
+        budgets = split_budget(bidders, campaign.budget)
     rng = rng_for(world.seed, "groups")
     assignment = rng.permutation(np.arange(world.n_users) % len(bidders))
     digest = market_run_digest(world, campaign, bidders, budgets, assignment)
@@ -299,8 +298,8 @@ def cmd_abtest(args: argparse.Namespace) -> int:
         overrides = ab_config.world_overrides
         world_schema = FeatureSchema(
             advertisers=(ab_config.advertiser,),
-            topics=overrides.get("topics", 6),
-            apps=overrides.get("apps", 3))
+            topics=overrides.get("topics", WorldConfig.topics),
+            apps=overrides.get("apps", WorldConfig.apps))
         if world_schema.digest() != model.schema_digest:
             sys.stderr.write(
                 f"error: model schema {model.schema_digest} does not match "
@@ -381,7 +380,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except (EventLogError, SamplingError, TrainingError, SchemaMismatch,
-            CalibrationError, AccountingError, FileNotFoundError) as exc:
+            ModelFileError, CalibrationError, AccountingError,
+            FileNotFoundError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
 

@@ -196,31 +196,24 @@ def build_bidders(
 
 
 def build_sampling(cfg: dict, seed: int) -> SamplingConfig:
-    section = cfg.get("sampling", {})
+    section = dict(cfg.get("sampling", {}))
+    section.pop("seed_tag", None)  # accepted, but has no effect
+    for window in ("action_window", "feature_window"):
+        if f"{window}_days" in section:
+            section[f"{window}_seconds"] = (section.pop(f"{window}_days")
+                                            * SECONDS_PER_DAY)
     try:
-        return SamplingConfig(
-            action_window_seconds=section.get("action_window_days", 2)
-            * SECONDS_PER_DAY,
-            feature_window_seconds=section.get("feature_window_days", 7)
-            * SECONDS_PER_DAY,
-            target_positive_count=section.get("target_positive_count", 5000),
-            max_draws=section.get("max_draws"),
-            seed=derive_seed(seed, "sampling"),
-        )
+        return SamplingConfig(seed=derive_seed(seed, "sampling"), **section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sampling section: {exc}") from exc
 
 
 def build_model_params(cfg: dict) -> ModelParams:
     section = dict(cfg.get("model", {}))
-    neg_per_pos = section.pop("neg_per_pos", 4.0)
-    holdout_fraction = section.pop("holdout_fraction", 0.4)
+    top = {key: section.pop(key) for key in ("neg_per_pos", "holdout_fraction")
+           if key in section}
     try:
-        return ModelParams(
-            gbdt=GBDTParams(**section),
-            neg_per_pos=neg_per_pos,
-            holdout_fraction=holdout_fraction,
-        )
+        return ModelParams(gbdt=GBDTParams(**section), **top)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model section: {exc}") from exc
 

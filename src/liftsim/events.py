@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+from .fileio import atomic_write_text
+
 FORMAT_NAME = "liftsim.events"
 FORMAT_VERSION = 1
 
@@ -127,7 +129,7 @@ class EventLog:
         return "\n".join(self.lines()) + "\n"
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.dumps(), encoding="utf-8")
+        atomic_write_text(path, self.dumps())
 
     @classmethod
     def read(cls, path: str | Path) -> "EventLog":
@@ -148,13 +150,6 @@ class EventLog:
         events = [_parse_event(line) for line in it if line.strip()]
         return cls(events=events, seed=header["seed"],
                    config_digest=header["config_digest"])
-
-    def by_user(self) -> dict[str, list[TimelineEvent]]:
-        """Events grouped per user, preserving log order."""
-        index: dict[str, list[TimelineEvent]] = {}
-        for event in self.events:
-            index.setdefault(event.user_id, []).append(event)
-        return index
 
     def of_kind(self, kind: str) -> list[TimelineEvent]:
         return [e for e in self.events if e.kind == kind]

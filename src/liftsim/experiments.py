@@ -26,8 +26,9 @@ from .attribution import (
     partition_users, theorem_quantities,
 )
 from .bidders import (
-    BidderConfig, PopulationStats, calibrate_beta, calibrate_equal_attribution,
-    calibrate_equal_attribution_weighted, lift_bid, value_bid,
+    LIFT, VALUE, BidderConfig, PopulationStats, calibrate_beta,
+    calibrate_equal_attribution, calibrate_equal_attribution_weighted,
+    price_bids,
 )
 from .market import (
     LIFT_BIDDER, VALUE_BIDDER, Campaign, GroundTruthUser, dollars_to_micros,
@@ -124,12 +125,17 @@ def run_worked_example(
     cpa = dollars_to_micros(cpa_dollars)
     scale = dollars_to_micros(lift_scale_dollars)
     competitor = dollars_to_micros(competitor_dollars)
+    p = np.array([u.p for u in users])
+    dp = np.array([u.delta_p for u in users])
 
-    value_bids = {u.user_id: value_bid(u.p, cpa) for u in users}
-    lift_bids = {u.user_id: lift_bid(u.delta_p, scale) for u in users}
+    def play(name: str, bidder: BidderConfig) -> StrategyOutcome:
+        bids = price_bids(bidder, p, dp)
+        bid_of = {u.user_id: int(b) for u, b in zip(users, bids)}
+        return _play_strategy(name, users, bid_of, competitor, cpa)
+
     return WorkedExampleReport(
-        value=_play_strategy(VALUE_BIDDER, users, value_bids, competitor, cpa),
-        lift=_play_strategy(LIFT_BIDDER, users, lift_bids, competitor, cpa),
+        value=play(VALUE_BIDDER, BidderConfig(VALUE, alpha=cpa)),
+        lift=play(LIFT_BIDDER, BidderConfig(LIFT, beta=scale)),
     )
 
 
@@ -250,11 +256,14 @@ def _mc_cross_check(
     micro-rounded bids; action outcomes are Bernoulli draws at rate p
     for the winner's side and the background rate otherwise.
     """
+    p = np.array([u.p for u in population])
+    dp = np.array([u.delta_p for u in population])
+    value_bids = price_bids(BidderConfig(VALUE, alpha=alpha), p, dp)
+    lift_bids = price_bids(BidderConfig(LIFT, beta=beta), p, dp)
     value_side = []
     lift_side = []
-    for user in population:
-        bids = [(VALUE_BIDDER, value_bid(user.p, alpha)),
-                (LIFT_BIDDER, lift_bid(user.delta_p, beta))]
+    for user, value_bid, lift_bid in zip(population, value_bids, lift_bids):
+        bids = [(VALUE_BIDDER, int(value_bid)), (LIFT_BIDDER, int(lift_bid))]
         result = run_auction(bids, reserve=0,
                              rng_seed=derive_seed(seed, "tie", user.user_id))
         if result.winner == VALUE_BIDDER:
@@ -308,86 +317,67 @@ def _mc_cross_check(
 
 
 def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
-    """Run the dominance sweeps; returns reports keyed by mode."""
-    alpha = dollars_to_micros(config.alpha_dollars)
+    """Run the dominance sweeps; returns reports keyed by mode.
+
+    Both modes share one procedure per attempt: draw a world, calibrate
+    beta for equal attribution, partition the users and compute the
+    exact accounting. The simple mode uses the value bidder ``alpha * p``
+    and adds the Monte-Carlo cross-check on its first ``mc_instances``
+    instances; the generalized mode uses a rational bidder with random
+    attribution probabilities.
+    """
+    alpha = float(dollars_to_micros(config.alpha_dollars))
     cpa = dollars_to_micros(config.cpa_dollars)
     out: dict[str, VerificationSweepReport] = {}
 
     modes = ["simple", "generalized"] if config.mode == "both" else [config.mode]
     for mode in modes:
+        simple = mode == "simple"
         report = VerificationSweepReport(mode=mode,
                                          n_instances=config.n_instances)
         for i in range(config.n_instances):
-            produced = False
             for attempt in range(config.max_attempts_per_instance):
                 seed = derive_seed(config.master_seed, "sweep", mode, i, attempt)
                 population = _sweep_world(config.n_users, seed)
-                if mode == "simple":
+                if simple:
                     cal = calibrate_equal_attribution(
-                        population, float(alpha), config.tolerance)
-                    if not cal.converged:
-                        report.n_skipped_calibration += 1
-                        continue
-                    partition = partition_users(population, float(alpha), cal.beta)
-                    if not partition.value_won or not partition.lift_won:
-                        report.n_skipped_degenerate += 1
-                        continue
-                    quantities = theorem_quantities(
-                        population, partition, float(alpha), cal.beta,
-                        cal.residual)
-                    record = quantities.as_dict()
-                    record.update({"instance": i, "beta": cal.beta,
-                                   "seed": seed})
-                    report.records.append(record)
-                    if i < config.mc_instances:
-                        report.mc_checks.extend(_mc_cross_check(
-                            i, population, float(alpha), cal.beta, quantities,
-                            config.mc_trials,
-                            derive_seed(config.master_seed, "mc", i)))
-                    produced = True
-                    break
+                        population, alpha, config.tolerance)
                 else:
                     a_rng = rng_for(config.master_seed, "attr-probs", i, attempt)
-                    a_values = a_rng.uniform(0.0, 1.0, len(population))
-                    a_values = np.maximum(a_values, 1e-9).tolist()
+                    a_values = np.maximum(
+                        a_rng.uniform(0.0, 1.0, len(population)), 1e-9).tolist()
                     cal = calibrate_equal_attribution_weighted(
                         population, a_values, cpa, config.tolerance)
-                    if not cal.converged:
-                        report.n_skipped_calibration += 1
-                        continue
+                if not cal.converged:
+                    report.n_skipped_calibration += 1
+                    continue
+                if simple:
+                    partition = partition_users(population, alpha, cal.beta)
+                else:
                     partition = generalized_partition(
                         population, a_values, cpa, cal.beta)
-                    if not partition.value_won or not partition.lift_won:
-                        report.n_skipped_degenerate += 1
-                        continue
+                if not partition.value_won or not partition.lift_won:
+                    report.n_skipped_degenerate += 1
+                    continue
+                if simple:
+                    quantities = theorem_quantities(
+                        population, partition, alpha, cal.beta, cal.residual)
+                else:
                     quantities = generalized_theorem_quantities(
                         population, partition, a_values, cpa, cal.beta,
                         cal.residual)
-                    record = quantities.as_dict()
-                    record.update({"instance": i, "beta": cal.beta,
-                                   "seed": seed})
-                    report.records.append(record)
-                    produced = True
-                    break
-            if not produced:
+                report.records.append({**quantities.as_dict(), "instance": i,
+                                       "beta": cal.beta, "seed": seed})
+                if simple and i < config.mc_instances:
+                    report.mc_checks.extend(_mc_cross_check(
+                        i, population, alpha, cal.beta, quantities,
+                        config.mc_trials,
+                        derive_seed(config.master_seed, "mc", i)))
+                break
+            else:
                 break  # leaves len(records) < n_instances; all_passed False
         out[mode] = report
     return out
-
-
-def detect_all_tie_configuration(
-    population: list[GroundTruthUser], cpa: int, beta: float
-) -> bool:
-    """True when matched attribution probabilities tie every user.
-
-    Setting a_i = (beta / cpa) * delta_p_i / p_i makes the rational
-    bidder match the lift bidder's price on every user; the partition
-    then has no winners at all.
-    """
-    a_values = [(beta / cpa) * u.delta_p / u.p if u.p > 0 else 0.0
-                for u in population]
-    part = generalized_partition(population, a_values, cpa, beta)
-    return len(part.tied) == len(population)
 
 
 # ---------------------------------------------------------------------------

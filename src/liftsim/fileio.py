@@ -5,7 +5,6 @@ failed run never leaves a partial file behind.
 """
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -14,13 +13,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def atomic_write_json(path: str | Path, payload: object, indent: int | None = None) -> None:
-    if indent is None:
-        text = json.dumps(payload, separators=(",", ":"))
-    else:
-        text = json.dumps(payload, indent=indent)
-    atomic_write_text(path, text + "\n")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

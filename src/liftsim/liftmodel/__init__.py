@@ -7,7 +7,6 @@ from .features import (  # noqa: F401
     FeatureSchema,
     UserHistory,
     counterfactual_features,
-    extract_features,
     fold_context,
 )
 from .sampling import SamplingConfig, TrainingSample, generate_samples  # noqa: F401
@@ -18,6 +17,5 @@ from .pipeline import (  # noqa: F401
     CalibrationReport,
     ModelBidEstimator,
     ModelParams,
-    predict_lift,
     train_calibrated_model,
 )

@@ -208,18 +208,6 @@ class FeatureExtractor:
         return extract_from_history(history, profile, ts, fw, self.schema)
 
 
-def extract_features(
-    log: EventLog,
-    population: list[GroundTruthUser],
-    user_id: str,
-    ts: int,
-    fw: int,
-    schema: FeatureSchema,
-) -> np.ndarray:
-    """One-off extraction; build a :class:`FeatureExtractor` for bulk use."""
-    return FeatureExtractor(log, population, schema).features(user_id, ts, fw)
-
-
 def fold_context(
     features: np.ndarray, request: BidRequest, schema: FeatureSchema
 ) -> np.ndarray:

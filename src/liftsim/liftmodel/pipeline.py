@@ -37,11 +37,15 @@ class SchemaMismatch(ValueError):
     """Raised when features do not match the model's training schema."""
 
 
+class ModelFileError(ValueError):
+    """Raised when a model file cannot be read as a liftsim model."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     gbdt: GBDTParams = field(default_factory=GBDTParams)
     neg_per_pos: float = 4.0
-    holdout_fraction: float = 0.35
+    holdout_fraction: float = 0.4
 
     def __post_init__(self) -> None:
         if self.neg_per_pos <= 0:
@@ -80,19 +84,6 @@ class CalibratedModel:
         prob = 1.0 / (1.0 + np.exp(-raw))
         return np.asarray(self.isotonic.apply(prob))
 
-    def predict_ar_one(self, features: np.ndarray) -> float:
-        return float(self.predict_ar(features[None, :])[0])
-
-    def predict_lift_one(self, features: np.ndarray, advertiser: str) -> float:
-        """Estimated rate change from one more impression of ``advertiser``.
-
-        May be negative; clamping is a bidding decision, not a modeling
-        one.
-        """
-        shown = counterfactual_features(features, advertiser, self.schema)
-        pair = self.predict_ar(np.stack([shown, features]))
-        return float(pair[0] - pair[1])
-
     def to_dict(self) -> dict:
         return {
             "format": MODEL_FORMAT,
@@ -111,26 +102,31 @@ class CalibratedModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "CalibratedModel":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if data.get("format") != MODEL_FORMAT or data.get("version") != MODEL_VERSION:
-            raise ValueError(f"not a {MODEL_FORMAT} v{MODEL_VERSION} file")
-        schema = FeatureSchema.from_dict(data["schema"])
-        model = cls(
-            schema=schema,
-            gbdt=GBDTModel.from_dict(data["gbdt"]),
-            isotonic=IsotonicMap.from_dict(data["isotonic"]),
-            prior_logit_shift=float(data["prior_logit_shift"]),
-            feature_window_seconds=int(data["feature_window_seconds"]),
-            metadata=data.get("metadata", {}),
-        )
-        if model.schema_digest != data["schema_digest"]:
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # also undecodable bytes
+            raise ModelFileError(f"{path} is not JSON: {exc}") from exc
+        if (not isinstance(data, dict) or data.get("format") != MODEL_FORMAT
+                or data.get("version") != MODEL_VERSION):
+            raise ModelFileError(
+                f"{path} is not a {MODEL_FORMAT} v{MODEL_VERSION} file")
+        try:
+            model = cls(
+                schema=FeatureSchema.from_dict(data["schema"]),
+                gbdt=GBDTModel.from_dict(data["gbdt"]),
+                isotonic=IsotonicMap.from_dict(data["isotonic"]),
+                prior_logit_shift=float(data["prior_logit_shift"]),
+                feature_window_seconds=int(data["feature_window_seconds"]),
+                metadata=data.get("metadata", {}),
+            )
+            stored_digest = data["schema_digest"]
+        except KeyError as exc:
+            raise ModelFileError(f"{path} lacks the key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ModelFileError(f"{path} is malformed: {exc}") from exc
+        if model.schema_digest != stored_digest:
             raise SchemaMismatch("stored schema digest does not match schema")
         return model
-
-
-def predict_lift(model: CalibratedModel, features: np.ndarray, advertiser: str) -> float:
-    """Module-level convenience for :meth:`CalibratedModel.predict_lift_one`."""
-    return model.predict_lift_one(features, advertiser)
 
 
 @dataclass
@@ -140,9 +136,6 @@ class CalibrationReport:
     deciles: list[dict]
     n_holdout: int
     isotonic_degenerate: bool
-
-    def all_within(self, rel: float = 0.10, se_mult: float = 2.0) -> bool:
-        return all(d["within"] for d in self.deciles)
 
     def as_dict(self) -> dict:
         return {"deciles": self.deciles, "n_holdout": self.n_holdout,

@@ -13,12 +13,14 @@ event has appeared in at least one sample window.
 from __future__ import annotations
 
 import bisect
+import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from ..events import ACTION, AD_REQUEST, EventLog
+from ..fileio import atomic_write_text
 from ..market import GroundTruthUser
 from ..seeds import rng_for
 from .features import FeatureExtractor, FeatureSchema
@@ -32,7 +34,7 @@ class SamplingError(ValueError):
 class SamplingConfig:
     action_window_seconds: int = 2 * 86_400
     feature_window_seconds: int = 7 * 86_400
-    target_positive_count: int = 2_000
+    target_positive_count: int = 5_000
     max_draws: int | None = None  # default: 400 * target_positive_count
     seed: int = 0
 
@@ -143,9 +145,6 @@ def samples_to_matrix(samples: Iterable[TrainingSample]) -> tuple[np.ndarray, np
 
 def export_samples(samples: Iterable[TrainingSample], path) -> None:
     """Write samples as line-delimited JSON records."""
-    import json
-    from pathlib import Path
-
     lines = []
     for s in samples:
         lines.append(json.dumps({
@@ -154,4 +153,4 @@ def export_samples(samples: Iterable[TrainingSample], path) -> None:
             "label": int(s.label),
             "features": [float(x) for x in s.features],
         }, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -21,7 +21,6 @@ MICROS_PER_DOLLAR = 1_000_000
 
 VALUE_BIDDER = "value"
 LIFT_BIDDER = "lift"
-TIE = "tie"
 
 
 def dollars_to_micros(dollars: float) -> int:
@@ -31,11 +30,6 @@ def dollars_to_micros(dollars: float) -> int:
 
 def micros_to_dollars(micros: int) -> float:
     return micros / MICROS_PER_DOLLAR
-
-
-def to_money(amount: float) -> int:
-    """Round a real-valued micro amount to an exact integer micro amount."""
-    return round(amount)
 
 
 def check_probability(value: float, name: str = "probability") -> float:
@@ -173,22 +167,3 @@ def run_auction(
     clearing = max(second, reserve)
     losing = tuple((bidder, amount) for bidder, amount in bids if bidder != winner)
     return AuctionResult(winner=winner, clearing_price=clearing, losing_bids=losing)
-
-
-def head_to_head_winner(p: float, delta_p: float, alpha: float, beta: float) -> str:
-    """Which strategy wins a user when a value bidder meets a lift bidder.
-
-    The value bidder offers ``alpha * p``, the lift bidder ``beta * delta_p``.
-    Returns ``VALUE_BIDDER`` or ``LIFT_BIDDER``; exact equality of the two
-    offers is flagged by returning ``TIE`` (callers decide how to break it).
-    """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    check_probability(p, "p")
-    value_offer = alpha * p
-    lift_offer = beta * delta_p
-    if value_offer > lift_offer:
-        return VALUE_BIDDER
-    if value_offer < lift_offer:
-        return LIFT_BIDDER
-    return TIE

@@ -23,7 +23,7 @@ from typing import Protocol
 import numpy as np
 from scipy.special import ndtr
 
-from .bidders import LIFT, PASSIVE, RATIONAL, VALUE, BidderConfig
+from .bidders import PASSIVE, BidderConfig, price_bids
 from .events import (
     ACTION, AD_REQUEST, APP_INSTALL, APP_USE, BID, AUCTION, CLICK, IMPRESSION,
     PAGE_VIEW, SEARCH, EventLog, TimelineEvent,
@@ -280,14 +280,6 @@ def generate_population(config: WorldConfig) -> list[GroundTruthUser]:
     return users
 
 
-def realize_action(
-    user: GroundTruthUser, exposed: bool, rng: np.random.Generator
-) -> bool:
-    """One Bernoulli action draw: rate p if exposed in the window, else p - delta_p."""
-    prob = user.p if exposed else user.background_rate
-    return bool(rng.random() < prob)
-
-
 # ---------------------------------------------------------------------------
 # Market simulation
 # ---------------------------------------------------------------------------
@@ -383,34 +375,11 @@ def _bidder_labels(bidders: list[BidderConfig]) -> list[str]:
     return out
 
 
-def _oracle_bids(
-    population: list[GroundTruthUser],
-    bidders: list[BidderConfig],
-    assignment: np.ndarray,
-) -> np.ndarray:
-    """Per-user bid in micros when bidding from ground truth."""
-    n = len(population)
-    p = np.array([u.p for u in population])
-    dp = np.array([u.delta_p for u in population])
-    bids = np.zeros(n, dtype=np.int64)
-    for g, bidder in enumerate(bidders):
-        mask = assignment == g
-        if not mask.any():
-            continue
-        if bidder.kind == VALUE:
-            bids[mask] = np.rint(bidder.alpha * p[mask]).astype(np.int64)
-        elif bidder.kind == LIFT:
-            bids[mask] = np.rint(
-                bidder.beta * np.maximum(dp[mask], 0.0)).astype(np.int64)
-        elif bidder.kind == RATIONAL:
-            attr = bidder.attribution
-            a = np.array([
-                attr(population[i]) if attr is not None else 1.0
-                for i in np.nonzero(mask)[0]
-            ])
-            bids[mask] = np.rint(bidder.cpa * p[mask] * a).astype(np.int64)
-        # passive stays zero
-    return bids
+def split_budget(bidders: list[BidderConfig], budget: int) -> list[int]:
+    """Equal integer shares of ``budget`` for the active bidders; passive
+    bidders get nothing."""
+    n_active = sum(b.kind != PASSIVE for b in bidders)
+    return [0 if b.kind == PASSIVE else budget // n_active for b in bidders]
 
 
 def run_market(
@@ -456,10 +425,7 @@ def run_market(
         raise WorldConfigError("assignment index out of range")
 
     if budgets is None:
-        active = [i for i, b in enumerate(bidders) if b.kind != PASSIVE]
-        budgets = [0] * n_bidders
-        for i in active:
-            budgets[i] = campaign.budget // max(len(active), 1)
+        budgets = split_budget(bidders, campaign.budget)
     if len(budgets) != n_bidders:
         raise WorldConfigError("budgets must align with bidders")
 
@@ -474,6 +440,7 @@ def run_market(
                                    assignment)
 
     p = np.array([u.p for u in population])
+    dp = np.array([u.delta_p for u in population])
     bg = np.array([u.background_rate for u in population])
     rates = np.array([u.request_rate for u in population])
     user_ids = [u.user_id for u in population]
@@ -518,8 +485,9 @@ def run_market(
     action_uniforms = action_rng.random((n, n_windows))
 
     oracle_bids = None
-    if estimator is None:
-        oracle_bids = _oracle_bids(population, bidders, assignment)
+    if estimator is None:  # each user's bid from its group's bidder
+        oracle_bids = np.stack([price_bids(b, p, dp) for b in bidders])[
+            assignment, np.arange(n)]
 
     stats = [
         GroupStats(bidder=labels[g], kind=bidders[g].kind, budget=int(budgets[g]))
@@ -576,7 +544,7 @@ def run_market(
                         estimator.observe(behavior_events[behavior_cursor])
                         behavior_cursor += 1
                     p_hat, dp_hat = estimator.estimate(u, ts, int(req_topic[i]))
-                    our = _price_bid(bidder, p_hat, dp_hat, population[u])
+                    our = int(price_bids(bidder, p_hat, dp_hat))
                 else:
                     our = int(oracle_bids[u])
                 if our <= 0:
@@ -649,19 +617,6 @@ def run_market(
         log = EventLog(events=events, seed=config.seed, config_digest=run_digest)
     return MarketRun(log=log, groups=stats, n_windows=n_windows,
                      config_digest=run_digest)
-
-
-def _price_bid(
-    bidder: BidderConfig, p_hat: float, dp_hat: float, user: GroundTruthUser
-) -> int:
-    if bidder.kind == VALUE:
-        return int(round(bidder.alpha * max(p_hat, 0.0)))
-    if bidder.kind == LIFT:
-        return int(round(bidder.beta * max(dp_hat, 0.0)))
-    if bidder.kind == RATIONAL:
-        a = bidder.attribution(user) if bidder.attribution is not None else 1.0
-        return int(round(bidder.cpa * max(p_hat, 0.0) * a))
-    return 0
 
 
 def _settle(
@@ -763,23 +718,6 @@ def _behavior_events(
                     events.append(TimelineEvent(ts=ts, user_id=user_ids[u],
                                                 kind=APP_USE, app_id=a))
     return events
-
-
-def simulate_market(
-    population: list[GroundTruthUser],
-    bidders: list[BidderConfig],
-    campaigns: list[Campaign],
-    config: WorldConfig,
-    assignment: np.ndarray | list[int] | None = None,
-    budgets: list[int] | None = None,
-    estimator: BidEstimator | None = None,
-) -> EventLog:
-    """Simulate and return the full event log (see :func:`run_market`)."""
-    run = run_market(population, bidders, campaigns, config,
-                     assignment=assignment, budgets=budgets,
-                     estimator=estimator, record_events=True)
-    assert run.log is not None
-    return run.log
 
 
 def precedent_impression_fraction(

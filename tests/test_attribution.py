@@ -1,21 +1,16 @@
-"""Exact accounting quantities, partitions, and attribution models."""
+"""Exact accounting quantities and partitions."""
 
 import numpy as np
 import pytest
 
 from liftsim.attribution import (
-    AccountingError, AttributionModel, CreditAssignment, Partition,
-    cost_per_attributed, expected_actions_per_attributed,
-    generalized_partition, generalized_theorem_quantities,
-    last_touch_attribute, lift_proportional_credit, lift_proportional_credits,
-    partition_users, theorem_quantities,
+    AccountingError, Partition, generalized_partition,
+    generalized_theorem_quantities, partition_users, theorem_quantities,
 )
 from liftsim.bidders import calibrate_equal_attribution
-from liftsim.events import ACTION, IMPRESSION, EventLog, TimelineEvent
-from liftsim.market import LIFT_BIDDER, VALUE_BIDDER, GroundTruthUser, dollars_to_micros
+from liftsim.market import GroundTruthUser, dollars_to_micros
 
 D = dollars_to_micros
-DAY = 86_400
 
 
 def _user(uid, p, delta_p):
@@ -67,41 +62,42 @@ def test_partition_sides_must_be_disjoint():
 
 def test_actions_per_attributed_example():
     part = partition_users(TWO_USERS, alpha=100.0, beta=200.0)
-    a_value = expected_actions_per_attributed(TWO_USERS, part, VALUE_BIDDER)
-    a_lift = expected_actions_per_attributed(TWO_USERS, part, LIFT_BIDDER)
-    assert a_value == pytest.approx((0.04 + 0.001) / 0.04)  # 1.025
-    assert a_lift == pytest.approx((0.03 + 0.02) / 0.02)    # 2.5
+    report = theorem_quantities(TWO_USERS, part, alpha=100.0, beta=200.0)
+    assert report.actions_per_attr_value == pytest.approx((0.04 + 0.001) / 0.04)  # 1.025
+    assert report.actions_per_attr_lift == pytest.approx((0.03 + 0.02) / 0.02)    # 2.5
+    assert report.actions_dominance
 
 
 def test_actions_per_attributed_collapses_without_lift():
     population = [_user("a", 0.05, 0.0), _user("b", 0.03, 0.0)]
     part = Partition(value_won=("a",), lift_won=("b",))
     total = 0.05 + 0.03
-    assert expected_actions_per_attributed(population, part, VALUE_BIDDER) == pytest.approx(total / 0.05)
-    assert expected_actions_per_attributed(population, part, LIFT_BIDDER) == pytest.approx(total / 0.03)
+    report = theorem_quantities(population, part, alpha=100.0, beta=100.0)
+    assert report.actions_per_attr_value == pytest.approx(total / 0.05)
+    assert report.actions_per_attr_lift == pytest.approx(total / 0.03)
 
 
 def test_cost_per_attributed_example():
     part = partition_users(TWO_USERS, alpha=D(100.0), beta=D(200.0))
-    c_value = cost_per_attributed(TWO_USERS, part, D(100.0), D(200.0), VALUE_BIDDER)
-    c_lift = cost_per_attributed(TWO_USERS, part, D(100.0), D(200.0), LIFT_BIDDER)
-    assert c_value == pytest.approx(D(200.0) * 0.01 / 0.04)  # $50
-    assert c_lift == D(100.0)  # exactly alpha, by construction
+    report = theorem_quantities(TWO_USERS, part, D(100.0), D(200.0))
+    assert report.cost_per_attr_value == pytest.approx(D(200.0) * 0.01 / 0.04)  # $50
+    assert report.cost_per_attr_lift == D(100.0)  # exactly alpha, by construction
+    assert report.cost_dominance
 
 
 def test_lift_side_cost_is_alpha_exactly():
     rng = np.random.default_rng(32)
     population = _random_population(rng, 500)
     part = partition_users(population, alpha=100.0, beta=250.0)
-    assert cost_per_attributed(population, part, 100.0, 250.0, LIFT_BIDDER) == 100.0
+    report = theorem_quantities(population, part, 100.0, 250.0)
+    assert report.cost_per_attr_lift == 100.0
 
 
 def test_empty_side_raises():
-    part = Partition(value_won=(), lift_won=("a", "b"))
-    with pytest.raises(AccountingError):
-        expected_actions_per_attributed(TWO_USERS, part, VALUE_BIDDER)
-    with pytest.raises(AccountingError):
-        cost_per_attributed(TWO_USERS, part, 100.0, 200.0, VALUE_BIDDER)
+    for part in (Partition(value_won=(), lift_won=("a", "b")),
+                 Partition(value_won=("a", "b"), lift_won=())):
+        with pytest.raises(AccountingError):
+            theorem_quantities(TWO_USERS, part, 100.0, 200.0)
 
 
 def test_generalized_reduces_to_simple_with_full_attribution():
@@ -173,64 +169,3 @@ def test_dominance_after_equal_attribution_calibration():
     assert report.actions_dominance
     assert report.cost_dominance
     assert report.n_tied == 0
-
-
-def _log(events):
-    return EventLog(events=sorted(events, key=TimelineEvent.sort_key), seed=0,
-                    config_digest="test")
-
-
-def test_last_touch_takes_latest_impression():
-    action = TimelineEvent(ts=3 * DAY, user_id="u", kind=ACTION, advertiser_id="adv")
-    log = _log([
-        TimelineEvent(ts=1 * DAY, user_id="u", kind=IMPRESSION,
-                      advertiser_id="adv", bidder="value", price=1),
-        TimelineEvent(ts=2 * DAY, user_id="u", kind=IMPRESSION,
-                      advertiser_id="adv", bidder="lift", price=1),
-        action,
-    ])
-    assert last_touch_attribute(log, action, lookback_days=7) == "lift"
-
-
-def test_last_touch_background_action_gets_no_credit():
-    action = TimelineEvent(ts=3 * DAY, user_id="u", kind=ACTION, advertiser_id="adv")
-    other_user = TimelineEvent(ts=2 * DAY, user_id="v", kind=IMPRESSION,
-                               advertiser_id="adv", bidder="value", price=1)
-    log = _log([other_user, action])
-    assert last_touch_attribute(log, action, lookback_days=7) is None
-
-
-def test_last_touch_respects_lookback_window():
-    action = TimelineEvent(ts=10 * DAY, user_id="u", kind=ACTION, advertiser_id="adv")
-    stale = TimelineEvent(ts=1 * DAY, user_id="u", kind=IMPRESSION,
-                          advertiser_id="adv", bidder="value", price=1)
-    log = _log([stale, action])
-    assert last_touch_attribute(log, action, lookback_days=7) is None
-    assert last_touch_attribute(log, action, lookback_days=30) == "value"
-
-
-def test_lift_proportional_credit_values():
-    assert lift_proportional_credit(p=0.05, delta_p=0.05) == 1.0
-    assert lift_proportional_credit(p=0.05, delta_p=0.0) == 0.0
-    assert lift_proportional_credit(p=0.04, delta_p=0.01) == pytest.approx(0.25)
-    with pytest.raises(AccountingError):
-        lift_proportional_credit(p=0.0, delta_p=0.0)
-
-
-def test_lift_proportional_credits_count_clamps():
-    population = [_user("a", 0.04, 0.01), _user("b", 0.02, 0.019)]
-    assignment = lift_proportional_credits(population, normalization=2.0)
-    assert isinstance(assignment, CreditAssignment)
-    # 2 * 0.019 / 0.02 = 1.9 clamps to 1; 2 * 0.01 / 0.04 = 0.5 does not.
-    assert assignment.credits == (0.5, 1.0)
-    assert assignment.n_clamped_high == 1
-    assert assignment.n_clamped_low == 0
-
-
-def test_attribution_model_validation():
-    AttributionModel(kind="last_touch")
-    AttributionModel(kind="lift_proportional", normalization=0.5)
-    with pytest.raises(ValueError):
-        AttributionModel(kind="first_touch")
-    with pytest.raises(ValueError):
-        AttributionModel(kind="lift_proportional", normalization=0.0)

@@ -1,17 +1,22 @@
 """Bid formulas and the lift-scale calibration procedures."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from liftsim.attribution import partition_users
 from liftsim.bidders import (
-    BidderConfig, CalibrationError, PopulationStats,
+    BIDDER_KINDS, BidderConfig, CalibrationError, PopulationStats,
     calibrate_beta, calibrate_equal_attribution,
-    calibrate_equal_attribution_weighted,
-    lift_bid, passive_bid, rational_bid, split_weight_gap, value_bid,
+    calibrate_equal_attribution_weighted, price_bids, split_weight_gap,
 )
 from liftsim.market import GroundTruthUser, dollars_to_micros
 
 D = dollars_to_micros
+VALUE_100 = BidderConfig(kind="value", alpha=D(100.0))
+LIFT_200 = BidderConfig(kind="lift", beta=D(200.0))
 
 
 def _user(i, p, delta_p):
@@ -27,26 +32,25 @@ def _random_population(rng, n):
 
 
 def test_passive_bid_is_zero():
-    assert passive_bid() == 0
+    bids = price_bids(BidderConfig(kind="passive"), [0.04, 0.5], [0.01, 0.2])
+    assert bids.tolist() == [0, 0]
 
 
 def test_value_bid_examples():
-    assert value_bid(0.04, alpha=D(100.0)) == D(4.0)
-    assert value_bid(0.02, alpha=D(100.0)) == D(2.0)
-    assert value_bid(0.0, alpha=D(100.0)) == 0
+    bids = price_bids(VALUE_100, [0.04, 0.02, 0.0], [0.0, 0.0, 0.0])
+    assert bids.tolist() == [D(4.0), D(2.0), 0]
 
 
 def test_lift_bid_examples():
-    assert lift_bid(0.019, beta=D(200.0)) == D(3.8)
-    assert lift_bid(0.01, beta=D(200.0)) == D(2.0)
-    assert lift_bid(0.0, beta=D(200.0)) == 0
-    assert lift_bid(-0.05, beta=D(200.0)) == 0  # negative lift clamps to zero
+    bids = price_bids(LIFT_200, [0.05] * 4, [0.019, 0.01, 0.0, -0.05])
+    assert bids.tolist() == [D(3.8), D(2.0), 0, 0]  # negative lift clamps to zero
 
 
 def test_rational_bid_examples():
-    assert rational_bid(0.04, a=1.0, cpa=D(100.0)) == D(4.0)
-    assert rational_bid(0.04, a=0.5, cpa=D(100.0)) == D(2.0)
-    assert rational_bid(0.5, a=0.0, cpa=D(100.0)) == 0
+    rational = BidderConfig(kind="rational", cpa=D(100.0))
+    bids = price_bids(rational, [0.04, 0.5, 0.0], [0.01, 0.1, 0.0])
+    assert bids.tolist() == [D(4.0), D(50.0), 0]  # cpa * p, attribution 1
+    assert price_bids(rational, 0.04, 0.01) == D(4.0)  # scalars work too
 
 
 def test_scale_equivariance_within_one_micro():
@@ -55,21 +59,40 @@ def test_scale_equivariance_within_one_micro():
         p = float(rng.uniform(0.0, 0.3))
         alpha = float(rng.uniform(1, 400)) * 1e6
         c = float(rng.uniform(0.5, 8.0))
-        assert abs(value_bid(p, c * alpha) / c - value_bid(p, alpha)) <= 1.0
-        assert abs(lift_bid(p, c * alpha) / c - lift_bid(p, alpha)) <= 1.0
+        for kind in ("value", "lift"):
+            scaled = BidderConfig(kind=kind, alpha=c * alpha, beta=c * alpha)
+            base = BidderConfig(kind=kind, alpha=alpha, beta=alpha)
+            assert abs(price_bids(scaled, p, p) / c - price_bids(base, p, p)) <= 1.0
 
 
 def test_winner_invariant_under_common_scaling():
-    from liftsim.market import head_to_head_winner
     rng = np.random.default_rng(12)
-    for _ in range(300):
-        p = float(rng.uniform(0.001, 0.2))
-        dp = p * float(rng.uniform(0.01, 0.99))
+    population = _random_population(rng, 300)
+    for _ in range(30):
         alpha = float(rng.uniform(10, 500))
         beta = float(rng.uniform(10, 2000))
         c = float(rng.uniform(0.01, 100.0))
-        assert (head_to_head_winner(p, dp, alpha, beta)
-                == head_to_head_winner(p, dp, c * alpha, c * beta))
+        assert (partition_users(population, alpha, beta)
+                == partition_users(population, c * alpha, c * beta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(BIDDER_KINDS),
+    scale=st.floats(1.0, 1e9),
+    xs=st.lists(st.tuples(st.floats(-0.5, 1.0), st.floats(-0.5, 1.0)),
+                max_size=20),
+)
+def test_price_bids_matches_python_rounding(kind, scale, xs):
+    bidder = BidderConfig(kind=kind, alpha=scale, beta=scale, cpa=scale)
+    p = [x for x, _ in xs]
+    delta_p = [d for _, d in xs]
+    bids = price_bids(bidder, np.array(p), np.array(delta_p))
+    assert bids.dtype == np.int64
+    priced = {"passive": [0.0] * len(p), "value": p, "lift": delta_p,
+              "rational": p}[kind]
+    factor = 0.0 if kind == "passive" else scale
+    assert bids.tolist() == [round(factor * max(x, 0.0)) for x in priced]
 
 
 def test_calibrate_beta_examples():
@@ -108,22 +131,44 @@ def test_identical_users_cannot_be_split_by_a_scale():
     assert cal.residual == pytest.approx(1.0)  # everyone lands on one side
 
 
-def test_bisection_matches_exhaustive_grid_scan():
+def _exhaustive_residual(population, alpha):
+    """Smallest residual over every interval midpoint, found by brute force."""
+    per_user = [alpha * u.p / u.delta_p if u.delta_p > 0 else math.inf
+                for u in population]
+    points = sorted({t for t in per_user if math.isfinite(t)})
+    candidates = [points[0] * 0.5, points[-1] * 2.0]
+    candidates += [0.5 * (a + b) for a, b in zip(points, points[1:])]
+    weights = [u.p for u in population]
+    best = min(abs(split_weight_gap(per_user, weights, b)) for b in candidates)
+    return best / sum(weights)
+
+
+def test_scan_matches_exhaustive_search():
     rng = np.random.default_rng(77)
     for trial in range(5):
         population = _random_population(rng, 1000)
-        alpha = 100.0
-        cal = calibrate_equal_attribution(population, alpha, tolerance=1e-3)
-
-        thresholds = sorted({alpha * u.p / u.delta_p for u in population})
-        weights = [u.p for u in population]
-        per_user = [alpha * u.p / u.delta_p for u in population]
-        candidates = [thresholds[0] * 0.5, thresholds[-1] * 2.0]
-        candidates += [0.5 * (a + b) for a, b in zip(thresholds, thresholds[1:])]
-        best = min(abs(split_weight_gap(per_user, weights, b)) for b in candidates)
-        total = sum(weights)
-        assert cal.residual == pytest.approx(best / total, abs=1e-12)
+        cal = calibrate_equal_attribution(population, 100.0, tolerance=1e-3)
+        assert cal.residual == pytest.approx(
+            _exhaustive_residual(population, 100.0), abs=1e-12)
         assert cal.residual <= 0.01
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from([0.005, 0.02, 0.03, 0.1]) | st.floats(0.001, 0.2),
+              st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.05, 0.95)),
+    min_size=1, max_size=40))
+def test_scan_matches_exhaustive_search_on_any_population(draws):
+    """Repeated indifference points and users without lift included."""
+    population = [_user(i, p, p * ratio) for i, (p, ratio) in enumerate(draws)]
+    if all(u.delta_p == 0 for u in population):
+        with pytest.raises(CalibrationError):
+            calibrate_equal_attribution(population, 100.0)
+        return
+    cal = calibrate_equal_attribution(population, 100.0)
+    assert cal.residual == pytest.approx(
+        _exhaustive_residual(population, 100.0), abs=1e-12)
+    assert cal.converged == (cal.residual <= 1e-3)
 
 
 def test_calibration_rejects_bad_input():

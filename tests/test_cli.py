@@ -217,3 +217,20 @@ def test_abtest_model_mode_runs(tmp_path):
     assert json.loads(report[0])["bid_source"].endswith("model.json")
     rep = json.loads(report[1])
     assert rep["groups"]["value"]["impressions"] > 0
+
+
+@pytest.mark.parametrize("content", [
+    "not json",
+    '{"format": "other"}',
+    '{"format": "liftsim.model", "version": 1}',
+], ids=["not-json", "wrong-format", "missing-keys"])
+def test_abtest_malformed_model_is_a_data_error(tmp_path, capsys, content):
+    model = tmp_path / "model.json"
+    model.write_text(content)
+    config = write_config(tmp_path, AB_SMALL)
+    code = main(["abtest", "--config", str(config), "--bids", str(model),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert err.count("\n") == 1

@@ -64,8 +64,8 @@ def test_parse_rejects_unknown_kind():
         EventLog.parse([header, '{"ts":1,"user":"u","kind":"teleport"}'])
 
 
-def test_by_user_and_of_kind():
+def test_of_kind_filters_in_log_order():
     log = _sample_log()
-    index = log.by_user()
-    assert {uid: len(evts) for uid, evts in index.items()} == {"u0": 3, "u1": 1}
-    assert len(log.of_kind(AD_REQUEST)) == 1
+    assert log.of_kind(AD_REQUEST) == [log.events[0]]
+    assert [e.ts for e in log.of_kind(IMPRESSION)] == [11]
+    assert log.of_kind("click") == []

@@ -5,7 +5,7 @@ import pytest
 
 from liftsim.experiments import (
     ABTestConfig, EXAMPLE_USERS, SweepConfig, _play_strategy,
-    action_lift, detect_all_tie_configuration, lift_over_lift, relative_diff,
+    action_lift, lift_over_lift, relative_diff,
     run_abtest, run_worked_example, verify_theorems,
 )
 from liftsim.market import GroundTruthUser, dollars_to_micros
@@ -95,9 +95,13 @@ def test_all_tie_configuration_is_detected():
         for i in range(80)
     ]
     cpa = D(100.0)
-    assert detect_all_tie_configuration(population, cpa, beta=1.0 * cpa)
-    # A generic attribution assignment does not tie everyone.
     from liftsim.attribution import generalized_partition
+    # Matched attribution probabilities make the rational bidder's offer
+    # equal the lift bidder's on every user.
+    matched = [u.delta_p / u.p for u in population]
+    part = generalized_partition(population, matched, cpa, 1.0 * cpa)
+    assert len(part.tied) == len(population)
+    # A generic attribution assignment does not tie everyone.
     a_values = [float(rng.uniform(0.1, 1.0)) for _ in population]
     part = generalized_partition(population, a_values, cpa, 2.0 * cpa)
     assert len(part.tied) < len(population)

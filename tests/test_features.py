@@ -9,7 +9,7 @@ from liftsim.events import (
 )
 from liftsim.liftmodel.features import (
     MOST_RECENT_BUCKET, NEVER_BUCKET, FeatureExtractor, FeatureSchema,
-    counterfactual_features, extract_features, fold_context, recency_bucket,
+    counterfactual_features, fold_context, recency_bucket,
 )
 from liftsim.market import BehaviorProfile, BidRequest, GroundTruthUser
 
@@ -65,7 +65,7 @@ def test_impression_frequency_counts_window_events():
         TimelineEvent(ts=ts - 5 * HOUR, user_id="u0", kind=IMPRESSION,
                       advertiser_id="adv2", bidder="value", price=1),
     ]
-    f = extract_features(log_of(events), [u], "u0", ts, fw=7 * DAY, schema=s)
+    f = FeatureExtractor(log_of(events), [u], s).features("u0", ts, 7 * DAY)
     assert f[s.index("imp_freq_adv:adv1")] == 3
     assert f[s.index("imp_freq_adv:adv2")] == 1
     assert f[s.index("imp_rncy_adv:adv1")] == 1  # 2h ago -> <=6h bucket
@@ -86,7 +86,7 @@ def test_window_boundaries_are_half_open():
         TimelineEvent(ts=ts, user_id="u0", kind=SEARCH, topic_id=2),
         TimelineEvent(ts=ts + 1, user_id="u0", kind=SEARCH, topic_id=2),
     ]
-    f = extract_features(log_of(events), [u], "u0", ts, fw=fw, schema=s)
+    f = FeatureExtractor(log_of(events), [u], s).features("u0", ts, fw)
     assert f[s.index("pv_freq_topic:0")] == 0  # exactly ts - fw is outside
     assert f[s.index("pv_freq_topic:1")] == 1
     assert f[s.index("srch_freq_topic:2")] == 1  # ts itself is inside
@@ -95,7 +95,7 @@ def test_window_boundaries_are_half_open():
 
 def test_unknown_user_raises():
     with pytest.raises(KeyError):
-        extract_features(log_of([]), [user()], "ghost", 0, DAY, schema())
+        FeatureExtractor(log_of([]), [user()], schema()).features("ghost", 0, DAY)
 
 
 def test_features_match_brute_force_scan():
@@ -142,7 +142,7 @@ def test_features_match_brute_force_scan():
 
 def test_fold_context_sets_topic_recency_and_geo():
     s = schema()
-    f = extract_features(log_of([]), [user()], "u0", DAY, DAY, s)
+    f = FeatureExtractor(log_of([]), [user()], s).features("u0", DAY, DAY)
     request = BidRequest("r1", "u0", DAY, topic_id=2, geo_area=19)
     folded = fold_context(f, request, s)
     assert folded[s.index("pv_rncy_topic:2")] == MOST_RECENT_BUCKET

@@ -15,7 +15,7 @@ from liftsim.liftmodel.gbdt import GBDTModel, GBDTParams, TrainingError
 from liftsim.liftmodel.isotonic import IsotonicMap
 from liftsim.liftmodel.pipeline import (
     CalibratedModel, ModelBidEstimator, ModelParams, SchemaMismatch,
-    predict_lift, train_calibrated_model,
+    train_calibrated_model,
 )
 from liftsim.liftmodel.sampling import SamplingConfig, generate_samples
 from liftsim.market import BidRequest, Campaign, dollars_to_micros
@@ -36,6 +36,13 @@ def constant_model(schema, value=0.02):
     return CalibratedModel(schema=schema, gbdt=gbdt, isotonic=iso,
                            prior_logit_shift=0.0,
                            feature_window_seconds=7 * DAY)
+
+
+def predict_lift(model, features, advertiser):
+    """Predicted rate with one more impression minus the rate as-is."""
+    shown = counterfactual_features(features, advertiser, model.schema)
+    pair = model.predict_ar(np.stack([shown, features]))
+    return float(pair[0] - pair[1])
 
 
 def trained_world_model(seed=33, n_users=400, target=300):
@@ -84,7 +91,8 @@ def test_predict_lift_is_the_definitional_difference():
     for _ in range(30):
         f = rng.integers(0, 6, schema.n_features).astype(float)
         shown = counterfactual_features(f, "adv1", schema)
-        expected = (model.predict_ar_one(shown) - model.predict_ar_one(f))
+        # Predicting both rows in one call equals predicting each alone.
+        expected = model.predict_ar(shown)[0] - model.predict_ar(f)[0]
         assert predict_lift(model, f, "adv1") == pytest.approx(expected, abs=0)
 
 
@@ -168,9 +176,9 @@ def test_streaming_estimator_matches_offline_extraction():
     folded = fold_context(f, BidRequest("r", user.user_id, ts, topic_id=1),
                           schema)
     shown = counterfactual_features(folded, "adv1", schema)
-    assert p_hat == pytest.approx(model.predict_ar_one(shown), abs=0)
+    assert p_hat == pytest.approx(model.predict_ar(shown)[0], abs=0)
     assert lift_hat == pytest.approx(
-        model.predict_ar_one(shown) - model.predict_ar_one(folded), abs=0)
+        model.predict_ar(shown)[0] - model.predict_ar(folded)[0], abs=0)
 
 
 def test_user_history_window_stats():

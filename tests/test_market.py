@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from liftsim.attribution import Partition, partition_users
 from liftsim.market import (
-    LIFT_BIDDER, TIE, VALUE_BIDDER,
+    LIFT_BIDDER, VALUE_BIDDER,
     AuctionResult, Campaign, GroundTruthUser,
-    dollars_to_micros, head_to_head_winner, micros_to_dollars, run_auction,
+    dollars_to_micros, micros_to_dollars, run_auction,
 )
-from liftsim.bidders import lift_bid, value_bid
+from liftsim.bidders import BidderConfig, price_bids
 
 D = dollars_to_micros
 
@@ -77,10 +78,13 @@ def test_clearing_price_bounds_sweep():
 
 
 def test_head_to_head_examples():
-    assert head_to_head_winner(p=0.04, delta_p=0.01, alpha=100, beta=100) == VALUE_BIDDER
-    assert head_to_head_winner(p=0.02, delta_p=0.019, alpha=100, beta=200) == LIFT_BIDDER
-    assert head_to_head_winner(p=0.5, delta_p=0.0, alpha=100, beta=100) == VALUE_BIDDER
-    assert head_to_head_winner(p=0.04, delta_p=0.02, alpha=100, beta=200) == TIE
+    def duel(p, delta_p, alpha, beta):
+        return partition_users([GroundTruthUser("u", p, delta_p)], alpha, beta)
+
+    assert duel(p=0.04, delta_p=0.01, alpha=100, beta=100) == Partition(("u",), ())
+    assert duel(p=0.02, delta_p=0.019, alpha=100, beta=200) == Partition((), ("u",))
+    assert duel(p=0.5, delta_p=0.0, alpha=100, beta=100) == Partition(("u",), ())
+    assert duel(p=0.04, delta_p=0.02, alpha=100, beta=200) == Partition((), (), ("u",))
 
 
 def test_auction_agrees_with_head_to_head_when_bids_differ():
@@ -91,11 +95,14 @@ def test_auction_agrees_with_head_to_head_when_bids_differ():
         delta_p = p * float(rng.uniform(0.0, 1.0))
         alpha = float(rng.uniform(10, 500)) * 1e6
         beta = float(rng.uniform(10, 2000)) * 1e6
-        bids = [(VALUE_BIDDER, value_bid(p, alpha)), (LIFT_BIDDER, lift_bid(delta_p, beta))]
-        if bids[0][1] == bids[1][1]:
+        value_bid = int(price_bids(BidderConfig("value", alpha=alpha), p, delta_p))
+        lift_bid = int(price_bids(BidderConfig("lift", beta=beta), p, delta_p))
+        if value_bid == lift_bid:
             continue
-        result = run_auction(bids, reserve=0)
-        assert result.winner == head_to_head_winner(p, delta_p, alpha, beta)
+        result = run_auction([(VALUE_BIDDER, value_bid), (LIFT_BIDDER, lift_bid)],
+                             reserve=0)
+        offers_winner = VALUE_BIDDER if alpha * p > beta * delta_p else LIFT_BIDDER
+        assert result.winner == offers_winner
         agreements += 1
     assert agreements > 400  # the sweep must actually exercise the property
 

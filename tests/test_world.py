@@ -5,10 +5,10 @@ import pytest
 
 from liftsim.bidders import BidderConfig
 from liftsim.events import ACTION, AUCTION, IMPRESSION
-from liftsim.market import Campaign, GroundTruthUser, dollars_to_micros, run_auction
+from liftsim.market import Campaign, dollars_to_micros, run_auction
 from liftsim.world import (
     WorldConfig, WorldConfigError, generate_population,
-    precedent_impression_fraction, realize_action, run_market, simulate_market,
+    precedent_impression_fraction, run_market, split_budget,
 )
 
 D = dollars_to_micros
@@ -84,22 +84,49 @@ def test_overrejecting_distribution_is_a_config_error():
         generate_population(config)
 
 
+def _unexposed_actions(config):
+    """Actions per user of a passive-only market: nobody is ever exposed."""
+    population = generate_population(config)
+    run = run_market(population, [BidderConfig(kind="passive")], [campaign()],
+                     config, assignment=np.zeros(len(population), dtype=int))
+    per_user = {u.user_id: 0 for u in population}
+    for event in run.log.of_kind(ACTION):
+        per_user[event.user_id] += 1
+    return run, list(per_user.values())
+
+
 def test_realize_action_extremes():
-    rng = np.random.default_rng(0)
-    sure = GroundTruthUser("u", p=1.0, delta_p=0.0)
-    assert realize_action(sure, exposed=True, rng=rng)
-    never = GroundTruthUser("v", p=0.5, delta_p=0.5)
-    assert not realize_action(never, exposed=False, rng=rng)
+    config = WorldConfig(
+        n_users=2, horizon_days=8,
+        p_distribution={"kind": "fixed", "values": [1.0, 0.5]},
+        delta_p_distribution={"kind": "fixed", "values": [0.0, 0.5]},
+        behavior={"enabled": False})
+    run, actions = _unexposed_actions(config)
+    assert run.n_windows == 4
+    assert actions == [4, 0]  # background rates 1 and 0
 
 
 def test_realize_action_unexposed_rate_binomial():
-    rng = np.random.default_rng(123)
-    user = GroundTruthUser("u", p=0.02, delta_p=0.019)
-    n = 100_000
-    hits = sum(realize_action(user, exposed=False, rng=rng) for _ in range(n))
-    expect = n * 0.001
-    sigma = np.sqrt(n * 0.001 * 0.999)
-    assert abs(hits - expect) <= 3 * sigma
+    config = WorldConfig(
+        n_users=25_000, seed=123, horizon_days=8,
+        p_distribution={"kind": "point", "value": 0.02},
+        delta_p_distribution={"kind": "point_ratio", "value": 0.95},
+        request_rate={"kind": "fixed", "value": 0.0},
+        behavior={"enabled": False})
+    run, actions = _unexposed_actions(config)
+    n = 25_000 * run.n_windows
+    bg = 0.02 - 0.02 * 0.95
+    hits = sum(actions)
+    sigma = np.sqrt(n * bg * (1 - bg))
+    assert abs(hits - n * bg) <= 3 * sigma
+
+
+def test_split_budget_shares_between_active_bidders():
+    lineup = [BidderConfig(kind="passive"),
+              BidderConfig(kind="value", alpha=D(100.0)),
+              BidderConfig(kind="lift", beta=D(300.0))]
+    assert split_budget(lineup, 1001) == [0, 500, 500]
+    assert split_budget(lineup[:1], 1001) == [0]
 
 
 def _abc_run(config, budget_dollars=1e9, record_events=True):
