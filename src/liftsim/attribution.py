@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .market import GroundTruthUser
+import numpy as np
+
+from .market import Population
 
 
 class AccountingError(ValueError):
@@ -28,16 +30,16 @@ class AccountingError(ValueError):
 
 @dataclass(frozen=True)
 class Partition:
-    """User ids split by which side wins their auction.
+    """User rows split by which side wins their auction.
 
     ``tied`` holds users whose two bids are exactly equal; they are
     excluded from both sides because assigning them to either would bias
     the accounting.
     """
 
-    value_won: tuple[str, ...]
-    lift_won: tuple[str, ...]
-    tied: tuple[str, ...] = ()
+    value_won: tuple[int, ...]
+    lift_won: tuple[int, ...]
+    tied: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         sides = (set(self.value_won), set(self.lift_won), set(self.tied))
@@ -64,18 +66,6 @@ class TheoremReport:
     cost_dominance: bool     # lift side costs more per attributed
     n_tied: int = 0
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "actions_per_attr_value": self.actions_per_attr_value,
-            "actions_per_attr_lift": self.actions_per_attr_lift,
-            "cost_per_attr_value": self.cost_per_attr_value,
-            "cost_per_attr_lift": self.cost_per_attr_lift,
-            "attribution_residual": self.attribution_residual,
-            "actions_dominance": self.actions_dominance,
-            "cost_dominance": self.cost_dominance,
-            "n_tied": self.n_tied,
-        }
-
 
 # Two offers computed through a handful of float multiplications are
 # considered equal (a tie) when they agree to this relative precision.
@@ -85,48 +75,45 @@ class TheoremReport:
 TIE_REL_TOL = 1e-9
 
 
-def partition_users(
-    population: list[GroundTruthUser], alpha: float, beta: float
-) -> Partition:
+def _side_rows(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+def _attribution(population: Population, a_values) -> np.ndarray:
+    a = np.asarray(a_values, dtype=float)
+    if a.shape != (len(population),):
+        raise ValueError("a_values must match the population length")
+    return a
+
+
+def partition_users(population: Population, alpha: float, beta: float) -> Partition:
     """Split users by who wins the value-vs-lift duel for each one.
 
     The value side wins user i iff ``alpha * p_i > beta * delta_p_i``,
     the lift side iff the inequality is reversed; offers equal to within
     ``TIE_REL_TOL`` are ties.
     """
-    return generalized_partition(
-        population, [1.0] * len(population), alpha, beta)
+    return generalized_partition(population, np.ones(len(population)), alpha, beta)
 
 
 def generalized_partition(
-    population: list[GroundTruthUser],
-    a_values: list[float],
-    cpa: int,
-    beta: float,
+    population: Population, a_values, cpa: int, beta: float
 ) -> Partition:
     """Partition when the value side is a rational bidder (cpa * p * a)."""
     if cpa <= 0 or beta <= 0:
         raise ValueError("cpa and beta must be positive")
-    if len(a_values) != len(population):
-        raise ValueError("a_values must match the population length")
-    value_won: list[str] = []
-    lift_won: list[str] = []
-    tied: list[str] = []
-    for user, a in zip(population, a_values):
-        value_offer = cpa * user.p * a
-        lift_offer = beta * user.delta_p
-        scale = max(abs(value_offer), abs(lift_offer))
-        if abs(value_offer - lift_offer) <= TIE_REL_TOL * scale:
-            tied.append(user.user_id)
-        elif value_offer > lift_offer:
-            value_won.append(user.user_id)
-        else:
-            lift_won.append(user.user_id)
-    return Partition(tuple(value_won), tuple(lift_won), tuple(tied))
+    a = _attribution(population, a_values)
+    value_offer = cpa * population.p * a
+    lift_offer = beta * population.delta_p
+    scale = np.maximum(np.abs(value_offer), np.abs(lift_offer))
+    tied = np.abs(value_offer - lift_offer) <= TIE_REL_TOL * scale
+    value_won = ~tied & (value_offer > lift_offer)
+    return Partition(_side_rows(value_won), _side_rows(~tied & ~value_won),
+                     _side_rows(tied))
 
 
 def theorem_quantities(
-    population: list[GroundTruthUser],
+    population: Population,
     partition: Partition,
     alpha: float,
     beta: float,
@@ -138,14 +125,14 @@ def theorem_quantities(
     pays ``alpha * p_k`` on wins attributed at rate ``p_k``.
     """
     return generalized_theorem_quantities(
-        population, partition, [1.0] * len(population), alpha, beta,
+        population, partition, np.ones(len(population)), alpha, beta,
         attribution_residual)
 
 
 def generalized_theorem_quantities(
-    population: list[GroundTruthUser],
+    population: Population,
     partition: Partition,
-    a_values: list[float],
+    a_values,
     cpa: int,
     beta: float,
     attribution_residual: float = 0.0,
@@ -157,32 +144,28 @@ def generalized_theorem_quantities(
     ``p * a`` per winner, on both sides. Each side pays the other's bid
     on the users it wins, so the lift side's cost per attributed action
     is ``cpa`` exactly and only the value side's is summed.
+
+    Side sums add the users in row order, one at a time, so the result
+    does not depend on numpy's summation order.
     """
-    if len(a_values) != len(population):
-        raise ValueError("a_values must match the population length")
-    index = {user.user_id: i for i, user in enumerate(population)}
-    value = [index[uid] for uid in partition.value_won]
-    lift = [index[uid] for uid in partition.lift_won]
+    a = _attribution(population, a_values)
+    value = np.asarray(partition.value_won, dtype=np.intp)
+    lift = np.asarray(partition.lift_won, dtype=np.intp)
+    p, bg, attr = population.p, population.background_rate, population.p * a
 
-    def attributed(side: list[int]) -> float:
-        return sum(population[i].p * a_values[i] for i in side)
+    def total(column: np.ndarray, side: np.ndarray) -> float:
+        return sum(column[side].tolist())
 
-    def exposed(side: list[int]) -> float:
-        return sum(population[i].p for i in side)
-
-    def background(side: list[int]) -> float:
-        return sum(population[i].background_rate for i in side)
-
-    attr_value = attributed(value)
-    attr_lift = attributed(lift)
+    attr_value = total(attr, value)
+    attr_lift = total(attr, lift)
     if attr_value <= 0:
         raise AccountingError("no attributed actions on the value side")
     if attr_lift <= 0:
         raise AccountingError("no attributed actions on the lift side")
 
-    a1 = (exposed(value) + background(lift)) / attr_value
-    a2 = (background(value) + exposed(lift)) / attr_lift
-    c1 = sum(beta * population[i].delta_p for i in value) / attr_value
+    a1 = (total(p, value) + total(bg, lift)) / attr_value
+    a2 = (total(bg, value) + total(p, lift)) / attr_lift
+    c1 = total(beta * population.delta_p, value) / attr_value
     c2 = float(cpa)
     return TheoremReport(
         actions_per_attr_value=a1,

@@ -20,12 +20,11 @@ intervals between them finds the best scale.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .market import GroundTruthUser, check_probability
+from .market import Population, check_probability
 
 PASSIVE = "passive"
 VALUE = "value"
@@ -124,28 +123,24 @@ def calibrate_beta(stats: PopulationStats, cpa: int) -> float:
     return (stats.mean_p / stats.mean_delta_p) * cpa
 
 
-def split_weight_gap(
-    thresholds: list[float], weights: list[float], beta: float
-) -> float:
+def split_weight_gap(thresholds, weights, beta: float) -> float:
     """Lift-side minus value-side attributed weight at a given beta.
 
     User i falls to the lift side iff ``beta > thresholds[i]``; users
     exactly at their indifference point are tied and excluded from both
-    sides. Non-decreasing in beta.
+    sides. Non-decreasing in beta. Each side adds its weights in user
+    order, one at a time.
     """
-    value_sum = 0.0
-    lift_sum = 0.0
-    for thr, w in zip(thresholds, weights):
-        if beta < thr:
-            value_sum += w
-        elif beta > thr:
-            lift_sum += w
-    return lift_sum - value_sum
+    thresholds = np.asarray(thresholds)
+    weights = np.asarray(weights)
+    lift_sum = sum(weights[beta > thresholds].tolist())
+    value_sum = sum(weights[beta < thresholds].tolist())
+    return float(lift_sum - value_sum)
 
 
 def _scan_equal_split(
-    thresholds: list[float],
-    weights: list[float],
+    thresholds: np.ndarray,
+    weights: np.ndarray,
     tolerance: float,
 ) -> BetaCalibration:
     """The beta that best balances the two side sums, by an exact scan.
@@ -161,10 +156,10 @@ def _scan_equal_split(
     of 0 pin it to the lift side. Only strictly positive finite ones can
     switch sides and span the candidates.
     """
-    finite = [t for t in thresholds if math.isfinite(t) and t > 0]
-    if not finite:
+    finite = thresholds[np.isfinite(thresholds) & (thresholds > 0)]
+    if not finite.size:
         raise CalibrationError("no user has positive lift; nothing to calibrate")
-    total = sum(weights)
+    total = sum(weights.tolist())
     if total <= 0:
         raise CalibrationError("total attributable weight must be positive")
 
@@ -186,8 +181,8 @@ def _scan_equal_split(
     # it only locates the sign change; the pick and the residual use
     # split_weight_gap on the few candidates around it.
     order = np.argsort(thresholds)
-    ordered = np.asarray(thresholds)[order]
-    cum = np.concatenate(([0.0], np.cumsum(np.asarray(weights)[order])))
+    ordered = thresholds[order]
+    cum = np.concatenate(([0.0], np.cumsum(weights[order])))
     lift_sum = cum[np.searchsorted(ordered, points, side="left")]
     value_sum = cum[-1] - cum[np.searchsorted(ordered, points, side="right")]
     crossed = lift_sum - value_sum >= 0
@@ -200,7 +195,7 @@ def _scan_equal_split(
 
 
 def calibrate_equal_attribution(
-    population: list[GroundTruthUser],
+    population: Population,
     alpha: float,
     tolerance: float = 1e-3,
 ) -> BetaCalibration:
@@ -211,12 +206,12 @@ def calibrate_equal_attribution(
     attribution probability 1 and ``alpha`` as the CPA.
     """
     return calibrate_equal_attribution_weighted(
-        population, [1.0] * len(population), alpha, tolerance)
+        population, np.ones(len(population)), alpha, tolerance)
 
 
 def calibrate_equal_attribution_weighted(
-    population: list[GroundTruthUser],
-    a_values: list[float],
+    population: Population,
+    a_values,
     cpa: int,
     tolerance: float = 1e-3,
 ) -> BetaCalibration:
@@ -228,17 +223,15 @@ def calibrate_equal_attribution_weighted(
     weighted side sums differ least, as a fraction of the population
     total, and whether that residual is within ``tolerance``.
     """
-    if not population:
+    if not len(population):
         raise CalibrationError("population must be non-empty")
-    if len(a_values) != len(population):
+    a = np.asarray(a_values, dtype=float)
+    if a.shape != (len(population),):
         raise ValueError("a_values must match the population length")
     if cpa <= 0:
         raise ValueError("cpa must be positive")
-    for a in a_values:
-        check_probability(a, "attribution probability")
-    thresholds = [
-        cpa * user.p * a / user.delta_p if user.delta_p > 0 else math.inf
-        for user, a in zip(population, a_values)
-    ]
-    weights = [user.p * a for user, a in zip(population, a_values)]
-    return _scan_equal_split(thresholds, weights, tolerance)
+    check_probability(a, "attribution probability")
+    p, dp = population.p, population.delta_p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        thresholds = np.where(dp > 0, cpa * p * a / dp, np.inf)
+    return _scan_equal_split(thresholds, p * a, tolerance)

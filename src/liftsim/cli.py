@@ -69,8 +69,8 @@ def _prepare_market(cfg: dict):
     world = cfgmod.build_world(cfg, derive_seed(seed, "world"))
     population = generate_population(world)
     campaign = cfgmod.build_campaign(cfg)
-    p = float(np.mean([u.p for u in population]))
-    dp = float(np.mean([u.delta_p for u in population]))
+    p = float(np.mean(population.p))
+    dp = float(np.mean(population.delta_p))
     stats = PopulationStats(p, dp, len(population)) if dp > 0 else None
     bidders, budgets = cfgmod.build_bidders(cfg, campaign, stats)
     if budgets is None:
@@ -381,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (EventLogError, SamplingError, TrainingError, SchemaMismatch,
             ModelFileError, CalibrationError, AccountingError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
 

@@ -49,7 +49,7 @@ _SCHEMA: dict[str, set[str] | None] = {
     },
     "sampling": {
         "action_window_days", "feature_window_days", "target_positive_count",
-        "max_draws", "seed_tag",
+        "max_draws",
     },
     "model": {
         "n_trees", "max_depth", "learning_rate", "subsample", "reg_lambda",
@@ -197,7 +197,6 @@ def build_bidders(
 
 def build_sampling(cfg: dict, seed: int) -> SamplingConfig:
     section = dict(cfg.get("sampling", {}))
-    section.pop("seed_tag", None)  # accepted, but has no effect
     for window in ("action_window", "feature_window"):
         if f"{window}_days" in section:
             section[f"{window}_seconds"] = (section.pop(f"{window}_days")

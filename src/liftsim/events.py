@@ -109,9 +109,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self) -> Iterator[TimelineEvent]:
-        return iter(self.events)
-
     def header(self) -> dict[str, object]:
         return {
             "format": FORMAT_NAME,

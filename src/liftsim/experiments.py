@@ -31,7 +31,7 @@ from .bidders import (
     price_bids,
 )
 from .market import (
-    LIFT_BIDDER, VALUE_BIDDER, Campaign, GroundTruthUser, dollars_to_micros,
+    LIFT_BIDDER, VALUE_BIDDER, Campaign, Population, dollars_to_micros,
     run_auction,
 )
 from .seeds import derive_seed, rng_for
@@ -45,10 +45,7 @@ DISCLAIMER = ("Synthetic-market results: only metric definitions and "
 # Worked example: the canonical two-user market
 # ---------------------------------------------------------------------------
 
-EXAMPLE_USERS = (
-    GroundTruthUser("a", p=0.04, delta_p=0.01),
-    GroundTruthUser("b", p=0.02, delta_p=0.019),
-)
+EXAMPLE_USERS = Population(p=[0.04, 0.02], delta_p=[0.01, 0.019])
 EXAMPLE_COMPETITOR_DOLLARS = 3.5
 EXAMPLE_CPA_DOLLARS = 100.0
 EXAMPLE_LIFT_SCALE_DOLLARS = 200.0
@@ -72,41 +69,29 @@ class WorkedExampleReport:
     lift: StrategyOutcome
     notes: str = DISCLAIMER
 
-    def as_dict(self) -> dict:
-        def enc(o: StrategyOutcome) -> dict:
-            return {
-                "strategy": o.strategy,
-                "bids_micros": o.bids,
-                "won_users": list(o.won_users),
-                "expected_actions": o.expected_actions,
-                "dsp_revenue_micros": o.dsp_revenue,
-                "inventory_cost_micros": o.inventory_cost,
-            }
-        return {"value": enc(self.value), "lift": enc(self.lift),
-                "notes": self.notes}
-
 
 def _play_strategy(
     name: str,
-    users: tuple[GroundTruthUser, ...],
-    bid_of: dict[str, int],
+    ids: tuple[str, ...],
+    users: Population,
+    bids: list[int],
     competitor: int,
     cpa: int,
 ) -> StrategyOutcome:
-    won: list[str] = []
+    """One auction per user; ``ids`` name the users in the report."""
+    won = np.zeros(len(users), dtype=bool)
     cost = 0
-    for user in users:
-        result = run_auction([(name, bid_of[user.user_id]),
-                              ("market", competitor)], reserve=0)
+    for i, bid in enumerate(bids):
+        result = run_auction([(name, bid), ("market", competitor)], reserve=0)
         if result.winner == name:
-            won.append(user.user_id)
+            won[i] = True
             cost += result.clearing_price
-    expected = sum(u.p if u.user_id in won else u.background_rate
-                   for u in users)
-    revenue = sum(round(cpa * u.p) for u in users if u.user_id in won)
-    return StrategyOutcome(strategy=name, bids=bid_of, won_users=tuple(won),
-                           expected_actions=expected, dsp_revenue=revenue,
-                           inventory_cost=cost)
+    expected = sum(np.where(won, users.p, users.background_rate).tolist())
+    revenue = sum(round(cpa * p) for p in users.p[won].tolist())
+    return StrategyOutcome(
+        strategy=name, bids=dict(zip(ids, bids)),
+        won_users=tuple(uid for uid, w in zip(ids, won) if w),
+        expected_actions=expected, dsp_revenue=revenue, inventory_cost=cost)
 
 
 def run_worked_example(
@@ -125,13 +110,10 @@ def run_worked_example(
     cpa = dollars_to_micros(cpa_dollars)
     scale = dollars_to_micros(lift_scale_dollars)
     competitor = dollars_to_micros(competitor_dollars)
-    p = np.array([u.p for u in users])
-    dp = np.array([u.delta_p for u in users])
 
     def play(name: str, bidder: BidderConfig) -> StrategyOutcome:
-        bids = price_bids(bidder, p, dp)
-        bid_of = {u.user_id: int(b) for u, b in zip(users, bids)}
-        return _play_strategy(name, users, bid_of, competitor, cpa)
+        bids = price_bids(bidder, users.p, users.delta_p).tolist()
+        return _play_strategy(name, ("a", "b"), users, bids, competitor, cpa)
 
     return WorkedExampleReport(
         value=play(VALUE_BIDDER, BidderConfig(VALUE, alpha=cpa)),
@@ -210,21 +192,8 @@ class VerificationSweepReport:
     def residuals(self) -> list[float]:
         return [r["attribution_residual"] for r in self.records]
 
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_instances": self.n_instances,
-            "n_actions_pass": self.n_actions_pass,
-            "n_cost_pass": self.n_cost_pass,
-            "n_skipped_calibration": self.n_skipped_calibration,
-            "n_skipped_degenerate": self.n_skipped_degenerate,
-            "mc_checks": [vars(c) for c in self.mc_checks],
-            "records": self.records,
-            "notes": self.notes,
-        }
 
-
-def _sweep_world(n_users: int, seed: int) -> list[GroundTruthUser]:
+def _sweep_world(n_users: int, seed: int) -> Population:
     config = WorldConfig(n_users=n_users, seed=seed,
                          behavior={"enabled": False})
     return generate_population(config)
@@ -243,7 +212,7 @@ def _ratio_se(x: np.ndarray, y: np.ndarray) -> float:
 
 def _mc_cross_check(
     instance: int,
-    population: list[GroundTruthUser],
+    population: Population,
     alpha: float,
     beta: float,
     report: TheoremReport,
@@ -256,26 +225,21 @@ def _mc_cross_check(
     micro-rounded bids; action outcomes are Bernoulli draws at rate p
     for the winner's side and the background rate otherwise.
     """
-    p = np.array([u.p for u in population])
-    dp = np.array([u.delta_p for u in population])
-    value_bids = price_bids(BidderConfig(VALUE, alpha=alpha), p, dp)
-    lift_bids = price_bids(BidderConfig(LIFT, beta=beta), p, dp)
-    value_side = []
-    lift_side = []
-    for user, value_bid, lift_bid in zip(population, value_bids, lift_bids):
-        bids = [(VALUE_BIDDER, int(value_bid)), (LIFT_BIDDER, int(lift_bid))]
-        result = run_auction(bids, reserve=0,
-                             rng_seed=derive_seed(seed, "tie", user.user_id))
-        if result.winner == VALUE_BIDDER:
-            value_side.append(user)
-        elif result.winner == LIFT_BIDDER:
-            lift_side.append(user)
+    p, dp, bg = population.p, population.delta_p, population.background_rate
+    value_bids = price_bids(BidderConfig(VALUE, alpha=alpha), p, dp).tolist()
+    lift_bids = price_bids(BidderConfig(LIFT, beta=beta), p, dp).tolist()
+    winners = [
+        run_auction([(VALUE_BIDDER, value_bid), (LIFT_BIDDER, lift_bid)],
+                    reserve=0, rng_seed=derive_seed(seed, "tie", uid)).winner
+        for uid, value_bid, lift_bid in zip(
+            population.user_ids, value_bids, lift_bids)
+    ]
+    value_side = np.array([w == VALUE_BIDDER for w in winners], dtype=bool)
+    lift_side = np.array([w == LIFT_BIDDER for w in winners], dtype=bool)
 
-    p_j = np.array([u.p for u in value_side])
-    bg_j = np.array([u.background_rate for u in value_side])
-    p_k = np.array([u.p for u in lift_side])
-    bg_k = np.array([u.background_rate for u in lift_side])
-    cost_value = float(sum(beta * u.delta_p for u in value_side))
+    p_j, bg_j = p[value_side], bg[value_side]
+    p_k, bg_k = p[lift_side], bg[lift_side]
+    cost_value = float(sum((beta * dp[value_side]).tolist()))
 
     rng = rng_for(seed, "mc", instance)
     total_1 = np.empty(trials)
@@ -345,7 +309,7 @@ def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
                 else:
                     a_rng = rng_for(config.master_seed, "attr-probs", i, attempt)
                     a_values = np.maximum(
-                        a_rng.uniform(0.0, 1.0, len(population)), 1e-9).tolist()
+                        a_rng.uniform(0.0, 1.0, len(population)), 1e-9)
                     cal = calibrate_equal_attribution_weighted(
                         population, a_values, cpa, config.tolerance)
                 if not cal.converged:
@@ -366,7 +330,7 @@ def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
                     quantities = generalized_theorem_quantities(
                         population, partition, a_values, cpa, cal.beta,
                         cal.residual)
-                report.records.append({**quantities.as_dict(), "instance": i,
+                report.records.append({**vars(quantities), "instance": i,
                                        "beta": cal.beta, "seed": seed})
                 if simple and i < config.mc_instances:
                     report.mc_checks.extend(_mc_cross_check(
@@ -502,13 +466,12 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
         world_kwargs.update(config.world_overrides)
         world = WorldConfig(**world_kwargs)
         population = generate_population(world)
-        p = np.array([u.p for u in population])
-        dp = np.array([u.delta_p for u in population])
         if config.beta_dollars is not None:
             beta = float(dollars_to_micros(config.beta_dollars))
         else:
-            beta = calibrate_beta(
-                PopulationStats(float(p.mean()), float(dp.mean()), len(p)), cpa)
+            beta = calibrate_beta(PopulationStats(
+                float(population.p.mean()), float(population.delta_p.mean()),
+                len(population)), cpa)
         bidders = [BidderConfig(kind="passive"),
                    BidderConfig(kind="value", alpha=float(cpa)),
                    BidderConfig(kind="lift", beta=beta)]

@@ -24,7 +24,7 @@ from ..events import (
     APP_INSTALL, APP_USE, CLICK, IMPRESSION, PAGE_VIEW, SEARCH,
     EventLog, TimelineEvent,
 )
-from ..market import BehaviorProfile, BidRequest, GroundTruthUser
+from ..market import Population
 
 # Bucket edges in seconds: <=1h, <=6h, <=1d, <=2d, <=7d; anything older
 # (or absent) falls into the trailing "never" bucket. The 2-day edge
@@ -149,12 +149,13 @@ class UserHistory:
 
 def extract_from_history(
     history: UserHistory,
-    profile: BehaviorProfile,
+    demographics: list[int],
     ts: int,
     fw: int,
     schema: FeatureSchema,
 ) -> np.ndarray:
-    """Feature vector at time ``ts`` from a user's history and profile."""
+    """Feature vector at time ``ts`` from a user's history and its
+    (age group, gender, geo area)."""
     out = np.zeros(schema.n_features)
     pos = 0
     for adv in schema.advertisers:
@@ -169,9 +170,7 @@ def extract_from_history(
             out[pos] = count
             out[pos + 1] = rncy
             pos += 2
-    out[pos] = profile.age_group
-    out[pos + 1] = profile.gender
-    out[pos + 2] = profile.geo_area
+    out[pos], out[pos + 1], out[pos + 2] = demographics
     pos += 3
     for a in range(schema.apps):
         for prefix in ("inst", "use"):
@@ -188,40 +187,38 @@ class FeatureExtractor:
     def __init__(
         self,
         log: EventLog,
-        population: list[GroundTruthUser],
+        population: Population,
         schema: FeatureSchema,
     ) -> None:
         self.schema = schema
-        self._profiles = {u.user_id: u.behavior_profile for u in population}
+        self._rows = population.row_of
+        self._demographics = population.demographics.tolist()
         self._histories: dict[str, UserHistory] = {}
         for event in log.events:
             if event.kind in _TRACKED:
                 self._histories.setdefault(event.user_id, UserHistory()).observe(event)
 
     def features(self, user_id: str, ts: int, fw: int) -> np.ndarray:
-        profile = self._profiles.get(user_id)
-        if profile is None:
+        row = self._rows.get(user_id)
+        if row is None:
             raise KeyError(f"unknown user {user_id!r}")
         history = self._histories.get(user_id)
         if history is None:
             history = UserHistory()
-        return extract_from_history(history, profile, ts, fw, self.schema)
+        return extract_from_history(history, self._demographics[row], ts, fw,
+                                    self.schema)
 
 
 def fold_context(
-    features: np.ndarray, request: BidRequest, schema: FeatureSchema
+    features: np.ndarray, topic_id: int, schema: FeatureSchema
 ) -> np.ndarray:
-    """Fold run-time request context into a feature vector.
+    """Fold a bid request's topic into a feature vector.
 
     The request's topic marks that topic's page-view recency as most
-    recent, and the request's geo (when present) overwrites the user's.
-    Returns a new vector; folding twice is a no-op.
+    recent. Returns a new vector; folding twice is a no-op.
     """
     out = features.copy()
-    if request.topic_id is not None:
-        out[schema.index(f"pv_rncy_topic:{request.topic_id}")] = MOST_RECENT_BUCKET
-    if request.geo_area is not None:
-        out[schema.index("geo_area")] = request.geo_area
+    out[schema.index(f"pv_rncy_topic:{topic_id}")] = MOST_RECENT_BUCKET
     return out
 
 

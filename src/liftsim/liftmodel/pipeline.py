@@ -19,7 +19,7 @@ import numpy as np
 
 from ..events import TimelineEvent
 from ..fileio import atomic_write_text
-from ..market import BidRequest, GroundTruthUser
+from ..market import Population
 from ..seeds import rng_for
 from .features import (
     FeatureSchema, UserHistory, counterfactual_features, extract_from_history,
@@ -137,10 +137,6 @@ class CalibrationReport:
     n_holdout: int
     isotonic_degenerate: bool
 
-    def as_dict(self) -> dict:
-        return {"deciles": self.deciles, "n_holdout": self.n_holdout,
-                "isotonic_degenerate": self.isotonic_degenerate}
-
 
 def build_calibration_report(
     predictions: np.ndarray,
@@ -256,28 +252,25 @@ class ModelBidEstimator:
     def __init__(
         self,
         model: CalibratedModel,
-        population: list[GroundTruthUser],
+        population: Population,
         advertiser: str,
     ) -> None:
         self.model = model
         self.advertiser = advertiser
-        self._population = population
-        self._histories = [UserHistory() for _ in population]
-        self._index = {u.user_id: i for i, u in enumerate(population)}
+        self._demographics = population.demographics.tolist()
+        self._histories = [UserHistory() for _ in range(len(population))]
+        self._rows = population.row_of
 
     def observe(self, event: TimelineEvent) -> None:
-        idx = self._index.get(event.user_id)
+        idx = self._rows.get(event.user_id)
         if idx is not None:
             self._histories[idx].observe(event)
 
     def estimate(self, user_index: int, ts: int, topic_id: int) -> tuple[float, float]:
-        user = self._population[user_index]
         features = extract_from_history(
-            self._histories[user_index], user.behavior_profile, ts,
+            self._histories[user_index], self._demographics[user_index], ts,
             self.model.feature_window_seconds, self.model.schema)
-        request = BidRequest(request_id="", user_id=user.user_id,
-                             timestamp=ts, topic_id=topic_id)
-        folded = fold_context(features, request, self.model.schema)
+        folded = fold_context(features, topic_id, self.model.schema)
         shown = counterfactual_features(folded, self.advertiser, self.model.schema)
         pair = self.model.predict_ar(np.stack([shown, folded]))
         return float(pair[0]), float(pair[0] - pair[1])

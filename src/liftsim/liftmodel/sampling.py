@@ -21,7 +21,7 @@ import numpy as np
 
 from ..events import ACTION, AD_REQUEST, EventLog
 from ..fileio import atomic_write_text
-from ..market import GroundTruthUser
+from ..market import Population
 from ..seeds import rng_for
 from .features import FeatureExtractor, FeatureSchema
 
@@ -60,7 +60,7 @@ class TrainingSample(NamedTuple):
 
 def generate_samples(
     log: EventLog,
-    population: list[GroundTruthUser],
+    population: Population,
     config: SamplingConfig,
     schema: FeatureSchema,
 ) -> list[TrainingSample]:

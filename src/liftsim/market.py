@@ -1,4 +1,4 @@
-"""Core market domain types and the second-price auction.
+"""Core market types: the user population, campaigns and the auction.
 
 Conventions used across the package:
 
@@ -6,14 +6,20 @@ Conventions used across the package:
   micros). Auction comparisons are exact integer comparisons; the only
   rounding happens once, when a real-valued bid is converted to micros
   with round-half-even.
-* Probabilities are plain ``float`` values validated to lie in [0, 1].
+* Probabilities are ``float`` values validated to lie in [0, 1].
+* Users are the rows of one :class:`Population`, which holds an array
+  per attribute (action rate, lift, request rate, behavioral weights,
+  demographics). Accounting, bid pricing and the simulator read whole
+  columns.
 
-All types are immutable values and all operations are pure functions of
-their inputs plus an explicit seed, so they are safe under concurrency.
+All types are immutable values (population columns are read-only
+arrays) and all operations are pure functions of their inputs plus an
+explicit seed, so they are safe under concurrency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -32,10 +38,13 @@ def micros_to_dollars(micros: int) -> float:
     return micros / MICROS_PER_DOLLAR
 
 
-def check_probability(value: float, name: str = "probability") -> float:
-    """Validate that ``value`` is a probability; returns it unchanged."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+def check_probability(value, name: str = "probability"):
+    """Validate that ``value`` (a number or an array) holds probabilities;
+    returns it unchanged."""
+    values = np.asarray(value)
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        raise ValueError(f"{name} must lie in [0, 1], got {values[bad].flat[0]}")
     return value
 
 
@@ -57,57 +66,74 @@ class Campaign:
             raise ValueError("action_window_days must be positive")
 
 
-@dataclass(frozen=True)
-class BehaviorProfile:
-    """Per-user propensities that drive timeline event generation.
+_DEMOGRAPHICS = ("age_group", "gender", "geo_area")
 
-    ``topic_weights`` scale daily page-view/search intensity per topic;
-    ``app_weights`` do the same for app install/use events. Demographics
-    are static features.
+
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Simulated users with known action rates, one array per column.
+
+    Row ``i`` is one user. ``p`` is the probability of the action when
+    the user saw the ad within the action window and ``p - delta_p``
+    (``background_rate``) the probability without it. ``request_rate``
+    is the expected number of ad requests per day. ``topic_weights``
+    (users x topics) and ``app_weights`` (users x apps) scale daily
+    page-view/search and app-use intensity; ``age_group``, ``gender``
+    and ``geo_area`` are static demographic features. A column left out
+    defaults to rate 1, no weights and demographics 0.
+
+    Columns are read-only; ``user_ids`` are derived from the row index.
     """
 
-    topic_weights: tuple[float, ...] = ()
-    app_weights: tuple[float, ...] = ()
-    age_group: int = 0
-    gender: int = 0
-    geo_area: int = 0
-    click_rate: float = 0.1
-
-
-@dataclass(frozen=True)
-class GroundTruthUser:
-    """A simulated user with known action rate and action-rate lift.
-
-    ``p`` is the probability of the action when the user saw the ad within
-    the action window; ``p - delta_p`` is the background rate without it.
-    """
-
-    user_id: str
-    p: float
-    delta_p: float
-    request_rate: float = 1.0  # expected ad requests per day
-    behavior_profile: BehaviorProfile = field(default_factory=BehaviorProfile)
+    p: np.ndarray
+    delta_p: np.ndarray
+    request_rate: np.ndarray | None = None
+    topic_weights: np.ndarray | None = None
+    app_weights: np.ndarray | None = None
+    age_group: np.ndarray | None = None
+    gender: np.ndarray | None = None
+    geo_area: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        n = len(self.p)
+        defaults = {"request_rate": np.ones(n), "topic_weights": np.zeros((n, 0)),
+                    "app_weights": np.zeros((n, 0))}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                value = defaults.get(f.name, np.zeros(n))
+            dtype = np.int64 if f.name in _DEMOGRAPHICS else float
+            column = np.asarray(value, dtype=dtype).view()
+            if len(column) != n:
+                raise ValueError(f"column {f.name} has {len(column)} rows, "
+                                 f"expected {n}")
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
         check_probability(self.p, "p")
-        check_probability(self.p - self.delta_p, "background rate p - delta_p")
-        if self.request_rate < 0:
+        check_probability(self.background_rate, "background rate p - delta_p")
+        if (self.request_rate < 0).any():
             raise ValueError("request_rate must be non-negative")
 
+    def __len__(self) -> int:
+        return len(self.p)
+
     @property
-    def background_rate(self) -> float:
+    def background_rate(self) -> np.ndarray:
         return self.p - self.delta_p
 
+    @cached_property
+    def user_ids(self) -> tuple[str, ...]:
+        width = max(6, len(str(len(self) - 1)))
+        return tuple(f"u{i:0{width}d}" for i in range(len(self)))
 
-@dataclass(frozen=True)
-class BidRequest:
-    """One ad request from a user with its run-time context."""
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        return {uid: i for i, uid in enumerate(self.user_ids)}
 
-    request_id: str
-    user_id: str
-    timestamp: int  # epoch seconds
-    topic_id: int | None = None
-    geo_area: int | None = None
+    @cached_property
+    def demographics(self) -> np.ndarray:
+        """(users x 3) age group, gender and geo area."""
+        return np.column_stack((self.age_group, self.gender, self.geo_area))
 
 
 @dataclass(frozen=True)

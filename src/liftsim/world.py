@@ -1,11 +1,12 @@
 """Synthetic user worlds and the seeded market simulator.
 
-A world is a population of users with known ground truth (action rate
-``p``, lift ``delta_p``), per-user request rates, and behavioral
-propensities that correlate with the ground truth so a learned model has
-signal to recover. The simulator runs second-price auctions for every
-ad request against an exogenous competitor bid, realizes actions from
-the ground truth, and emits a replayable event log.
+A world is a :class:`~liftsim.market.Population`: arrays of known ground
+truth (action rate ``p``, lift ``delta_p``), request rates, and
+behavioral propensities that correlate with the ground truth so a
+learned model has signal to recover. The simulator runs second-price
+auctions for every ad request against an exogenous competitor bid,
+realizes actions from the ground truth, and emits a replayable event
+log.
 
 Randomness is split into independent streams (requests, market,
 behavior, clicks, actions, ties) derived from the world seed, so the
@@ -28,7 +29,7 @@ from .events import (
     ACTION, AD_REQUEST, APP_INSTALL, APP_USE, BID, AUCTION, CLICK, IMPRESSION,
     PAGE_VIEW, SEARCH, EventLog, TimelineEvent,
 )
-from .market import BehaviorProfile, Campaign, GroundTruthUser
+from .market import Campaign, Population
 from .seeds import rng_for
 
 SECONDS_PER_DAY = 86_400
@@ -200,7 +201,7 @@ def _percentile_ranks(values: np.ndarray) -> np.ndarray:
     return ranks / (n - 1)
 
 
-def generate_population(config: WorldConfig) -> list[GroundTruthUser]:
+def generate_population(config: WorldConfig) -> Population:
     """Sample the world's users; deterministic for a given config and seed.
 
     Pairs violating the ground-truth invariants (p or the background
@@ -254,30 +255,10 @@ def generate_population(config: WorldConfig) -> list[GroundTruthUser]:
     app_w = rng.random((n, config.apps)) * 0.4
     app_w[:, 0] = 0.5 * corr * q_lift + (1.0 - 0.5 * corr) * rng.random(n) * 0.4
 
-    ages = rng.integers(0, 7, n)
-    genders = rng.integers(0, 3, n)
-    geos = rng.integers(0, 20, n)
-    click_rate = float(bcfg.get("click_rate", 0.1))
-
-    width = max(6, len(str(n - 1)))
-    users = []
-    for i in range(n):
-        profile = BehaviorProfile(
-            topic_weights=tuple(float(x) for x in topic_w[i]),
-            app_weights=tuple(float(x) for x in app_w[i]),
-            age_group=int(ages[i]),
-            gender=int(genders[i]),
-            geo_area=int(geos[i]),
-            click_rate=click_rate,
-        )
-        users.append(GroundTruthUser(
-            user_id=f"u{i:0{width}d}",
-            p=float(p[i]),
-            delta_p=float(delta_p[i]),
-            request_rate=float(rates[i]),
-            behavior_profile=profile,
-        ))
-    return users
+    return Population(
+        p=p, delta_p=delta_p, request_rate=rates, topic_weights=topic_w,
+        app_weights=app_w, age_group=rng.integers(0, 7, n),
+        gender=rng.integers(0, 3, n), geo_area=rng.integers(0, 20, n))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +364,7 @@ def split_budget(bidders: list[BidderConfig], budget: int) -> list[int]:
 
 
 def run_market(
-    population: list[GroundTruthUser],
+    population: Population,
     bidders: list[BidderConfig],
     campaigns: list[Campaign],
     config: WorldConfig,
@@ -439,11 +420,10 @@ def run_market(
     run_digest = market_run_digest(config, campaign, bidders, budgets,
                                    assignment)
 
-    p = np.array([u.p for u in population])
-    dp = np.array([u.delta_p for u in population])
-    bg = np.array([u.background_rate for u in population])
-    rates = np.array([u.request_rate for u in population])
-    user_ids = [u.user_id for u in population]
+    p, dp, bg = population.p, population.delta_p, population.background_rate
+    rates = population.request_rate
+    user_ids = population.user_ids
+    click_rate = float(config.behavior.get("click_rate", 0.1))
 
     # Independent streams: request counts and times never depend on how
     # the auctions played out, and action draws never depend on anything
@@ -504,8 +484,17 @@ def run_market(
     stopped = np.array([budgets[g] <= 0 and bidders[g].kind != PASSIVE
                         for g in range(n_bidders)])
 
+    # BID and AUCTION events only go to the log; impressions, clicks and
+    # actions go to every listener, in emission order (the final sort
+    # is stable). With no listener the events are never built.
     events: list[TimelineEvent] = []
     emit = events.append if record_events else None
+    observe = estimator.observe if estimator is not None else None
+    sink = emit or observe
+    if emit and observe:
+        def sink(event: TimelineEvent) -> None:
+            emit(event)
+            observe(event)
 
     day_starts = np.searchsorted(req_day, np.arange(config.horizon_days))
     day_ends = np.searchsorted(req_day, np.arange(config.horizon_days) + 1)
@@ -566,22 +555,16 @@ def run_market(
                 stats[g].impressions += 1
                 stats[g].inventory_cost += price
                 window_exposed[u] = True
-                imp = TimelineEvent(ts=ts, user_id=user_ids[u], kind=IMPRESSION,
-                                    advertiser_id=adv, bidder=labels[g],
-                                    price=price)
-                if emit:
-                    emit(imp)
-                if estimator is not None:
-                    estimator.observe(imp)
-                if click_rng.random() < population[u].behavior_profile.click_rate:
+                if sink:
+                    sink(TimelineEvent(ts=ts, user_id=user_ids[u],
+                                       kind=IMPRESSION, advertiser_id=adv,
+                                       bidder=labels[g], price=price))
+                if click_rng.random() < click_rate:
                     stats[g].clicks += 1
-                    clk = TimelineEvent(ts=ts + 30, user_id=user_ids[u],
-                                        kind=CLICK, advertiser_id=adv,
-                                        bidder=labels[g])
-                    if emit:
-                        emit(clk)
-                    if estimator is not None:
-                        estimator.observe(clk)
+                    if sink:
+                        sink(TimelineEvent(ts=ts + 30, user_id=user_ids[u],
+                                           kind=CLICK, advertiser_id=adv,
+                                           bidder=labels[g]))
 
         effective = np.where(window_exposed, p, bg)
         hits = action_uniforms[:, w] < effective
@@ -592,12 +575,9 @@ def run_market(
             stats[g].actions += int(hits[mask].sum())
         for u in np.nonzero(hits)[0]:
             u = int(u)
-            act = TimelineEvent(ts=end_ts, user_id=user_ids[u], kind=ACTION,
-                                advertiser_id=adv)
-            if emit:
-                emit(act)
-            if estimator is not None:
-                estimator.observe(act)
+            if sink:
+                sink(TimelineEvent(ts=end_ts, user_id=user_ids[u],
+                                   kind=ACTION, advertiser_id=adv))
             if window_exposed[u]:
                 g = int(assignment[u])
                 stats[g].attributed += 1
@@ -662,16 +642,16 @@ def _competitor_bids(
 
 
 def _behavior_events(
-    population: list[GroundTruthUser], config: WorldConfig
+    population: Population, config: WorldConfig
 ) -> list[TimelineEvent]:
     """Page views, searches and app events drawn from per-user propensities."""
     bcfg = config.behavior
     n = len(population)
     days = config.horizon_days
     rng = rng_for(config.seed, "behavior")
-    topic_w = np.array([u.behavior_profile.topic_weights for u in population])
-    app_w = np.array([u.behavior_profile.app_weights for u in population])
-    user_ids = [u.user_id for u in population]
+    topic_w = population.topic_weights
+    app_w = population.app_weights
+    user_ids = population.user_ids
     events: list[TimelineEvent] = []
 
     def emit_counts(lam: np.ndarray, kind: str, ref_field: str) -> None:

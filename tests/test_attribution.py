@@ -8,36 +8,32 @@ from liftsim.attribution import (
     generalized_theorem_quantities, partition_users, theorem_quantities,
 )
 from liftsim.bidders import calibrate_equal_attribution
-from liftsim.market import GroundTruthUser, dollars_to_micros
+from liftsim.market import Population, dollars_to_micros
 
 D = dollars_to_micros
 
-
-def _user(uid, p, delta_p):
-    return GroundTruthUser(str(uid), p=p, delta_p=delta_p)
-
-
-TWO_USERS = [_user("a", 0.04, 0.01), _user("b", 0.02, 0.019)]
+TWO_USERS = Population(p=[0.04, 0.02], delta_p=[0.01, 0.019])  # rows a, b
 
 
 def _random_population(rng, n):
-    return [
-        _user(i, p := float(rng.uniform(0.005, 0.1)), p * float(rng.uniform(0.05, 0.95)))
-        for i in range(n)
-    ]
+    p, delta_p = [], []
+    for _ in range(n):
+        p.append(float(rng.uniform(0.005, 0.1)))
+        delta_p.append(p[-1] * float(rng.uniform(0.05, 0.95)))
+    return Population(p=p, delta_p=delta_p)
 
 
 def test_partition_two_user_example():
     part = partition_users(TWO_USERS, alpha=100.0, beta=200.0)
-    assert part.value_won == ("a",)
-    assert part.lift_won == ("b",)
+    assert part.value_won == (0,)
+    assert part.lift_won == (1,)
     assert part.tied == ()
 
 
 def test_partition_tiny_beta_empties_lift_side():
     part = partition_users(TWO_USERS, alpha=100.0, beta=1e-9)
     assert part.lift_won == ()
-    assert set(part.value_won) == {"a", "b"}
+    assert set(part.value_won) == {0, 1}
 
 
 def test_partition_matches_per_user_brute_force():
@@ -45,19 +41,19 @@ def test_partition_matches_per_user_brute_force():
     population = _random_population(rng, 100)
     alpha, beta = 100.0, 317.5
     part = partition_users(population, alpha, beta)
-    for user in population:
-        value_offer, lift_offer = alpha * user.p, beta * user.delta_p
+    for i, (p, delta_p) in enumerate(zip(population.p, population.delta_p)):
+        value_offer, lift_offer = alpha * p, beta * delta_p
         if value_offer > lift_offer:
-            assert user.user_id in part.value_won
+            assert i in part.value_won
         elif value_offer < lift_offer:
-            assert user.user_id in part.lift_won
+            assert i in part.lift_won
         else:
-            assert user.user_id in part.tied
+            assert i in part.tied
 
 
 def test_partition_sides_must_be_disjoint():
     with pytest.raises(ValueError):
-        Partition(value_won=("a",), lift_won=("a",))
+        Partition(value_won=(0,), lift_won=(0,))
 
 
 def test_actions_per_attributed_example():
@@ -69,8 +65,8 @@ def test_actions_per_attributed_example():
 
 
 def test_actions_per_attributed_collapses_without_lift():
-    population = [_user("a", 0.05, 0.0), _user("b", 0.03, 0.0)]
-    part = Partition(value_won=("a",), lift_won=("b",))
+    population = Population(p=[0.05, 0.03], delta_p=[0.0, 0.0])
+    part = Partition(value_won=(0,), lift_won=(1,))
     total = 0.05 + 0.03
     report = theorem_quantities(population, part, alpha=100.0, beta=100.0)
     assert report.actions_per_attr_value == pytest.approx(total / 0.05)
@@ -94,8 +90,8 @@ def test_lift_side_cost_is_alpha_exactly():
 
 
 def test_empty_side_raises():
-    for part in (Partition(value_won=(), lift_won=("a", "b")),
-                 Partition(value_won=("a", "b"), lift_won=())):
+    for part in (Partition(value_won=(), lift_won=(0, 1)),
+                 Partition(value_won=(0, 1), lift_won=())):
         with pytest.raises(AccountingError):
             theorem_quantities(TWO_USERS, part, 100.0, 200.0)
 
@@ -122,7 +118,7 @@ def test_matched_attribution_probabilities_tie_everyone():
     population = _random_population(rng, 50)
     cpa = D(100.0)
     beta = 1.0 * cpa
-    a_values = [(beta / cpa) * u.delta_p / u.p for u in population]
+    a_values = (beta / cpa) * population.delta_p / population.p
     assert all(0 < a <= 1 for a in a_values)
     part = generalized_partition(population, a_values, cpa, beta)
     assert len(part.tied) == len(population)
@@ -131,23 +127,24 @@ def test_matched_attribution_probabilities_tie_everyone():
 def test_generalized_partition_matches_brute_force():
     rng = np.random.default_rng(35)
     population = _random_population(rng, 200)
-    a_values = [float(rng.uniform(0.01, 1.0)) for _ in population]
+    a_values = [float(rng.uniform(0.01, 1.0)) for _ in range(len(population))]
     cpa, beta = D(100.0), 1.7 * D(100.0)
     part = generalized_partition(population, a_values, cpa, beta)
-    for user, a in zip(population, a_values):
-        rational_offer = cpa * user.p * a
-        lift_offer = beta * user.delta_p
+    rows = zip(population.p, population.delta_p, a_values)
+    for i, (p, delta_p, a) in enumerate(rows):
+        rational_offer = cpa * p * a
+        lift_offer = beta * delta_p
         if rational_offer > lift_offer:
-            assert user.user_id in part.value_won
+            assert i in part.value_won
         elif rational_offer < lift_offer:
-            assert user.user_id in part.lift_won
+            assert i in part.lift_won
 
 
 def test_generalized_cost_dominance_on_any_nondegenerate_partition():
     rng = np.random.default_rng(36)
     for trial in range(20):
         population = _random_population(rng, 400)
-        a_values = [float(rng.uniform(0.05, 1.0)) for _ in population]
+        a_values = [float(rng.uniform(0.05, 1.0)) for _ in range(len(population))]
         cpa = D(100.0)
         beta = float(rng.uniform(0.5, 6.0)) * cpa
         part = generalized_partition(population, a_values, cpa, beta)

@@ -12,23 +12,23 @@ from liftsim.bidders import (
     calibrate_beta, calibrate_equal_attribution,
     calibrate_equal_attribution_weighted, price_bids, split_weight_gap,
 )
-from liftsim.market import GroundTruthUser, dollars_to_micros
+from liftsim.market import Population, dollars_to_micros
 
 D = dollars_to_micros
 VALUE_100 = BidderConfig(kind="value", alpha=D(100.0))
 LIFT_200 = BidderConfig(kind="lift", beta=D(200.0))
 
 
-def _user(i, p, delta_p):
-    return GroundTruthUser(f"u{i}", p=p, delta_p=delta_p)
+def _same_users(n, p, delta_p):
+    return Population(p=np.full(n, p), delta_p=np.full(n, delta_p))
 
 
 def _random_population(rng, n):
-    users = []
-    for i in range(n):
-        p = float(rng.uniform(0.005, 0.1))
-        users.append(_user(i, p, p * float(rng.uniform(0.05, 0.95))))
-    return users
+    p, delta_p = [], []
+    for _ in range(n):
+        p.append(float(rng.uniform(0.005, 0.1)))
+        delta_p.append(p[-1] * float(rng.uniform(0.05, 0.95)))
+    return Population(p=p, delta_p=delta_p)
 
 
 def test_passive_bid_is_zero():
@@ -107,15 +107,15 @@ def test_calibrate_beta_examples():
 def test_lift_side_sum_monotone_in_beta():
     rng = np.random.default_rng(5)
     population = _random_population(rng, 200)
-    thresholds = [100.0 * u.p / u.delta_p for u in population]
-    weights = [u.p for u in population]
+    thresholds = 100.0 * population.p / population.delta_p
+    weights = population.p
     betas = np.linspace(min(thresholds) * 0.5, max(thresholds) * 2.0, 400)
     gaps = [split_weight_gap(thresholds, weights, float(b)) for b in betas]
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(gaps, gaps[1:]))
 
 
 def test_two_user_split_is_forced_and_flagged():
-    population = [_user("a", 0.04, 0.01), _user("b", 0.02, 0.019)]
+    population = Population(p=[0.04, 0.02], delta_p=[0.01, 0.019])
     cal = calibrate_equal_attribution(population, alpha=100.0)
     # Indifference points are 400 (user a) and 200/1.9 (user b); any scale
     # between them wins exactly one user per side.
@@ -125,7 +125,7 @@ def test_two_user_split_is_forced_and_flagged():
 
 
 def test_identical_users_cannot_be_split_by_a_scale():
-    population = [_user(i, 0.03, 0.012) for i in range(10)]
+    population = _same_users(10, 0.03, 0.012)
     cal = calibrate_equal_attribution(population, alpha=100.0)
     assert not cal.converged
     assert cal.residual == pytest.approx(1.0)  # everyone lands on one side
@@ -133,12 +133,12 @@ def test_identical_users_cannot_be_split_by_a_scale():
 
 def _exhaustive_residual(population, alpha):
     """Smallest residual over every interval midpoint, found by brute force."""
-    per_user = [alpha * u.p / u.delta_p if u.delta_p > 0 else math.inf
-                for u in population]
+    per_user = [alpha * p / delta_p if delta_p > 0 else math.inf
+                for p, delta_p in zip(population.p, population.delta_p)]
     points = sorted({t for t in per_user if math.isfinite(t)})
     candidates = [points[0] * 0.5, points[-1] * 2.0]
     candidates += [0.5 * (a + b) for a, b in zip(points, points[1:])]
-    weights = [u.p for u in population]
+    weights = population.p.tolist()
     best = min(abs(split_weight_gap(per_user, weights, b)) for b in candidates)
     return best / sum(weights)
 
@@ -160,8 +160,9 @@ def test_scan_matches_exhaustive_search():
     min_size=1, max_size=40))
 def test_scan_matches_exhaustive_search_on_any_population(draws):
     """Repeated indifference points and users without lift included."""
-    population = [_user(i, p, p * ratio) for i, (p, ratio) in enumerate(draws)]
-    if all(u.delta_p == 0 for u in population):
+    p = np.array([p for p, _ in draws])
+    population = Population(p=p, delta_p=p * np.array([r for _, r in draws]))
+    if (population.delta_p == 0).all():
         with pytest.raises(CalibrationError):
             calibrate_equal_attribution(population, 100.0)
         return
@@ -173,8 +174,8 @@ def test_scan_matches_exhaustive_search_on_any_population(draws):
 
 def test_calibration_rejects_bad_input():
     with pytest.raises(CalibrationError):
-        calibrate_equal_attribution([], alpha=100.0)
-    no_lift = [_user(i, 0.03, 0.0) for i in range(5)]
+        calibrate_equal_attribution(Population(p=[], delta_p=[]), alpha=100.0)
+    no_lift = _same_users(5, 0.03, 0.0)
     with pytest.raises(CalibrationError):
         calibrate_equal_attribution(no_lift, alpha=100.0)
 
@@ -182,11 +183,12 @@ def test_calibration_rejects_bad_input():
 def test_weighted_calibration_balances_weighted_sums():
     rng = np.random.default_rng(9)
     population = _random_population(rng, 800)
-    a_values = [float(rng.uniform(0.05, 1.0)) for _ in population]
+    a_values = [float(rng.uniform(0.05, 1.0)) for _ in range(len(population))]
     cpa = D(100.0)
     cal = calibrate_equal_attribution_weighted(population, a_values, cpa)
-    thresholds = [cpa * u.p * a / u.delta_p for u, a in zip(population, a_values)]
-    weights = [u.p * a for u, a in zip(population, a_values)]
+    a = np.array(a_values)
+    thresholds = cpa * population.p * a / population.delta_p
+    weights = population.p * a
     gap = split_weight_gap(thresholds, weights, cal.beta)
     assert abs(gap) / sum(weights) == pytest.approx(cal.residual)
     assert cal.converged

@@ -234,3 +234,29 @@ def test_abtest_malformed_model_is_a_data_error(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["abtest", "train"])
+def test_input_path_that_is_a_directory_is_a_data_error(tmp_path, capsys,
+                                                        command):
+    folder = tmp_path / "adir"
+    folder.mkdir()
+    if command == "abtest":
+        argv = ["abtest", "--config", str(write_config(tmp_path, AB_SMALL)),
+                "--bids", str(folder)]
+    else:
+        argv = ["train", "--config", str(write_config(tmp_path, TRAIN_WORLD)),
+                "--log", str(folder)]
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert err.count("\n") == 1
+
+
+def test_sampling_seed_tag_is_an_unknown_key(tmp_path, capsys):
+    bad = {**TRAIN_WORLD,
+           "sampling": {**TRAIN_WORLD["sampling"], "seed_tag": "other"}}
+    config = write_config(tmp_path, bad)
+    assert main(["simulate", "--config", str(config),
+                 "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "unknown key sampling.seed_tag" in capsys.readouterr().err

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from liftsim.experiments import (
-    ABTestConfig, EXAMPLE_USERS, SweepConfig, _play_strategy,
+    ABTestConfig, SweepConfig, _play_strategy,
     action_lift, lift_over_lift, relative_diff,
     run_abtest, run_worked_example, verify_theorems,
 )
-from liftsim.market import GroundTruthUser, dollars_to_micros
+from liftsim.market import Population, dollars_to_micros
 
 D = dollars_to_micros
 
@@ -26,10 +26,10 @@ def test_worked_example_exact_values():
 
 
 def test_worked_example_symmetric_under_relabeling():
-    swapped = (GroundTruthUser("a", p=0.02, delta_p=0.019),
-               GroundTruthUser("b", p=0.04, delta_p=0.01))
-    bids = {u.user_id: round(D(100.0) * u.p) for u in swapped}
-    outcome = _play_strategy("value", swapped, bids, D(3.5), D(100.0))
+    swapped = Population(p=[0.02, 0.04], delta_p=[0.019, 0.01])
+    bids = [round(D(100.0) * p) for p in swapped.p.tolist()]
+    outcome = _play_strategy("value", ("a", "b"), swapped, bids, D(3.5),
+                             D(100.0))
     assert outcome.expected_actions == pytest.approx(0.041, rel=1e-12)
     assert outcome.won_users == ("b",)  # the high-rate user, renamed
 
@@ -89,20 +89,20 @@ def test_generalized_sweep_passes():
 
 def test_all_tie_configuration_is_detected():
     rng = np.random.default_rng(8)
-    population = [
-        GroundTruthUser(f"u{i}", p=(p := float(rng.uniform(0.01, 0.1))),
-                        delta_p=p * float(rng.uniform(0.05, 0.95)))
-        for i in range(80)
-    ]
+    p, delta_p = [], []
+    for _ in range(80):
+        p.append(float(rng.uniform(0.01, 0.1)))
+        delta_p.append(p[-1] * float(rng.uniform(0.05, 0.95)))
+    population = Population(p=p, delta_p=delta_p)
     cpa = D(100.0)
     from liftsim.attribution import generalized_partition
     # Matched attribution probabilities make the rational bidder's offer
     # equal the lift bidder's on every user.
-    matched = [u.delta_p / u.p for u in population]
+    matched = population.delta_p / population.p
     part = generalized_partition(population, matched, cpa, 1.0 * cpa)
     assert len(part.tied) == len(population)
     # A generic attribution assignment does not tie everyone.
-    a_values = [float(rng.uniform(0.1, 1.0)) for _ in population]
+    a_values = [float(rng.uniform(0.1, 1.0)) for _ in range(len(population))]
     part = generalized_partition(population, a_values, cpa, 2.0 * cpa)
     assert len(part.tied) < len(population)
 

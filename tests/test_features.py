@@ -11,21 +11,24 @@ from liftsim.liftmodel.features import (
     MOST_RECENT_BUCKET, NEVER_BUCKET, FeatureExtractor, FeatureSchema,
     counterfactual_features, fold_context, recency_bucket,
 )
-from liftsim.market import BehaviorProfile, BidRequest, GroundTruthUser
+from liftsim.market import Population
 
 HOUR = 3_600
 DAY = 86_400
+U0 = "u000000"
 
 
 def schema():
     return FeatureSchema(advertisers=("adv1", "adv2"), topics=3, apps=2)
 
 
-def user(uid="u0", age=4, gender=1, geo=7):
-    profile = BehaviorProfile(topic_weights=(0.5, 0.5, 0.5),
-                              app_weights=(0.3, 0.3),
-                              age_group=age, gender=gender, geo_area=geo)
-    return GroundTruthUser(uid, p=0.02, delta_p=0.01, behavior_profile=profile)
+def users(n=1, age=4, gender=1, geo=7):
+    """``n`` users u000000, u000001, ... with the same demographics."""
+    return Population(p=np.full(n, 0.02), delta_p=np.full(n, 0.01),
+                      topic_weights=np.full((n, 3), 0.5),
+                      app_weights=np.full((n, 2), 0.3),
+                      age_group=np.full(n, age), gender=np.full(n, gender),
+                      geo_area=np.full(n, geo))
 
 
 def log_of(events):
@@ -53,19 +56,18 @@ def test_recency_buckets():
 
 def test_impression_frequency_counts_window_events():
     s = schema()
-    u = user()
     ts = 10 * DAY
     events = [
-        TimelineEvent(ts=ts - 2 * HOUR, user_id="u0", kind=IMPRESSION,
+        TimelineEvent(ts=ts - 2 * HOUR, user_id=U0, kind=IMPRESSION,
                       advertiser_id="adv1", bidder="value", price=1),
-        TimelineEvent(ts=ts - 3 * HOUR, user_id="u0", kind=IMPRESSION,
+        TimelineEvent(ts=ts - 3 * HOUR, user_id=U0, kind=IMPRESSION,
                       advertiser_id="adv1", bidder="value", price=1),
-        TimelineEvent(ts=ts - 4 * HOUR, user_id="u0", kind=IMPRESSION,
+        TimelineEvent(ts=ts - 4 * HOUR, user_id=U0, kind=IMPRESSION,
                       advertiser_id="adv1", bidder="value", price=1),
-        TimelineEvent(ts=ts - 5 * HOUR, user_id="u0", kind=IMPRESSION,
+        TimelineEvent(ts=ts - 5 * HOUR, user_id=U0, kind=IMPRESSION,
                       advertiser_id="adv2", bidder="value", price=1),
     ]
-    f = FeatureExtractor(log_of(events), [u], s).features("u0", ts, 7 * DAY)
+    f = FeatureExtractor(log_of(events), users(), s).features(U0, ts, 7 * DAY)
     assert f[s.index("imp_freq_adv:adv1")] == 3
     assert f[s.index("imp_freq_adv:adv2")] == 1
     assert f[s.index("imp_rncy_adv:adv1")] == 1  # 2h ago -> <=6h bucket
@@ -78,15 +80,14 @@ def test_impression_frequency_counts_window_events():
 
 def test_window_boundaries_are_half_open():
     s = schema()
-    u = user()
     ts, fw = 10 * DAY, 7 * DAY
     events = [
-        TimelineEvent(ts=ts - fw, user_id="u0", kind=PAGE_VIEW, topic_id=0),
-        TimelineEvent(ts=ts - fw + 1, user_id="u0", kind=PAGE_VIEW, topic_id=1),
-        TimelineEvent(ts=ts, user_id="u0", kind=SEARCH, topic_id=2),
-        TimelineEvent(ts=ts + 1, user_id="u0", kind=SEARCH, topic_id=2),
+        TimelineEvent(ts=ts - fw, user_id=U0, kind=PAGE_VIEW, topic_id=0),
+        TimelineEvent(ts=ts - fw + 1, user_id=U0, kind=PAGE_VIEW, topic_id=1),
+        TimelineEvent(ts=ts, user_id=U0, kind=SEARCH, topic_id=2),
+        TimelineEvent(ts=ts + 1, user_id=U0, kind=SEARCH, topic_id=2),
     ]
-    f = FeatureExtractor(log_of(events), [u], s).features("u0", ts, fw)
+    f = FeatureExtractor(log_of(events), users(), s).features(U0, ts, fw)
     assert f[s.index("pv_freq_topic:0")] == 0  # exactly ts - fw is outside
     assert f[s.index("pv_freq_topic:1")] == 1
     assert f[s.index("srch_freq_topic:2")] == 1  # ts itself is inside
@@ -95,13 +96,13 @@ def test_window_boundaries_are_half_open():
 
 def test_unknown_user_raises():
     with pytest.raises(KeyError):
-        FeatureExtractor(log_of([]), [user()], schema()).features("ghost", 0, DAY)
+        FeatureExtractor(log_of([]), users(), schema()).features("ghost", 0, DAY)
 
 
 def test_features_match_brute_force_scan():
     rng = np.random.default_rng(7)
     s = schema()
-    users = [user(f"u{i}") for i in range(5)]
+    population = users(5)
     kinds = [
         (IMPRESSION, "advertiser_id", ["adv1", "adv2"], "imp"),
         (CLICK, "advertiser_id", ["adv1", "adv2"], "clk"),
@@ -115,14 +116,14 @@ def test_features_match_brute_force_scan():
         if kind in (IMPRESSION, CLICK):
             kwargs["bidder"] = "value"
         events.append(TimelineEvent(ts=int(rng.integers(0, 14 * DAY)),
-                                    user_id=f"u{rng.integers(5)}",
+                                    user_id=population.user_ids[rng.integers(5)],
                                     kind=kind, **kwargs))
     log = log_of(events)
-    extractor = FeatureExtractor(log, users, s)
+    extractor = FeatureExtractor(log, population, s)
     from liftsim.liftmodel.features import recency_bucket as bucket
 
     for _ in range(50):
-        uid = f"u{rng.integers(5)}"
+        uid = population.user_ids[rng.integers(5)]
         ts = int(rng.integers(DAY, 14 * DAY))
         fw = 7 * DAY
         got = extractor.features(uid, ts, fw)
@@ -140,18 +141,15 @@ def test_features_match_brute_force_scan():
                     assert rncy == NEVER_BUCKET
 
 
-def test_fold_context_sets_topic_recency_and_geo():
+def test_fold_context_sets_topic_recency():
     s = schema()
-    f = FeatureExtractor(log_of([]), [user()], s).features("u0", DAY, DAY)
-    request = BidRequest("r1", "u0", DAY, topic_id=2, geo_area=19)
-    folded = fold_context(f, request, s)
+    f = FeatureExtractor(log_of([]), users(), s).features(U0, DAY, DAY)
+    folded = fold_context(f, 2, s)
     assert folded[s.index("pv_rncy_topic:2")] == MOST_RECENT_BUCKET
-    assert folded[s.index("geo_area")] == 19
+    assert np.flatnonzero(folded != f).tolist() == [s.index("pv_rncy_topic:2")]
     assert f[s.index("pv_rncy_topic:2")] == NEVER_BUCKET  # original untouched
-    again = fold_context(folded, request, s)
+    again = fold_context(folded, 2, s)
     assert np.array_equal(folded, again)  # idempotent
-    empty = fold_context(f, BidRequest("r2", "u0", DAY), s)
-    assert np.array_equal(empty, f)
 
 
 def test_counterfactual_changes_exactly_two_coordinates():

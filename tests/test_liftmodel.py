@@ -18,7 +18,7 @@ from liftsim.liftmodel.pipeline import (
     train_calibrated_model,
 )
 from liftsim.liftmodel.sampling import SamplingConfig, generate_samples
-from liftsim.market import BidRequest, Campaign, dollars_to_micros
+from liftsim.market import Campaign, dollars_to_micros
 from liftsim.world import WorldConfig, generate_population, run_market
 
 DAY = 86_400
@@ -100,8 +100,8 @@ def test_trained_model_sees_positive_mean_lift():
     model, report, log, population, schema, _ = trained_world_model()
     extractor = FeatureExtractor(log, population, schema)
     lifts = []
-    for user in population[:150]:
-        f = extractor.features(user.user_id, 12 * DAY, 7 * DAY)
+    for uid in population.user_ids[:150]:
+        f = extractor.features(uid, 12 * DAY, 7 * DAY)
         lifts.append(predict_lift(model, f, "adv1"))
     assert np.mean(lifts) > 0
     assert not report.isotonic_degenerate
@@ -155,26 +155,23 @@ def test_streaming_estimator_matches_offline_extraction():
     """The rolling-history estimate equals fold+counterfactual predictions
     computed from a log-built extractor at the same timestamp."""
     model, _, _, population, schema, _ = trained_world_model()
-    user = population[0]
+    uid = population.user_ids[0]
     events = [
-        TimelineEvent(ts=1 * DAY, user_id=user.user_id, kind=PAGE_VIEW,
-                      topic_id=1),
-        TimelineEvent(ts=2 * DAY, user_id=user.user_id, kind=IMPRESSION,
+        TimelineEvent(ts=1 * DAY, user_id=uid, kind=PAGE_VIEW, topic_id=1),
+        TimelineEvent(ts=2 * DAY, user_id=uid, kind=IMPRESSION,
                       advertiser_id="adv1", bidder="value", price=100),
-        TimelineEvent(ts=3 * DAY, user_id=user.user_id, kind=PAGE_VIEW,
-                      topic_id=0),
+        TimelineEvent(ts=3 * DAY, user_id=uid, kind=PAGE_VIEW, topic_id=0),
     ]
-    estimator = ModelBidEstimator(model, [user], "adv1")
+    estimator = ModelBidEstimator(model, population, "adv1")
     for e in events:
         estimator.observe(e)
     ts = 3 * DAY + 1000
     p_hat, lift_hat = estimator.estimate(0, ts, topic_id=1)
 
     log = EventLog(events=events, seed=0, config_digest="x")
-    f = FeatureExtractor(log, [user], schema).features(
-        user.user_id, ts, model.feature_window_seconds)
-    folded = fold_context(f, BidRequest("r", user.user_id, ts, topic_id=1),
-                          schema)
+    f = FeatureExtractor(log, population, schema).features(
+        uid, ts, model.feature_window_seconds)
+    folded = fold_context(f, 1, schema)
     shown = counterfactual_features(folded, "adv1", schema)
     assert p_hat == pytest.approx(model.predict_ar(shown)[0], abs=0)
     assert lift_hat == pytest.approx(

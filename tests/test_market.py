@@ -6,7 +6,7 @@ import pytest
 from liftsim.attribution import Partition, partition_users
 from liftsim.market import (
     LIFT_BIDDER, VALUE_BIDDER,
-    AuctionResult, Campaign, GroundTruthUser,
+    AuctionResult, Campaign, Population,
     dollars_to_micros, micros_to_dollars, run_auction,
 )
 from liftsim.bidders import BidderConfig, price_bids
@@ -79,12 +79,12 @@ def test_clearing_price_bounds_sweep():
 
 def test_head_to_head_examples():
     def duel(p, delta_p, alpha, beta):
-        return partition_users([GroundTruthUser("u", p, delta_p)], alpha, beta)
+        return partition_users(Population(p=[p], delta_p=[delta_p]), alpha, beta)
 
-    assert duel(p=0.04, delta_p=0.01, alpha=100, beta=100) == Partition(("u",), ())
-    assert duel(p=0.02, delta_p=0.019, alpha=100, beta=200) == Partition((), ("u",))
-    assert duel(p=0.5, delta_p=0.0, alpha=100, beta=100) == Partition(("u",), ())
-    assert duel(p=0.04, delta_p=0.02, alpha=100, beta=200) == Partition((), (), ("u",))
+    assert duel(p=0.04, delta_p=0.01, alpha=100, beta=100) == Partition((0,), ())
+    assert duel(p=0.02, delta_p=0.019, alpha=100, beta=200) == Partition((), (0,))
+    assert duel(p=0.5, delta_p=0.0, alpha=100, beta=100) == Partition((0,), ())
+    assert duel(p=0.04, delta_p=0.02, alpha=100, beta=200) == Partition((), (), (0,))
 
 
 def test_auction_agrees_with_head_to_head_when_bids_differ():
@@ -114,15 +114,29 @@ def test_money_round_half_even():
     assert micros_to_dollars(D(3.5)) == 3.5
 
 
-def test_ground_truth_user_invariants():
-    user = GroundTruthUser("u1", p=0.04, delta_p=0.01)
-    assert user.background_rate == pytest.approx(0.03)
+def test_population_invariants():
+    users = Population(p=[0.04, 0.5], delta_p=[0.01, 0.0])
+    assert len(users) == 2
+    assert users.background_rate.tolist() == pytest.approx([0.03, 0.5])
+    assert users.request_rate.tolist() == [1.0, 1.0]
+    assert users.topic_weights.shape == (2, 0)
+    assert users.demographics.tolist() == [[0, 0, 0], [0, 0, 0]]
     with pytest.raises(ValueError):
-        GroundTruthUser("u2", p=1.2, delta_p=0.0)
+        users.p[0] = 0.5  # columns are read-only
     with pytest.raises(ValueError):
-        GroundTruthUser("u3", p=0.02, delta_p=0.03)  # background would be negative
+        Population(p=[0.04, 1.2], delta_p=[0.0, 0.0])
     with pytest.raises(ValueError):
-        GroundTruthUser("u4", p=0.02, delta_p=0.01, request_rate=-1.0)
+        Population(p=[0.02], delta_p=[0.03])  # background would be negative
+    with pytest.raises(ValueError):
+        Population(p=[0.02], delta_p=[0.01], request_rate=[-1.0])
+    with pytest.raises(ValueError):
+        Population(p=[0.02, 0.03], delta_p=[0.01])  # columns of unequal length
+
+
+def test_population_user_ids_come_from_the_row_index():
+    users = Population(p=[0.1] * 3, delta_p=[0.0] * 3)
+    assert users.user_ids == ("u000000", "u000001", "u000002")
+    assert users.row_of["u000002"] == 2
 
 
 def test_campaign_invariants():

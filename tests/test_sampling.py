@@ -10,11 +10,12 @@ from liftsim.liftmodel.features import FeatureSchema
 from liftsim.liftmodel.sampling import (
     SamplingConfig, SamplingError, generate_samples,
 )
-from liftsim.market import Campaign, dollars_to_micros
+from liftsim.market import Campaign, Population, dollars_to_micros
 from liftsim.world import WorldConfig, generate_population, run_market
 
 DAY = 86_400
 D = dollars_to_micros
+U0, U1 = "u000000", "u000001"
 
 
 def tiny_schema():
@@ -37,17 +38,17 @@ def synthetic_log(request_counts, action_times, horizon_days=10):
     return EventLog(events=events, seed=0, config_digest="test")
 
 
-def users_for(uids):
-    from liftsim.market import GroundTruthUser
-    return [GroundTruthUser(u, p=0.5, delta_p=0.1) for u in uids]
+def users_for(n):
+    """A population of ``n`` users: U0, U1, u000002, ..."""
+    return Population(p=np.full(n, 0.5), delta_p=np.full(n, 0.1))
 
 
 def test_action_inside_window_is_positive():
     aw = 2 * DAY
-    log = synthetic_log({"u0": 3}, {"u0": [5 * DAY]})
+    log = synthetic_log({U0: 3}, {U0: [5 * DAY]})
     config = SamplingConfig(action_window_seconds=aw, target_positive_count=5,
                             seed=1)
-    samples = generate_samples(log, users_for(["u0"]), config, tiny_schema())
+    samples = generate_samples(log, users_for(1), config, tiny_schema())
     by_label = {}
     for s in samples:
         in_window = s.ts < 5 * DAY <= s.ts + aw
@@ -65,20 +66,20 @@ def test_window_boundaries_open_left_closed_right():
     aw = 100
     action_ts = 150
     events = [
-        TimelineEvent(ts=0, user_id="u0", kind=AD_REQUEST, topic_id=0),
-        TimelineEvent(ts=300, user_id="u0", kind=AD_REQUEST, topic_id=0),
-        TimelineEvent(ts=action_ts, user_id="u0", kind=ACTION,
+        TimelineEvent(ts=0, user_id=U0, kind=AD_REQUEST, topic_id=0),
+        TimelineEvent(ts=300, user_id=U0, kind=AD_REQUEST, topic_id=0),
+        TimelineEvent(ts=action_ts, user_id=U0, kind=ACTION,
                       advertiser_id="adv1"),
         # An action at the span start can never fall inside (ts, ts+aw],
         # so coverage never completes and generation runs to the target.
-        TimelineEvent(ts=0, user_id="u0", kind=ACTION, advertiser_id="adv1"),
+        TimelineEvent(ts=0, user_id=U0, kind=ACTION, advertiser_id="adv1"),
     ]
     log = EventLog(events=sorted(events, key=TimelineEvent.sort_key),
                    seed=0, config_digest="test")
     config = SamplingConfig(action_window_seconds=aw,
                             feature_window_seconds=200,
                             target_positive_count=1000, seed=6)
-    samples = generate_samples(log, users_for(["u0"]), config, tiny_schema())
+    samples = generate_samples(log, users_for(1), config, tiny_schema())
     seen_ts = {s.ts for s in samples}
     assert action_ts in seen_ts            # action exactly at ts
     assert action_ts - aw in seen_ts       # action exactly at ts + aw
@@ -87,16 +88,16 @@ def test_window_boundaries_open_left_closed_right():
 
 
 def test_user_marginal_follows_request_counts():
-    counts = {f"u{i}": c for i, c in enumerate([16, 32, 64, 128])}
+    counts = {f"u{i:06d}": c for i, c in enumerate([16, 32, 64, 128])}
     # Dense actions make nearly every draw positive, and the span-start
     # action is uncoverable, so the generator runs to the positive target
     # and yields a large marginal sample.
     actions = {uid: [d * DAY + 3600 for d in range(1, 10)] for uid in counts}
-    actions["u0"] = actions["u0"] + [0]
+    actions[U0] = actions[U0] + [0]
     log = synthetic_log(counts, actions)
     config = SamplingConfig(action_window_seconds=2 * DAY,
                             target_positive_count=2_000, seed=3)
-    samples = generate_samples(log, users_for(counts), config, tiny_schema())
+    samples = generate_samples(log, users_for(len(counts)), config, tiny_schema())
     assert len(samples) >= 2_000
     observed = {uid: 0 for uid in counts}
     for s in samples:
@@ -110,38 +111,38 @@ def test_user_marginal_follows_request_counts():
 
 
 def test_termination_by_positive_target():
-    actions = {"u0": [d * DAY for d in range(1, 10)]}
-    log = synthetic_log({"u0": 5, "u1": 5}, actions)
+    actions = {U0: [d * DAY for d in range(1, 10)]}
+    log = synthetic_log({U0: 5, U1: 5}, actions)
     config = SamplingConfig(action_window_seconds=3 * DAY,
                             target_positive_count=4, seed=4)
-    samples = generate_samples(log, users_for(["u0", "u1"]), config,
+    samples = generate_samples(log, users_for(2), config,
                                tiny_schema())
     assert sum(s.label for s in samples) == 4
 
 
 def test_termination_by_covering_all_actions():
-    log = synthetic_log({"u0": 5}, {"u0": [5 * DAY]})
+    log = synthetic_log({U0: 5}, {U0: [5 * DAY]})
     config = SamplingConfig(action_window_seconds=2 * DAY,
                             target_positive_count=10_000,
                             max_draws=200_000, seed=5)
-    samples = generate_samples(log, users_for(["u0"]), config, tiny_schema())
+    samples = generate_samples(log, users_for(1), config, tiny_schema())
     assert any(s.label for s in samples)
     assert sum(s.label for s in samples) < 10_000
 
 
 def test_no_requests_is_an_error():
-    log = synthetic_log({}, {"u0": [DAY]})
+    log = synthetic_log({}, {U0: [DAY]})
     with pytest.raises(SamplingError):
-        generate_samples(log, users_for(["u0"]),
+        generate_samples(log, users_for(1),
                          SamplingConfig(target_positive_count=1), tiny_schema())
 
 
 def test_sampling_is_deterministic():
-    log = synthetic_log({"u0": 4, "u1": 6}, {"u0": [3 * DAY], "u1": [6 * DAY]})
+    log = synthetic_log({U0: 4, U1: 6}, {U0: [3 * DAY], U1: [6 * DAY]})
     config = SamplingConfig(action_window_seconds=2 * DAY,
                             target_positive_count=6, seed=42)
-    one = generate_samples(log, users_for(["u0", "u1"]), config, tiny_schema())
-    two = generate_samples(log, users_for(["u0", "u1"]), config, tiny_schema())
+    one = generate_samples(log, users_for(2), config, tiny_schema())
+    two = generate_samples(log, users_for(2), config, tiny_schema())
     assert len(one) == len(two)
     for a, b in zip(one, two):
         assert a.user_id == b.user_id and a.ts == b.ts and a.label == b.label

@@ -1,13 +1,16 @@
 """World generation and market simulation: determinism, causality, accounting."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftsim.bidders import BidderConfig
 from liftsim.events import ACTION, AUCTION, IMPRESSION
 from liftsim.market import Campaign, dollars_to_micros, run_auction
 from liftsim.world import (
-    WorldConfig, WorldConfigError, generate_population,
+    WorldConfig, WorldConfigError, _settle, generate_population,
     precedent_impression_fraction, run_market, split_budget,
 )
 
@@ -45,25 +48,31 @@ def campaign(budget_dollars=1e9, aw_days=2):
 
 def test_population_is_deterministic():
     config = small_world(seed=99, n_users=500)
+    def columns(population):
+        return [getattr(population, f.name) for f in fields(population)]
+
     one = generate_population(config)
     two = generate_population(config)
-    assert one == two
+    assert all(np.array_equal(a, b) for a, b in zip(columns(one), columns(two)))
     other = generate_population(small_world(seed=100, n_users=500))
-    assert other != one
+    assert not np.array_equal(other.p, one.p)
 
 
 def test_population_respects_invariants():
     users = generate_population(small_world(seed=3, n_users=1000))
-    for user in users:
-        assert 0.0 <= user.p <= 1.0
-        assert 0.0 <= user.background_rate <= 1.0
-        assert user.request_rate >= 0
+    assert len(users) == 1000
+    assert ((0.0 <= users.p) & (users.p <= 1.0)).all()
+    assert ((0.0 <= users.background_rate) & (users.background_rate <= 1.0)).all()
+    assert (users.request_rate >= 0).all()
+    assert users.topic_weights.shape == (1000, 6)
+    assert users.app_weights.shape == (1000, 3)
+    assert users.user_ids[0] == "u000000" and users.user_ids[-1] == "u000999"
 
 
 def test_fixed_population_reproduces_example_pair():
     users = generate_population(example_pair_config())
-    assert [u.p for u in users] == [0.04, 0.02]
-    assert [u.delta_p for u in users] == [0.01, 0.019]
+    assert users.p.tolist() == [0.04, 0.02]
+    assert users.delta_p.tolist() == [0.01, 0.019]
 
 
 def test_zero_lift_world():
@@ -71,7 +80,7 @@ def test_zero_lift_world():
     config = WorldConfig(**{**config.to_dict(),
                             "delta_p_distribution": {"kind": "zero"}})
     users = generate_population(config)
-    assert all(u.delta_p == 0.0 for u in users)
+    assert (users.delta_p == 0.0).all()
 
 
 def test_overrejecting_distribution_is_a_config_error():
@@ -89,7 +98,7 @@ def _unexposed_actions(config):
     population = generate_population(config)
     run = run_market(population, [BidderConfig(kind="passive")], [campaign()],
                      config, assignment=np.zeros(len(population), dtype=int))
-    per_user = {u.user_id: 0 for u in population}
+    per_user = dict.fromkeys(population.user_ids, 0)
     for event in run.log.of_kind(ACTION):
         per_user[event.user_id] += 1
     return run, list(per_user.values())
@@ -229,6 +238,25 @@ def test_engine_settlement_matches_run_auction():
     assert checked > 10
 
 
+# Small values make ties and reserve-blocked auctions common.
+MICROS = st.integers(0, 20) | st.integers(0, 10**9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(our=MICROS, comp=MICROS, reserve=MICROS)
+def test_settle_matches_run_auction_on_any_bids(our, comp, reserve):
+    we_win, price = _settle(our, comp, reserve, np.random.default_rng(0))
+    reference = run_auction([("us", our), ("market", comp)], reserve)
+    if our <= reserve and comp <= reserve:
+        assert (we_win, price) == (False, 0)
+        assert reference.winner is None
+    elif our == comp:  # a tie prices at the bid; the winner is a coin flip
+        assert price == reference.clearing_price == our
+    else:
+        assert we_win == (reference.winner == "us")
+        assert price == reference.clearing_price
+
+
 def test_exposure_changes_only_action_probability():
     """Matched seeds: forcing exposure can only add actions, never remove."""
     config = example_pair_config(horizon_days=2)
@@ -274,7 +302,7 @@ def test_group_isolation():
     assignment = np.arange(len(population)) % 3
     run = run_market(population, bidders, [campaign()], config,
                      assignment=assignment)
-    group_of = {u.user_id: int(g) for u, g in zip(population, assignment)}
+    group_of = {uid: int(g) for uid, g in zip(population.user_ids, assignment)}
     labels = [g.bidder for g in run.groups]
     for event in run.log.events:
         if event.bidder in labels:
