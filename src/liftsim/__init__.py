@@ -29,7 +29,7 @@ from .bidders import (  # noqa: F401
     calibrate_equal_attribution,
     price_bids,
 )
-from .events import EventLog, TimelineEvent  # noqa: F401
+from .events import EventLog  # noqa: F401
 from .world import (  # noqa: F401
     WorldConfig,
     generate_population,

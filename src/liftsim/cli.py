@@ -381,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (EventLogError, SamplingError, TrainingError, SchemaMismatch,
             ModelFileError, CalibrationError, AccountingError,
-            OSError) as exc:
+            OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
 

@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from ..events import (
-    APP_INSTALL, APP_USE, CLICK, IMPRESSION, PAGE_VIEW, SEARCH,
-    EventLog, TimelineEvent,
+    APP_INSTALL, APP_USE, CLICK, IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH,
+    EventLog,
 )
 from ..market import Population
 
@@ -103,23 +103,23 @@ class FeatureSchema:
                    topics=int(data["topics"]), apps=int(data["apps"]))
 
 
-# Event kinds that feed (frequency, recency) feature pairs, keyed by the
-# event field that carries the reference id.
+# Event kinds that feed (frequency, recency) feature pairs: the name
+# prefix, and the EventLog column with the advertiser, topic or app.
 _TRACKED = {
-    IMPRESSION: ("imp", "advertiser_id"),
-    CLICK: ("clk", "advertiser_id"),
-    PAGE_VIEW: ("pv", "topic_id"),
-    SEARCH: ("srch", "topic_id"),
-    APP_INSTALL: ("inst", "app_id"),
-    APP_USE: ("use", "app_id"),
+    IMPRESSION: ("imp", "adv"),
+    CLICK: ("clk", "adv"),
+    PAGE_VIEW: ("pv", "topic"),
+    SEARCH: ("srch", "topic"),
+    APP_INSTALL: ("inst", "app"),
+    APP_USE: ("use", "app"),
 }
 
 
 class UserHistory:
     """Per-user, time-ordered event times keyed by (prefix, reference id).
 
-    Events must be observed in non-decreasing timestamp order, which both
-    the simulator and sorted logs guarantee.
+    Events (``ref`` is the advertiser id, topic or app) must be observed
+    in non-decreasing timestamp order, as the simulator and logs give them.
     """
 
     __slots__ = ("times",)
@@ -127,13 +127,10 @@ class UserHistory:
     def __init__(self) -> None:
         self.times: dict[tuple[str, object], list[int]] = {}
 
-    def observe(self, event: TimelineEvent) -> None:
-        tracked = _TRACKED.get(event.kind)
-        if tracked is None:
-            return
-        prefix, ref_field = tracked
-        ref = getattr(event, ref_field)
-        self.times.setdefault((prefix, ref), []).append(event.ts)
+    def observe(self, kind: str, ref: object, ts: int) -> None:
+        tracked = _TRACKED.get(kind)
+        if tracked is not None:
+            self.times.setdefault((tracked[0], ref), []).append(ts)
 
     def window_stats(self, prefix: str, ref: object, ts: int, fw: int) -> tuple[int, int]:
         """(count, recency bucket) over events in ``(ts - fw, ts]``."""
@@ -193,20 +190,25 @@ class FeatureExtractor:
         self.schema = schema
         self._rows = population.row_of
         self._demographics = population.demographics.tolist()
-        self._histories: dict[str, UserHistory] = {}
-        for event in log.events:
-            if event.kind in _TRACKED:
-                self._histories.setdefault(event.user_id, UserHistory()).observe(event)
+        self._histories = {user_id: UserHistory() for user_id in log.users}
+        # One kind at a time: each (prefix, ref) list still fills in log
+        # order, because each prefix belongs to one kind.
+        advertisers = (*log.advertisers, None)  # code -1 reads None
+        for kind, (_, column) in _TRACKED.items():
+            rows = log.kind == KIND_CODE[kind]
+            refs = getattr(log, column)[rows].tolist()
+            if column == "adv":
+                refs = [advertisers[code] for code in refs]
+            for user, ref, ts in zip(log.user[rows].tolist(), refs,
+                                     log.ts[rows].tolist()):
+                self._histories[log.users[user]].observe(kind, ref, ts)
 
     def features(self, user_id: str, ts: int, fw: int) -> np.ndarray:
         row = self._rows.get(user_id)
         if row is None:
             raise KeyError(f"unknown user {user_id!r}")
-        history = self._histories.get(user_id)
-        if history is None:
-            history = UserHistory()
-        return extract_from_history(history, self._demographics[row], ts, fw,
-                                    self.schema)
+        return extract_from_history(self._histories.get(user_id, UserHistory()),
+                                    self._demographics[row], ts, fw, self.schema)
 
 
 def fold_context(

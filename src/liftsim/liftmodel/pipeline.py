@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..events import TimelineEvent
 from ..fileio import atomic_write_text
 from ..market import Population
 from ..seeds import rng_for
@@ -259,12 +258,9 @@ class ModelBidEstimator:
         self.advertiser = advertiser
         self._demographics = population.demographics.tolist()
         self._histories = [UserHistory() for _ in range(len(population))]
-        self._rows = population.row_of
 
-    def observe(self, event: TimelineEvent) -> None:
-        idx = self._rows.get(event.user_id)
-        if idx is not None:
-            self._histories[idx].observe(event)
+    def observe(self, user_index: int, kind: str, ref: object, ts: int) -> None:
+        self._histories[user_index].observe(kind, ref, ts)
 
     def estimate(self, user_index: int, ts: int, topic_id: int) -> tuple[float, float]:
         features = extract_from_history(
@@ -275,23 +271,3 @@ class ModelBidEstimator:
         pair = self.model.predict_ar(np.stack([shown, folded]))
         return float(pair[0]), float(pair[0] - pair[1])
 
-
-def lift_recovery_spearman(
-    model: CalibratedModel,
-    features_by_user: dict[str, np.ndarray],
-    true_lift_by_user: dict[str, float],
-    advertiser: str,
-) -> float:
-    """Spearman rank correlation of predicted vs true lift across users."""
-    from scipy.stats import spearmanr
-
-    users = sorted(features_by_user)
-    base = np.stack([features_by_user[u] for u in users])
-    shown = np.stack([
-        counterfactual_features(features_by_user[u], advertiser, model.schema)
-        for u in users
-    ])
-    predicted = model.predict_ar(shown) - model.predict_ar(base)
-    truth = np.array([true_lift_by_user[u] for u in users])
-    rho = spearmanr(predicted, truth).statistic
-    return float(rho)

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ..events import ACTION, AD_REQUEST, EventLog
+from ..events import ACTION, AD_REQUEST, KIND_CODE, EventLog
 from ..fileio import atomic_write_text
 from ..market import Population
 from ..seeds import rng_for
@@ -65,26 +65,26 @@ def generate_samples(
     schema: FeatureSchema,
 ) -> list[TrainingSample]:
     """Draw labeled samples from the log; deterministic per config seed."""
-    request_counts: dict[str, int] = {}
-    for event in log.events:
-        if event.kind == AD_REQUEST:
-            request_counts[event.user_id] = request_counts.get(event.user_id, 0) + 1
-    if not request_counts:
+    request_counts = np.bincount(log.user[log.kind == KIND_CODE[AD_REQUEST]],
+                                 minlength=len(log.users))
+    if not request_counts.any():
         raise SamplingError("log contains no ad requests to weight users by")
 
     action_times: dict[str, list[int]] = {}
-    action_ids: set[tuple[str, int]] = set()
-    for event in log.events:
-        if event.kind == ACTION:
-            action_times.setdefault(event.user_id, []).append(event.ts)
-            action_ids.add((event.user_id, event.ts))
+    actions = log.kind == KIND_CODE[ACTION]
+    for user, ts in zip(log.user[actions].tolist(), log.ts[actions].tolist()):
+        action_times.setdefault(log.users[user], []).append(ts)
+    action_ids = {(user_id, ts) for user_id, times in action_times.items()
+                  for ts in times}
 
-    users = sorted(request_counts)
-    weights = np.array([request_counts[u] for u in users], dtype=float)
+    codes = sorted(np.flatnonzero(request_counts).tolist(),
+                   key=log.users.__getitem__)
+    users = [log.users[code] for code in codes]
+    weights = request_counts[codes].astype(float)
     weights /= weights.sum()
 
-    span_lo = min(e.ts for e in log.events)
-    span_hi = max(e.ts for e in log.events)
+    span_lo = int(log.ts.min())
+    span_hi = int(log.ts.max())
     ts_hi = span_hi - config.action_window_seconds
     if ts_hi <= span_lo:
         raise SamplingError("timeline shorter than one action window")
@@ -99,13 +99,9 @@ def generate_samples(
     positives = 0
     draws = 0
     batch = 1024
-    while True:
-        if positives >= config.target_positive_count:
-            break
-        if action_ids and covered >= action_ids:
-            break
-        if not action_ids:
-            break
+    # Stop at the positive target, or once every action is in a window
+    # (at once when there are no actions).
+    while positives < config.target_positive_count and not covered >= action_ids:
         if draws >= config.draw_budget:
             raise SamplingError(
                 f"draw budget exhausted after {draws} draws with "
@@ -128,9 +124,7 @@ def generate_samples(
             samples.append(TrainingSample(
                 user_id=user_id, ts=ts, label=label,
                 features=extractor.features(user_id, ts, fw)))
-            if positives >= config.target_positive_count:
-                break
-            if covered >= action_ids:
+            if positives >= config.target_positive_count or covered >= action_ids:
                 break
     return samples
 

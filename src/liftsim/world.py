@@ -5,8 +5,9 @@ truth (action rate ``p``, lift ``delta_p``), request rates, and
 behavioral propensities that correlate with the ground truth so a
 learned model has signal to recover. The simulator runs second-price
 auctions for every ad request against an exogenous competitor bid,
-realizes actions from the ground truth, and emits a replayable event
-log.
+realizes actions from the ground truth, and can record a columnar event
+log: requests and behavior come from whole arrays, and only auction
+outcomes and actions are appended row by row.
 
 Randomness is split into independent streams (requests, market,
 behavior, clicks, actions, ties) derived from the world seed, so the
@@ -22,12 +23,12 @@ from dataclasses import dataclass, field, asdict
 from typing import Protocol
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import betaincinv, ndtr
 
 from .bidders import PASSIVE, BidderConfig, price_bids
 from .events import (
-    ACTION, AD_REQUEST, APP_INSTALL, APP_USE, BID, AUCTION, CLICK, IMPRESSION,
-    PAGE_VIEW, SEARCH, EventLog, TimelineEvent,
+    ACTION, AD_REQUEST, APP_INSTALL, APP_USE, BID, AUCTION, CLICK,
+    EVENT_KINDS, FIELDS, IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH, EventLog,
 )
 from .market import Campaign, Population
 from .seeds import rng_for
@@ -144,11 +145,9 @@ def _draw_p_and_ratio(
         u_p = rng.random(k)
         u_r = rng.random(k)
 
-    from scipy.stats import beta as beta_dist
-
     if p_kind == "scaled_beta":
         lo, hi = p_spec["low"], p_spec["high"]
-        p = lo + (hi - lo) * beta_dist.ppf(u_p, p_spec["a"], p_spec["b"])
+        p = lo + (hi - lo) * betaincinv(p_spec["a"], p_spec["b"], u_p)
     elif p_kind == "fixed":
         values = np.asarray(p_spec["values"], dtype=float)
         if len(values) != k:
@@ -268,14 +267,15 @@ def generate_population(config: WorldConfig) -> Population:
 class BidEstimator(Protocol):
     """Source of (p, delta_p) estimates used to price bids at request time.
 
-    ``observe`` is called for every emitted event in chronological order
-    so a model-backed estimator can maintain rolling feature state.
+    ``observe`` gets every impression, click, action and behavior event
+    in chronological order, so a model-backed estimator can keep rolling
+    feature state. ``ref`` is the event's advertiser id, topic or app.
     """
 
     def estimate(self, user_index: int, ts: int, topic_id: int) -> tuple[float, float]:
         ...
 
-    def observe(self, event: TimelineEvent) -> None:
+    def observe(self, user_index: int, kind: str, ref: object, ts: int) -> None:
         ...
 
 
@@ -340,20 +340,10 @@ def market_run_digest(
 
 
 def _bidder_labels(bidders: list[BidderConfig]) -> list[str]:
-    counts: dict[str, int] = {}
-    labels = []
-    for b in bidders:
-        counts[b.kind] = counts.get(b.kind, 0) + 1
-        labels.append(b.kind)
-    seen: dict[str, int] = {}
-    out = []
-    for label in labels:
-        if counts[label] == 1:
-            out.append(label)
-        else:
-            seen[label] = seen.get(label, 0) + 1
-            out.append(f"{label}{seen[label]}")
-    return out
+    """Each bidder's kind, numbered from 1 where several share it."""
+    kinds = [b.kind for b in bidders]
+    return [kind if kinds.count(kind) == 1 else f"{kind}{kinds[:i + 1].count(kind)}"
+            for i, kind in enumerate(kinds)]
 
 
 def split_budget(bidders: list[BidderConfig], budget: int) -> list[int]:
@@ -422,7 +412,6 @@ def run_market(
 
     p, dp, bg = population.p, population.delta_p, population.background_rate
     rates = population.request_rate
-    user_ids = population.user_ids
     click_rate = float(config.behavior.get("click_rate", 0.1))
 
     # Independent streams: request counts and times never depend on how
@@ -442,23 +431,15 @@ def run_market(
         counts = np.broadcast_to(
             np.rint(rates).astype(np.int64)[:, None], (n, config.horizon_days)
         ).copy()
-    counts = counts.astype(np.int64)
-    total_requests = int(counts.sum())
-    req_user = np.repeat(
-        np.tile(np.arange(n), config.horizon_days),
-        counts.T.reshape(-1),
-    )
-    req_day = np.repeat(np.arange(config.horizon_days), counts.sum(axis=0))
-    offsets = req_rng.integers(0, SECONDS_PER_DAY, total_requests)
-    req_ts = req_day * SECONDS_PER_DAY + offsets
-    req_topic = req_rng.integers(0, config.topics, total_requests)
-
-    # Sort requests chronologically (stable tiebreak on user then draw order).
-    order = np.lexsort((np.arange(total_requests), req_user, req_ts))
-    req_user = req_user[order]
-    req_ts = req_ts[order]
-    req_topic = req_topic[order]
-    req_day = req_day[order]
+    # One request per draw, in (day, user) cell order; then sorted by time
+    # and user, stably, so ties keep draw order.
+    cell = np.repeat(np.arange(counts.size), counts.T.reshape(-1))
+    req_ts = (cell // n * SECONDS_PER_DAY
+              + req_rng.integers(0, SECONDS_PER_DAY, cell.size))
+    req_topic = req_rng.integers(0, config.topics, cell.size)
+    order = np.lexsort((cell % n, req_ts))
+    req_ts, req_topic, cell = req_ts[order], req_topic[order], cell[order]
+    req_day, req_user = cell // n, cell % n
 
     comp = _competitor_bids(config, market_rng, p, req_user)
 
@@ -484,35 +465,31 @@ def run_market(
     stopped = np.array([budgets[g] <= 0 and bidders[g].kind != PASSIVE
                         for g in range(n_bidders)])
 
-    # BID and AUCTION events only go to the log; impressions, clicks and
-    # actions go to every listener, in emission order (the final sort
-    # is stable). With no listener the events are never built.
-    events: list[TimelineEvent] = []
-    emit = events.append if record_events else None
+    # Auction-loop events are rows (ts, user, kind, bidder, price) with
+    # bidder codes indexing the group labels, then MARKET. They are
+    # recorded only for the log; impressions, clicks and actions also go
+    # to the estimator, in emission order (the final sort is stable).
+    rows: list[tuple[int, int, int, int, int]] = []
+    record = rows.append if record_events else None
     observe = estimator.observe if estimator is not None else None
-    sink = emit or observe
-    if emit and observe:
-        def sink(event: TimelineEvent) -> None:
-            emit(event)
-            observe(event)
 
     day_starts = np.searchsorted(req_day, np.arange(config.horizon_days))
     day_ends = np.searchsorted(req_day, np.arange(config.horizon_days) + 1)
 
-    if record_events:
-        for i in range(total_requests):
-            events.append(TimelineEvent(
-                ts=int(req_ts[i]), user_id=user_ids[req_user[i]],
-                kind=AD_REQUEST, topic_id=int(req_topic[i])))
-
     # Behavioral events come from their own stream and never depend on
     # bidding, so they can be generated up front; a model-backed
     # estimator consumes them chronologically alongside the auctions.
-    behavior_events: list[TimelineEvent] = []
+    behavior = np.empty((len(FIELDS), 0), dtype=np.int64)
     if config.behavior.get("enabled", True) and (record_events or estimator):
-        behavior_events = _behavior_events(population, config)
-        behavior_events.sort(key=TimelineEvent.sort_key)
-    behavior_cursor = 0
+        behavior = _time_sorted(_behavior_events(population, config))
+    feed: list[tuple[int, str, int, int]] = []  # (user, kind, ref, ts)
+    if estimator is not None:
+        # Each behavior event has a topic or an app; the other is -1.
+        feed = list(zip(behavior[1].tolist(),
+                        [EVENT_KINDS[k] for k in behavior[2].tolist()],
+                        np.maximum(behavior[4], behavior[5]).tolist(),
+                        behavior[0].tolist()))
+    fed = 0
 
     window_exposed = np.zeros(n, dtype=bool)
     for w in range(n_windows):
@@ -528,10 +505,9 @@ def run_market(
                 if bidder.kind == PASSIVE or stopped[g]:
                     continue
                 if estimator is not None:
-                    while (behavior_cursor < len(behavior_events)
-                           and behavior_events[behavior_cursor].ts <= ts):
-                        estimator.observe(behavior_events[behavior_cursor])
-                        behavior_cursor += 1
+                    while fed < len(feed) and feed[fed][3] <= ts:
+                        observe(*feed[fed])
+                        fed += 1
                     p_hat, dp_hat = estimator.estimate(u, ts, int(req_topic[i]))
                     our = int(price_bids(bidder, p_hat, dp_hat))
                 else:
@@ -540,31 +516,26 @@ def run_market(
                     continue
                 stats[g].bids_placed += 1
                 c = int(comp[i])
-                if emit:
-                    emit(TimelineEvent(ts=ts, user_id=user_ids[u], kind=BID,
-                                       advertiser_id=adv, bidder=labels[g],
-                                       price=our))
                 we_win, price = _settle(our, c, reserve, tie_rng)
-                if emit:
-                    winner = labels[g] if we_win else (MARKET if c > reserve else None)
-                    emit(TimelineEvent(ts=ts, user_id=user_ids[u], kind=AUCTION,
-                                       advertiser_id=adv, bidder=winner,
-                                       price=price))
+                if record:
+                    winner = g if we_win else (n_bidders if c > reserve else -1)
+                    record((ts, u, KIND_CODE[BID], g, our))
+                    record((ts, u, KIND_CODE[AUCTION], winner, price))
                 if not we_win:
                     continue
                 stats[g].impressions += 1
                 stats[g].inventory_cost += price
                 window_exposed[u] = True
-                if sink:
-                    sink(TimelineEvent(ts=ts, user_id=user_ids[u],
-                                       kind=IMPRESSION, advertiser_id=adv,
-                                       bidder=labels[g], price=price))
+                if record:
+                    record((ts, u, KIND_CODE[IMPRESSION], g, price))
+                if observe:
+                    observe(u, IMPRESSION, adv, ts)
                 if click_rng.random() < click_rate:
                     stats[g].clicks += 1
-                    if sink:
-                        sink(TimelineEvent(ts=ts + 30, user_id=user_ids[u],
-                                           kind=CLICK, advertiser_id=adv,
-                                           bidder=labels[g]))
+                    if record:
+                        record((ts + 30, u, KIND_CODE[CLICK], g, -1))
+                    if observe:
+                        observe(u, CLICK, adv, ts + 30)
 
         effective = np.where(window_exposed, p, bg)
         hits = action_uniforms[:, w] < effective
@@ -573,11 +544,11 @@ def run_market(
             mask = assignment == g
             stats[g].expected_actions += float(effective[mask].sum())
             stats[g].actions += int(hits[mask].sum())
-        for u in np.nonzero(hits)[0]:
-            u = int(u)
-            if sink:
-                sink(TimelineEvent(ts=end_ts, user_id=user_ids[u],
-                                   kind=ACTION, advertiser_id=adv))
+        for u in np.nonzero(hits)[0].tolist():
+            if record:
+                record((end_ts, u, KIND_CODE[ACTION], -1, -1))
+            if observe:
+                observe(u, ACTION, adv, end_ts)
             if window_exposed[u]:
                 g = int(assignment[u])
                 stats[g].attributed += 1
@@ -592,9 +563,17 @@ def run_market(
 
     log = None
     if record_events:
-        events.extend(behavior_events)
-        events.sort(key=TimelineEvent.sort_key)
-        log = EventLog(events=events, seed=config.seed, config_digest=run_digest)
+        ts, user, kind, bidder, price = np.array(
+            rows, dtype=np.int64).reshape(-1, 5).T
+        data = _time_sorted(np.concatenate([
+            _event_block(req_ts, req_user, KIND_CODE[AD_REQUEST],
+                         topic=req_topic),
+            _event_block(ts, user, kind, adv=0, bidder=bidder, price=price),
+            behavior,
+        ], axis=1))
+        log = EventLog(*data, users=population.user_ids, advertisers=(adv,),
+                       bidders=(*labels, MARKET), seed=config.seed,
+                       config_digest=run_digest)
     return MarketRun(log=log, groups=stats, n_windows=n_windows,
                      config_digest=run_digest)
 
@@ -641,63 +620,63 @@ def _competitor_bids(
     raise WorldConfigError(f"unknown competitor_bids kind {kind!r}")
 
 
-def _behavior_events(
-    population: Population, config: WorldConfig
-) -> list[TimelineEvent]:
-    """Page views, searches and app events drawn from per-user propensities."""
+def _event_block(ts, user, kind, **optional) -> np.ndarray:
+    """Events as an int64 array with one row per field of :data:`FIELDS`;
+    fields not given are absent (-1)."""
+    block = np.full((len(FIELDS), len(ts)), -1, dtype=np.int64)
+    block[0], block[1], block[2] = ts, user, kind
+    for name, values in optional.items():
+        block[FIELDS.index(name)] = values
+    return block
+
+
+def _time_sorted(block: np.ndarray) -> np.ndarray:
+    """Events sorted stably by (ts, user, kind); user codes are rows, whose
+    ids share one zero-padded width, so they sort as the ids do."""
+    return block[:, np.lexsort((block[2], block[1], block[0]))]
+
+
+def _behavior_events(population: Population, config: WorldConfig) -> np.ndarray:
+    """Page views, searches and app events drawn from per-user
+    propensities, as an event block in draw order."""
     bcfg = config.behavior
     n = len(population)
     days = config.horizon_days
     rng = rng_for(config.seed, "behavior")
-    topic_w = population.topic_weights
-    app_w = population.app_weights
-    user_ids = population.user_ids
-    events: list[TimelineEvent] = []
-
-    def emit_counts(lam: np.ndarray, kind: str, ref_field: str) -> None:
-        # lam shape: (users, refs); expands to (users, days, refs) draws.
+    blocks = []
+    for kind, rate in ((PAGE_VIEW, bcfg.get("pv_rate", 2.0)),
+                       (SEARCH, bcfg.get("search_rate", 0.8))):
+        # Draws per (user, day, topic) cell; each event gets a time of day.
+        lam = rate * population.topic_weights
+        topics = lam.shape[1]
         counts = rng.poisson(np.broadcast_to(
-            lam[:, None, :], (n, days, lam.shape[1])))
-        total = int(counts.sum())
-        if total == 0:
-            return
-        flat = counts.reshape(-1)
-        nz = np.nonzero(flat)[0]
-        reps = flat[nz]
-        refs = lam.shape[1]
-        users = np.repeat(nz // (days * refs), reps)
-        day_idx = np.repeat((nz // refs) % days, reps)
-        ref_idx = np.repeat(nz % refs, reps)
-        offs = rng.integers(0, SECONDS_PER_DAY, total)
-        ts = day_idx * SECONDS_PER_DAY + offs
-        for u, t, r in zip(users, ts, ref_idx):
-            kwargs = {ref_field: int(r)}
-            events.append(TimelineEvent(ts=int(t), user_id=user_ids[u],
-                                        kind=kind, **kwargs))
+            lam[:, None, :], (n, days, topics))).reshape(-1)
+        cell = np.repeat(np.arange(counts.size), counts)
+        ts = (cell // topics % days * SECONDS_PER_DAY
+              + rng.integers(0, SECONDS_PER_DAY, cell.size))
+        blocks.append(_event_block(ts, cell // (days * topics), KIND_CODE[kind],
+                                   topic=cell % topics))
 
-    emit_counts(bcfg.get("pv_rate", 2.0) * topic_w, PAGE_VIEW, "topic_id")
-    emit_counts(bcfg.get("search_rate", 0.8) * topic_w, SEARCH, "topic_id")
-
+    # Uses per (user, app, day). A (user, app) pair with any use has an
+    # install on its first day of use and then each use in day order, so
+    # its event days are its use days with the first one counted twice.
+    # Pairs come in (user, app) order; each event draws a time of day.
     use_counts = rng.poisson(np.broadcast_to(
-        (bcfg.get("app_rate", 0.12) * app_w)[:, None, :],
+        (bcfg.get("app_rate", 0.12) * population.app_weights)[:, None, :],
         (n, days, config.apps)))
-    for u in range(n):
-        for a in range(config.apps):
-            per_day = use_counts[u, :, a]
-            if per_day.sum() == 0:
-                continue
-            first_day = int(np.nonzero(per_day)[0][0])
-            install_ts = first_day * SECONDS_PER_DAY + int(
-                rng.integers(0, SECONDS_PER_DAY))
-            events.append(TimelineEvent(ts=install_ts, user_id=user_ids[u],
-                                        kind=APP_INSTALL, app_id=a))
-            for day in range(first_day, days):
-                for _ in range(int(per_day[day])):
-                    ts = day * SECONDS_PER_DAY + int(
-                        rng.integers(0, SECONDS_PER_DAY))
-                    events.append(TimelineEvent(ts=ts, user_id=user_ids[u],
-                                                kind=APP_USE, app_id=a))
-    return events
+    per_pair = use_counts.transpose(0, 2, 1).reshape(-1, days)
+    pairs = np.flatnonzero(per_pair.any(axis=1))
+    per_day = per_pair[pairs]
+    per_day[np.arange(len(pairs)), (per_day > 0).argmax(axis=1)] += 1
+    pair = np.repeat(pairs, per_day.sum(axis=1))
+    day = np.repeat(np.tile(np.arange(days), len(pairs)), per_day.reshape(-1))
+    ts = day * SECONDS_PER_DAY + rng.integers(0, SECONDS_PER_DAY, day.size)
+    install = np.ones(day.size, dtype=bool)
+    install[1:] = pair[1:] != pair[:-1]
+    kind = np.where(install, KIND_CODE[APP_INSTALL], KIND_CODE[APP_USE])
+    blocks.append(_event_block(ts, pair // config.apps, kind,
+                               app=pair % config.apps))
+    return np.concatenate(blocks, axis=1)
 
 
 def precedent_impression_fraction(
@@ -710,23 +689,17 @@ def precedent_impression_fraction(
     before (or at) the action timestamp.
     """
     lookback = lookback_days * SECONDS_PER_DAY
-    imp_times: dict[str, list[int]] = {}
-    for e in log.events:
-        if e.kind == IMPRESSION and e.advertiser_id == advertiser:
-            imp_times.setdefault(e.user_id, []).append(e.ts)
-    actions = [e for e in log.events
-               if e.kind == ACTION and e.advertiser_id == advertiser]
-    if not actions:
+    code = log.advertisers.index(advertiser) if advertiser in log.advertisers else -2
+    ours = log.adv == code  # -2 matches no event, not even an absent adv
+    imps = ours & (log.kind == KIND_CODE[IMPRESSION])
+    acts = ours & (log.kind == KIND_CODE[ACTION])
+    if not acts.any():
         raise ValueError("log contains no actions for this advertiser")
-    import bisect as _bisect
-
-    preceded = 0
-    for act in actions:
-        times = imp_times.get(act.user_id)
-        if not times:
-            continue
-        lo = _bisect.bisect_left(times, act.ts - lookback)
-        hi = _bisect.bisect_right(times, act.ts)
-        if hi > lo:
-            preceded += 1
-    return preceded / len(actions)
+    # One sorted key per impression, (user, ts) in one int64; each action
+    # looks for a key in [(user, ts - lookback), (user, ts)].
+    stride = int(log.ts.max()) + 1
+    keys = np.sort(log.user[imps] * stride + log.ts[imps])
+    act_keys = log.user[acts] * stride + log.ts[acts]
+    lo = np.searchsorted(keys, act_keys - np.minimum(log.ts[acts], lookback))
+    hi = np.searchsorted(keys, act_keys, side="right")
+    return int(np.count_nonzero(hi > lo)) / int(acts.sum())

@@ -260,3 +260,48 @@ def test_sampling_seed_tag_is_an_unknown_key(tmp_path, capsys):
     assert main(["simulate", "--config", str(config),
                  "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "unknown key sampling.seed_tag" in capsys.readouterr().err
+
+
+HEADER = '{"format":"liftsim.events","version":1,"seed":1,"config_digest":"d"}'
+PAGE_VIEW = '{"ts":5,"user":"u000000","kind":"page_view","topic":0}'
+MALFORMED_LOGS = {
+    "header-not-json": ["{format", PAGE_VIEW],
+    "header-not-object": ['["liftsim.events", 1]', PAGE_VIEW],
+    "header-without-seed": [HEADER.replace('"seed":1,', ""), PAGE_VIEW],
+    "header-without-digest": [HEADER.replace(',"config_digest":"d"', ""),
+                              PAGE_VIEW],
+    "line-not-json": [HEADER, '{"ts":5,"user":'],
+    "two-records-on-a-line": [HEADER, PAGE_VIEW + "," + PAGE_VIEW],
+    "record-without-ts": [HEADER, PAGE_VIEW.replace('"ts":5,', "")],
+    "record-without-user": [HEADER, PAGE_VIEW.replace('"user":"u000000",', "")],
+    "record-without-kind": [HEADER, PAGE_VIEW.replace('"kind":"page_view",', "")],
+    "negative-ts": [HEADER, PAGE_VIEW.replace('"ts":5', '"ts":-5')],
+    "string-ts": [HEADER, PAGE_VIEW.replace('"ts":5', '"ts":"5"')],
+    "negative-topic": [HEADER, PAGE_VIEW.replace('"topic":0', '"topic":-1')],
+    "float-app": [HEADER, PAGE_VIEW.replace('"topic":0', '"app":1.5')],
+    "string-price": [HEADER, PAGE_VIEW.replace('"topic":0', '"price":"7"')],
+    "out-of-time-order": [HEADER, PAGE_VIEW,
+                          PAGE_VIEW.replace('"ts":5', '"ts":4')],
+}
+
+
+@pytest.mark.parametrize("lines", MALFORMED_LOGS.values(),
+                         ids=MALFORMED_LOGS.keys())
+def test_train_on_a_malformed_log_is_a_data_error(tmp_path, capsys, lines):
+    log = tmp_path / "events.jsonl"
+    log.write_text("\n".join(lines) + "\n")
+    config = write_config(tmp_path, TRAIN_WORLD)
+    assert main(["train", "--config", str(config), "--log", str(log),
+                 "--out-dir", str(tmp_path / "o")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert err.count("\n") == 1
+
+
+def test_train_on_a_log_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    log = tmp_path / "events.jsonl"
+    log.write_bytes(HEADER.encode() + b"\n\xff\xfe\n")
+    config = write_config(tmp_path, TRAIN_WORLD)
+    assert main(["train", "--config", str(config), "--log", str(log),
+                 "--out-dir", str(tmp_path / "o")]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")

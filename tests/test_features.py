@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from liftsim.events import (
-    ACTION, AD_REQUEST, CLICK, IMPRESSION, PAGE_VIEW, SEARCH,
-    EventLog, TimelineEvent,
-)
+from event_records import parse_log
+from liftsim.events import CLICK, IMPRESSION, PAGE_VIEW, SEARCH
 from liftsim.liftmodel.features import (
     MOST_RECENT_BUCKET, NEVER_BUCKET, FeatureExtractor, FeatureSchema,
     counterfactual_features, fold_context, recency_bucket,
@@ -31,11 +29,6 @@ def users(n=1, age=4, gender=1, geo=7):
                       geo_area=np.full(n, geo))
 
 
-def log_of(events):
-    return EventLog(events=sorted(events, key=TimelineEvent.sort_key),
-                    seed=0, config_digest="test")
-
-
 def test_schema_layout_and_digest():
     s = schema()
     assert s.n_features == 2 * 4 + 3 * 4 + 3 + 2 * 4
@@ -58,16 +51,11 @@ def test_impression_frequency_counts_window_events():
     s = schema()
     ts = 10 * DAY
     events = [
-        TimelineEvent(ts=ts - 2 * HOUR, user_id=U0, kind=IMPRESSION,
-                      advertiser_id="adv1", bidder="value", price=1),
-        TimelineEvent(ts=ts - 3 * HOUR, user_id=U0, kind=IMPRESSION,
-                      advertiser_id="adv1", bidder="value", price=1),
-        TimelineEvent(ts=ts - 4 * HOUR, user_id=U0, kind=IMPRESSION,
-                      advertiser_id="adv1", bidder="value", price=1),
-        TimelineEvent(ts=ts - 5 * HOUR, user_id=U0, kind=IMPRESSION,
-                      advertiser_id="adv2", bidder="value", price=1),
+        {"ts": ts - hours * HOUR, "user": U0, "kind": IMPRESSION, "adv": adv,
+         "bidder": "value", "price": 1}
+        for hours, adv in ((2, "adv1"), (3, "adv1"), (4, "adv1"), (5, "adv2"))
     ]
-    f = FeatureExtractor(log_of(events), users(), s).features(U0, ts, 7 * DAY)
+    f = FeatureExtractor(parse_log(events), users(), s).features(U0, ts, 7 * DAY)
     assert f[s.index("imp_freq_adv:adv1")] == 3
     assert f[s.index("imp_freq_adv:adv2")] == 1
     assert f[s.index("imp_rncy_adv:adv1")] == 1  # 2h ago -> <=6h bucket
@@ -82,12 +70,12 @@ def test_window_boundaries_are_half_open():
     s = schema()
     ts, fw = 10 * DAY, 7 * DAY
     events = [
-        TimelineEvent(ts=ts - fw, user_id=U0, kind=PAGE_VIEW, topic_id=0),
-        TimelineEvent(ts=ts - fw + 1, user_id=U0, kind=PAGE_VIEW, topic_id=1),
-        TimelineEvent(ts=ts, user_id=U0, kind=SEARCH, topic_id=2),
-        TimelineEvent(ts=ts + 1, user_id=U0, kind=SEARCH, topic_id=2),
+        {"ts": ts - fw, "user": U0, "kind": PAGE_VIEW, "topic": 0},
+        {"ts": ts - fw + 1, "user": U0, "kind": PAGE_VIEW, "topic": 1},
+        {"ts": ts, "user": U0, "kind": SEARCH, "topic": 2},
+        {"ts": ts + 1, "user": U0, "kind": SEARCH, "topic": 2},
     ]
-    f = FeatureExtractor(log_of(events), users(), s).features(U0, ts, fw)
+    f = FeatureExtractor(parse_log(events), users(), s).features(U0, ts, fw)
     assert f[s.index("pv_freq_topic:0")] == 0  # exactly ts - fw is outside
     assert f[s.index("pv_freq_topic:1")] == 1
     assert f[s.index("srch_freq_topic:2")] == 1  # ts itself is inside
@@ -96,7 +84,7 @@ def test_window_boundaries_are_half_open():
 
 def test_unknown_user_raises():
     with pytest.raises(KeyError):
-        FeatureExtractor(log_of([]), users(), schema()).features("ghost", 0, DAY)
+        FeatureExtractor(parse_log([]), users(), schema()).features("ghost", 0, DAY)
 
 
 def test_features_match_brute_force_scan():
@@ -104,21 +92,21 @@ def test_features_match_brute_force_scan():
     s = schema()
     population = users(5)
     kinds = [
-        (IMPRESSION, "advertiser_id", ["adv1", "adv2"], "imp"),
-        (CLICK, "advertiser_id", ["adv1", "adv2"], "clk"),
-        (PAGE_VIEW, "topic_id", [0, 1, 2], "pv"),
-        (SEARCH, "topic_id", [0, 1, 2], "srch"),
+        (IMPRESSION, "adv", ["adv1", "adv2"], "imp"),
+        (CLICK, "adv", ["adv1", "adv2"], "clk"),
+        (PAGE_VIEW, "topic", [0, 1, 2], "pv"),
+        (SEARCH, "topic", [0, 1, 2], "srch"),
     ]
     events = []
     for _ in range(400):
         kind, fieldname, refs, _ = kinds[rng.integers(len(kinds))]
-        kwargs = {fieldname: refs[rng.integers(len(refs))]}
+        event = {fieldname: refs[rng.integers(len(refs))]}
         if kind in (IMPRESSION, CLICK):
-            kwargs["bidder"] = "value"
-        events.append(TimelineEvent(ts=int(rng.integers(0, 14 * DAY)),
-                                    user_id=population.user_ids[rng.integers(5)],
-                                    kind=kind, **kwargs))
-    log = log_of(events)
+            event["bidder"] = "value"
+        events.append({"ts": int(rng.integers(0, 14 * DAY)),
+                       "user": population.user_ids[rng.integers(5)],
+                       "kind": kind, **event})
+    log = parse_log(events)
     extractor = FeatureExtractor(log, population, s)
     from liftsim.liftmodel.features import recency_bucket as bucket
 
@@ -130,20 +118,20 @@ def test_features_match_brute_force_scan():
         for kind, fieldname, refs, prefix in kinds:
             for ref in refs:
                 window = [e for e in events
-                          if e.kind == kind and e.user_id == uid
-                          and getattr(e, fieldname) == ref
-                          and ts - fw < e.ts <= ts]
+                          if e["kind"] == kind and e["user"] == uid
+                          and e[fieldname] == ref
+                          and ts - fw < e["ts"] <= ts]
                 assert got[s.index(f"{prefix}_freq_{'adv' if 'adv' in fieldname else ('topic' if kind in (PAGE_VIEW, SEARCH) else 'app')}:{ref}")] == len(window)
                 rncy = got[s.index(f"{prefix}_rncy_{'adv' if 'adv' in fieldname else 'topic'}:{ref}")]
                 if window:
-                    assert rncy == bucket(ts - max(e.ts for e in window))
+                    assert rncy == bucket(ts - max(e["ts"] for e in window))
                 else:
                     assert rncy == NEVER_BUCKET
 
 
 def test_fold_context_sets_topic_recency():
     s = schema()
-    f = FeatureExtractor(log_of([]), users(), s).features(U0, DAY, DAY)
+    f = FeatureExtractor(parse_log([]), users(), s).features(U0, DAY, DAY)
     folded = fold_context(f, 2, s)
     assert folded[s.index("pv_rncy_topic:2")] == MOST_RECENT_BUCKET
     assert np.flatnonzero(folded != f).tolist() == [s.index("pv_rncy_topic:2")]

@@ -5,12 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from liftsim.events import EventLog, TimelineEvent
+from event_records import parse_log
 from liftsim.fileio import atomic_write_text
 from liftsim.liftmodel.sampling import TrainingSample, export_samples
 
-LOG = EventLog(events=[TimelineEvent(ts=1, user_id="u0", kind="page_view",
-                                     topic_id=0)], seed=1, config_digest="d")
+LOG = parse_log([{"ts": 1, "user": "u0", "kind": "page_view", "topic": 0}],
+                seed=1, config_digest="d")
 SAMPLES = [TrainingSample("u0", 5, True, np.array([1.0, 2.0]))]
 
 WRITERS = {

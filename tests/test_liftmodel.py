@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from liftsim.bidders import BidderConfig
-from liftsim.events import EventLog, TimelineEvent, IMPRESSION, PAGE_VIEW
+from event_records import parse_log
+from liftsim.events import IMPRESSION, PAGE_VIEW
 from liftsim.liftmodel.features import (
     FeatureExtractor, FeatureSchema, UserHistory, extract_from_history,
     counterfactual_features, fold_context,
@@ -156,19 +157,19 @@ def test_streaming_estimator_matches_offline_extraction():
     computed from a log-built extractor at the same timestamp."""
     model, _, _, population, schema, _ = trained_world_model()
     uid = population.user_ids[0]
-    events = [
-        TimelineEvent(ts=1 * DAY, user_id=uid, kind=PAGE_VIEW, topic_id=1),
-        TimelineEvent(ts=2 * DAY, user_id=uid, kind=IMPRESSION,
-                      advertiser_id="adv1", bidder="value", price=100),
-        TimelineEvent(ts=3 * DAY, user_id=uid, kind=PAGE_VIEW, topic_id=0),
-    ]
     estimator = ModelBidEstimator(model, population, "adv1")
-    for e in events:
-        estimator.observe(e)
+    estimator.observe(0, PAGE_VIEW, 1, 1 * DAY)
+    estimator.observe(0, IMPRESSION, "adv1", 2 * DAY)
+    estimator.observe(0, PAGE_VIEW, 0, 3 * DAY)
     ts = 3 * DAY + 1000
     p_hat, lift_hat = estimator.estimate(0, ts, topic_id=1)
 
-    log = EventLog(events=events, seed=0, config_digest="x")
+    log = parse_log([
+        {"ts": 1 * DAY, "user": uid, "kind": PAGE_VIEW, "topic": 1},
+        {"ts": 2 * DAY, "user": uid, "kind": IMPRESSION, "adv": "adv1",
+         "bidder": "value", "price": 100},
+        {"ts": 3 * DAY, "user": uid, "kind": PAGE_VIEW, "topic": 0},
+    ])
     f = FeatureExtractor(log, population, schema).features(
         uid, ts, model.feature_window_seconds)
     folded = fold_context(f, 1, schema)
@@ -180,10 +181,8 @@ def test_streaming_estimator_matches_offline_extraction():
 
 def test_user_history_window_stats():
     history = UserHistory()
-    history.observe(TimelineEvent(ts=100, user_id="u", kind=IMPRESSION,
-                                  advertiser_id="adv1", bidder="v", price=1))
-    history.observe(TimelineEvent(ts=2000, user_id="u", kind=IMPRESSION,
-                                  advertiser_id="adv1", bidder="v", price=1))
+    history.observe(IMPRESSION, "adv1", 100)
+    history.observe(IMPRESSION, "adv1", 2000)
     count, rncy = history.window_stats("imp", "adv1", ts=2500, fw=10_000)
     assert count == 2
     assert rncy == 0  # 500s ago -> within one hour

@@ -5,7 +5,8 @@ import pytest
 from scipy.stats import chisquare
 
 from liftsim.bidders import BidderConfig
-from liftsim.events import ACTION, AD_REQUEST, EventLog, TimelineEvent
+from event_records import parse_log
+from liftsim.events import ACTION, AD_REQUEST, FIELDS, EventLog
 from liftsim.liftmodel.features import FeatureSchema
 from liftsim.liftmodel.sampling import (
     SamplingConfig, SamplingError, generate_samples,
@@ -28,14 +29,13 @@ def synthetic_log(request_counts, action_times, horizon_days=10):
     for uid, count in request_counts.items():
         for k in range(count):
             ts = round((k + 0.5) / count * horizon_days * DAY)
-            events.append(TimelineEvent(ts=ts, user_id=uid, kind=AD_REQUEST,
-                                        topic_id=0))
+            events.append({"ts": ts, "user": uid, "kind": AD_REQUEST,
+                           "topic": 0})
     for uid, times in action_times.items():
         for ts in times:
-            events.append(TimelineEvent(ts=ts, user_id=uid, kind=ACTION,
-                                        advertiser_id="adv1"))
-    events.sort(key=TimelineEvent.sort_key)
-    return EventLog(events=events, seed=0, config_digest="test")
+            events.append({"ts": ts, "user": uid, "kind": ACTION,
+                           "adv": "adv1"})
+    return parse_log(events)
 
 
 def users_for(n):
@@ -65,17 +65,14 @@ def test_window_boundaries_open_left_closed_right():
     """
     aw = 100
     action_ts = 150
-    events = [
-        TimelineEvent(ts=0, user_id=U0, kind=AD_REQUEST, topic_id=0),
-        TimelineEvent(ts=300, user_id=U0, kind=AD_REQUEST, topic_id=0),
-        TimelineEvent(ts=action_ts, user_id=U0, kind=ACTION,
-                      advertiser_id="adv1"),
+    log = parse_log([
+        {"ts": 0, "user": U0, "kind": AD_REQUEST, "topic": 0},
+        {"ts": 300, "user": U0, "kind": AD_REQUEST, "topic": 0},
+        {"ts": action_ts, "user": U0, "kind": ACTION, "adv": "adv1"},
         # An action at the span start can never fall inside (ts, ts+aw],
         # so coverage never completes and generation runs to the target.
-        TimelineEvent(ts=0, user_id=U0, kind=ACTION, advertiser_id="adv1"),
-    ]
-    log = EventLog(events=sorted(events, key=TimelineEvent.sort_key),
-                   seed=0, config_digest="test")
+        {"ts": 0, "user": U0, "kind": ACTION, "adv": "adv1"},
+    ])
     config = SamplingConfig(action_window_seconds=aw,
                             feature_window_seconds=200,
                             target_positive_count=1000, seed=6)
@@ -172,8 +169,10 @@ def test_leakage_freedom_on_simulated_world():
     probe = rng.choice(len(samples), size=min(60, len(samples)), replace=False)
     for i in probe:
         s = samples[int(i)]
-        truncated = EventLog(events=[e for e in log.events if e.ts <= s.ts],
-                             seed=log.seed, config_digest=log.config_digest)
+        keep = log.ts <= s.ts
+        truncated = EventLog(
+            *(getattr(log, name)[keep] for name in FIELDS), users=log.users,
+            advertisers=log.advertisers, bidders=log.bidders)
         again = FeatureExtractor(truncated, population, schema).features(
             s.user_id, s.ts, samp_config.feature_window_seconds)
         assert np.array_equal(s.features, again)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftsim.bidders import BidderConfig
-from liftsim.events import ACTION, AUCTION, IMPRESSION
+from liftsim.events import ACTION, AUCTION, BID, IMPRESSION, KIND_CODE
 from liftsim.market import Campaign, dollars_to_micros, run_auction
 from liftsim.world import (
     WorldConfig, WorldConfigError, _settle, generate_population,
@@ -15,6 +15,11 @@ from liftsim.world import (
 )
 
 D = dollars_to_micros
+
+
+def rows_of(log, kind):
+    """Indices of the log's events of one kind, in log order."""
+    return np.flatnonzero(log.kind == KIND_CODE[kind])
 
 
 def example_pair_config(seed=0, horizon_days=2):
@@ -98,9 +103,10 @@ def _unexposed_actions(config):
     population = generate_population(config)
     run = run_market(population, [BidderConfig(kind="passive")], [campaign()],
                      config, assignment=np.zeros(len(population), dtype=int))
+    log = run.log
     per_user = dict.fromkeys(population.user_ids, 0)
-    for event in run.log.of_kind(ACTION):
-        per_user[event.user_id] += 1
+    for user in log.user[rows_of(log, ACTION)].tolist():
+        per_user[log.users[user]] += 1
     return run, list(per_user.values())
 
 
@@ -185,13 +191,14 @@ def test_log_and_summary_agree():
     by_label = {g.bidder: g for g in run.groups}
     imps = {}
     costs = {}
-    for event in log.of_kind(IMPRESSION):
-        imps[event.bidder] = imps.get(event.bidder, 0) + 1
-        costs[event.bidder] = costs.get(event.bidder, 0) + event.price
+    for i in rows_of(log, IMPRESSION):
+        label = log.bidders[log.bidder[i]]
+        imps[label] = imps.get(label, 0) + 1
+        costs[label] = costs.get(label, 0) + int(log.price[i])
     for label in ("value", "lift"):
         assert by_label[label].impressions == imps.get(label, 0)
         assert by_label[label].inventory_cost == costs.get(label, 0)
-    assert len(log.of_kind(ACTION)) == sum(g.actions for g in run.groups)
+    assert len(rows_of(log, ACTION)) == sum(g.actions for g in run.groups)
 
 
 def test_fast_path_matches_recorded_run():
@@ -206,34 +213,36 @@ def test_events_are_time_ordered_and_causal():
     config = small_world(seed=24, n_users=150, horizon_days=4, behavior=True)
     log = _abc_run(config).log
     last_ts = {}
-    for event in log.events:
-        assert last_ts.get(event.user_id, -1) <= event.ts
-        last_ts[event.user_id] = event.ts
+    for user, ts in zip(log.user.tolist(), log.ts.tolist()):
+        assert last_ts.get(user, -1) <= ts
+        last_ts[user] = ts
     # Every impression must have an auction at the same timestamp for the
     # same user, and the auction winner is the impression's bidder.
-    auctions = {(e.ts, e.user_id): e for e in log.of_kind(AUCTION)}
-    for imp in log.of_kind(IMPRESSION):
-        auction = auctions[(imp.ts, imp.user_id)]
-        assert auction.bidder == imp.bidder
-        assert auction.price == imp.price
+    auctions = {(log.ts[i], log.user[i]): i for i in rows_of(log, AUCTION)}
+    for imp in rows_of(log, IMPRESSION):
+        auction = auctions[(log.ts[imp], log.user[imp])]
+        assert log.bidder[auction] == log.bidder[imp]
+        assert log.price[auction] == log.price[imp]
 
 
 def test_engine_settlement_matches_run_auction():
     config = small_world(seed=25, n_users=200, horizon_days=2)
     run = _abc_run(config)
     log = run.log
-    auctions = log.of_kind(AUCTION)
-    assert auctions
-    bids_by_key = {(e.ts, e.user_id): e for e in log.of_kind("bid")}
+    auctions = rows_of(log, AUCTION)
+    assert auctions.size
+    bids_by_key = {(log.ts[i], log.user[i]): i for i in rows_of(log, BID)}
     checked = 0
     for auction in auctions[:300]:
-        bid = bids_by_key[(auction.ts, auction.user_id)]
-        if auction.bidder == bid.bidder:
+        bid = bids_by_key[(log.ts[auction], log.user[auction])]
+        if log.bidder[auction] == log.bidder[bid]:
             # We won: the auction price is the competitor's (losing) bid.
+            bidder = log.bidders[log.bidder[bid]]
+            price = int(log.price[auction])
             reference = run_auction(
-                [(bid.bidder, bid.price), ("market", auction.price)])
-            assert reference.winner == bid.bidder
-            assert reference.clearing_price == auction.price
+                [(bidder, int(log.price[bid])), ("market", price)])
+            assert reference.winner == bidder
+            assert reference.clearing_price == price
             checked += 1
     assert checked > 10
 
@@ -267,7 +276,8 @@ def test_exposure_changes_only_action_probability():
     def actions_with(bidder):
         run = run_market(population, [bidder], [camp], config,
                          assignment=np.zeros(2, dtype=int))
-        return {(e.user_id, e.ts) for e in run.log.of_kind(ACTION)}
+        rows = rows_of(run.log, ACTION)
+        return set(zip(run.log.user[rows].tolist(), run.log.ts[rows].tolist()))
 
     unexposed = actions_with(BidderConfig(kind="passive"))
     exposed = actions_with(BidderConfig(kind="value", alpha=D(1e6)))
@@ -304,9 +314,10 @@ def test_group_isolation():
                      assignment=assignment)
     group_of = {uid: int(g) for uid, g in zip(population.user_ids, assignment)}
     labels = [g.bidder for g in run.groups]
-    for event in run.log.events:
-        if event.bidder in labels:
-            assert labels[group_of[event.user_id]] == event.bidder
+    log = run.log
+    for user, code in zip(log.user.tolist(), log.bidder.tolist()):
+        if code >= 0 and log.bidders[code] in labels:
+            assert labels[group_of[log.users[user]]] == log.bidders[code]
 
 
 def test_group_action_rate_converges_to_mean_effective_rate():
@@ -322,7 +333,7 @@ def test_conservation_of_actions():
     config = small_world(seed=30, n_users=400, horizon_days=4)
     run = _abc_run(config)
     log = run.log
-    total = len(log.of_kind(ACTION))
+    total = len(rows_of(log, ACTION))
     assert total == sum(g.actions for g in run.groups)
     attributed = sum(g.attributed for g in run.groups)
     assert 0 <= attributed <= total
@@ -333,12 +344,12 @@ def test_precedent_impression_fraction_counts():
     log = _abc_run(config).log
     frac = precedent_impression_fraction(log, "adv1", lookback_days=2)
     # Independent brute-force scan.
-    imps = [(e.user_id, e.ts) for e in log.of_kind(IMPRESSION)]
+    imps = [(log.user[i], log.ts[i]) for i in rows_of(log, IMPRESSION)]
     hits = 0
-    actions = log.of_kind(ACTION)
+    actions = rows_of(log, ACTION)
     for act in actions:
-        if any(u == act.user_id and act.ts - 2 * 86_400 <= t <= act.ts
-               for u, t in imps):
+        user, ts = log.user[act], log.ts[act]
+        if any(u == user and ts - 2 * 86_400 <= t <= ts for u, t in imps):
             hits += 1
     assert frac == pytest.approx(hits / len(actions))
 
@@ -357,7 +368,7 @@ def test_precedent_fraction_requires_actions():
     population = generate_population(config)
     run = run_market(population, [BidderConfig(kind="passive")], [campaign()],
                      config, assignment=np.zeros(2, dtype=int))
-    if not run.log.of_kind(ACTION):
+    if not rows_of(run.log, ACTION).size:
         with pytest.raises(ValueError):
             precedent_impression_fraction(run.log, "adv1", lookback_days=2)
 
