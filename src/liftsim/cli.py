@@ -37,8 +37,8 @@ from .liftmodel.sampling import SamplingError, export_samples, generate_samples
 from .market import micros_to_dollars
 from .seeds import derive_seed, rng_for
 from .world import (
-    WorldConfig, WorldConfigError, generate_population, market_run_digest,
-    precedent_impression_fraction, run_market, split_budget,
+    MarketInvariantError, WorldConfig, WorldConfigError, generate_population,
+    market_run_digest, precedent_impression_fraction, run_market, split_budget,
 )
 
 EXIT_OK = 0
@@ -149,6 +149,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         sys.stderr.write(
             f"error: log digest {log.config_digest} does not match the "
             f"config's market digest {digest}\n")
+        return EXIT_DATA
+    unknown = [uid for uid in log.users if uid not in population.row_of]
+    if unknown:
+        sys.stderr.write(
+            f"data error: the log names {len(unknown)} user(s) missing from "
+            f"the config's population, first {unknown[0]!r}\n")
         return EXIT_DATA
 
     schema = FeatureSchema(advertisers=world.advertisers, topics=world.topics,
@@ -384,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
             OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
+    except MarketInvariantError as exc:
+        sys.stderr.write(f"verification error: {exc}\n")
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

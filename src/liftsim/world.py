@@ -6,14 +6,25 @@ behavioral propensities that correlate with the ground truth so a
 learned model has signal to recover. The simulator runs second-price
 auctions for every ad request against an exogenous competitor bid,
 realizes actions from the ground truth, and can record a columnar event
-log: requests and behavior come from whole arrays, and only auction
-outcomes and actions are appended row by row.
+log built from whole arrays.
+
+Budgets and attribution change only at the ends of action windows, so
+with oracle bids (the ground truth priced by each group's bidder) a
+window is stateless: the simulator bids, settles, breaks ties and draws
+clicks for all of a window's requests in one array step. A
+:class:`BidEstimator` instead sees each impression and click before the
+same user's next bid, so that path prices and settles request by
+request. Both paths share the settlement, the tallies, the event rows
+and the window-end accounting, and give identical results when the
+estimator returns the ground truth.
 
 Randomness is split into independent streams (requests, market,
 behavior, clicks, actions, ties) derived from the world seed, so the
 action draws for a user do not depend on how the bidding went; exposure
-changes outcomes only through (p, delta_p). The same configuration and
-seed reproduce the identical event log byte for byte.
+changes outcomes only through (p, delta_p). The tie and click streams
+are drawn in request order, one value per tie and per won auction,
+whether a window draws them in one call or one at a time. The same
+configuration and seed reproduce the identical event log byte for byte.
 """
 from __future__ import annotations
 
@@ -30,7 +41,7 @@ from .events import (
     ACTION, AD_REQUEST, APP_INSTALL, APP_USE, BID, AUCTION, CLICK,
     EVENT_KINDS, FIELDS, IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH, EventLog,
 )
-from .market import Campaign, Population
+from .market import Campaign, Population, settle_second_price
 from .seeds import rng_for
 
 SECONDS_PER_DAY = 86_400
@@ -39,6 +50,10 @@ MARKET = "market"
 
 class WorldConfigError(ValueError):
     """Raised when a world configuration cannot produce a valid population."""
+
+
+class MarketInvariantError(RuntimeError):
+    """Raised when a simulated market breaks an accounting invariant."""
 
 
 def _default_p_distribution() -> dict:
@@ -373,6 +388,31 @@ def run_market(
     background rate otherwise. A bidder stops bidding once its billed
     attributed actions have spent its budget (checked when attribution
     updates, at window ends).
+
+    Up front, the ``requests`` stream draws every request's count, time
+    and topic, ``market`` every competitor bid, ``actions`` one uniform
+    per user and window, and ``behavior`` (when events are recorded or
+    an estimator is given) the behavioral events. Then each window:
+
+    * With oracle bids (``estimator`` None), the window's requests whose
+      group still bids and whose bid is positive are settled in one
+      call of :func:`~liftsim.market.settle_second_price`, which draws
+      one ``ties`` flip per tie in request order; then ``clicks`` draws
+      one uniform per won auction, in request order.
+    * With an estimator, requests are priced one at a time, in time
+      order: each impression and click is observed before the same
+      user's next bid, and behavior events up to a request's time are
+      observed before it is priced. Each request is settled on its own,
+      and each win draws its click right away, so both streams are
+      consumed in the same order as on the oracle path.
+    * At the window's end, every user's action is drawn, actions with a
+      same-window impression are attributed, and each group bills them
+      at ``cpa`` while its spend is under budget. Actions are observed
+      in user order.
+
+    Raises :class:`MarketInvariantError` when a clearing price exceeds
+    the winning bid, or at a window end when a group's spend exceeds
+    budget + cpa or billed <= attributed <= actions fails.
     """
     if len(campaigns) != 1:
         raise WorldConfigError("exactly one campaign per simulated market")
@@ -450,31 +490,33 @@ def run_market(
         oracle_bids = np.stack([price_bids(b, p, dp) for b in bidders])[
             assignment, np.arange(n)]
 
-    stats = [
-        GroupStats(bidder=labels[g], kind=bidders[g].kind, budget=int(budgets[g]))
-        for g in range(n_bidders)
-    ]
     group_sizes = np.bincount(assignment, minlength=n_bidders)
     request_counts = np.bincount(assignment[req_user], minlength=n_bidders)
-    for g in range(n_bidders):
-        stats[g].n_users = int(group_sizes[g])
-        stats[g].requests = int(request_counts[g])
+    group_masks = [assignment == g for g in range(n_bidders)]
+    budget = np.array(budgets, dtype=np.int64)
+    cpa = campaign.cpa
 
-    # A passive bidder is never "stopped"; it just always bids zero. An
-    # active bidder with no budget never starts.
-    stopped = np.array([budgets[g] <= 0 and bidders[g].kind != PASSIVE
-                        for g in range(n_bidders)])
+    # Per-group running totals, in int64 micros and counts.
+    placed, impressions, clicks, inventory_cost = (
+        np.zeros(n_bidders, dtype=np.int64) for _ in range(4))
+    actions, attributed, billed, spend = (
+        np.zeros(n_bidders, dtype=np.int64) for _ in range(4))
+    expected_actions = [0.0] * n_bidders
+    stop_window: list[int | None] = [None] * n_bidders
 
-    # Auction-loop events are rows (ts, user, kind, bidder, price) with
-    # bidder codes indexing the group labels, then MARKET. They are
-    # recorded only for the log; impressions, clicks and actions also go
-    # to the estimator, in emission order (the final sort is stable).
-    rows: list[tuple[int, int, int, int, int]] = []
-    record = rows.append if record_events else None
+    # A passive bidder is never "stopped"; it just never bids. An active
+    # bidder with no budget never starts.
+    active = np.array([b.kind != PASSIVE for b in bidders])
+    stopped = active & (budget <= 0)
+
+    # Event blocks in emission order; the final sort is stable, and rows
+    # with equal (ts, user, kind) always come from one kind's block, in
+    # request order, so kind-by-kind blocks sort as row-by-row emission.
+    blocks: list[np.ndarray] = []
     observe = estimator.observe if estimator is not None else None
 
-    day_starts = np.searchsorted(req_day, np.arange(config.horizon_days))
-    day_ends = np.searchsorted(req_day, np.arange(config.horizon_days) + 1)
+    # Window w's requests are window_starts[w]:window_starts[w + 1].
+    window_starts = np.searchsorted(req_day, np.arange(n_windows + 1) * aw_days)
 
     # Behavioral events come from their own stream and never depend on
     # bidding, so they can be generated up front; a model-backed
@@ -494,81 +536,129 @@ def run_market(
     window_exposed = np.zeros(n, dtype=bool)
     for w in range(n_windows):
         window_exposed[:] = False
-        lo_day, hi_day = w * aw_days, (w + 1) * aw_days
-        for day in range(lo_day, hi_day):
-            s, e = int(day_starts[day]), int(day_ends[day])
+        s, e = int(window_starts[w]), int(window_starts[w + 1])
+        bidding = active & ~stopped
+        if estimator is None:
+            # Stateless within the window: bids, settlements, tie flips
+            # and click draws for all of its requests at once.
+            users = req_user[s:e]
+            kept = s + np.flatnonzero(
+                bidding[assignment[users]] & (oracle_bids[users] > 0))
+            our = oracle_bids[req_user[kept]]
+            won, price = settle_second_price(our, comp[kept], reserve, tie_rng)
+            clicked = click_rng.random(int(np.count_nonzero(won))) < click_rate
+        else:
+            # Impressions and clicks feed the estimator before the same
+            # user's next bid, so this path runs request by request.
+            settled = []  # (request, bid, won, price)
+            clicked = []  # one per win
             for i in range(s, e):
                 u = int(req_user[i])
                 g = int(assignment[u])
-                bidder = bidders[g]
+                if not bidding[g]:
+                    continue
                 ts = int(req_ts[i])
-                if bidder.kind == PASSIVE or stopped[g]:
+                while fed < len(feed) and feed[fed][3] <= ts:
+                    observe(*feed[fed])
+                    fed += 1
+                p_hat, dp_hat = estimator.estimate(u, ts, int(req_topic[i]))
+                bid = int(price_bids(bidders[g], p_hat, dp_hat))
+                if bid <= 0:
                     continue
-                if estimator is not None:
-                    while fed < len(feed) and feed[fed][3] <= ts:
-                        observe(*feed[fed])
-                        fed += 1
-                    p_hat, dp_hat = estimator.estimate(u, ts, int(req_topic[i]))
-                    our = int(price_bids(bidder, p_hat, dp_hat))
-                else:
-                    our = int(oracle_bids[u])
-                if our <= 0:
-                    continue
-                stats[g].bids_placed += 1
-                c = int(comp[i])
-                we_win, price = _settle(our, c, reserve, tie_rng)
-                if record:
-                    winner = g if we_win else (n_bidders if c > reserve else -1)
-                    record((ts, u, KIND_CODE[BID], g, our))
-                    record((ts, u, KIND_CODE[AUCTION], winner, price))
-                if not we_win:
-                    continue
-                stats[g].impressions += 1
-                stats[g].inventory_cost += price
-                window_exposed[u] = True
-                if record:
-                    record((ts, u, KIND_CODE[IMPRESSION], g, price))
-                if observe:
+                won, price = settle_second_price(
+                    np.array([bid]), comp[i:i + 1], reserve, tie_rng)
+                settled.append((i, bid, won[0], price[0]))
+                if won[0]:
                     observe(u, IMPRESSION, adv, ts)
-                if click_rng.random() < click_rate:
-                    stats[g].clicks += 1
-                    if record:
-                        record((ts + 30, u, KIND_CODE[CLICK], g, -1))
-                    if observe:
+                    clicked.append(click_rng.random() < click_rate)
+                    if clicked[-1]:
                         observe(u, CLICK, adv, ts + 30)
+            kept, our, won, price = np.array(
+                settled, dtype=np.int64).reshape(-1, 4).T
+            won = won.astype(bool)
+            clicked = np.array(clicked, dtype=bool)
 
+        if (won & (price > our)).any():
+            raise MarketInvariantError(
+                f"window {w}: a clearing price is above the winning bid")
+        user, ts = req_user[kept], req_ts[kept]
+        group = assignment[user]
+        win_user, win_ts, win_group = user[won], ts[won], group[won]
+        window_exposed[win_user] = True
+        placed += np.bincount(group, minlength=n_bidders)
+        impressions += np.bincount(win_group, minlength=n_bidders)
+        clicks += np.bincount(win_group[clicked], minlength=n_bidders)
+        np.add.at(inventory_cost, win_group, price[won])
+        if record_events:
+            # The auction's winner: our group, else the market when its
+            # bid cleared the reserve, else nobody.
+            winner = np.where(won, group,
+                              np.where(comp[kept] > reserve, n_bidders, -1))
+            blocks += [
+                _event_block(ts, user, KIND_CODE[BID], adv=0, bidder=group,
+                             price=our),
+                _event_block(ts, user, KIND_CODE[AUCTION], adv=0,
+                             bidder=winner, price=price),
+                _event_block(win_ts, win_user, KIND_CODE[IMPRESSION], adv=0,
+                             bidder=win_group, price=price[won]),
+                _event_block(win_ts[clicked] + 30, win_user[clicked],
+                             KIND_CODE[CLICK], adv=0,
+                             bidder=win_group[clicked]),
+            ]
+
+        # Window end: draw actions, attribute and bill them.
         effective = np.where(window_exposed, p, bg)
         hits = action_uniforms[:, w] < effective
+        hit_users = np.flatnonzero(hits)
         end_ts = (w + 1) * aw_secs - 1
         for g in range(n_bidders):
-            mask = assignment == g
-            stats[g].expected_actions += float(effective[mask].sum())
-            stats[g].actions += int(hits[mask].sum())
-        for u in np.nonzero(hits)[0].tolist():
-            if record:
-                record((end_ts, u, KIND_CODE[ACTION], -1, -1))
-            if observe:
+            expected_actions[g] += float(effective[group_masks[g]].sum())
+        actions += np.bincount(assignment[hit_users], minlength=n_bidders)
+        if record_events:
+            blocks.append(_event_block(np.full(hit_users.size, end_ts),
+                                       hit_users, KIND_CODE[ACTION], adv=0))
+        if observe:
+            for u in hit_users.tolist():
                 observe(u, ACTION, adv, end_ts)
-            if window_exposed[u]:
-                g = int(assignment[u])
-                stats[g].attributed += 1
-                if stats[g].spend < budgets[g]:
-                    stats[g].attributed_billed += 1
-                    stats[g].spend += campaign.cpa
-        for g in range(n_bidders):
-            if not stopped[g] and budgets[g] > 0 and stats[g].spend >= budgets[g]:
-                stopped[g] = True
-                stats[g].spent_out = True
-                stats[g].stop_window = w
+        # Each billed action adds cpa, and billing goes on while spend is
+        # under budget: a group bills ceil((budget - spend) / cpa) more.
+        new_attributed = np.bincount(assignment[hits & window_exposed],
+                                     minlength=n_bidders)
+        billable = np.where(spend < budget, -((spend - budget) // cpa), 0)
+        new_billed = np.minimum(new_attributed, billable)
+        attributed += new_attributed
+        billed += new_billed
+        spend += new_billed * cpa
+        if ((spend > budget + cpa) | (billed > attributed)
+                | (attributed > actions)).any():
+            raise MarketInvariantError(
+                f"window {w}: per group, need spend <= budget + cpa and "
+                f"billed <= attributed <= actions; got spend "
+                f"{spend.tolist()}, budget {budget.tolist()}, billed "
+                f"{billed.tolist()}, attributed {attributed.tolist()}, "
+                f"actions {actions.tolist()}")
+        for g in np.flatnonzero(~stopped & (budget > 0) & (spend >= budget)):
+            stopped[g] = True
+            stop_window[g] = w
 
+    stats = [
+        GroupStats(
+            bidder=labels[g], kind=bidders[g].kind, n_users=int(group_sizes[g]),
+            requests=int(request_counts[g]), bids_placed=int(placed[g]),
+            impressions=int(impressions[g]), clicks=int(clicks[g]),
+            inventory_cost=int(inventory_cost[g]), actions=int(actions[g]),
+            expected_actions=expected_actions[g],
+            attributed=int(attributed[g]), attributed_billed=int(billed[g]),
+            spend=int(spend[g]), budget=int(budget[g]),
+            spent_out=stop_window[g] is not None, stop_window=stop_window[g])
+        for g in range(n_bidders)
+    ]
     log = None
     if record_events:
-        ts, user, kind, bidder, price = np.array(
-            rows, dtype=np.int64).reshape(-1, 5).T
         data = _time_sorted(np.concatenate([
             _event_block(req_ts, req_user, KIND_CODE[AD_REQUEST],
                          topic=req_topic),
-            _event_block(ts, user, kind, adv=0, bidder=bidder, price=price),
+            *blocks,
             behavior,
         ], axis=1))
         log = EventLog(*data, users=population.user_ids, advertisers=(adv,),
@@ -576,24 +666,6 @@ def run_market(
                        config_digest=run_digest)
     return MarketRun(log=log, groups=stats, n_windows=n_windows,
                      config_digest=run_digest)
-
-
-def _settle(
-    our: int, comp: int, reserve: int, tie_rng: np.random.Generator
-) -> tuple[bool, int]:
-    """Second-price settlement of our bid against the competitor's.
-
-    Returns (we_win, price paid by the winner). Mirrors
-    :func:`liftsim.market.run_auction` for the two-bid case.
-    """
-    if our <= reserve and comp <= reserve:
-        return False, 0
-    if our > comp:
-        return True, max(comp, reserve)
-    if comp > our:
-        return False, max(our, reserve)
-    we_win = bool(tie_rng.integers(2))
-    return we_win, our
 
 
 def _competitor_bids(

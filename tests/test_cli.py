@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from liftsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+import liftsim.world
+from liftsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main
 
 TRAIN_WORLD = {
     "master_seed": 42,
@@ -127,6 +129,41 @@ def test_train_rejects_mismatched_log(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "t")])
     assert code == EXIT_DATA
     assert "digest" in capsys.readouterr().err
+
+
+def test_train_on_a_log_with_an_unknown_user_is_a_data_error(tmp_path,
+                                                            capsys):
+    config = write_config(tmp_path, TRAIN_WORLD)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+    header, *events = (out / "events.jsonl").read_text().splitlines()
+    assert any('"u000001"' in line for line in events)
+    renamed = [line.replace('"u000001"', '"u999999"') for line in events]
+    log = tmp_path / "renamed.jsonl"
+    log.write_text("\n".join([header, *renamed]) + "\n")
+    assert main(["train", "--config", str(config), "--log", str(log),
+                 "--out-dir", str(tmp_path / "t")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "u999999" in err
+    assert err.count("\n") == 1
+
+
+def test_market_invariant_violation_is_a_verification_failure(
+        tmp_path, capsys, monkeypatch):
+    settle = liftsim.world.settle_second_price
+
+    def overcharging(our, comp, reserve, tie_rng):
+        won, price = settle(our, comp, reserve, tie_rng)
+        return won, np.where(won, our + 1, price)
+
+    monkeypatch.setattr(liftsim.world, "settle_second_price", overcharging)
+    config = write_config(tmp_path, AB_SMALL)
+    assert main(["abtest", "--config", str(config),
+                 "--out-dir", str(tmp_path / "o")]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("verification error:") and "winning bid" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_verify_small_sweep_passes_and_is_deterministic(tmp_path):

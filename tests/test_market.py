@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftsim.attribution import Partition, partition_users
 from liftsim.market import (
     LIFT_BIDDER, VALUE_BIDDER,
     AuctionResult, Campaign, Population,
-    dollars_to_micros, micros_to_dollars, run_auction,
+    dollars_to_micros, micros_to_dollars, run_auction, settle_second_price,
 )
 from liftsim.bidders import BidderConfig, price_bids
 
@@ -75,6 +76,52 @@ def test_clearing_price_bounds_sweep():
         winning = max(amount for bidder, amount in bids if bidder == result.winner)
         assert reserve <= result.clearing_price <= winning
         assert result == run_auction(bids, reserve=reserve, rng_seed=trial)
+
+
+# Small values make ties and reserve-blocked auctions common.
+MICROS = st.integers(0, 20) | st.integers(0, 10**9)
+BID_PAIRS = st.lists(st.tuples(MICROS, MICROS), max_size=12)
+
+
+def _settle(pairs, reserve, rng):
+    our, comp = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return settle_second_price(our, comp, reserve, rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=BID_PAIRS, reserve=MICROS)
+def test_settle_matches_run_auction_on_any_bids(pairs, reserve):
+    won, price = _settle(pairs, reserve, np.random.default_rng(0))
+    assert won.shape == price.shape == (len(pairs),)
+    for (our, comp), we_win, paid in zip(pairs, won.tolist(), price.tolist()):
+        reference = run_auction([("us", our), ("market", comp)], reserve)
+        if our <= reserve and comp <= reserve:
+            assert (we_win, paid) == (False, 0)
+            assert reference.winner is None
+        elif our == comp:  # a tie prices at the bid; the winner is a coin flip
+            assert paid == reference.clearing_price == our
+        else:
+            assert we_win == (reference.winner == "us")
+            assert paid == reference.clearing_price
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunks=st.lists(BID_PAIRS, max_size=5), reserve=st.integers(0, 20))
+def test_one_settlement_call_flips_ties_like_one_scalar_draw_per_tie(
+        chunks, reserve):
+    pairs = [pair for chunk in chunks for pair in chunk]
+    batched_rng = np.random.default_rng(5)
+    won, _ = _settle(pairs, reserve, batched_rng)
+    chunked_rng = np.random.default_rng(5)
+    chunked = [_settle(chunk, reserve, chunked_rng)[0].tolist()
+               for chunk in chunks]
+    scalar_rng = np.random.default_rng(5)
+    tie = np.array([our == comp > reserve for our, comp in pairs], dtype=bool)
+    flips = [bool(scalar_rng.integers(2)) for _ in range(tie.sum())]
+    assert won[tie].tolist() == flips
+    assert won.tolist() == sum(chunked, [])
+    assert (batched_rng.bit_generator.state == chunked_rng.bit_generator.state
+            == scalar_rng.bit_generator.state)
 
 
 def test_head_to_head_examples():

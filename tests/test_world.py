@@ -4,13 +4,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from liftsim.bidders import BidderConfig
-from liftsim.events import ACTION, AUCTION, BID, IMPRESSION, KIND_CODE
+from liftsim.events import ACTION, AUCTION, BID, CLICK, IMPRESSION, KIND_CODE
 from liftsim.market import Campaign, dollars_to_micros, run_auction
 from liftsim.world import (
-    WorldConfig, WorldConfigError, _settle, generate_population,
+    WorldConfig, WorldConfigError, generate_population,
     precedent_impression_fraction, run_market, split_budget,
 )
 
@@ -144,7 +143,8 @@ def test_split_budget_shares_between_active_bidders():
     assert split_budget(lineup[:1], 1001) == [0]
 
 
-def _abc_run(config, budget_dollars=1e9, record_events=True):
+def _abc_run(config, budget_dollars=1e9, record_events=True,
+             estimator_factory=None):
     population = generate_population(config)
     bidders = [
         BidderConfig(kind="passive"),
@@ -152,9 +152,13 @@ def _abc_run(config, budget_dollars=1e9, record_events=True):
         BidderConfig(kind="lift", beta=D(300.0)),
     ]
     assignment = np.arange(len(population)) % 3
+    estimator = None
+    if estimator_factory is not None:
+        estimator = estimator_factory(population)
     return run_market(
         population, bidders, [campaign(budget_dollars)], config,
         assignment=assignment, record_events=record_events,
+        estimator=estimator,
     )
 
 
@@ -247,23 +251,55 @@ def test_engine_settlement_matches_run_auction():
     assert checked > 10
 
 
-# Small values make ties and reserve-blocked auctions common.
-MICROS = st.integers(0, 20) | st.integers(0, 10**9)
+class TruthEstimator:
+    """Estimates that are the ground truth: the oracle's bids, priced
+    request by request on the estimator path."""
+
+    def __init__(self, population):
+        self.p, self.delta_p = population.p, population.delta_p
+
+    def estimate(self, user_index, ts, topic_id):
+        return float(self.p[user_index]), float(self.delta_p[user_index])
+
+    def observe(self, user_index, kind, ref, ts):
+        pass
 
 
-@settings(max_examples=300, deadline=None)
-@given(our=MICROS, comp=MICROS, reserve=MICROS)
-def test_settle_matches_run_auction_on_any_bids(our, comp, reserve):
-    we_win, price = _settle(our, comp, reserve, np.random.default_rng(0))
-    reference = run_auction([("us", our), ("market", comp)], reserve)
-    if our <= reserve and comp <= reserve:
-        assert (we_win, price) == (False, 0)
-        assert reference.winner is None
-    elif our == comp:  # a tie prices at the bid; the winner is a coin flip
-        assert price == reference.clearing_price == our
-    else:
-        assert we_win == (reference.winner == "us")
-        assert price == reference.clearing_price
+# World overrides and the campaign budget in dollars. The value bidder
+# bids $4.00 on every user of the "ties" world, as the competitor does.
+ENGINE_CASES = {
+    "default": ({}, 1e9),
+    "reserve": ({"reserve_micros": D(4.0)}, 1e9),
+    "ties": ({"p_distribution": {"kind": "point", "value": 0.04},
+              "delta_p_distribution": {"kind": "point_ratio", "value": 0.25},
+              "competitor_bids": {"kind": "fixed", "dollars": 4.0}}, 1e9),
+    "deterministic": ({"request_arrivals": "deterministic"}, 1e9),
+    "spend_out": ({}, 300.0),
+}
+
+
+@pytest.mark.parametrize("record_events", [True, False], ids=["log", "no-log"])
+@pytest.mark.parametrize("case", ENGINE_CASES)
+def test_oracle_window_step_matches_the_per_request_path(case, record_events):
+    overrides, budget = ENGINE_CASES[case]
+    config = WorldConfig(n_users=240, seed=31, horizon_days=6, **overrides)
+    oracle = _abc_run(config, budget, record_events)
+    truth = _abc_run(config, budget, record_events,
+                     estimator_factory=TruthEstimator)
+    assert [g.as_dict() for g in oracle.groups] == \
+        [g.as_dict() for g in truth.groups]
+    if not record_events:
+        return
+    assert oracle.log.dumps() == truth.log.dumps()
+    # Each world exercises what it is named for.
+    log, (_, value, lift) = oracle.log, oracle.groups
+    assert value.impressions > 0 and rows_of(log, CLICK).size > 0
+    if case == "reserve":
+        assert (log.bidder[rows_of(log, AUCTION)] == -1).any()
+    if case == "ties":
+        assert 0 < value.impressions < value.bids_placed
+    if case == "spend_out":
+        assert value.spent_out and lift.spent_out
 
 
 def test_exposure_changes_only_action_probability():
