@@ -146,16 +146,14 @@ def cmd_train(args: argparse.Namespace) -> int:
      digest) = _prepare_market(cfg)
     log = EventLog.read(args.log)
     if log.config_digest != digest:
-        sys.stderr.write(
-            f"error: log digest {log.config_digest} does not match the "
-            f"config's market digest {digest}\n")
-        return EXIT_DATA
+        raise EventLogError(
+            f"log digest {log.config_digest} does not match the config's "
+            f"market digest {digest}")
     unknown = [uid for uid in log.users if uid not in population.row_of]
     if unknown:
-        sys.stderr.write(
-            f"data error: the log names {len(unknown)} user(s) missing from "
-            f"the config's population, first {unknown[0]!r}\n")
-        return EXIT_DATA
+        raise EventLogError(
+            f"the log names {len(unknown)} user(s) missing from the config's "
+            f"population, first {unknown[0]!r}")
 
     schema = FeatureSchema(advertisers=world.advertisers, topics=world.topics,
                            apps=world.apps)
@@ -307,15 +305,13 @@ def cmd_abtest(args: argparse.Namespace) -> int:
             topics=overrides.get("topics", WorldConfig.topics),
             apps=overrides.get("apps", WorldConfig.apps))
         if world_schema.digest() != model.schema_digest:
-            sys.stderr.write(
-                f"error: model schema {model.schema_digest} does not match "
-                f"the abtest world schema {world_schema.digest()}\n")
-            return EXIT_DATA
+            raise SchemaMismatch(
+                f"model schema {model.schema_digest} does not match the "
+                f"abtest world schema {world_schema.digest()}")
         if not overrides.get("behavior", {}).get("enabled", False):
-            sys.stderr.write(
-                "error: model-driven bidding needs behavior events; set "
-                "abtest.world_overrides.behavior.enabled=true\n")
-            return EXIT_CONFIG
+            raise cfgmod.ConfigError(
+                "model-driven bidding needs behavior events; set "
+                "abtest.world_overrides.behavior.enabled=true")
 
         def estimator_factory(population, advertiser):
             return ModelBidEstimator(model, population, advertiser)
@@ -379,10 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except cfgmod.ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except WorldConfigError as exc:
+    except (cfgmod.ConfigError, WorldConfigError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except (EventLogError, SamplingError, TrainingError, SchemaMismatch,

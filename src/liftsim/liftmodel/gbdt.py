@@ -1,10 +1,23 @@
 """Gradient-boosted decision trees with logistic loss.
 
 Single-machine Newton boosting over integer-bucketed features: every
-feature value is clipped into [0, max_bins) and treated as its own
+feature value is clipped into [0, max_bins) and its integer part is its
 histogram bin, so split search is exact greedy over all (feature, bin)
 cuts. Deterministic for a given seed, including row subsampling and
 tie-breaking (first feature, then lowest threshold wins on equal gain).
+
+The ensemble is one structured array of shape (trees, nodes) with the
+fields of ``NODE``. Within a tree, node 0 is the root, a node is a leaf
+iff its feature is -1, and a split's two children are appended before
+the left one is grown, so nodes are numbered depth first. Shorter trees
+are padded with zero-valued leaves. Fit and predict share one traversal
+that steps all trees down together, one level at a time.
+
+Each node's split search is one histogram: ``bincount`` over the
+(feature, bin) cell of every (row, feature) pair, for g, h and counts.
+``bincount`` adds in row order, so each bin sum is the one a per-feature
+pass would give. A raw score is ``base_score`` plus the leaf values added
+in tree order, so it is the same bits however many rows are scored.
 """
 from __future__ import annotations
 
@@ -13,6 +26,13 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from ..seeds import rng_for
+
+NODE = np.dtype([("feature", np.int32), ("threshold", np.float64),
+                 ("left", np.int32), ("right", np.int32),
+                 ("value", np.float64)])
+LEAF = (-1, 0.0, -1, -1, 0.0)
+# Rows scored per traversal, so the (rows x trees) temporaries stay small.
+SCORE_CHUNK_ROWS = 4096
 
 
 class TrainingError(ValueError):
@@ -44,46 +64,37 @@ class GBDTParams:
         return asdict(self)
 
 
-@dataclass
-class Tree:
-    """Flat array representation: node i is a leaf iff feature[i] < 0."""
+def _stack(trees: list[np.ndarray]) -> np.ndarray:
+    """Per-tree node arrays as one (trees, nodes) array, leaf-padded."""
+    width = max((len(t) for t in trees), default=1)
+    out = np.empty((len(trees), width), dtype=NODE)
+    out[...] = LEAF
+    for i, tree in enumerate(trees):
+        out[i, :len(tree)] = tree
+    return out
 
-    feature: np.ndarray    # int32
-    threshold: np.ndarray  # float64 bin edge; go left when x <= threshold
-    left: np.ndarray       # int32 child index
-    right: np.ndarray
-    value: np.ndarray      # float64 leaf increment (0 on internal nodes)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int32)
-        while True:
-            feat = self.feature[node]
-            internal = feat >= 0
-            if not internal.any():
-                return self.value[node]
-            rows = np.nonzero(internal)[0]
-            go_left = X[rows, feat[internal]] <= self.threshold[node[internal]]
-            node[rows] = np.where(go_left, self.left[node[internal]],
-                                  self.right[node[internal]])
+def _leaf_values(trees: np.ndarray, Xb: np.ndarray) -> np.ndarray:
+    """(rows, trees) leaf values: all trees step down one level at a time
+    until every row is on a leaf, at most ``max_depth`` levels for a
+    fitted model and as deep as a loaded tree goes.
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(data["feature"], dtype=np.int32),
-            threshold=np.asarray(data["threshold"], dtype=np.float64),
-            left=np.asarray(data["left"], dtype=np.int32),
-            right=np.asarray(data["right"], dtype=np.int32),
-            value=np.asarray(data["value"], dtype=np.float64),
-        )
+    Node ids are flat indices into ``trees``; a leaf steps to itself.
+    """
+    leaf = trees["feature"] < 0
+    own = np.arange(trees.size).reshape(trees.shape)
+    offset = own[:, :1]
+    left = np.where(leaf, own, trees["left"] + offset).ravel()
+    right = np.where(leaf, own, trees["right"] + offset).ravel()
+    feature = np.where(leaf, 0, trees["feature"]).ravel()
+    threshold = trees["threshold"].ravel()
+    node = np.broadcast_to(offset.T, (len(Xb), len(trees)))
+    rows = np.arange(len(Xb))[:, None]
+    internal = ~leaf.ravel()
+    while internal[node].any():
+        go_left = Xb[rows, feature[node]] <= threshold[node]
+        node = np.where(go_left, left[node], right[node])
+    return trees["value"].ravel()[node]
 
 
 @dataclass
@@ -91,7 +102,7 @@ class GBDTModel:
     """Boosted ensemble producing raw log-odds scores."""
 
     base_score: float
-    trees: list[Tree] = field(default_factory=list)
+    trees: np.ndarray = field(default_factory=lambda: _stack([]))
     params: GBDTParams = field(default_factory=GBDTParams)
     seed: int = 0
     n_features: int = 0
@@ -102,25 +113,39 @@ class GBDTModel:
             raise ValueError(
                 f"expected {self.n_features} features, got {X.shape[1]}")
         Xb = np.clip(X, 0, self.params.max_bins - 1)
-        out = np.full(len(Xb), self.base_score)
-        for tree in self.trees:
-            out += tree.predict(Xb)
+        out = np.empty(len(Xb))
+        for start in range(0, len(Xb), SCORE_CHUNK_ROWS):
+            chunk = Xb[start:start + SCORE_CHUNK_ROWS]
+            terms = np.column_stack([
+                np.full(len(chunk), self.base_score),
+                _leaf_values(self.trees, chunk)])
+            out[start:start + len(chunk)] = np.cumsum(terms, axis=1)[:, -1]
         return out
 
     def to_dict(self) -> dict:
+        trees = []
+        for tree in self.trees:
+            used = tree[:2 * int((tree["feature"] >= 0).sum()) + 1]
+            trees.append({name: used[name].tolist() for name in NODE.names})
         return {
             "base_score": self.base_score,
             "seed": self.seed,
             "n_features": self.n_features,
             "params": self.params.to_dict(),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": trees,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "GBDTModel":
+        trees = []
+        for tree in data["trees"]:
+            nodes = np.empty(len(tree["feature"]), dtype=NODE)
+            for name in NODE.names:
+                nodes[name] = tree[name]
+            trees.append(nodes)
         return cls(
             base_score=float(data["base_score"]),
-            trees=[Tree.from_dict(t) for t in data["trees"]],
+            trees=_stack(trees),
             params=GBDTParams(**data["params"]),
             seed=int(data["seed"]),
             n_features=int(data["n_features"]),
@@ -136,108 +161,74 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _TreeBuilder:
-    def __init__(self, Xb: np.ndarray, g: np.ndarray, h: np.ndarray,
-                 params: GBDTParams):
-        self.Xb = Xb
-        self.g = g
-        self.h = h
-        self.params = params
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+def _best_split(cells: np.ndarray, g: np.ndarray, h: np.ndarray,
+                G: float, H: float, params: GBDTParams):
+    """(feature, bin) of the best positive-gain cut, or None.
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
+    ``cells`` are the node's rows' (feature, bin) cells; ``g``, ``h``,
+    ``G`` and ``H`` are its rows' gradients, hessians and their sums.
+    """
+    n, n_features = cells.shape
+    bins = params.max_bins
+    lam = params.reg_lambda
+    flat = cells.ravel()
+    size = n_features * bins
 
-    def build(self, rows: np.ndarray) -> int:
-        root = self._new_node()
-        self._split(root, rows, depth=0)
-        return root
+    def left_sums(weights):
+        hist = np.bincount(flat, weights, minlength=size)
+        return np.cumsum(hist.reshape(n_features, bins), axis=1)[:, :-1]
 
-    def _leaf_value(self, rows: np.ndarray) -> float:
-        lam = self.params.reg_lambda
-        G = float(self.g[rows].sum())
-        H = float(self.h[rows].sum())
-        return -self.params.learning_rate * G / (H + lam) if H + lam > 0 else 0.0
-
-    def _split(self, node: int, rows: np.ndarray, depth: int) -> None:
-        params = self.params
-        if depth >= params.max_depth or len(rows) < 2 * params.min_samples_leaf:
-            self.value[node] = self._leaf_value(rows)
-            return
-        g = self.g[rows]
-        h = self.h[rows]
-        G, H = float(g.sum()), float(h.sum())
-        lam = params.reg_lambda
-        parent_score = G * G / (H + lam)
-
-        best_gain = 0.0
-        best_feat = -1
-        best_bin = -1
-        n_bins = params.max_bins
-        for f in range(self.Xb.shape[1]):
-            bins = self.Xb[rows, f].astype(np.int64)
-            g_hist = np.bincount(bins, weights=g, minlength=n_bins)
-            h_hist = np.bincount(bins, weights=h, minlength=n_bins)
-            c_hist = np.bincount(bins, minlength=n_bins)
-            gl = np.cumsum(g_hist)[:-1]
-            hl = np.cumsum(h_hist)[:-1]
-            cl = np.cumsum(c_hist)[:-1]
-            gr = G - gl
-            hr = H - hl
-            cr = len(rows) - cl
-            valid = (
-                (cl >= params.min_samples_leaf)
-                & (cr >= params.min_samples_leaf)
-                & (hl >= params.min_child_weight)
-                & (hr >= params.min_child_weight)
-            )
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = np.where(
-                    valid,
-                    gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score,
-                    -np.inf,
-                )
-            gains = np.where(np.isfinite(gains), gains, -np.inf)
-            b = int(np.argmax(gains))
-            if gains[b] > best_gain:
-                best_gain = float(gains[b])
-                best_feat = f
-                best_bin = b
-        if best_feat < 0 or best_gain <= 0.0:
-            self.value[node] = self._leaf_value(rows)
-            return
-
-        go_left = self.Xb[rows, best_feat] <= best_bin
-        left_rows = rows[go_left]
-        right_rows = rows[~go_left]
-        self.feature[node] = best_feat
-        self.threshold[node] = float(best_bin)
-        left = self._new_node()
-        right = self._new_node()
-        self.left[node] = left
-        self.right[node] = right
-        self._split(left, left_rows, depth + 1)
-        self._split(right, right_rows, depth + 1)
-
-    def tree(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=np.asarray(self.value, dtype=np.float64),
+    gl = left_sums(np.repeat(g, n_features))
+    hl = left_sums(np.repeat(h, n_features))
+    cl = left_sums(None)
+    gr = G - gl
+    hr = H - hl
+    cr = n - cl
+    valid = (
+        (cl >= params.min_samples_leaf)
+        & (cr >= params.min_samples_leaf)
+        & (hl >= params.min_child_weight)
+        & (hr >= params.min_child_weight)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = np.where(
+            valid,
+            gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam),
+            -np.inf,
         )
+    if gains.size == 0:
+        return None
+    gains[~np.isfinite(gains)] = -np.inf
+    best = int(np.argmax(gains))  # row-major: first feature, then lowest bin
+    return divmod(best, bins - 1) if gains.flat[best] > 0.0 else None
+
+
+def _grow(cells: np.ndarray, Xb: np.ndarray, g: np.ndarray, h: np.ndarray,
+          rows: np.ndarray, params: GBDTParams) -> np.ndarray:
+    """One tree's nodes, grown depth first from ``rows``."""
+    lam = params.reg_lambda
+    nodes = [LEAF]
+    stack = [(0, rows, 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        g_rows, h_rows = g[rows], h[rows]
+        G, H = float(g_rows.sum()), float(h_rows.sum())
+        split = None
+        if (depth < params.max_depth
+                and len(rows) >= 2 * params.min_samples_leaf):
+            split = _best_split(cells[rows], g_rows, h_rows, G, H, params)
+        if split is None:
+            value = -params.learning_rate * G / (H + lam) if H + lam > 0 else 0.0
+            nodes[node] = (-1, 0.0, -1, -1, value)
+            continue
+        feature, cut = split
+        left = len(nodes)
+        nodes[node] = (feature, float(cut), left, left + 1, 0.0)
+        nodes += [LEAF, LEAF]
+        go_left = Xb[rows, feature] <= cut
+        stack += [(left + 1, rows[~go_left], depth + 1),
+                  (left, rows[go_left], depth + 1)]
+    return np.array(nodes, dtype=NODE)
 
 
 def train_gbdt(
@@ -261,11 +252,11 @@ def train_gbdt(
         raise TrainingError("training needs both positive and negative samples")
 
     Xb = np.clip(X, 0, params.max_bins - 1)
+    cells = Xb.astype(np.int64) + np.arange(X.shape[1]) * params.max_bins
     base = float(np.log(pos / neg))
     scores = np.full(len(y), base)
     rng = rng_for(seed, "gbdt")
-    model = GBDTModel(base_score=base, params=params, seed=seed,
-                      n_features=X.shape[1])
+    trees = []
     n = len(y)
     for _ in range(params.n_trees):
         prob = _sigmoid(scores)
@@ -277,9 +268,8 @@ def train_gbdt(
                 rows = np.arange(n)
         else:
             rows = np.arange(n)
-        builder = _TreeBuilder(Xb, g, h, params)
-        builder.build(rows)
-        tree = builder.tree()
-        model.trees.append(tree)
-        scores += tree.predict(Xb)
-    return model
+        tree = _grow(cells, Xb, g, h, rows, params)
+        trees.append(tree)
+        scores += _leaf_values(tree[None], Xb)[:, 0]
+    return GBDTModel(base_score=base, trees=_stack(trees), params=params,
+                     seed=seed, n_features=X.shape[1])

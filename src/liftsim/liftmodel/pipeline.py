@@ -234,7 +234,9 @@ def train_calibrated_model(
             "gbdt_params": params.gbdt.to_dict(),
         },
     )
-    report = build_calibration_report(model.predict_ar(X_cal), y_cal)
+    # ``isotonic.apply(prob)`` is ``model.predict_ar(X_cal)``, without a
+    # second pass of the ensemble over the holdout.
+    report = build_calibration_report(isotonic.apply(prob), y_cal)
     report.isotonic_degenerate = isotonic.degenerate
     return model, report
 

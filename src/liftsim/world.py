@@ -471,13 +471,14 @@ def run_market(
         counts = np.broadcast_to(
             np.rint(rates).astype(np.int64)[:, None], (n, config.horizon_days)
         ).copy()
-    # One request per draw, in (day, user) cell order; then sorted by time
-    # and user, stably, so ties keep draw order.
+    # One request per draw, in (day, user) cell order; then sorted by time,
+    # stably. A time fixes the day, so requests that tie on time are
+    # already in user order, then draw order: the sort keeps both.
     cell = np.repeat(np.arange(counts.size), counts.T.reshape(-1))
     req_ts = (cell // n * SECONDS_PER_DAY
               + req_rng.integers(0, SECONDS_PER_DAY, cell.size))
     req_topic = req_rng.integers(0, config.topics, cell.size)
-    order = np.lexsort((cell % n, req_ts))
+    order = np.argsort(req_ts, kind="stable")
     req_ts, req_topic, cell = req_ts[order], req_topic[order], cell[order]
     req_day, req_user = cell // n, cell % n
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
@@ -27,4 +29,43 @@ assert {"events.parse", "events.dumps"} <= {s[2] for s in recorder.spans}
 def test_tracer_installs_on_the_package():
     result = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT,
                             capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+PIPELINE_SCRIPT = """
+import json, os, sys
+sys.path[:0] = [os.path.join({root!r}, "perfbench"), os.path.join({root!r}, "src")]
+import liftsim.cli as cli
+import rep
+import tracer
+import workloads
+workload = workloads.build("lift_pipeline", 3, "smoke")
+for name, payload in workload.configs.items():
+    with open(name, "w") as fh:
+        json.dump(payload, fh)
+recorder = tracer.SpanRecorder("t")
+latencies = []
+if {traced!r}:
+    tracer.install(recorder)
+else:
+    rep._install_bid_timer(cli, latencies)
+for argv in workload.calls:
+    assert cli.main(argv) == 0, argv
+if {traced!r}:
+    for name in ("gbdt.trees", "gbdt.raw_score.rows",
+                 "sampling.generate_samples.samples"):
+        assert recorder.counts[name] > 0, (name, dict(recorder.counts))
+else:
+    assert latencies, "no model bid was timed"
+"""
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "timed"])
+def test_model_pipeline_runs_under_the_benchmark_hooks(tmp_path, traced):
+    """``simulate -> train -> abtest --bids model`` at the benchmark's smoke
+    size, under the traced run's wrappers or the untraced run's bid timer.
+    Each run is its own process because both patch liftsim globally."""
+    script = PIPELINE_SCRIPT.format(root=str(ROOT), traced=traced)
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                            capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -128,7 +128,8 @@ def test_train_rejects_mismatched_log(tmp_path, capsys):
                  "--log", str(out / "events.jsonl"),
                  "--out-dir", str(tmp_path / "t")])
     assert code == EXIT_DATA
-    assert "digest" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("data error: log digest") and err.count("\n") == 1
 
 
 def test_train_on_a_log_with_an_unknown_user_is_a_data_error(tmp_path,
@@ -223,7 +224,31 @@ def test_abtest_model_mode_requires_matching_schema(tmp_path, capsys):
                  "--bids", str(out / "model.json"),
                  "--out-dir", str(tmp_path / "m")])
     assert code == EXIT_DATA
-    assert "schema" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("data error: model schema") and err.count("\n") == 1
+
+
+def test_abtest_model_mode_without_behavior_events_is_a_config_error(
+        tmp_path, capsys):
+    config = write_config(tmp_path, TRAIN_WORLD)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+    assert main(["train", "--config", str(config),
+                 "--log", str(out / "events.jsonl"),
+                 "--out-dir", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    ab = dict(AB_SMALL)
+    ab["abtest"] = {**AB_SMALL["abtest"],
+                    "world_overrides": {"topics": 3}}
+    ab_config = write_config(tmp_path, ab, "ab.json")
+    code = main(["abtest", "--config", str(ab_config),
+                 "--bids", str(out / "model.json"),
+                 "--out-dir", str(tmp_path / "m")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "behavior" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
 
 
 def test_abtest_model_mode_runs(tmp_path):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liftsim.liftmodel.gbdt import GBDTModel, GBDTParams, TrainingError, train_gbdt
+from liftsim.liftmodel.gbdt import (
+    SCORE_CHUNK_ROWS, GBDTModel, GBDTParams, TrainingError, train_gbdt,
+)
 
 
 def _sigmoid(x):
@@ -115,3 +118,77 @@ def test_feature_count_is_checked():
     model = train_gbdt(X, y, GBDTParams(n_trees=2, max_depth=1), seed=0)
     with pytest.raises(ValueError):
         model.raw_score(np.zeros((5, 4)))
+
+
+def _walk(model: dict, x) -> float:
+    """The raw score of one row, read from the file form one node at a
+    time and summed in tree order from the base score."""
+    top = model["params"]["max_bins"] - 1
+    score = model["base_score"]
+    for tree in model["trees"]:
+        node = 0
+        while tree["feature"][node] >= 0:
+            value = min(max(x[tree["feature"][node]], 0.0), top)
+            node = (tree["left"][node] if value <= tree["threshold"][node]
+                    else tree["right"][node])
+        score += tree["value"][node]
+    return score
+
+
+def _fit(seed, n_rows, n_features, max_depth, min_samples_leaf, constant):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 12, size=(n_rows, n_features)).astype(float)
+    X += rng.random(X.shape) * (rng.random(X.shape) < 0.3)
+    if constant:
+        X[:] = 3.0
+    y = (rng.random(n_rows) < 0.4).astype(float)
+    y[:2] = 0.0, 1.0
+    params = GBDTParams(n_trees=8, max_depth=max_depth, subsample=0.7,
+                        min_samples_leaf=min_samples_leaf, max_bins=10)
+    return train_gbdt(X, y, params, seed=seed)
+
+
+def _prefix(model, n_trees):
+    return GBDTModel(base_score=model.base_score, trees=model.trees[:n_trees],
+                     params=model.params, n_features=model.n_features)
+
+
+def _assert_matches_walk(model, grid):
+    form = model.to_dict()
+    expected = np.array([_walk(form, x) for x in grid])
+    assert model.raw_score(grid).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n_rows=st.integers(20, 150),
+       n_features=st.integers(1, 4), max_depth=st.integers(1, 4),
+       min_samples_leaf=st.integers(1, 40), constant=st.booleans(),
+       n_trees=st.integers(0, 8))
+def test_raw_score_matches_a_walk_over_the_file_form(
+        seed, n_rows, n_features, max_depth, min_samples_leaf, constant,
+        n_trees):
+    model = _prefix(_fit(seed, n_rows, n_features, max_depth,
+                         min_samples_leaf, constant), n_trees)
+    rng = np.random.default_rng(seed + 1)
+    grid = rng.integers(-2, 14, size=(60, n_features)) + rng.random((60, 1))
+    _assert_matches_walk(model, grid)
+
+
+def test_walk_cases_single_leaves_padding_chunks_no_trees_and_depth():
+    model = _fit(seed=3, n_rows=120, n_features=3, max_depth=3,
+                 min_samples_leaf=38, constant=False)
+    sizes = [len(t["feature"]) for t in model.to_dict()["trees"]]
+    assert 1 in sizes and len(set(sizes)) > 2, sizes
+    rng = np.random.default_rng(5)
+    grid = rng.integers(-2, 14, size=(SCORE_CHUNK_ROWS + 7, 3)) + 0.5
+    _assert_matches_walk(model, grid)
+    empty = _prefix(model, 0)
+    assert len(empty.trees) == 0
+    assert np.array_equal(empty.raw_score(grid),
+                          np.full(len(grid), model.base_score))
+    _assert_matches_walk(empty, grid[:10])
+    # A loaded tree may be deeper than the file's max_depth; the walk
+    # still goes down to its leaves.
+    form = model.to_dict()
+    form["params"]["max_depth"] = 1
+    _assert_matches_walk(GBDTModel.from_dict(form), grid[:50])

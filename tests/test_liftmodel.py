@@ -31,7 +31,7 @@ def tiny_schema():
 
 
 def constant_model(schema, value=0.02):
-    gbdt = GBDTModel(base_score=0.0, trees=[], params=GBDTParams(),
+    gbdt = GBDTModel(base_score=0.0, params=GBDTParams(),
                      n_features=schema.n_features)
     iso = IsotonicMap(breakpoints=(0.0,), values=(value,), degenerate=True)
     return CalibratedModel(schema=schema, gbdt=gbdt, isotonic=iso,
