@@ -24,7 +24,6 @@ from .market import (  # noqa: F401
 from .bidders import (  # noqa: F401
     BetaCalibration,
     BidderConfig,
-    PopulationStats,
     calibrate_beta,
     calibrate_equal_attribution,
     price_bids,

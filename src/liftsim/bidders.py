@@ -64,19 +64,6 @@ class BidderConfig:
 
 
 @dataclass(frozen=True)
-class PopulationStats:
-    """Population means used for the default lift-scale selection."""
-
-    mean_p: float
-    mean_delta_p: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise ValueError("n must be positive")
-
-
-@dataclass(frozen=True)
 class BetaCalibration:
     """Result of an equal-attribution calibration.
 
@@ -107,20 +94,33 @@ def price_bids(bidder: BidderConfig, p, delta_p) -> np.ndarray:
     return np.rint(scale * np.maximum(x, 0.0)).astype(np.int64)
 
 
-def calibrate_beta(stats: PopulationStats, cpa: int) -> float:
+def calibrate_beta(population: Population, cpa: int) -> float:
     """Default lift-bid scale: (mean p / mean lift) * CPA.
 
     Prices each incremental action at the rate the advertiser already
     pays per absolute action. Requires a strictly positive mean lift.
     """
-    if stats.mean_delta_p <= 0:
+    mean_p = float(population.p.mean())
+    mean_delta_p = float(population.delta_p.mean())
+    if mean_delta_p <= 0:
         raise CalibrationError("mean_delta_p must be positive to calibrate beta")
-    if not 0 < stats.mean_delta_p <= stats.mean_p <= 1:
+    if not 0 < mean_delta_p <= mean_p <= 1:
         raise CalibrationError(
-            f"invalid population means: mean_p={stats.mean_p}, "
-            f"mean_delta_p={stats.mean_delta_p}"
+            f"invalid population means: mean_p={mean_p}, "
+            f"mean_delta_p={mean_delta_p}"
         )
-    return (stats.mean_p / stats.mean_delta_p) * cpa
+    return (mean_p / mean_delta_p) * cpa
+
+
+def lineup(kinds, cpa: int, population: Population, alpha: float | None = None,
+           beta: float | None = None) -> list[BidderConfig]:
+    """One bidder per kind for a campaign paying ``cpa``. ``alpha``
+    defaults to ``float(cpa)``, ``beta`` to :func:`calibrate_beta`."""
+    if beta is None:
+        beta = calibrate_beta(population, cpa)
+    scales = {VALUE: {"alpha": float(cpa) if alpha is None else alpha},
+              LIFT: {"beta": beta}, RATIONAL: {"cpa": cpa}}
+    return [BidderConfig(kind, **scales.get(kind, {})) for kind in kinds]
 
 
 def split_weight_gap(thresholds, weights, beta: float) -> float:

@@ -20,13 +20,13 @@ import numpy as np
 
 from . import config as cfgmod
 from .attribution import AccountingError
-from .bidders import CalibrationError, PopulationStats
+from .bidders import CalibrationError
 from .events import EventLog, EventLogError
 from .experiments import (
     ABTestReport, DISCLAIMER, VerificationSweepReport, run_abtest,
     run_worked_example, verify_theorems,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_digest
 from .liftmodel.features import FeatureSchema
 from .liftmodel.gbdt import TrainingError
 from .liftmodel.pipeline import (
@@ -35,10 +35,10 @@ from .liftmodel.pipeline import (
 )
 from .liftmodel.sampling import SamplingError, export_samples, generate_samples
 from .market import micros_to_dollars
-from .seeds import derive_seed, rng_for
+from .seeds import derive_seed
 from .world import (
-    MarketInvariantError, WorldConfig, WorldConfigError, generate_population,
-    market_run_digest, precedent_impression_fraction, run_market, split_budget,
+    MarketInvariantError, WorldConfigError, assign_groups, generate_population,
+    market_run_digest, precedent_impression_fraction, run_market,
 )
 
 EXIT_OK = 0
@@ -69,14 +69,8 @@ def _prepare_market(cfg: dict):
     world = cfgmod.build_world(cfg, derive_seed(seed, "world"))
     population = generate_population(world)
     campaign = cfgmod.build_campaign(cfg)
-    p = float(np.mean(population.p))
-    dp = float(np.mean(population.delta_p))
-    stats = PopulationStats(p, dp, len(population)) if dp > 0 else None
-    bidders, budgets = cfgmod.build_bidders(cfg, campaign, stats)
-    if budgets is None:
-        budgets = split_budget(bidders, campaign.budget)
-    rng = rng_for(world.seed, "groups")
-    assignment = rng.permutation(np.arange(world.n_users) % len(bidders))
+    bidders, budgets = cfgmod.build_bidders(cfg, campaign, population)
+    assignment = assign_groups(world, len(bidders))
     digest = market_run_digest(world, campaign, bidders, budgets, assignment)
     return seed, world, population, campaign, bidders, budgets, assignment, digest
 
@@ -114,7 +108,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         precedent = None
     summary = {
         "master_seed": seed,
-        "config_digest": cfgmod.config_digest(cfg),
+        "config_digest": json_digest(cfg),
         "run_digest": digest,
         "n_users": world.n_users,
         "events": len(run.log),
@@ -155,8 +149,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"the log names {len(unknown)} user(s) missing from the config's "
             f"population, first {unknown[0]!r}")
 
-    schema = FeatureSchema(advertisers=world.advertisers, topics=world.topics,
-                           apps=world.apps)
+    schema = FeatureSchema(world.advertisers, world.topics, world.apps)
     sampling = cfgmod.build_sampling(cfg, seed)
     params = cfgmod.build_model_params(cfg)
     samples = generate_samples(log, population, sampling, schema)
@@ -165,14 +158,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     model, report = train_calibrated_model(
         samples, schema, params, seed=derive_seed(seed, "model"),
         feature_window_seconds=sampling.feature_window_seconds)
-    model.metadata["config_digest"] = cfgmod.config_digest(cfg)
+    model.metadata["config_digest"] = json_digest(cfg)
     model.metadata["log_digest"] = log.config_digest
     out = _output_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
     model_path = Path(args.model_out) if args.model_out else out / "model.json"
     model.save(model_path)
 
-    header = {"master_seed": seed, "config_digest": cfgmod.config_digest(cfg),
+    header = {"master_seed": seed, "config_digest": json_digest(cfg),
               "schema_digest": model.schema_digest,
               "isotonic_degenerate": report.isotonic_degenerate}
     _jsonl([d for d in report.deciles], header, out / "calibration.jsonl")
@@ -255,7 +248,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines.append(f"verification: {'PASS' if all_ok else 'FAIL'}")
     out = _output_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
-    header = {"master_seed": seed, "config_digest": cfgmod.config_digest(cfg),
+    header = {"master_seed": seed, "config_digest": json_digest(cfg),
               "notes": DISCLAIMER}
     _jsonl(records, header, out / "verify_report.jsonl")
     _print_and_write(lines, out / "verify_report.txt")
@@ -299,27 +292,26 @@ def cmd_abtest(args: argparse.Namespace) -> int:
     estimator_factory = None
     if args.bids != "oracle":
         model = CalibratedModel.load(args.bids)
-        overrides = ab_config.world_overrides
-        world_schema = FeatureSchema(
-            advertisers=(ab_config.advertiser,),
-            topics=overrides.get("topics", WorldConfig.topics),
-            apps=overrides.get("apps", WorldConfig.apps))
-        if world_schema.digest() != model.schema_digest:
+        # Every replication's world has the first one's schema and behavior.
+        world = ab_config.world(0)
+        world_digest = FeatureSchema(world.advertisers, world.topics,
+                                     world.apps).digest()
+        if world_digest != model.schema_digest:
             raise SchemaMismatch(
                 f"model schema {model.schema_digest} does not match the "
-                f"abtest world schema {world_schema.digest()}")
-        if not overrides.get("behavior", {}).get("enabled", False):
+                f"abtest world schema {world_digest}")
+        if not world.behavior_settings["enabled"]:
             raise cfgmod.ConfigError(
                 "model-driven bidding needs behavior events; set "
                 "abtest.world_overrides.behavior.enabled=true")
 
-        def estimator_factory(population, advertiser):
-            return ModelBidEstimator(model, population, advertiser)
+        def estimator_factory(population, advertiser, behavior):
+            return ModelBidEstimator(model, population, advertiser, behavior)
 
     report = run_abtest(ab_config, estimator_factory=estimator_factory)
     out = _output_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
-    header = {"master_seed": seed, "config_digest": cfgmod.config_digest(cfg),
+    header = {"master_seed": seed, "config_digest": json_digest(cfg),
               "bid_source": args.bids, "notes": DISCLAIMER,
               "sign_counts": report.sign_counts()}
     _jsonl([r.as_dict() for r in report.replications], header,

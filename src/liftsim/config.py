@@ -9,19 +9,18 @@ and a digest of the fully resolved configuration.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any
 
-from .bidders import BidderConfig
+from .bidders import BidderConfig, lineup
 from .experiments import ABTestConfig, SweepConfig
 from .liftmodel.gbdt import GBDTParams
 from .liftmodel.pipeline import ModelParams
 from .liftmodel.sampling import SamplingConfig
-from .market import Campaign, dollars_to_micros
+from .market import Campaign, Population, dollars_to_micros
 from .seeds import derive_seed
-from .world import WorldConfig
+from .world import WorldConfig, split_budget
 
 SECONDS_PER_DAY = 86_400
 
@@ -117,11 +116,6 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
     return validate_config(cfg)
 
 
-def config_digest(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
 def master_seed(cfg: dict) -> int:
     seed = cfg.get("master_seed", 0)
     if not isinstance(seed, int) or seed < 0:
@@ -155,44 +149,30 @@ def build_campaign(cfg: dict) -> Campaign:
 
 
 def build_bidders(
-    cfg: dict, campaign: Campaign, population_stats=None
-) -> tuple[list[BidderConfig], list[int] | None]:
-    """Bidder lineup for a simulated market, with optional budget split.
+    cfg: dict, campaign: Campaign, population: Population
+) -> tuple[list[BidderConfig], list[int]]:
+    """Bidder lineup for a simulated market and each bidder's budget.
 
-    ``alpha`` defaults to the campaign CPA and ``beta`` to the
-    population-mean pricing rule when stats are available.
+    Scales default as in :func:`~liftsim.bidders.lineup`; budgets default
+    to the campaign budget split over the active bidders.
     """
-    from .bidders import PopulationStats, calibrate_beta
-
     section = cfg.get("bidders", {})
-    kinds = section.get("kinds", ["passive", "value", "lift"])
     alpha = section.get("alpha_dollars")
-    alpha = float(campaign.cpa) if alpha is None else dollars_to_micros(alpha)
     beta = section.get("beta_dollars")
-    if beta is None:
-        if population_stats is None:
-            raise ConfigError("beta_dollars required without population stats")
-        beta = calibrate_beta(population_stats, campaign.cpa)
-    else:
-        beta = float(dollars_to_micros(beta))
-    bidders = []
-    for kind in kinds:
-        if kind == "passive":
-            bidders.append(BidderConfig(kind="passive"))
-        elif kind == "value":
-            bidders.append(BidderConfig(kind="value", alpha=alpha))
-        elif kind == "lift":
-            bidders.append(BidderConfig(kind="lift", beta=beta))
-        elif kind == "rational":
-            bidders.append(BidderConfig(kind="rational", cpa=campaign.cpa))
-        else:
-            raise ConfigError(f"unknown bidder kind {kind!r}")
+    try:
+        bidders = lineup(
+            section.get("kinds", ["passive", "value", "lift"]), campaign.cpa,
+            population,
+            alpha=None if alpha is None else dollars_to_micros(alpha),
+            beta=None if beta is None else float(dollars_to_micros(beta)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid bidders section: {exc}") from exc
     budgets = section.get("budgets_dollars")
-    if budgets is not None:
-        if len(budgets) != len(bidders):
-            raise ConfigError("budgets_dollars must align with bidder kinds")
-        budgets = [dollars_to_micros(b) for b in budgets]
-    return bidders, budgets
+    if budgets is None:
+        return bidders, split_budget(bidders, campaign.budget)
+    if len(budgets) != len(bidders):
+        raise ConfigError("budgets_dollars must align with bidder kinds")
+    return bidders, [dollars_to_micros(b) for b in budgets]
 
 
 def build_sampling(cfg: dict, seed: int) -> SamplingConfig:
@@ -228,6 +208,8 @@ def build_sweep(cfg: dict, seed: int) -> SweepConfig:
 def build_abtest(cfg: dict, seed: int) -> ABTestConfig:
     section = cfg.get("abtest", {})
     try:
-        return ABTestConfig(master_seed=seed, **section)
+        config = ABTestConfig(master_seed=seed, **section)
+        config.world(0)  # the overrides make a valid world
+        return config
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid abtest section: {exc}") from exc

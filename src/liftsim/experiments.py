@@ -26,16 +26,18 @@ from .attribution import (
     partition_users, theorem_quantities,
 )
 from .bidders import (
-    LIFT, VALUE, BidderConfig, PopulationStats, calibrate_beta,
-    calibrate_equal_attribution, calibrate_equal_attribution_weighted,
-    price_bids,
+    LIFT, PASSIVE, VALUE, BidderConfig, calibrate_equal_attribution,
+    calibrate_equal_attribution_weighted, lineup, price_bids,
 )
 from .market import (
     LIFT_BIDDER, VALUE_BIDDER, Campaign, Population, dollars_to_micros,
     run_auction,
 )
 from .seeds import derive_seed, rng_for
-from .world import GroupStats, WorldConfig, generate_population, run_market
+from .world import (
+    GroupStats, WorldConfig, assign_groups, behavior_log, generate_population,
+    run_market,
+)
 
 DISCLAIMER = ("Synthetic-market results: only metric definitions and "
               "directional signs are meaningful, not absolute magnitudes.")
@@ -386,6 +388,15 @@ class ABTestConfig:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
 
+    def world(self, rep: int) -> WorldConfig:
+        """Replication ``rep``'s world: behavior off and one advertiser,
+        unless ``world_overrides`` say otherwise."""
+        return WorldConfig(**{
+            "n_users": self.n_users, "horizon_days": self.horizon_days,
+            "seed": derive_seed(self.master_seed, "abtest", rep),
+            "advertisers": (self.advertiser,), "behavior": {"enabled": False},
+            **self.world_overrides})
+
 
 @dataclass
 class ReplicationResult:
@@ -445,45 +456,30 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
 
     Users are split into equal random groups served by a passive, a
     value, and a lift bidder; the two active bidders get equal budgets
-    and bid until spend-out. ``estimator_factory``, when given, is
-    called as ``factory(population, advertiser)`` and must return a
-    :class:`liftsim.world.BidEstimator`; otherwise bids come from the
-    ground-truth oracle.
+    and bid until spend-out. Bids come from the ground-truth oracle or,
+    when given, from the :class:`liftsim.world.BidEstimator` returned by
+    ``estimator_factory(population, advertiser, behavior)``, where
+    ``behavior`` is the world's :func:`liftsim.world.behavior_log`; the
+    market then tells the estimator only its own impressions and clicks.
     """
     cpa = dollars_to_micros(config.cpa_dollars)
     budget = dollars_to_micros(config.budget_per_bidder_dollars)
+    beta = (None if config.beta_dollars is None
+            else float(dollars_to_micros(config.beta_dollars)))
     report = ABTestReport(config=config)
 
     for rep in range(config.replications):
-        world_seed = derive_seed(config.master_seed, "abtest", rep)
-        world_kwargs: dict = {
-            "n_users": config.n_users,
-            "seed": world_seed,
-            "horizon_days": config.horizon_days,
-            "advertisers": (config.advertiser,),
-            "behavior": {"enabled": False},
-        }
-        world_kwargs.update(config.world_overrides)
-        world = WorldConfig(**world_kwargs)
+        world = config.world(rep)
         population = generate_population(world)
-        if config.beta_dollars is not None:
-            beta = float(dollars_to_micros(config.beta_dollars))
-        else:
-            beta = calibrate_beta(PopulationStats(
-                float(population.p.mean()), float(population.delta_p.mean()),
-                len(population)), cpa)
-        bidders = [BidderConfig(kind="passive"),
-                   BidderConfig(kind="value", alpha=float(cpa)),
-                   BidderConfig(kind="lift", beta=beta)]
-        group_rng = rng_for(world_seed, "groups")
-        assignment = group_rng.permutation(np.arange(config.n_users) % 3)
+        bidders = lineup((PASSIVE, VALUE, LIFT), cpa, population, beta=beta)
         campaign = Campaign(config.advertiser, cpa=cpa, budget=2 * budget,
                             action_window_days=config.action_window_days)
         estimator = None
         if estimator_factory is not None:
-            estimator = estimator_factory(population, config.advertiser)
+            estimator = estimator_factory(population, config.advertiser,
+                                          behavior_log(population, world))
         run = run_market(population, bidders, [campaign], world,
-                         assignment=assignment, budgets=[0, budget, budget],
+                         assignment=assign_groups(world, len(bidders)),
                          estimator=estimator, record_events=False)
         groups: dict[str, GroupStats] = {g.kind: g for g in run.groups}
         passive, value, lift = groups["passive"], groups["value"], groups["lift"]
@@ -500,7 +496,7 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
                     if cpi_v and cpi_l else None)
         report.replications.append(ReplicationResult(
             replication=rep,
-            seed=world_seed,
+            seed=world.seed,
             groups={k: g.as_dict() for k, g in groups.items()},
             action_lift_value=lift_v,
             action_lift_lift=lift_l,

@@ -1,10 +1,12 @@
-"""Atomic file writing helpers.
+"""Atomic file writing and the digest every artifact is stamped with.
 
 Outputs are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial file behind.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -19,3 +21,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def json_digest(payload) -> str:
+    """The first 16 hex digits of the SHA-256 of ``payload`` as JSON with
+    sorted keys and no spaces."""
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]

@@ -13,8 +13,6 @@ Every feature is computed strictly from events in the half-open window
 from __future__ import annotations
 
 import bisect
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +22,7 @@ from ..events import (
     APP_INSTALL, APP_USE, CLICK, IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH,
     EventLog,
 )
+from ..fileio import json_digest
 from ..market import Population
 
 # Bucket edges in seconds: <=1h, <=6h, <=1d, <=2d, <=7d; anything older
@@ -89,9 +88,8 @@ class FeatureSchema:
             raise KeyError(f"unknown feature {name!r}") from None
 
     def digest(self) -> str:
-        payload = {"names": list(self.names), "recency_edges": list(RECENCY_EDGES)}
-        canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return json_digest({"names": list(self.names),
+                            "recency_edges": list(RECENCY_EDGES)})
 
     def to_dict(self) -> dict:
         return {"advertisers": list(self.advertisers), "topics": self.topics,
@@ -178,6 +176,23 @@ def extract_from_history(
     return out
 
 
+def histories(log: EventLog) -> list[UserHistory]:
+    """One history per user code of ``log``, holding its tracked events."""
+    out = [UserHistory() for _ in log.users]
+    # One kind at a time: each (prefix, ref) list still fills in log
+    # order, because each prefix belongs to one kind.
+    advertisers = (*log.advertisers, None)  # code -1 reads None
+    for kind, (_, column) in _TRACKED.items():
+        rows = log.kind == KIND_CODE[kind]
+        refs = getattr(log, column)[rows].tolist()
+        if column == "adv":
+            refs = [advertisers[code] for code in refs]
+        for user, ref, ts in zip(log.user[rows].tolist(), refs,
+                                 log.ts[rows].tolist()):
+            out[user].observe(kind, ref, ts)
+    return out
+
+
 class FeatureExtractor:
     """Extracts feature vectors for any (user, ts) from a finished log."""
 
@@ -190,18 +205,7 @@ class FeatureExtractor:
         self.schema = schema
         self._rows = population.row_of
         self._demographics = population.demographics.tolist()
-        self._histories = {user_id: UserHistory() for user_id in log.users}
-        # One kind at a time: each (prefix, ref) list still fills in log
-        # order, because each prefix belongs to one kind.
-        advertisers = (*log.advertisers, None)  # code -1 reads None
-        for kind, (_, column) in _TRACKED.items():
-            rows = log.kind == KIND_CODE[kind]
-            refs = getattr(log, column)[rows].tolist()
-            if column == "adv":
-                refs = [advertisers[code] for code in refs]
-            for user, ref, ts in zip(log.user[rows].tolist(), refs,
-                                     log.ts[rows].tolist()):
-                self._histories[log.users[user]].observe(kind, ref, ts)
+        self._histories = dict(zip(log.users, histories(log)))
 
     def features(self, user_id: str, ts: int, fw: int) -> np.ndarray:
         row = self._rows.get(user_id)

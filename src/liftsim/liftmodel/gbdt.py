@@ -137,18 +137,32 @@ class GBDTModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GBDTModel":
+        """Raises ValueError for a malformed tree. A child must come after
+        its parent in the same tree, so every walk ends on a leaf."""
+        n_features = int(data["n_features"])
         trees = []
-        for tree in data["trees"]:
+        for k, tree in enumerate(data["trees"]):
+            if len({len(tree[name]) for name in NODE.names}) != 1:
+                raise ValueError(f"tree {k}: node lists differ in length")
             nodes = np.empty(len(tree["feature"]), dtype=NODE)
             for name in NODE.names:
                 nodes[name] = tree[name]
+            if (nodes["feature"] >= n_features).any():
+                raise ValueError(f"tree {k}: a split reads a feature "
+                                 f"outside [0, {n_features})")
+            split = np.flatnonzero(nodes["feature"] >= 0)
+            for side in ("left", "right"):
+                child = nodes[side][split]
+                if ((child <= split) | (child >= len(nodes))).any():
+                    raise ValueError(f"tree {k}: a {side} child is not a "
+                                     "later node of the tree")
             trees.append(nodes)
         return cls(
             base_score=float(data["base_score"]),
             trees=_stack(trees),
             params=GBDTParams(**data["params"]),
             seed=int(data["seed"]),
-            n_features=int(data["n_features"]),
+            n_features=n_features,
         )
 
 
@@ -236,7 +250,6 @@ def train_gbdt(
     y: np.ndarray,
     params: GBDTParams | None = None,
     seed: int = 0,
-    sample_weight: np.ndarray | None = None,
 ) -> GBDTModel:
     """Fit a boosted logistic-loss ensemble; deterministic per seed."""
     params = params or GBDTParams()
@@ -244,10 +257,8 @@ def train_gbdt(
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y):
         raise TrainingError("X must be (n, f) aligned with y")
-    w = (np.ones(len(y)) if sample_weight is None
-         else np.asarray(sample_weight, dtype=np.float64))
-    pos = float(w[y > 0].sum())
-    neg = float(w[y <= 0].sum())
+    pos = float(np.count_nonzero(y > 0))
+    neg = float(np.count_nonzero(y <= 0))
     if pos <= 0 or neg <= 0:
         raise TrainingError("training needs both positive and negative samples")
 
@@ -260,8 +271,8 @@ def train_gbdt(
     n = len(y)
     for _ in range(params.n_trees):
         prob = _sigmoid(scores)
-        g = w * (prob - y)
-        h = np.maximum(w * prob * (1.0 - prob), 1e-12)
+        g = prob - y
+        h = np.maximum(prob * (1.0 - prob), 1e-12)
         if params.subsample < 1.0:
             rows = np.nonzero(rng.random(n) < params.subsample)[0]
             if rows.size < 2 * params.min_samples_leaf:

@@ -54,17 +54,12 @@ class IsotonicMap:
                    degenerate=bool(data["degenerate"]))
 
 
-def fit_isotonic(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> IsotonicMap:
-    """Weighted least-squares isotonic fit of label rate against score."""
+def fit_isotonic(scores: np.ndarray, labels: np.ndarray) -> IsotonicMap:
+    """Least-squares isotonic fit of label rate against score."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.shape != labels.shape or scores.size == 0:
         raise ValueError("scores and labels must be equal-length and non-empty")
-    w = np.ones_like(scores) if weights is None else np.asarray(weights, float)
 
     if labels.min() == labels.max():
         # Single-class holdout: a constant map, flagged for the caller.
@@ -74,9 +69,8 @@ def fit_isotonic(
     order = np.argsort(scores, kind="stable")
     s = scores[order]
     y = labels[order]
-    ww = w[order]
 
-    # Aggregate ties in score into single weighted points.
+    # Aggregate ties in score into single points weighted by their count.
     xs: list[float] = []
     ys: list[float] = []
     ws: list[float] = []
@@ -84,15 +78,13 @@ def fit_isotonic(
     n = len(s)
     while i < n:
         j = i
-        wsum = 0.0
         ysum = 0.0
         while j < n and s[j] == s[i]:
-            wsum += ww[j]
-            ysum += ww[j] * y[j]
+            ysum += y[j]
             j += 1
         xs.append(float(s[i]))
-        ys.append(ysum / wsum)
-        ws.append(wsum)
+        ys.append(ysum / (j - i))
+        ws.append(float(j - i))
         i = j
 
     # Pool adjacent violators: maintain a stack of blocks with

@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ..events import EventLog
 from ..fileio import atomic_write_text
 from ..market import Population
 from ..seeds import rng_for
 from .features import (
-    FeatureSchema, UserHistory, counterfactual_features, extract_from_history,
-    fold_context,
+    FeatureSchema, counterfactual_features, extract_from_history, fold_context,
+    histories,
 )
 from .gbdt import GBDTModel, GBDTParams, TrainingError, train_gbdt
 from .isotonic import IsotonicMap, fit_isotonic
@@ -30,6 +31,11 @@ from .sampling import TrainingSample, samples_to_matrix
 
 MODEL_FORMAT = "liftsim.model"
 MODEL_VERSION = 1
+# A calibration bin is within bounds when its error is at most REL of its
+# action rate plus SE_MULT binomial standard errors.
+CALIBRATION_BINS = 10
+CALIBRATION_REL = 0.10
+CALIBRATION_SE_MULT = 2.0
 
 
 class SchemaMismatch(ValueError):
@@ -121,7 +127,7 @@ class CalibratedModel:
             stored_digest = data["schema_digest"]
         except KeyError as exc:
             raise ModelFileError(f"{path} lacks the key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ModelFileError(f"{path} is malformed: {exc}") from exc
         if model.schema_digest != stored_digest:
             raise SchemaMismatch("stored schema digest does not match schema")
@@ -137,24 +143,19 @@ class CalibrationReport:
     isotonic_degenerate: bool
 
 
-def build_calibration_report(
-    predictions: np.ndarray,
-    labels: np.ndarray,
-    rel: float = 0.10,
-    se_mult: float = 2.0,
-    bins: int = 10,
-) -> CalibrationReport:
+def build_calibration_report(predictions: np.ndarray,
+                             labels: np.ndarray) -> CalibrationReport:
     order = np.argsort(predictions, kind="stable")
-    edges = np.linspace(0, len(order), bins + 1).astype(int)
+    edges = np.linspace(0, len(order), CALIBRATION_BINS + 1).astype(int)
     deciles = []
-    for b in range(bins):
+    for b in range(CALIBRATION_BINS):
         idx = order[edges[b]:edges[b + 1]]
         if idx.size == 0:
             continue
         mean_pred = float(predictions[idx].mean())
         rate = float(labels[idx].mean())
         se = math.sqrt(max(rate * (1.0 - rate), 1e-12) / idx.size)
-        bound = rel * rate + se_mult * se
+        bound = CALIBRATION_REL * rate + CALIBRATION_SE_MULT * se
         deciles.append({
             "decile": b,
             "n": int(idx.size),
@@ -244,10 +245,12 @@ def train_calibrated_model(
 class ModelBidEstimator:
     """Streaming (p, lift) estimates for model-driven bidding.
 
-    Observes the simulator's events as they happen, maintains rolling
-    per-user histories, and prices each request from calibrated
-    predictions: the action rate assuming the impression is shown, and
-    the counterfactual lift of showing it.
+    Holds each user's behavior events from the start, learns the
+    bidder's own impressions and clicks from the market as they happen,
+    and prices each request from calibrated predictions: the action rate
+    assuming the impression is shown, and the counterfactual lift of
+    showing it. Features only read events at or before a request's
+    time, so holding later behavior events changes no bid.
     """
 
     def __init__(
@@ -255,11 +258,14 @@ class ModelBidEstimator:
         model: CalibratedModel,
         population: Population,
         advertiser: str,
+        behavior: EventLog,
     ) -> None:
+        if behavior.users != population.user_ids:
+            raise ValueError("the behavior log's users are not the population's")
         self.model = model
         self.advertiser = advertiser
         self._demographics = population.demographics.tolist()
-        self._histories = [UserHistory() for _ in range(len(population))]
+        self._histories = histories(behavior)
 
     def observe(self, user_index: int, kind: str, ref: object, ts: int) -> None:
         self._histories[user_index].observe(kind, ref, ts)
@@ -272,4 +278,3 @@ class ModelBidEstimator:
         shown = counterfactual_features(folded, self.advertiser, self.model.schema)
         pair = self.model.predict_ar(np.stack([shown, folded]))
         return float(pair[0]), float(pair[0] - pair[1])
-

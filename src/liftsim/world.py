@@ -12,11 +12,12 @@ Budgets and attribution change only at the ends of action windows, so
 with oracle bids (the ground truth priced by each group's bidder) a
 window is stateless: the simulator bids, settles, breaks ties and draws
 clicks for all of a window's requests in one array step. A
-:class:`BidEstimator` instead sees each impression and click before the
-same user's next bid, so that path prices and settles request by
-request. Both paths share the settlement, the tallies, the event rows
-and the window-end accounting, and give identical results when the
-estimator returns the ground truth.
+:class:`BidEstimator` instead prices from what a bidder can know: the
+behavior data it was built with, and the impressions and clicks of its
+own won auctions, each told before the same user's next bid. So that
+path prices and settles request by request. Both paths share the
+settlement, the tallies, the event rows and the window-end accounting,
+and give identical results when the estimator returns the ground truth.
 
 Randomness is split into independent streams (requests, market,
 behavior, clicks, actions, ties) derived from the world seed, so the
@@ -29,7 +30,6 @@ configuration and seed reproduce the identical event log byte for byte.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, asdict
 from typing import Protocol
 
@@ -38,9 +38,10 @@ from scipy.special import betaincinv, ndtr
 
 from .bidders import PASSIVE, BidderConfig, price_bids
 from .events import (
-    ACTION, AD_REQUEST, APP_INSTALL, APP_USE, BID, AUCTION, CLICK,
-    EVENT_KINDS, FIELDS, IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH, EventLog,
+    ACTION, AD_REQUEST, APP_INSTALL, APP_USE, BID, AUCTION, CLICK, FIELDS,
+    IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH, EventLog,
 )
+from .fileio import json_digest
 from .market import Campaign, Population, settle_second_price
 from .seeds import rng_for
 
@@ -125,6 +126,15 @@ class WorldConfig:
                 f"unknown request_arrivals {self.request_arrivals!r}")
         if not self.advertisers:
             raise WorldConfigError("need at least one advertiser")
+        unknown = sorted(set(self.behavior) - set(_default_behavior()))
+        if unknown:
+            raise WorldConfigError(f"unknown behavior key(s) {unknown}")
+
+    @property
+    def behavior_settings(self) -> dict:
+        """Given behavior values over the defaults; ``behavior`` itself stays
+        as given, so digests do not depend on the defaults."""
+        return {**_default_behavior(), **self.behavior}
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -132,8 +142,7 @@ class WorldConfig:
         return data
 
     def digest(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return json_digest(self.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +268,7 @@ def generate_population(config: WorldConfig) -> Population:
     # Behavioral propensities: topic 0 tracks the lift percentile, topic 1
     # the background-rate percentile, remaining topics and apps are noise.
     # The correlation knob mixes signal with noise.
-    bcfg = config.behavior
-    corr = float(bcfg.get("correlation", 0.85))
+    corr = float(config.behavior_settings["correlation"])
     q_lift = _percentile_ranks(delta_p)
     q_bg = _percentile_ranks(p - delta_p)
     topic_w = rng.random((n, config.topics)) * 0.6
@@ -282,9 +290,11 @@ def generate_population(config: WorldConfig) -> Population:
 class BidEstimator(Protocol):
     """Source of (p, delta_p) estimates used to price bids at request time.
 
-    ``observe`` gets every impression, click, action and behavior event
-    in chronological order, so a model-backed estimator can keep rolling
-    feature state. ``ref`` is the event's advertiser id, topic or app.
+    ``observe`` is told the outcomes of the bidder's own auctions: each
+    impression it wins and each click on one, per user in time order,
+    before that user's next bid. ``ref`` is the campaign's advertiser id.
+    Anything else an estimator knows, such as behavior data, it is built
+    with.
     """
 
     def estimate(self, user_index: int, ts: int, topic_id: int) -> tuple[float, float]:
@@ -350,8 +360,7 @@ def market_run_digest(
         "assignment": hashlib.sha256(
             np.ascontiguousarray(assignment).tobytes()).hexdigest()[:16],
     }
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return json_digest(payload)
 
 
 def _bidder_labels(bidders: list[BidderConfig]) -> list[str]:
@@ -366,6 +375,22 @@ def split_budget(bidders: list[BidderConfig], budget: int) -> list[int]:
     bidders get nothing."""
     n_active = sum(b.kind != PASSIVE for b in bidders)
     return [0 if b.kind == PASSIVE else budget // n_active for b in bidders]
+
+
+def assign_groups(config: WorldConfig, n_bidders: int) -> np.ndarray:
+    """Each user's bidder index: equal-sized groups, randomly assigned."""
+    return rng_for(config.seed, "groups").permutation(
+        np.arange(config.n_users) % n_bidders)
+
+
+def behavior_log(population: Population, config: WorldConfig) -> EventLog | None:
+    """The world's behavior events, time-sorted, as an event log whose user
+    codes are population rows; None when behavior is off."""
+    if not config.behavior_settings["enabled"]:
+        return None
+    return EventLog(*_time_sorted(_behavior_events(population, config)),
+                    users=population.user_ids, advertisers=(), bidders=(),
+                    seed=config.seed)
 
 
 def run_market(
@@ -390,9 +415,8 @@ def run_market(
     updates, at window ends).
 
     Up front, the ``requests`` stream draws every request's count, time
-    and topic, ``market`` every competitor bid, ``actions`` one uniform
-    per user and window, and ``behavior`` (when events are recorded or
-    an estimator is given) the behavioral events. Then each window:
+    and topic, ``market`` every competitor bid and ``actions`` one
+    uniform per user and window. Then each window:
 
     * With oracle bids (``estimator`` None), the window's requests whose
       group still bids and whose bid is positive are settled in one
@@ -400,15 +424,17 @@ def run_market(
       one ``ties`` flip per tie in request order; then ``clicks`` draws
       one uniform per won auction, in request order.
     * With an estimator, requests are priced one at a time, in time
-      order: each impression and click is observed before the same
-      user's next bid, and behavior events up to a request's time are
-      observed before it is priced. Each request is settled on its own,
-      and each win draws its click right away, so both streams are
-      consumed in the same order as on the oracle path.
+      order: each win is observed as an impression, and its click, if
+      any, as a click, before the same user's next bid. The estimator
+      is told nothing else. Each request is settled on its own, and each
+      win draws its click right away, so both streams are consumed in
+      the same order as on the oracle path.
     * At the window's end, every user's action is drawn, actions with a
       same-window impression are attributed, and each group bills them
-      at ``cpa`` while its spend is under budget. Actions are observed
-      in user order.
+      at ``cpa`` while its spend is under budget.
+
+    When events are recorded, the ``behavior`` stream draws the
+    behavioral events of :func:`behavior_log` into the log.
 
     Raises :class:`MarketInvariantError` when a clearing price exceeds
     the winning bid, or at a window end when a group's spend exceeds
@@ -452,7 +478,7 @@ def run_market(
 
     p, dp, bg = population.p, population.delta_p, population.background_rate
     rates = population.request_rate
-    click_rate = float(config.behavior.get("click_rate", 0.1))
+    click_rate = float(config.behavior_settings["click_rate"])
 
     # Independent streams: request counts and times never depend on how
     # the auctions played out, and action draws never depend on anything
@@ -514,25 +540,9 @@ def run_market(
     # with equal (ts, user, kind) always come from one kind's block, in
     # request order, so kind-by-kind blocks sort as row-by-row emission.
     blocks: list[np.ndarray] = []
-    observe = estimator.observe if estimator is not None else None
 
     # Window w's requests are window_starts[w]:window_starts[w + 1].
     window_starts = np.searchsorted(req_day, np.arange(n_windows + 1) * aw_days)
-
-    # Behavioral events come from their own stream and never depend on
-    # bidding, so they can be generated up front; a model-backed
-    # estimator consumes them chronologically alongside the auctions.
-    behavior = np.empty((len(FIELDS), 0), dtype=np.int64)
-    if config.behavior.get("enabled", True) and (record_events or estimator):
-        behavior = _time_sorted(_behavior_events(population, config))
-    feed: list[tuple[int, str, int, int]] = []  # (user, kind, ref, ts)
-    if estimator is not None:
-        # Each behavior event has a topic or an app; the other is -1.
-        feed = list(zip(behavior[1].tolist(),
-                        [EVENT_KINDS[k] for k in behavior[2].tolist()],
-                        np.maximum(behavior[4], behavior[5]).tolist(),
-                        behavior[0].tolist()))
-    fed = 0
 
     window_exposed = np.zeros(n, dtype=bool)
     for w in range(n_windows):
@@ -549,7 +559,7 @@ def run_market(
             won, price = settle_second_price(our, comp[kept], reserve, tie_rng)
             clicked = click_rng.random(int(np.count_nonzero(won))) < click_rate
         else:
-            # Impressions and clicks feed the estimator before the same
+            # The estimator learns each win and click before the same
             # user's next bid, so this path runs request by request.
             settled = []  # (request, bid, won, price)
             clicked = []  # one per win
@@ -559,9 +569,6 @@ def run_market(
                 if not bidding[g]:
                     continue
                 ts = int(req_ts[i])
-                while fed < len(feed) and feed[fed][3] <= ts:
-                    observe(*feed[fed])
-                    fed += 1
                 p_hat, dp_hat = estimator.estimate(u, ts, int(req_topic[i]))
                 bid = int(price_bids(bidders[g], p_hat, dp_hat))
                 if bid <= 0:
@@ -570,10 +577,10 @@ def run_market(
                     np.array([bid]), comp[i:i + 1], reserve, tie_rng)
                 settled.append((i, bid, won[0], price[0]))
                 if won[0]:
-                    observe(u, IMPRESSION, adv, ts)
+                    estimator.observe(u, IMPRESSION, adv, ts)
                     clicked.append(click_rng.random() < click_rate)
                     if clicked[-1]:
-                        observe(u, CLICK, adv, ts + 30)
+                        estimator.observe(u, CLICK, adv, ts + 30)
             kept, our, won, price = np.array(
                 settled, dtype=np.int64).reshape(-1, 4).T
             won = won.astype(bool)
@@ -618,9 +625,6 @@ def run_market(
         if record_events:
             blocks.append(_event_block(np.full(hit_users.size, end_ts),
                                        hit_users, KIND_CODE[ACTION], adv=0))
-        if observe:
-            for u in hit_users.tolist():
-                observe(u, ACTION, adv, end_ts)
         # Each billed action adds cpa, and billing goes on while spend is
         # under budget: a group bills ceil((budget - spend) / cpa) more.
         new_attributed = np.bincount(assignment[hits & window_exposed],
@@ -656,11 +660,13 @@ def run_market(
     ]
     log = None
     if record_events:
+        # Behavior comes from its own stream and never depends on bidding.
+        if config.behavior_settings["enabled"]:
+            blocks.append(_behavior_events(population, config))
         data = _time_sorted(np.concatenate([
             _event_block(req_ts, req_user, KIND_CODE[AD_REQUEST],
                          topic=req_topic),
             *blocks,
-            behavior,
         ], axis=1))
         log = EventLog(*data, users=population.user_ids, advertisers=(adv,),
                        bidders=(*labels, MARKET), seed=config.seed,
@@ -712,13 +718,13 @@ def _time_sorted(block: np.ndarray) -> np.ndarray:
 def _behavior_events(population: Population, config: WorldConfig) -> np.ndarray:
     """Page views, searches and app events drawn from per-user
     propensities, as an event block in draw order."""
-    bcfg = config.behavior
+    bcfg = config.behavior_settings
     n = len(population)
     days = config.horizon_days
     rng = rng_for(config.seed, "behavior")
     blocks = []
-    for kind, rate in ((PAGE_VIEW, bcfg.get("pv_rate", 2.0)),
-                       (SEARCH, bcfg.get("search_rate", 0.8))):
+    for kind, rate in ((PAGE_VIEW, bcfg["pv_rate"]),
+                       (SEARCH, bcfg["search_rate"])):
         # Draws per (user, day, topic) cell; each event gets a time of day.
         lam = rate * population.topic_weights
         topics = lam.shape[1]
@@ -735,7 +741,7 @@ def _behavior_events(population: Population, config: WorldConfig) -> np.ndarray:
     # its event days are its use days with the first one counted twice.
     # Pairs come in (user, app) order; each event draws a time of day.
     use_counts = rng.poisson(np.broadcast_to(
-        (bcfg.get("app_rate", 0.12) * population.app_weights)[:, None, :],
+        (bcfg["app_rate"] * population.app_weights)[:, None, :],
         (n, days, config.apps)))
     per_pair = use_counts.transpose(0, 2, 1).reshape(-1, days)
     pairs = np.flatnonzero(per_pair.any(axis=1))

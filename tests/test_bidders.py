@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from liftsim.attribution import partition_users
 from liftsim.bidders import (
-    BIDDER_KINDS, BidderConfig, CalibrationError, PopulationStats,
-    calibrate_beta, calibrate_equal_attribution,
+    BIDDER_KINDS, BidderConfig, CalibrationError, calibrate_beta, calibrate_equal_attribution,
     calibrate_equal_attribution_weighted, price_bids, split_weight_gap,
 )
 from liftsim.market import Population, dollars_to_micros
@@ -96,12 +95,12 @@ def test_price_bids_matches_python_rounding(kind, scale, xs):
 
 
 def test_calibrate_beta_examples():
-    stats = PopulationStats(mean_p=0.02, mean_delta_p=0.005, n=100)
-    assert calibrate_beta(stats, cpa=D(100.0)) == pytest.approx(D(400.0))
-    even = PopulationStats(mean_p=0.02, mean_delta_p=0.02, n=100)
+    users = _same_users(100, 0.02, 0.005)
+    assert calibrate_beta(users, cpa=D(100.0)) == pytest.approx(D(400.0))
+    even = _same_users(100, 0.02, 0.02)
     assert calibrate_beta(even, cpa=D(100.0)) == pytest.approx(D(100.0))
     with pytest.raises(CalibrationError):
-        calibrate_beta(PopulationStats(mean_p=0.02, mean_delta_p=0.0, n=10), D(100.0))
+        calibrate_beta(_same_users(10, 0.02, 0.0), D(100.0))
 
 
 def test_lift_side_sum_monotone_in_beta():

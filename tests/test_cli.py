@@ -1,12 +1,19 @@
 """CLI contracts: subcommands, exit codes, determinism, atomic output."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import liftsim.world
 from liftsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main
+from liftsim.liftmodel.features import FeatureSchema
+from liftsim.liftmodel.gbdt import GBDTModel
+from liftsim.liftmodel.isotonic import IsotonicMap
+from liftsim.liftmodel.pipeline import CalibratedModel
 
 TRAIN_WORLD = {
     "master_seed": 42,
@@ -45,6 +52,21 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def one_split_model(**tree):
+    """Model file text: one depth-1 tree, with ``tree``'s lists replacing
+    its own, on the schema of a 3-topic, 3-app world of ``adv1``."""
+    schema = FeatureSchema(("adv1",), topics=3, apps=3)
+    model = CalibratedModel(
+        schema=schema, gbdt=GBDTModel(-3.0, n_features=schema.n_features),
+        isotonic=IsotonicMap((0.0, 0.05), (0.02, 0.08)), prior_logit_shift=0.0,
+        feature_window_seconds=7 * 86_400).to_dict()
+    model["gbdt"]["trees"] = [{
+        "feature": [0, -1, -1], "threshold": [0.0, 0.0, 0.0],
+        "left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, -1.0, 1.0],
+        **tree}]
+    return json.dumps(model)
 
 
 def test_simulate_writes_log_and_summary(tmp_path, capsys):
@@ -281,6 +303,44 @@ def test_abtest_model_mode_runs(tmp_path):
     assert rep["groups"]["value"]["impressions"] > 0
 
 
+def model_abtest(behavior):
+    """A small model-priced abtest on the world of :func:`one_split_model`."""
+    return {"master_seed": 17, "abtest": {
+        "n_users": 150, "replications": 1, "horizon_days": 4,
+        "world_overrides": {"topics": 3, "behavior": behavior}}}
+
+
+def test_abtest_model_mode_reads_behavior_as_the_world_does(tmp_path):
+    # A behavior override without "enabled" leaves behavior on, as the
+    # world's defaults have it, so model-driven bidding can run.
+    model = tmp_path / "model.json"
+    model.write_text(one_split_model())
+    config = write_config(tmp_path, model_abtest({"pv_rate": 3.0}))
+    assert main(["abtest", "--config", str(config), "--bids", str(model),
+                 "--out-dir", str(tmp_path / "m")]) == EXIT_OK
+    rep = json.loads((tmp_path / "m" / "abtest_report.jsonl").read_text()
+                     .splitlines()[1])
+    assert rep["groups"]["lift"]["impressions"] > 0
+
+
+# Trees that would read another tree's nodes or a feature the rows lack,
+# loop forever, or broadcast a one-item list over the tree.
+@pytest.mark.parametrize("tree", [
+    {"value": [0.5]}, {"left": [99, -1, -1]}, {"left": [0, -1, -1]},
+    {"feature": [10**6, -1, -1]},
+], ids=["lists-differ", "child-outside", "child-loops", "feature-outside"])
+def test_abtest_malformed_tree_is_a_data_error(tmp_path, capsys, tree):
+    model = tmp_path / "model.json"
+    model.write_text(one_split_model(**tree))
+    config = write_config(tmp_path, model_abtest({"enabled": True}))
+    code = main(["abtest", "--config", str(config), "--bids", str(model),
+                 "--out-dir", str(tmp_path / "m")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "tree 0" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("content", [
     "not json",
     '{"format": "other"}',
@@ -367,3 +427,32 @@ def test_train_on_a_log_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     assert main(["train", "--config", str(config), "--log", str(log),
                  "--out-dir", str(tmp_path / "o")]) == EXIT_DATA
     assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {**TRAIN_WORLD, "world": {
+        **TRAIN_WORLD["world"], "behavior": {"enabled": True, "pv_rte": 3.0}}}),
+    ("abtest", {**AB_SMALL, "abtest": {
+        **AB_SMALL["abtest"], "world_overrides": {"behavior": {"pv_rte": 3.0}}}}),
+    ("abtest", {**AB_SMALL, "abtest": {
+        **AB_SMALL["abtest"], "world_overrides": {"pv_rte": 3.0}}}),
+], ids=["world.behavior", "abtest.world_overrides.behavior",
+        "abtest.world_overrides"])
+def test_unknown_world_key_is_a_config_error(tmp_path, capsys, command, payload):
+    code = main([command, "--config", str(write_config(tmp_path, payload)),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "pv_rte" in err
+    assert err.count("\n") == 1
+
+
+def test_importing_the_cli_loads_no_scipy_stats_or_optimize():
+    # Either one costs a large share of each CLI process's start-up time.
+    script = ("import sys, liftsim.cli; "
+              "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
+    src = Path(liftsim.world.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", script], cwd=src,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

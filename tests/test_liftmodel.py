@@ -1,6 +1,7 @@
 """Calibrated-model pipeline: training, prediction, serialization, streaming."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,10 +158,15 @@ def test_streaming_estimator_matches_offline_extraction():
     computed from a log-built extractor at the same timestamp."""
     model, _, _, population, schema, _ = trained_world_model()
     uid = population.user_ids[0]
-    estimator = ModelBidEstimator(model, population, "adv1")
-    estimator.observe(0, PAGE_VIEW, 1, 1 * DAY)
+    views = parse_log([
+        {"ts": 1 * DAY, "user": uid, "kind": PAGE_VIEW, "topic": 1},
+        {"ts": 3 * DAY, "user": uid, "kind": PAGE_VIEW, "topic": 0},
+    ])
+    with pytest.raises(ValueError):  # the log's users must be the population's
+        ModelBidEstimator(model, population, "adv1", views)
+    behavior = replace(views, users=population.user_ids)  # uid is code 0
+    estimator = ModelBidEstimator(model, population, "adv1", behavior)
     estimator.observe(0, IMPRESSION, "adv1", 2 * DAY)
-    estimator.observe(0, PAGE_VIEW, 0, 3 * DAY)
     ts = 3 * DAY + 1000
     p_hat, lift_hat = estimator.estimate(0, ts, topic_id=1)
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from liftsim.bidders import BidderConfig
-from liftsim.events import ACTION, AUCTION, BID, CLICK, IMPRESSION, KIND_CODE
+from liftsim.events import (
+    ACTION, AUCTION, BID, CLICK, EVENT_KINDS, IMPRESSION, KIND_CODE,
+)
 from liftsim.market import Campaign, dollars_to_micros, run_auction
 from liftsim.world import (
     WorldConfig, WorldConfigError, generate_population,
@@ -300,6 +302,41 @@ def test_oracle_window_step_matches_the_per_request_path(case, record_events):
         assert 0 < value.impressions < value.bids_placed
     if case == "spend_out":
         assert value.spent_out and lift.spent_out
+
+
+class RecordingEstimator(TruthEstimator):
+    """Truth estimates that record everything the market tells them."""
+
+    def __init__(self, population):
+        super().__init__(population)
+        self.seen = []
+
+    def observe(self, user_index, kind, ref, ts):
+        self.seen.append((user_index, kind, ref, ts))
+
+
+def test_the_market_tells_an_estimator_only_its_own_wins_and_clicks():
+    config = small_world(seed=27, n_users=240, horizon_days=6, behavior=True)
+    recorders = []
+
+    def recorder(population):
+        recorders.append(RecordingEstimator(population))
+        return recorders[-1]
+
+    run = _abc_run(config, estimator_factory=recorder)
+    log, seen = run.log, recorders[0].seen
+    assert {kind for _, kind, _, _ in seen} == {IMPRESSION, CLICK}
+    assert {ref for _, _, ref, _ in seen} == {"adv1"}
+    # Every impression and click in the log is one of our groups' wins.
+    rows = np.flatnonzero(np.isin(log.kind, [KIND_CODE[IMPRESSION],
+                                             KIND_CODE[CLICK]]))
+    assert (log.bidder[rows] < len(run.groups)).all()
+    assert sorted(seen) == sorted(
+        (int(log.user[i]), EVENT_KINDS[log.kind[i]], log.advertisers[log.adv[i]],
+         int(log.ts[i])) for i in rows)
+    for user in {u for u, _, _, _ in seen}:
+        times = [ts for u, _, _, ts in seen if u == user]
+        assert times == sorted(times)
 
 
 def test_exposure_changes_only_action_probability():
