@@ -3,7 +3,6 @@
 from .features import (  # noqa: F401
     MOST_RECENT_BUCKET,
     NEVER_BUCKET,
-    FeatureExtractor,
     FeatureSchema,
     UserHistory,
     counterfactual_features,

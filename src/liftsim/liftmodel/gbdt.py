@@ -22,6 +22,7 @@ in tree order, so it is the same bits however many rows are scored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -74,38 +75,47 @@ def _stack(trees: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _leaf_values(trees: np.ndarray, Xb: np.ndarray) -> np.ndarray:
-    """(rows, trees) leaf values: all trees step down one level at a time
-    until every row is on a leaf, at most ``max_depth`` levels for a
-    fitted model and as deep as a loaded tree goes.
-
-    Node ids are flat indices into ``trees``; a leaf steps to itself.
-    """
+def _traversal(trees: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each tree's root, then per node: splits?, left and right child,
+    feature, threshold, value. Node ids are flat indices into ``trees``;
+    a leaf steps to itself."""
     leaf = trees["feature"] < 0
     own = np.arange(trees.size).reshape(trees.shape)
     offset = own[:, :1]
-    left = np.where(leaf, own, trees["left"] + offset).ravel()
-    right = np.where(leaf, own, trees["right"] + offset).ravel()
-    feature = np.where(leaf, 0, trees["feature"]).ravel()
-    threshold = trees["threshold"].ravel()
-    node = np.broadcast_to(offset.T, (len(Xb), len(trees)))
+    return (offset.ravel(), ~leaf.ravel(),
+            np.where(leaf, own, trees["left"] + offset).ravel(),
+            np.where(leaf, own, trees["right"] + offset).ravel(),
+            np.where(leaf, 0, trees["feature"]).ravel(),
+            trees["threshold"].ravel(), trees["value"].ravel())
+
+
+def _leaf_values(tables: tuple[np.ndarray, ...], Xb: np.ndarray) -> np.ndarray:
+    """(rows, trees) leaf values: all trees step down one level at a time
+    until every row is on a leaf, at most ``max_depth`` levels for a
+    fitted model and as deep as a loaded tree goes."""
+    roots, internal, left, right, feature, threshold, value = tables
+    node = np.broadcast_to(roots, (len(Xb), len(roots)))
     rows = np.arange(len(Xb))[:, None]
-    internal = ~leaf.ravel()
     while internal[node].any():
         go_left = Xb[rows, feature[node]] <= threshold[node]
         node = np.where(go_left, left[node], right[node])
-    return trees["value"].ravel()[node]
+    return value[node]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GBDTModel:
-    """Boosted ensemble producing raw log-odds scores."""
+    """Boosted ensemble producing raw log-odds scores; frozen, so ``trees``
+    cannot change under the traversal tables built on the first score."""
 
     base_score: float
     trees: np.ndarray = field(default_factory=lambda: _stack([]))
     params: GBDTParams = field(default_factory=GBDTParams)
     seed: int = 0
     n_features: int = 0
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        return _traversal(self.trees)
 
     def raw_score(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -118,7 +128,7 @@ class GBDTModel:
             chunk = Xb[start:start + SCORE_CHUNK_ROWS]
             terms = np.column_stack([
                 np.full(len(chunk), self.base_score),
-                _leaf_values(self.trees, chunk)])
+                _leaf_values(self._tables, chunk)])
             out[start:start + len(chunk)] = np.cumsum(terms, axis=1)[:, -1]
         return out
 
@@ -281,6 +291,6 @@ def train_gbdt(
             rows = np.arange(n)
         tree = _grow(cells, Xb, g, h, rows, params)
         trees.append(tree)
-        scores += _leaf_values(tree[None], Xb)[:, 0]
+        scores += _leaf_values(_traversal(tree[None]), Xb)[:, 0]
     return GBDTModel(base_score=base, trees=_stack(trees), params=params,
                      seed=seed, n_features=X.shape[1])

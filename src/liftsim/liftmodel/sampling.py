@@ -1,14 +1,15 @@
-"""Training-sample generation from simulated timelines.
+"""Training-sample generation from simulated timelines, in two steps.
 
-Samples come from the whole population, not just from impression or
-click events: a user is drawn with probability proportional to its
-ad-request frequency, a timestamp is drawn uniformly on the timeline
-span, and the sample is labeled positive iff the user has at least one
-action inside the action window ``(ts, ts + aw]``. Features are
-computed from the feature window ``(ts - fw, ts]`` only.
+First the draws. Samples come from the whole population, not just from
+impression or click events: a user is drawn with probability
+proportional to its ad-request frequency, a timestamp is drawn
+uniformly on the timeline span, and the sample is labeled positive iff
+the user has at least one action inside the action window
+``(ts, ts + aw]``. Drawing stops once the positive count is sufficient
+or every action event has appeared in at least one sample window.
 
-Generation stops once the positive count is sufficient or every action
-event has appeared in at least one sample window.
+Then one columnar pass, :func:`~.features.window_features`, builds every
+sample's features from the feature window ``(ts - fw, ts]`` only.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from ..events import ACTION, AD_REQUEST, KIND_CODE, EventLog
 from ..fileio import atomic_write_text
 from ..market import Population
 from ..seeds import rng_for
-from .features import FeatureExtractor, FeatureSchema
+from .features import FeatureSchema, window_features
 
 
 class SamplingError(ValueError):
@@ -79,7 +80,6 @@ def generate_samples(
 
     codes = sorted(np.flatnonzero(request_counts).tolist(),
                    key=log.users.__getitem__)
-    users = [log.users[code] for code in codes]
     weights = request_counts[codes].astype(float)
     weights /= weights.sum()
 
@@ -89,12 +89,10 @@ def generate_samples(
     if ts_hi <= span_lo:
         raise SamplingError("timeline shorter than one action window")
 
-    extractor = FeatureExtractor(log, population, schema)
     rng = rng_for(config.seed, "samples")
     aw = config.action_window_seconds
-    fw = config.feature_window_seconds
 
-    samples: list[TrainingSample] = []
+    drawn: list[tuple[int, int, bool]] = []  # (user code, ts, label)
     covered: set[tuple[str, int]] = set()
     positives = 0
     draws = 0
@@ -107,12 +105,11 @@ def generate_samples(
                 f"draw budget exhausted after {draws} draws with "
                 f"{positives} positives; lower target_positive_count or "
                 "enlarge the world")
-        picks = rng.choice(len(users), size=batch, p=weights)
+        picks = rng.choice(len(codes), size=batch, p=weights)
         stamps = rng.integers(span_lo, ts_hi + 1, size=batch)
-        for pick, ts in zip(picks, stamps):
+        for pick, ts in zip(picks.tolist(), stamps.tolist()):
             draws += 1
-            user_id = users[int(pick)]
-            ts = int(ts)
+            user_id = log.users[codes[pick]]
             times = action_times.get(user_id, ())
             lo = bisect.bisect_right(times, ts)
             hi = bisect.bisect_right(times, ts + aw)
@@ -121,12 +118,14 @@ def generate_samples(
                 positives += 1
                 for t in times[lo:hi]:
                     covered.add((user_id, t))
-            samples.append(TrainingSample(
-                user_id=user_id, ts=ts, label=label,
-                features=extractor.features(user_id, ts, fw)))
+            drawn.append((codes[pick], ts, label))
             if positives >= config.target_positive_count or covered >= action_ids:
                 break
-    return samples
+    user_codes, sample_ts, labels = zip(*drawn) if drawn else ((), (), ())
+    X = window_features(log, population, schema, user_codes, sample_ts,
+                        config.feature_window_seconds)
+    return [TrainingSample(log.users[code], ts, label, row)
+            for code, ts, label, row in zip(user_codes, sample_ts, labels, X)]
 
 
 def samples_to_matrix(samples: Iterable[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:

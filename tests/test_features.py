@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from event_records import parse_log
-from liftsim.events import CLICK, IMPRESSION, PAGE_VIEW, SEARCH
+from liftsim.events import (
+    AD_REQUEST, APP_INSTALL, APP_USE, CLICK, IMPRESSION, PAGE_VIEW, SEARCH,
+)
 from liftsim.liftmodel.features import (
-    MOST_RECENT_BUCKET, NEVER_BUCKET, FeatureExtractor, FeatureSchema,
-    counterfactual_features, fold_context, recency_bucket,
+    MOST_RECENT_BUCKET, NEVER_BUCKET, RECENCY_EDGES, FeatureSchema,
+    counterfactual_features, extract_from_history, fold_context, histories,
+    recency_bucket, window_features,
 )
 from liftsim.market import Population
 
@@ -27,6 +31,12 @@ def users(n=1, age=4, gender=1, geo=7):
                       app_weights=np.full((n, 2), 0.3),
                       age_group=np.full(n, age), gender=np.full(n, gender),
                       geo_area=np.full(n, geo))
+
+
+def features_at(log, population, s, uid, ts, fw):
+    """The ``window_features`` row of one (user, ts) sample."""
+    return window_features(log, population, s, [log.users.index(uid)], [ts],
+                           fw)[0]
 
 
 def test_schema_layout_and_digest():
@@ -55,7 +65,7 @@ def test_impression_frequency_counts_window_events():
          "bidder": "value", "price": 1}
         for hours, adv in ((2, "adv1"), (3, "adv1"), (4, "adv1"), (5, "adv2"))
     ]
-    f = FeatureExtractor(parse_log(events), users(), s).features(U0, ts, 7 * DAY)
+    f = features_at(parse_log(events), users(), s, U0, ts, 7 * DAY)
     assert f[s.index("imp_freq_adv:adv1")] == 3
     assert f[s.index("imp_freq_adv:adv2")] == 1
     assert f[s.index("imp_rncy_adv:adv1")] == 1  # 2h ago -> <=6h bucket
@@ -75,7 +85,7 @@ def test_window_boundaries_are_half_open():
         {"ts": ts, "user": U0, "kind": SEARCH, "topic": 2},
         {"ts": ts + 1, "user": U0, "kind": SEARCH, "topic": 2},
     ]
-    f = FeatureExtractor(parse_log(events), users(), s).features(U0, ts, fw)
+    f = features_at(parse_log(events), users(), s, U0, ts, fw)
     assert f[s.index("pv_freq_topic:0")] == 0  # exactly ts - fw is outside
     assert f[s.index("pv_freq_topic:1")] == 1
     assert f[s.index("srch_freq_topic:2")] == 1  # ts itself is inside
@@ -83,8 +93,9 @@ def test_window_boundaries_are_half_open():
 
 
 def test_unknown_user_raises():
+    log = parse_log([{"ts": 0, "user": "ghost", "kind": PAGE_VIEW, "topic": 0}])
     with pytest.raises(KeyError):
-        FeatureExtractor(parse_log([]), users(), schema()).features("ghost", 0, DAY)
+        window_features(log, users(), schema(), [0], [DAY], DAY)
 
 
 def test_features_match_brute_force_scan():
@@ -107,14 +118,15 @@ def test_features_match_brute_force_scan():
                        "user": population.user_ids[rng.integers(5)],
                        "kind": kind, **event})
     log = parse_log(events)
-    extractor = FeatureExtractor(log, population, s)
     from liftsim.liftmodel.features import recency_bucket as bucket
 
-    for _ in range(50):
-        uid = population.user_ids[rng.integers(5)]
-        ts = int(rng.integers(DAY, 14 * DAY))
-        fw = 7 * DAY
-        got = extractor.features(uid, ts, fw)
+    fw = 7 * DAY
+    probes = [(population.user_ids[rng.integers(5)],
+               int(rng.integers(DAY, 14 * DAY))) for _ in range(50)]
+    rows = window_features(log, population, s,
+                           [log.users.index(uid) for uid, _ in probes],
+                           [ts for _, ts in probes], fw)
+    for (uid, ts), got in zip(probes, rows):
         for kind, fieldname, refs, prefix in kinds:
             for ref in refs:
                 window = [e for e in events
@@ -129,9 +141,121 @@ def test_features_match_brute_force_scan():
                     assert rncy == NEVER_BUCKET
 
 
+# Tracked kinds with refs in and outside ``schema()``: advertiser adv3,
+# topic 3 and app 2 are not in it, and None leaves the ref out.
+TRACKED_REFS = [
+    (IMPRESSION, "adv", ["adv1", "adv2", "adv3", None]),
+    (CLICK, "adv", ["adv1", "adv2", "adv3", None]),
+    (PAGE_VIEW, "topic", [0, 1, 2, 3, None]),
+    (SEARCH, "topic", [0, 1, 2, 3, None]),
+    (APP_INSTALL, "app", [0, 1, 2, None]),
+    (APP_USE, "app", [0, 1, 2, None]),
+]
+
+
+def world_log(events, n_users=4):
+    """A log with one ad request per user, so every user has a code, plus
+    the tracked ``events`` as (user row, kind, ref, ts). The requests come
+    in reverse user order, so log codes are not population rows."""
+    records = [{"ts": n_users - i, "user": f"u{i:06d}", "kind": AD_REQUEST,
+                "topic": 0} for i in range(n_users)]
+    for user, kind, field, ref, ts in events:
+        record = {"ts": ts, "user": f"u{user:06d}", "kind": kind}
+        if ref is not None:
+            record[field] = ref
+        if kind in (IMPRESSION, CLICK):
+            record["bidder"] = "value"
+        records.append(record)
+    return parse_log(records)
+
+
+def assert_rows_match_reference(log, population, s, samples, fw):
+    """``window_features`` equals ``extract_from_history`` over
+    ``histories(log)``, row by row and bit for bit."""
+    codes = [log.users.index(uid) for uid, _ in samples]
+    got = window_features(log, population, s, codes, [ts for _, ts in samples],
+                          fw)
+    assert got.shape == (len(samples), s.n_features)
+    per_user = histories(log)
+    for (uid, ts), code, row in zip(samples, codes, got):
+        demographics = population.demographics[population.row_of[uid]].tolist()
+        want = extract_from_history(per_user[code], demographics, ts, fw, s)
+        assert row.tobytes() == want.tobytes(), (uid, ts)
+
+
+def distinct_users(n=4):
+    """Users whose demographics differ, so a row mix-up shows."""
+    return Population(p=np.full(n, 0.02), delta_p=np.full(n, 0.01),
+                      age_group=np.arange(n), gender=np.arange(n) % 2,
+                      geo_area=np.arange(n) * 3)
+
+
+def test_window_features_edge_cases_match_the_reference():
+    s = schema()
+    population = distinct_users(7)
+    ts, fw = 10 * DAY, 8 * DAY
+    events = [(0, PAGE_VIEW, "topic", 0, ts - fw),  # out: exactly ts - fw
+              (0, SEARCH, "topic", 0, ts),  # in: exactly ts
+              (0, IMPRESSION, "adv", "adv3", ts),  # advertiser not in schema
+              (0, PAGE_VIEW, "topic", 3, ts),  # topic not in schema
+              (0, PAGE_VIEW, "topic", 10**15, ts),  # far outside it
+              (0, APP_USE, "app", 2, ts),  # app not in schema
+              (0, IMPRESSION, "adv", None, ts),  # no advertiser
+              (0, SEARCH, "topic", None, ts),  # no topic
+              (0, CLICK, "adv", "adv1", ts + 1)]  # after ts
+    # User 1 + k has one impression, sampled when it is exactly the k-th
+    # recency edge old and one second older. User 6 has no tracked events.
+    events += [(1 + k, IMPRESSION, "adv", "adv1", 20 * DAY - edge)
+               for k, edge in enumerate(RECENCY_EDGES)]
+    log = world_log(events, n_users=7)
+    samples = [(U0, ts), ("u000006", ts)]
+    samples += [(f"u{1 + k:06d}", 20 * DAY + late)
+                for k in range(len(RECENCY_EDGES)) for late in (0, 1)]
+    assert_rows_match_reference(log, population, s, samples, fw)
+
+    row = features_at(log, population, s, U0, ts, fw)
+    assert row[s.index("pv_freq_topic:0")] == 0
+    assert row[s.index("srch_freq_topic:0")] == 1
+    assert row[s.index("srch_rncy_topic:0")] == MOST_RECENT_BUCKET
+    assert row[s.index("clk_freq_adv:adv1")] == 0
+    for k in range(len(RECENCY_EDGES)):
+        for late in (0, 1):
+            row = features_at(log, population, s, f"u{1 + k:06d}",
+                              20 * DAY + late, fw)
+            assert row[s.index("imp_freq_adv:adv1")] == 1
+            assert row[s.index("imp_rncy_adv:adv1")] == k + late
+    # A log with no tracked events at all.
+    quiet = world_log([])
+    assert_rows_match_reference(quiet, population, s,
+                                [(uid, DAY) for uid in quiet.users], fw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), fw=st.sampled_from([DAY, 7 * DAY, 8 * DAY]))
+def test_window_features_match_the_per_user_reference(data, fw):
+    """Random small logs whose event ages cluster on the window edges and
+    the recency edges; users 0-2 have tracked events, user 3 none."""
+    anchors = data.draw(st.lists(st.integers(9 * DAY, 10 * DAY), min_size=1,
+                                 max_size=3))
+    ages = st.sampled_from([-1, 0, 1, fw - 1, fw, fw + 1, *RECENCY_EDGES,
+                            *(edge + 1 for edge in RECENCY_EDGES)])
+    events = data.draw(st.lists(st.tuples(
+        st.integers(0, 2), st.sampled_from(TRACKED_REFS), st.integers(0, 4),
+        st.sampled_from(anchors), ages | st.integers(-DAY, fw + DAY)),
+        max_size=40))
+    log = world_log([(user, kind, field, refs[i % len(refs)], anchor - age)
+                     for user, (kind, field, refs), i, anchor, age in events])
+    samples = data.draw(st.lists(st.tuples(
+        st.sampled_from(log.users),
+        st.sampled_from(anchors) | st.integers(8 * DAY, 11 * DAY)),
+        min_size=1, max_size=8))
+    assert_rows_match_reference(log, distinct_users(), schema(), samples, fw)
+
+
 def test_fold_context_sets_topic_recency():
     s = schema()
-    f = FeatureExtractor(parse_log([]), users(), s).features(U0, DAY, DAY)
+    log = parse_log([{"ts": 0, "user": U0, "kind": AD_REQUEST, "topic": 0}])
+    f = features_at(log, users(), s, U0, DAY, DAY)
     folded = fold_context(f, 2, s)
     assert folded[s.index("pv_rncy_topic:2")] == MOST_RECENT_BUCKET
     assert np.flatnonzero(folded != f).tolist() == [s.index("pv_rncy_topic:2")]

@@ -10,8 +10,8 @@ from liftsim.bidders import BidderConfig
 from event_records import parse_log
 from liftsim.events import IMPRESSION, PAGE_VIEW
 from liftsim.liftmodel.features import (
-    FeatureExtractor, FeatureSchema, UserHistory, extract_from_history,
-    counterfactual_features, fold_context,
+    FeatureSchema, UserHistory, counterfactual_features, fold_context,
+    window_features,
 )
 from liftsim.liftmodel.gbdt import GBDTModel, GBDTParams, TrainingError
 from liftsim.liftmodel.isotonic import IsotonicMap
@@ -100,11 +100,10 @@ def test_predict_lift_is_the_definitional_difference():
 
 def test_trained_model_sees_positive_mean_lift():
     model, report, log, population, schema, _ = trained_world_model()
-    extractor = FeatureExtractor(log, population, schema)
-    lifts = []
-    for uid in population.user_ids[:150]:
-        f = extractor.features(uid, 12 * DAY, 7 * DAY)
-        lifts.append(predict_lift(model, f, "adv1"))
+    codes = [log.users.index(uid) for uid in population.user_ids[:150]]
+    rows = window_features(log, population, schema, codes,
+                           [12 * DAY] * len(codes), 7 * DAY)
+    lifts = [predict_lift(model, f, "adv1") for f in rows]
     assert np.mean(lifts) > 0
     assert not report.isotonic_degenerate
 
@@ -176,8 +175,8 @@ def test_streaming_estimator_matches_offline_extraction():
          "bidder": "value", "price": 100},
         {"ts": 3 * DAY, "user": uid, "kind": PAGE_VIEW, "topic": 0},
     ])
-    f = FeatureExtractor(log, population, schema).features(
-        uid, ts, model.feature_window_seconds)
+    f = window_features(log, population, schema, [0], [ts],
+                        model.feature_window_seconds)[0]
     folded = fold_context(f, 1, schema)
     shown = counterfactual_features(folded, "adv1", schema)
     assert p_hat == pytest.approx(model.predict_ar(shown)[0], abs=0)

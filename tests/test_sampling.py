@@ -7,7 +7,9 @@ from scipy.stats import chisquare
 from liftsim.bidders import BidderConfig
 from event_records import parse_log
 from liftsim.events import ACTION, AD_REQUEST, FIELDS, EventLog
-from liftsim.liftmodel.features import FeatureSchema
+from liftsim.liftmodel.features import (
+    FeatureSchema, extract_from_history, histories,
+)
 from liftsim.liftmodel.sampling import (
     SamplingConfig, SamplingError, generate_samples,
 )
@@ -147,7 +149,8 @@ def test_sampling_is_deterministic():
 
 
 def test_leakage_freedom_on_simulated_world():
-    """Features recomputed from a log truncated at ts are identical."""
+    """Sample rows, which ``window_features`` builds from the whole log,
+    equal the per-user reference on the log truncated at each sample's ts."""
     config = WorldConfig(n_users=60, seed=9, horizon_days=8,
                          behavior={"enabled": True, "correlation": 0.8})
     population = generate_population(config)
@@ -163,7 +166,6 @@ def test_leakage_freedom_on_simulated_world():
                                  target_positive_count=40, seed=10)
     samples = generate_samples(log, population, samp_config, schema)
     assert samples
-    from liftsim.liftmodel.features import FeatureExtractor
 
     rng = np.random.default_rng(0)
     probe = rng.choice(len(samples), size=min(60, len(samples)), replace=False)
@@ -173,6 +175,8 @@ def test_leakage_freedom_on_simulated_world():
         truncated = EventLog(
             *(getattr(log, name)[keep] for name in FIELDS), users=log.users,
             advertisers=log.advertisers, bidders=log.bidders)
-        again = FeatureExtractor(truncated, population, schema).features(
-            s.user_id, s.ts, samp_config.feature_window_seconds)
-        assert np.array_equal(s.features, again)
+        again = extract_from_history(
+            histories(truncated)[log.users.index(s.user_id)],
+            population.demographics[population.row_of[s.user_id]].tolist(),
+            s.ts, samp_config.feature_window_seconds, schema)
+        assert s.features.tobytes() == again.tobytes()
