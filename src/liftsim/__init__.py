@@ -12,7 +12,6 @@ timelines.
 __version__ = "0.1.0"
 
 from .market import (  # noqa: F401
-    AuctionResult,
     Campaign,
     LIFT_BIDDER,
     Population,

@@ -48,7 +48,6 @@ _SCHEMA: dict[str, set[str] | None] = {
     },
     "sampling": {
         "action_window_days", "feature_window_days", "target_positive_count",
-        "max_draws",
     },
     "model": {
         "n_trees", "max_depth", "learning_rate", "subsample", "reg_lambda",

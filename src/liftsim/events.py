@@ -23,7 +23,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .fileio import atomic_write_text
 
 FORMAT_NAME = "liftsim.events"
 FORMAT_VERSION = 1
@@ -107,9 +106,6 @@ class EventLog:
         lines += [f'{{"ts":{ts}{user}{kind}{adv}{topic}{app}{bidder}{price}}}'
                   for ts, user, kind, adv, topic, app, bidder, price in parts]
         return "\n".join(lines) + "\n"
-
-    def write(self, path: str | Path) -> None:
-        atomic_write_text(path, self.dumps())
 
     @classmethod
     def read(cls, path: str | Path) -> "EventLog":

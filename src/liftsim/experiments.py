@@ -80,27 +80,21 @@ def _play_strategy(
     competitor: int,
     cpa: int,
 ) -> StrategyOutcome:
-    """One auction per user; ``ids`` name the users in the report."""
-    won = np.zeros(len(users), dtype=bool)
-    cost = 0
-    for i, bid in enumerate(bids):
-        result = run_auction([(name, bid), ("market", competitor)], reserve=0)
-        if result.winner == name:
-            won[i] = True
-            cost += result.clearing_price
+    """One auction per user, settled in one call; ``ids`` name the users
+    in the report. The example's bids never tie, so the tie stream is a
+    fixed one."""
+    won, price = run_auction(np.array(bids), np.full(len(bids), competitor),
+                             0, np.random.default_rng(0))
     expected = sum(np.where(won, users.p, users.background_rate).tolist())
     revenue = sum(round(cpa * p) for p in users.p[won].tolist())
     return StrategyOutcome(
         strategy=name, bids=dict(zip(ids, bids)),
         won_users=tuple(uid for uid, w in zip(ids, won) if w),
-        expected_actions=expected, dsp_revenue=revenue, inventory_cost=cost)
+        expected_actions=expected, dsp_revenue=revenue,
+        inventory_cost=int(price[won].sum()))
 
 
-def run_worked_example(
-    cpa_dollars: float = EXAMPLE_CPA_DOLLARS,
-    lift_scale_dollars: float = EXAMPLE_LIFT_SCALE_DOLLARS,
-    competitor_dollars: float = EXAMPLE_COMPETITOR_DOLLARS,
-) -> WorkedExampleReport:
+def run_worked_example() -> WorkedExampleReport:
     """Exact two-user market: one auction per user against a fixed bid.
 
     The value strategy prices each user at cpa * p; the lift strategy at
@@ -109,9 +103,9 @@ def run_worked_example(
     competitor's (second) price.
     """
     users = EXAMPLE_USERS
-    cpa = dollars_to_micros(cpa_dollars)
-    scale = dollars_to_micros(lift_scale_dollars)
-    competitor = dollars_to_micros(competitor_dollars)
+    cpa = dollars_to_micros(EXAMPLE_CPA_DOLLARS)
+    scale = dollars_to_micros(EXAMPLE_LIFT_SCALE_DOLLARS)
+    competitor = dollars_to_micros(EXAMPLE_COMPETITOR_DOLLARS)
 
     def play(name: str, bidder: BidderConfig) -> StrategyOutcome:
         bids = price_bids(bidder, users.p, users.delta_p).tolist()
@@ -127,6 +121,9 @@ def run_worked_example(
 # Dominance verification sweeps
 # ---------------------------------------------------------------------------
 
+MAX_ATTEMPTS_PER_INSTANCE = 50  # world draws before an instance gives up
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Random-population sweep for the dominance checks."""
@@ -140,7 +137,6 @@ class SweepConfig:
     mode: str = "both"          # simple | generalized | both
     mc_instances: int = 10      # simple-mode instances to cross-check
     mc_trials: int = 10_000
-    max_attempts_per_instance: int = 50
 
     def __post_init__(self) -> None:
         if self.n_instances < 1:
@@ -224,20 +220,16 @@ def _mc_cross_check(
     """Monte-Carlo estimate of the accounting ratios on the same market.
 
     Winners are decided by real second-price auctions over the two
-    micro-rounded bids; action outcomes are Bernoulli draws at rate p
-    for the winner's side and the background rate otherwise.
+    micro-rounded bids, all users settled in one call that breaks ties
+    from one stream per instance; when both bids are 0 nobody wins.
+    Action outcomes are Bernoulli draws at rate p for the winner's side
+    and the background rate otherwise.
     """
     p, dp, bg = population.p, population.delta_p, population.background_rate
-    value_bids = price_bids(BidderConfig(VALUE, alpha=alpha), p, dp).tolist()
-    lift_bids = price_bids(BidderConfig(LIFT, beta=beta), p, dp).tolist()
-    winners = [
-        run_auction([(VALUE_BIDDER, value_bid), (LIFT_BIDDER, lift_bid)],
-                    reserve=0, rng_seed=derive_seed(seed, "tie", uid)).winner
-        for uid, value_bid, lift_bid in zip(
-            population.user_ids, value_bids, lift_bids)
-    ]
-    value_side = np.array([w == VALUE_BIDDER for w in winners], dtype=bool)
-    lift_side = np.array([w == LIFT_BIDDER for w in winners], dtype=bool)
+    value_bids = price_bids(BidderConfig(VALUE, alpha=alpha), p, dp)
+    lift_bids = price_bids(BidderConfig(LIFT, beta=beta), p, dp)
+    value_side, _ = run_auction(value_bids, lift_bids, 0, rng_for(seed, "tie"))
+    lift_side = ~value_side & (lift_bids > 0)
 
     p_j, bg_j = p[value_side], bg[value_side]
     p_k, bg_k = p[lift_side], bg[lift_side]
@@ -302,7 +294,7 @@ def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
         report = VerificationSweepReport(mode=mode,
                                          n_instances=config.n_instances)
         for i in range(config.n_instances):
-            for attempt in range(config.max_attempts_per_instance):
+            for attempt in range(MAX_ATTEMPTS_PER_INSTANCE):
                 seed = derive_seed(config.master_seed, "sweep", mode, i, attempt)
                 population = _sweep_world(config.n_users, seed)
                 if simple:

@@ -27,7 +27,7 @@ from .features import (
 )
 from .gbdt import GBDTModel, GBDTParams, TrainingError, train_gbdt
 from .isotonic import IsotonicMap, fit_isotonic
-from .sampling import TrainingSample, samples_to_matrix
+from .sampling import TrainingSample
 
 MODEL_FORMAT = "liftsim.model"
 MODEL_VERSION = 1
@@ -191,12 +191,14 @@ def train_calibrated_model(
     n_holdout = max(1, int(round(params.holdout_fraction * len(shuffled))))
     holdout_users = set(shuffled[:n_holdout])
 
-    fit_samples = [s for s in samples if s.user_id not in holdout_users]
-    holdout_samples = [s for s in samples if s.user_id in holdout_users]
-    if not fit_samples or not holdout_samples:
+    X = np.array([s.features for s in samples])
+    y = np.array([s.label for s in samples], dtype=float)
+    holdout = np.array([s.user_id in holdout_users for s in samples])
+    n_holdout_samples = int(np.count_nonzero(holdout))
+    if n_holdout_samples in (0, len(samples)):
         raise TrainingError("user split left an empty side; need more users")
 
-    X_fit, y_fit = samples_to_matrix(fit_samples)
+    X_fit, y_fit = X[~holdout], y[~holdout]
     pos_idx = np.nonzero(y_fit > 0)[0]
     neg_idx = np.nonzero(y_fit <= 0)[0]
     if pos_idx.size == 0 or neg_idx.size == 0:
@@ -212,7 +214,7 @@ def train_calibrated_model(
 
     gbdt = train_gbdt(X_fit[rows], y_fit[rows], params.gbdt, seed=seed)
 
-    X_cal, y_cal = samples_to_matrix(holdout_samples)
+    X_cal, y_cal = X[holdout], y[holdout]
     raw = gbdt.raw_score(X_cal) + prior_shift
     prob = 1.0 / (1.0 + np.exp(-raw))
     isotonic = fit_isotonic(prob, y_cal)
@@ -226,8 +228,8 @@ def train_calibrated_model(
         metadata={
             "seed": seed,
             "n_samples": len(samples),
-            "n_fit": len(fit_samples),
-            "n_holdout_samples": len(holdout_samples),
+            "n_fit": len(samples) - n_holdout_samples,
+            "n_holdout_samples": n_holdout_samples,
             "n_holdout_users": len(holdout_users),
             "holdout_users": sorted(holdout_users),
             "positives_fit": int(pos_idx.size),

@@ -27,6 +27,10 @@ from ..seeds import rng_for
 from .features import FeatureSchema, window_features
 
 
+# Draws allowed per targeted positive before sampling gives up.
+DRAWS_PER_POSITIVE = 400
+
+
 class SamplingError(ValueError):
     """Raised when a log cannot support sample generation."""
 
@@ -36,7 +40,6 @@ class SamplingConfig:
     action_window_seconds: int = 2 * 86_400
     feature_window_seconds: int = 7 * 86_400
     target_positive_count: int = 5_000
-    max_draws: int | None = None  # default: 400 * target_positive_count
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -46,10 +49,6 @@ class SamplingConfig:
             raise ValueError("feature window must be positive")
         if self.target_positive_count <= 0:
             raise ValueError("target_positive_count must be positive")
-
-    @property
-    def draw_budget(self) -> int:
-        return self.max_draws or 400 * self.target_positive_count
 
 
 class TrainingSample(NamedTuple):
@@ -91,6 +90,7 @@ def generate_samples(
 
     rng = rng_for(config.seed, "samples")
     aw = config.action_window_seconds
+    draw_budget = DRAWS_PER_POSITIVE * config.target_positive_count
 
     drawn: list[tuple[int, int, bool]] = []  # (user code, ts, label)
     covered: set[tuple[str, int]] = set()
@@ -100,7 +100,7 @@ def generate_samples(
     # Stop at the positive target, or once every action is in a window
     # (at once when there are no actions).
     while positives < config.target_positive_count and not covered >= action_ids:
-        if draws >= config.draw_budget:
+        if draws >= draw_budget:
             raise SamplingError(
                 f"draw budget exhausted after {draws} draws with "
                 f"{positives} positives; lower target_positive_count or "
@@ -126,14 +126,6 @@ def generate_samples(
                         config.feature_window_seconds)
     return [TrainingSample(log.users[code], ts, label, row)
             for code, ts, label, row in zip(user_codes, sample_ts, labels, X)]
-
-
-def samples_to_matrix(samples: Iterable[TrainingSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack samples into (X, y) arrays for training."""
-    samples = list(samples)
-    X = np.stack([s.features for s in samples])
-    y = np.array([s.label for s in samples], dtype=float)
-    return X, y
 
 
 def export_samples(samples: Iterable[TrainingSample], path) -> None:

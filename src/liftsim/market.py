@@ -11,10 +11,13 @@ Conventions used across the package:
   per attribute (action rate, lift, request rate, behavioral weights,
   demographics). Accounting, bid pricing and the simulator read whole
   columns.
+* Every second-price auction in the package, from the worked example
+  to the market simulator, is settled by :func:`run_auction`: one call
+  settles an array of our-bid-against-one-competitor auctions.
 
 All types are immutable values (population columns are read-only
 arrays) and all operations are pure functions of their inputs plus an
-explicit seed, so they are safe under concurrency.
+explicit seed or generator, so they are safe under concurrency.
 """
 from __future__ import annotations
 
@@ -136,66 +139,7 @@ class Population:
         return np.column_stack((self.age_group, self.gender, self.geo_area))
 
 
-@dataclass(frozen=True)
-class AuctionResult:
-    """Outcome of one second-price auction.
-
-    ``winner`` is None when no bid exceeds the reserve. ``clearing_price``
-    is the highest losing bid or the reserve, whichever is greater.
-    """
-
-    winner: str | None
-    clearing_price: int
-    losing_bids: tuple[tuple[str, int], ...] = ()
-
-
 def run_auction(
-    bids: list[tuple[str, int]],
-    reserve: int = 0,
-    rng_seed: int = 0,
-) -> AuctionResult:
-    """Run a single second-price auction over ``(bidder_id, micros)`` bids.
-
-    The strictly highest bidder above the reserve wins and pays
-    ``max(second-highest bid, reserve)``. Ties among top bids are broken
-    uniformly at random from ``rng_seed``. With no bid above the reserve
-    (including an empty bid list) the result has no winner and price 0.
-    """
-    for bidder, amount in bids:
-        if amount < 0:
-            raise ValueError(f"negative bid from {bidder}: {amount}")
-    if reserve < 0:
-        raise ValueError("reserve must be non-negative")
-
-    live = [(bidder, amount) for bidder, amount in bids if amount > reserve]
-    if not live:
-        return AuctionResult(winner=None, clearing_price=0,
-                             losing_bids=tuple(bids))
-
-    top = max(amount for _, amount in live)
-    leaders = [bidder for bidder, amount in live if amount == top]
-    if len(leaders) == 1:
-        winner = leaders[0]
-    else:
-        rng = np.random.Generator(np.random.PCG64(rng_seed))
-        winner = leaders[int(rng.integers(len(leaders)))]
-
-    # Drop exactly one instance of the winning bid; a tied loser keeps its
-    # bid at `top`, making the clearing price equal to the winning bid.
-    rest: list[int] = []
-    removed = False
-    for bidder, amount in bids:
-        if not removed and bidder == winner and amount == top:
-            removed = True
-            continue
-        rest.append(amount)
-    second = max(rest) if rest else 0
-    clearing = max(second, reserve)
-    losing = tuple((bidder, amount) for bidder, amount in bids if bidder != winner)
-    return AuctionResult(winner=winner, clearing_price=clearing, losing_bids=losing)
-
-
-def settle_second_price(
     our: np.ndarray, comp: np.ndarray, reserve: int,
     tie_rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -207,14 +151,17 @@ def settle_second_price(
     is 0. Otherwise the higher bid wins at ``max(lower bid, reserve)``;
     a tie prices at the bid, and we win it on a coin flip. The flips are
     one ``tie_rng.integers(2, size=ties)`` call, in auction order, which
-    leaves the stream where one scalar flip per tie would. Agrees with
-    :func:`run_auction` on two bids.
+    leaves the stream where one scalar flip per tie would. A negative
+    bid or reserve raises ``ValueError``.
     """
     our = np.asarray(our, dtype=np.int64)
     comp = np.asarray(comp, dtype=np.int64)
+    lower = np.minimum(our, comp)
+    if reserve < 0 or (lower < 0).any():
+        raise ValueError("bids and the reserve must be non-negative")
     live = (our > reserve) | (comp > reserve)
     won = live & (our > comp)
     tie = live & (our == comp)
     won[tie] = tie_rng.integers(2, size=int(np.count_nonzero(tie))) == 1
-    price = np.where(live, np.maximum(np.minimum(our, comp), reserve), 0)
+    price = np.where(live, np.maximum(lower, reserve), 0)
     return won, price

@@ -15,9 +15,11 @@ clicks for all of a window's requests in one array step. A
 :class:`BidEstimator` instead prices from what a bidder can know: the
 behavior data it was built with, and the impressions and clicks of its
 own won auctions, each told before the same user's next bid. So that
-path prices and settles request by request. Both paths share the
-settlement, the tallies, the event rows and the window-end accounting,
-and give identical results when the estimator returns the ground truth.
+path prices and settles request by request. Both paths settle with
+:func:`~liftsim.market.run_auction`, the package's one second-price
+settlement, share the tallies, the event rows and the window-end
+accounting, and give identical results when the estimator returns the
+ground truth.
 
 Randomness is split into independent streams (requests, market,
 behavior, clicks, actions, ties) derived from the world seed, so the
@@ -42,7 +44,7 @@ from .events import (
     IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH, EventLog,
 )
 from .fileio import json_digest
-from .market import Campaign, Population, settle_second_price
+from .market import Campaign, Population, run_auction
 from .seeds import rng_for
 
 SECONDS_PER_DAY = 86_400
@@ -420,7 +422,7 @@ def run_market(
 
     * With oracle bids (``estimator`` None), the window's requests whose
       group still bids and whose bid is positive are settled in one
-      call of :func:`~liftsim.market.settle_second_price`, which draws
+      call of :func:`~liftsim.market.run_auction`, which draws
       one ``ties`` flip per tie in request order; then ``clicks`` draws
       one uniform per won auction, in request order.
     * With an estimator, requests are priced one at a time, in time
@@ -556,7 +558,7 @@ def run_market(
             kept = s + np.flatnonzero(
                 bidding[assignment[users]] & (oracle_bids[users] > 0))
             our = oracle_bids[req_user[kept]]
-            won, price = settle_second_price(our, comp[kept], reserve, tie_rng)
+            won, price = run_auction(our, comp[kept], reserve, tie_rng)
             clicked = click_rng.random(int(np.count_nonzero(won))) < click_rate
         else:
             # The estimator learns each win and click before the same
@@ -573,7 +575,7 @@ def run_market(
                 bid = int(price_bids(bidders[g], p_hat, dp_hat))
                 if bid <= 0:
                     continue
-                won, price = settle_second_price(
+                won, price = run_auction(
                     np.array([bid]), comp[i:i + 1], reserve, tie_rng)
                 settled.append((i, bid, won[0], price[0]))
                 if won[0]:

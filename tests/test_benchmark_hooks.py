@@ -69,3 +69,33 @@ def test_model_pipeline_runs_under_the_benchmark_hooks(tmp_path, traced):
     result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+VERIFY_SCRIPT = """
+import json, os, sys
+sys.path[:0] = [os.path.join({root!r}, "perfbench"), os.path.join({root!r}, "src")]
+import liftsim.cli as cli
+import tracer
+import workloads
+workload = workloads.build("verify_sweep", 3, "smoke")
+for name, payload in workload.configs.items():
+    with open(name, "w") as fh:
+        json.dump(payload, fh)
+recorder = tracer.SpanRecorder("t")
+tracer.install(recorder)
+for argv in workload.calls:
+    assert cli.main(argv) == 0, argv
+names = {{span[2] for span in recorder.spans}}
+expected = {{"market.run_auction", "bidders.calibrate", "attribution.partition"}}
+assert expected <= names, sorted(names)
+"""
+
+
+def test_verify_sweep_runs_under_the_tracer(tmp_path):
+    """``verify`` at the benchmark's smoke size under the traced run's
+    wrappers: the worked example's auctions, the calibrations and the
+    partitions each record spans."""
+    script = VERIFY_SCRIPT.format(root=str(ROOT))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

@@ -173,13 +173,13 @@ def test_train_on_a_log_with_an_unknown_user_is_a_data_error(tmp_path,
 
 def test_market_invariant_violation_is_a_verification_failure(
         tmp_path, capsys, monkeypatch):
-    settle = liftsim.world.settle_second_price
+    settle = liftsim.world.run_auction
 
     def overcharging(our, comp, reserve, tie_rng):
         won, price = settle(our, comp, reserve, tie_rng)
         return won, np.where(won, our + 1, price)
 
-    monkeypatch.setattr(liftsim.world, "settle_second_price", overcharging)
+    monkeypatch.setattr(liftsim.world, "run_auction", overcharging)
     config = write_config(tmp_path, AB_SMALL)
     assert main(["abtest", "--config", str(config),
                  "--out-dir", str(tmp_path / "o")]) == EXIT_VERIFY
@@ -384,7 +384,16 @@ def test_sampling_seed_tag_is_an_unknown_key(tmp_path, capsys):
     assert "unknown key sampling.seed_tag" in capsys.readouterr().err
 
 
-HEADER = '{"format":"liftsim.events","version":1,"seed":1,"config_digest":"d"}'
+def test_sampling_max_draws_is_an_unknown_key(tmp_path, capsys):
+    bad = {**TRAIN_WORLD,
+           "sampling": {**TRAIN_WORLD["sampling"], "max_draws": 10_000}}
+    config = write_config(tmp_path, bad)
+    assert main(["simulate", "--config", str(config),
+                 "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "unknown key sampling.max_draws" in capsys.readouterr().err
+
+
+HEADER ='{"format":"liftsim.events","version":1,"seed":1,"config_digest":"d"}'
 PAGE_VIEW = '{"ts":5,"user":"u000000","kind":"page_view","topic":0}'
 MALFORMED_LOGS = {
     "header-not-json": ["{format", PAGE_VIEW],

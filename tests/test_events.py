@@ -11,6 +11,7 @@ from liftsim.events import (
     ACTION, AD_REQUEST, EVENT_KINDS, FIELDS, IMPRESSION, PAGE_VIEW,
     EventLog, EventLogError,
 )
+from liftsim.fileio import atomic_write_text
 
 HEADER = '{"format":"liftsim.events","version":1,"seed":0,"config_digest":"x"}'
 OPTIONAL_KEYS = ("adv", "topic", "app", "bidder", "price")
@@ -37,7 +38,7 @@ def reference_line(record):
 def test_round_trip_preserves_everything(tmp_path):
     log = _sample_log()
     path = tmp_path / "events.jsonl"
-    log.write(path)
+    atomic_write_text(path, log.dumps())
     loaded = EventLog.read(path)
     for name in FIELDS:
         assert np.array_equal(getattr(loaded, name), getattr(log, name))
@@ -65,8 +66,8 @@ def test_serialization_is_byte_stable(tmp_path):
     log = _sample_log()
     assert log.dumps() == log.dumps()
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    log.write(a)
-    log.write(b)
+    atomic_write_text(a, log.dumps())
+    atomic_write_text(b, log.dumps())
     assert a.read_bytes() == b.read_bytes()
 
 

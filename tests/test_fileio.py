@@ -5,17 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from event_records import parse_log
 from liftsim.fileio import atomic_write_text
 from liftsim.liftmodel.sampling import TrainingSample, export_samples
 
-LOG = parse_log([{"ts": 1, "user": "u0", "kind": "page_view", "topic": 0}],
-                seed=1, config_digest="d")
 SAMPLES = [TrainingSample("u0", 5, True, np.array([1.0, 2.0]))]
 
 WRITERS = {
     "atomic_write_text": lambda path: atomic_write_text(path, "new\n"),
-    "EventLog.write": LOG.write,
     "export_samples": lambda path: export_samples(SAMPLES, path),
 }
 

@@ -6,76 +6,68 @@ from hypothesis import given, settings, strategies as st
 
 from liftsim.attribution import Partition, partition_users
 from liftsim.market import (
-    LIFT_BIDDER, VALUE_BIDDER,
-    AuctionResult, Campaign, Population,
-    dollars_to_micros, micros_to_dollars, run_auction, settle_second_price,
+    Campaign, Population, dollars_to_micros, micros_to_dollars, run_auction,
 )
 from liftsim.bidders import BidderConfig, price_bids
 
 D = dollars_to_micros
 
 
+def second_price(our, comp, reserve):
+    """The scalar rule for our bid against one competitor's: (we win,
+    price). Nobody wins below the reserve; a tie prices at the bid and
+    its winner (None here) is a coin flip."""
+    if our <= reserve and comp <= reserve:
+        return False, 0
+    if our == comp:
+        return None, our
+    return our > comp, max(min(our, comp), reserve)
+
+
+def _settle(pairs, reserve, rng):
+    our, comp = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return run_auction(our, comp, reserve, rng)
+
+
+def _one(our, comp, reserve=0, seed=0):
+    won, price = _settle([(our, comp)], reserve, np.random.default_rng(seed))
+    return bool(won[0]), int(price[0])
+
+
 def test_highest_bid_wins_at_second_price():
-    result = run_auction([("dsp1", D(4.0)), ("other", D(3.5))], reserve=0)
-    assert result.winner == "dsp1"
-    assert result.clearing_price == D(3.5)
-    assert result.losing_bids == (("other", D(3.5)),)
+    assert _one(D(4.0), D(3.5)) == (True, D(3.5))
 
 
 def test_lower_bid_loses():
-    result = run_auction([("dsp1", D(2.0)), ("other", D(3.5))], reserve=0)
-    assert result.winner == "other"
-    assert result.clearing_price == D(2.0)
+    assert _one(D(2.0), D(3.5)) == (False, D(2.0))
 
 
 def test_empty_auction_has_no_winner():
-    result = run_auction([], reserve=0)
-    assert result.winner is None
-    assert result.clearing_price == 0
+    won, price = _settle([], 0, np.random.default_rng(0))
+    assert won.shape == price.shape == (0,)
 
 
 def test_no_bid_above_reserve_means_no_winner():
-    result = run_auction([("a", D(1.0)), ("b", D(2.0))], reserve=D(2.0))
-    assert result.winner is None
-    assert result.clearing_price == 0
+    assert _one(D(1.0), D(2.0), reserve=D(2.0)) == (False, 0)
 
 
 def test_tie_at_top_is_seeded_and_prices_at_the_bid():
-    bids = [("a", D(5.0)), ("b", D(5.0))]
-    first = run_auction(bids, reserve=0, rng_seed=7)
-    assert first.winner in ("a", "b")
-    assert first.clearing_price == D(5.0)
-    for _ in range(5):
-        again = run_auction(bids, reserve=0, rng_seed=7)
-        assert again == first
-    winners = {run_auction(bids, rng_seed=s).winner for s in range(32)}
-    assert winners == {"a", "b"}
+    ties = [(D(5.0), D(5.0))] * 32
+    won, price = _settle(ties, 0, np.random.default_rng(7))
+    assert price.tolist() == [D(5.0)] * 32
+    again, _ = _settle(ties, 0, np.random.default_rng(7))
+    assert again.tolist() == won.tolist()
+    assert set(won.tolist()) == {True, False}
 
 
 def test_single_bidder_pays_reserve():
-    result = run_auction([("solo", D(3.0))], reserve=D(1.0))
-    assert result.winner == "solo"
-    assert result.clearing_price == D(1.0)
+    assert _one(D(3.0), 0, reserve=D(1.0)) == (True, D(1.0))
 
 
 def test_negative_bid_rejected():
-    with pytest.raises(ValueError):
-        run_auction([("a", -1)])
-
-
-def test_clearing_price_bounds_sweep():
-    rng = np.random.default_rng(123)
-    for trial in range(300):
-        k = int(rng.integers(1, 6))
-        bids = [(f"b{i}", int(rng.integers(0, 10_000_000))) for i in range(k)]
-        reserve = int(rng.integers(0, 5_000_000))
-        result = run_auction(bids, reserve=reserve, rng_seed=trial)
-        if result.winner is None:
-            assert all(amount <= reserve for _, amount in bids)
-            continue
-        winning = max(amount for bidder, amount in bids if bidder == result.winner)
-        assert reserve <= result.clearing_price <= winning
-        assert result == run_auction(bids, reserve=reserve, rng_seed=trial)
+    for our, comp, reserve in ((-1, 0, 0), (0, -1, 0), (1, 1, -1)):
+        with pytest.raises(ValueError):
+            _one(our, comp, reserve)
 
 
 # Small values make ties and reserve-blocked auctions common.
@@ -83,26 +75,16 @@ MICROS = st.integers(0, 20) | st.integers(0, 10**9)
 BID_PAIRS = st.lists(st.tuples(MICROS, MICROS), max_size=12)
 
 
-def _settle(pairs, reserve, rng):
-    our, comp = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return settle_second_price(our, comp, reserve, rng)
-
-
 @settings(max_examples=300, deadline=None)
 @given(pairs=BID_PAIRS, reserve=MICROS)
-def test_settle_matches_run_auction_on_any_bids(pairs, reserve):
+def test_run_auction_matches_the_scalar_rule_on_any_bids(pairs, reserve):
     won, price = _settle(pairs, reserve, np.random.default_rng(0))
-    assert won.shape == price.shape == (len(pairs),)
+    assert won.dtype == bool and won.shape == price.shape == (len(pairs),)
     for (our, comp), we_win, paid in zip(pairs, won.tolist(), price.tolist()):
-        reference = run_auction([("us", our), ("market", comp)], reserve)
-        if our <= reserve and comp <= reserve:
-            assert (we_win, paid) == (False, 0)
-            assert reference.winner is None
-        elif our == comp:  # a tie prices at the bid; the winner is a coin flip
-            assert paid == reference.clearing_price == our
-        else:
-            assert we_win == (reference.winner == "us")
-            assert paid == reference.clearing_price
+        rule_win, rule_price = second_price(our, comp, reserve)
+        assert paid == rule_price
+        if rule_win is not None:
+            assert we_win == rule_win
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,22 +118,21 @@ def test_head_to_head_examples():
 
 def test_auction_agrees_with_head_to_head_when_bids_differ():
     rng = np.random.default_rng(42)
-    agreements = 0
+    draws = []  # (value bid, lift bid, value offer is the larger)
     for _ in range(500):
         p = float(rng.uniform(0.001, 0.2))
         delta_p = p * float(rng.uniform(0.0, 1.0))
         alpha = float(rng.uniform(10, 500)) * 1e6
         beta = float(rng.uniform(10, 2000)) * 1e6
-        value_bid = int(price_bids(BidderConfig("value", alpha=alpha), p, delta_p))
-        lift_bid = int(price_bids(BidderConfig("lift", beta=beta), p, delta_p))
-        if value_bid == lift_bid:
-            continue
-        result = run_auction([(VALUE_BIDDER, value_bid), (LIFT_BIDDER, lift_bid)],
-                             reserve=0)
-        offers_winner = VALUE_BIDDER if alpha * p > beta * delta_p else LIFT_BIDDER
-        assert result.winner == offers_winner
-        agreements += 1
-    assert agreements > 400  # the sweep must actually exercise the property
+        draws.append((int(price_bids(BidderConfig("value", alpha=alpha), p, delta_p)),
+                      int(price_bids(BidderConfig("lift", beta=beta), p, delta_p)),
+                      alpha * p > beta * delta_p))
+    value_bids, lift_bids, value_offers_more = map(np.array, zip(*draws))
+    value_won, _ = run_auction(value_bids, lift_bids, 0,
+                               np.random.default_rng(0))
+    differ = value_bids != lift_bids
+    assert value_won[differ].tolist() == value_offers_more[differ].tolist()
+    assert differ.sum() > 400  # the sweep must actually exercise the property
 
 
 def test_money_round_half_even():
@@ -193,8 +174,3 @@ def test_campaign_invariants():
     with pytest.raises(ValueError):
         Campaign("adv1", cpa=D(100.0), budget=-1)
 
-
-def test_auction_result_is_a_value():
-    r1 = AuctionResult(winner="a", clearing_price=5)
-    r2 = AuctionResult(winner="a", clearing_price=5)
-    assert r1 == r2

@@ -122,8 +122,7 @@ def test_termination_by_positive_target():
 def test_termination_by_covering_all_actions():
     log = synthetic_log({U0: 5}, {U0: [5 * DAY]})
     config = SamplingConfig(action_window_seconds=2 * DAY,
-                            target_positive_count=10_000,
-                            max_draws=200_000, seed=5)
+                            target_positive_count=10_000, seed=5)
     samples = generate_samples(log, users_for(1), config, tiny_schema())
     assert any(s.label for s in samples)
     assert sum(s.label for s in samples) < 10_000
