@@ -248,15 +248,24 @@ def window_features(log: EventLog, population: Population,
 
 
 def fold_context(
-    features: np.ndarray, topic_id: int, schema: FeatureSchema
+    features: np.ndarray, topic_id: int | np.ndarray, schema: FeatureSchema
 ) -> np.ndarray:
-    """Fold a bid request's topic into a feature vector.
+    """Fold bid requests' topics into feature vectors.
 
-    The request's topic marks that topic's page-view recency as most
-    recent. Returns a new vector; folding twice is a no-op.
+    ``features`` is one vector or a (rows, features) matrix, and
+    ``topic_id`` one topic or one per row. A request's topic marks that
+    topic's page-view recency as most recent. Returns a new array;
+    folding twice is a no-op.
     """
     out = features.copy()
-    out[schema.index(f"pv_rncy_topic:{topic_id}")] = MOST_RECENT_BUCKET
+    if np.ndim(topic_id) == 0:
+        column = schema.index(f"pv_rncy_topic:{topic_id}")
+        out[..., column] = MOST_RECENT_BUCKET
+    else:
+        columns = np.array([schema.index(f"pv_rncy_topic:{t}")
+                            for t in np.asarray(topic_id).tolist()],
+                           dtype=np.int64)
+        out[np.arange(len(out)), columns] = MOST_RECENT_BUCKET
     return out
 
 
@@ -265,11 +274,11 @@ def counterfactual_features(
 ) -> np.ndarray:
     """The user's state as if one more impression from ``advertiser`` landed.
 
-    Bumps that advertiser's impression frequency by one and sets its
-    impression recency to most recent; every other coordinate is
-    untouched.
+    ``features`` is one vector or a (rows, features) matrix. Bumps that
+    advertiser's impression frequency by one and sets its impression
+    recency to most recent; every other coordinate is untouched.
     """
     out = features.copy()
-    out[schema.index(f"imp_freq_adv:{advertiser}")] += 1
-    out[schema.index(f"imp_rncy_adv:{advertiser}")] = MOST_RECENT_BUCKET
+    out[..., schema.index(f"imp_freq_adv:{advertiser}")] += 1
+    out[..., schema.index(f"imp_rncy_adv:{advertiser}")] = MOST_RECENT_BUCKET
     return out

@@ -249,10 +249,11 @@ class ModelBidEstimator:
 
     Holds each user's behavior events from the start, learns the
     bidder's own impressions and clicks from the market as they happen,
-    and prices each request from calibrated predictions: the action rate
-    assuming the impression is shown, and the counterfactual lift of
-    showing it. Features only read events at or before a request's
-    time, so holding later behavior events changes no bid.
+    and prices requests in batches from calibrated predictions: the
+    action rate assuming the impression is shown, and the counterfactual
+    lift of showing it. Features only read events at or before a
+    request's time, so holding later behavior events changes no bid, and
+    a batch gives each row the bits a one-row call would.
     """
 
     def __init__(
@@ -272,11 +273,22 @@ class ModelBidEstimator:
     def observe(self, user_index: int, kind: str, ref: object, ts: int) -> None:
         self._histories[user_index].observe(kind, ref, ts)
 
-    def estimate(self, user_index: int, ts: int, topic_id: int) -> tuple[float, float]:
-        features = extract_from_history(
-            self._histories[user_index], self._demographics[user_index], ts,
-            self.model.feature_window_seconds, self.model.schema)
-        folded = fold_context(features, topic_id, self.model.schema)
-        shown = counterfactual_features(folded, self.advertiser, self.model.schema)
-        pair = self.model.predict_ar(np.stack([shown, folded]))
-        return float(pair[0]), float(pair[0] - pair[1])
+    def estimate(self, user_index, ts, topic_id) -> tuple[np.ndarray, np.ndarray]:
+        """(p_hat, lift_hat) arrays for requests given as equal-length
+        arrays of user index, time and topic, with one ensemble call."""
+        user_index, ts, topic_id = (np.asarray(a, dtype=np.int64)
+                                    for a in (user_index, ts, topic_id))
+        if not (ts.ndim == 1 and user_index.shape == ts.shape == topic_id.shape):
+            raise ValueError("user_index, ts and topic_id must be equal-length "
+                             "1-d arrays")
+        schema = self.model.schema
+        features = np.empty((len(ts), schema.n_features))
+        for row, (u, t) in enumerate(zip(user_index.tolist(), ts.tolist())):
+            features[row] = extract_from_history(
+                self._histories[u], self._demographics[u], t,
+                self.model.feature_window_seconds, schema)
+        folded = fold_context(features, topic_id, schema)
+        shown = counterfactual_features(folded, self.advertiser, schema)
+        pred = self.model.predict_ar(np.concatenate([shown, folded]))
+        p_hat = pred[:len(ts)]
+        return p_hat, p_hat - pred[len(ts):]

@@ -15,7 +15,9 @@ clicks for all of a window's requests in one array step. A
 :class:`BidEstimator` instead prices from what a bidder can know: the
 behavior data it was built with, and the impressions and clicks of its
 own won auctions, each told before the same user's next bid. So that
-path prices and settles request by request. Both paths settle with
+path prices a window's requests in one batch, prices a user's later
+requests again after each of their wins, and settles request by
+request. Both paths settle with
 :func:`~liftsim.market.run_auction`, the package's one second-price
 settlement, share the tallies, the event rows and the window-end
 accounting, and give identical results when the estimator returns the
@@ -292,14 +294,17 @@ def generate_population(config: WorldConfig) -> Population:
 class BidEstimator(Protocol):
     """Source of (p, delta_p) estimates used to price bids at request time.
 
+    ``estimate`` takes equal-length arrays of user index, request time
+    and topic, and returns arrays of p and delta_p, one per request.
     ``observe`` is told the outcomes of the bidder's own auctions: each
     impression it wins and each click on one, per user in time order,
-    before that user's next bid. ``ref`` is the campaign's advertiser id.
-    Anything else an estimator knows, such as behavior data, it is built
-    with.
+    before that user's next bid is priced. ``ref`` is the campaign's
+    advertiser id. Anything else an estimator knows, such as behavior
+    data, it is built with.
     """
 
-    def estimate(self, user_index: int, ts: int, topic_id: int) -> tuple[float, float]:
+    def estimate(self, user_index: np.ndarray, ts: np.ndarray,
+                 topic_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ...
 
     def observe(self, user_index: int, kind: str, ref: object, ts: int) -> None:
@@ -425,12 +430,14 @@ def run_market(
       call of :func:`~liftsim.market.run_auction`, which draws
       one ``ties`` flip per tie in request order; then ``clicks`` draws
       one uniform per won auction, in request order.
-    * With an estimator, requests are priced one at a time, in time
-      order: each win is observed as an impression, and its click, if
-      any, as a click, before the same user's next bid. The estimator
-      is told nothing else. Each request is settled on its own, and each
-      win draws its click right away, so both streams are consumed in
-      the same order as on the oracle path.
+    * With an estimator, the window's requests whose group still bids
+      are priced with one ``estimate`` call. Then they are settled one
+      at a time, in time order: each win is observed as an impression,
+      and its click, if any, as a click, and that user's later requests
+      in the window are priced again, before the next is settled. The
+      estimator is told nothing else. Each win draws its click right
+      away, so the tie and click streams are consumed in request order,
+      as on the oracle path.
     * At the window's end, every user's action is drawn, actions with a
       same-window impression are attributed, and each group bills them
       at ``cpa`` while its spend is under budget.
@@ -519,6 +526,18 @@ def run_market(
         oracle_bids = np.stack([price_bids(b, p, dp) for b in bidders])[
             assignment, np.arange(n)]
 
+    def model_bids(rows: np.ndarray) -> np.ndarray:
+        """Bids for requests ``rows``: one estimate call, then one
+        price_bids call per group."""
+        user = req_user[rows]
+        p_hat, dp_hat = estimator.estimate(user, req_ts[rows], req_topic[rows])
+        group = assignment[user]
+        bids = np.zeros(len(rows), dtype=np.int64)
+        for g in np.unique(group).tolist():
+            mine = group == g
+            bids[mine] = price_bids(bidders[g], p_hat[mine], dp_hat[mine])
+        return bids
+
     group_sizes = np.bincount(assignment, minlength=n_bidders)
     request_counts = np.bincount(assignment[req_user], minlength=n_bidders)
     group_masks = [assignment == g for g in range(n_bidders)]
@@ -561,28 +580,31 @@ def run_market(
             won, price = run_auction(our, comp[kept], reserve, tie_rng)
             clicked = click_rng.random(int(np.count_nonzero(won))) < click_rate
         else:
-            # The estimator learns each win and click before the same
-            # user's next bid, so this path runs request by request.
+            # A user's features change only through their own wins, so the
+            # window is priced in one batch and, after a win, that user's
+            # later requests again. Settlement and click draws still go
+            # request by request, in request order.
+            kept = s + np.flatnonzero(bidding[assignment[req_user[s:e]]])
+            kept_user = req_user[kept]
+            bids = model_bids(kept)
             settled = []  # (request, bid, won, price)
             clicked = []  # one per win
-            for i in range(s, e):
-                u = int(req_user[i])
-                g = int(assignment[u])
-                if not bidding[g]:
-                    continue
-                ts = int(req_ts[i])
-                p_hat, dp_hat = estimator.estimate(u, ts, int(req_topic[i]))
-                bid = int(price_bids(bidders[g], p_hat, dp_hat))
+            for k, i in enumerate(kept.tolist()):
+                bid = int(bids[k])
                 if bid <= 0:
                     continue
                 won, price = run_auction(
                     np.array([bid]), comp[i:i + 1], reserve, tie_rng)
                 settled.append((i, bid, won[0], price[0]))
                 if won[0]:
+                    u, ts = int(req_user[i]), int(req_ts[i])
                     estimator.observe(u, IMPRESSION, adv, ts)
                     clicked.append(click_rng.random() < click_rate)
                     if clicked[-1]:
                         estimator.observe(u, CLICK, adv, ts + 30)
+                    later = k + 1 + np.flatnonzero(kept_user[k + 1:] == u)
+                    if later.size:
+                        bids[later] = model_bids(kept[later])
             kept, our, won, price = np.array(
                 settled, dtype=np.int64).reshape(-1, 4).T
             won = won.astype(bool)

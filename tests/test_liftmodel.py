@@ -8,7 +8,7 @@ import pytest
 
 from liftsim.bidders import BidderConfig
 from event_records import parse_log
-from liftsim.events import IMPRESSION, PAGE_VIEW
+from liftsim.events import CLICK, IMPRESSION, KIND_CODE, PAGE_VIEW
 from liftsim.liftmodel.features import (
     FeatureSchema, UserHistory, counterfactual_features, fold_context,
     window_features,
@@ -167,7 +167,7 @@ def test_streaming_estimator_matches_offline_extraction():
     estimator = ModelBidEstimator(model, population, "adv1", behavior)
     estimator.observe(0, IMPRESSION, "adv1", 2 * DAY)
     ts = 3 * DAY + 1000
-    p_hat, lift_hat = estimator.estimate(0, ts, topic_id=1)
+    (p_hat,), (lift_hat,) = estimator.estimate([0], [ts], [1])
 
     log = parse_log([
         {"ts": 1 * DAY, "user": uid, "kind": PAGE_VIEW, "topic": 1},
@@ -182,6 +182,40 @@ def test_streaming_estimator_matches_offline_extraction():
     assert p_hat == pytest.approx(model.predict_ar(shown)[0], abs=0)
     assert lift_hat == pytest.approx(
         model.predict_ar(shown)[0] - model.predict_ar(folded)[0], abs=0)
+
+
+def test_batched_estimate_equals_one_row_calls():
+    """A batch gives every row the bits a one-row call gives it: at an
+    observed impression, 30 s after one, for repeated users and on
+    every topic."""
+    model, _, log, population, schema, _ = trained_world_model()
+    estimator = ModelBidEstimator(model, population, "adv1", log)
+    told = np.arange(0, 40, 4)
+    for u in told.tolist():  # a win and its click after the log ends
+        estimator.observe(u, IMPRESSION, "adv1", 16 * DAY + u)
+        estimator.observe(u, CLICK, "adv1", 16 * DAY + u + 30)
+    seen = log.kind == KIND_CODE[IMPRESSION]
+    # At each impression and 30 s after it, then at fixed days.
+    users = np.concatenate([np.repeat(log.user[seen][:30], 2),
+                            np.repeat(told, 2),
+                            np.repeat(np.arange(0, 400, 10), 3)])
+    times = np.concatenate([np.repeat(log.ts[seen][:30], 2) + [0, 30] * 30,
+                            np.repeat(16 * DAY + told, 2) + [0, 30] * 10,
+                            np.tile([4 * DAY, 9 * DAY, 15 * DAY], 40)])
+    user, ts, topic = (np.repeat(users, schema.topics),
+                       np.repeat(times, schema.topics),
+                       np.tile(np.arange(schema.topics), times.size))
+    p_hat, lift_hat = estimator.estimate(user, ts, topic)
+    rows = [estimator.estimate([u], [t], [k])
+            for u, t, k in zip(user.tolist(), ts.tolist(), topic.tolist())]
+    assert p_hat.tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+    assert lift_hat.tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
+    assert np.unique(p_hat).size > 1 and np.unique(lift_hat).size > 1
+
+    empty = estimator.estimate([], [], [])
+    assert [a.shape for a in empty] == [(0,), (0,)]
+    with pytest.raises(ValueError):
+        estimator.estimate([0, 1], [DAY], [0])
 
 
 def test_user_history_window_stats():

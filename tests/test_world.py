@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from liftsim.bidders import BidderConfig
+from liftsim.bidders import BidderConfig, price_bids
 from liftsim.events import (
     ACTION, AUCTION, BID, CLICK, EVENT_KINDS, IMPRESSION, KIND_CODE,
 )
@@ -146,20 +146,22 @@ def test_split_budget_shares_between_active_bidders():
     assert split_budget(lineup[:1], 1001) == [0]
 
 
+ABC_BIDDERS = [
+    BidderConfig(kind="passive"),
+    BidderConfig(kind="value", alpha=D(100.0)),
+    BidderConfig(kind="lift", beta=D(300.0)),
+]
+
+
 def _abc_run(config, budget_dollars=1e9, record_events=True,
              estimator_factory=None):
     population = generate_population(config)
-    bidders = [
-        BidderConfig(kind="passive"),
-        BidderConfig(kind="value", alpha=D(100.0)),
-        BidderConfig(kind="lift", beta=D(300.0)),
-    ]
     assignment = np.arange(len(population)) % 3
     estimator = None
     if estimator_factory is not None:
         estimator = estimator_factory(population)
     return run_market(
-        population, bidders, [campaign(budget_dollars)], config,
+        population, ABC_BIDDERS, [campaign(budget_dollars)], config,
         assignment=assignment, record_events=record_events,
         estimator=estimator,
     )
@@ -252,13 +254,13 @@ def test_engine_settlement_matches_run_auction():
 
 class TruthEstimator:
     """Estimates that are the ground truth: the oracle's bids, priced
-    request by request on the estimator path."""
+    on the estimator path."""
 
     def __init__(self, population):
         self.p, self.delta_p = population.p, population.delta_p
 
     def estimate(self, user_index, ts, topic_id):
-        return float(self.p[user_index]), float(self.delta_p[user_index])
+        return self.p[user_index], self.delta_p[user_index]
 
     def observe(self, user_index, kind, ref, ts):
         pass
@@ -334,6 +336,61 @@ def test_the_market_tells_an_estimator_only_its_own_wins_and_clicks():
     for user in {u for u, _, _, _ in seen}:
         times = [ts for u, _, _, ts in seen if u == user]
         assert times == sorted(times)
+
+
+def _told_weight(impressions, clicks):
+    return 1.0 / (1.0 + impressions + 2.0 * clicks)
+
+
+class WinCountingEstimator(TruthEstimator):
+    """Truth estimates scaled down by the impressions and clicks the
+    market has told it about the user, up to the request's time."""
+
+    def __init__(self, population):
+        super().__init__(population)
+        self.told = {}  # user -> [(kind, ts)]
+
+    def observe(self, user_index, kind, ref, ts):
+        self.told.setdefault(user_index, []).append((kind, ts))
+
+    def estimate(self, user_index, ts, topic_id):
+        kinds = [[kind for kind, t in self.told.get(u, ()) if t <= at]
+                 for u, at in zip(user_index.tolist(), ts.tolist())]
+        weight = _told_weight(np.array([k.count(IMPRESSION) for k in kinds]),
+                              np.array([k.count(CLICK) for k in kinds]))
+        p, delta_p = super().estimate(user_index, ts, topic_id)
+        return p * weight, delta_p * weight
+
+
+def test_no_bid_is_priced_from_a_stale_history():
+    """Every bid equals the bid priced from the user's impressions before
+    it and clicks at or before it, as the log records them."""
+    config = small_world(seed=41, n_users=240, horizon_days=6, behavior=True)
+    run = _abc_run(config, estimator_factory=WinCountingEstimator)
+    log, population = run.log, generate_population(config)
+    bids = rows_of(log, BID)
+    user, ts = log.user[bids], log.ts[bids]
+    # No user bids twice in one second, so an impression at a bid's own
+    # (user, ts) is that bid's win, which its price cannot know of.
+    assert np.unique(np.stack([user, ts]), axis=1).shape[1] == bids.size
+
+    def told_before(kind, side):
+        key = log.user * 2**40 + log.ts
+        told = np.sort(key[rows_of(log, kind)])
+        return (np.searchsorted(told, user * 2**40 + ts, side)
+                - np.searchsorted(told, user * 2**40))
+
+    impressions = told_before(IMPRESSION, "left")
+    clicks = told_before(CLICK, "right")
+    weight = _told_weight(impressions, clicks)
+    p, delta_p = population.p[user] * weight, population.delta_p[user] * weight
+    expected = np.zeros(bids.size, dtype=np.int64)
+    for g, bidder in enumerate(ABC_BIDDERS):
+        mine = log.bidder[bids] == g
+        expected[mine] = price_bids(bidder, p[mine], delta_p[mine])
+    assert np.array_equal(log.price[bids], expected)
+    # Some bids follow their user's impressions and clicks.
+    assert (impressions > 0).any() and (clicks > 0).any()
 
 
 def test_exposure_changes_only_action_probability():
