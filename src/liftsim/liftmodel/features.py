@@ -258,14 +258,11 @@ def fold_context(
     folding twice is a no-op.
     """
     out = features.copy()
-    if np.ndim(topic_id) == 0:
-        column = schema.index(f"pv_rncy_topic:{topic_id}")
-        out[..., column] = MOST_RECENT_BUCKET
-    else:
-        columns = np.array([schema.index(f"pv_rncy_topic:{t}")
-                            for t in np.asarray(topic_id).tolist()],
-                           dtype=np.int64)
-        out[np.arange(len(out)), columns] = MOST_RECENT_BUCKET
+    columns = np.array([schema.index(f"pv_rncy_topic:{t}")
+                        for t in np.atleast_1d(topic_id).tolist()],
+                       dtype=np.int64)
+    rows = np.atleast_2d(out)
+    rows[np.arange(len(rows)), columns] = MOST_RECENT_BUCKET
     return out
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from ..events import EventLog
 from ..fileio import atomic_write_text
@@ -273,7 +274,8 @@ class ModelBidEstimator:
     def observe(self, user_index: int, kind: str, ref: object, ts: int) -> None:
         self._histories[user_index].observe(kind, ref, ts)
 
-    def estimate(self, user_index, ts, topic_id) -> tuple[np.ndarray, np.ndarray]:
+    def estimate(self, user_index: ArrayLike, ts: ArrayLike,
+                 topic_id: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
         """(p_hat, lift_hat) arrays for requests given as equal-length
         arrays of user index, time and topic, with one ensemble call."""
         user_index, ts, topic_id = (np.asarray(a, dtype=np.int64)
