@@ -171,7 +171,10 @@ def build_bidders(
         return bidders, split_budget(bidders, campaign.budget)
     if len(budgets) != len(bidders):
         raise ConfigError("budgets_dollars must align with bidder kinds")
-    return bidders, [dollars_to_micros(b) for b in budgets]
+    try:
+        return bidders, [dollars_to_micros(b) for b in budgets]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid bidders section: {exc}") from exc
 
 
 def build_sampling(cfg: dict, seed: int) -> SamplingConfig:
@@ -208,7 +211,11 @@ def build_abtest(cfg: dict, seed: int) -> ABTestConfig:
     section = cfg.get("abtest", {})
     try:
         config = ABTestConfig(master_seed=seed, **section)
-        config.world(0)  # the overrides make a valid world
+        config.world(0)  # the overrides make a valid world,
+        config.campaign()  # the money and window a valid campaign
+        if (config.beta_dollars is not None
+                and dollars_to_micros(config.beta_dollars) <= 0):
+            raise ValueError("beta_dollars must be positive")
         return config
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid abtest section: {exc}") from exc

@@ -31,7 +31,7 @@ from .bidders import (
 )
 from .market import (
     LIFT_BIDDER, VALUE_BIDDER, Campaign, Population, dollars_to_micros,
-    run_auction,
+    is_integer, run_auction,
 )
 from .seeds import derive_seed, rng_for
 from .world import (
@@ -377,8 +377,8 @@ class ABTestConfig:
     world_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        if not is_integer(self.replications) or self.replications < 1:
+            raise ValueError("replications must be an integer of at least 1")
 
     def world(self, rep: int) -> WorldConfig:
         """Replication ``rep``'s world: behavior off and one advertiser,
@@ -388,6 +388,13 @@ class ABTestConfig:
             "seed": derive_seed(self.master_seed, "abtest", rep),
             "advertisers": (self.advertiser,), "behavior": {"enabled": False},
             **self.world_overrides})
+
+    def campaign(self) -> Campaign:
+        """The campaign both active bidders share: a CPA and two budgets."""
+        return Campaign(
+            self.advertiser, cpa=dollars_to_micros(self.cpa_dollars),
+            budget=2 * dollars_to_micros(self.budget_per_bidder_dollars),
+            action_window_days=self.action_window_days)
 
 
 @dataclass
@@ -454,8 +461,7 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
     ``behavior`` is the world's :func:`liftsim.world.behavior_log`; the
     market then tells the estimator only its own impressions and clicks.
     """
-    cpa = dollars_to_micros(config.cpa_dollars)
-    budget = dollars_to_micros(config.budget_per_bidder_dollars)
+    campaign = config.campaign()
     beta = (None if config.beta_dollars is None
             else float(dollars_to_micros(config.beta_dollars)))
     report = ABTestReport(config=config)
@@ -463,9 +469,8 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
     for rep in range(config.replications):
         world = config.world(rep)
         population = generate_population(world)
-        bidders = lineup((PASSIVE, VALUE, LIFT), cpa, population, beta=beta)
-        campaign = Campaign(config.advertiser, cpa=cpa, budget=2 * budget,
-                            action_window_days=config.action_window_days)
+        bidders = lineup((PASSIVE, VALUE, LIFT), campaign.cpa, population,
+                         beta=beta)
         estimator = None
         if estimator_factory is not None:
             estimator = estimator_factory(population, config.advertiser,

@@ -21,20 +21,35 @@ explicit seed or generator, so they are safe under concurrency.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 MICROS_PER_DOLLAR = 1_000_000
+INT64_MAX = 2**63 - 1
 
 VALUE_BIDDER = "value"
 LIFT_BIDDER = "lift"
 
 
 def dollars_to_micros(dollars: float) -> int:
-    """Convert a dollar amount to integer micros (round-half-even)."""
-    return round(dollars * MICROS_PER_DOLLAR)
+    """Convert a dollar amount to integer micros (round-half-even).
+
+    Raises ValueError when the amount is not finite or its micros do not
+    fit in int64.
+    """
+    micros = dollars * MICROS_PER_DOLLAR
+    if not abs(micros) <= INT64_MAX:  # also NaN
+        raise ValueError(
+            f"{dollars} dollars is not a finite amount within int64 micros")
+    return round(micros)
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def micros_to_dollars(micros: int) -> float:
@@ -65,8 +80,10 @@ class Campaign:
             raise ValueError("cpa must be positive")
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
-        if self.action_window_days <= 0:
-            raise ValueError("action_window_days must be positive")
+        if not is_integer(self.action_window_days) or self.action_window_days <= 0:
+            raise ValueError("action_window_days must be a positive integer")
+        if self.cpa + self.budget > INT64_MAX:
+            raise ValueError("cpa + budget must fit in int64 micros")
 
 
 _DEMOGRAPHICS = ("age_group", "gender", "geo_area")

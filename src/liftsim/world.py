@@ -34,6 +34,8 @@ configuration and seed reproduce the identical event log byte for byte.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from typing import Protocol
 
@@ -46,7 +48,7 @@ from .events import (
     IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH, EventLog,
 )
 from .fileio import json_digest
-from .market import Campaign, Population, run_auction
+from .market import INT64_MAX, Campaign, Population, is_integer, run_auction
 from .seeds import rng_for
 
 SECONDS_PER_DAY = 86_400
@@ -72,6 +74,11 @@ def _default_delta_p_distribution() -> dict:
 def _default_request_rate() -> dict:
     return {"kind": "lognormal", "median": 2.0, "sigma": 0.5,
             "low": 0.2, "high": 8.0}
+
+
+# Each request_rate kind's parameters, all finite and non-negative.
+_REQUEST_RATE_PARAMS = {"lognormal": ("median", "sigma", "low", "high"),
+                        "fixed": ("value",)}
 
 
 def _default_competitor_bids() -> dict:
@@ -115,14 +122,24 @@ class WorldConfig:
     reserve_micros: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_users <= 0:
-            raise WorldConfigError("n_users must be positive")
-        if self.horizon_days <= 0:
-            raise WorldConfigError("horizon_days must be positive")
-        if self.topics < 2:
-            raise WorldConfigError("need at least 2 topics")
-        if self.apps < 1:
-            raise WorldConfigError("need at least 1 app")
+        for name, least in (("n_users", 1), ("horizon_days", 1), ("topics", 2),
+                            ("apps", 1), ("reserve_micros", 0)):
+            value = getattr(self, name)
+            if not is_integer(value) or not least <= value <= INT64_MAX:
+                raise WorldConfigError(
+                    f"{name} must be an integer in [{least}, 2**63 - 1], "
+                    f"got {value!r}")
+        rate = self.request_rate
+        kind = rate.get("kind")
+        if kind not in _REQUEST_RATE_PARAMS:
+            raise WorldConfigError(f"unknown request_rate kind {kind!r}")
+        for name in _REQUEST_RATE_PARAMS[kind]:
+            value = rate.get(name)
+            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                    or not 0 <= value < math.inf):
+                raise WorldConfigError(
+                    f"request_rate {name} must be a finite non-negative "
+                    f"number, got {value!r}")
         if not -1.0 < self.p_lift_dependence < 1.0:
             raise WorldConfigError("p_lift_dependence must lie in (-1, 1)")
         if self.request_arrivals not in ("poisson", "deterministic"):
@@ -210,13 +227,10 @@ def _draw_request_rates(
     config: WorldConfig, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     spec = config.request_rate
-    kind = spec.get("kind")
-    if kind == "lognormal":
+    if spec["kind"] == "lognormal":
         rates = spec["median"] * np.exp(spec["sigma"] * rng.standard_normal(n))
         return np.clip(rates, spec["low"], spec["high"])
-    if kind == "fixed":
-        return np.full(n, float(spec["value"]))
-    raise WorldConfigError(f"unknown request_rate kind {kind!r}")
+    return np.full(n, float(spec["value"]))
 
 
 def _percentile_ranks(values: np.ndarray) -> np.ndarray:
@@ -506,16 +520,17 @@ def run_market(
         counts = np.broadcast_to(
             np.rint(rates).astype(np.int64)[:, None], (n, config.horizon_days)
         ).copy()
-    # One request per draw, in (day, user) cell order; then sorted by time,
+    # One request per draw, in (day, user) cell order; then in time order,
     # stably. A time fixes the day, so requests that tie on time are
-    # already in user order, then draw order: the sort keeps both.
+    # already in user order, then draw order: the stable order keeps both.
+    # _time_order sorts the unique keys (time << b) | draw, b the bit
+    # length of the request count, so any sort gives that order.
     cell = np.repeat(np.arange(counts.size), counts.T.reshape(-1))
     req_ts = (cell // n * SECONDS_PER_DAY
               + req_rng.integers(0, SECONDS_PER_DAY, cell.size))
     req_topic = req_rng.integers(0, config.topics, cell.size)
-    order = np.argsort(req_ts, kind="stable")
-    req_ts, req_topic, cell = req_ts[order], req_topic[order], cell[order]
-    req_day, req_user = cell // n, cell % n
+    order = _time_order(req_ts, config.horizon_days * SECONDS_PER_DAY)
+    req_topic, req_user = req_topic[order], cell[order] % n
 
     comp = _competitor_bids(config, market_rng, p, req_user)
 
@@ -563,7 +578,7 @@ def run_market(
     blocks: list[np.ndarray] = []
 
     # Window w's requests are window_starts[w]:window_starts[w + 1].
-    window_starts = np.searchsorted(req_day, np.arange(n_windows + 1) * aw_days)
+    window_starts = np.searchsorted(req_ts, np.arange(n_windows + 1) * aw_secs)
 
     window_exposed = np.zeros(n, dtype=bool)
     for w in range(n_windows):
@@ -731,6 +746,30 @@ def _event_block(ts, user, kind, **optional) -> np.ndarray:
     for name, values in optional.items():
         block[FIELDS.index(name)] = values
     return block
+
+
+def _time_order(ts: np.ndarray, bound: int) -> np.ndarray:
+    """The stable sort order of int64 times ``ts``, each in [0, bound);
+    sorts ``ts`` in place.
+
+    Time t at position i becomes the key (t << b) | i, b the bit length
+    of ``ts.size``. The keys are unique and order by time, then by
+    position, so one in-place sort of any kind gives the stable order.
+    Raises :class:`WorldConfigError` when a key would need more than 63
+    bits.
+    """
+    b = ts.size.bit_length()
+    if (bound - 1).bit_length() + b > 63:
+        raise WorldConfigError(
+            f"{ts.size} requests over times below {bound} need more than "
+            f"63 bits to order")
+    order = np.arange(ts.size)
+    ts <<= b
+    ts |= order
+    ts.sort()
+    np.bitwise_and(ts, (1 << b) - 1, out=order)
+    ts >>= b
+    return order
 
 
 def _time_sorted(block: np.ndarray) -> np.ndarray:

@@ -456,6 +456,51 @@ def test_unknown_world_key_is_a_config_error(tmp_path, capsys, command, payload)
     assert err.count("\n") == 1
 
 
+def with_key(payload, section, key, value):
+    """``payload`` with ``section.key`` set to ``value``."""
+    return {**payload, section: {**payload.get(section, {}), key: value}}
+
+
+NEGATIVE_RATE = {"kind": "fixed", "value": -1}
+MALFORMED_ABTEST = {
+    "budget_per_bidder_dollars=-5": ("budget_per_bidder_dollars", -5),
+    "cpa_dollars=NaN": ("cpa_dollars", float("nan")),
+    "budget_per_bidder_dollars=1e300": ("budget_per_bidder_dollars", 1e300),
+    "beta_dollars=-1": ("beta_dollars", -1),
+    "action_window_days=0": ("action_window_days", 0),
+    "n_users=30.5": ("n_users", 30.5),
+    "n_users=true": ("n_users", True),
+    "world_overrides.reserve_micros=-5": ("world_overrides",
+                                          {"reserve_micros": -5}),
+    "world_overrides.request_rate<0": ("world_overrides",
+                                       {"request_rate": NEGATIVE_RATE}),
+}
+MALFORMED_SIMULATE = {
+    "world.reserve_micros=-5": ("world", "reserve_micros", -5),
+    "world.request_rate<0": ("world", "request_rate", NEGATIVE_RATE),
+    "world.n_users=30.5": ("world", "n_users", 30.5),
+    "world.n_users=true": ("world", "n_users", True),
+    "campaign.budget_dollars=1e300": ("campaign", "budget_dollars", 1e300),
+}
+
+
+@pytest.mark.parametrize("command, payload", [
+    *(("abtest", with_key(AB_SMALL, "abtest", *case))
+      for case in MALFORMED_ABTEST.values()),
+    *(("simulate", with_key(TRAIN_WORLD, *case))
+      for case in MALFORMED_SIMULATE.values()),
+], ids=[*(f"abtest:{i}" for i in MALFORMED_ABTEST),
+        *(f"simulate:{i}" for i in MALFORMED_SIMULATE)])
+def test_malformed_config_value_is_a_config_error(tmp_path, capsys, command,
+                                                  payload):
+    code = main([command, "--config", str(write_config(tmp_path, payload)),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_importing_the_cli_loads_no_scipy_stats_or_optimize():
     # Either one costs a large share of each CLI process's start-up time.
     script = ("import sys, liftsim.cli; "

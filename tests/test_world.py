@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liftsim.bidders import BidderConfig, price_bids
 from liftsim.events import (
@@ -11,8 +12,9 @@ from liftsim.events import (
 )
 from liftsim.market import Campaign, dollars_to_micros
 from liftsim.world import (
-    WorldConfig, WorldConfigError, generate_population,
-    precedent_impression_fraction, run_market, split_budget,
+    SECONDS_PER_DAY, WorldConfig, WorldConfigError, _time_order,
+    generate_population, precedent_impression_fraction, run_market,
+    split_budget,
 )
 from test_market import second_price
 
@@ -232,6 +234,33 @@ def test_events_are_time_ordered_and_causal():
         auction = auctions[(log.ts[imp], log.user[imp])]
         assert log.bidder[auction] == log.bidder[imp]
         assert log.price[auction] == log.price[imp]
+
+
+HORIZON = 28 * SECONDS_PER_DAY
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.integers(0, HORIZON - 1), min_size=3, max_size=3),
+       size=st.integers(0, 3000), seed=st.integers(0, 2**32 - 1))
+@example(values=[0, 0, HORIZON - 1], size=0, seed=0)
+@example(values=[0, 0, HORIZON - 1], size=1, seed=0)
+def test_time_order_is_the_stable_argsort(values, size, seed):
+    # Times drawn from three values, so most of them tie.
+    ts = np.array(values, dtype=np.int64)[
+        np.random.default_rng(seed).integers(0, 3, size)]
+    expected = np.argsort(ts, kind="stable")
+    sorted_ts = ts.copy()
+    order = _time_order(sorted_ts, HORIZON)
+    assert order.tolist() == expected.tolist()
+    assert sorted_ts.tolist() == ts[expected].tolist()
+
+
+def test_time_order_needs_keys_of_at_most_63_bits():
+    # Five times need 3 bits of position: times below 2**60 fit, 2**61 not.
+    ts = np.array([4, 0, 4, 2, 0], dtype=np.int64)
+    assert _time_order(ts.copy(), 2**60).tolist() == [1, 4, 3, 0, 2]
+    with pytest.raises(WorldConfigError, match="63 bits"):
+        _time_order(ts.copy(), 2**61)
 
 
 def test_engine_settlement_matches_run_auction():
