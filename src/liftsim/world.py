@@ -130,7 +130,7 @@ class WorldConfig:
                     f"{name} must be an integer in [{least}, 2**63 - 1], "
                     f"got {value!r}")
         rate = self.request_rate
-        kind = rate.get("kind")
+        kind = rate.get("kind") if isinstance(rate, dict) else None
         if kind not in _REQUEST_RATE_PARAMS:
             raise WorldConfigError(f"unknown request_rate kind {kind!r}")
         for name in _REQUEST_RATE_PARAMS[kind]:
@@ -523,8 +523,10 @@ def run_market(
     # One request per draw, in (day, user) cell order; then in time order,
     # stably. A time fixes the day, so requests that tie on time are
     # already in user order, then draw order: the stable order keeps both.
-    # _time_order sorts the unique keys (time << b) | draw, b the bit
-    # length of the request count, so any sort gives that order.
+    # _time_order sorts the keys (time << b) | draw, b the bit length of
+    # the request count. They are unique and order by time, then draw, so
+    # any sort gives the stable order. Time and draw share 63 bits: a
+    # 28-day horizon takes 22, leaving 41 for b; past that it raises.
     cell = np.repeat(np.arange(counts.size), counts.T.reshape(-1))
     req_ts = (cell // n * SECONDS_PER_DAY
               + req_rng.integers(0, SECONDS_PER_DAY, cell.size))

@@ -478,6 +478,7 @@ MALFORMED_ABTEST = {
 MALFORMED_SIMULATE = {
     "world.reserve_micros=-5": ("world", "reserve_micros", -5),
     "world.request_rate<0": ("world", "request_rate", NEGATIVE_RATE),
+    "world.request_rate=3": ("world", "request_rate", 3),
     "world.n_users=30.5": ("world", "n_users", 30.5),
     "world.n_users=true": ("world", "n_users", True),
     "campaign.budget_dollars=1e300": ("campaign", "budget_dollars", 1e300),

@@ -140,6 +140,10 @@ def test_money_round_half_even():
     assert dollars_to_micros(0.0000015) == 2
     assert dollars_to_micros(3.5) == 3_500_000
     assert micros_to_dollars(D(3.5)) == 3.5
+    assert dollars_to_micros(9e12) == 9 * 10**18  # fits in int64
+    for amount in (float("nan"), float("inf"), -float("inf"), 1e300, 1e13):
+        with pytest.raises(ValueError):
+            dollars_to_micros(amount)
 
 
 def test_population_invariants():
@@ -173,4 +177,8 @@ def test_campaign_invariants():
         Campaign("adv1", cpa=0, budget=D(1000.0))
     with pytest.raises(ValueError):
         Campaign("adv1", cpa=D(100.0), budget=-1)
+    with pytest.raises(ValueError):
+        Campaign("adv1", cpa=D(100.0), budget=2**63 - D(100.0))  # sum > int64
+    with pytest.raises(ValueError):
+        Campaign("adv1", cpa=D(100.0), budget=0, action_window_days=2.0)
 
