@@ -93,9 +93,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args)
     (seed, world, population, campaign, bidders, budgets, assignment,
      digest) = _prepare_market(cfg)
-    run = run_market(population, bidders, [campaign], world,
-                     assignment=assignment, budgets=budgets,
-                     record_events=True)
+    run = run_market(population, bidders, campaign, world, assignment,
+                     budgets=budgets)
     out = _output_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "events.jsonl"

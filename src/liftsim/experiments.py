@@ -254,24 +254,20 @@ def _mc_cross_check(
         total_2[done:done + m] = attr_2[done:done + m] + hits_j_bg.sum(axis=1)
         done += m
 
-    checks = []
-    a1_est = float(total_1.mean() / attr_1.mean())
-    a1_se = _ratio_se(total_1, attr_1)
-    checks.append(MCCheck(instance, "actions_per_attr_value",
-                          report.actions_per_attr_value, a1_est, a1_se,
-                          abs(report.actions_per_attr_value - a1_est) <= 3 * a1_se))
-    a2_est = float(total_2.mean() / attr_2.mean())
-    a2_se = _ratio_se(total_2, attr_2)
-    checks.append(MCCheck(instance, "actions_per_attr_lift",
-                          report.actions_per_attr_lift, a2_est, a2_se,
-                          abs(report.actions_per_attr_lift - a2_est) <= 3 * a2_se))
-    c1_est = float(cost_value / attr_1.mean())
     c1_se = float(cost_value * np.std(attr_1, ddof=1)
                   / (attr_1.mean() ** 2 * np.sqrt(trials)))
-    checks.append(MCCheck(instance, "cost_per_attr_value",
-                          report.cost_per_attr_value, c1_est, c1_se,
-                          abs(report.cost_per_attr_value - c1_est) <= 3 * c1_se))
-    return checks
+    return [
+        MCCheck(instance, quantity, exact, estimate, stderr,
+                abs(exact - estimate) <= 3 * stderr)
+        for quantity, exact, estimate, stderr in (
+            ("actions_per_attr_value", report.actions_per_attr_value,
+             float(total_1.mean() / attr_1.mean()), _ratio_se(total_1, attr_1)),
+            ("actions_per_attr_lift", report.actions_per_attr_lift,
+             float(total_2.mean() / attr_2.mean()), _ratio_se(total_2, attr_2)),
+            ("cost_per_attr_value", report.cost_per_attr_value,
+             float(cost_value / attr_1.mean()), c1_se),
+        )
+    ]
 
 
 def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
@@ -475,7 +471,7 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
         if estimator_factory is not None:
             estimator = estimator_factory(population, config.advertiser,
                                           behavior_log(population, world))
-        run = run_market(population, bidders, [campaign], world,
+        run = run_market(population, bidders, campaign, world,
                          assignment=assign_groups(world, len(bidders)),
                          estimator=estimator, record_events=False)
         groups: dict[str, GroupStats] = {g.kind: g for g in run.groups}

@@ -156,6 +156,12 @@ class Population:
         return np.column_stack((self.age_group, self.gender, self.geo_area))
 
 
+def may_win(our: np.ndarray, comp: np.ndarray, reserve: int) -> np.ndarray:
+    """Where our bid can win: at or above the competitor's and above the
+    reserve. Elsewhere we lose outright, and no tie flip is drawn."""
+    return (our >= comp) & (our > reserve)
+
+
 def run_auction(
     our: np.ndarray, comp: np.ndarray, reserve: int,
     tie_rng: np.random.Generator,
@@ -177,8 +183,9 @@ def run_auction(
     if reserve < 0 or (lower < 0).any():
         raise ValueError("bids and the reserve must be non-negative")
     live = (our > reserve) | (comp > reserve)
-    won = live & (our > comp)
-    tie = live & (our == comp)
+    contested = may_win(our, comp, reserve)
+    won = contested & (our > comp)
+    tie = contested & (our == comp)
     won[tie] = tie_rng.integers(2, size=int(np.count_nonzero(tie))) == 1
     price = np.where(live, np.maximum(lower, reserve), 0)
     return won, price

@@ -8,28 +8,26 @@ auctions for every ad request against an exogenous competitor bid,
 realizes actions from the ground truth, and can record a columnar event
 log built from whole arrays.
 
-Budgets and attribution change only at the ends of action windows, so
-with oracle bids (the ground truth priced by each group's bidder) a
-window is stateless: the simulator bids, settles, breaks ties and draws
-clicks for all of a window's requests in one array step. A
-:class:`BidEstimator` instead prices from what a bidder can know: the
-behavior data it was built with, and the impressions and clicks of its
-own won auctions, each told before the same user's next bid. So that
-path prices a window's requests in one batch, prices a user's later
-requests again after each of their wins, and settles request by
-request. Both paths settle with
-:func:`~liftsim.market.run_auction`, the package's one second-price
-settlement, share the tallies, the event rows and the window-end
-accounting, and give identical results when the estimator returns the
-ground truth.
+Budgets and attribution change only at the ends of action windows. A
+window's bids come from the ground truth priced by each group's bidder
+(oracle bids), or from a :class:`BidEstimator`, which prices from what a
+bidder can know: the behavior data it was built with, and the
+impressions and clicks of its own won auctions, each told before the
+same user's next bid. Either way the window settles in runs of
+requests, each in one :func:`~liftsim.market.run_auction` call, the
+package's one second-price settlement. A run ends at the first auction
+our bid may win (:func:`~liftsim.market.may_win`) when a win can
+re-price a later request, that is with an estimator; with oracle bids
+nothing re-prices, so the window is one run. Given the ground truth, an
+estimator's runs give the oracle's results.
 
 Randomness is split into independent streams (requests, market,
 behavior, clicks, actions, ties) derived from the world seed, so the
 action draws for a user do not depend on how the bidding went; exposure
 changes outcomes only through (p, delta_p). The tie and click streams
 are drawn in request order, one value per tie and per won auction,
-whether a window draws them in one call or one at a time. The same
-configuration and seed reproduce the identical event log byte for byte.
+however a window splits into runs. The same configuration and seed
+reproduce the identical event log byte for byte.
 """
 from __future__ import annotations
 
@@ -48,7 +46,9 @@ from .events import (
     IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH, EventLog,
 )
 from .fileio import json_digest
-from .market import INT64_MAX, Campaign, Population, is_integer, run_auction
+from .market import (
+    INT64_MAX, Campaign, Population, is_integer, may_win, run_auction,
+)
 from .seeds import rng_for
 
 SECONDS_PER_DAY = 86_400
@@ -76,9 +76,24 @@ def _default_request_rate() -> dict:
             "low": 0.2, "high": 8.0}
 
 
-# Each request_rate kind's parameters, all finite and non-negative.
-_REQUEST_RATE_PARAMS = {"lognormal": ("median", "sigma", "low", "high"),
-                        "fixed": ("value",)}
+# Each distribution's kinds and their parameters: finite numbers >= 0,
+# "values" a list of one per user. Only "pool" may be left out.
+_KIND_PARAMS = {
+    "p_distribution": {"scaled_beta": ("a", "b", "low", "high"),
+                       "fixed": ("values",), "point": ("value",)},
+    "delta_p_distribution": {"uniform_ratio": ("low", "high"), "fixed": ("values",),
+                             "point_ratio": ("value",), "zero": ()},
+    "request_rate": {"lognormal": ("median", "sigma", "low", "high"),
+                     "fixed": ("value",)},
+    "competitor_bids": {"fixed": ("dollars",), "lognormal": ("median_dollars", "sigma"),
+                        "value_tracking": ("scale_dollars", "sigma", "pool")},
+}
+
+
+def _is_amount(value) -> bool:
+    """True for a finite, non-negative int or float; False for a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 <= value < math.inf)
 
 
 def _default_competitor_bids() -> dict:
@@ -129,17 +144,24 @@ class WorldConfig:
                 raise WorldConfigError(
                     f"{name} must be an integer in [{least}, 2**63 - 1], "
                     f"got {value!r}")
-        rate = self.request_rate
-        kind = rate.get("kind") if isinstance(rate, dict) else None
-        if kind not in _REQUEST_RATE_PARAMS:
-            raise WorldConfigError(f"unknown request_rate kind {kind!r}")
-        for name in _REQUEST_RATE_PARAMS[kind]:
-            value = rate.get(name)
-            if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-                    or not 0 <= value < math.inf):
-                raise WorldConfigError(
-                    f"request_rate {name} must be a finite non-negative "
-                    f"number, got {value!r}")
+        for section, kinds in _KIND_PARAMS.items():
+            spec = getattr(self, section)
+            kind = spec.get("kind") if isinstance(spec, dict) else None
+            if kind not in kinds:
+                raise WorldConfigError(f"unknown {section} kind {kind!r}")
+            for name in kinds[kind]:
+                value = spec.get(name)
+                if name == "values":
+                    ok = (isinstance(value, (list, tuple))
+                          and len(value) == self.n_users
+                          and all(map(_is_amount, value)))
+                else:
+                    ok = _is_amount(value) or (name == "pool" and name not in spec)
+                if not ok:
+                    what = ("a list of n_users finite numbers" if name == "values"
+                            else "a finite number")
+                    raise WorldConfigError(
+                        f"{section} {name} must be {what} >= 0, got {value!r}")
         if not -1.0 < self.p_lift_dependence < 1.0:
             raise WorldConfigError("p_lift_dependence must lie in (-1, 1)")
         if self.request_arrivals not in ("poisson", "deterministic"):
@@ -150,6 +172,13 @@ class WorldConfig:
         unknown = sorted(set(self.behavior) - set(_default_behavior()))
         if unknown:
             raise WorldConfigError(f"unknown behavior key(s) {unknown}")
+        for name, value in self.behavior.items():
+            flag = name == "enabled"
+            if not (isinstance(value, bool) if flag else _is_amount(value)):
+                raise WorldConfigError(
+                    f"behavior {name} must be "
+                    f"{'true or false' if flag else 'a finite number >= 0'}, "
+                    f"got {value!r}")
 
     @property
     def behavior_settings(self) -> dict:
@@ -162,9 +191,6 @@ class WorldConfig:
         data["advertisers"] = list(self.advertisers)
         return data
 
-    def digest(self) -> str:
-        return json_digest(self.to_dict())
-
 
 # ---------------------------------------------------------------------------
 # Population generation
@@ -174,51 +200,34 @@ def _draw_p_and_ratio(
     config: WorldConfig, rng: np.random.Generator, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw k (p, delta_p) pairs according to the configured marginals."""
-    p_spec = config.p_distribution
-    d_spec = config.delta_p_distribution
-    p_kind = p_spec.get("kind")
-    d_kind = d_spec.get("kind")
+    p_spec, d_spec = config.p_distribution, config.delta_p_distribution
+    p_kind, d_kind = p_spec["kind"], d_spec["kind"]
 
-    copula = p_kind == "scaled_beta" and d_kind == "uniform_ratio"
-    if copula:
+    if p_kind == "scaled_beta" and d_kind == "uniform_ratio":  # copula
         rho = config.p_lift_dependence
         z1 = rng.standard_normal(k)
         z2 = rho * z1 + np.sqrt(1.0 - rho * rho) * rng.standard_normal(k)
-        u_p = ndtr(z1)
-        u_r = ndtr(z2)
+        u_p, u_r = ndtr(z1), ndtr(z2)
     else:
-        u_p = rng.random(k)
-        u_r = rng.random(k)
+        u_p, u_r = rng.random(k), rng.random(k)
 
     if p_kind == "scaled_beta":
         lo, hi = p_spec["low"], p_spec["high"]
         p = lo + (hi - lo) * betaincinv(p_spec["a"], p_spec["b"], u_p)
     elif p_kind == "fixed":
-        values = np.asarray(p_spec["values"], dtype=float)
-        if len(values) != k:
-            raise WorldConfigError(
-                f"fixed p distribution needs {k} values, got {len(values)}")
-        p = values
-    elif p_kind == "point":
+        p = np.asarray(p_spec["values"], dtype=float)
+    else:  # point
         p = np.full(k, float(p_spec["value"]))
-    else:
-        raise WorldConfigError(f"unknown p distribution kind {p_kind!r}")
 
     if d_kind == "uniform_ratio":
         lo, hi = d_spec["low"], d_spec["high"]
         delta_p = p * (lo + (hi - lo) * u_r)
     elif d_kind == "fixed":
-        values = np.asarray(d_spec["values"], dtype=float)
-        if len(values) != k:
-            raise WorldConfigError(
-                f"fixed delta_p distribution needs {k} values, got {len(values)}")
-        delta_p = values
+        delta_p = np.asarray(d_spec["values"], dtype=float)
     elif d_kind == "point_ratio":
         delta_p = p * float(d_spec["value"])
-    elif d_kind == "zero":
+    else:  # zero
         delta_p = np.zeros(k)
-    else:
-        raise WorldConfigError(f"unknown delta_p distribution kind {d_kind!r}")
 
     return p, delta_p
 
@@ -256,9 +265,8 @@ def generate_population(config: WorldConfig) -> Population:
 
     # Fixed-value kinds describe the whole population in order and are
     # validated in one pass, without resampling.
-    fixed = (config.p_distribution.get("kind") == "fixed"
-             or config.delta_p_distribution.get("kind") == "fixed")
-    if fixed:
+    if "fixed" in (config.p_distribution["kind"],
+                   config.delta_p_distribution["kind"]):
         p, delta_p = _draw_p_and_ratio(config, rng, n)
         bg = p - delta_p
         bad = (p < 0) | (p > 1) | (bg < 0) | (bg > 1)
@@ -309,12 +317,13 @@ class BidEstimator(Protocol):
     """Source of (p, delta_p) estimates used to price bids at request time.
 
     ``estimate`` takes equal-length arrays of user index, request time
-    and topic, and returns arrays of p and delta_p, one per request.
-    ``observe`` is told the outcomes of the bidder's own auctions: each
-    impression it wins and each click on one, per user in time order,
-    before that user's next bid is priced. ``ref`` is the campaign's
-    advertiser id. Anything else an estimator knows, such as behavior
-    data, it is built with.
+    and topic, and returns arrays of p and delta_p, one per request; the
+    market calls it once per window, and again for a user's later
+    requests after each of their wins. ``observe`` is told the outcomes
+    of the bidder's own auctions: each impression it wins and each click
+    on one, per user in time order, before that user's next bid is
+    priced. ``ref`` is the campaign's advertiser id. Anything else an
+    estimator knows, such as behavior data, it is built with.
     """
 
     def estimate(self, user_index: np.ndarray, ts: np.ndarray,
@@ -357,7 +366,6 @@ class MarketRun:
     log: EventLog | None
     groups: list[GroupStats]
     n_windows: int
-    config_digest: str
 
 
 def market_run_digest(
@@ -417,20 +425,20 @@ def behavior_log(population: Population, config: WorldConfig) -> EventLog | None
 def run_market(
     population: Population,
     bidders: list[BidderConfig],
-    campaigns: list[Campaign],
+    campaign: Campaign,
     config: WorldConfig,
-    assignment: np.ndarray | list[int] | None = None,
+    assignment: np.ndarray | list[int],
     budgets: list[int] | None = None,
     estimator: BidEstimator | None = None,
     record_events: bool = True,
 ) -> MarketRun:
     """Simulate the market over the horizon and aggregate per-group outcomes.
 
-    Each user belongs to exactly one bidder's group. Requests arrive at
-    the user's rate; the group bidder prices each request and faces one
-    sampled competitor bid in a second-price auction. Actions are drawn
-    once per action window per user, at rate p when at least one of the
-    advertiser's impressions landed within the window and at the
+    User i belongs to bidder ``assignment[i]``'s group. Requests arrive
+    at the user's rate; the group bidder prices each request and faces
+    one sampled competitor bid in a second-price auction. Actions are
+    drawn once per action window per user, at rate p when at least one
+    of the advertiser's impressions landed within the window and at the
     background rate otherwise. A bidder stops bidding once its billed
     attributed actions have spent its budget (checked when attribution
     updates, at window ends).
@@ -439,19 +447,17 @@ def run_market(
     and topic, ``market`` every competitor bid and ``actions`` one
     uniform per user and window. Then each window:
 
-    * With oracle bids (``estimator`` None), the window's requests whose
-      group still bids and whose bid is positive are settled in one
-      call of :func:`~liftsim.market.run_auction`, which draws
-      one ``ties`` flip per tie in request order; then ``clicks`` draws
-      one uniform per won auction, in request order.
-    * With an estimator, the window's requests whose group still bids
-      are priced with one ``estimate`` call. Then they are settled one
-      at a time, in time order: each win is observed as an impression,
-      and its click, if any, as a click, and that user's later requests
-      in the window are priced again, before the next is settled. The
-      estimator is told nothing else. Each win draws its click right
-      away, so the tie and click streams are consumed in request order,
-      as on the oracle path.
+    * The requests whose group still bids are priced from the ground
+      truth, or with one ``estimate`` call when there is an estimator.
+    * They settle in runs, in time order, each run's positive bids in one
+      :func:`~liftsim.market.run_auction` call, which draws one ``ties``
+      flip per tie; ``clicks`` then draws one uniform per win. With
+      oracle bids the window is one run. With an estimator a run ends at
+      the first auction our bid may win (the ones before it lose
+      outright); a win is observed as an impression, and its click, if
+      any, as a click, and that user's later requests in the window are
+      priced again with one ``estimate`` call. The estimator is told
+      nothing else.
     * At the window's end, every user's action is drawn, actions with a
       same-window impression are attributed, and each group bills them
       at ``cpa`` while its spend is under budget.
@@ -463,9 +469,6 @@ def run_market(
     the winning bid, or at a window end when a group's spend exceeds
     budget + cpa or billed <= attributed <= actions fails.
     """
-    if len(campaigns) != 1:
-        raise WorldConfigError("exactly one campaign per simulated market")
-    campaign = campaigns[0]
     if campaign.advertiser_id not in config.advertisers:
         raise WorldConfigError("campaign advertiser missing from world config")
     if config.horizon_days % campaign.action_window_days != 0:
@@ -474,10 +477,6 @@ def run_market(
 
     n = len(population)
     n_bidders = len(bidders)
-    if assignment is None:
-        if n_bidders != 1:
-            raise WorldConfigError("assignment required with multiple bidders")
-        assignment = np.zeros(n, dtype=np.int64)
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (n,):
         raise WorldConfigError("assignment must give one bidder index per user")
@@ -495,9 +494,6 @@ def run_market(
     n_windows = config.horizon_days // aw_days
     adv = campaign.advertiser_id
     reserve = config.reserve_micros
-
-    run_digest = market_run_digest(config, campaign, bidders, budgets,
-                                   assignment)
 
     p, dp, bg = population.p, population.delta_p, population.background_rate
     rates = population.request_rate
@@ -538,7 +534,6 @@ def run_market(
 
     action_uniforms = action_rng.random((n, n_windows))
 
-    oracle_bids = None
     if estimator is None:  # each user's bid from its group's bidder
         oracle_bids = np.stack([price_bids(b, p, dp) for b in bidders])[
             assignment, np.arange(n)]
@@ -581,51 +576,53 @@ def run_market(
 
     # Window w's requests are window_starts[w]:window_starts[w + 1].
     window_starts = np.searchsorted(req_ts, np.arange(n_windows + 1) * aw_secs)
+    empty = np.zeros(0, dtype=np.int64)
 
     window_exposed = np.zeros(n, dtype=bool)
     for w in range(n_windows):
         window_exposed[:] = False
         s, e = int(window_starts[w]), int(window_starts[w + 1])
         bidding = active & ~stopped
+        rows = s + np.flatnonzero(bidding[assignment[req_user[s:e]]])
+        # Only an estimator re-prices after a win, so only its runs end at
+        # an auction we may win; with oracle bids the window is one run.
         if estimator is None:
-            # Stateless within the window: bids, settlements, tie flips
-            # and click draws for all of its requests at once.
-            users = req_user[s:e]
-            kept = s + np.flatnonzero(
-                bidding[assignment[users]] & (oracle_bids[users] > 0))
-            our = oracle_bids[req_user[kept]]
+            bids = oracle_bids[req_user[rows]]
+            run_ends = np.zeros(rows.size, dtype=bool)
+        else:
+            bids = model_bids(rows)
+            run_ends = may_win(bids, comp[rows], reserve)
+        # (requests, bids, won, price, clicked) per run, after an empty
+        # one, so a window without auctions concatenates to empty arrays.
+        runs = [(empty, empty, empty > 0, empty, empty > 0)]
+        start = 0
+        while start < rows.size:
+            end = start + int(run_ends[start:].argmax()) + 1
+            if not run_ends[end - 1]:
+                end = rows.size
+            # A run settles its positive bids, as a slice (no copy) when all
+            # are. Re-pricing writes only after the run: its bids stay put.
+            positive = bids[start:end] > 0
+            run = (slice(start, end) if positive.all()
+                   else start + np.flatnonzero(positive))
+            start = end
+            kept, our = rows[run], bids[run]
+            if not kept.size:
+                continue
             won, price = run_auction(our, comp[kept], reserve, tie_rng)
             clicked = click_rng.random(int(np.count_nonzero(won))) < click_rate
-        else:
-            # A user's features change only through their own wins, so the
-            # window is priced in one batch and, after a win, that user's
-            # later requests again. Settlement and click draws still go
-            # request by request, in request order.
-            kept = s + np.flatnonzero(bidding[assignment[req_user[s:e]]])
-            kept_user = req_user[kept]
-            bids = model_bids(kept)
-            settled = []  # (request, bid, won, price)
-            clicked = []  # one per win
-            for k, i in enumerate(kept.tolist()):
-                bid = int(bids[k])
-                if bid <= 0:
-                    continue
-                won, price = run_auction(
-                    np.array([bid]), comp[i:i + 1], reserve, tie_rng)
-                settled.append((i, bid, won[0], price[0]))
-                if won[0]:
-                    u, ts = int(req_user[i]), int(req_ts[i])
-                    estimator.observe(u, IMPRESSION, adv, ts)
-                    clicked.append(click_rng.random() < click_rate)
-                    if clicked[-1]:
-                        estimator.observe(u, CLICK, adv, ts + 30)
-                    later = k + 1 + np.flatnonzero(kept_user[k + 1:] == u)
-                    if later.size:
-                        bids[later] = model_bids(kept[later])
-            kept, our, won, price = np.array(
-                settled, dtype=np.int64).reshape(-1, 4).T
-            won = won.astype(bool)
-            clicked = np.array(clicked, dtype=bool)
+            runs.append((kept, our, won, price, clicked))
+            if estimator is not None and won[-1]:
+                u, ts = int(req_user[kept[-1]]), int(req_ts[kept[-1]])
+                estimator.observe(u, IMPRESSION, adv, ts)
+                if clicked[0]:
+                    estimator.observe(u, CLICK, adv, ts + 30)
+                later = end + np.flatnonzero(req_user[rows[end:]] == u)
+                if later.size:
+                    bids[later] = model_bids(rows[later])
+                    run_ends[later] = may_win(bids[later], comp[rows[later]], reserve)
+        kept, our, won, price, clicked = runs[1] if len(runs) == 2 else (
+            np.concatenate(part) for part in zip(*runs))  # one run: no copy
 
         if (won & (price > our)).any():
             raise MarketInvariantError(
@@ -711,9 +708,9 @@ def run_market(
         ], axis=1))
         log = EventLog(*data, users=population.user_ids, advertisers=(adv,),
                        bidders=(*labels, MARKET), seed=config.seed,
-                       config_digest=run_digest)
-    return MarketRun(log=log, groups=stats, n_windows=n_windows,
-                     config_digest=run_digest)
+                       config_digest=market_run_digest(
+                           config, campaign, bidders, budgets, assignment))
+    return MarketRun(log=log, groups=stats, n_windows=n_windows)
 
 
 def _competitor_bids(
@@ -723,7 +720,7 @@ def _competitor_bids(
     req_user: np.ndarray,
 ) -> np.ndarray:
     spec = config.competitor_bids
-    kind = spec.get("kind")
+    kind = spec["kind"]
     k = len(req_user)
     if kind == "fixed":
         return np.full(k, int(round(spec["dollars"] * 1e6)), dtype=np.int64)
@@ -731,13 +728,12 @@ def _competitor_bids(
         micros = spec["median_dollars"] * 1e6 * np.exp(
             spec["sigma"] * rng.standard_normal(k))
         return np.rint(micros).astype(np.int64)
-    if kind == "value_tracking":
-        pool = float(spec.get("pool", 0.5))
-        base = pool * p[req_user] + (1.0 - pool) * float(p.mean())
-        noise = np.exp(spec["sigma"] * rng.standard_normal(k))
-        micros = spec["scale_dollars"] * 1e6 * base * noise
-        return np.rint(micros).astype(np.int64)
-    raise WorldConfigError(f"unknown competitor_bids kind {kind!r}")
+    # value_tracking
+    pool = float(spec.get("pool", 0.5))
+    base = pool * p[req_user] + (1.0 - pool) * float(p.mean())
+    noise = np.exp(spec["sigma"] * rng.standard_normal(k))
+    micros = spec["scale_dollars"] * 1e6 * base * noise
+    return np.rint(micros).astype(np.int64)
 
 
 def _event_block(ts, user, kind, **optional) -> np.ndarray:

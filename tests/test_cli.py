@@ -482,6 +482,13 @@ MALFORMED_SIMULATE = {
     "world.n_users=30.5": ("world", "n_users", 30.5),
     "world.n_users=true": ("world", "n_users", True),
     "campaign.budget_dollars=1e300": ("campaign", "budget_dollars", 1e300),
+    "world.competitor_bids-dollars": ("world", "competitor_bids",
+                                      {"kind": "fixed"}),
+    "world.behavior.pv_rate=-1": ("world", "behavior", {"pv_rate": -1}),
+    "world.p_distribution-low": ("world", "p_distribution",
+                                 {"kind": "scaled_beta"}),
+    "world.delta_p_distribution.value=x": ("world", "delta_p_distribution",
+                                           {"kind": "point_ratio", "value": "x"}),
 }
 
 

@@ -63,7 +63,7 @@ def trained_world_model(seed=33, n_users=400, target=300):
     assignment = np.arange(n_users) % 2
     campaign = Campaign("adv1", cpa=D(100.0), budget=D(1e9),
                         action_window_days=2)
-    run = run_market(population, bidders, [campaign], config,
+    run = run_market(population, bidders, campaign, config,
                      assignment=assignment, record_events=True)
     schema = FeatureSchema(advertisers=("adv1",), topics=config.topics,
                            apps=config.apps)

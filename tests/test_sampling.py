@@ -155,7 +155,7 @@ def test_leakage_freedom_on_simulated_world():
     population = generate_population(config)
     run = run_market(
         population, [BidderConfig(kind="value", alpha=D(100.0))],
-        [Campaign("adv1", cpa=D(100.0), budget=D(1e9), action_window_days=2)],
+        Campaign("adv1", cpa=D(100.0), budget=D(1e9), action_window_days=2),
         config, assignment=np.zeros(len(population), dtype=int))
     log = run.log
     schema = FeatureSchema(advertisers=("adv1",), topics=config.topics,

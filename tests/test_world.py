@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import liftsim.world
 from liftsim.bidders import BidderConfig, price_bids
 from liftsim.events import (
-    ACTION, AUCTION, BID, CLICK, EVENT_KINDS, IMPRESSION, KIND_CODE,
+    ACTION, AD_REQUEST, AUCTION, BID, CLICK, EVENT_KINDS, IMPRESSION,
+    KIND_CODE,
 )
-from liftsim.market import Campaign, dollars_to_micros
+from liftsim.market import Campaign, dollars_to_micros, may_win
 from liftsim.world import (
     SECONDS_PER_DAY, WorldConfig, WorldConfigError, _time_order,
     generate_population, precedent_impression_fraction, run_market,
@@ -105,7 +107,7 @@ def test_overrejecting_distribution_is_a_config_error():
 def _unexposed_actions(config):
     """Actions per user of a passive-only market: nobody is ever exposed."""
     population = generate_population(config)
-    run = run_market(population, [BidderConfig(kind="passive")], [campaign()],
+    run = run_market(population, [BidderConfig(kind="passive")], campaign(),
                      config, assignment=np.zeros(len(population), dtype=int))
     log = run.log
     per_user = dict.fromkeys(population.user_ids, 0)
@@ -163,7 +165,7 @@ def _abc_run(config, budget_dollars=1e9, record_events=True,
     if estimator_factory is not None:
         estimator = estimator_factory(population)
     return run_market(
-        population, ABC_BIDDERS, [campaign(budget_dollars)], config,
+        population, ABC_BIDDERS, campaign(budget_dollars), config,
         assignment=assignment, record_events=record_events,
         estimator=estimator,
     )
@@ -305,12 +307,15 @@ ENGINE_CASES = {
               "competitor_bids": {"kind": "fixed", "dollars": 4.0}}, 1e9),
     "deterministic": ({"request_arrivals": "deterministic"}, 1e9),
     "spend_out": ({}, 300.0),
+    "zero_lift": ({"delta_p_distribution": {"kind": "zero"}}, 1e9),
 }
 
 
 @pytest.mark.parametrize("record_events", [True, False], ids=["log", "no-log"])
 @pytest.mark.parametrize("case", ENGINE_CASES)
 def test_oracle_window_step_matches_the_per_request_path(case, record_events):
+    """Truth estimates split each window into runs that end at an auction
+    we may win; they must give the oracle's one run per window's bytes."""
     overrides, budget = ENGINE_CASES[case]
     config = WorldConfig(n_users=240, seed=31, horizon_days=6, **overrides)
     oracle = _abc_run(config, budget, record_events)
@@ -330,6 +335,8 @@ def test_oracle_window_step_matches_the_per_request_path(case, record_events):
         assert 0 < value.impressions < value.bids_placed
     if case == "spend_out":
         assert value.spent_out and lift.spent_out
+    if case == "zero_lift":  # the lift group's requests all bid 0
+        assert lift.requests > 0 and lift.bids_placed == 0
 
 
 class RecordingEstimator(TruthEstimator):
@@ -367,16 +374,28 @@ def test_the_market_tells_an_estimator_only_its_own_wins_and_clicks():
         assert times == sorted(times)
 
 
-def _told_weight(impressions, clicks):
+def _fewer_per_win(impressions, clicks):
     return 1.0 / (1.0 + impressions + 2.0 * clicks)
 
 
-class WinCountingEstimator(TruthEstimator):
-    """Truth estimates scaled down by the impressions and clicks the
-    market has told it about the user, up to the request's time."""
+def _none_after_a_win(impressions, clicks):
+    return (impressions == 0).astype(float)
 
-    def __init__(self, population):
+
+# How a user's truth estimates scale with the impressions and clicks the
+# market has told of them: down with each, or to 0 after the first win.
+WEIGHT_RULES = {"fewer-per-win": _fewer_per_win,
+                "none-after-a-win": _none_after_a_win}
+
+
+class WinCountingEstimator(TruthEstimator):
+    """Truth estimates scaled by a weight rule of the impressions and
+    clicks the market has told it about the user, up to the request's
+    time."""
+
+    def __init__(self, population, weight=_fewer_per_win):
         super().__init__(population)
+        self.weight = weight
         self.told = {}  # user -> [(kind, ts)]
 
     def observe(self, user_index, kind, ref, ts):
@@ -385,17 +404,21 @@ class WinCountingEstimator(TruthEstimator):
     def estimate(self, user_index, ts, topic_id):
         kinds = [[kind for kind, t in self.told.get(u, ()) if t <= at]
                  for u, at in zip(user_index.tolist(), ts.tolist())]
-        weight = _told_weight(np.array([k.count(IMPRESSION) for k in kinds]),
-                              np.array([k.count(CLICK) for k in kinds]))
+        weight = self.weight(np.array([k.count(IMPRESSION) for k in kinds]),
+                             np.array([k.count(CLICK) for k in kinds]))
         p, delta_p = super().estimate(user_index, ts, topic_id)
         return p * weight, delta_p * weight
 
 
-def test_no_bid_is_priced_from_a_stale_history():
+@pytest.mark.parametrize("rule", WEIGHT_RULES)
+def test_no_bid_is_priced_from_a_stale_history(rule):
     """Every bid equals the bid priced from the user's impressions before
-    it and clicks at or before it, as the log records them."""
+    it and clicks at or before it, as the log records them; a request
+    priced at 0 logs no bid."""
+    weight_of = WEIGHT_RULES[rule]
     config = small_world(seed=41, n_users=240, horizon_days=6, behavior=True)
-    run = _abc_run(config, estimator_factory=WinCountingEstimator)
+    run = _abc_run(config, estimator_factory=lambda population:
+                   WinCountingEstimator(population, weight_of))
     log, population = run.log, generate_population(config)
     bids = rows_of(log, BID)
     user, ts = log.user[bids], log.ts[bids]
@@ -403,23 +426,60 @@ def test_no_bid_is_priced_from_a_stale_history():
     # (user, ts) is that bid's win, which its price cannot know of.
     assert np.unique(np.stack([user, ts]), axis=1).shape[1] == bids.size
 
-    def told_before(kind, side):
+    def told_before(kind, side, user, ts, since=0):
         key = log.user * 2**40 + log.ts
         told = np.sort(key[rows_of(log, kind)])
         return (np.searchsorted(told, user * 2**40 + ts, side)
-                - np.searchsorted(told, user * 2**40))
+                - np.searchsorted(told, user * 2**40 + since))
 
-    impressions = told_before(IMPRESSION, "left")
-    clicks = told_before(CLICK, "right")
-    weight = _told_weight(impressions, clicks)
+    impressions = told_before(IMPRESSION, "left", user, ts)
+    clicks = told_before(CLICK, "right", user, ts)
+    weight = weight_of(impressions, clicks)
     p, delta_p = population.p[user] * weight, population.delta_p[user] * weight
     expected = np.zeros(bids.size, dtype=np.int64)
     for g, bidder in enumerate(ABC_BIDDERS):
         mine = log.bidder[bids] == g
         expected[mine] = price_bids(bidder, p[mine], delta_p[mine])
     assert np.array_equal(log.price[bids], expected)
-    # Some bids follow their user's impressions and clicks.
-    assert (impressions > 0).any() and (clicks > 0).any()
+    assert (expected > 0).all()
+    if rule == "fewer-per-win":
+        # Some bids follow their user's impressions and clicks.
+        assert (impressions > 0).any() and (clicks > 0).any()
+    else:
+        # An active group's request after its user's first win bids 0:
+        # it has no bid row, also where that win is in the same window.
+        requests = rows_of(log, AD_REQUEST)
+        requests = requests[log.user[requests] % 3 != 0]
+        r_user, r_ts = log.user[requests], log.ts[requests]
+        after_a_win = told_before(IMPRESSION, "left", r_user, r_ts) > 0
+        window_start = r_ts - r_ts % (2 * SECONDS_PER_DAY)
+        same_window = told_before(IMPRESSION, "left", r_user, r_ts,
+                                  since=window_start) > 0
+        assert same_window.sum() > 10
+        bid_keys = set(zip(user.tolist(), ts.tolist()))
+        assert bid_keys == set(zip(r_user[~after_a_win].tolist(),
+                                   r_ts[~after_a_win].tolist()))
+
+
+def test_an_estimator_settles_a_window_in_runs(monkeypatch):
+    """Each run_auction call settles a run: no auction we may win but
+    its last. So there are fewer calls than bids, and none is empty."""
+    settle = liftsim.world.run_auction
+    runs = []
+
+    def recording(our, comp, reserve, tie_rng):
+        runs.append((our, comp, reserve))
+        return settle(our, comp, reserve, tie_rng)
+
+    monkeypatch.setattr(liftsim.world, "run_auction", recording)
+    config = small_world(seed=41, n_users=240, horizon_days=6, behavior=True)
+    run = _abc_run(config, estimator_factory=WinCountingEstimator)
+    placed = sum(g.bids_placed for g in run.groups)
+    assert 0 < len(runs) < placed
+    assert sum(len(our) for our, _, _ in runs) == placed
+    for our, comp, reserve in runs:
+        assert len(our) > 0
+        assert not may_win(our[:-1], comp[:-1], reserve).any()
 
 
 def test_exposure_changes_only_action_probability():
@@ -430,7 +490,7 @@ def test_exposure_changes_only_action_probability():
     camp = campaign(budget_dollars=1e9, aw_days=2)
 
     def actions_with(bidder):
-        run = run_market(population, [bidder], [camp], config,
+        run = run_market(population, [bidder], camp, config,
                          assignment=np.zeros(2, dtype=int))
         rows = rows_of(run.log, ACTION)
         return set(zip(run.log.user[rows].tolist(), run.log.ts[rows].tolist()))
@@ -466,7 +526,7 @@ def test_group_isolation():
                BidderConfig(kind="value", alpha=D(100.0)),
                BidderConfig(kind="lift", beta=D(300.0))]
     assignment = np.arange(len(population)) % 3
-    run = run_market(population, bidders, [campaign()], config,
+    run = run_market(population, bidders, campaign(), config,
                      assignment=assignment)
     group_of = {uid: int(g) for uid, g in zip(population.user_ids, assignment)}
     labels = [g.bidder for g in run.groups]
@@ -513,7 +573,7 @@ def test_precedent_impression_fraction_counts():
 def test_precedent_fraction_is_zero_for_passive_world():
     config = small_world(seed=32, n_users=400, horizon_days=2)
     population = generate_population(config)
-    run = run_market(population, [BidderConfig(kind="passive")], [campaign()],
+    run = run_market(population, [BidderConfig(kind="passive")], campaign(),
                      config, assignment=np.zeros(len(population), dtype=int))
     frac = precedent_impression_fraction(run.log, "adv1", lookback_days=2)
     assert frac == 0.0
@@ -522,7 +582,7 @@ def test_precedent_fraction_is_zero_for_passive_world():
 def test_precedent_fraction_requires_actions():
     config = example_pair_config()
     population = generate_population(config)
-    run = run_market(population, [BidderConfig(kind="passive")], [campaign()],
+    run = run_market(population, [BidderConfig(kind="passive")], campaign(),
                      config, assignment=np.zeros(2, dtype=int))
     if not rows_of(run.log, ACTION).size:
         with pytest.raises(ValueError):
@@ -534,5 +594,5 @@ def test_horizon_must_align_with_action_window():
     population = generate_population(config)
     with pytest.raises(WorldConfigError, match="multiple"):
         run_market(population, [BidderConfig(kind="passive")],
-                   [campaign(aw_days=2)], config,
+                   campaign(aw_days=2), config,
                    assignment=np.zeros(len(population), dtype=int))
