@@ -13,9 +13,7 @@ __version__ = "0.1.0"
 
 from .market import (  # noqa: F401
     Campaign,
-    LIFT_BIDDER,
     Population,
-    VALUE_BIDDER,
     dollars_to_micros,
     micros_to_dollars,
     run_auction,

@@ -99,7 +99,7 @@ def partition_users(population: Population, alpha: float, beta: float) -> Partit
 def generalized_partition(
     population: Population, a_values, cpa: int, beta: float
 ) -> Partition:
-    """Partition when the value side is a rational bidder (cpa * p * a)."""
+    """Partition when the value side is a value bidder at cpa * p * a."""
     if cpa <= 0 or beta <= 0:
         raise ValueError("cpa and beta must be positive")
     a = _attribution(population, a_values)
@@ -137,7 +137,8 @@ def generalized_theorem_quantities(
     beta: float,
     attribution_residual: float = 0.0,
 ) -> TheoremReport:
-    """Accounting quantities when the value side is a rational bidder.
+    """Accounting quantities when the value side is a value bidder at
+    cpa * p * a.
 
     If only one side bids, its winners act at rate p and everyone else at
     the background rate p - delta_p. Attributed actions accrue at rate

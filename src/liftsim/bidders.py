@@ -1,14 +1,14 @@
 """Bid pricing and the lift-scale calibration procedures.
 
-Four strategies are supported, each priced by :func:`price_bids`:
+Three strategies are supported, each priced by :func:`price_bids`:
 
 * passive: always bids zero (control group).
-* value:   bids ``alpha * p`` where ``p`` is the action rate.
-* lift:    bids ``beta * max(delta_p, 0)``; negative lift clamps to a
-  zero bid because exchanges reject negative bids.
-* rational: bids ``cpa * p``, the expected attributed revenue
+* value:   bids ``alpha * p`` where ``p`` is the action rate; a campaign
+  prices it at ``alpha = cpa``, the expected attributed revenue
   ``cpa * p * a`` with attribution probability ``a = 1`` (the industry
   standard eCPM = AR x CPA).
+* lift:    bids ``beta * max(delta_p, 0)``; negative lift clamps to a
+  zero bid because exchanges reject negative bids.
 
 ``alpha`` and ``beta`` are real-valued scales in micros per unit
 probability; money conversion happens once, at bid emission.
@@ -29,9 +29,8 @@ from .market import Population, check_probability
 PASSIVE = "passive"
 VALUE = "value"
 LIFT = "lift"
-RATIONAL = "rational"
 
-BIDDER_KINDS = (PASSIVE, VALUE, LIFT, RATIONAL)
+BIDDER_KINDS = (PASSIVE, VALUE, LIFT)
 
 
 class CalibrationError(ValueError):
@@ -42,15 +41,14 @@ class CalibrationError(ValueError):
 class BidderConfig:
     """Configuration for one bidding strategy.
 
-    ``alpha`` scales the value bidder, ``beta`` the lift bidder, both in
-    micros per unit probability, and ``cpa`` the rational bidder; each
-    is strictly positive when its kind is active.
+    ``alpha`` scales the value bidder and ``beta`` the lift bidder, both
+    in micros per unit probability; each is strictly positive when its
+    kind is active.
     """
 
     kind: str
     alpha: float = 0.0
     beta: float = 0.0
-    cpa: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in BIDDER_KINDS:
@@ -59,8 +57,6 @@ class BidderConfig:
             raise ValueError("value bidder requires alpha > 0")
         if self.kind == LIFT and self.beta <= 0:
             raise ValueError("lift bidder requires beta > 0")
-        if self.kind == RATIONAL and self.cpa <= 0:
-            raise ValueError("rational bidder requires cpa > 0")
 
 
 @dataclass(frozen=True)
@@ -82,15 +78,15 @@ def price_bids(bidder: BidderConfig, p, delta_p) -> np.ndarray:
     """Bids in micros for action rates ``p`` and lifts ``delta_p``.
 
     Each strategy bids ``round(scale * max(x, 0))``: the value bidder
-    prices ``p`` at ``alpha``, the lift bidder ``delta_p`` at ``beta``,
-    the rational bidder ``p`` at ``cpa``; the passive bidder bids zero.
+    prices ``p`` at ``alpha`` and the lift bidder ``delta_p`` at
+    ``beta``; the passive bidder bids zero.
     Works elementwise on arrays or scalars and returns int64 micros;
     ``np.rint`` rounds half to even, like Python's ``round``.
     """
     if bidder.kind == PASSIVE:
         return np.zeros(np.shape(p), dtype=np.int64)
-    scale, x = {VALUE: (bidder.alpha, p), LIFT: (bidder.beta, delta_p),
-                RATIONAL: (bidder.cpa, p)}[bidder.kind]
+    scale, x = ((bidder.alpha, p) if bidder.kind == VALUE
+                else (bidder.beta, delta_p))
     return np.rint(scale * np.maximum(x, 0.0)).astype(np.int64)
 
 
@@ -103,7 +99,8 @@ def calibrate_beta(population: Population, cpa: int) -> float:
     mean_p = float(population.p.mean())
     mean_delta_p = float(population.delta_p.mean())
     if mean_delta_p <= 0:
-        raise CalibrationError("mean_delta_p must be positive to calibrate beta")
+        raise CalibrationError(f"the world's mean lift (delta_p) is {mean_delta_p}; "
+                               f"calibrating the lift bidder's beta needs it positive")
     if not 0 < mean_delta_p <= mean_p <= 1:
         raise CalibrationError(
             f"invalid population means: mean_p={mean_p}, "
@@ -112,15 +109,14 @@ def calibrate_beta(population: Population, cpa: int) -> float:
     return (mean_p / mean_delta_p) * cpa
 
 
-def lineup(kinds, cpa: int, population: Population, alpha: float | None = None,
+def lineup(cpa: int, population: Population,
            beta: float | None = None) -> list[BidderConfig]:
-    """One bidder per kind for a campaign paying ``cpa``. ``alpha``
-    defaults to ``float(cpa)``, ``beta`` to :func:`calibrate_beta`."""
+    """Passive, value (``alpha = float(cpa)``) and lift bidders for a
+    campaign paying ``cpa``; ``beta`` defaults to :func:`calibrate_beta`."""
     if beta is None:
         beta = calibrate_beta(population, cpa)
-    scales = {VALUE: {"alpha": float(cpa) if alpha is None else alpha},
-              LIFT: {"beta": beta}, RATIONAL: {"cpa": cpa}}
-    return [BidderConfig(kind, **scales.get(kind, {})) for kind in kinds]
+    return [BidderConfig(PASSIVE), BidderConfig(VALUE, alpha=float(cpa)),
+            BidderConfig(LIFT, beta=beta)]
 
 
 def split_weight_gap(thresholds, weights, beta: float) -> float:
@@ -215,7 +211,7 @@ def calibrate_equal_attribution_weighted(
     cpa: int,
     tolerance: float = 1e-3,
 ) -> BetaCalibration:
-    """Equal-attribution calibration against a rational bidder.
+    """Equal-attribution calibration against a value bidder at cpa * p * a.
 
     The value side bids ``cpa * p_i * a_i`` where ``a_i`` is the
     per-user attribution probability, and attributed actions on each

@@ -5,8 +5,8 @@ overrides individual leaves), writes its outputs atomically under the
 output directory, and stamps each artifact with the master seed and the
 resolved config digest so any report can be regenerated bit for bit.
 
-Exit codes: 0 success, 2 configuration error, 3 data error,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error (a world whose lift cannot
+calibrate the lift bidder is one), 3 data error, 4 verification failure.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .attribution import AccountingError
-from .bidders import CalibrationError
+from .bidders import CalibrationError, lineup
 from .events import EventLog, EventLogError
 from .experiments import (
     ABTestReport, DISCLAIMER, VerificationSweepReport, run_abtest,
@@ -64,15 +64,15 @@ def _load(args: argparse.Namespace) -> dict:
 
 
 def _prepare_market(cfg: dict):
-    """World, population, campaign, bidders, budgets, assignment, digest."""
+    """World, population, campaign, bidders, assignment, digest."""
     seed = cfgmod.master_seed(cfg)
     world = cfgmod.build_world(cfg, derive_seed(seed, "world"))
     population = generate_population(world)
     campaign = cfgmod.build_campaign(cfg)
-    bidders, budgets = cfgmod.build_bidders(cfg, campaign, population)
+    bidders = lineup(campaign.cpa, population)
     assignment = assign_groups(world, len(bidders))
-    digest = market_run_digest(world, campaign, bidders, budgets, assignment)
-    return seed, world, population, campaign, bidders, budgets, assignment, digest
+    digest = market_run_digest(world, campaign, bidders, assignment)
+    return seed, world, population, campaign, bidders, assignment, digest
 
 
 def _print_and_write(lines: list[str], path: Path | None) -> None:
@@ -91,10 +91,9 @@ def _jsonl(records: list[dict], header: dict, path: Path) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    (seed, world, population, campaign, bidders, budgets, assignment,
+    (seed, world, population, campaign, bidders, assignment,
      digest) = _prepare_market(cfg)
-    run = run_market(population, bidders, campaign, world, assignment,
-                     budgets=budgets)
+    run = run_market(population, bidders, campaign, world, assignment)
     out = _output_dir(cfg, args)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "events.jsonl"
@@ -135,7 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    (seed, world, population, campaign, bidders, budgets, assignment,
+    (seed, world, population, campaign, bidders, assignment,
      digest) = _prepare_market(cfg)
     log = EventLog.read(args.log)
     if log.config_digest != digest:
@@ -149,7 +148,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"population, first {unknown[0]!r}")
 
     schema = FeatureSchema(world.advertisers, world.topics, world.apps)
-    sampling = cfgmod.build_sampling(cfg, seed)
+    sampling = cfgmod.build_sampling(cfg, seed, campaign)
     params = cfgmod.build_model_params(cfg)
     samples = generate_samples(log, population, sampling, schema)
     if args.samples_out:
@@ -366,12 +365,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (cfgmod.ConfigError, WorldConfigError) as exc:
+    except (cfgmod.ConfigError, WorldConfigError, CalibrationError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except (EventLogError, SamplingError, TrainingError, SchemaMismatch,
-            ModelFileError, CalibrationError, AccountingError,
-            OSError, UnicodeDecodeError) as exc:
+            ModelFileError, AccountingError, OSError,
+            UnicodeDecodeError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
     except MarketInvariantError as exc:

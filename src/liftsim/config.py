@@ -1,32 +1,35 @@
 """Run configuration: one JSON file per run, schema-validated.
 
 The file is a nested object with one section per concern (world,
-campaign, bidders, sampling, model, sweep, abtest) plus the master
-seed. Unknown keys anywhere are rejected before any computation, and
-command-line ``--set section.key=value`` overrides are applied to
-leaves after loading. Every derived artifact carries the master seed
-and a digest of the fully resolved configuration.
+campaign, sampling, model, sweep, abtest) plus the master seed. Unknown
+keys anywhere are rejected before any computation, and command-line
+``--set section.key=value`` overrides are applied to leaves after
+loading. Every derived artifact carries the master seed and a digest of
+the fully resolved configuration.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
-from .bidders import BidderConfig, lineup
 from .experiments import ABTestConfig, SweepConfig
 from .liftmodel.gbdt import GBDTParams
 from .liftmodel.pipeline import ModelParams
 from .liftmodel.sampling import SamplingConfig
-from .market import Campaign, Population, dollars_to_micros
+from .market import Campaign, dollars_to_micros
 from .seeds import derive_seed
-from .world import WorldConfig, split_budget
-
-SECONDS_PER_DAY = 86_400
+from .world import SECONDS_PER_DAY, WorldConfig
 
 
 class ConfigError(ValueError):
     """Raised for malformed or unknown configuration input."""
+
+
+def _keys(cls, *excluded: str) -> set[str]:
+    """The field names of dataclass ``cls``, less ``excluded``."""
+    return {f.name for f in fields(cls)} - set(excluded)
 
 
 # Allowed keys per section; None marks sections whose value is a free-form
@@ -34,35 +37,14 @@ class ConfigError(ValueError):
 _SCHEMA: dict[str, set[str] | None] = {
     "master_seed": None,
     "output_dir": None,
-    "world": {
-        "n_users", "horizon_days", "topics", "apps", "advertisers",
-        "p_distribution", "delta_p_distribution", "p_lift_dependence",
-        "request_rate", "request_arrivals", "competitor_bids", "behavior",
-        "reserve_micros",
-    },
+    "world": _keys(WorldConfig, "seed"),
     "campaign": {
         "advertiser_id", "cpa_dollars", "budget_dollars", "action_window_days",
     },
-    "bidders": {
-        "kinds", "alpha_dollars", "beta_dollars", "budgets_dollars",
-    },
-    "sampling": {
-        "action_window_days", "feature_window_days", "target_positive_count",
-    },
-    "model": {
-        "n_trees", "max_depth", "learning_rate", "subsample", "reg_lambda",
-        "min_child_weight", "min_samples_leaf", "max_bins", "neg_per_pos",
-        "holdout_fraction",
-    },
-    "sweep": {
-        "n_instances", "n_users", "tolerance", "mode", "mc_instances",
-        "mc_trials", "alpha_dollars", "cpa_dollars",
-    },
-    "abtest": {
-        "n_users", "replications", "cpa_dollars", "budget_per_bidder_dollars",
-        "action_window_days", "horizon_days", "advertiser", "beta_dollars",
-        "world_overrides",
-    },
+    "sampling": {"feature_window_days", "target_positive_count"},
+    "model": _keys(GBDTParams) | _keys(ModelParams, "gbdt"),
+    "sweep": _keys(SweepConfig, "master_seed"),
+    "abtest": _keys(ABTestConfig, "master_seed"),
 }
 
 
@@ -147,44 +129,16 @@ def build_campaign(cfg: dict) -> Campaign:
         raise ConfigError(f"invalid campaign section: {exc}") from exc
 
 
-def build_bidders(
-    cfg: dict, campaign: Campaign, population: Population
-) -> tuple[list[BidderConfig], list[int]]:
-    """Bidder lineup for a simulated market and each bidder's budget.
-
-    Scales default as in :func:`~liftsim.bidders.lineup`; budgets default
-    to the campaign budget split over the active bidders.
-    """
-    section = cfg.get("bidders", {})
-    alpha = section.get("alpha_dollars")
-    beta = section.get("beta_dollars")
-    try:
-        bidders = lineup(
-            section.get("kinds", ["passive", "value", "lift"]), campaign.cpa,
-            population,
-            alpha=None if alpha is None else dollars_to_micros(alpha),
-            beta=None if beta is None else float(dollars_to_micros(beta)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid bidders section: {exc}") from exc
-    budgets = section.get("budgets_dollars")
-    if budgets is None:
-        return bidders, split_budget(bidders, campaign.budget)
-    if len(budgets) != len(bidders):
-        raise ConfigError("budgets_dollars must align with bidder kinds")
-    try:
-        return bidders, [dollars_to_micros(b) for b in budgets]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid bidders section: {exc}") from exc
-
-
-def build_sampling(cfg: dict, seed: int) -> SamplingConfig:
+def build_sampling(cfg: dict, seed: int, campaign: Campaign) -> SamplingConfig:
+    """Sampling settings; a label's action window is the campaign's."""
     section = dict(cfg.get("sampling", {}))
-    for window in ("action_window", "feature_window"):
-        if f"{window}_days" in section:
-            section[f"{window}_seconds"] = (section.pop(f"{window}_days")
-                                            * SECONDS_PER_DAY)
+    if "feature_window_days" in section:
+        section["feature_window_seconds"] = (section.pop("feature_window_days")
+                                             * SECONDS_PER_DAY)
     try:
-        return SamplingConfig(seed=derive_seed(seed, "sampling"), **section)
+        return SamplingConfig(
+            action_window_seconds=campaign.action_window_days * SECONDS_PER_DAY,
+            seed=derive_seed(seed, "sampling"), **section)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sampling section: {exc}") from exc
 

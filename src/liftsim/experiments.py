@@ -26,12 +26,11 @@ from .attribution import (
     partition_users, theorem_quantities,
 )
 from .bidders import (
-    LIFT, PASSIVE, VALUE, BidderConfig, calibrate_equal_attribution,
+    LIFT, VALUE, BidderConfig, calibrate_equal_attribution,
     calibrate_equal_attribution_weighted, lineup, price_bids,
 )
 from .market import (
-    LIFT_BIDDER, VALUE_BIDDER, Campaign, Population, dollars_to_micros,
-    is_integer, run_auction,
+    Campaign, Population, dollars_to_micros, is_integer, run_auction,
 )
 from .seeds import derive_seed, rng_for
 from .world import (
@@ -107,14 +106,13 @@ def run_worked_example() -> WorkedExampleReport:
     scale = dollars_to_micros(EXAMPLE_LIFT_SCALE_DOLLARS)
     competitor = dollars_to_micros(EXAMPLE_COMPETITOR_DOLLARS)
 
-    def play(name: str, bidder: BidderConfig) -> StrategyOutcome:
+    def play(bidder: BidderConfig) -> StrategyOutcome:
         bids = price_bids(bidder, users.p, users.delta_p).tolist()
-        return _play_strategy(name, ("a", "b"), users, bids, competitor, cpa)
+        return _play_strategy(bidder.kind, ("a", "b"), users, bids,
+                              competitor, cpa)
 
-    return WorkedExampleReport(
-        value=play(VALUE_BIDDER, BidderConfig(VALUE, alpha=cpa)),
-        lift=play(LIFT_BIDDER, BidderConfig(LIFT, beta=scale)),
-    )
+    _, value, lift = lineup(cpa, users, beta=float(scale))
+    return WorkedExampleReport(value=play(value), lift=play(lift))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +130,6 @@ class SweepConfig:
     n_users: int = 1000
     master_seed: int = 0
     tolerance: float = 1e-3
-    alpha_dollars: float = 100.0
     cpa_dollars: float = 100.0
     mode: str = "both"          # simple | generalized | both
     mc_instances: int = 10      # simple-mode instances to cross-check
@@ -275,13 +272,13 @@ def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
 
     Both modes share one procedure per attempt: draw a world, calibrate
     beta for equal attribution, partition the users and compute the
-    exact accounting. The simple mode uses the value bidder ``alpha * p``
-    and adds the Monte-Carlo cross-check on its first ``mc_instances``
-    instances; the generalized mode uses a rational bidder with random
-    attribution probabilities.
+    exact accounting. The value side bids ``cpa * p * a``: the simple
+    mode takes a = 1 (``alpha * p`` at ``alpha = cpa``) and adds the
+    Monte-Carlo cross-check on its first ``mc_instances`` instances; the
+    generalized mode draws random attribution probabilities a.
     """
-    alpha = float(dollars_to_micros(config.alpha_dollars))
     cpa = dollars_to_micros(config.cpa_dollars)
+    alpha = float(cpa)
     out: dict[str, VerificationSweepReport] = {}
 
     modes = ["simple", "generalized"] if config.mode == "both" else [config.mode]
@@ -465,8 +462,7 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
     for rep in range(config.replications):
         world = config.world(rep)
         population = generate_population(world)
-        bidders = lineup((PASSIVE, VALUE, LIFT), campaign.cpa, population,
-                         beta=beta)
+        bidders = lineup(campaign.cpa, population, beta=beta)
         estimator = None
         if estimator_factory is not None:
             estimator = estimator_factory(population, config.advertiser,

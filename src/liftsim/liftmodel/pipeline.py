@@ -175,7 +175,8 @@ def train_calibrated_model(
     schema: FeatureSchema,
     params: ModelParams | None = None,
     seed: int = 0,
-    feature_window_seconds: int = 7 * 86_400,
+    *,
+    feature_window_seconds: int,
 ) -> tuple[CalibratedModel, CalibrationReport]:
     """Train, prior-correct and calibrate; returns the model and its report.
 

@@ -30,9 +30,6 @@ import numpy as np
 MICROS_PER_DOLLAR = 1_000_000
 INT64_MAX = 2**63 - 1
 
-VALUE_BIDDER = "value"
-LIFT_BIDDER = "lift"
-
 
 def dollars_to_micros(dollars: float) -> int:
     """Convert a dollar amount to integer micros (round-half-even).

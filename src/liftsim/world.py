@@ -47,7 +47,8 @@ from .events import (
 )
 from .fileio import json_digest
 from .market import (
-    INT64_MAX, Campaign, Population, is_integer, may_win, run_auction,
+    INT64_MAX, MICROS_PER_DOLLAR, Campaign, Population, is_integer, may_win,
+    run_auction,
 )
 from .seeds import rng_for
 
@@ -90,10 +91,10 @@ _KIND_PARAMS = {
 }
 
 
-def _is_amount(value) -> bool:
-    """True for a finite, non-negative int or float; False for a bool."""
+def _is_amount(value, high: float = math.inf) -> bool:
+    """True for an int or float in [0, high], finite; False for a bool."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 <= value < math.inf)
+            and 0 <= value <= high and value < math.inf)
 
 
 def _default_competitor_bids() -> dict:
@@ -108,6 +109,14 @@ def _default_competitor_bids() -> dict:
 def _default_behavior() -> dict:
     return {"enabled": True, "pv_rate": 2.0, "search_rate": 0.8,
             "app_rate": 0.12, "click_rate": 0.1, "correlation": 0.85}
+
+
+MAX_DOLLARS = INT64_MAX // MICROS_PER_DOLLAR  # whole dollars within int64 micros
+# Behavior rates are Poisson means per user and day, times weights of at
+# most 1 (as the correlation is), far below numpy's limit of about 2**63.
+MAX_DAILY_RATE = 1e6
+_BEHAVIOR_HIGH = {"pv_rate": MAX_DAILY_RATE, "search_rate": MAX_DAILY_RATE,
+                  "app_rate": MAX_DAILY_RATE, "correlation": 1.0}
 
 
 @dataclass(frozen=True)
@@ -151,17 +160,19 @@ class WorldConfig:
                 raise WorldConfigError(f"unknown {section} kind {kind!r}")
             for name in kinds[kind]:
                 value = spec.get(name)
+                high = MAX_DOLLARS if name.endswith("dollars") else math.inf
                 if name == "values":
                     ok = (isinstance(value, (list, tuple))
                           and len(value) == self.n_users
                           and all(map(_is_amount, value)))
                 else:
-                    ok = _is_amount(value) or (name == "pool" and name not in spec)
+                    ok = (_is_amount(value, high)
+                          or (name == "pool" and name not in spec))
                 if not ok:
-                    what = ("a list of n_users finite numbers" if name == "values"
-                            else "a finite number")
+                    what = ("a list of n_users finite numbers >= 0" if name == "values"
+                            else f"a finite number in [0, {high:g}]")
                     raise WorldConfigError(
-                        f"{section} {name} must be {what} >= 0, got {value!r}")
+                        f"{section} {name} must be {what}, got {value!r}")
         if not -1.0 < self.p_lift_dependence < 1.0:
             raise WorldConfigError("p_lift_dependence must lie in (-1, 1)")
         if self.request_arrivals not in ("poisson", "deterministic"):
@@ -173,12 +184,14 @@ class WorldConfig:
         if unknown:
             raise WorldConfigError(f"unknown behavior key(s) {unknown}")
         for name, value in self.behavior.items():
-            flag = name == "enabled"
-            if not (isinstance(value, bool) if flag else _is_amount(value)):
+            if name == "enabled":
+                ok, what = isinstance(value, bool), "true or false"
+            else:
+                high = _BEHAVIOR_HIGH.get(name, math.inf)
+                ok, what = _is_amount(value, high), f"a finite number in [0, {high:g}]"
+            if not ok:
                 raise WorldConfigError(
-                    f"behavior {name} must be "
-                    f"{'true or false' if flag else 'a finite number >= 0'}, "
-                    f"got {value!r}")
+                    f"behavior {name} must be {what}, got {value!r}")
 
     @property
     def behavior_settings(self) -> dict:
@@ -372,31 +385,25 @@ def market_run_digest(
     config: WorldConfig,
     campaign: Campaign,
     bidders: list[BidderConfig],
-    budgets: list[int],
     assignment: np.ndarray,
 ) -> str:
     """Digest of everything that determines a simulated market's output."""
+    # Bidder "cpa" (always 0) and "budgets" (always the split) stay, as
+    # train refuses a log whose digest is not its config's.
     payload = {
         "world": config.to_dict(),
         "campaign": {"advertiser_id": campaign.advertiser_id,
                      "cpa": campaign.cpa, "budget": campaign.budget,
                      "action_window_days": campaign.action_window_days},
         "bidders": [
-            {"kind": b.kind, "alpha": b.alpha, "beta": b.beta, "cpa": b.cpa}
+            {"kind": b.kind, "alpha": b.alpha, "beta": b.beta, "cpa": 0}
             for b in bidders
         ],
-        "budgets": [int(b) for b in budgets],
+        "budgets": split_budget(bidders, campaign.budget),
         "assignment": hashlib.sha256(
             np.ascontiguousarray(assignment).tobytes()).hexdigest()[:16],
     }
     return json_digest(payload)
-
-
-def _bidder_labels(bidders: list[BidderConfig]) -> list[str]:
-    """Each bidder's kind, numbered from 1 where several share it."""
-    kinds = [b.kind for b in bidders]
-    return [kind if kinds.count(kind) == 1 else f"{kind}{kinds[:i + 1].count(kind)}"
-            for i, kind in enumerate(kinds)]
 
 
 def split_budget(bidders: list[BidderConfig], budget: int) -> list[int]:
@@ -428,20 +435,19 @@ def run_market(
     campaign: Campaign,
     config: WorldConfig,
     assignment: np.ndarray | list[int],
-    budgets: list[int] | None = None,
     estimator: BidEstimator | None = None,
     record_events: bool = True,
 ) -> MarketRun:
     """Simulate the market over the horizon and aggregate per-group outcomes.
 
-    User i belongs to bidder ``assignment[i]``'s group. Requests arrive
-    at the user's rate; the group bidder prices each request and faces
-    one sampled competitor bid in a second-price auction. Actions are
-    drawn once per action window per user, at rate p when at least one
-    of the advertiser's impressions landed within the window and at the
-    background rate otherwise. A bidder stops bidding once its billed
-    attributed actions have spent its budget (checked when attribution
-    updates, at window ends).
+    User i belongs to bidder ``assignment[i]``'s group, labeled with its
+    bidder's own kind. Requests arrive at the user's rate; the group
+    bidder prices each request and faces one sampled competitor bid in a
+    second-price auction. Actions are drawn once per action window per
+    user, at rate p when at least one of the advertiser's impressions
+    landed within the window and at the background rate otherwise. A
+    bidder stops once its billed attributed actions have spent its
+    :func:`split_budget` share of the budget (checked at window ends).
 
     Up front, the ``requests`` stream draws every request's count, time
     and topic, ``market`` every competitor bid and ``actions`` one
@@ -465,8 +471,10 @@ def run_market(
     When events are recorded, the ``behavior`` stream draws the
     behavioral events of :func:`behavior_log` into the log.
 
-    Raises :class:`MarketInvariantError` when a clearing price exceeds
-    the winning bid, or at a window end when a group's spend exceeds
+    Raises :class:`WorldConfigError` before the draw when the expected
+    request count is too large to order. Raises
+    :class:`MarketInvariantError` when a clearing price exceeds the
+    winning bid, or at a window end when a group's spend exceeds
     budget + cpa or billed <= attributed <= actions fails.
     """
     if campaign.advertiser_id not in config.advertisers:
@@ -475,6 +483,9 @@ def run_market(
         raise WorldConfigError(
             "horizon_days must be a multiple of action_window_days")
 
+    kinds = [b.kind for b in bidders]
+    if len(set(kinds)) < len(kinds):
+        raise WorldConfigError(f"each bidder needs a kind of its own: {kinds}")
     n = len(population)
     n_bidders = len(bidders)
     assignment = np.asarray(assignment, dtype=np.int64)
@@ -483,12 +494,6 @@ def run_market(
     if assignment.min() < 0 or assignment.max() >= n_bidders:
         raise WorldConfigError("assignment index out of range")
 
-    if budgets is None:
-        budgets = split_budget(bidders, campaign.budget)
-    if len(budgets) != n_bidders:
-        raise WorldConfigError("budgets must align with bidders")
-
-    labels = _bidder_labels(bidders)
     aw_days = campaign.action_window_days
     aw_secs = aw_days * SECONDS_PER_DAY
     n_windows = config.horizon_days // aw_days
@@ -509,6 +514,8 @@ def run_market(
     tie_rng = rng_for(config.seed, "ties")
     click_rng = rng_for(config.seed, "clicks")
 
+    horizon_secs = config.horizon_days * SECONDS_PER_DAY
+    _check_orderable(float(rates.sum()) * config.horizon_days, horizon_secs)
     if config.request_arrivals == "poisson":
         counts = req_rng.poisson(np.broadcast_to(
             rates[:, None], (n, config.horizon_days)))
@@ -527,7 +534,7 @@ def run_market(
     req_ts = (cell // n * SECONDS_PER_DAY
               + req_rng.integers(0, SECONDS_PER_DAY, cell.size))
     req_topic = req_rng.integers(0, config.topics, cell.size)
-    order = _time_order(req_ts, config.horizon_days * SECONDS_PER_DAY)
+    order = _time_order(req_ts, horizon_secs)
     req_topic, req_user = req_topic[order], cell[order] % n
 
     comp = _competitor_bids(config, market_rng, p, req_user)
@@ -553,7 +560,7 @@ def run_market(
     group_sizes = np.bincount(assignment, minlength=n_bidders)
     request_counts = np.bincount(assignment[req_user], minlength=n_bidders)
     group_masks = [assignment == g for g in range(n_bidders)]
-    budget = np.array(budgets, dtype=np.int64)
+    budget = np.array(split_budget(bidders, campaign.budget), dtype=np.int64)
     cpa = campaign.cpa
 
     # Per-group running totals, in int64 micros and counts.
@@ -686,7 +693,7 @@ def run_market(
 
     stats = [
         GroupStats(
-            bidder=labels[g], kind=bidders[g].kind, n_users=int(group_sizes[g]),
+            bidder=kinds[g], kind=kinds[g], n_users=int(group_sizes[g]),
             requests=int(request_counts[g]), bids_placed=int(placed[g]),
             impressions=int(impressions[g]), clicks=int(clicks[g]),
             inventory_cost=int(inventory_cost[g]), actions=int(actions[g]),
@@ -707,9 +714,9 @@ def run_market(
             *blocks,
         ], axis=1))
         log = EventLog(*data, users=population.user_ids, advertisers=(adv,),
-                       bidders=(*labels, MARKET), seed=config.seed,
+                       bidders=(*kinds, MARKET), seed=config.seed,
                        config_digest=market_run_digest(
-                           config, campaign, bidders, budgets, assignment))
+                           config, campaign, bidders, assignment))
     return MarketRun(log=log, groups=stats, n_windows=n_windows)
 
 
@@ -723,17 +730,19 @@ def _competitor_bids(
     kind = spec["kind"]
     k = len(req_user)
     if kind == "fixed":
-        return np.full(k, int(round(spec["dollars"] * 1e6)), dtype=np.int64)
-    if kind == "lognormal":
+        micros = np.full(k, spec["dollars"] * 1e6)
+    elif kind == "lognormal":
         micros = spec["median_dollars"] * 1e6 * np.exp(
             spec["sigma"] * rng.standard_normal(k))
-        return np.rint(micros).astype(np.int64)
-    # value_tracking
-    pool = float(spec.get("pool", 0.5))
-    base = pool * p[req_user] + (1.0 - pool) * float(p.mean())
-    noise = np.exp(spec["sigma"] * rng.standard_normal(k))
-    micros = spec["scale_dollars"] * 1e6 * base * noise
-    return np.rint(micros).astype(np.int64)
+    else:  # value_tracking
+        pool = float(spec.get("pool", 0.5))
+        base = pool * p[req_user] + (1.0 - pool) * float(p.mean())
+        noise = np.exp(spec["sigma"] * rng.standard_normal(k))
+        micros = spec["scale_dollars"] * 1e6 * base * noise
+    micros = np.rint(micros)
+    if not (micros < 2.0**63).all():  # also NaN
+        raise WorldConfigError("a drawn competitor bid is past int64 micros")
+    return micros.astype(np.int64)
 
 
 def _event_block(ts, user, kind, **optional) -> np.ndarray:
@@ -746,6 +755,15 @@ def _event_block(ts, user, kind, **optional) -> np.ndarray:
     return block
 
 
+def _check_orderable(count: float, bound: int) -> None:
+    """Raise :class:`WorldConfigError` when :func:`_time_order`'s keys for
+    ``count`` times below ``bound`` would need more than 63 bits."""
+    if not count < 1 << max(63 - (bound - 1).bit_length(), 0):  # also NaN
+        raise WorldConfigError(
+            f"{count:.6g} requests over times below {bound} need more than "
+            f"63 bits to order")
+
+
 def _time_order(ts: np.ndarray, bound: int) -> np.ndarray:
     """The stable sort order of int64 times ``ts``, each in [0, bound);
     sorts ``ts`` in place.
@@ -756,11 +774,8 @@ def _time_order(ts: np.ndarray, bound: int) -> np.ndarray:
     Raises :class:`WorldConfigError` when a key would need more than 63
     bits.
     """
+    _check_orderable(ts.size, bound)
     b = ts.size.bit_length()
-    if (bound - 1).bit_length() + b > 63:
-        raise WorldConfigError(
-            f"{ts.size} requests over times below {bound} need more than "
-            f"63 bits to order")
     order = np.arange(ts.size)
     ts <<= b
     ts |= order

@@ -45,13 +45,6 @@ def test_lift_bid_examples():
     assert bids.tolist() == [D(3.8), D(2.0), 0, 0]  # negative lift clamps to zero
 
 
-def test_rational_bid_examples():
-    rational = BidderConfig(kind="rational", cpa=D(100.0))
-    bids = price_bids(rational, [0.04, 0.5, 0.0], [0.01, 0.1, 0.0])
-    assert bids.tolist() == [D(4.0), D(50.0), 0]  # cpa * p, attribution 1
-    assert price_bids(rational, 0.04, 0.01) == D(4.0)  # scalars work too
-
-
 def test_scale_equivariance_within_one_micro():
     rng = np.random.default_rng(11)
     for _ in range(300):
@@ -83,13 +76,12 @@ def test_winner_invariant_under_common_scaling():
                 max_size=20),
 )
 def test_price_bids_matches_python_rounding(kind, scale, xs):
-    bidder = BidderConfig(kind=kind, alpha=scale, beta=scale, cpa=scale)
+    bidder = BidderConfig(kind=kind, alpha=scale, beta=scale)
     p = [x for x, _ in xs]
     delta_p = [d for _, d in xs]
     bids = price_bids(bidder, np.array(p), np.array(delta_p))
     assert bids.dtype == np.int64
-    priced = {"passive": [0.0] * len(p), "value": p, "lift": delta_p,
-              "rational": p}[kind]
+    priced = {"passive": [0.0] * len(p), "value": p, "lift": delta_p}[kind]
     factor = 0.0 if kind == "passive" else scale
     assert bids.tolist() == [round(factor * max(x, 0.0)) for x in priced]
 

@@ -30,8 +30,7 @@ TRAIN_WORLD = {
     },
     "campaign": {"advertiser_id": "adv1", "cpa_dollars": 100.0,
                  "budget_dollars": 1e9, "action_window_days": 2},
-    "sampling": {"action_window_days": 2, "feature_window_days": 7,
-                 "target_positive_count": 250},
+    "sampling": {"feature_window_days": 7, "target_positive_count": 250},
     "model": {"n_trees": 25, "max_depth": 3},
 }
 
@@ -375,24 +374,6 @@ def test_input_path_that_is_a_directory_is_a_data_error(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
-def test_sampling_seed_tag_is_an_unknown_key(tmp_path, capsys):
-    bad = {**TRAIN_WORLD,
-           "sampling": {**TRAIN_WORLD["sampling"], "seed_tag": "other"}}
-    config = write_config(tmp_path, bad)
-    assert main(["simulate", "--config", str(config),
-                 "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "unknown key sampling.seed_tag" in capsys.readouterr().err
-
-
-def test_sampling_max_draws_is_an_unknown_key(tmp_path, capsys):
-    bad = {**TRAIN_WORLD,
-           "sampling": {**TRAIN_WORLD["sampling"], "max_draws": 10_000}}
-    config = write_config(tmp_path, bad)
-    assert main(["simulate", "--config", str(config),
-                 "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "unknown key sampling.max_draws" in capsys.readouterr().err
-
-
 HEADER ='{"format":"liftsim.events","version":1,"seed":1,"config_digest":"d"}'
 PAGE_VIEW = '{"ts":5,"user":"u000000","kind":"page_view","topic":0}'
 MALFORMED_LOGS = {
@@ -489,6 +470,18 @@ MALFORMED_SIMULATE = {
                                  {"kind": "scaled_beta"}),
     "world.delta_p_distribution.value=x": ("world", "delta_p_distribution",
                                            {"kind": "point_ratio", "value": "x"}),
+    "world.competitor_bids.dollars=1e300": (
+        "world", "competitor_bids", {"kind": "fixed", "dollars": 1e300}),
+    "world.competitor_bids.median_dollars=1e300": (
+        "world", "competitor_bids",
+        {"kind": "lognormal", "median_dollars": 1e300, "sigma": 0.5}),
+    "world.behavior.pv_rate=1e300": ("world", "behavior", {"pv_rate": 1e300}),
+    "world.behavior.correlation=2": ("world", "behavior", {"correlation": 2.0}),
+    "world.request_rate.value=1e300": ("world", "request_rate",
+                                       {"kind": "fixed", "value": 1e300}),
+    "world.competitor_bids-drawn-past-int64": (
+        "world", "competitor_bids",
+        {"kind": "lognormal", "median_dollars": 1e12, "sigma": 5.0}),
 }
 
 
@@ -506,6 +499,53 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, command,
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+# Keys no section takes: the lineup is always passive/value/lift, a
+# label's action window is the campaign's, and verify's value side is
+# priced at the sweep's cpa_dollars.
+@pytest.mark.parametrize("command, payload, name", [
+    ("simulate", {**TRAIN_WORLD, "bidders": {}}, "'bidders'"),
+    ("simulate", {**TRAIN_WORLD, "bidders": {"kinds": ["value", "lift"]}},
+     "'bidders'"),
+    ("simulate", with_key(TRAIN_WORLD, "sampling", "action_window_days", 2),
+     "sampling.action_window_days"),
+    ("verify", with_key(VERIFY_SMALL, "sweep", "alpha_dollars", 100.0),
+     "sweep.alpha_dollars"),
+    ("simulate", with_key(TRAIN_WORLD, "sampling", "seed_tag", "other"),
+     "sampling.seed_tag"),
+    ("simulate", with_key(TRAIN_WORLD, "sampling", "max_draws", 10_000),
+     "sampling.max_draws"),
+], ids=["bidders", "bidders.kinds", "sampling.action_window_days",
+        "sweep.alpha_dollars", "sampling.seed_tag", "sampling.max_draws"])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, command, payload,
+                                       name):
+    code = main([command, "--config", str(write_config(tmp_path, payload)),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown") and name in err
+    assert err.count("\n") == 1
+
+
+ZERO_LIFT = {"kind": "zero"}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", with_key(TRAIN_WORLD, "world", "delta_p_distribution",
+                          ZERO_LIFT)),
+    ("abtest", with_key(AB_SMALL, "abtest", "world_overrides",
+                        {"delta_p_distribution": ZERO_LIFT})),
+], ids=["simulate", "abtest"])
+def test_world_without_lift_is_a_config_error(tmp_path, capsys, command,
+                                              payload):
+    code = main([command, "--config", str(write_config(tmp_path, payload)),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the world's mean lift")
+    assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 

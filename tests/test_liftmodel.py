@@ -149,7 +149,8 @@ def test_training_requires_both_classes():
                               np.zeros(schema.n_features))
                for i in range(40)]
     with pytest.raises(TrainingError):
-        train_calibrated_model(samples, schema, ModelParams(), seed=0)
+        train_calibrated_model(samples, schema, ModelParams(), seed=0,
+                               feature_window_seconds=7 * DAY)
 
 
 def test_streaming_estimator_matches_offline_extraction():

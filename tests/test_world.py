@@ -265,6 +265,37 @@ def test_time_order_needs_keys_of_at_most_63_bits():
         _time_order(ts.copy(), 2**61)
 
 
+def test_request_count_is_bounded_before_the_draw(monkeypatch):
+    # 60 users at the default rates expect about 145M requests over a
+    # million days, more than 63-bit keys can order there; the requests
+    # stream must not draw them before the refusal.
+    stream = liftsim.world.rng_for
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"the requests stream drew ({name})")
+
+    monkeypatch.setattr(
+        liftsim.world, "rng_for",
+        lambda seed, *tags: NoDraws() if tags == ("requests",)
+        else stream(seed, *tags))
+    config = small_world(n_users=60, horizon_days=1_000_000)
+    population = generate_population(config)
+    with pytest.raises(WorldConfigError, match="63 bits"):
+        run_market(population, [BidderConfig(kind="passive")], campaign(),
+                   config, assignment=np.zeros(60, dtype=int))
+
+
+def test_two_bidders_of_one_kind_are_refused():
+    config = small_world(seed=34, n_users=10, horizon_days=2)
+    population = generate_population(config)
+    twins = [BidderConfig(kind="value", alpha=D(100.0)),
+             BidderConfig(kind="value", alpha=D(50.0))]
+    with pytest.raises(WorldConfigError, match="kind of its own"):
+        run_market(population, twins, campaign(), config,
+                   assignment=np.arange(10) % 2)
+
+
 def test_engine_settlement_matches_run_auction():
     config = small_world(seed=25, n_users=200, horizon_days=2)
     run = _abc_run(config)
