@@ -4,7 +4,9 @@ Given a population with known (p, delta_p) and two competing strategies,
 a value-style bidder against a lift bidder, this module computes in
 closed form:
 
-* the partition of users each side wins in a second-price duel, and
+* which side wins each user in a second-price duel, as one int8 *side
+  array*: 1 where the value side wins, -1 where the lift side wins and
+  0 where the two offers tie, and
 * for each side, the expected total actions per attributed action and
   the cost per attributed action.
 
@@ -29,27 +31,8 @@ class AccountingError(ValueError):
 
 
 @dataclass(frozen=True)
-class Partition:
-    """User rows split by which side wins their auction.
-
-    ``tied`` holds users whose two bids are exactly equal; they are
-    excluded from both sides because assigning them to either would bias
-    the accounting.
-    """
-
-    value_won: tuple[int, ...]
-    lift_won: tuple[int, ...]
-    tied: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        sides = (set(self.value_won), set(self.lift_won), set(self.tied))
-        if sides[0] & sides[1] or sides[0] & sides[2] or sides[1] & sides[2]:
-            raise ValueError("partition sides must be disjoint")
-
-
-@dataclass(frozen=True)
 class TheoremReport:
-    """Exact accounting quantities for one population and partition.
+    """Exact accounting quantities for one population and duel.
 
     ``actions_per_attr_*`` is the expected number of total user actions
     (exposed plus background) per action attributed to that side;
@@ -75,10 +58,6 @@ class TheoremReport:
 TIE_REL_TOL = 1e-9
 
 
-def _side_rows(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(mask).tolist())
-
-
 def _attribution(population: Population, a_values) -> np.ndarray:
     a = np.asarray(a_values, dtype=float)
     if a.shape != (len(population),):
@@ -86,35 +65,34 @@ def _attribution(population: Population, a_values) -> np.ndarray:
     return a
 
 
-def partition_users(population: Population, alpha: float, beta: float) -> Partition:
-    """Split users by who wins the value-vs-lift duel for each one.
+def partition_users(population: Population, alpha: float, beta: float) -> np.ndarray:
+    """The side array of the value-vs-lift duel: who wins each user.
 
-    The value side wins user i iff ``alpha * p_i > beta * delta_p_i``,
-    the lift side iff the inequality is reversed; offers equal to within
-    ``TIE_REL_TOL`` are ties.
+    The value side wins user i (1) iff ``alpha * p_i > beta * delta_p_i``,
+    the lift side (-1) iff the inequality is reversed; offers equal to
+    within ``TIE_REL_TOL`` are ties (0).
     """
     return generalized_partition(population, np.ones(len(population)), alpha, beta)
 
 
 def generalized_partition(
     population: Population, a_values, cpa: int, beta: float
-) -> Partition:
-    """Partition when the value side is a value bidder at cpa * p * a."""
+) -> np.ndarray:
+    """The side array when the value side is a value bidder at cpa * p * a."""
     if cpa <= 0 or beta <= 0:
         raise ValueError("cpa and beta must be positive")
     a = _attribution(population, a_values)
     value_offer = cpa * population.p * a
     lift_offer = beta * population.delta_p
     scale = np.maximum(np.abs(value_offer), np.abs(lift_offer))
-    tied = np.abs(value_offer - lift_offer) <= TIE_REL_TOL * scale
-    value_won = ~tied & (value_offer > lift_offer)
-    return Partition(_side_rows(value_won), _side_rows(~tied & ~value_won),
-                     _side_rows(tied))
+    side = np.where(value_offer > lift_offer, 1, -1).astype(np.int8)
+    side[np.abs(value_offer - lift_offer) <= TIE_REL_TOL * scale] = 0
+    return side
 
 
 def theorem_quantities(
     population: Population,
-    partition: Partition,
+    side: np.ndarray,
     alpha: float,
     beta: float,
     attribution_residual: float = 0.0,
@@ -125,13 +103,13 @@ def theorem_quantities(
     pays ``alpha * p_k`` on wins attributed at rate ``p_k``.
     """
     return generalized_theorem_quantities(
-        population, partition, np.ones(len(population)), alpha, beta,
+        population, side, np.ones(len(population)), alpha, beta,
         attribution_residual)
 
 
 def generalized_theorem_quantities(
     population: Population,
-    partition: Partition,
+    side: np.ndarray,
     a_values,
     cpa: int,
     beta: float,
@@ -150,12 +128,11 @@ def generalized_theorem_quantities(
     does not depend on numpy's summation order.
     """
     a = _attribution(population, a_values)
-    value = np.asarray(partition.value_won, dtype=np.intp)
-    lift = np.asarray(partition.lift_won, dtype=np.intp)
+    value, lift = side == 1, side == -1
     p, bg, attr = population.p, population.background_rate, population.p * a
 
-    def total(column: np.ndarray, side: np.ndarray) -> float:
-        return sum(column[side].tolist())
+    def total(column: np.ndarray, won: np.ndarray) -> float:
+        return sum(column[won].tolist())
 
     attr_value = total(attr, value)
     attr_lift = total(attr, lift)
@@ -176,5 +153,5 @@ def generalized_theorem_quantities(
         attribution_residual=attribution_residual,
         actions_dominance=a1 < a2,
         cost_dominance=c1 < c2,
-        n_tied=len(partition.tied),
+        n_tied=int(np.count_nonzero(side == 0)),
     )

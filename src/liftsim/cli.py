@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,8 +22,7 @@ from .attribution import AccountingError
 from .bidders import CalibrationError, lineup
 from .events import EventLog, EventLogError
 from .experiments import (
-    ABTestReport, DISCLAIMER, VerificationSweepReport, run_abtest,
-    run_worked_example, verify_theorems,
+    ABTestReport, DISCLAIMER, run_abtest, run_worked_example, verify_theorems,
 )
 from .fileio import atomic_write_text, json_digest
 from .liftmodel.features import FeatureSchema
@@ -45,17 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
-
-OUTPUT_DIR_ENV = "LIFTSIM_OUTDIR"
-
-
-def _output_dir(cfg: dict, args: argparse.Namespace) -> Path:
-    if getattr(args, "out_dir", None):
-        return Path(args.out_dir)
-    if cfg.get("output_dir"):
-        return Path(cfg["output_dir"])
-    return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-
 
 def _load(args: argparse.Namespace) -> dict:
     cfg = cfgmod.load_config(args.config) if args.config else {}
@@ -94,7 +81,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     (seed, world, population, campaign, bidders, assignment,
      digest) = _prepare_market(cfg)
     run = run_market(population, bidders, campaign, world, assignment)
-    out = _output_dir(cfg, args)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "events.jsonl"
     atomic_write_text(log_path, run.log.dumps())
@@ -158,7 +145,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         feature_window_seconds=sampling.feature_window_seconds)
     model.metadata["config_digest"] = json_digest(cfg)
     model.metadata["log_digest"] = log.config_digest
-    out = _output_dir(cfg, args)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = Path(args.model_out) if args.model_out else out / "model.json"
     model.save(model_path)
@@ -168,7 +155,7 @@ def cmd_train(args: argparse.Namespace) -> int:
               "isotonic_degenerate": report.isotonic_degenerate}
     _jsonl([d for d in report.deciles], header, out / "calibration.jsonl")
     lines = [f"wrote {model_path}",
-             f"samples={len(samples)} positives={sum(s.label for s in samples)}",
+             f"samples={len(samples)} positives={np.count_nonzero(samples.label)}",
              f"schema_digest={model.schema_digest}",
              "decile  n      predicted  empirical  within"]
     for d in report.deciles:
@@ -244,7 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     lines.append("")
     lines.append(f"verification: {'PASS' if all_ok else 'FAIL'}")
-    out = _output_dir(cfg, args)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = {"master_seed": seed, "config_digest": json_digest(cfg),
               "notes": DISCLAIMER}
@@ -307,7 +294,7 @@ def cmd_abtest(args: argparse.Namespace) -> int:
             return ModelBidEstimator(model, population, advertiser, behavior)
 
     report = run_abtest(ab_config, estimator_factory=estimator_factory)
-    out = _output_dir(cfg, args)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = {"master_seed": seed, "config_digest": json_digest(cfg),
               "bid_source": args.bids, "notes": DISCLAIMER,
@@ -330,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON run configuration")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config leaf (repeatable)")
-        p.add_argument("--out-dir", help="output directory "
-                       f"(default: config output_dir or ${OUTPUT_DIR_ENV})")
+        p.add_argument("--out-dir", default=".",
+                       help="output directory (default: the current one)")
 
     p = sub.add_parser("simulate", help="generate a world and its event log")
     common(p)

@@ -18,7 +18,10 @@ from .experiments import ABTestConfig, SweepConfig
 from .liftmodel.gbdt import GBDTParams
 from .liftmodel.pipeline import ModelParams
 from .liftmodel.sampling import SamplingConfig
-from .market import Campaign, dollars_to_micros
+from .market import (
+    DEFAULT_ACTION_WINDOW_DAYS, DEFAULT_ADVERTISER, DEFAULT_CPA_DOLLARS,
+    Campaign, dollars_to_micros,
+)
 from .seeds import derive_seed
 from .world import SECONDS_PER_DAY, WorldConfig
 
@@ -36,7 +39,6 @@ def _keys(cls, *excluded: str) -> set[str]:
 # object validated by its consumer (distribution specs).
 _SCHEMA: dict[str, set[str] | None] = {
     "master_seed": None,
-    "output_dir": None,
     "world": _keys(WorldConfig, "seed"),
     "campaign": {
         "advertiser_id", "cpa_dollars", "budget_dollars", "action_window_days",
@@ -120,10 +122,11 @@ def build_campaign(cfg: dict) -> Campaign:
     section = cfg.get("campaign", {})
     try:
         return Campaign(
-            advertiser_id=section.get("advertiser_id", "adv1"),
-            cpa=dollars_to_micros(section.get("cpa_dollars", 100.0)),
+            advertiser_id=section.get("advertiser_id", DEFAULT_ADVERTISER),
+            cpa=dollars_to_micros(section.get("cpa_dollars", DEFAULT_CPA_DOLLARS)),
             budget=dollars_to_micros(section.get("budget_dollars", 1e9)),
-            action_window_days=section.get("action_window_days", 2),
+            action_window_days=section.get("action_window_days",
+                                           DEFAULT_ACTION_WINDOW_DAYS),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid campaign section: {exc}") from exc

@@ -30,6 +30,7 @@ from .bidders import (
     calibrate_equal_attribution_weighted, lineup, price_bids,
 )
 from .market import (
+    DEFAULT_ACTION_WINDOW_DAYS, DEFAULT_ADVERTISER, DEFAULT_CPA_DOLLARS,
     Campaign, Population, dollars_to_micros, is_integer, run_auction,
 )
 from .seeds import derive_seed, rng_for
@@ -68,7 +69,6 @@ class StrategyOutcome:
 class WorkedExampleReport:
     value: StrategyOutcome
     lift: StrategyOutcome
-    notes: str = DISCLAIMER
 
 
 def _play_strategy(
@@ -130,14 +130,21 @@ class SweepConfig:
     n_users: int = 1000
     master_seed: int = 0
     tolerance: float = 1e-3
-    cpa_dollars: float = 100.0
+    cpa_dollars: float = DEFAULT_CPA_DOLLARS
     mode: str = "both"          # simple | generalized | both
     mc_instances: int = 10      # simple-mode instances to cross-check
-    mc_trials: int = 10_000
+    mc_trials: int = 10_000     # >= 2: the standard errors use ddof=1
 
     def __post_init__(self) -> None:
-        if self.n_instances < 1:
-            raise ValueError("n_instances must be at least 1")
+        for name, least in (("n_instances", 1), ("mc_instances", 0),
+                            ("mc_trials", 2)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}")
+        if not 0.0 <= self.tolerance <= 1.0:  # also NaN
+            raise ValueError("tolerance must lie in [0, 1]")
+        if dollars_to_micros(self.cpa_dollars) <= 0:
+            raise ValueError("cpa_dollars must be a positive amount")
         if self.mode not in ("simple", "generalized", "both"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
 
@@ -167,7 +174,6 @@ class VerificationSweepReport:
     mc_checks: list[MCCheck] = field(default_factory=list)
     n_skipped_calibration: int = 0
     n_skipped_degenerate: int = 0
-    notes: str = DISCLAIMER
 
     @property
     def n_actions_pass(self) -> int:
@@ -271,7 +277,7 @@ def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
     """Run the dominance sweeps; returns reports keyed by mode.
 
     Both modes share one procedure per attempt: draw a world, calibrate
-    beta for equal attribution, partition the users and compute the
+    beta for equal attribution, settle the duel for each user and compute the
     exact accounting. The value side bids ``cpa * p * a``: the simple
     mode takes a = 1 (``alpha * p`` at ``alpha = cpa``) and adds the
     Monte-Carlo cross-check on its first ``mc_instances`` instances; the
@@ -303,19 +309,19 @@ def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
                     report.n_skipped_calibration += 1
                     continue
                 if simple:
-                    partition = partition_users(population, alpha, cal.beta)
+                    side = partition_users(population, alpha, cal.beta)
                 else:
-                    partition = generalized_partition(
+                    side = generalized_partition(
                         population, a_values, cpa, cal.beta)
-                if not partition.value_won or not partition.lift_won:
+                if not (side == 1).any() or not (side == -1).any():
                     report.n_skipped_degenerate += 1
                     continue
                 if simple:
                     quantities = theorem_quantities(
-                        population, partition, alpha, cal.beta, cal.residual)
+                        population, side, alpha, cal.beta, cal.residual)
                 else:
                     quantities = generalized_theorem_quantities(
-                        population, partition, a_values, cpa, cal.beta,
+                        population, side, a_values, cpa, cal.beta,
                         cal.residual)
                 report.records.append({**vars(quantities), "instance": i,
                                        "beta": cal.beta, "seed": seed})
@@ -361,11 +367,11 @@ class ABTestConfig:
     n_users: int = 10_000
     replications: int = 20
     master_seed: int = 0
-    cpa_dollars: float = 100.0
+    cpa_dollars: float = DEFAULT_CPA_DOLLARS
     budget_per_bidder_dollars: float = 35_000.0
-    action_window_days: int = 2
+    action_window_days: int = DEFAULT_ACTION_WINDOW_DAYS
     horizon_days: int = 28
-    advertiser: str = "adv1"
+    advertiser: str = DEFAULT_ADVERTISER
     beta_dollars: float | None = None  # None: population-mean pricing
     world_overrides: dict = field(default_factory=dict)
 
@@ -408,9 +414,7 @@ class ReplicationResult:
 
 @dataclass
 class ABTestReport:
-    config: ABTestConfig
     replications: list[ReplicationResult] = field(default_factory=list)
-    notes: str = DISCLAIMER
 
     def sign_counts(self) -> dict[str, int]:
         reps = self.replications
@@ -424,15 +428,6 @@ class ABTestReport:
                 (r.cost_per_imp_diff or 0) < 0 for r in reps),
             "all_spent_out": sum(r.all_spent_out for r in reps),
             "replications": len(reps),
-        }
-
-    def as_dict(self) -> dict:
-        return {
-            "config": {**vars(self.config),
-                       "world_overrides": dict(self.config.world_overrides)},
-            "sign_counts": self.sign_counts(),
-            "replications": [r.as_dict() for r in self.replications],
-            "notes": self.notes,
         }
 
 
@@ -457,7 +452,7 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
     campaign = config.campaign()
     beta = (None if config.beta_dollars is None
             else float(dollars_to_micros(config.beta_dollars)))
-    report = ABTestReport(config=config)
+    report = ABTestReport()
 
     for rep in range(config.replications):
         world = config.world(rep)

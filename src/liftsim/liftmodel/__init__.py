@@ -8,7 +8,7 @@ from .features import (  # noqa: F401
     counterfactual_features,
     fold_context,
 )
-from .sampling import SamplingConfig, TrainingSample, generate_samples  # noqa: F401
+from .sampling import SamplingConfig, generate_samples  # noqa: F401
 from .gbdt import GBDTModel, GBDTParams, train_gbdt  # noqa: F401
 from .isotonic import IsotonicMap, fit_isotonic  # noqa: F401
 from .pipeline import (  # noqa: F401

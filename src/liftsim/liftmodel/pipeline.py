@@ -28,7 +28,6 @@ from .features import (
 )
 from .gbdt import GBDTModel, GBDTParams, TrainingError, train_gbdt
 from .isotonic import IsotonicMap, fit_isotonic
-from .sampling import TrainingSample
 
 MODEL_FORMAT = "liftsim.model"
 MODEL_VERSION = 1
@@ -171,31 +170,31 @@ def build_calibration_report(predictions: np.ndarray,
 
 
 def train_calibrated_model(
-    samples: list[TrainingSample],
+    samples: np.recarray,
     schema: FeatureSchema,
     params: ModelParams | None = None,
     seed: int = 0,
     *,
     feature_window_seconds: int,
 ) -> tuple[CalibratedModel, CalibrationReport]:
-    """Train, prior-correct and calibrate; returns the model and its report.
+    """Train, prior-correct and calibrate ``samples``, records as
+    :func:`~.sampling.generate_samples` returns them; returns the model
+    and its report.
 
     The holdout is split by user, not by sample, so no user contributes
     to both the ensemble fit and the calibration.
     """
     params = params or ModelParams()
-    if not samples:
+    if len(samples) == 0:
         raise TrainingError("no samples to train on")
-    users = sorted({s.user_id for s in samples})
-    rng = rng_for(seed, "model-split")
-    shuffled = list(users)
-    rng.shuffle(shuffled)
+    shuffled = sorted(set(samples.user_id.tolist()))
+    rng_for(seed, "model-split").shuffle(shuffled)
     n_holdout = max(1, int(round(params.holdout_fraction * len(shuffled))))
-    holdout_users = set(shuffled[:n_holdout])
+    holdout_users = shuffled[:n_holdout]
 
-    X = np.array([s.features for s in samples])
-    y = np.array([s.label for s in samples], dtype=float)
-    holdout = np.array([s.user_id in holdout_users for s in samples])
+    X = samples.features
+    y = samples.label.astype(float)
+    holdout = np.isin(samples.user_id, holdout_users)
     n_holdout_samples = int(np.count_nonzero(holdout))
     if n_holdout_samples in (0, len(samples)):
         raise TrainingError("user split left an empty side; need more users")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +36,7 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    action_window_seconds: int = 2 * 86_400
+    action_window_seconds: int  # the campaign's action window
     feature_window_seconds: int = 7 * 86_400
     target_positive_count: int = 5_000
     seed: int = 0
@@ -51,11 +50,14 @@ class SamplingConfig:
             raise ValueError("target_positive_count must be positive")
 
 
-class TrainingSample(NamedTuple):
-    user_id: str
-    ts: int
-    label: bool
-    features: np.ndarray
+def sample_records(user_id, ts, label, features) -> np.recarray:
+    """Samples as one record array with the fields ``user_id``, ``ts``
+    (int64), ``label`` (bool) and ``features`` (a float64 row each)."""
+    user_id = np.asarray(user_id, dtype=str)
+    features = np.asarray(features, dtype=np.float64)
+    return np.rec.fromarrays([user_id, ts, label, features], dtype=[
+        ("user_id", user_id.dtype), ("ts", np.int64), ("label", bool),
+        ("features", np.float64, features.shape[1:])])
 
 
 def generate_samples(
@@ -63,8 +65,9 @@ def generate_samples(
     population: Population,
     config: SamplingConfig,
     schema: FeatureSchema,
-) -> list[TrainingSample]:
-    """Draw labeled samples from the log; deterministic per config seed."""
+) -> np.recarray:
+    """Draw labeled samples from the log, as :func:`sample_records` in
+    draw order; deterministic per config seed."""
     request_counts = np.bincount(log.user[log.kind == KIND_CODE[AD_REQUEST]],
                                  minlength=len(log.users))
     if not request_counts.any():
@@ -124,18 +127,15 @@ def generate_samples(
     user_codes, sample_ts, labels = zip(*drawn) if drawn else ((), (), ())
     X = window_features(log, population, schema, user_codes, sample_ts,
                         config.feature_window_seconds)
-    return [TrainingSample(log.users[code], ts, label, row)
-            for code, ts, label, row in zip(user_codes, sample_ts, labels, X)]
+    user_ids = np.asarray(log.users)[np.asarray(user_codes, dtype=np.intp)]
+    return sample_records(user_ids, sample_ts, labels, X)
 
 
-def export_samples(samples: Iterable[TrainingSample], path) -> None:
+def export_samples(samples: np.recarray, path) -> None:
     """Write samples as line-delimited JSON records."""
-    lines = []
-    for s in samples:
-        lines.append(json.dumps({
-            "user": s.user_id,
-            "ts": s.ts,
-            "label": int(s.label),
-            "features": [float(x) for x in s.features],
-        }, separators=(",", ":")))
+    lines = [json.dumps({"user": user, "ts": ts, "label": int(label),
+                         "features": features}, separators=(",", ":"))
+             for user, ts, label, features in zip(
+                 samples.user_id.tolist(), samples.ts.tolist(),
+                 samples.label.tolist(), samples.features.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -34,9 +34,11 @@ INT64_MAX = 2**63 - 1
 def dollars_to_micros(dollars: float) -> int:
     """Convert a dollar amount to integer micros (round-half-even).
 
-    Raises ValueError when the amount is not finite or its micros do not
-    fit in int64.
+    Raises TypeError for a non-number and ValueError when the amount is
+    not finite or its micros do not fit in int64.
     """
+    if not isinstance(dollars, numbers.Real):
+        raise TypeError(f"{dollars!r} is not a dollar amount")
     micros = dollars * MICROS_PER_DOLLAR
     if not abs(micros) <= INT64_MAX:  # also NaN
         raise ValueError(
@@ -63,6 +65,13 @@ def check_probability(value, name: str = "probability"):
     return value
 
 
+# The default campaign of every config section that describes one: adv1
+# pays $100 per action attributed within two days of an impression.
+DEFAULT_ADVERTISER = "adv1"
+DEFAULT_CPA_DOLLARS = 100.0
+DEFAULT_ACTION_WINDOW_DAYS = 2
+
+
 @dataclass(frozen=True)
 class Campaign:
     """A CPA-priced campaign: the advertiser pays ``cpa`` per attributed action."""
@@ -70,7 +79,7 @@ class Campaign:
     advertiser_id: str
     cpa: int  # micros, > 0
     budget: int  # micros, >= 0
-    action_window_days: int = 2
+    action_window_days: int = DEFAULT_ACTION_WINDOW_DAYS
 
     def __post_init__(self) -> None:
         if self.cpa <= 0:

@@ -47,8 +47,8 @@ from .events import (
 )
 from .fileio import json_digest
 from .market import (
-    INT64_MAX, MICROS_PER_DOLLAR, Campaign, Population, is_integer, may_win,
-    run_auction,
+    DEFAULT_ADVERTISER, INT64_MAX, MICROS_PER_DOLLAR, Campaign, Population,
+    is_integer, may_win, run_auction,
 )
 from .seeds import rng_for
 
@@ -135,7 +135,7 @@ class WorldConfig:
     horizon_days: int = 28
     topics: int = 6
     apps: int = 3
-    advertisers: tuple[str, ...] = ("adv1",)
+    advertisers: tuple[str, ...] = (DEFAULT_ADVERTISER,)
     p_distribution: dict = field(default_factory=_default_p_distribution)
     delta_p_distribution: dict = field(default_factory=_default_delta_p_distribution)
     p_lift_dependence: float = -0.5

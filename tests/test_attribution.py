@@ -1,10 +1,10 @@
-"""Exact accounting quantities and partitions."""
+"""Exact accounting quantities and duel side arrays."""
 
 import numpy as np
 import pytest
 
 from liftsim.attribution import (
-    AccountingError, Partition, generalized_partition,
+    AccountingError, generalized_partition,
     generalized_theorem_quantities, partition_users, theorem_quantities,
 )
 from liftsim.bidders import calibrate_equal_attribution
@@ -24,41 +24,34 @@ def _random_population(rng, n):
 
 
 def test_partition_two_user_example():
-    part = partition_users(TWO_USERS, alpha=100.0, beta=200.0)
-    assert part.value_won == (0,)
-    assert part.lift_won == (1,)
-    assert part.tied == ()
+    side = partition_users(TWO_USERS, alpha=100.0, beta=200.0)
+    assert side.dtype == np.int8
+    assert side.tolist() == [1, -1]
 
 
 def test_partition_tiny_beta_empties_lift_side():
-    part = partition_users(TWO_USERS, alpha=100.0, beta=1e-9)
-    assert part.lift_won == ()
-    assert set(part.value_won) == {0, 1}
+    side = partition_users(TWO_USERS, alpha=100.0, beta=1e-9)
+    assert side.tolist() == [1, 1]
 
 
 def test_partition_matches_per_user_brute_force():
     rng = np.random.default_rng(31)
     population = _random_population(rng, 100)
     alpha, beta = 100.0, 317.5
-    part = partition_users(population, alpha, beta)
+    side = partition_users(population, alpha, beta)
     for i, (p, delta_p) in enumerate(zip(population.p, population.delta_p)):
         value_offer, lift_offer = alpha * p, beta * delta_p
         if value_offer > lift_offer:
-            assert i in part.value_won
+            assert side[i] == 1
         elif value_offer < lift_offer:
-            assert i in part.lift_won
+            assert side[i] == -1
         else:
-            assert i in part.tied
-
-
-def test_partition_sides_must_be_disjoint():
-    with pytest.raises(ValueError):
-        Partition(value_won=(0,), lift_won=(0,))
+            assert side[i] == 0
 
 
 def test_actions_per_attributed_example():
-    part = partition_users(TWO_USERS, alpha=100.0, beta=200.0)
-    report = theorem_quantities(TWO_USERS, part, alpha=100.0, beta=200.0)
+    side = partition_users(TWO_USERS, alpha=100.0, beta=200.0)
+    report = theorem_quantities(TWO_USERS, side, alpha=100.0, beta=200.0)
     assert report.actions_per_attr_value == pytest.approx((0.04 + 0.001) / 0.04)  # 1.025
     assert report.actions_per_attr_lift == pytest.approx((0.03 + 0.02) / 0.02)    # 2.5
     assert report.actions_dominance
@@ -66,16 +59,16 @@ def test_actions_per_attributed_example():
 
 def test_actions_per_attributed_collapses_without_lift():
     population = Population(p=[0.05, 0.03], delta_p=[0.0, 0.0])
-    part = Partition(value_won=(0,), lift_won=(1,))
+    side = np.array([1, -1], dtype=np.int8)
     total = 0.05 + 0.03
-    report = theorem_quantities(population, part, alpha=100.0, beta=100.0)
+    report = theorem_quantities(population, side, alpha=100.0, beta=100.0)
     assert report.actions_per_attr_value == pytest.approx(total / 0.05)
     assert report.actions_per_attr_lift == pytest.approx(total / 0.03)
 
 
 def test_cost_per_attributed_example():
-    part = partition_users(TWO_USERS, alpha=D(100.0), beta=D(200.0))
-    report = theorem_quantities(TWO_USERS, part, D(100.0), D(200.0))
+    side = partition_users(TWO_USERS, alpha=D(100.0), beta=D(200.0))
+    report = theorem_quantities(TWO_USERS, side, D(100.0), D(200.0))
     assert report.cost_per_attr_value == pytest.approx(D(200.0) * 0.01 / 0.04)  # $50
     assert report.cost_per_attr_lift == D(100.0)  # exactly alpha, by construction
     assert report.cost_dominance
@@ -84,16 +77,16 @@ def test_cost_per_attributed_example():
 def test_lift_side_cost_is_alpha_exactly():
     rng = np.random.default_rng(32)
     population = _random_population(rng, 500)
-    part = partition_users(population, alpha=100.0, beta=250.0)
-    report = theorem_quantities(population, part, 100.0, 250.0)
+    side = partition_users(population, alpha=100.0, beta=250.0)
+    report = theorem_quantities(population, side, 100.0, 250.0)
     assert report.cost_per_attr_lift == 100.0
 
 
 def test_empty_side_raises():
-    for part in (Partition(value_won=(), lift_won=(0, 1)),
-                 Partition(value_won=(0, 1), lift_won=())):
+    for side in ([-1, -1], [1, 1], [0, 0], [1, 0], [0, -1]):
         with pytest.raises(AccountingError):
-            theorem_quantities(TWO_USERS, part, 100.0, 200.0)
+            theorem_quantities(TWO_USERS, np.array(side, dtype=np.int8),
+                               100.0, 200.0)
 
 
 def test_generalized_reduces_to_simple_with_full_attribution():
@@ -102,11 +95,11 @@ def test_generalized_reduces_to_simple_with_full_attribution():
     alpha = cpa = D(100.0)
     beta = 2.5 * alpha
     ones = [1.0] * len(population)
-    simple_part = partition_users(population, alpha, beta)
-    general_part = generalized_partition(population, ones, cpa, beta)
-    assert simple_part == general_part
-    simple = theorem_quantities(population, simple_part, alpha, beta)
-    general = generalized_theorem_quantities(population, general_part, ones, cpa, beta)
+    simple_side = partition_users(population, alpha, beta)
+    general_side = generalized_partition(population, ones, cpa, beta)
+    assert np.array_equal(simple_side, general_side)
+    simple = theorem_quantities(population, simple_side, alpha, beta)
+    general = generalized_theorem_quantities(population, general_side, ones, cpa, beta)
     assert general.actions_per_attr_value == pytest.approx(simple.actions_per_attr_value, rel=1e-15)
     assert general.actions_per_attr_lift == pytest.approx(simple.actions_per_attr_lift, rel=1e-15)
     assert general.cost_per_attr_value == pytest.approx(simple.cost_per_attr_value, rel=1e-15)
@@ -120,8 +113,8 @@ def test_matched_attribution_probabilities_tie_everyone():
     beta = 1.0 * cpa
     a_values = (beta / cpa) * population.delta_p / population.p
     assert all(0 < a <= 1 for a in a_values)
-    part = generalized_partition(population, a_values, cpa, beta)
-    assert len(part.tied) == len(population)
+    side = generalized_partition(population, a_values, cpa, beta)
+    assert not side.any()
 
 
 def test_generalized_partition_matches_brute_force():
@@ -129,15 +122,15 @@ def test_generalized_partition_matches_brute_force():
     population = _random_population(rng, 200)
     a_values = [float(rng.uniform(0.01, 1.0)) for _ in range(len(population))]
     cpa, beta = D(100.0), 1.7 * D(100.0)
-    part = generalized_partition(population, a_values, cpa, beta)
+    side = generalized_partition(population, a_values, cpa, beta)
     rows = zip(population.p, population.delta_p, a_values)
     for i, (p, delta_p, a) in enumerate(rows):
-        rational_offer = cpa * p * a
+        value_offer = cpa * p * a
         lift_offer = beta * delta_p
-        if rational_offer > lift_offer:
-            assert i in part.value_won
-        elif rational_offer < lift_offer:
-            assert i in part.lift_won
+        if value_offer > lift_offer:
+            assert side[i] == 1
+        elif value_offer < lift_offer:
+            assert side[i] == -1
 
 
 def test_generalized_cost_dominance_on_any_nondegenerate_partition():
@@ -147,10 +140,10 @@ def test_generalized_cost_dominance_on_any_nondegenerate_partition():
         a_values = [float(rng.uniform(0.05, 1.0)) for _ in range(len(population))]
         cpa = D(100.0)
         beta = float(rng.uniform(0.5, 6.0)) * cpa
-        part = generalized_partition(population, a_values, cpa, beta)
-        if not part.value_won or not part.lift_won:
+        side = generalized_partition(population, a_values, cpa, beta)
+        if not (side == 1).any() or not (side == -1).any():
             continue
-        report = generalized_theorem_quantities(population, part, a_values, cpa, beta)
+        report = generalized_theorem_quantities(population, side, a_values, cpa, beta)
         assert report.cost_per_attr_value < cpa
         assert report.cost_per_attr_lift == cpa
 
@@ -161,8 +154,8 @@ def test_dominance_after_equal_attribution_calibration():
     alpha = 100.0
     cal = calibrate_equal_attribution(population, alpha, tolerance=1e-3)
     assert cal.converged
-    part = partition_users(population, alpha, cal.beta)
-    report = theorem_quantities(population, part, alpha, cal.beta, cal.residual)
+    side = partition_users(population, alpha, cal.beta)
+    report = theorem_quantities(population, side, alpha, cal.beta, cal.residual)
     assert report.actions_dominance
     assert report.cost_dominance
     assert report.n_tied == 0

@@ -64,8 +64,8 @@ def test_winner_invariant_under_common_scaling():
         alpha = float(rng.uniform(10, 500))
         beta = float(rng.uniform(10, 2000))
         c = float(rng.uniform(0.01, 100.0))
-        assert (partition_users(population, alpha, beta)
-                == partition_users(population, c * alpha, c * beta))
+        assert np.array_equal(partition_users(population, alpha, beta),
+                              partition_users(population, c * alpha, c * beta))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """CLI contracts: subcommands, exit codes, determinism, atomic output."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,21 @@ def test_train_end_to_end_and_determinism(tmp_path):
     model = json.loads((t1 / "model.json").read_text())
     assert model["format"] == "liftsim.model"
     assert model["schema_digest"]
+
+
+def test_train_exports_one_line_per_sample(tmp_path, capsys):
+    config = write_config(tmp_path, TRAIN_WORLD)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+    samples_out = tmp_path / "samples.jsonl"
+    capsys.readouterr()
+    assert main(["train", "--config", str(config),
+                 "--log", str(out / "events.jsonl"), "--out-dir", str(out),
+                 "--samples-out", str(samples_out)]) == EXIT_OK
+    counts = re.search(r"samples=(\d+) positives=(\d+)", capsys.readouterr().out)
+    records = [json.loads(line) for line in samples_out.read_text().splitlines()]
+    assert len(records) == int(counts[1]) > 0
+    assert sum(r["label"] for r in records) == int(counts[2])
 
 
 def test_train_rejects_mismatched_log(tmp_path, capsys):
@@ -463,6 +479,7 @@ MALFORMED_SIMULATE = {
     "world.n_users=30.5": ("world", "n_users", 30.5),
     "world.n_users=true": ("world", "n_users", True),
     "campaign.budget_dollars=1e300": ("campaign", "budget_dollars", 1e300),
+    "campaign.cpa_dollars=abc": ("campaign", "cpa_dollars", "abc"),
     "world.competitor_bids-dollars": ("world", "competitor_bids",
                                       {"kind": "fixed"}),
     "world.behavior.pv_rate=-1": ("world", "behavior", {"pv_rate": -1}),
@@ -484,14 +501,31 @@ MALFORMED_SIMULATE = {
         {"kind": "lognormal", "median_dollars": 1e12, "sigma": 5.0}),
 }
 
+MALFORMED_SWEEP = {
+    "cpa_dollars=-5": ("cpa_dollars", -5),
+    "cpa_dollars=NaN": ("cpa_dollars", float("nan")),
+    "cpa_dollars=1e300": ("cpa_dollars", 1e300),
+    "mc_trials=0": ("mc_trials", 0),
+    "mc_trials=1": ("mc_trials", 1),
+    "mc_trials=2.5": ("mc_trials", 2.5),
+    "mc_instances=-1": ("mc_instances", -1),
+    "n_instances=1.5": ("n_instances", 1.5),
+    "n_instances=true": ("n_instances", True),
+    "tolerance=NaN": ("tolerance", float("nan")),
+    "tolerance=2": ("tolerance", 2.0),
+}
+
 
 @pytest.mark.parametrize("command, payload", [
     *(("abtest", with_key(AB_SMALL, "abtest", *case))
       for case in MALFORMED_ABTEST.values()),
     *(("simulate", with_key(TRAIN_WORLD, *case))
       for case in MALFORMED_SIMULATE.values()),
+    *(("verify", with_key(VERIFY_SMALL, "sweep", *case))
+      for case in MALFORMED_SWEEP.values()),
 ], ids=[*(f"abtest:{i}" for i in MALFORMED_ABTEST),
-        *(f"simulate:{i}" for i in MALFORMED_SIMULATE)])
+        *(f"simulate:{i}" for i in MALFORMED_SIMULATE),
+        *(f"verify:{i}" for i in MALFORMED_SWEEP)])
 def test_malformed_config_value_is_a_config_error(tmp_path, capsys, command,
                                                   payload):
     code = main([command, "--config", str(write_config(tmp_path, payload)),
@@ -503,10 +537,11 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, command,
 
 
 # Keys no section takes: the lineup is always passive/value/lift, a
-# label's action window is the campaign's, and verify's value side is
-# priced at the sweep's cpa_dollars.
+# label's action window is the campaign's, verify's value side is priced
+# at the sweep's cpa_dollars, and --out-dir alone sets the output directory.
 @pytest.mark.parametrize("command, payload, name", [
     ("simulate", {**TRAIN_WORLD, "bidders": {}}, "'bidders'"),
+    ("verify", {**VERIFY_SMALL, "output_dir": "elsewhere"}, "'output_dir'"),
     ("simulate", {**TRAIN_WORLD, "bidders": {"kinds": ["value", "lift"]}},
      "'bidders'"),
     ("simulate", with_key(TRAIN_WORLD, "sampling", "action_window_days", 2),
@@ -517,7 +552,7 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, command,
      "sampling.seed_tag"),
     ("simulate", with_key(TRAIN_WORLD, "sampling", "max_draws", 10_000),
      "sampling.max_draws"),
-], ids=["bidders", "bidders.kinds", "sampling.action_window_days",
+], ids=["bidders", "output_dir", "bidders.kinds", "sampling.action_window_days",
         "sweep.alpha_dollars", "sampling.seed_tag", "sampling.max_draws"])
 def test_unknown_key_is_a_config_error(tmp_path, capsys, command, payload,
                                        name):

@@ -2,13 +2,12 @@
 
 import os
 
-import numpy as np
 import pytest
 
 from liftsim.fileio import atomic_write_text
-from liftsim.liftmodel.sampling import TrainingSample, export_samples
+from liftsim.liftmodel.sampling import export_samples, sample_records
 
-SAMPLES = [TrainingSample("u0", 5, True, np.array([1.0, 2.0]))]
+SAMPLES = sample_records(["u0"], [5], [True], [[1.0, 2.0]])
 
 WRITERS = {
     "atomic_write_text": lambda path: atomic_write_text(path, "new\n"),
@@ -38,3 +37,11 @@ def test_write_replaces_the_previous_file(tmp_path, write):
     write(target)
     assert target.read_text() != "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+def test_exported_sample_line(tmp_path):
+    # Plain JSON types only: json.dumps refuses numpy scalars.
+    target = tmp_path / "samples.jsonl"
+    export_samples(SAMPLES, target)
+    assert target.read_text() == (
+        '{"user":"u0","ts":5,"label":1,"features":[1.0,2.0]}\n')

@@ -19,7 +19,9 @@ from liftsim.liftmodel.pipeline import (
     CalibratedModel, ModelBidEstimator, ModelParams, SchemaMismatch,
     train_calibrated_model,
 )
-from liftsim.liftmodel.sampling import SamplingConfig, generate_samples
+from liftsim.liftmodel.sampling import (
+    SamplingConfig, generate_samples, sample_records,
+)
 from liftsim.market import Campaign, dollars_to_micros
 from liftsim.world import WorldConfig, generate_population, run_market
 
@@ -144,11 +146,18 @@ def test_schema_mismatch_is_an_error(tmp_path):
 
 def test_training_requires_both_classes():
     schema = tiny_schema()
-    from liftsim.liftmodel.sampling import TrainingSample
-    samples = [TrainingSample(f"u{i}", 100 + i, False,
-                              np.zeros(schema.n_features))
-               for i in range(40)]
+    samples = sample_records([f"u{i}" for i in range(40)], range(100, 140),
+                             np.zeros(40, dtype=bool),
+                             np.zeros((40, schema.n_features)))
     with pytest.raises(TrainingError):
+        train_calibrated_model(samples, schema, ModelParams(), seed=0,
+                               feature_window_seconds=7 * DAY)
+
+
+def test_training_requires_samples():
+    schema = tiny_schema()
+    samples = sample_records([], [], [], np.zeros((0, schema.n_features)))
+    with pytest.raises(TrainingError, match="no samples"):
         train_calibrated_model(samples, schema, ModelParams(), seed=0,
                                feature_window_seconds=7 * DAY)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftsim.attribution import Partition, partition_users
+from liftsim.attribution import partition_users
 from liftsim.market import (
     Campaign, Population, dollars_to_micros, micros_to_dollars, run_auction,
 )
@@ -110,10 +110,10 @@ def test_head_to_head_examples():
     def duel(p, delta_p, alpha, beta):
         return partition_users(Population(p=[p], delta_p=[delta_p]), alpha, beta)
 
-    assert duel(p=0.04, delta_p=0.01, alpha=100, beta=100) == Partition((0,), ())
-    assert duel(p=0.02, delta_p=0.019, alpha=100, beta=200) == Partition((), (0,))
-    assert duel(p=0.5, delta_p=0.0, alpha=100, beta=100) == Partition((0,), ())
-    assert duel(p=0.04, delta_p=0.02, alpha=100, beta=200) == Partition((), (), (0,))
+    assert duel(p=0.04, delta_p=0.01, alpha=100, beta=100).tolist() == [1]
+    assert duel(p=0.02, delta_p=0.019, alpha=100, beta=200).tolist() == [-1]
+    assert duel(p=0.5, delta_p=0.0, alpha=100, beta=100).tolist() == [1]
+    assert duel(p=0.04, delta_p=0.02, alpha=100, beta=200).tolist() == [0]
 
 
 def test_auction_agrees_with_head_to_head_when_bids_differ():
@@ -143,6 +143,10 @@ def test_money_round_half_even():
     assert dollars_to_micros(9e12) == 9 * 10**18  # fits in int64
     for amount in (float("nan"), float("inf"), -float("inf"), 1e300, 1e13):
         with pytest.raises(ValueError):
+            dollars_to_micros(amount)
+    # Refused before multiplying: a string would repeat a million times.
+    for amount in ("100", None, [1.0]):
+        with pytest.raises(TypeError, match="not a dollar amount"):
             dollars_to_micros(amount)
 
 

@@ -132,7 +132,9 @@ def test_no_requests_is_an_error():
     log = synthetic_log({}, {U0: [DAY]})
     with pytest.raises(SamplingError):
         generate_samples(log, users_for(1),
-                         SamplingConfig(target_positive_count=1), tiny_schema())
+                         SamplingConfig(action_window_seconds=2 * DAY,
+                                        target_positive_count=1),
+                         tiny_schema())
 
 
 def test_sampling_is_deterministic():
@@ -145,6 +147,25 @@ def test_sampling_is_deterministic():
     for a, b in zip(one, two):
         assert a.user_id == b.user_id and a.ts == b.ts and a.label == b.label
         assert np.array_equal(a.features, b.features)
+
+
+def test_samples_are_one_record_array_in_draw_order():
+    log = synthetic_log({U0: 4, U1: 6}, {U0: [3 * DAY], U1: [6 * DAY]})
+    config = SamplingConfig(action_window_seconds=2 * DAY,
+                            target_positive_count=6, seed=42)
+    schema = tiny_schema()
+    samples = generate_samples(log, users_for(2), config, schema)
+    assert isinstance(samples, np.recarray) and len(samples) > 1
+    assert samples.dtype.names == ("user_id", "ts", "label", "features")
+    assert samples.dtype["user_id"].kind == "U"
+    assert samples.dtype["ts"] == np.int64
+    assert samples.dtype["label"] == np.bool_
+    assert samples.dtype["features"].base == np.float64
+    assert samples.dtype["features"].shape == (schema.n_features,)
+    assert samples.user_id.tolist() == [s.user_id for s in samples]
+    assert samples.ts.tolist() == [s.ts for s in samples]
+    assert samples.label.tolist() == [s.label for s in samples]
+    assert np.array_equal(samples.features, [s.features for s in samples])
 
 
 def test_leakage_freedom_on_simulated_world():
@@ -164,7 +185,7 @@ def test_leakage_freedom_on_simulated_world():
                                  feature_window_seconds=7 * DAY,
                                  target_positive_count=40, seed=10)
     samples = generate_samples(log, population, samp_config, schema)
-    assert samples
+    assert len(samples)
 
     rng = np.random.default_rng(0)
     probe = rng.choice(len(samples), size=min(60, len(samples)), replace=False)
