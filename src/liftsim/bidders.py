@@ -163,7 +163,8 @@ def _scan_equal_split(
         residual = abs(gap) / total
         return BetaCalibration(float(beta), residual, residual <= tolerance)
 
-    uniq = np.unique(finite)
+    uniq = np.sort(finite)
+    uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
     points = np.concatenate(
         ([uniq[0] * 0.5], 0.5 * (uniq[:-1] + uniq[1:]), [uniq[-1] * 2.0]))
     lo, hi = float(points[0]), float(points[-1])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401 -- argparse's gettext imports it as main builds the parser
 import sys
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from .attribution import AccountingError
 from .bidders import CalibrationError, lineup
 from .events import EventLog, EventLogError
 from .experiments import (
-    ABTestReport, DISCLAIMER, run_abtest, run_worked_example, verify_theorems,
+    ABTestReport, DISCLAIMER, MC_FAMILY_ALPHA, run_abtest, run_worked_example,
+    verify_theorems,
 )
 from .fileio import atomic_write_text, json_digest
 from .liftmodel.features import FeatureSchema
@@ -207,6 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     lines = [DISCLAIMER, ""]
     lines += _worked_example_lines(example)
+    mc_family = None
     lines.append(f"  exact values: {'ok' if example_ok else 'MISMATCH'}")
     all_ok = example_ok
     records = []
@@ -218,9 +221,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"cost dominance {rep.n_cost_pass}/{rep.n_instances}, "
             f"calibration regenerations {rep.n_skipped_calibration}")
         if rep.mc_checks:
-            ok = sum(c.within_3se for c in rep.mc_checks)
-            lines.append(f"  monte-carlo cross-checks within 3se: "
+            ok = sum(c.within for c in rep.mc_checks)
+            lines.append(f"  monte-carlo cross-checks within {rep.mc_z:.2f} se "
+                         f"(family-wise alpha {MC_FAMILY_ALPHA}, Bonferroni): "
                          f"{ok}/{len(rep.mc_checks)}")
+            mc_family = {"alpha": MC_FAMILY_ALPHA,
+                         "checks": len(rep.mc_checks), "z": rep.mc_z}
         residuals = rep.residuals()
         if residuals:
             lines.append(f"  attribution residual: max {max(residuals):.2e}, "
@@ -234,7 +240,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = {"master_seed": seed, "config_digest": json_digest(cfg),
-              "notes": DISCLAIMER}
+              "notes": DISCLAIMER, "mc_family": mc_family}
     _jsonl(records, header, out / "verify_report.jsonl")
     _print_and_write(lines, out / "verify_report.txt")
     return EXIT_OK if all_ok else EXIT_VERIFY

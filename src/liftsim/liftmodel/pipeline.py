@@ -194,7 +194,10 @@ def train_calibrated_model(
 
     X = samples.features
     y = samples.label.astype(float)
-    holdout = np.isin(samples.user_id, holdout_users)
+    # Membership by one sorted search (np.isin would first load numpy.ma).
+    holdout_ids = np.sort(holdout_users)
+    at = np.searchsorted(holdout_ids, samples.user_id).clip(max=n_holdout - 1)
+    holdout = holdout_ids[at] == samples.user_id
     n_holdout_samples = int(np.count_nonzero(holdout))
     if n_holdout_samples in (0, len(samples)):
         raise TrainingError("user split left an empty side; need more users")

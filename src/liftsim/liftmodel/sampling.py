@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.rec import fromarrays
 
 from ..events import ACTION, AD_REQUEST, KIND_CODE, EventLog
 from ..fileio import atomic_write_text
@@ -55,7 +56,7 @@ def sample_records(user_id, ts, label, features) -> np.recarray:
     (int64), ``label`` (bool) and ``features`` (a float64 row each)."""
     user_id = np.asarray(user_id, dtype=str)
     features = np.asarray(features, dtype=np.float64)
-    return np.rec.fromarrays([user_id, ts, label, features], dtype=[
+    return fromarrays([user_id, ts, label, features], dtype=[
         ("user_id", user_id.dtype), ("ts", np.int64), ("label", bool),
         ("features", np.float64, features.shape[1:])])
 

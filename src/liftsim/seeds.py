@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+from numpy.random import PCG64, Generator
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -36,6 +36,6 @@ def derive_seed(master: int, *path: str | int) -> int:
     return state
 
 
-def rng_for(master: int, *path: str | int) -> np.random.Generator:
+def rng_for(master: int, *path: str | int) -> Generator:
     """A PCG64 generator seeded from ``derive_seed(master, *path)``."""
-    return np.random.Generator(np.random.PCG64(derive_seed(master, *path)))
+    return Generator(PCG64(derive_seed(master, *path)))

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Protocol
 
 import numpy as np
-from scipy.special import betaincinv, ndtr
 
 from .bidders import PASSIVE, BidderConfig, price_bids
 from .events import (
@@ -51,9 +50,11 @@ from .market import (
     is_integer, may_win, run_auction,
 )
 from .seeds import rng_for
+from .special import beta_quantile, normal_cdf
 
 SECONDS_PER_DAY = 86_400
 MARKET = "market"
+DEFAULT_HORIZON_DAYS = 28
 
 
 class WorldConfigError(ValueError):
@@ -132,7 +133,7 @@ class WorldConfig:
 
     n_users: int
     seed: int = 0
-    horizon_days: int = 28
+    horizon_days: int = DEFAULT_HORIZON_DAYS
     topics: int = 6
     apps: int = 3
     advertisers: tuple[str, ...] = (DEFAULT_ADVERTISER,)
@@ -173,6 +174,12 @@ class WorldConfig:
                             else f"a finite number in [0, {high:g}]")
                     raise WorldConfigError(
                         f"{section} {name} must be {what}, got {value!r}")
+        if self.p_distribution["kind"] == "scaled_beta":
+            for name in ("a", "b"):  # Beta(a, b) needs both above 0
+                if not self.p_distribution[name] > 0:
+                    raise WorldConfigError(
+                        f"p_distribution {name} must be > 0, got "
+                        f"{self.p_distribution[name]!r}")
         if not -1.0 < self.p_lift_dependence < 1.0:
             raise WorldConfigError("p_lift_dependence must lie in (-1, 1)")
         if self.request_arrivals not in ("poisson", "deterministic"):
@@ -220,13 +227,13 @@ def _draw_p_and_ratio(
         rho = config.p_lift_dependence
         z1 = rng.standard_normal(k)
         z2 = rho * z1 + np.sqrt(1.0 - rho * rho) * rng.standard_normal(k)
-        u_p, u_r = ndtr(z1), ndtr(z2)
+        u_p, u_r = normal_cdf(np.stack([z1, z2]))
     else:
         u_p, u_r = rng.random(k), rng.random(k)
 
     if p_kind == "scaled_beta":
         lo, hi = p_spec["low"], p_spec["high"]
-        p = lo + (hi - lo) * betaincinv(p_spec["a"], p_spec["b"], u_p)
+        p = lo + (hi - lo) * beta_quantile(p_spec["a"], p_spec["b"], u_p)
     elif p_kind == "fixed":
         p = np.asarray(p_spec["values"], dtype=float)
     else:  # point
@@ -552,7 +559,7 @@ def run_market(
         p_hat, dp_hat = estimator.estimate(user, req_ts[rows], req_topic[rows])
         group = assignment[user]
         bids = np.zeros(len(rows), dtype=np.int64)
-        for g in np.unique(group).tolist():
+        for g in np.flatnonzero(np.bincount(group)).tolist():
             mine = group == g
             bids[mine] = price_bids(bidders[g], p_hat[mine], dp_hat[mine])
         return bids

@@ -1,6 +1,7 @@
 """CLI contracts: subcommands, exit codes, determinism, atomic output."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -584,12 +585,38 @@ def test_world_without_lift_is_a_config_error(tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
-def test_importing_the_cli_loads_no_scipy_stats_or_optimize():
-    # Either one costs a large share of each CLI process's start-up time.
-    script = ("import sys, liftsim.cli; "
-              "print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
+def test_the_cli_runs_without_scipy_and_imports_nothing_in_main(tmp_path):
+    # Importing scipy was most of each CLI process's start-up time. And a
+    # module first imported inside main moves its cost from start-up into
+    # the run.
+    calls = [["verify", "--config", str(write_config(tmp_path, VERIFY_SMALL,
+                                                     "verify.json"))],
+             ["abtest", "--config", str(write_config(tmp_path, AB_SMALL,
+                                                     "abtest.json"))]]
+    script = (
+        "import json, sys\n"
+        "import liftsim.cli\n"
+        "loaded = set(sys.modules)\n"
+        f"codes = [liftsim.cli.main(argv) for argv in {calls!r}]\n"
+        "print(json.dumps({'codes': codes, 'in_main': sorted(set(sys.modules)"
+        " - loaded), 'scipy': sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy')}))\n")
     src = Path(liftsim.world.__file__).resolve().parents[1]
-    result = subprocess.run([sys.executable, "-c", script], cwd=src,
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report == {"codes": [EXIT_OK, EXIT_OK], "in_main": [], "scipy": []}
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_beta_shape_must_be_positive(tmp_path, capsys, name):
+    p_distribution = {**TRAIN_WORLD["world"]["p_distribution"], name: 0}
+    payload = with_key(TRAIN_WORLD, "world", "p_distribution", p_distribution)
+    code = main(["simulate", "--config", str(write_config(tmp_path, payload)),
+                 "--out-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: invalid world section: p_distribution "
+                   f"{name} must be > 0, got 0\n")

@@ -1,11 +1,14 @@
 """Experiment harness: worked example, sweeps, A/B protocol mechanics."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
+import liftsim.experiments as experiments
 from liftsim.experiments import (
-    ABTestConfig, SweepConfig, _play_strategy,
-    action_lift, lift_over_lift, relative_diff,
+    MC_FAMILY_ALPHA, ABTestConfig, SweepConfig, _play_strategy,
+    action_lift, lift_over_lift, mc_z, relative_diff,
     run_abtest, run_worked_example, verify_theorems,
 )
 from liftsim.market import Population, dollars_to_micros
@@ -69,9 +72,57 @@ def test_simple_sweep_passes_with_mc_checks():
     assert len(report.records) == 6
     assert report.n_actions_pass == 6
     assert report.n_cost_pass == 6
-    assert report.mc_checks and all(c.within_3se for c in report.mc_checks)
+    assert report.mc_checks and all(c.within for c in report.mc_checks)
     assert all(r <= config.tolerance for r in report.residuals())
     assert report.all_passed
+
+
+def test_mc_bound_is_bonferroni_over_the_checks_run():
+    # One check alone is the old 3-SE test; thirty share the same alpha.
+    assert mc_z(1) == pytest.approx(3.0, abs=1e-3)
+    assert mc_z(30) == pytest.approx(3.916, abs=1e-3)
+    for m in (1, 3, 30, 300):
+        assert 2 * m * (1 - NormalDist().cdf(mc_z(m))) == pytest.approx(
+            MC_FAMILY_ALPHA)
+
+
+@pytest.mark.parametrize("seed", [404, 405])
+def test_mc_family_passes_seeds_with_a_check_beyond_3se(seed):
+    # The cross-check of a 24-instance, 2,000-user verify run is that of
+    # its first ten simple-mode instances: thirty checks. On these seeds
+    # one of them misses by more than 3 SE, which failed the run when
+    # each check was its own 3-SE test.
+    config = SweepConfig(n_instances=10, n_users=2000, master_seed=seed,
+                         mode="simple")
+    report = verify_theorems(config)["simple"]
+    misses = [abs(c.exact - c.estimate) / c.stderr for c in report.mc_checks]
+    assert len(misses) == 30 and 3.0 < max(misses) < report.mc_z
+    assert report.mc_z == mc_z(30)
+    assert report.all_passed
+
+
+class _BiasedDraws:
+    """A generator whose uniforms are scaled down, so every Bernoulli
+    draw ``random() < rate`` hits at about rate / scale."""
+
+    def __init__(self, rng, scale):
+        self.rng, self.scale = rng, scale
+
+    def random(self, size):
+        return self.rng.random(size) * self.scale
+
+
+def test_mc_family_fails_a_biased_draw(monkeypatch):
+    real = experiments.rng_for
+    monkeypatch.setattr(experiments, "rng_for", lambda seed, *path: (
+        _BiasedDraws(real(seed, *path), 0.95) if path[0] == "mc"
+        else real(seed, *path)))
+    config = SweepConfig(n_instances=6, n_users=500, master_seed=3,
+                         mode="simple", mc_instances=2, mc_trials=4000)
+    report = verify_theorems(config)["simple"]
+    assert report.n_actions_pass == report.n_cost_pass == 6
+    assert not all(c.within for c in report.mc_checks)
+    assert not report.all_passed
 
 
 def test_generalized_sweep_passes():

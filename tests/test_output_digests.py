@@ -2,8 +2,8 @@
 
 The same config and seed must give byte-identical outputs, also across
 refactors of the code that produces them. The digests below were
-recorded with the numpy and scipy versions in ``RECORDED_WITH``; other
-versions may round differently, so the test is skipped there.
+recorded with the numpy version in ``RECORDED_WITH``; other versions may
+round differently, so the test is skipped there.
 """
 
 import hashlib
@@ -12,11 +12,10 @@ from pathlib import Path
 
 import numpy
 import pytest
-import scipy
 
 from liftsim.cli import EXIT_OK, main
 
-RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+RECORDED_WITH = {"numpy": "2.4.6"}
 
 # The shapes of test_cli's TRAIN_WORLD and AB_SMALL, cut down to keep
 # this file a few seconds of test time.
@@ -63,19 +62,19 @@ MODEL_ABTEST = {
 
 DIGESTS = {
     "out/events.jsonl":
-        "57460073262e0ed17f774ca7992452c3250fef9a2d798122650423ef076a7f0d",
+        "da7ded90957a11382aa5d6c94adb109564a554394c3cf8058bfe1a6219d79d4f",
     "out/simulate_summary.json":
-        "6b164cda541d8a56c852c818fd6af760f9cec5ba9de82a2e07da9fe116e2d1a2",
+        "a56da323f80922ae42abe735dd35b41c1a3c0b72a8c30de83fef57a209509590",
     "out/model.json":
-        "b183b18c7f619c8de7a3f6e72cac5ff8c57308dca3a48940b94132efc23515ef",
+        "c6eaee6e770279177bce7dc382897a632585032863764d0810e9419bab339672",
     "out/calibration.jsonl":
         "9f17ad596a71b283ec152c85f608eac61152bce5b80e38a5866f3174d8fd1721",
     "out/verify_report.jsonl":
-        "016c286291d2f02322e688fcc23a94997e314e67af0dae37f453cc4c83678729",
+        "36ff89d2818eae9bda261540d1bb2a64c912db2b875868b4e7721d91fb219e53",
     "out/abtest_report.jsonl":
-        "ba0a19d7f68ac227a97261407ef8377e1b16b63ab45c9cabb74b62aab91245e1",
+        "095759cdf9edf042596428b320416295149682bb5bdbc2427467e6e99ec733e9",
     "model_ab/abtest_report.jsonl":
-        "83f25d02f8f2ac8057786f72399c5911ae2a035dae0012984fc25aa81d77483f",
+        "70063cd0c48eb49c21eeaf6f08c314f887cca9b8c4915bb27c8d0a00d7b085f1",
 }
 
 
@@ -107,10 +106,8 @@ def output_digests() -> dict[str, str]:
 
 
 @pytest.mark.skipif(
-    (numpy.__version__, scipy.__version__)
-    != (RECORDED_WITH["numpy"], RECORDED_WITH["scipy"]),
-    reason=f"digests were recorded with numpy {RECORDED_WITH['numpy']} and "
-           f"scipy {RECORDED_WITH['scipy']}")
+    numpy.__version__ != RECORDED_WITH["numpy"],
+    reason=f"digests were recorded with numpy {RECORDED_WITH['numpy']}")
 def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert output_digests() == DIGESTS
