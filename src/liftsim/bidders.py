@@ -163,7 +163,7 @@ def _scan_equal_split(
         residual = abs(gap) / total
         return BetaCalibration(float(beta), residual, residual <= tolerance)
 
-    uniq = np.sort(finite)
+    uniq = np.sort(finite)  # distinct values (np.unique would load numpy.ma)
     uniq = uniq[np.concatenate(([True], uniq[1:] != uniq[:-1]))]
     points = np.concatenate(
         ([uniq[0] * 0.5], 0.5 * (uniq[:-1] + uniq[1:]), [uniq[-1] * 2.0]))

@@ -209,10 +209,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     lines = [DISCLAIMER, ""]
     lines += _worked_example_lines(example)
-    mc_family = None
     lines.append(f"  exact values: {'ok' if example_ok else 'MISMATCH'}")
     all_ok = example_ok
     records = []
+    mc_family = None
     for mode, rep in reports.items():
         lines.append("")
         lines.append(

@@ -610,13 +610,14 @@ def test_the_cli_runs_without_scipy_and_imports_nothing_in_main(tmp_path):
     assert report == {"codes": [EXIT_OK, EXIT_OK], "in_main": [], "scipy": []}
 
 
-@pytest.mark.parametrize("name", ["a", "b"])
-def test_beta_shape_must_be_positive(tmp_path, capsys, name):
-    p_distribution = {**TRAIN_WORLD["world"]["p_distribution"], name: 0}
+@pytest.mark.parametrize("name, value", [("a", 0), ("b", 0), ("b", 2e6)])
+def test_beta_shape_must_be_positive_and_bounded(tmp_path, capsys, name,
+                                                 value):
+    p_distribution = {**TRAIN_WORLD["world"]["p_distribution"], name: value}
     payload = with_key(TRAIN_WORLD, "world", "p_distribution", p_distribution)
     code = main(["simulate", "--config", str(write_config(tmp_path, payload)),
                  "--out-dir", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == (f"config error: invalid world section: p_distribution "
-                   f"{name} must be > 0, got 0\n")
+                   f"{name} must be > 0 and at most 1e+06, got {value!r}\n")
