@@ -21,15 +21,15 @@ prefactor x^a (1 − x)^b / B(a, b) takes log B(a, b) from Stirling's
 series where large log-gammas would cancel, as DiDonato and Morris's
 Algorithm 708 (ACM TOMS 1992) does. The quantile reads t = logit x from
 a table of cubic pieces in logit u, built once per (a, b) and process
-(1-5 ms), and takes one Newton step on log I_x in t. It is within
-3.3e-15 of ``betaincinv`` at Beta(2, 5), and 8.8e-14 for a and b from
-0.1 to 500 and u in [1e-10, 1 − 1e-10]. The Newton residual is a
-difference of logs, so the error grows as about eps |log u| / a in the
-lower tail (1.2e-13 at u = 1e-300), where scipy's own answer is NaN,
-2**-1022 or off by up to 5e-11. With b far beyond 500 and a small, the
-fraction's terms cancel near the switch point for u near 1: 4.9e-13 at
-(a, b) = (0.1, 1e4), 1.7e-11 at (1, 1e6) and 4.2e-11 at (0.1, 1e6)
-(checked at 30 digits).
+(about 2 ms at (2, 5) and 10 ms at (500, 500)), and takes one Newton
+step on log I_x in t. It is within 3.3e-15 of ``betaincinv`` at
+Beta(2, 5), and 8.8e-14 for a and b from 0.1 to 500 and u in
+[1e-10, 1 − 1e-10]. The Newton residual is a difference of logs, so the
+error grows as about eps |log u| / a in the lower tail (1.2e-13 at
+u = 1e-300), where scipy's own answer is NaN, 2**-1022 or off by up to
+5e-11. With b far beyond 500 and a small, the fraction's terms cancel
+near the switch point for u near 1: 4.9e-13 at (a, b) = (0.1, 1e4),
+1.7e-11 at (1, 1e6) and 4.2e-11 at (0.1, 1e6) (checked at 30 digits).
 """
 from __future__ import annotations
 
