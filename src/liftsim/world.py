@@ -8,12 +8,12 @@ auctions for every ad request against an exogenous competitor bid,
 realizes actions from the ground truth, and can record a columnar event
 log built from whole arrays.
 
-The ground truth (p, delta_p) comes from a Gaussian copula: two
-correlated standard normals, mapped to uniforms by the normal CDF, give
-p by a scaled Beta quantile and delta_p / p by a scaled uniform. Both
-functions are numpy code in :mod:`liftsim.special`, within 4e-15
-(relative) of ``scipy.special.ndtr`` and ``betaincinv`` at the default
-Beta(2, 5), so building a world needs no scipy.
+The ground truth (p, delta_p) is rank-coupled (Iman & Conover, Commun.
+Stat. 1982): p's scaled Beta marginal and the lift ratio delta_p / p's
+scaled uniform marginal are drawn by numpy and handed out in the rank
+order of two correlated standard normals. Each marginal is exact, and
+the pair's rank correlation is that of the Gaussian copula of those
+normals.
 
 Budgets and attribution change only at the ends of action windows. A
 window's bids come from the ground truth priced by each group's bidder
@@ -57,7 +57,6 @@ from .market import (
     is_integer, may_win, run_auction,
 )
 from .seeds import rng_for
-from .special import beta_quantile, normal_cdf
 
 SECONDS_PER_DAY = 86_400
 MARKET = "market"
@@ -120,9 +119,6 @@ def _default_behavior() -> dict:
 
 
 MAX_DOLLARS = INT64_MAX // MICROS_PER_DOLLAR  # whole dollars within int64 micros
-# Beta(a, b)'s quantile sums a continued fraction of about sqrt(max(a, b))
-# terms per user (liftsim.special); at 1e6 that is already 1,000.
-MAX_BETA_SHAPE = 1e6
 # Behavior rates are Poisson means per user and day, times weights of at
 # most 1 (as the correlation is), far below numpy's limit of about 2**63.
 MAX_DAILY_RATE = 1e6
@@ -134,11 +130,13 @@ _BEHAVIOR_HIGH = {"pv_rate": MAX_DAILY_RATE, "search_rate": MAX_DAILY_RATE,
 class WorldConfig:
     """Parameters of a synthetic user world.
 
-    ``p_lift_dependence`` is a Gaussian-copula correlation between a
-    user's action rate and its relative lift ``delta_p / p``; the
-    default is negative (users with high absolute rates tend to be the
-    least persuadable), which is also what makes value and lift bidding
-    disagree in interesting ways.
+    ``p_lift_dependence`` is the correlation rho of the two normals
+    whose ranks order a user's action rate and its relative lift
+    ``delta_p / p`` (see :func:`_draw_p_and_ratio`), so the two have
+    Spearman correlation (6/pi) asin(rho/2). The default is negative
+    (users with high absolute rates tend to be the least persuadable),
+    which is also what makes value and lift bidding disagree in
+    interesting ways.
     """
 
     n_users: int
@@ -187,10 +185,9 @@ class WorldConfig:
         if self.p_distribution["kind"] == "scaled_beta":
             for name in ("a", "b"):
                 value = self.p_distribution[name]
-                if not 0 < value <= MAX_BETA_SHAPE:
+                if not value > 0:
                     raise WorldConfigError(
-                        f"p_distribution {name} must be > 0 and at most "
-                        f"{MAX_BETA_SHAPE:g}, got {value!r}")
+                        f"p_distribution {name} must be > 0, got {value!r}")
         if not -1.0 < self.p_lift_dependence < 1.0:
             raise WorldConfigError("p_lift_dependence must lie in (-1, 1)")
         if self.request_arrivals not in ("poisson", "deterministic"):
@@ -232,31 +229,31 @@ def _draw_p_and_ratio(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw k (p, delta_p) pairs according to the configured marginals.
 
-    With a ``scaled_beta`` p and a ``uniform_ratio`` delta_p the pair is a
-    Gaussian copula with correlation ``p_lift_dependence``: z1 and
-    z2 = rho z1 + sqrt(1 - rho^2) z' give u_p = Φ(z1) and u_r = Φ(z2),
-    p = low + (high - low) F^-1(u_p) for F the Beta(a, b) CDF, and
-    delta_p = p (low + (high - low) u_r). Otherwise u_p and u_r are
-    independent uniforms. Φ is :func:`~liftsim.special.normal_cdf`,
-    within 6e-15 (relative) of ``scipy.special.ndtr`` for |z| <= 8, and
-    F^-1 is :func:`~liftsim.special.beta_quantile`, within 1e-14 of
-    ``betaincinv`` at Beta(2, 5) and 2e-13 for a, b in [0.1, 500] and u in
-    [1e-10, 1 - 1e-10] (tests/test_special.py).
+    A ``scaled_beta`` p is low + (high - low) x for x ~ Beta(a, b), and a
+    ``uniform_ratio`` delta_p is p (low + (high - low) u_r) for u_r
+    uniform on [0, 1). With both, the pairs are rank-coupled: the sorted
+    x and the sorted u_r are handed out in the rank order of z1 and
+    z2 = rho z1 + sqrt(1 - rho^2) z', for independent standard normals
+    z1 and z' and rho = ``p_lift_dependence``. Each marginal stays exact,
+    and the ranks of (p, delta_p / p) are those of a Gaussian copula
+    with correlation rho. The ranks tie the pairs of one draw together,
+    so they are exchangeable, not independent; a one-user draw has no
+    dependence, and a redraw of rejected users is ranked within its own
+    chunk. Otherwise x and u_r are independent.
     """
     p_spec, d_spec = config.p_distribution, config.delta_p_distribution
     p_kind, d_kind = p_spec["kind"], d_spec["kind"]
 
-    if p_kind == "scaled_beta" and d_kind == "uniform_ratio":  # copula
-        rho = config.p_lift_dependence
-        z1 = rng.standard_normal(k)
-        z2 = rho * z1 + np.sqrt(1.0 - rho * rho) * rng.standard_normal(k)
-        u_p, u_r = normal_cdf(np.stack([z1, z2]))
-    else:
-        u_p, u_r = rng.random(k), rng.random(k)
-
+    u_r = rng.random(k)
     if p_kind == "scaled_beta":
+        x = rng.beta(p_spec["a"], p_spec["b"], k)
+        if d_kind == "uniform_ratio":  # rank coupling
+            rho = config.p_lift_dependence
+            z1 = rng.standard_normal(k)
+            z2 = rho * z1 + np.sqrt(1.0 - rho * rho) * rng.standard_normal(k)
+            x, u_r = np.sort(x)[_ranks(z1)], np.sort(u_r)[_ranks(z2)]
         lo, hi = p_spec["low"], p_spec["high"]
-        p = lo + (hi - lo) * beta_quantile(p_spec["a"], p_spec["b"], u_p)
+        p = lo + (hi - lo) * x
     elif p_kind == "fixed":
         p = np.asarray(p_spec["values"], dtype=float)
     else:  # point
@@ -285,13 +282,18 @@ def _draw_request_rates(
     return np.full(n, float(spec["value"]))
 
 
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Each value's rank, 0 to n - 1; equal values rank in index order."""
+    ranks = np.empty(len(values), dtype=np.intp)
+    ranks[np.argsort(values, kind="stable")] = np.arange(len(values))
+    return ranks
+
+
 def _percentile_ranks(values: np.ndarray) -> np.ndarray:
     n = len(values)
     if n == 1:
         return np.array([0.5])
-    ranks = np.empty(n)
-    ranks[np.argsort(values, kind="stable")] = np.arange(n)
-    return ranks / (n - 1)
+    return _ranks(values) / (n - 1)
 
 
 def generate_population(config: WorldConfig) -> Population:

@@ -610,14 +610,24 @@ def test_the_cli_runs_without_scipy_and_imports_nothing_in_main(tmp_path):
     assert report == {"codes": [EXIT_OK, EXIT_OK], "in_main": [], "scipy": []}
 
 
-@pytest.mark.parametrize("name, value", [("a", 0), ("b", 0), ("b", 2e6)])
-def test_beta_shape_must_be_positive_and_bounded(tmp_path, capsys, name,
-                                                 value):
-    p_distribution = {**TRAIN_WORLD["world"]["p_distribution"], name: value}
+@pytest.mark.parametrize("shape, error", [
+    ({"a": 0}, "a must be > 0, got 0"),
+    ({"b": 0}, "b must be > 0, got 0"),
+    ({"b": float("inf")}, "b must be a finite number in [0, inf], got inf"),
+    ({"b": 2e6}, None),
+    ({"a": 1e300, "b": 1e300}, None),
+], ids=["a-0", "b-0", "b-inf", "b-2000000.0", "a-b-1e300"])
+def test_beta_shape_must_be_positive_and_bounded(tmp_path, capsys, shape,
+                                                 error):
+    """A Beta shape must be > 0 and finite; any such shape simulates."""
+    p_distribution = {**TRAIN_WORLD["world"]["p_distribution"], **shape}
     payload = with_key(TRAIN_WORLD, "world", "p_distribution", p_distribution)
     code = main(["simulate", "--config", str(write_config(tmp_path, payload)),
                  "--out-dir", str(tmp_path / "o")])
-    assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == (f"config error: invalid world section: p_distribution "
-                   f"{name} must be > 0 and at most 1e+06, got {value!r}\n")
+    if error is None:
+        assert code == EXIT_OK and err == ""
+    else:
+        assert code == EXIT_CONFIG
+        assert err == (f"config error: invalid world section: p_distribution "
+                       f"{error}\n")

@@ -86,12 +86,12 @@ def test_mc_bound_is_bonferroni_over_the_checks_run():
             MC_FAMILY_ALPHA)
 
 
-@pytest.mark.parametrize("seed", [404, 405])
+@pytest.mark.parametrize("seed", [405, 409])
 def test_mc_family_passes_seeds_with_a_check_beyond_3se(seed):
     # The cross-check of a 24-instance, 2,000-user verify run is that of
     # its first ten simple-mode instances: thirty checks. On these seeds
-    # one of them misses by more than 3 SE, which failed the run when
-    # each check was its own 3-SE test.
+    # one of them misses by more than 3 SE (3.55 and 3.23), which failed
+    # the run when each check was its own 3-SE test.
     config = SweepConfig(n_instances=10, n_users=2000, master_seed=seed,
                          mode="simple")
     report = verify_theorems(config)["simple"]

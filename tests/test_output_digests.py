@@ -62,19 +62,19 @@ MODEL_ABTEST = {
 
 DIGESTS = {
     "out/events.jsonl":
-        "da7ded90957a11382aa5d6c94adb109564a554394c3cf8058bfe1a6219d79d4f",
+        "899374f2d5e2be3f7dd02bc43e7002425cea4c2ae325696b7114e7db5ad332a9",
     "out/simulate_summary.json":
-        "a56da323f80922ae42abe735dd35b41c1a3c0b72a8c30de83fef57a209509590",
+        "19b256da45a01537cf52fc39612bc394e3460a7e434279a9db06e03dd00d4bd0",
     "out/model.json":
-        "c6eaee6e770279177bce7dc382897a632585032863764d0810e9419bab339672",
+        "76acc2fd527f82b5faae700c4eab5aae9b6728109bb69ec4bd80789e0e60fd8e",
     "out/calibration.jsonl":
-        "9f17ad596a71b283ec152c85f608eac61152bce5b80e38a5866f3174d8fd1721",
+        "a35c2e5961f2783eab075a5f0aaeab04248d6845391423e67c378c3ee056dd1b",
     "out/verify_report.jsonl":
-        "36ff89d2818eae9bda261540d1bb2a64c912db2b875868b4e7721d91fb219e53",
+        "d33754461eeab9d1d276894d48dd8b68e59d61a919ae98d6611dabbaf66e32de",
     "out/abtest_report.jsonl":
-        "095759cdf9edf042596428b320416295149682bb5bdbc2427467e6e99ec733e9",
+        "dd6cb82deaea0d36d0be62fc2ef52d7ddc47d40b71c54b019e7aa28420bc2294",
     "model_ab/abtest_report.jsonl":
-        "70063cd0c48eb49c21eeaf6f08c314f887cca9b8c4915bb27c8d0a00d7b085f1",
+        "da520517e80b2d87af61b7e3317c7fac44e0bc8a70bc4f34ac37f0fb0b70835b",
 }
 
 
