@@ -132,11 +132,11 @@ class WorldConfig:
 
     ``p_lift_dependence`` is the correlation rho of the two normals
     whose ranks order a user's action rate and its relative lift
-    ``delta_p / p`` (see :func:`_draw_p_and_ratio`), so the two have
-    Spearman correlation (6/pi) asin(rho/2). The default is negative
-    (users with high absolute rates tend to be the least persuadable),
-    which is also what makes value and lift bidding disagree in
-    interesting ways.
+    ``delta_p / p`` (see :func:`_draw_p_and_ratio`), so over many users
+    their Spearman correlation is (6/pi) asin(rho/2). The default is
+    negative (users with high absolute rates tend to be the least
+    persuadable), which is also what makes value and lift bidding
+    disagree in interesting ways.
     """
 
     n_users: int
@@ -239,7 +239,7 @@ def _draw_p_and_ratio(
     with correlation rho. The ranks tie the pairs of one draw together,
     so they are exchangeable, not independent; a one-user draw has no
     dependence, and a redraw of rejected users is ranked within its own
-    chunk. Otherwise x and u_r are independent.
+    chunk. Otherwise the two marginals are drawn independently.
     """
     p_spec, d_spec = config.p_distribution, config.delta_p_distribution
     p_kind, d_kind = p_spec["kind"], d_spec["kind"]
