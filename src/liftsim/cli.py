@@ -86,7 +86,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "events.jsonl"
-    atomic_write_text(log_path, run.log.dumps())
+    run.log.write(log_path)
 
     try:
         precedent = precedent_impression_fraction(

@@ -12,10 +12,26 @@ On disk a header line carries the format version, the world seed and
 the config digest. Then each line is one JSON object, keys in the order
 above and absent fields omitted; ids are ASCII-escaped and numbers are
 integers, so the bytes are the same on every platform.
+
+The JSONL file is the canonical log. :meth:`EventLog.write` also writes
+a sidecar beside it, the same name with the suffix ``.npz``, so that
+reading the log back need not parse it. The sidecar holds the eight
+columns as one (8, n) int64 array and, as JSON text, the three id
+tables, the header's seed and config digest, and the SHA-256 of the
+JSONL bytes. Columns and tables are stored as :meth:`EventLog.parse`
+returns them for those bytes: ids in order of first appearance, and only
+the ids that appear. :meth:`EventLog.read` uses the sidecar only when
+its hash is that of the bytes it read and its columns pass the checks
+``parse`` makes (dtype and shape, time order, ranges, codes inside their
+tables, string ids). Any other sidecar, a missing one included, is
+ignored and the JSONL is parsed.
 """
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import zlib
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -23,6 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .fileio import atomic_write_bytes
 
 FORMAT_NAME = "liftsim.events"
 FORMAT_VERSION = 1
@@ -107,10 +124,36 @@ class EventLog:
                   for ts, user, kind, adv, topic, app, bidder, price in parts]
         return "\n".join(lines) + "\n"
 
+    def write(self, path: str | Path) -> None:
+        """The log as JSONL v1 at ``path``, then its sidecar; each file is
+        written atomically."""
+        data = self.dumps().encode("utf-8")
+        atomic_write_bytes(path, data)
+        user, users = _first_seen(self.users, self.user)
+        adv, advertisers = _first_seen(self.advertisers, self.adv)
+        bidder, bidders = _first_seen(self.bidders, self.bidder)
+        meta = {"sha256": hashlib.sha256(data).hexdigest(), "seed": self.seed,
+                "config_digest": self.config_digest, "users": users,
+                "advertisers": advertisers, "bidders": bidders}
+        columns = np.stack([self.ts, user, self.kind, adv, self.topic,
+                            self.app, bidder, self.price], dtype=np.int64)
+        buffer = io.BytesIO()
+        np.savez(buffer, columns=columns, meta=np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8))
+        atomic_write_bytes(_sidecar_path(path), buffer.getbuffer())
+
     @classmethod
     def read(cls, path: str | Path) -> "EventLog":
-        with Path(path).open(encoding="utf-8") as fh:
-            return cls.parse(fh)
+        """The log at ``path``, from its sidecar when that holds these
+        bytes' columns, else parsed."""
+        data = Path(path).read_bytes()
+        log = _read_sidecar(_sidecar_path(path),
+                            hashlib.sha256(data).hexdigest())
+        if log is None:
+            # Split and decode lines as iterating over an open text file does.
+            log = cls.parse(io.TextIOWrapper(io.BytesIO(data),
+                                             encoding="utf-8"))
+        return log
 
     @classmethod
     def parse(cls, lines: Iterable[str]) -> "EventLog":
@@ -197,3 +240,63 @@ def _parse_block(block: list[str], before: int, tables) -> np.ndarray:
     if bad.any():
         raise fail(int(np.argmax(bad)))
     return data
+
+
+def _sidecar_path(path: str | Path) -> Path:
+    return Path(path).with_suffix(".npz")
+
+
+def _first_seen(table: tuple[str, ...], codes: np.ndarray):
+    """``codes`` and ``table`` as :meth:`EventLog.parse` reads them back:
+    equal ids merged, and only the ids that appear, in order of first
+    appearance."""
+    merged: dict[str, int] = {}
+    # Code -1 (absent) picks the trailing slot of each lookup below.
+    codes = np.array([merged.setdefault(s, len(merged)) for s in table]
+                     + [-1], dtype=np.int64)[codes]
+    first = np.full(len(merged) + 1, len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    seen = np.flatnonzero(first[:-1] < len(codes))
+    order = seen[np.argsort(first[seen])]
+    renumber = np.full(len(merged) + 1, -1, dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    ids = list(merged)
+    return renumber[codes], [ids[i] for i in order]
+
+
+def _read_sidecar(path: Path, sha256: str) -> EventLog | None:
+    """The log in the sidecar at ``path`` if it was written for the bytes
+    whose SHA-256 is ``sha256`` and passes the checks ``parse`` makes,
+    else None."""
+    import zipfile  # as np.load does, so that commands that read no log skip it
+
+    # What a file that is not a sidecar of this log may raise, from np.load
+    # (a missing, truncated, foreign or corrupt zip, a plain .npy file) or
+    # from decoding its JSON. Any of it means: parse the JSONL instead.
+    not_a_sidecar = (OSError, EOFError, ValueError, LookupError, TypeError,
+                     AttributeError, RuntimeError, MemoryError,
+                     zipfile.BadZipFile, zlib.error)
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            columns, meta = npz["columns"], npz["meta"]
+        meta = json.loads(meta.astype(np.uint8, casting="no").tobytes())
+        if meta["sha256"] != sha256:
+            return None
+        tables = [meta[key] for key in ("users", "advertisers", "bidders")]
+        seed, config_digest = meta["seed"], meta["config_digest"]
+    except not_a_sidecar:
+        return None
+    if not (columns.dtype == np.int64 and columns.ndim == 2
+            and len(columns) == len(FIELDS)
+            and all(type(table) is list and all(type(s) is str for s in table)
+                    for table in tables)):
+        return None
+    ts, user, kind, adv, _, _, bidder, _ = columns
+    coded = ((user, tables[0]), (kind, EVENT_KINDS), (adv, tables[1]),
+             (bidder, tables[2]))
+    if ((columns < -1).any() or (columns[:3] < 0).any()
+            or (np.diff(ts) < 0).any()
+            or any((codes >= len(table)).any() for codes, table in coded)):
+        return None
+    return EventLog(*columns, *map(tuple, tables), seed=seed,
+                    config_digest=config_digest)

@@ -11,16 +11,20 @@ import os
 from pathlib import Path
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def json_digest(payload) -> str:

@@ -251,7 +251,8 @@ def _draw_p_and_ratio(
             rho = config.p_lift_dependence
             z1 = rng.standard_normal(k)
             z2 = rho * z1 + np.sqrt(1.0 - rho * rho) * rng.standard_normal(k)
-            x, u_r = np.sort(x)[_ranks(z1)], np.sort(u_r)[_ranks(z2)]
+            x[np.argsort(z1)] = np.sort(x)
+            u_r[np.argsort(z2)] = np.sort(u_r)
         lo, hi = p_spec["low"], p_spec["high"]
         p = lo + (hi - lo) * x
     elif p_kind == "fixed":
@@ -282,18 +283,15 @@ def _draw_request_rates(
     return np.full(n, float(spec["value"]))
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Each value's rank, 0 to n - 1; equal values rank in index order."""
-    ranks = np.empty(len(values), dtype=np.intp)
-    ranks[np.argsort(values, kind="stable")] = np.arange(len(values))
-    return ranks
-
-
 def _percentile_ranks(values: np.ndarray) -> np.ndarray:
+    """Each value's rank over n - 1, 0.5 for one value; equal values rank
+    in index order."""
     n = len(values)
     if n == 1:
         return np.array([0.5])
-    return _ranks(values) / (n - 1)
+    ranks = np.empty(n)
+    ranks[np.argsort(values, kind="stable")] = np.arange(n) / (n - 1)
+    return ranks
 
 
 def generate_population(config: WorldConfig) -> Population:

@@ -12,6 +12,7 @@ import pytest
 
 import liftsim.world
 from liftsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main
+from liftsim.events import EventLog
 from liftsim.liftmodel.features import FeatureSchema
 from liftsim.liftmodel.gbdt import GBDTModel
 from liftsim.liftmodel.isotonic import IsotonicMap
@@ -425,6 +426,39 @@ def test_train_on_a_malformed_log_is_a_data_error(tmp_path, capsys, lines):
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert err.count("\n") == 1
+
+
+def test_train_on_a_malformed_log_with_a_stale_sidecar_is_a_data_error(
+        tmp_path, capsys):
+    config = write_config(tmp_path, TRAIN_WORLD)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+    log = out / "events.jsonl"
+    header, *events = log.read_text().splitlines()
+    log.write_text("\n".join([header, events[0] + "," + events[1],
+                              *events[2:]]) + "\n")
+    assert (out / "events.npz").exists()
+    capsys.readouterr()
+    assert main(["train", "--config", str(config), "--log", str(log),
+                 "--out-dir", str(tmp_path / "t")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_train_reads_the_columns_simulate_wrote(tmp_path, monkeypatch):
+    # Parsing the JSONL was most of train's time; the sidecar beside it
+    # holds the same columns, and train must take them from there.
+    config = write_config(tmp_path, TRAIN_WORLD)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+
+    def no_parse(cls, lines):
+        raise AssertionError("train parsed the log instead of its sidecar")
+
+    monkeypatch.setattr(EventLog, "parse", classmethod(no_parse))
+    assert main(["train", "--config", str(config),
+                 "--log", str(out / "events.jsonl"),
+                 "--out-dir", str(out)]) == EXIT_OK
 
 
 def test_train_on_a_log_that_is_not_utf8_is_a_data_error(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Event-log serialization: round trips, headers, byte stability, parse checks."""
 
 import json
+import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,7 +144,8 @@ def test_parse_skips_blank_lines_and_reads_many_blocks():
 
 
 IDS = st.text(min_size=0, max_size=6) | st.sampled_from(
-    ['u"q', "b\\s", "café", "中", "\U0001f600", "ctrl\n\x00"])
+    ['u"q', "b\\s", "café", "中", "\U0001f600", "ctrl\n\x00",
+     "line\u2028sep", "nel\x85", "adv\x00"])
 COUNTS = st.integers(0, 10**12)
 
 
@@ -163,3 +168,184 @@ def test_dumps_matches_the_per_record_encoder(events, seed, digest):
                         separators=(",", ":"), ensure_ascii=True)
     lines = [header] + [reference_line(r) for r in events]
     assert EventLog.parse(lines).dumps() == "\n".join(lines) + "\n"
+
+
+def assert_same_log(got, want):
+    for name in FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).dtype == np.int64, name
+    assert (got.users, got.advertisers, got.bidders) == (
+        want.users, want.advertisers, want.bidders)
+    assert (got.seed, got.config_digest) == (want.seed, want.config_digest)
+
+
+def parse_file(path):
+    with open(path, encoding="utf-8") as fh:
+        return EventLog.parse(fh)
+
+
+def scrambled(log, unused, rnd):
+    """``log``'s events with each id table shuffled and ``unused`` ids
+    added, as the simulator's tables list every user in population order."""
+    tables = {}
+    for table, column in (("users", "user"), ("advertisers", "adv"),
+                          ("bidders", "bidder")):
+        ids = list(getattr(log, table))
+        ids += [s for s in dict.fromkeys(unused) if s not in ids]
+        order = rnd.sample(range(len(ids)), len(ids))
+        new_code = np.empty(len(ids) + 1, dtype=np.int64)
+        new_code[order] = np.arange(len(ids))
+        new_code[-1] = -1
+        tables[table] = tuple(ids[i] for i in order)
+        tables[column] = new_code[getattr(log, column)]
+    columns = {name: getattr(log, name) for name in FIELDS} | tables
+    return EventLog(**columns, seed=log.seed, config_digest=log.config_digest)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(records(), max_size=30), st.integers(0, 2**40), IDS,
+       st.lists(IDS, max_size=3), st.randoms(use_true_random=False))
+def test_the_sidecar_reads_back_what_parse_reads(events, seed, digest, unused,
+                                                 rnd):
+    events.sort(key=lambda r: r["ts"])
+    header = json.dumps({"format": "liftsim.events", "version": 1,
+                         "seed": seed, "config_digest": digest})
+    parsed = EventLog.parse([header] + [reference_line(r) for r in events])
+    log = scrambled(parsed, unused, rnd)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "events.jsonl")
+        log.write(path)
+        assert path.read_text(encoding="utf-8") == parsed.dumps()
+        with mock.patch.object(EventLog, "parse",
+                               side_effect=AssertionError("parsed")):
+            from_sidecar = EventLog.read(path)
+        assert_same_log(from_sidecar, parse_file(path))
+    assert_same_log(from_sidecar, parsed)
+
+
+def test_the_sidecar_merges_equal_ids_as_parse_does(tmp_path):
+    log = EventLog(*np.array([[1, 2, 3], [2, 1, 0], [5, 5, 5], [-1, -1, -1],
+                              [-1, -1, -1], [-1, -1, -1], [-1, -1, -1],
+                              [-1, -1, -1]]),
+                   users=("a", "b", "a"), advertisers=(), bidders=())
+    log.write(tmp_path / "events.jsonl")
+    with mock.patch.object(EventLog, "parse", side_effect=AssertionError):
+        read = EventLog.read(tmp_path / "events.jsonl")
+    assert read.users == ("a", "b")
+    assert read.user.tolist() == [0, 1, 0]
+
+
+def rewrite_sidecar(path, edit):
+    """Load the sidecar beside ``path``, let ``edit(columns, meta)``
+    change them in place, and save it again."""
+    sidecar = Path(path).with_suffix(".npz")
+    with np.load(sidecar) as npz:
+        columns, meta = npz["columns"], json.loads(npz["meta"].tobytes())
+    columns = edit(columns, meta)
+    np.savez(sidecar, columns=columns,
+             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+
+
+def _set(field, index, value):
+    def edit(columns, meta):
+        columns[FIELDS.index(field), index] = value
+        return columns
+    return edit
+
+
+def _meta(key, value):
+    def edit(columns, meta):
+        meta[key] = value
+        return columns
+    return edit
+
+
+def _without(key):
+    def edit(columns, meta):
+        del meta[key]
+        return columns
+    return edit
+
+
+def _stale(path):
+    # A hand edit of the JSONL: the sidecar now describes other bytes.
+    atomic_write_text(path, path.read_text().replace('"ts":99', '"ts":98'))
+
+
+def _truncated(path):
+    sidecar = path.with_suffix(".npz")
+    sidecar.write_bytes(sidecar.read_bytes()[:300])
+
+
+def _npy_file(path):
+    with path.with_suffix(".npz").open("wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+SIDECAR_FAULTS = {
+    "missing": lambda path: path.with_suffix(".npz").unlink(),
+    "stale": _stale,
+    "truncated": _truncated,
+    "not-a-zip": lambda path: path.with_suffix(".npz").write_text("{}"),
+    "npy-file": _npy_file,
+    "a-directory": lambda path: (path.with_suffix(".npz").unlink(),
+                                 path.with_suffix(".npz").mkdir()),
+    "int32": lambda path: rewrite_sidecar(
+        path, lambda columns, meta: columns.astype(np.int32)),
+    "big-endian": lambda path: rewrite_sidecar(
+        path, lambda columns, meta: columns.astype(">i8")),
+    "7-columns": lambda path: rewrite_sidecar(
+        path, lambda columns, meta: columns[:7]),
+    "hash-mismatch": lambda path: rewrite_sidecar(path, _meta("sha256", "0")),
+    "no-seed": lambda path: rewrite_sidecar(path, _without("seed")),
+    "ts-decreasing": lambda path: rewrite_sidecar(path, _set("ts", 0, 60)),
+    "user-absent": lambda path: rewrite_sidecar(path, _set("user", 0, -1)),
+    "topic-below-absent": lambda path: rewrite_sidecar(
+        path, _set("topic", 0, -2)),
+    "user-outside-table": lambda path: rewrite_sidecar(
+        path, _set("user", 0, 2)),
+    "adv-outside-table": lambda path: rewrite_sidecar(path, _set("adv", 0, 1)),
+    "bidder-outside-table": lambda path: rewrite_sidecar(
+        path, _set("bidder", 0, 1)),
+    "kind-outside-kinds": lambda path: rewrite_sidecar(
+        path, _set("kind", 0, len(EVENT_KINDS))),
+    "int-id": lambda path: rewrite_sidecar(path, _meta("users", ["u0", 1])),
+    "ids-not-a-list": lambda path: rewrite_sidecar(path, _meta("bidders", {})),
+}
+
+
+@pytest.mark.parametrize("fault", SIDECAR_FAULTS.values(),
+                         ids=SIDECAR_FAULTS.keys())
+def test_a_faulty_sidecar_falls_back_to_the_parser(tmp_path, monkeypatch,
+                                                   fault):
+    path = tmp_path / "events.jsonl"
+    _sample_log().write(path)
+    fault(path)
+    parse, calls = EventLog.parse, []
+    monkeypatch.setattr(EventLog, "parse", classmethod(
+        lambda cls, lines: calls.append(1) or parse(lines)))
+    log = EventLog.read(path)
+    assert calls == [1]
+    assert_same_log(log, parse_file(path))
+
+
+def test_a_written_log_is_read_from_its_sidecar(tmp_path):
+    path = tmp_path / "events.jsonl"
+    _sample_log().write(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "events.jsonl", "events.npz"]
+    with mock.patch.object(EventLog, "parse", side_effect=AssertionError):
+        log = EventLog.read(path)
+    assert_same_log(log, _sample_log())
+
+
+def test_a_log_without_a_sidecar_splits_lines_as_a_text_file(tmp_path):
+    # Ids may hold raw U+2028 and U+0085, which str.splitlines would split
+    # on; a text file splits on \n, \r and \r\n only.
+    path = tmp_path / "events.jsonl"
+    path.write_bytes("\r\n".join([
+        HEADER, '{"ts":1,"user":"a\u2028b","kind":"page_view"}',
+        '{"ts":2,"user":"c\x85d","kind":"page_view"}']).encode("utf-8"))
+    log = EventLog.read(path)
+    assert log.users == ("a\u2028b", "c\x85d")
+    assert log.ts.tolist() == [1, 2]

@@ -63,6 +63,8 @@ MODEL_ABTEST = {
 DIGESTS = {
     "out/events.jsonl":
         "899374f2d5e2be3f7dd02bc43e7002425cea4c2ae325696b7114e7db5ad332a9",
+    "out/events.npz":
+        "622d873a22591fb133441754f3bf018437422f9277f16fe527547f3cb58f720f",
     "out/simulate_summary.json":
         "19b256da45a01537cf52fc39612bc394e3460a7e434279a9db06e03dd00d4bd0",
     "out/model.json":
@@ -98,9 +100,10 @@ def output_digests() -> dict[str, str]:
         assert main(argv + ["--out-dir", "out"]) == EXIT_OK, argv[0]
     assert main(["abtest", "--config", _config("model_ab.json", MODEL_ABTEST),
                  "--bids", "out/model.json", "--out-dir", "model_ab"]) == EXIT_OK
-    names = ("out/events.jsonl", "out/simulate_summary.json", "out/model.json",
-             "out/calibration.jsonl", "out/verify_report.jsonl",
-             "out/abtest_report.jsonl", "model_ab/abtest_report.jsonl")
+    names = ("out/events.jsonl", "out/events.npz", "out/simulate_summary.json",
+             "out/model.json", "out/calibration.jsonl",
+             "out/verify_report.jsonl", "out/abtest_report.jsonl",
+             "model_ab/abtest_report.jsonl")
     return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
             for name in names}
 
@@ -111,3 +114,19 @@ def output_digests() -> dict[str, str]:
 def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert output_digests() == DIGESTS
+
+
+def test_train_outputs_do_not_depend_on_the_sidecar(tmp_path, monkeypatch):
+    # The sidecar only spares train the parse: the same log gives the same
+    # model and calibration bytes with it and without it.
+    monkeypatch.chdir(tmp_path)
+    train = ["train", "--config", _config("world.json", WORLD),
+             "--log", "out/events.jsonl"]
+    assert main(["simulate", "--config", "world.json",
+                 "--out-dir", "out"]) == EXIT_OK
+    assert main(train + ["--out-dir", "with"]) == EXIT_OK
+    Path("out/events.npz").unlink()
+    assert main(train + ["--out-dir", "without"]) == EXIT_OK
+    for name in ("model.json", "calibration.jsonl"):
+        assert (Path("with", name).read_bytes()
+                == Path("without", name).read_bytes()), name
