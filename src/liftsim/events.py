@@ -13,6 +13,14 @@ the config digest. Then each line is one JSON object, keys in the order
 above and absent fields omitted; ids are ASCII-escaped and numbers are
 integers, so the bytes are the same on every platform.
 
+:meth:`EventLog.dumps` writes the lines without a Python object per
+event. It fills a NUL-padded matrix per block of events, one row per
+line: ids come from per-table fragment matrices (``,"user":"u7"`` and
+so on) indexed by code, numbers from a table of four-digit words, and an
+absent field is all NUL. Dropping every NUL byte leaves the lines. That
+is sound because no byte of a line is NUL: keys and digits are ASCII,
+and ids are JSON-escaped to ASCII, a NUL in an id becoming ``\\u0000``.
+
 The JSONL file is the canonical log. :meth:`EventLog.write` also writes
 a sidecar beside it, the same name with the suffix ``.npz``, so that
 reading the log back need not parse it. The sidecar holds the eight
@@ -34,6 +42,7 @@ import json
 import zlib
 from dataclasses import dataclass
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
@@ -65,6 +74,9 @@ FIELDS = ("ts", "user", "kind", "adv", "topic", "app", "bidder", "price")
 # Lines per json.loads call in EventLog.parse: few enough that a block's
 # records stay small next to the columns, many enough to amortize a call.
 _BLOCK_LINES = 8_192
+# Bytes in one matrix of EventLog.dumps: small enough to stay in cache,
+# large enough to amortize a block's numpy calls.
+_BLOCK_BYTES = 1 << 19
 _NOT_A_RECORD = ("not an event record: ts, user and kind are required, "
                  "numbers are non-negative integers, no other key may appear")
 
@@ -103,26 +115,102 @@ class EventLog:
         }
 
     def dumps(self) -> str:
-        """Header line, then one line per event: one f-string each, from
-        per-column fragments that are empty where a field is absent."""
-        def coded(key: str, codes: np.ndarray, table) -> np.ndarray:
-            # Code -1 (absent) picks the trailing empty fragment.
-            fragments = [f',"{key}":{json.dumps(s)}' for s in table] + [""]
-            return np.array(fragments, dtype=object)[codes]
+        """The log as JSONL v1 text: the header line, then one line per event.
 
-        def numbers(key: str, values: np.ndarray) -> list[str]:
-            return [f',"{key}":{v}' if v >= 0 else "" for v in values.tolist()]
+        Raises :class:`EventLogError` unless the columns are a log over
+        the id tables (see :func:`_check_columns`); a code outside its
+        table would otherwise write some other id or none.
 
-        parts = zip(self.ts.tolist(), coded("user", self.user, self.users),
-                    coded("kind", self.kind, EVENT_KINDS),
-                    coded("adv", self.adv, self.advertisers),
-                    numbers("topic", self.topic), numbers("app", self.app),
-                    coded("bidder", self.bidder, self.bidders),
-                    numbers("price", self.price))
-        lines = [json.dumps(self.header(), separators=(",", ":"))]
-        lines += [f'{{"ts":{ts}{user}{kind}{adv}{topic}{app}{bidder}{price}}}'
-                  for ts, user, kind, adv, topic, app, bidder, price in parts]
-        return "\n".join(lines) + "\n"
+        Events are encoded in blocks of at most :data:`_BLOCK_BYTES`, each
+        a NUL-padded uint32 matrix with one row per line and a column per
+        four bytes. An id field's columns are gathered, by code, from its
+        table's fragment words; a number's are its key and its digits,
+        four to a word from a 30,000-word table; an absent field's are
+        NUL. Only a block that holds a long id is wide: it is halved until
+        it fits. Dropping the NUL bytes leaves the lines. No real byte is
+        NUL: keys, digits and ``}\\n`` are ASCII, and ids are written as
+        ``json.dumps`` writes them with ``ensure_ascii``, so a NUL in an id
+        is the six bytes ``\\u0000``.
+        """
+        columns = [getattr(self, name) for name in FIELDS]
+        _check_columns(columns, self.users, self.advertisers, self.bidders)
+        tables = {"user": self.users, "kind": EVENT_KINDS,
+                  "adv": self.advertisers, "bidder": self.bidders}
+        # Per field: its column, its words (an id field's fragments as word
+        # columns, the last fragment, for -1, empty; a number's key) and,
+        # for id fields, each fragment's length in words.
+        segments = []
+        for name, column in zip(FIELDS, columns):
+            if name in tables:
+                texts = [f',"{name}":{encode_basestring_ascii(s)}'
+                         for s in tables[name]] + [""]
+                segments.append((column, _words(texts).T,
+                                 -(-np.array([len(t) for t in texts]) // 4)))
+            else:
+                key = '{"ts":' if name == "ts" else f',"{name}":'
+                segments.append((column, _words([key])[0], None))
+        digits = _digit_words()
+        end = _words(["}\n"])[0]
+        lines = [json.dumps(self.header(), separators=(",", ":")) + "\n"]
+
+        def layout(block: list[np.ndarray]) -> list[int]:
+            """Each field's words per row in the matrix of ``block``."""
+            result = []
+            for values, (_, words, lengths) in zip(block, segments):
+                if lengths is not None:
+                    result.append(int(lengths[values].max()))
+                else:
+                    top = int(values.max())
+                    result.append(len(words) + (len(str(top)) + 3) // 4
+                                  if top >= 0 else 0)
+            return result
+
+        def encode(block: list[np.ndarray], widths: list[int]) -> str:
+            """The lines of ``block``, from a matrix of these widths."""
+            out = np.empty((len(block[0]), sum(widths) + 1), dtype=np.uint32)
+            at = 0
+            for values, (_, words, lengths), w in zip(block, segments, widths):
+                if lengths is not None and w > 8:  # one call for a long id
+                    out[:, at:at + w] = words.T[values, :w]
+                elif lengths is not None:  # one word at a time is faster
+                    for i in range(w):
+                        out[:, at + i] = words[i][values]
+                elif w:
+                    present = values >= 0
+                    for i, word in enumerate(words):
+                        np.multiply(present, word, out=out[:, at + i])
+                    # Digits four to a word, the last word first, each word
+                    # the remainder of what is left by 10_000. Where nothing
+                    # higher is left, leading zeros are NUL (but 0 alone is
+                    # "0"); the first word takes all that is left.
+                    first, last, q = at + len(words), at + w - 1, values
+                    for i in range(last, first - 1, -1):
+                        high = q // 10_000 if i > first else 0
+                        r = q - high * 10_000 + (high == 0) * (
+                            20_000 if i == last else 10_000)
+                        np.multiply(digits[r], present, out=out[:, i])
+                        q = high
+                at += w
+            out[:, at] = end
+            return out.tobytes().translate(None, b"\0").decode("ascii")
+
+        # A block has the rows that fill the block size at the last block's
+        # width (the first block's are a guess), halved while a long id
+        # makes them wider than that.
+        start, rows = 0, 1 << 10
+        while start < len(self):
+            stop = min(start + rows, len(self))
+            while True:
+                block = [column[start:stop] for column, _, _ in segments]
+                widths = layout(block)
+                row_bytes = 4 * (sum(widths) + 1)
+                if (stop - start) * row_bytes <= _BLOCK_BYTES or (
+                        stop == start + 1):
+                    break
+                stop = (start + stop) // 2
+            lines.append(encode(block, widths))
+            start, rows = stop, max(1, _BLOCK_BYTES // row_bytes)
+        return "".join(lines)
 
     def write(self, path: str | Path) -> None:
         """The log as JSONL v1 at ``path``, then its sidecar; each file is
@@ -180,11 +268,8 @@ class EventLog:
             before = sum(b.shape[1] for b in blocks)
             blocks.append(_parse_block(block, before, tables))
         data = np.concatenate(blocks, axis=1)
-        backwards = np.flatnonzero(np.diff(data[0]) < 0)
-        if backwards.size:
-            raise EventLogError(f"event {backwards[0] + 2} is earlier than "
-                                "the one before it")
         ids = [tuple(table)[1:] for table in tables]
+        _check_columns(data, *ids)
         if any(type(s) is not str for table in ids for s in table):
             raise EventLogError("a user, adv or bidder id is not a string")
         return cls(*data, *ids, seed=header["seed"],
@@ -242,6 +327,49 @@ def _parse_block(block: list[str], before: int, tables) -> np.ndarray:
     return data
 
 
+def _check_columns(columns, users, advertisers, bidders) -> None:
+    """Raise :class:`EventLogError` unless the eight ``columns``, in
+    :data:`FIELDS` order, are a log over these id tables: one value per
+    event in each, ``ts``, ``user`` and ``kind`` >= 0 and the rest >= -1,
+    codes below the length of their table or of :data:`EVENT_KINDS`, and
+    ``ts`` non-decreasing."""
+    ts = columns[0]
+    limits = {"user": len(users), "kind": len(EVENT_KINDS),
+              "adv": len(advertisers), "bidder": len(bidders)}
+    for name, column in zip(FIELDS, columns):
+        least, limit = (0 if name in FIELDS[:3] else -1), limits.get(name)
+        if (column.shape != (len(ts),) or column.min(initial=least) < least
+                or limit is not None and column.max(initial=-1) >= limit):
+            raise EventLogError(
+                f"{name}: not one value per event, each at least {least}"
+                + ("" if limit is None else f" and below {limit}"))
+    backwards = np.flatnonzero(ts[1:] < ts[:-1])
+    if backwards.size:
+        raise EventLogError(f"event {backwards[0] + 2} is earlier than the "
+                            "one before it")
+
+
+def _words(texts: list[str]) -> np.ndarray:
+    """ASCII ``texts`` as a uint32 matrix, one row each, NUL-padded to the
+    longest."""
+    data = np.array([s.encode("ascii") for s in texts], dtype=bytes)
+    width = -(-data.itemsize // 4) * 4
+    return data.astype(f"S{width}").view(np.uint32).reshape(len(texts), -1)
+
+
+def _digit_words() -> np.ndarray:
+    """Words of four ASCII digits, indexed by 0-9999 plus an offset: 0 for
+    all four digits, 10_000 for leading zeros NUL, 20_000 for leading zeros
+    NUL but 0 written "0"."""
+    places = 10 ** np.arange(3, -1, -1)
+    i = np.arange(10_000)[:, None]
+    digits = (i // places % 10 + ord("0")).astype(np.uint8)
+    lead = np.where(i >= places, digits, 0).astype(np.uint8)
+    last = lead.copy()
+    last[0, -1] = ord("0")
+    return np.concatenate([digits, lead, last]).view(np.uint32).reshape(-1)
+
+
 def _sidecar_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".npz")
 
@@ -291,12 +419,9 @@ def _read_sidecar(path: Path, sha256: str) -> EventLog | None:
             and all(type(table) is list and all(type(s) is str for s in table)
                     for table in tables)):
         return None
-    ts, user, kind, adv, _, _, bidder, _ = columns
-    coded = ((user, tables[0]), (kind, EVENT_KINDS), (adv, tables[1]),
-             (bidder, tables[2]))
-    if ((columns < -1).any() or (columns[:3] < 0).any()
-            or (np.diff(ts) < 0).any()
-            or any((codes >= len(table)).any() for codes, table in coded)):
+    try:
+        _check_columns(columns, *tables)
+    except EventLogError:
         return None
     return EventLog(*columns, *map(tuple, tables), seed=seed,
                     config_digest=config_digest)

@@ -48,8 +48,8 @@ import numpy as np
 
 from .bidders import PASSIVE, BidderConfig, price_bids
 from .events import (
-    ACTION, AD_REQUEST, APP_INSTALL, APP_USE, BID, AUCTION, CLICK, FIELDS,
-    IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH, EventLog,
+    ACTION, AD_REQUEST, APP_INSTALL, APP_USE, BID, AUCTION, CLICK,
+    EVENT_KINDS, FIELDS, IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH, EventLog,
 )
 from .fileio import json_digest
 from .market import (
@@ -59,6 +59,7 @@ from .market import (
 from .seeds import rng_for
 
 SECONDS_PER_DAY = 86_400
+CLICK_DELAY_SECS = 30  # a click's time after its impression's
 MARKET = "market"
 DEFAULT_HORIZON_DAYS = 28
 
@@ -454,7 +455,9 @@ def behavior_log(population: Population, config: WorldConfig) -> EventLog | None
     codes are population rows; None when behavior is off."""
     if not config.behavior_settings["enabled"]:
         return None
-    return EventLog(*_time_sorted(_behavior_events(population, config)),
+    _check_sortable(len(population), config.horizon_days * SECONDS_PER_DAY)
+    return EventLog(*_time_sorted(_behavior_events(population, config),
+                                  len(population)),
                     users=population.user_ids, advertisers=(), bidders=(),
                     seed=config.seed)
 
@@ -502,7 +505,8 @@ def run_market(
     behavioral events of :func:`behavior_log` into the log.
 
     Raises :class:`WorldConfigError` before the draw when the expected
-    request count is too large to order. Raises
+    request count, or with events recorded the user count times the
+    horizon, is too large to order. Raises
     :class:`MarketInvariantError` when a clearing price exceeds the
     winning bid, or at a window end when a group's spend exceeds
     budget + cpa or billed <= attributed <= actions fails.
@@ -546,6 +550,8 @@ def run_market(
 
     horizon_secs = config.horizon_days * SECONDS_PER_DAY
     _check_orderable(float(rates.sum()) * config.horizon_days, horizon_secs)
+    if record_events:
+        _check_sortable(n, horizon_secs)
     if config.request_arrivals == "poisson":
         counts = req_rng.poisson(np.broadcast_to(
             rates[:, None], (n, config.horizon_days)))
@@ -653,7 +659,7 @@ def run_market(
                 u, ts = int(req_user[kept[-1]]), int(req_ts[kept[-1]])
                 estimator.observe(u, IMPRESSION, adv, ts)
                 if clicked[0]:
-                    estimator.observe(u, CLICK, adv, ts + 30)
+                    estimator.observe(u, CLICK, adv, ts + CLICK_DELAY_SECS)
                 later = end + np.flatnonzero(req_user[rows[end:]] == u)
                 if later.size:
                     bids[later] = model_bids(rows[later])
@@ -684,7 +690,8 @@ def run_market(
                              bidder=winner, price=price),
                 _event_block(win_ts, win_user, KIND_CODE[IMPRESSION], adv=0,
                              bidder=win_group, price=price[won]),
-                _event_block(win_ts[clicked] + 30, win_user[clicked],
+                _event_block(win_ts[clicked] + CLICK_DELAY_SECS,
+                             win_user[clicked],
                              KIND_CODE[CLICK], adv=0,
                              bidder=win_group[clicked]),
             ]
@@ -742,7 +749,7 @@ def run_market(
             _event_block(req_ts, req_user, KIND_CODE[AD_REQUEST],
                          topic=req_topic),
             *blocks,
-        ], axis=1))
+        ], axis=1), n)
         log = EventLog(*data, users=population.user_ids, advertisers=(adv,),
                        bidders=(*kinds, MARKET), seed=config.seed,
                        config_digest=market_run_digest(
@@ -815,10 +822,25 @@ def _time_order(ts: np.ndarray, bound: int) -> np.ndarray:
     return order
 
 
-def _time_sorted(block: np.ndarray) -> np.ndarray:
+def _check_sortable(n_users: int, horizon_secs: int) -> None:
+    """Raise :class:`WorldConfigError` when :func:`_time_sorted`'s keys for
+    ``n_users`` users' events before ``horizon_secs`` plus a click delay
+    would need more than 63 bits."""
+    if (horizon_secs + CLICK_DELAY_SECS) * n_users * len(EVENT_KINDS) > 1 << 63:
+        raise WorldConfigError(
+            f"{n_users} users' events over {horizon_secs} s need more than "
+            f"63 bits to order")
+
+
+def _time_sorted(block: np.ndarray, n_users: int) -> np.ndarray:
     """Events sorted stably by (ts, user, kind); user codes are rows, whose
-    ids share one zero-padded width, so they sort as the ids do."""
-    return block[:, np.lexsort((block[2], block[1], block[0]))]
+    ids share one zero-padded width, so they sort as the ids do.
+
+    One stable argsort of the int64 key (ts * n_users + user) * kinds +
+    kind; :func:`_check_sortable` bounds it below 2**63.
+    """
+    key = (block[0] * n_users + block[1]) * len(EVENT_KINDS) + block[2]
+    return block[:, np.argsort(key, kind="stable")]
 
 
 def _behavior_events(population: Population, config: WorldConfig) -> np.ndarray:

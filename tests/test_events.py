@@ -3,6 +3,7 @@
 import json
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liftsim.events
 from event_records import parse_log
 from liftsim.events import (
     ACTION, AD_REQUEST, EVENT_KINDS, FIELDS, IMPRESSION, PAGE_VIEW,
@@ -146,7 +148,7 @@ def test_parse_skips_blank_lines_and_reads_many_blocks():
 IDS = st.text(min_size=0, max_size=6) | st.sampled_from(
     ['u"q', "b\\s", "café", "中", "\U0001f600", "ctrl\n\x00",
      "line\u2028sep", "nel\x85", "adv\x00"])
-COUNTS = st.integers(0, 10**12)
+COUNTS = st.integers(0, 2**63 - 1)
 
 
 @st.composite
@@ -168,6 +170,171 @@ def test_dumps_matches_the_per_record_encoder(events, seed, digest):
                         separators=(",", ":"), ensure_ascii=True)
     lines = [header] + [reference_line(r) for r in events]
     assert EventLog.parse(lines).dumps() == "\n".join(lines) + "\n"
+
+
+def reference_text(log):
+    """``log`` as JSONL v1, each event through :func:`reference_line`."""
+    header = json.dumps(log.header(), separators=(",", ":"))
+    tables = {"user": log.users, "kind": EVENT_KINDS,
+              "adv": log.advertisers, "bidder": log.bidders}
+    lines = [header]
+    for i in range(len(log)):
+        record = {}
+        for name in FIELDS:
+            value = int(getattr(log, name)[i])
+            if value >= 0:
+                record[name] = tables[name][value] if name in tables else value
+        lines.append(reference_line(record))
+    return "\n".join(lines) + "\n"
+
+
+def make_log(n, users=("u",), advertisers=("adv1",), bidders=("value",),
+             seed=0, **columns):
+    """A log of ``n`` page views at times 0, 1, ...; ``columns`` replace
+    any field's column."""
+    data = {name: np.full(n, -1, dtype=np.int64) for name in FIELDS}
+    data["ts"] = np.arange(n, dtype=np.int64)
+    data["user"] = np.zeros(n, dtype=np.int64)
+    data["kind"] = np.full(n, EVENT_KINDS.index(PAGE_VIEW), dtype=np.int64)
+    data["topic"] = np.zeros(n, dtype=np.int64)
+    data.update((name, np.asarray(v, dtype=np.int64))
+                for name, v in columns.items())
+    return EventLog(**data, users=users, advertisers=advertisers,
+                    bidders=bidders, seed=seed, config_digest="edge")
+
+
+def test_dumps_writes_only_the_header_of_an_empty_log():
+    log = make_log(0, users=(), advertisers=(), bidders=(), seed=3)
+    assert log.dumps() == reference_text(log)
+    assert log.dumps() == json.dumps(log.header(), separators=(",", ":")) + "\n"
+
+
+# Each line of make_log(n) for n <= 9999 is 16 words of the encoder's
+# matrix: {"ts": 2, ts 1, user 3, kind 5, topic 3 + 1, the line end 1. This
+# block size makes a block 1024 lines, the size of the first block.
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_dumps_across_block_boundaries(monkeypatch, n):
+    monkeypatch.setattr(liftsim.events, "_BLOCK_BYTES", 4 * 16 * 1024)
+    log = make_log(n, topic=np.arange(n) % 7)
+    assert log.dumps() == reference_text(log)
+
+
+EDGE_NUMBERS = [0, 9, 10, 99, 100, 10**18, 2**63 - 1]
+
+
+@pytest.mark.parametrize("field", ["ts", "topic", "app", "price"])
+def test_dumps_writes_every_digit_count(field):
+    values = EDGE_NUMBERS + [-1] * (field != "ts")
+    log = make_log(len(values), **{field: values})
+    assert log.dumps() == reference_text(log)
+    # And each value alone in its block, widest and narrowest.
+    for value in values:
+        if field != "ts" or value >= 0:
+            one = make_log(1, **{field: [value]})
+            assert one.dumps() == reference_text(one)
+
+
+def test_dumps_writes_empty_and_very_long_ids(monkeypatch):
+    # The long id's line is wider than a block, so its block is halved
+    # down to that line alone.
+    monkeypatch.setattr(liftsim.events, "_BLOCK_BYTES", 1 << 12)
+    long = "l\u00e9\x00" * 3000
+    n = 500
+    user = np.arange(n) % 3
+    bidder = np.where(np.arange(n) % 5 == 0, np.arange(n) % 2, -1)
+    log = make_log(n, users=("", long, "x"), bidders=(long, ""),
+                   advertisers=("",), user=user, bidder=bidder,
+                   adv=np.where(bidder >= 0, 0, -1),
+                   price=np.where(bidder >= 0, np.arange(n), -1))
+    assert log.dumps() == reference_text(log)
+
+
+BAD_COLUMNS = {
+    "user-past-table": {"user": [2]},
+    "user-below-absent": {"user": [-2]},
+    "user-absent": {"user": [-1]},
+    "kind-past-kinds": {"kind": [len(EVENT_KINDS)]},
+    "kind-below-absent": {"kind": [-2]},
+    "kind-absent": {"kind": [-1]},
+    "adv-past-table": {"adv": [1]},
+    "adv-past-empty-table": {"adv": [0], "advertisers": ()},
+    "adv-below-absent": {"adv": [-2]},
+    "bidder-past-table": {"bidder": [1]},
+    "bidder-below-absent": {"bidder": [-2]},
+    "ts-absent": {"ts": [-1]},
+    "topic-below-absent": {"topic": [-2]},
+    "app-below-absent": {"app": [-2]},
+    "price-below-absent": {"price": [-2]},
+    "short-column": {"price": []},
+}
+
+
+@pytest.mark.parametrize("columns", BAD_COLUMNS.values(),
+                         ids=BAD_COLUMNS.keys())
+def test_dumps_refuses_columns_that_are_not_a_log(columns):
+    log = make_log(1, users=("a", "b"), **columns)
+    with pytest.raises(EventLogError):
+        log.dumps()
+
+
+def test_dumps_refuses_events_out_of_time_order():
+    with pytest.raises(EventLogError, match="event 3 is earlier"):
+        make_log(3, ts=[0, 5, 4]).dumps()
+
+
+def test_dumps_refuses_a_code_below_absent_over_a_table():
+    # Indexing the fragments with the raw code -2 would write user "b"
+    # and kind "action" here.
+    log = EventLog(*np.array([[1], [-2], [-2], [-1], [-1], [-1], [-1], [-1]]),
+                   users=("a", "b"), advertisers=(), bidders=())
+    with pytest.raises(EventLogError, match="user"):
+        log.dumps()
+
+
+def traced_dumps(log):
+    """``log.dumps()``, and the bytes tracemalloc saw held after it and at
+    its peak."""
+    tracemalloc.start()
+    try:
+        text = log.dumps()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return text, held, peak
+
+
+def test_a_long_id_widens_only_the_block_it_is_in():
+    # Unhalved, the first block would be 1,024 lines of 20 kB each.
+    n = 60_000
+    log = make_log(n, users=("u", "x" * 20_000),
+                   user=(np.arange(n) == 10).astype(np.int64))
+    text, _, peak = traced_dumps(log)
+    assert text == reference_text(log)
+    assert peak <= 3.5 * len(text), peak / len(text)
+
+
+def test_dumps_peak_memory_is_a_small_multiple_of_its_text():
+    # A simulator-shaped log: 120k events of 2,000 users, a third of them
+    # market events with an advertiser, bidder and price.
+    rng = np.random.default_rng(5)
+    n = 120_000
+    kind = rng.integers(0, len(EVENT_KINDS), n)
+    market = kind < 4
+    log = make_log(
+        n, users=tuple(f"u{i:06d}" for i in range(2000)),
+        bidders=("passive", "value", "lift", "market"),
+        ts=np.sort(rng.integers(0, 28 * 86_400, n)),
+        user=rng.integers(0, 2000, n), kind=kind,
+        adv=np.where(market, 0, -1),
+        topic=np.where(market, -1, rng.integers(0, 8, n)),
+        bidder=np.where(market, rng.integers(0, 4, n), -1),
+        price=np.where(market, rng.integers(0, 10**7, n), -1))
+    text, held, peak = traced_dumps(log)
+    assert len(text) > 6_000_000
+    assert peak <= 3.5 * len(text), peak / len(text)
+    # Once it returns, dumps holds nothing but its text: a reference cycle
+    # would keep its blocks' lines until the next garbage collection.
+    assert held <= 1.1 * len(text), held / len(text)
 
 
 def assert_same_log(got, want):

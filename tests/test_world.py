@@ -16,7 +16,8 @@ from liftsim.events import (
 )
 from liftsim.market import Campaign, dollars_to_micros, may_win
 from liftsim.world import (
-    SECONDS_PER_DAY, WorldConfig, WorldConfigError, _time_order,
+    CLICK_DELAY_SECS, SECONDS_PER_DAY, WorldConfig, WorldConfigError,
+    _check_sortable, _time_order, _time_sorted, behavior_log,
     generate_population, precedent_impression_fraction, run_market,
     split_budget,
 )
@@ -337,6 +338,50 @@ def test_request_count_is_bounded_before_the_draw(monkeypatch):
     with pytest.raises(WorldConfigError, match="63 bits"):
         run_market(population, [BidderConfig(kind="passive")], campaign(),
                    config, assignment=np.zeros(60, dtype=int))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_users=st.integers(1, 40), size=st.integers(0, 2000),
+       horizon=st.integers(1, HORIZON), seed=st.integers(0, 2**32 - 1))
+@example(n_users=1, size=0, horizon=1, seed=0)
+def test_time_sorted_is_the_stable_lexsort(n_users, size, horizon, seed):
+    # Few distinct times, users and kinds, so (ts, user, kind) often ties
+    # and the fields after them show whether ties keep their order.
+    rng = np.random.default_rng(seed)
+    block = rng.integers(-1, 1000, (8, size))
+    block[0] = rng.choice(rng.integers(0, horizon + CLICK_DELAY_SECS, 4), size)
+    block[1] = rng.integers(0, n_users, size)
+    block[2] = rng.integers(0, len(EVENT_KINDS), size)
+    expected = block[:, np.lexsort((block[2], block[1], block[0]))]
+    assert np.array_equal(_time_sorted(block, n_users), expected)
+
+
+def test_sort_keys_are_bounded_at_63_bits():
+    # The largest key is (horizon + click delay) * users * kinds - 1.
+    horizon = 28 * SECONDS_PER_DAY
+    fits = 2**63 // ((horizon + CLICK_DELAY_SECS) * len(EVENT_KINDS))
+    _check_sortable(fits, horizon)
+    with pytest.raises(WorldConfigError, match="63 bits"):
+        _check_sortable(fits + 1, horizon)
+
+
+def test_event_sort_keys_are_bounded_before_the_draw(monkeypatch):
+    # With 2**60 kinds no world's keys fit in 63 bits; no stream may draw
+    # before run_market or behavior_log refuses it.
+    config = small_world(n_users=20, horizon_days=2, behavior=True)
+    population = generate_population(config)
+
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"a stream drew ({name})")
+
+    monkeypatch.setattr(liftsim.world, "rng_for", lambda seed, *tags: NoDraws())
+    monkeypatch.setattr(liftsim.world, "EVENT_KINDS", range(2**60))
+    with pytest.raises(WorldConfigError, match="63 bits"):
+        run_market(population, [BidderConfig(kind="passive")], campaign(),
+                   config, assignment=np.zeros(20, dtype=int))
+    with pytest.raises(WorldConfigError, match="63 bits"):
+        behavior_log(population, config)
 
 
 def test_two_bidders_of_one_kind_are_refused():
