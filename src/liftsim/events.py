@@ -118,33 +118,36 @@ class EventLog:
         """The log as JSONL v1 text: the header line, then one line per event.
 
         Raises :class:`EventLogError` unless the columns are a log over
-        the id tables (see :func:`_check_columns`); a code outside its
+        the id tables (see :func:`_column_problem`); a code outside its
         table would otherwise write some other id or none.
 
         Events are encoded in blocks of at most :data:`_BLOCK_BYTES`, each
         a NUL-padded uint32 matrix with one row per line and a column per
-        four bytes. An id field's columns are gathered, by code, from its
-        table's fragment words; a number's are its key and its digits,
-        four to a word from a 30,000-word table; an absent field's are
-        NUL. Only a block that holds a long id is wide: it is halved until
-        it fits. Dropping the NUL bytes leaves the lines. No real byte is
-        NUL: keys, digits and ``}\\n`` are ASCII, and ids are written as
-        ``json.dumps`` writes them with ``ensure_ascii``, so a NUL in an id
-        is the six bytes ``\\u0000``.
+        four bytes. An id field's columns are gathered by code, in one
+        call, from its table's fragment words; a number's are its key and
+        its digits, four to a word from a 30,000-word table; an absent
+        field's are NUL. Only a block that holds a long id is wide: it is
+        halved until it fits. Dropping the NUL bytes leaves the lines. No
+        real byte is NUL: keys, digits and ``}\\n`` are ASCII, and ids are
+        written as ``json.dumps`` writes them with ``ensure_ascii``, so a
+        NUL in an id is the six bytes ``\\u0000``.
         """
         columns = [getattr(self, name) for name in FIELDS]
-        _check_columns(columns, self.users, self.advertisers, self.bidders)
+        if problem := _column_problem(columns, self.users, self.advertisers,
+                                      self.bidders):
+            raise EventLogError(problem)
         tables = {"user": self.users, "kind": EVENT_KINDS,
                   "adv": self.advertisers, "bidder": self.bidders}
-        # Per field: its column, its words (an id field's fragments as word
-        # columns, the last fragment, for -1, empty; a number's key) and,
-        # for id fields, each fragment's length in words.
+        # Per field: its column, its words (an id field's fragments, one
+        # word per row and one fragment per column, the last fragment, for
+        # -1, empty; a number's key) and, for id fields, each fragment's
+        # length in words.
         segments = []
         for name, column in zip(FIELDS, columns):
             if name in tables:
                 texts = [f',"{name}":{encode_basestring_ascii(s)}'
                          for s in tables[name]] + [""]
-                segments.append((column, _words(texts).T,
+                segments.append((column, _words(texts).T.copy(),
                                  -(-np.array([len(t) for t in texts]) // 4)))
             else:
                 key = '{"ts":' if name == "ts" else f',"{name}":'
@@ -170,11 +173,8 @@ class EventLog:
             out = np.empty((len(block[0]), sum(widths) + 1), dtype=np.uint32)
             at = 0
             for values, (_, words, lengths), w in zip(block, segments, widths):
-                if lengths is not None and w > 8:  # one call for a long id
-                    out[:, at:at + w] = words.T[values, :w]
-                elif lengths is not None:  # one word at a time is faster
-                    for i in range(w):
-                        out[:, at + i] = words[i][values]
+                if lengths is not None:  # words[:w] is contiguous
+                    out[:, at:at + w] = np.take(words[:w], values, axis=1).T
                 elif w:
                     present = values >= 0
                     for i, word in enumerate(words):
@@ -269,7 +269,8 @@ class EventLog:
             blocks.append(_parse_block(block, before, tables))
         data = np.concatenate(blocks, axis=1)
         ids = [tuple(table)[1:] for table in tables]
-        _check_columns(data, *ids)
+        if problem := _column_problem(data, *ids):
+            raise EventLogError(problem)
         if any(type(s) is not str for table in ids for s in table):
             raise EventLogError("a user, adv or bidder id is not a string")
         return cls(*data, *ids, seed=header["seed"],
@@ -327,26 +328,20 @@ def _parse_block(block: list[str], before: int, tables) -> np.ndarray:
     return data
 
 
-def _check_columns(columns, users, advertisers, bidders) -> None:
-    """Raise :class:`EventLogError` unless the eight ``columns``, in
-    :data:`FIELDS` order, are a log over these id tables: one value per
-    event in each, ``ts``, ``user`` and ``kind`` >= 0 and the rest >= -1,
-    codes below the length of their table or of :data:`EVENT_KINDS`, and
-    ``ts`` non-decreasing."""
-    ts = columns[0]
-    limits = {"user": len(users), "kind": len(EVENT_KINDS),
-              "adv": len(advertisers), "bidder": len(bidders)}
-    for name, column in zip(FIELDS, columns):
-        least, limit = (0 if name in FIELDS[:3] else -1), limits.get(name)
-        if (column.shape != (len(ts),) or column.min(initial=least) < least
+def _column_problem(columns, users, advertisers, bidders) -> str | None:
+    """Why the eight ``columns``, in :data:`FIELDS` order, are not a log
+    over these id tables, or None if they are one."""
+    limits = (None, len(users), len(EVENT_KINDS), len(advertisers), None,
+              None, len(bidders), None)
+    for name, column, limit in zip(FIELDS, columns, limits):
+        least = 0 if name in FIELDS[:3] else -1
+        if (column.shape != columns[0].shape or column.min(initial=0) < least
                 or limit is not None and column.max(initial=-1) >= limit):
-            raise EventLogError(
-                f"{name}: not one value per event, each at least {least}"
-                + ("" if limit is None else f" and below {limit}"))
-    backwards = np.flatnonzero(ts[1:] < ts[:-1])
-    if backwards.size:
-        raise EventLogError(f"event {backwards[0] + 2} is earlier than the "
-                            "one before it")
+            return (f"{name}: not one value per event, each >= {least}"
+                    + ("" if limit is None else f" and < {limit}"))
+    later = np.flatnonzero(columns[0][1:] < columns[0][:-1])
+    return (f"event {later[0] + 2} is earlier than the one before it"
+            if later.size else None)
 
 
 def _words(texts: list[str]) -> np.ndarray:
@@ -417,11 +412,7 @@ def _read_sidecar(path: Path, sha256: str) -> EventLog | None:
     if not (columns.dtype == np.int64 and columns.ndim == 2
             and len(columns) == len(FIELDS)
             and all(type(table) is list and all(type(s) is str for s in table)
-                    for table in tables)):
-        return None
-    try:
-        _check_columns(columns, *tables)
-    except EventLogError:
+                    for table in tables)) or _column_problem(columns, *tables):
         return None
     return EventLog(*columns, *map(tuple, tables), seed=seed,
                     config_digest=config_digest)

@@ -14,9 +14,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from ..events import EventLog
 from ..fileio import atomic_write_text
@@ -28,6 +28,9 @@ from .features import (
 )
 from .gbdt import GBDTModel, GBDTParams, TrainingError, train_gbdt
 from .isotonic import IsotonicMap, fit_isotonic
+
+if TYPE_CHECKING:  # importing numpy.typing takes about 0.7 ms
+    from numpy.typing import ArrayLike
 
 MODEL_FORMAT = "liftsim.model"
 MODEL_VERSION = 1
