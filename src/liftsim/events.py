@@ -214,13 +214,16 @@ class EventLog:
 
     def write(self, path: str | Path) -> None:
         """The log as JSONL v1 at ``path``, then its sidecar; each file is
-        written atomically."""
+        written atomically. The JSONL bytes are dropped before the sidecar
+        is built, so the two are never held together."""
         data = self.dumps().encode("utf-8")
         atomic_write_bytes(path, data)
+        sha256 = hashlib.sha256(data).hexdigest()
+        del data
         user, users = _first_seen(self.users, self.user)
         adv, advertisers = _first_seen(self.advertisers, self.adv)
         bidder, bidders = _first_seen(self.bidders, self.bidder)
-        meta = {"sha256": hashlib.sha256(data).hexdigest(), "seed": self.seed,
+        meta = {"sha256": sha256, "seed": self.seed,
                 "config_digest": self.config_digest, "users": users,
                 "advertisers": advertisers, "bidders": bidders}
         columns = np.stack([self.ts, user, self.kind, adv, self.topic,

@@ -35,6 +35,16 @@ changes outcomes only through (p, delta_p). The tie and click streams
 are drawn in request order, one value per tie and per won auction,
 however a window splits into runs. The same configuration and seed
 reproduce the identical event log byte for byte.
+
+Request counts, times of day and topics are drawn up front, the last
+two in one ``integers`` call each over the horizon: numpy buffers 32-bit
+draws within a call, so draws in pieces would differ. The rest of a
+request is built when its window settles: the window's requests are one
+slice of the draw order, put in time order there, and the market stream
+draws that window's competitor normals, which pieces give as one draw
+would. A window in which no bidder is left draws no competitor bids,
+and without an event log its requests are never built: in an A/B test
+whose bidders spend out early, most of the horizon only draws actions.
 """
 from __future__ import annotations
 
@@ -482,12 +492,22 @@ def run_market(
     bidder stops once its billed attributed actions have spent its
     :func:`split_budget` share of the budget (checked at window ends).
 
-    Up front, the ``requests`` stream draws every request's count, time
-    and topic, ``market`` every competitor bid and ``actions`` one
-    uniform per user and window. Then each window:
+    Up front, the ``requests`` stream draws every request's count (per
+    user and day) and time of day, then, when an estimator or the log
+    reads them, every topic; ``actions`` draws one uniform per user and
+    window. Each is one call over the whole horizon: numpy's ``integers``
+    buffers 32-bit draws within a call, so draws in pieces would differ.
+    Then each window:
 
-    * The requests whose group still bids are priced from the ground
-      truth, or with one ``estimate`` call when there is an estimator.
+    * While some bidder still bids, or when events are recorded, the
+      window's requests are put in time order. Once every active bidder
+      has stopped, a window without a log only draws and bills actions.
+    * While some bidder still bids, ``market`` draws one standard normal
+      per request of the window, in time order, as one draw over the
+      horizon would give them; only the requests whose group still bids
+      become competitor bids. The requests whose group still bids are
+      priced from the ground truth, or with one ``estimate`` call when
+      there is an estimator.
     * They settle in runs, in time order, each run's positive bids in one
       :func:`~liftsim.market.run_auction` call, which draws one ``ties``
       flip per tie; ``clicks`` then draws one uniform per win. With
@@ -506,8 +526,9 @@ def run_market(
 
     Raises :class:`WorldConfigError` before the draw when the expected
     request count, or with events recorded the user count times the
-    horizon, is too large to order. Raises
-    :class:`MarketInvariantError` when a clearing price exceeds the
+    horizon, is too large to order, and when a competitor bid the market
+    draws (one per request whose group still bids) is past int64 micros.
+    Raises :class:`MarketInvariantError` when a clearing price exceeds the
     winning bid, or at a window end when a group's spend exceeds
     budget + cpa or billed <= attributed <= actions fails.
     """
@@ -557,23 +578,37 @@ def run_market(
             rates[:, None], (n, config.horizon_days)))
     else:
         counts = np.broadcast_to(
-            np.rint(rates).astype(np.int64)[:, None], (n, config.horizon_days)
-        ).copy()
-    # One request per draw, in (day, user) cell order; then in time order,
-    # stably. A time fixes the day, so requests that tie on time are
-    # already in user order, then draw order: the stable order keeps both.
-    # _time_order sorts the keys (time << b) | draw, b the bit length of
-    # the request count. They are unique and order by time, then draw, so
-    # any sort gives the stable order. Time and draw share 63 bits: a
-    # 28-day horizon takes 22, leaving 41 for b; past that it raises.
-    cell = np.repeat(np.arange(counts.size), counts.T.reshape(-1))
-    req_ts = (cell // n * SECONDS_PER_DAY
-              + req_rng.integers(0, SECONDS_PER_DAY, cell.size))
-    req_topic = req_rng.integers(0, config.topics, cell.size)
-    order = _time_order(req_ts, horizon_secs)
-    req_topic, req_user = req_topic[order], cell[order] % n
+            np.rint(rates).astype(np.int64)[:, None], (n, config.horizon_days))
+    # One request per draw, in (day, user) cell order. Cells are day-major,
+    # so window w's requests are the draws starts[w]:starts[w + 1], from
+    # its cells w * window_cells onward.
+    per_cell = counts.T.reshape(-1)
+    window_cells = aw_days * n
+    starts = np.zeros(n_windows + 1, dtype=np.int64)
+    np.cumsum(per_cell.reshape(n_windows, window_cells).sum(axis=1),
+              out=starts[1:])
+    time_of_day = req_rng.integers(0, SECONDS_PER_DAY, int(starts[-1]))
+    # Topics are the stream's last draw: skipping them changes nothing else.
+    topics = (req_rng.integers(0, config.topics, time_of_day.size)
+              if estimator is not None or record_events else None)
 
-    comp = _competitor_bids(config, market_rng, p, req_user)
+    def window_requests(w: int):
+        """Window w's requests in time order, stably: (times, users,
+        topics), topics None when nothing reads them.
+
+        A time fixes the day, so requests that tie on time are already in
+        user order, then draw order: the stable order keeps both.
+        _time_order sorts the keys (time << b) | draw, b the bit length of
+        the window's request count. They are unique and order by time,
+        then draw, so any sort gives the stable order.
+        """
+        draws, first = slice(starts[w], starts[w + 1]), w * window_cells
+        cell = np.repeat(np.arange(first, first + window_cells),
+                         per_cell[first:first + window_cells])
+        ts = cell // n * SECONDS_PER_DAY + time_of_day[draws]
+        order = _time_order(ts, horizon_secs)
+        return (ts, cell[order] % n,
+                None if topics is None else topics[draws][order])
 
     action_uniforms = action_rng.random((n, n_windows))
 
@@ -582,8 +617,8 @@ def run_market(
             assignment, np.arange(n)]
 
     def model_bids(rows: np.ndarray) -> np.ndarray:
-        """Bids for requests ``rows``: one estimate call, then one
-        price_bids call per group."""
+        """Bids for the current window's requests ``rows``: one estimate
+        call, then one price_bids call per group."""
         user = req_user[rows]
         p_hat, dp_hat = estimator.estimate(user, req_ts[rows], req_topic[rows])
         group = assignment[user]
@@ -594,8 +629,9 @@ def run_market(
         return bids
 
     group_sizes = np.bincount(assignment, minlength=n_bidders)
-    request_counts = np.bincount(assignment[req_user], minlength=n_bidders)
     group_masks = [assignment == g for g in range(n_bidders)]
+    user_requests = counts.sum(axis=1)
+    request_counts = [int(user_requests[mask].sum()) for mask in group_masks]
     budget = np.array(split_budget(bidders, campaign.budget), dtype=np.int64)
     cpa = campaign.cpa
 
@@ -613,20 +649,28 @@ def run_market(
     stopped = active & (budget <= 0)
 
     # Event blocks in emission order; the final sort is stable, and rows
-    # with equal (ts, user, kind) always come from one kind's block, in
-    # request order, so kind-by-kind blocks sort as row-by-row emission.
+    # with equal (ts, user, kind) always come from one block (a time fixes
+    # the window), in request order, so the blocks sort as row-by-row
+    # emission.
     blocks: list[np.ndarray] = []
 
-    # Window w's requests are window_starts[w]:window_starts[w + 1].
-    window_starts = np.searchsorted(req_ts, np.arange(n_windows + 1) * aw_secs)
     empty = np.zeros(0, dtype=np.int64)
 
     window_exposed = np.zeros(n, dtype=bool)
     for w in range(n_windows):
         window_exposed[:] = False
-        s, e = int(window_starts[w]), int(window_starts[w + 1])
         bidding = active & ~stopped
-        rows = s + np.flatnonzero(bidding[assignment[req_user[s:e]]])
+        any_bidding = bool(bidding.any())
+        if any_bidding or record_events:
+            req_ts, req_user, req_topic = window_requests(w)
+        else:  # no bidder is left and nothing is logged: only bill actions
+            req_ts = req_user = req_topic = empty
+        if record_events:
+            blocks.append(_event_block(req_ts, req_user, KIND_CODE[AD_REQUEST],
+                                       topic=req_topic))
+        rows = np.flatnonzero(bidding[assignment[req_user]])
+        comp = (_competitor_bids(config, market_rng, p, req_user, rows)
+                if any_bidding else empty)
         # Only an estimator re-prices after a win, so only its runs end at
         # an auction we may win; with oracle bids the window is one run.
         if estimator is None:
@@ -634,10 +678,11 @@ def run_market(
             run_ends = np.zeros(rows.size, dtype=bool)
         else:
             bids = model_bids(rows)
-            run_ends = may_win(bids, comp[rows], reserve)
-        # (requests, bids, won, price, clicked) per run, after an empty
-        # one, so a window without auctions concatenates to empty arrays.
-        runs = [(empty, empty, empty > 0, empty, empty > 0)]
+            run_ends = may_win(bids, comp, reserve)
+        # (requests, bids, competitor bids, won, price, clicked) per run,
+        # after an empty one, so a window without auctions concatenates to
+        # empty arrays. A run is positions in rows, as are bids and comp.
+        runs = [(empty, empty, empty, empty > 0, empty, empty > 0)]
         start = 0
         while start < rows.size:
             end = start + int(run_ends[start:].argmax()) + 1
@@ -649,12 +694,12 @@ def run_market(
             run = (slice(start, end) if positive.all()
                    else start + np.flatnonzero(positive))
             start = end
-            kept, our = rows[run], bids[run]
+            kept, our, against = rows[run], bids[run], comp[run]
             if not kept.size:
                 continue
-            won, price = run_auction(our, comp[kept], reserve, tie_rng)
+            won, price = run_auction(our, against, reserve, tie_rng)
             clicked = click_rng.random(int(np.count_nonzero(won))) < click_rate
-            runs.append((kept, our, won, price, clicked))
+            runs.append((kept, our, against, won, price, clicked))
             if estimator is not None and won[-1]:
                 u, ts = int(req_user[kept[-1]]), int(req_ts[kept[-1]])
                 estimator.observe(u, IMPRESSION, adv, ts)
@@ -663,9 +708,10 @@ def run_market(
                 later = end + np.flatnonzero(req_user[rows[end:]] == u)
                 if later.size:
                     bids[later] = model_bids(rows[later])
-                    run_ends[later] = may_win(bids[later], comp[rows[later]], reserve)
-        kept, our, won, price, clicked = runs[1] if len(runs) == 2 else (
-            np.concatenate(part) for part in zip(*runs))  # one run: no copy
+                    run_ends[later] = may_win(bids[later], comp[later], reserve)
+        kept, our, against, won, price, clicked = (
+            runs[1] if len(runs) == 2  # one run: no copy
+            else (np.concatenate(part) for part in zip(*runs)))
 
         if (won & (price > our)).any():
             raise MarketInvariantError(
@@ -682,7 +728,7 @@ def run_market(
             # The auction's winner: our group, else the market when its
             # bid cleared the reserve, else nobody.
             winner = np.where(won, group,
-                              np.where(comp[kept] > reserve, n_bidders, -1))
+                              np.where(against > reserve, n_bidders, -1))
             blocks += [
                 _event_block(ts, user, KIND_CODE[BID], adv=0, bidder=group,
                              price=our),
@@ -745,11 +791,7 @@ def run_market(
         # Behavior comes from its own stream and never depends on bidding.
         if config.behavior_settings["enabled"]:
             blocks.append(_behavior_events(population, config))
-        data = _time_sorted(np.concatenate([
-            _event_block(req_ts, req_user, KIND_CODE[AD_REQUEST],
-                         topic=req_topic),
-            *blocks,
-        ], axis=1), n)
+        data = _time_sorted(np.concatenate(blocks, axis=1), n)
         log = EventLog(*data, users=population.user_ids, advertisers=(adv,),
                        bidders=(*kinds, MARKET), seed=config.seed,
                        config_digest=market_run_digest(
@@ -762,20 +804,29 @@ def _competitor_bids(
     rng: np.random.Generator,
     p: np.ndarray,
     req_user: np.ndarray,
+    rows: np.ndarray,
 ) -> np.ndarray:
+    """The competitor bids, int64 micros, that requests ``rows`` of a
+    window face; ``req_user`` is the window's requests' users, in time
+    order.
+
+    A kind with noise draws one standard normal per request of the window
+    from ``rng``, so each request's draw does not depend on which of them
+    bid; only ``rows`` become bids. Raises :class:`WorldConfigError` when
+    one of them is past int64 micros.
+    """
     spec = config.competitor_bids
     kind = spec["kind"]
-    k = len(req_user)
     if kind == "fixed":
-        micros = np.full(k, spec["dollars"] * 1e6)
-    elif kind == "lognormal":
-        micros = spec["median_dollars"] * 1e6 * np.exp(
-            spec["sigma"] * rng.standard_normal(k))
-    else:  # value_tracking
-        pool = float(spec.get("pool", 0.5))
-        base = pool * p[req_user] + (1.0 - pool) * float(p.mean())
-        noise = np.exp(spec["sigma"] * rng.standard_normal(k))
-        micros = spec["scale_dollars"] * 1e6 * base * noise
+        micros = np.full(rows.size, spec["dollars"] * 1e6)
+    else:
+        noise = np.exp(spec["sigma"] * rng.standard_normal(req_user.size)[rows])
+        if kind == "lognormal":
+            micros = spec["median_dollars"] * 1e6 * noise
+        else:  # value_tracking
+            pool = float(spec.get("pool", 0.5))
+            base = pool * p[req_user[rows]] + (1.0 - pool) * float(p.mean())
+            micros = spec["scale_dollars"] * 1e6 * base * noise
     micros = np.rint(micros)
     if not (micros < 2.0**63).all():  # also NaN
         raise WorldConfigError("a drawn competitor bid is past int64 micros")

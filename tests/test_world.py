@@ -1,5 +1,6 @@
 """World generation and market simulation: determinism, causality, accounting."""
 
+import itertools
 import math
 from dataclasses import fields
 
@@ -269,11 +270,16 @@ def test_log_and_summary_agree():
 
 
 def test_fast_path_matches_recorded_run():
-    config = small_world(seed=23, n_users=300, horizon_days=4)
-    with_log = _abc_run(config, record_events=True)
-    without = _abc_run(config, record_events=False)
-    assert without.log is None
-    assert [g.as_dict() for g in with_log.groups] == [g.as_dict() for g in without.groups]
+    # Without a log, windows after the last bidder stops are never built.
+    worlds = [(small_world(seed=23, n_users=300, horizon_days=4), 1e9),
+              *map(engine_world, ENGINE_CASES)]
+    for (config, budget), factory in itertools.product(
+            worlds, (None, TruthEstimator)):
+        with_log = _abc_run(config, budget, True, factory)
+        without = _abc_run(config, budget, False, factory)
+        assert without.log is None
+        assert [g.as_dict() for g in with_log.groups] == \
+            [g.as_dict() for g in without.groups]
 
 
 def test_events_are_time_ordered_and_causal():
@@ -338,6 +344,74 @@ def test_request_count_is_bounded_before_the_draw(monkeypatch):
     with pytest.raises(WorldConfigError, match="63 bits"):
         run_market(population, [BidderConfig(kind="passive")], campaign(),
                    config, assignment=np.zeros(60, dtype=int))
+
+
+class NormalCounter:
+    """A stream that counts the standard normals drawn from it and
+    refuses any other draw."""
+
+    def __init__(self, rng):
+        self.rng, self.normals = rng, 0
+
+    def standard_normal(self, size):
+        self.normals += size
+        return self.rng.standard_normal(size)
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the market stream drew ({name})")
+
+
+def _market_normals(monkeypatch, config, bidders, budget_dollars,
+                    record_events):
+    """The run and the number of normals its ``market`` stream drew."""
+    stream = liftsim.world.rng_for
+    counters = []
+
+    def counting(seed, *tags):
+        rng = stream(seed, *tags)
+        if tags == ("market",):
+            counters.append(NormalCounter(rng))
+            return counters[-1]
+        return rng
+
+    monkeypatch.setattr(liftsim.world, "rng_for", counting)
+    population = generate_population(config)
+    run = run_market(population, bidders, campaign(budget_dollars), config,
+                     assignment=np.arange(len(population)) % len(bidders),
+                     record_events=record_events)
+    return run, counters[0].normals
+
+
+@pytest.mark.parametrize("record_events", [True, False], ids=["log", "no-log"])
+def test_competitor_normals_are_drawn_only_while_a_bidder_is_left(
+        monkeypatch, record_events):
+    # Both bidders spend out before the last of 6 windows: the market draws
+    # one normal per request of the windows up to the last one with a bid.
+    config = small_world(seed=26, n_users=600, horizon_days=12)
+    run, normals = _market_normals(monkeypatch, config, ABC_BIDDERS, 300.0,
+                                   record_events)
+    _, value, lift = run.groups
+    last = max(value.stop_window, lift.stop_window)
+    assert value.spent_out and lift.spent_out and last < run.n_windows - 1
+    log = run.log if record_events else _abc_run(config, 300.0).log
+    requests = log.ts[rows_of(log, AD_REQUEST)]
+    assert normals == np.count_nonzero(
+        requests < (last + 1) * 2 * SECONDS_PER_DAY) < requests.size
+
+
+@pytest.mark.parametrize("case", ["zero-budget", "passive-only", "fixed"])
+def test_no_competitor_normal_is_drawn_without_a_bid_to_face(monkeypatch, case):
+    # No active bidder ever bids, or the competitor bids a fixed amount.
+    config, bidders, budget = small_world(seed=27, n_users=150), ABC_BIDDERS, 0.0
+    if case == "passive-only":
+        bidders, budget = ABC_BIDDERS[:1], 1e9
+    if case == "fixed":
+        config = WorldConfig(**{**config.to_dict(), "competitor_bids": {
+            "kind": "fixed", "dollars": 3.5}})
+        budget = 1e9
+    run, normals = _market_normals(monkeypatch, config, bidders, budget, True)
+    assert normals == 0
+    assert (sum(g.bids_placed for g in run.groups) > 0) == (case == "fixed")
 
 
 @settings(max_examples=100, deadline=None)
@@ -428,6 +502,9 @@ class TruthEstimator:
 
 # World overrides and the campaign budget in dollars. The value bidder
 # bids $4.00 on every user of the "ties" world, as the competitor does.
+# Both bidders spend out in window 0 of 3 with $300, so without a log the
+# market never builds the requests of windows 1 and 2; with $500 the lift
+# bidder stops after window 0 and the value bidder after window 1.
 ENGINE_CASES = {
     "default": ({}, 1e9),
     "reserve": ({"reserve_micros": D(4.0)}, 1e9),
@@ -436,8 +513,18 @@ ENGINE_CASES = {
               "competitor_bids": {"kind": "fixed", "dollars": 4.0}}, 1e9),
     "deterministic": ({"request_arrivals": "deterministic"}, 1e9),
     "spend_out": ({}, 300.0),
+    "staggered_spend_out": ({}, 500.0),
     "zero_lift": ({"delta_p_distribution": {"kind": "zero"}}, 1e9),
+    "lognormal": ({"competitor_bids": {"kind": "lognormal",
+                                       "median_dollars": 2.0, "sigma": 0.5}},
+                  1e9),
 }
+
+
+def engine_world(case):
+    """The world and budget of ``ENGINE_CASES[case]``."""
+    overrides, budget = ENGINE_CASES[case]
+    return WorldConfig(n_users=240, seed=31, horizon_days=6, **overrides), budget
 
 
 @pytest.mark.parametrize("record_events", [True, False], ids=["log", "no-log"])
@@ -445,8 +532,7 @@ ENGINE_CASES = {
 def test_oracle_window_step_matches_the_per_request_path(case, record_events):
     """Truth estimates split each window into runs that end at an auction
     we may win; they must give the oracle's one run per window's bytes."""
-    overrides, budget = ENGINE_CASES[case]
-    config = WorldConfig(n_users=240, seed=31, horizon_days=6, **overrides)
+    config, budget = engine_world(case)
     oracle = _abc_run(config, budget, record_events)
     truth = _abc_run(config, budget, record_events,
                      estimator_factory=TruthEstimator)
@@ -463,7 +549,9 @@ def test_oracle_window_step_matches_the_per_request_path(case, record_events):
     if case == "ties":
         assert 0 < value.impressions < value.bids_placed
     if case == "spend_out":
-        assert value.spent_out and lift.spent_out
+        assert value.stop_window == lift.stop_window == 0
+    if case == "staggered_spend_out":
+        assert (lift.stop_window, value.stop_window) == (0, 1)
     if case == "zero_lift":  # the lift group's requests all bid 0
         assert lift.requests > 0 and lift.bids_placed == 0
 
