@@ -10,10 +10,14 @@ feature window; recencies are bucketed ordinals with an explicit
 Every feature is computed strictly from events in the half-open window
 ``(ts - fw, ts]``; nothing after ``ts`` may leak in.
 
-Two builders state that rule. :func:`window_features` builds a training
-matrix in one columnar pass over the tracked events, sorted once.
-:func:`extract_from_history` builds one row from a :class:`UserHistory`,
-which model-driven bidding keeps per user and extends as the market runs.
+:class:`EventIndex` states that rule once, in columns: it sorts a log's
+tracked events once, takes events observed later, and builds the rows of
+many (user, time) queries in one pass. :func:`window_features` builds a
+training matrix with it, and model-driven bidding
+(:class:`~.pipeline.ModelBidEstimator`) prices requests with it while
+the market tells it the bidder's own impressions and clicks.
+:func:`extract_from_history` states the same rule one row at a time over
+a :class:`UserHistory`; it is the reference the tests hold the columns to.
 """
 from __future__ import annotations
 
@@ -75,6 +79,24 @@ class FeatureSchema:
     @cached_property
     def _name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def _column_of(self) -> dict[tuple[str, object], int]:
+        """(prefix, ref) of each tracked pair -> its frequency column."""
+        refs = {"adv": self.advertisers, "topic": range(self.topics),
+                "app": range(self.apps)}
+        return {(prefix, ref): self._name_index[f"{prefix}_freq_{field}:{ref}"]
+                for prefix, field in _TRACKED.values() for ref in refs[field]}
+
+    @cached_property
+    def _freq_columns(self) -> np.ndarray:
+        return np.array([i for i, name in enumerate(self.names)
+                         if "_freq_" in name.partition(":")[0]])
+
+    @cached_property
+    def _topic_recency(self) -> np.ndarray:
+        return np.array([self._name_index[f"pv_rncy_topic:{t}"]
+                         for t in range(self.topics)])
 
     @property
     def n_features(self) -> int:
@@ -192,6 +214,103 @@ def histories(log: EventLog) -> list[UserHistory]:
     return out
 
 
+class EventIndex:
+    """The tracked events of ``log``, sorted once, plus tracked events
+    observed later: the feature rows of any (user code, time) in one
+    columnar pass, equal bit for bit to :func:`extract_from_history` over
+    :func:`histories` of ``log`` with the same events observed.
+
+    Each event is one int64 key (frequency column, user code, rank of its
+    time), where the rank indexes a sorted time table. Observed events
+    keep a key array of their own, re-sorted at the next :meth:`rows`
+    after an :meth:`observe`, so the log's keys are never sorted again.
+    """
+
+    def __init__(self, log: EventLog, schema: FeatureSchema) -> None:
+        self.schema = schema
+        self._n_users = len(log.users)
+        # Refs the schema lacks, and absent ones (code -1), read the
+        # table's trailing -1 and drop out.
+        column = np.full(len(log), -1)
+        for kind, (prefix, field) in _TRACKED.items():
+            picked = np.flatnonzero(log.kind == KIND_CODE[kind])
+            refs = (log.advertisers if field == "adv"
+                    else range(getattr(schema, f"{field}s")))
+            table = np.array([schema._column_of.get((prefix, ref), -1)
+                              for ref in refs] + [-1])
+            column[picked] = table[np.minimum(getattr(log, field)[picked],
+                                              len(table) - 1)]
+        self._logged = self._keys(column, log.user, log.ts)
+        # Observed (column, user, ts): as columns, and those not yet keyed.
+        self._told = np.zeros((3, 0), dtype=np.int64)
+        self._untold: list[tuple[int, int, int]] = []
+        self._observed = self._keys(*self._told)
+
+    def _keys(self, column: np.ndarray, user: np.ndarray,
+              stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted keys, sorted times) of the events in ``column`` >= 0."""
+        tracked = column >= 0
+        stamps = stamps[tracked]
+        times = np.sort(stamps)
+        key = np.sort((column[tracked] * self._n_users + user[tracked])
+                      * (len(times) + 1) + np.searchsorted(times, stamps))
+        return key, times
+
+    def observe(self, user: int, kind: str, ref: object, ts: int) -> None:
+        """Add one event of user code ``user``, in any time order."""
+        tracked = _TRACKED.get(kind)
+        column = (-1 if tracked is None
+                  else self.schema._column_of.get((tracked[0], ref), -1))
+        if column >= 0:
+            self._untold.append((column, user, ts))
+
+    def rows(self, users: np.ndarray, ts: np.ndarray, fw: int,
+             demographics: np.ndarray) -> np.ndarray:
+        """(rows, features) matrix: row i is user code ``users[i]`` at
+        time ``ts[i]`` over ``(ts - fw, ts]``, with ``demographics[i]``."""
+        users, ts = np.asarray(users, np.int64), np.asarray(ts, np.int64)
+        # Queries in (column, user, ts) order, so they are sorted as the
+        # keys are: a sorted search is several times faster than a
+        # scattered one.
+        order = np.lexsort((ts, users))
+        users, ts = users[order], ts[order]
+        if self._untold:
+            self._told = np.concatenate(
+                [self._told, np.array(self._untold, np.int64).T], axis=1)
+            self._untold.clear()
+            self._observed = self._keys(*self._told)
+        schema = self.schema
+        freq = schema._freq_columns
+        cell = freq[:, None] * self._n_users + users
+        count = np.zeros(cell.shape, dtype=np.int64)
+        latest = np.full(cell.shape, np.iinfo(np.int64).min)
+        for key, times in (self._logged, self._observed):
+            if not key.size:
+                continue
+            # ``times[rank]`` is an event's time, and it is at most t iff
+            # its rank is below ``searchsorted(times, t, "right")``.
+            span = len(times) + 1
+            hi = np.searchsorted(key, cell * span
+                                 + np.searchsorted(times, ts, "right"))
+            lo = np.searchsorted(key, cell * span
+                                 + np.searchsorted(times, ts - fw, "right"))
+            seen = hi > lo
+            count += hi - lo
+            latest[seen] = np.maximum(latest[seen],
+                                      times[key[hi[seen] - 1] % span])
+        seen = count > 0
+        age = np.broadcast_to(ts, cell.shape)[seen] - latest[seen]
+        recency = np.full(cell.shape, NEVER_BUCKET)
+        recency[seen] = np.searchsorted(RECENCY_EDGES, age, side="left")
+
+        out = np.zeros((len(ts), schema.n_features))
+        out[order[:, None], freq] = count.T
+        out[order[:, None], freq + 1] = recency.T
+        demo = schema.index("age_group")
+        out[:, demo:demo + 3] = demographics
+        return out
+
+
 def window_features(log: EventLog, population: Population,
                     schema: FeatureSchema, users: np.ndarray, ts: np.ndarray,
                     fw: int) -> np.ndarray:
@@ -204,47 +323,8 @@ def window_features(log: EventLog, population: Population,
                     dtype=np.int64)[users]
     if (rows < 0).any():
         raise KeyError(f"unknown user {log.users[users[rows < 0][0]]!r}")
-    # Each tracked event's frequency column. Refs the schema lacks, and
-    # absent ones (code -1), read the table's trailing -1 and drop out.
-    column = np.full(len(log), -1)
-    for kind, (prefix, field) in _TRACKED.items():
-        picked = np.flatnonzero(log.kind == KIND_CODE[kind])
-        refs = (log.advertisers if field == "adv"
-                else range(getattr(schema, f"{field}s")))
-        table = np.array([schema._name_index.get(f"{prefix}_freq_{field}:{ref}",
-                                                 -1) for ref in refs] + [-1])
-        column[picked] = table[np.minimum(getattr(log, field)[picked],
-                                          len(table) - 1)]
-    tracked = column >= 0
-    # One sorted int64 key per event: (column, user, rank of its time).
-    # ``times[rank]`` is the event's time, and it is at most t iff its
-    # rank is below ``searchsorted(times, t, "right")``.
-    stamps = log.ts[tracked]
-    times = np.sort(stamps)
-    span = len(times) + 1
-    key = np.sort((column[tracked] * len(log.users) + log.user[tracked]) * span
-                  + np.searchsorted(times, stamps))
-
-    # Queries in (column, user, ts) order, so they are sorted as the keys
-    # are: a sorted search is several times faster than a scattered one.
-    order = np.lexsort((ts, users))
-    at = ts[order]
-    freq = np.array([i for i, n in enumerate(schema.names) if "_freq_" in n])
-    cell = (freq[:, None] * len(log.users) + users[order]) * span
-    hi = np.searchsorted(key, cell + np.searchsorted(times, at, "right"))
-    lo = np.searchsorted(key, cell + np.searchsorted(times, at - fw, "right"))
-    seen = hi > lo
-    latest = times[key[hi[seen] - 1] % span]
-    age = np.broadcast_to(at, seen.shape)[seen] - latest
-    recency = np.full(seen.shape, NEVER_BUCKET)
-    recency[seen] = np.searchsorted(RECENCY_EDGES, age, side="left")
-
-    out = np.zeros((len(ts), schema.n_features))
-    out[order[:, None], freq] = (hi - lo).T
-    out[order[:, None], freq + 1] = recency.T
-    demo = schema.index("age_group")
-    out[:, demo:demo + 3] = population.demographics[rows]
-    return out
+    return EventIndex(log, schema).rows(users, ts, fw,
+                                        population.demographics[rows])
 
 
 def fold_context(
@@ -258,11 +338,12 @@ def fold_context(
     folding twice is a no-op.
     """
     out = features.copy()
-    columns = np.array([schema.index(f"pv_rncy_topic:{t}")
-                        for t in np.atleast_1d(topic_id).tolist()],
-                       dtype=np.int64)
+    topics = np.atleast_1d(topic_id)
+    outside = (topics < 0) | (topics >= schema.topics)
+    if outside.any():
+        raise KeyError(f"unknown feature 'pv_rncy_topic:{topics[outside][0]}'")
     rows = np.atleast_2d(out)
-    rows[np.arange(len(rows)), columns] = MOST_RECENT_BUCKET
+    rows[np.arange(len(rows)), schema._topic_recency[topics]] = MOST_RECENT_BUCKET
     return out
 
 

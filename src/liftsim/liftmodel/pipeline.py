@@ -23,9 +23,10 @@ from ..fileio import atomic_write_text
 from ..market import Population
 from ..seeds import rng_for
 from .features import (
-    FeatureSchema, counterfactual_features, extract_from_history, fold_context,
-    histories,
+    EventIndex, FeatureSchema, counterfactual_features, fold_context,
 )
+# Unused here; perfbench/tracer.py wraps it under this module by name.
+from .features import extract_from_history  # noqa: F401
 from .gbdt import GBDTModel, GBDTParams, TrainingError, train_gbdt
 from .isotonic import IsotonicMap, fit_isotonic
 
@@ -254,13 +255,14 @@ def train_calibrated_model(
 class ModelBidEstimator:
     """Streaming (p, lift) estimates for model-driven bidding.
 
-    Holds each user's behavior events from the start, learns the
-    bidder's own impressions and clicks from the market as they happen,
-    and prices requests in batches from calibrated predictions: the
-    action rate assuming the impression is shown, and the counterfactual
-    lift of showing it. Features only read events at or before a
-    request's time, so holding later behavior events changes no bid, and
-    a batch gives each row the bits a one-row call would.
+    Indexes the behavior events once (:class:`~.features.EventIndex`),
+    learns the bidder's own impressions and clicks from the market as
+    they happen, and prices a batch of requests with one columnar
+    feature pass and one ensemble call: the calibrated action rate
+    assuming the impression is shown, and the counterfactual lift of
+    showing it. Features only read events at or before a request's time,
+    so holding later behavior events changes no bid, and a batch gives
+    each row the bits a one-row call would.
     """
 
     def __init__(
@@ -274,11 +276,11 @@ class ModelBidEstimator:
             raise ValueError("the behavior log's users are not the population's")
         self.model = model
         self.advertiser = advertiser
-        self._demographics = population.demographics.tolist()
-        self._histories = histories(behavior)
+        self._demographics = population.demographics
+        self._events = EventIndex(behavior, model.schema)
 
     def observe(self, user_index: int, kind: str, ref: object, ts: int) -> None:
-        self._histories[user_index].observe(kind, ref, ts)
+        self._events.observe(user_index, kind, ref, ts)
 
     def estimate(self, user_index: ArrayLike, ts: ArrayLike,
                  topic_id: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
@@ -290,11 +292,9 @@ class ModelBidEstimator:
             raise ValueError("user_index, ts and topic_id must be equal-length "
                              "1-d arrays")
         schema = self.model.schema
-        features = np.empty((len(ts), schema.n_features))
-        for row, (u, t) in enumerate(zip(user_index.tolist(), ts.tolist())):
-            features[row] = extract_from_history(
-                self._histories[u], self._demographics[u], t,
-                self.model.feature_window_seconds, schema)
+        features = self._events.rows(user_index, ts,
+                                     self.model.feature_window_seconds,
+                                     self._demographics[user_index])
         folded = fold_context(features, topic_id, schema)
         shown = counterfactual_features(folded, self.advertiser, schema)
         pred = self.model.predict_ar(np.concatenate([shown, folded]))

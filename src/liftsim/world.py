@@ -372,8 +372,9 @@ class BidEstimator(Protocol):
 
     ``estimate`` takes equal-length arrays of user index, request time
     and topic, and returns arrays of p and delta_p, one per request; the
-    market calls it once per window, and again for a user's later
-    requests after each of their wins. ``observe`` is told the outcomes
+    market calls it once per window, and again, in one call, for the
+    requests that wins have made stale, when its walk reaches the first
+    of them. ``observe`` is told the outcomes
     of the bidder's own auctions: each impression it wins and each click
     on one, per user in time order, before that user's next bid is
     priced. ``ref`` is the campaign's advertiser id. Anything else an
@@ -513,10 +514,15 @@ def run_market(
       flip per tie; ``clicks`` then draws one uniform per win. With
       oracle bids the window is one run. With an estimator a run ends at
       the first auction our bid may win (the ones before it lose
-      outright); a win is observed as an impression, and its click, if
-      any, as a click, and that user's later requests in the window are
-      priced again with one ``estimate`` call. The estimator is told
-      nothing else.
+      outright). A win is observed as an impression, and its click, if
+      any, as a click; the estimator is told nothing else. That user's
+      later requests in the window become stale, and the walk stops at
+      the first stale request before it settles anything past it: one
+      ``estimate`` call prices every stale request again, and the walk
+      goes on from where it stopped. A user's history cannot change
+      before the walk reaches that user's next request, so each is
+      priced as it would be at once after the win, and the runs, ties
+      and clicks are the same.
     * At the window's end, every user's action is drawn, actions with a
       same-window impression are attributed, and each group bills them
       at ``cpa`` while its spend is under budget.
@@ -618,7 +624,9 @@ def run_market(
 
     def model_bids(rows: np.ndarray) -> np.ndarray:
         """Bids for the current window's requests ``rows``: one estimate
-        call, then one price_bids call per group."""
+        call, then one price_bids call per group; no call without rows."""
+        if not rows.size:
+            return empty
         user = req_user[rows]
         p_hat, dp_hat = estimator.estimate(user, req_ts[rows], req_topic[rows])
         group = assignment[user]
@@ -673,21 +681,32 @@ def run_market(
                 if any_bidding else empty)
         # Only an estimator re-prices after a win, so only its runs end at
         # an auction we may win; with oracle bids the window is one run.
+        # With an estimator the walk also stops at a stale request: one
+        # whose user has won since it was priced.
         if estimator is None:
             bids = oracle_bids[req_user[rows]]
-            run_ends = np.zeros(rows.size, dtype=bool)
+            stops = np.zeros(rows.size, dtype=bool)
         else:
             bids = model_bids(rows)
-            run_ends = may_win(bids, comp, reserve)
+            stops = may_win(bids, comp, reserve)
+            stale = np.zeros(rows.size, dtype=bool)
         # (requests, bids, competitor bids, won, price, clicked) per run,
         # after an empty one, so a window without auctions concatenates to
         # empty arrays. A run is positions in rows, as are bids and comp.
         runs = [(empty, empty, empty, empty > 0, empty, empty > 0)]
         start = 0
         while start < rows.size:
-            end = start + int(run_ends[start:].argmax()) + 1
-            if not run_ends[end - 1]:
+            end = start + int(stops[start:].argmax()) + 1
+            if not stops[end - 1]:
                 end = rows.size
+            elif estimator is not None and stale[end - 1]:
+                # Price every stale request in one call, then walk again
+                # from the same start: no request before this one moved.
+                again = np.flatnonzero(stale)
+                bids[again] = model_bids(rows[again])
+                stops[again] = may_win(bids[again], comp[again], reserve)
+                stale[again] = False
+                continue
             # A run settles its positive bids, as a slice (no copy) when all
             # are. Re-pricing writes only after the run: its bids stay put.
             positive = bids[start:end] > 0
@@ -705,10 +724,11 @@ def run_market(
                 estimator.observe(u, IMPRESSION, adv, ts)
                 if clicked[0]:
                     estimator.observe(u, CLICK, adv, ts + CLICK_DELAY_SECS)
+                # That user's later requests in the window are stale. Their
+                # history cannot change again before the walk reaches the
+                # first of them, so pricing them there prices them as now.
                 later = end + np.flatnonzero(req_user[rows[end:]] == u)
-                if later.size:
-                    bids[later] = model_bids(rows[later])
-                    run_ends[later] = may_win(bids[later], comp[later], reserve)
+                stale[later] = stops[later] = True
         kept, our, against, won, price, clicked = (
             runs[1] if len(runs) == 2  # one run: no copy
             else (np.concatenate(part) for part in zip(*runs)))

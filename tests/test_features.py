@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from event_records import parse_log
 from liftsim.events import (
-    AD_REQUEST, APP_INSTALL, APP_USE, CLICK, IMPRESSION, PAGE_VIEW, SEARCH,
+    ACTION, AD_REQUEST, APP_INSTALL, APP_USE, CLICK, IMPRESSION, PAGE_VIEW,
+    SEARCH,
 )
 from liftsim.liftmodel.features import (
-    MOST_RECENT_BUCKET, NEVER_BUCKET, RECENCY_EDGES, FeatureSchema,
+    MOST_RECENT_BUCKET, NEVER_BUCKET, RECENCY_EDGES, EventIndex, FeatureSchema,
     counterfactual_features, extract_from_history, fold_context, histories,
     recency_bucket, window_features,
 )
@@ -252,6 +253,79 @@ def test_window_features_match_the_per_user_reference(data, fw):
     assert_rows_match_reference(log, distinct_users(), schema(), samples, fw)
 
 
+def observed_histories(log, observed):
+    """``histories(log)`` with the ``observed`` (user code, kind, ref, ts)
+    events added, each time list sorted as ``UserHistory`` requires."""
+    per_user = histories(log)
+    for user, kind, ref, ts in observed:
+        per_user[user].observe(kind, ref, ts)
+    for history in per_user:
+        for times in history.times.values():
+            times.sort()
+    return per_user
+
+
+# Observed kinds and refs, tracked or not and in the schema or not: adv3
+# and topic 3 are not in ``schema()``, and a topic given as "1" is no
+# topic.
+OBSERVED_KINDS = [IMPRESSION, CLICK, PAGE_VIEW, SEARCH, APP_USE, AD_REQUEST,
+                  ACTION]
+OBSERVED_REFS = ["adv1", "adv2", "adv3", None, 0, 1, 3, "1"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), fw=st.sampled_from([DAY, 7 * DAY, 8 * DAY]))
+def test_event_index_with_observed_events_matches_the_reference(data, fw):
+    """The rows ``ModelBidEstimator`` prices from: a log that holds
+    impressions and clicks, plus events observed in any time order, among
+    them a click 30 s after a request, queried at the window edges, before
+    ``fw`` and for user 3, who has no events."""
+    anchors = data.draw(st.lists(st.integers(0, DAY) | st.integers(9 * DAY,
+                                                                   10 * DAY),
+                                 min_size=1, max_size=3))
+    ages = st.sampled_from([-1, 0, 1, fw - 1, fw, fw + 1, *RECENCY_EDGES,
+                            *(edge + 1 for edge in RECENCY_EDGES)])
+    times = st.builds(lambda anchor, age: max(anchor - age, 0),
+                      st.sampled_from(anchors), ages | st.integers(-DAY, fw))
+    events = data.draw(st.lists(st.tuples(
+        st.integers(0, 2), st.sampled_from(TRACKED_REFS), st.integers(0, 4),
+        times), max_size=30))
+    log = world_log([(user, kind, field, refs[i % len(refs)], ts)
+                     for user, (kind, field, refs), i, ts in events])
+    code = [log.users.index(f"u{row:06d}") for row in range(4)]
+    observed = [(code[user], kind, ref, ts) for user, kind, ref, ts in
+                data.draw(st.lists(st.tuples(
+                    st.integers(0, 2), st.sampled_from(OBSERVED_KINDS),
+                    st.sampled_from(OBSERVED_REFS), times), max_size=12))]
+    # A request won at t, its click at t + 30; both times are queried.
+    requests = data.draw(st.lists(st.tuples(st.integers(0, 2), times),
+                                  max_size=3))
+    for user, ts in requests:
+        observed += [(code[user], IMPRESSION, "adv1", ts),
+                     (code[user], CLICK, "adv1", ts + 30)]
+    samples = data.draw(st.lists(st.tuples(
+        st.integers(0, 3), st.sampled_from(anchors) | times
+        | st.integers(0, fw - 1)), min_size=1, max_size=8))
+    samples += [(user, ts + late) for user, ts in requests for late in (0, 30)]
+
+    index = EventIndex(log, schema())
+    for i, event in enumerate(observed):
+        index.observe(*event)
+        if i == len(observed) // 2:  # rows in between re-key what follows
+            index.rows([0], [DAY], fw, np.zeros((1, 3)))
+    population = distinct_users()
+    users = np.array([code[user] for user, _ in samples])
+    got = index.rows(users, [ts for _, ts in samples], fw,
+                     population.demographics[[user for user, _ in samples]])
+    per_user = observed_histories(log, observed)
+    for (user, ts), history, row in zip(samples, (per_user[u] for u in users),
+                                        got):
+        want = extract_from_history(history,
+                                    population.demographics[user].tolist(),
+                                    ts, fw, schema())
+        assert row.tobytes() == want.tobytes(), (user, ts)
+
+
 def test_fold_context_sets_topic_recency():
     s = schema()
     log = parse_log([{"ts": 0, "user": U0, "kind": AD_REQUEST, "topic": 0}])
@@ -262,6 +336,9 @@ def test_fold_context_sets_topic_recency():
     assert f[s.index("pv_rncy_topic:2")] == NEVER_BUCKET  # original untouched
     again = fold_context(folded, 2, s)
     assert np.array_equal(folded, again)  # idempotent
+    for topic in (-1, 3):  # no topic of the schema
+        with pytest.raises(KeyError):
+            fold_context(np.stack([f, f]), [0, topic], s)
 
 
 def test_counterfactual_changes_exactly_two_coordinates():

@@ -10,8 +10,8 @@ from liftsim.bidders import BidderConfig
 from event_records import parse_log
 from liftsim.events import CLICK, IMPRESSION, KIND_CODE, PAGE_VIEW
 from liftsim.liftmodel.features import (
-    FeatureSchema, UserHistory, counterfactual_features, fold_context,
-    window_features,
+    FeatureSchema, UserHistory, counterfactual_features, extract_from_history,
+    fold_context, histories, window_features,
 )
 from liftsim.liftmodel.gbdt import GBDTModel, GBDTParams, TrainingError
 from liftsim.liftmodel.isotonic import IsotonicMap
@@ -194,27 +194,39 @@ def test_streaming_estimator_matches_offline_extraction():
         model.predict_ar(shown)[0] - model.predict_ar(folded)[0], abs=0)
 
 
-def test_batched_estimate_equals_one_row_calls():
-    """A batch gives every row the bits a one-row call gives it: at an
-    observed impression, 30 s after one, for repeated users and on
-    every topic."""
+def estimator_with_wins():
+    """A trained world's estimator over its simulated log, which holds
+    impressions and clicks, told a win and its click for ten users after
+    the log ends; and requests at each of the first 30 logged
+    impressions and 30 s after it, at each told win and 30 s after it,
+    and at fixed days, each on every topic."""
     model, _, log, population, schema, _ = trained_world_model()
     estimator = ModelBidEstimator(model, population, "adv1", log)
     told = np.arange(0, 40, 4)
+    observed = []
     for u in told.tolist():  # a win and its click after the log ends
-        estimator.observe(u, IMPRESSION, "adv1", 16 * DAY + u)
-        estimator.observe(u, CLICK, "adv1", 16 * DAY + u + 30)
+        observed += [(u, IMPRESSION, "adv1", 16 * DAY + u),
+                     (u, CLICK, "adv1", 16 * DAY + u + 30)]
+    for event in observed:
+        estimator.observe(*event)
     seen = log.kind == KIND_CODE[IMPRESSION]
-    # At each impression and 30 s after it, then at fixed days.
     users = np.concatenate([np.repeat(log.user[seen][:30], 2),
                             np.repeat(told, 2),
                             np.repeat(np.arange(0, 400, 10), 3)])
     times = np.concatenate([np.repeat(log.ts[seen][:30], 2) + [0, 30] * 30,
                             np.repeat(16 * DAY + told, 2) + [0, 30] * 10,
                             np.tile([4 * DAY, 9 * DAY, 15 * DAY], 40)])
-    user, ts, topic = (np.repeat(users, schema.topics),
-                       np.repeat(times, schema.topics),
-                       np.tile(np.arange(schema.topics), times.size))
+    requests = (np.repeat(users, schema.topics),
+                np.repeat(times, schema.topics),
+                np.tile(np.arange(schema.topics), times.size))
+    return estimator, observed, requests, model, log, population
+
+
+def test_batched_estimate_equals_one_row_calls():
+    """A batch gives every row the bits a one-row call gives it: at an
+    observed impression, 30 s after one, for repeated users and on
+    every topic."""
+    estimator, _, (user, ts, topic), *_ = estimator_with_wins()
     p_hat, lift_hat = estimator.estimate(user, ts, topic)
     rows = [estimator.estimate([u], [t], [k])
             for u, t, k in zip(user.tolist(), ts.tolist(), topic.tolist())]
@@ -226,6 +238,32 @@ def test_batched_estimate_equals_one_row_calls():
     assert [a.shape for a in empty] == [(0,), (0,)]
     with pytest.raises(ValueError):
         estimator.estimate([0, 1], [DAY], [0])
+
+
+def test_estimates_are_the_reference_rows_predictions():
+    """Each estimate is the model's prediction on the row that
+    ``extract_from_history`` builds over ``histories`` of the behavior
+    log plus the observed wins and clicks; the log's own impressions and
+    clicks count."""
+    estimator, observed, (user, ts, topic), model, log, population = \
+        estimator_with_wins()
+    schema, fw = model.schema, model.feature_window_seconds
+    p_hat, lift_hat = estimator.estimate(user, ts, topic)
+
+    per_user = histories(log)
+    for u, kind, ref, t in observed:  # after the log: the lists stay sorted
+        per_user[u].observe(kind, ref, t)
+    rows = np.array([
+        extract_from_history(per_user[u], population.demographics[u].tolist(),
+                             t, fw, schema)
+        for u, t in zip(user.tolist(), ts.tolist())])
+    logged = rows[ts < 16 * DAY]  # before any told win
+    assert (logged[:, schema.index("imp_freq_adv:adv1")] > 0).sum() > 30
+    assert (logged[:, schema.index("clk_freq_adv:adv1")] > 0).any()
+    folded = fold_context(rows, topic, schema)
+    shown = model.predict_ar(counterfactual_features(folded, "adv1", schema))
+    assert p_hat.tobytes() == shown.tobytes()
+    assert lift_hat.tobytes() == (shown - model.predict_ar(folded)).tobytes()
 
 
 def test_user_history_window_stats():

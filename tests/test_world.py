@@ -678,6 +678,65 @@ def test_no_bid_is_priced_from_a_stale_history(rule):
                                    r_ts[~after_a_win].tolist()))
 
 
+class PricingCounter(WinCountingEstimator):
+    """Win-counting estimates that record the rows of each call."""
+
+    def __init__(self, population, weight=_fewer_per_win):
+        super().__init__(population, weight)
+        self.calls = []
+
+    def estimate(self, user_index, ts, topic_id):
+        self.calls.append(len(user_index))
+        return super().estimate(user_index, ts, topic_id)
+
+
+def test_stale_requests_are_priced_in_one_call_per_stop():
+    """Re-pricing waits for the walk to reach a stale request and then
+    prices every stale one: each (win, later request of its user in the
+    window) is priced once, as pricing at once after each win would, in
+    fewer calls than that scheme's windows plus wins with a later
+    request."""
+    config = small_world(seed=41, n_users=240, horizon_days=6, behavior=True)
+    counters = []
+    run = _abc_run(config, estimator_factory=lambda population:
+                   counters.append(PricingCounter(population)) or counters[-1])
+    log, calls = run.log, counters[0].calls
+    requests = rows_of(log, AD_REQUEST)
+    requests = requests[log.user[requests] % 3 != 0]  # the bidding groups
+    r_key = log.user[requests] * 2**40 + log.ts[requests]
+    assert np.unique(r_key).size == r_key.size  # one request per second
+    # Per win, the same user's requests after it in the window.
+    wins = rows_of(log, IMPRESSION)
+    w_user, w_ts = log.user[wins], log.ts[wins]
+    window_end = (w_ts // (2 * SECONDS_PER_DAY) + 1) * 2 * SECONDS_PER_DAY
+    r_key.sort()
+    later = (np.searchsorted(r_key, w_user * 2**40 + window_end)
+             - np.searchsorted(r_key, w_user * 2**40 + w_ts, "right"))
+    assert (later > 0).sum() > 10
+    assert 0 not in calls
+    assert sum(calls) == requests.size + later.sum()
+    assert len(calls) < run.n_windows + (later > 0).sum()
+
+
+def test_no_estimate_call_after_every_bidder_stops():
+    """Once both active bidders have spent out, later windows price
+    nothing, and truth estimates keep the oracle's outputs."""
+    config = WorldConfig(n_users=240, seed=31, horizon_days=12)
+    oracle = _abc_run(config, 300.0)
+    counters = []
+    truth = _abc_run(config, 300.0, estimator_factory=lambda population:
+                     counters.append(PricingCounter(
+                         population, lambda i, c: np.ones(i.shape)))
+                     or counters[-1])
+    (_, value, lift), calls = truth.groups, counters[0].calls
+    assert max(value.stop_window, lift.stop_window) < truth.n_windows - 1
+    assert calls and 0 not in calls
+    assert [g.as_dict() for g in oracle.groups] == \
+        [g.as_dict() for g in truth.groups]
+    assert oracle.log.dumps() == truth.log.dumps()
+
+
+
 def test_an_estimator_settles_a_window_in_runs(monkeypatch):
     """Each run_auction call settles a run: no auction we may win but
     its last. So there are fewer calls than bids, and none is empty."""
