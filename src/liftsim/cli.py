@@ -136,7 +136,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"the log names {len(unknown)} user(s) missing from the config's "
             f"population, first {unknown[0]!r}")
 
-    schema = FeatureSchema(world.advertisers, world.topics, world.apps)
+    schema = FeatureSchema((campaign.advertiser_id,), world.topics, world.apps)
     sampling = cfgmod.build_sampling(cfg, seed, campaign)
     params = cfgmod.build_model_params(cfg)
     samples = generate_samples(log, population, sampling, schema)
@@ -285,7 +285,7 @@ def cmd_abtest(args: argparse.Namespace) -> int:
         model = CalibratedModel.load(args.bids)
         # Every replication's world has the first one's schema and behavior.
         world = ab_config.world(0)
-        world_digest = FeatureSchema(world.advertisers, world.topics,
+        world_digest = FeatureSchema((ab_config.advertiser,), world.topics,
                                      world.apps).digest()
         if world_digest != model.schema_digest:
             raise SchemaMismatch(

@@ -10,6 +10,7 @@ the fully resolved configuration.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 from typing import Any
@@ -106,21 +107,27 @@ def master_seed(cfg: dict) -> int:
     return seed
 
 
+@contextmanager
+def _section(name: str):
+    """Map a TypeError or ValueError raised while building section ``name``
+    to one ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name} section: {exc}") from exc
+
+
 def build_world(cfg: dict, seed: int) -> WorldConfig:
-    section = dict(cfg.get("world", {}))
+    section = cfg.get("world", {})
     if "n_users" not in section:
         raise ConfigError("world.n_users is required")
-    if "advertisers" in section:
-        section["advertisers"] = tuple(section["advertisers"])
-    try:
+    with _section("world"):
         return WorldConfig(seed=seed, **section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid world section: {exc}") from exc
 
 
 def build_campaign(cfg: dict) -> Campaign:
     section = cfg.get("campaign", {})
-    try:
+    with _section("campaign"):
         return Campaign(
             advertiser_id=section.get("advertiser_id", DEFAULT_ADVERTISER),
             cpa=dollars_to_micros(section.get("cpa_dollars", DEFAULT_CPA_DOLLARS)),
@@ -128,51 +135,39 @@ def build_campaign(cfg: dict) -> Campaign:
             action_window_days=section.get("action_window_days",
                                            DEFAULT_ACTION_WINDOW_DAYS),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid campaign section: {exc}") from exc
 
 
 def build_sampling(cfg: dict, seed: int, campaign: Campaign) -> SamplingConfig:
     """Sampling settings; a label's action window is the campaign's."""
     section = dict(cfg.get("sampling", {}))
-    if "feature_window_days" in section:
-        section["feature_window_seconds"] = (section.pop("feature_window_days")
-                                             * SECONDS_PER_DAY)
-    try:
+    with _section("sampling"):
+        if "feature_window_days" in section:
+            section["feature_window_seconds"] = (
+                section.pop("feature_window_days") * SECONDS_PER_DAY)
         return SamplingConfig(
             action_window_seconds=campaign.action_window_days * SECONDS_PER_DAY,
             seed=derive_seed(seed, "sampling"), **section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sampling section: {exc}") from exc
 
 
 def build_model_params(cfg: dict) -> ModelParams:
     section = dict(cfg.get("model", {}))
     top = {key: section.pop(key) for key in ("neg_per_pos", "holdout_fraction")
            if key in section}
-    try:
+    with _section("model"):
         return ModelParams(gbdt=GBDTParams(**section), **top)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model section: {exc}") from exc
 
 
 def build_sweep(cfg: dict, seed: int) -> SweepConfig:
-    section = cfg.get("sweep", {})
-    try:
-        return SweepConfig(master_seed=seed, **section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep section: {exc}") from exc
+    with _section("sweep"):
+        return SweepConfig(master_seed=seed, **cfg.get("sweep", {}))
 
 
 def build_abtest(cfg: dict, seed: int) -> ABTestConfig:
-    section = cfg.get("abtest", {})
-    try:
-        config = ABTestConfig(master_seed=seed, **section)
+    with _section("abtest"):
+        config = ABTestConfig(master_seed=seed, **cfg.get("abtest", {}))
         config.world(0)  # the overrides make a valid world,
         config.campaign()  # the money and window a valid campaign
         if (config.beta_dollars is not None
                 and dollars_to_micros(config.beta_dollars) <= 0):
             raise ValueError("beta_dollars must be positive")
         return config
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid abtest section: {exc}") from exc

@@ -396,15 +396,19 @@ class ABTestConfig:
     def __post_init__(self) -> None:
         if not is_integer(self.replications) or self.replications < 1:
             raise ValueError("replications must be an integer of at least 1")
+        restated = sorted({"seed", "n_users", "horizon_days"}.intersection(
+            self.world_overrides))
+        if restated:
+            raise ValueError(f"world_overrides may not set {', '.join(restated)}: "
+                             "abtest sets the world's seed, n_users and horizon_days")
 
     def world(self, rep: int) -> WorldConfig:
-        """Replication ``rep``'s world: behavior off and one advertiser,
-        unless ``world_overrides`` say otherwise."""
+        """Replication ``rep``'s world: behavior off unless
+        ``world_overrides`` say otherwise."""
         return WorldConfig(**{
             "n_users": self.n_users, "horizon_days": self.horizon_days,
             "seed": derive_seed(self.master_seed, "abtest", rep),
-            "advertisers": (self.advertiser,), "behavior": {"enabled": False},
-            **self.world_overrides})
+            "behavior": {"enabled": False}, **self.world_overrides})
 
     def campaign(self) -> Campaign:
         """The campaign both active bidders share: a CPA and two budgets."""

@@ -63,7 +63,7 @@ from .events import (
 )
 from .fileio import json_digest
 from .market import (
-    DEFAULT_ADVERTISER, INT64_MAX, MICROS_PER_DOLLAR, Campaign, Population,
+    INT64_MAX, MICROS_PER_DOLLAR, Campaign, Population,
     is_integer, may_win, run_auction,
 )
 from .seeds import rng_for
@@ -155,7 +155,6 @@ class WorldConfig:
     horizon_days: int = DEFAULT_HORIZON_DAYS
     topics: int = 6
     apps: int = 3
-    advertisers: tuple[str, ...] = (DEFAULT_ADVERTISER,)
     p_distribution: dict = field(default_factory=_default_p_distribution)
     delta_p_distribution: dict = field(default_factory=_default_delta_p_distribution)
     p_lift_dependence: float = -0.5
@@ -204,8 +203,6 @@ class WorldConfig:
         if self.request_arrivals not in ("poisson", "deterministic"):
             raise WorldConfigError(
                 f"unknown request_arrivals {self.request_arrivals!r}")
-        if not self.advertisers:
-            raise WorldConfigError("need at least one advertiser")
         unknown = sorted(set(self.behavior) - set(_default_behavior()))
         if unknown:
             raise WorldConfigError(f"unknown behavior key(s) {unknown}")
@@ -224,11 +221,6 @@ class WorldConfig:
         """Given behavior values over the defaults; ``behavior`` itself stays
         as given, so digests do not depend on the defaults."""
         return {**_default_behavior(), **self.behavior}
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["advertisers"] = list(self.advertisers)
-        return data
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +422,11 @@ def market_run_digest(
     assignment: np.ndarray,
 ) -> str:
     """Digest of everything that determines a simulated market's output."""
-    # Bidder "cpa" (always 0) and "budgets" (always the split) stay, as
-    # train refuses a log whose digest is not its config's.
+    # World "advertisers" (always the campaign's), bidder "cpa" (always 0)
+    # and "budgets" (always the split) stay, as train refuses a log whose
+    # digest is not its config's.
     payload = {
-        "world": config.to_dict(),
+        "world": {**asdict(config), "advertisers": [campaign.advertiser_id]},
         "campaign": {"advertiser_id": campaign.advertiser_id,
                      "cpa": campaign.cpa, "budget": campaign.budget,
                      "action_window_days": campaign.action_window_days},
@@ -538,8 +531,6 @@ def run_market(
     winning bid, or at a window end when a group's spend exceeds
     budget + cpa or billed <= attributed <= actions fails.
     """
-    if campaign.advertiser_id not in config.advertisers:
-        raise WorldConfigError("campaign advertiser missing from world config")
     if config.horizon_days % campaign.action_window_days != 0:
         raise WorldConfigError(
             "horizon_days must be a multiple of action_window_days")

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -143,8 +143,7 @@ def test_fixed_population_reproduces_example_pair():
 
 def test_zero_lift_world():
     config = small_world(seed=5, n_users=50)
-    config = WorldConfig(**{**config.to_dict(),
-                            "delta_p_distribution": {"kind": "zero"}})
+    config = replace(config, delta_p_distribution={"kind": "zero"})
     users = generate_population(config)
     assert (users.delta_p == 0.0).all()
 
@@ -406,8 +405,8 @@ def test_no_competitor_normal_is_drawn_without_a_bid_to_face(monkeypatch, case):
     if case == "passive-only":
         bidders, budget = ABC_BIDDERS[:1], 1e9
     if case == "fixed":
-        config = WorldConfig(**{**config.to_dict(), "competitor_bids": {
-            "kind": "fixed", "dollars": 3.5}})
+        config = replace(config, competitor_bids={"kind": "fixed",
+                                                  "dollars": 3.5})
         budget = 1e9
     run, normals = _market_normals(monkeypatch, config, bidders, budget, True)
     assert normals == 0
@@ -761,7 +760,7 @@ def test_an_estimator_settles_a_window_in_runs(monkeypatch):
 def test_exposure_changes_only_action_probability():
     """Matched seeds: forcing exposure can only add actions, never remove."""
     config = example_pair_config(horizon_days=2)
-    config = WorldConfig(**{**config.to_dict(), "n_users": 2})
+    config = replace(config, n_users=2)
     population = generate_population(config)
     camp = campaign(budget_dollars=1e9, aw_days=2)
 
