@@ -192,10 +192,18 @@ def _example_values_exact(report) -> bool:
             and report.lift.inventory_cost == 3_500_000)
 
 
+def _verdict(ok: bool, what: str) -> int:
+    """EXIT_OK, or EXIT_VERIFY with one stderr line naming what failed."""
+    if ok:
+        return EXIT_OK
+    sys.stderr.write(f"verification error: {what} failed\n")
+    return EXIT_VERIFY
+
+
 def cmd_examples(args: argparse.Namespace) -> int:
     report = run_worked_example()
     _print_and_write([DISCLAIMER] + _worked_example_lines(report), None)
-    return EXIT_OK if _example_values_exact(report) else EXIT_VERIFY
+    return _verdict(_example_values_exact(report), "the worked example")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -243,7 +251,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
               "notes": DISCLAIMER, "mc_family": mc_family}
     _jsonl(records, header, out / "verify_report.jsonl")
     _print_and_write(lines, out / "verify_report.txt")
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    return _verdict(all_ok, f"the checks in {out / 'verify_report.txt'}")
 
 
 def _abtest_lines(report: ABTestReport) -> list[str]:

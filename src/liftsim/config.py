@@ -6,6 +6,13 @@ keys anywhere are rejected before any computation, and command-line
 ``--set section.key=value`` overrides are applied to leaves after
 loading. Every derived artifact carries the master seed and a digest of
 the fully resolved configuration.
+
+Each setting is stated once. The world's one advertiser is the
+campaign's ``advertiser_id`` (``abtest.advertiser`` in an A/B test), and
+``abtest.world_overrides`` sets any world key except ``n_users`` and
+``horizon_days``, which the abtest section sets, and the seed, which
+derives from ``master_seed``. Each ``build_*`` builds its section inside
+one mapping of ``TypeError`` and ``ValueError`` to :class:`ConfigError`.
 """
 from __future__ import annotations
 

@@ -32,7 +32,7 @@ from .bidders import (
 )
 from .market import (
     DEFAULT_ACTION_WINDOW_DAYS, DEFAULT_ADVERTISER, DEFAULT_CPA_DOLLARS,
-    Campaign, Population, dollars_to_micros, is_integer, run_auction,
+    Campaign, Population, check_integer, dollars_to_micros, run_auction,
 )
 from .seeds import derive_seed, rng_for
 from .world import (
@@ -132,6 +132,11 @@ def mc_z(n_checks: int) -> float:
     return NormalDist().inv_cdf(1.0 - MC_FAMILY_ALPHA / (2 * n_checks))
 
 
+# Monte-Carlo trials per cross-checked instance: each trial keeps four
+# float64 totals, so the bound holds 32 MB of them.
+MAX_MC_TRIALS = 10**6
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Random-population sweep for the dominance checks."""
@@ -146,11 +151,9 @@ class SweepConfig:
     mc_trials: int = 10_000     # >= 2: the standard errors use ddof=1
 
     def __post_init__(self) -> None:
-        for name, least in (("n_instances", 1), ("mc_instances", 0),
-                            ("mc_trials", 2)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}")
+        check_integer("n_instances", self.n_instances, 1)
+        check_integer("mc_instances", self.mc_instances, 0)
+        check_integer("mc_trials", self.mc_trials, 2, MAX_MC_TRIALS)
         if not 0.0 <= self.tolerance <= 1.0:  # also NaN
             raise ValueError("tolerance must lie in [0, 1]")
         if dollars_to_micros(self.cpa_dollars) <= 0:
@@ -382,6 +385,18 @@ def relative_diff(lift_side: float, value_side: float) -> float:
 
 @dataclass(frozen=True)
 class ABTestConfig:
+    """The three-group A/B protocol over seeded replications.
+
+    Each replication's world has ``n_users`` users over ``horizon_days``
+    days and a seed derived from ``master_seed``, with behavior events
+    off; ``world_overrides`` sets any other :class:`WorldConfig` field,
+    and may not restate these three. The world's one advertiser is the
+    campaign's, ``advertiser``, which pays ``cpa_dollars`` per attributed
+    action within ``action_window_days``; each active bidder gets
+    ``budget_per_bidder_dollars``, and the lift bidder is priced at
+    ``beta_dollars``, or from the population means when it is None.
+    """
+
     n_users: int = 10_000
     replications: int = 20
     master_seed: int = 0
@@ -394,8 +409,7 @@ class ABTestConfig:
     world_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not is_integer(self.replications) or self.replications < 1:
-            raise ValueError("replications must be an integer of at least 1")
+        check_integer("replications", self.replications, 1)
         restated = sorted({"seed", "n_users", "horizon_days"}.intersection(
             self.world_overrides))
         if restated:

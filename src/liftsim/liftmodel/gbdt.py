@@ -21,11 +21,13 @@ in tree order, so it is the same bits however many rows are scored.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
 
 import numpy as np
 
+from ..market import check_integer
 from ..seeds import rng_for
 
 NODE = np.dtype([("feature", np.int32), ("threshold", np.float64),
@@ -34,6 +36,8 @@ NODE = np.dtype([("feature", np.int32), ("threshold", np.float64),
 LEAF = (-1, 0.0, -1, -1, 0.0)
 # Rows scored per traversal, so the (rows x trees) temporaries stay small.
 SCORE_CHUNK_ROWS = 4096
+# A split search holds (features x max_bins) histograms.
+MAX_BINS = 4096
 
 
 class TrainingError(ValueError):
@@ -52,14 +56,16 @@ class GBDTParams:
     max_bins: int = 64
 
     def __post_init__(self) -> None:
-        if self.n_trees <= 0 or self.max_depth <= 0:
-            raise ValueError("n_trees and max_depth must be positive")
+        for name in ("n_trees", "max_depth", "min_samples_leaf"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("max_bins", self.max_bins, 2, MAX_BINS)
         if not 0 < self.learning_rate <= 1:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0 < self.subsample <= 1:
             raise ValueError("subsample must be in (0, 1]")
-        if self.reg_lambda < 0 or self.min_child_weight < 0:
-            raise ValueError("regularizers must be non-negative")
+        if not (0 <= self.reg_lambda < math.inf
+                and 0 <= self.min_child_weight < math.inf):
+            raise ValueError("regularizers must be finite and non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)

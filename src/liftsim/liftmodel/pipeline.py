@@ -57,8 +57,8 @@ class ModelParams:
     holdout_fraction: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.neg_per_pos <= 0:
-            raise ValueError("neg_per_pos must be positive")
+        if not 0 < self.neg_per_pos < math.inf:
+            raise ValueError("neg_per_pos must be positive and finite")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in (0, 1)")
 

@@ -22,13 +22,15 @@ from numpy.rec import fromarrays
 
 from ..events import ACTION, AD_REQUEST, KIND_CODE, EventLog
 from ..fileio import atomic_write_text
-from ..market import Population
+from ..market import INT64_MAX, Population, check_integer
 from ..seeds import rng_for
 from .features import FeatureSchema, window_features
 
 
-# Draws allowed per targeted positive before sampling gives up.
+# Draws allowed per targeted positive before sampling gives up. Every
+# draw is kept as a sample, so the target is bounded.
 DRAWS_PER_POSITIVE = 400
+MAX_TARGET_POSITIVES = 10**6
 
 
 class SamplingError(ValueError):
@@ -45,10 +47,11 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         if self.action_window_seconds <= 0:
             raise ValueError("action window must be positive")
-        if self.feature_window_seconds <= 0:
-            raise ValueError("feature window must be positive")
-        if self.target_positive_count <= 0:
-            raise ValueError("target_positive_count must be positive")
+        if not 0 < self.feature_window_seconds <= INT64_MAX:  # also NaN
+            raise ValueError(f"feature window must be in (0, 2**63 - 1] "
+                             f"seconds, got {self.feature_window_seconds!r}")
+        check_integer("target_positive_count", self.target_positive_count, 1,
+                      MAX_TARGET_POSITIVES)
 
 
 def sample_records(user_id, ts, label, features) -> np.recarray:

@@ -46,9 +46,14 @@ def dollars_to_micros(dollars: float) -> int:
     return round(micros)
 
 
-def is_integer(value) -> bool:
-    """True for a Python or numpy integer; False for a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def check_integer(name: str, value, least: int, most: int = INT64_MAX,
+                  error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a Python or numpy integer, not a
+    bool, in [least, most]."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or not least <= value <= most):
+        raise error(
+            f"{name} must be an integer in [{least}, {most}], got {value!r}")
 
 
 def micros_to_dollars(micros: int) -> float:
@@ -82,12 +87,14 @@ class Campaign:
     action_window_days: int = DEFAULT_ACTION_WINDOW_DAYS
 
     def __post_init__(self) -> None:
+        if not isinstance(self.advertiser_id, str) or not self.advertiser_id:
+            raise ValueError(f"advertiser_id must be a non-empty string, "
+                             f"got {self.advertiser_id!r}")
         if self.cpa <= 0:
             raise ValueError("cpa must be positive")
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
-        if not is_integer(self.action_window_days) or self.action_window_days <= 0:
-            raise ValueError("action_window_days must be a positive integer")
+        check_integer("action_window_days", self.action_window_days, 1)
         if self.cpa + self.budget > INT64_MAX:
             raise ValueError("cpa + budget must fit in int64 micros")
 

@@ -63,8 +63,8 @@ from .events import (
 )
 from .fileio import json_digest
 from .market import (
-    INT64_MAX, MICROS_PER_DOLLAR, Campaign, Population,
-    is_integer, may_win, run_auction,
+    INT64_MAX, MICROS_PER_DOLLAR, Campaign, Population, check_integer,
+    may_win, run_auction,
 )
 from .seeds import rng_for
 
@@ -130,6 +130,8 @@ def _default_behavior() -> dict:
 
 
 MAX_DOLLARS = INT64_MAX // MICROS_PER_DOLLAR  # whole dollars within int64 micros
+# A lognormal's sigma: exp(sigma z) stays finite for any |z| < 70.
+MAX_SIGMA = 10.0
 # Behavior rates are Poisson means per user and day, times weights of at
 # most 1 (as the correlation is), far below numpy's limit of about 2**63.
 MAX_DAILY_RATE = 1e6
@@ -167,11 +169,8 @@ class WorldConfig:
     def __post_init__(self) -> None:
         for name, least in (("n_users", 1), ("horizon_days", 1), ("topics", 2),
                             ("apps", 1), ("reserve_micros", 0)):
-            value = getattr(self, name)
-            if not is_integer(value) or not least <= value <= INT64_MAX:
-                raise WorldConfigError(
-                    f"{name} must be an integer in [{least}, 2**63 - 1], "
-                    f"got {value!r}")
+            check_integer(name, getattr(self, name), least,
+                          error=WorldConfigError)
         for section, kinds in _KIND_PARAMS.items():
             spec = getattr(self, section)
             kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -179,7 +178,8 @@ class WorldConfig:
                 raise WorldConfigError(f"unknown {section} kind {kind!r}")
             for name in kinds[kind]:
                 value = spec.get(name)
-                high = MAX_DOLLARS if name.endswith("dollars") else math.inf
+                high = (MAX_DOLLARS if name.endswith("dollars")
+                        else MAX_SIGMA if name == "sigma" else math.inf)
                 if name == "values":
                     ok = (isinstance(value, (list, tuple))
                           and len(value) == self.n_users
@@ -203,6 +203,9 @@ class WorldConfig:
         if self.request_arrivals not in ("poisson", "deterministic"):
             raise WorldConfigError(
                 f"unknown request_arrivals {self.request_arrivals!r}")
+        if not isinstance(self.behavior, dict):
+            raise WorldConfigError(
+                f"behavior must be an object, got {self.behavior!r}")
         unknown = sorted(set(self.behavior) - set(_default_behavior()))
         if unknown:
             raise WorldConfigError(f"unknown behavior key(s) {unknown}")
@@ -281,7 +284,9 @@ def _draw_request_rates(
 ) -> np.ndarray:
     spec = config.request_rate
     if spec["kind"] == "lognormal":
-        rates = spec["median"] * np.exp(spec["sigma"] * rng.standard_normal(n))
+        with np.errstate(over="ignore"):  # a rate past float64 clips to high
+            rates = spec["median"] * np.exp(spec["sigma"]
+                                            * rng.standard_normal(n))
         return np.clip(rates, spec["low"], spec["high"])
     return np.full(n, float(spec["value"]))
 
