@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import Population
+from .market import Population, ordered_sum
 
 
 class AccountingError(ValueError):
@@ -124,15 +124,16 @@ def generalized_theorem_quantities(
     on the users it wins, so the lift side's cost per attributed action
     is ``cpa`` exactly and only the value side's is summed.
 
-    Side sums add the users in row order, one at a time, so the result
-    does not depend on numpy's summation order.
+    Side sums are :func:`~liftsim.market.ordered_sum` folds in row
+    order, so the result depends neither on numpy's summation order nor
+    on the Python version.
     """
     a = _attribution(population, a_values)
     value, lift = side == 1, side == -1
     p, bg, attr = population.p, population.background_rate, population.p * a
 
     def total(column: np.ndarray, won: np.ndarray) -> float:
-        return sum(column[won].tolist())
+        return ordered_sum(column[won])
 
     attr_value = total(attr, value)
     attr_lift = total(attr, lift)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import Population, check_probability
+from .market import Population, check_probability, ordered_sum
 
 PASSIVE = "passive"
 VALUE = "value"
@@ -124,14 +124,14 @@ def split_weight_gap(thresholds, weights, beta: float) -> float:
 
     User i falls to the lift side iff ``beta > thresholds[i]``; users
     exactly at their indifference point are tied and excluded from both
-    sides. Non-decreasing in beta. Each side adds its weights in user
-    order, one at a time.
+    sides. Non-decreasing in beta. Each side's weights are added in user
+    order by :func:`~liftsim.market.ordered_sum`.
     """
     thresholds = np.asarray(thresholds)
     weights = np.asarray(weights)
-    lift_sum = sum(weights[beta > thresholds].tolist())
-    value_sum = sum(weights[beta < thresholds].tolist())
-    return float(lift_sum - value_sum)
+    lift_sum = ordered_sum(weights[beta > thresholds])
+    value_sum = ordered_sum(weights[beta < thresholds])
+    return lift_sum - value_sum
 
 
 def _scan_equal_split(
@@ -155,7 +155,7 @@ def _scan_equal_split(
     finite = thresholds[np.isfinite(thresholds) & (thresholds > 0)]
     if not finite.size:
         raise CalibrationError("no user has positive lift; nothing to calibrate")
-    total = sum(weights.tolist())
+    total = ordered_sum(weights)
     if total <= 0:
         raise CalibrationError("total attributable weight must be positive")
 

@@ -32,12 +32,13 @@ from .bidders import (
 )
 from .market import (
     DEFAULT_ACTION_WINDOW_DAYS, DEFAULT_ADVERTISER, DEFAULT_CPA_DOLLARS,
-    Campaign, Population, check_integer, dollars_to_micros, run_auction,
+    Campaign, Population, check_integer, dollars_to_micros, ordered_sum,
+    run_auction,
 )
 from .seeds import derive_seed, rng_for
 from .world import (
     DEFAULT_HORIZON_DAYS, GroupStats, WorldConfig, assign_groups, behavior_log,
-    generate_population, run_market,
+    draw_action_rates, generate_population, run_market,
 )
 
 DISCLAIMER = ("Synthetic-market results: only metric definitions and "
@@ -85,7 +86,7 @@ def _play_strategy(
     fixed one."""
     won, price = run_auction(np.array(bids), np.full(len(bids), competitor),
                              0, np.random.default_rng(0))
-    expected = sum(np.where(won, users.p, users.background_rate).tolist())
+    expected = ordered_sum(np.where(won, users.p, users.background_rate))
     revenue = sum(round(cpa * p) for p in users.p[won].tolist())
     return StrategyOutcome(
         strategy=name, bids=dict(zip(ids, bids)),
@@ -210,9 +211,15 @@ class VerificationSweepReport:
 
 
 def _sweep_world(n_users: int, seed: int) -> Population:
-    config = WorldConfig(n_users=n_users, seed=seed,
-                         behavior={"enabled": False})
-    return generate_population(config)
+    """A sweep world is its users' (p, delta_p): the calibration, the
+    accounting and the Monte-Carlo check read no other column, so the
+    request rates, behavioral weights and demographics that
+    ``generate_population`` draws after them are left out. (p, delta_p)
+    are the first draws of the world's population stream, so
+    ``generate_population(WorldConfig(n_users, seed=seed))`` replays them."""
+    config = WorldConfig(n_users=n_users, seed=seed)
+    p, delta_p = draw_action_rates(config, rng_for(seed, "population"))
+    return Population(p=p, delta_p=delta_p)
 
 
 def _ratio_se(x: np.ndarray, y: np.ndarray) -> float:
@@ -251,7 +258,7 @@ def _mc_cross_check(
 
     p_j, bg_j = p[value_side], bg[value_side]
     p_k, bg_k = p[lift_side], bg[lift_side]
-    cost_value = float(sum((beta * dp[value_side]).tolist()))
+    cost_value = ordered_sum(beta * dp[value_side])
 
     rng = rng_for(seed, "mc", instance)
     total_1 = np.empty(trials)
@@ -290,14 +297,16 @@ def _mc_cross_check(
 def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
     """Run the dominance sweeps; returns reports keyed by mode.
 
-    Both modes share one procedure per attempt: draw a world, calibrate
-    beta for equal attribution, settle the duel for each user and compute the
-    exact accounting. The value side bids ``cpa * p * a``: the simple
-    mode takes a = 1 (``alpha * p`` at ``alpha = cpa``) and adds the
-    Monte-Carlo cross-check on its first ``mc_instances`` instances; the
-    generalized mode draws random attribution probabilities a. The
-    Monte-Carlo checks are judged together once the sweep has run them
-    all, each within :func:`mc_z` of their count standard errors.
+    Both modes share one procedure per attempt: draw a world's (p,
+    delta_p), the only columns the rest reads (see :func:`_sweep_world`),
+    calibrate beta for equal attribution, settle the duel for each user
+    and compute the exact accounting. The value side bids ``cpa * p *
+    a``: the simple mode takes a = 1 (``alpha * p`` at ``alpha = cpa``)
+    and adds the Monte-Carlo cross-check on its first ``mc_instances``
+    instances; the generalized mode draws random attribution
+    probabilities a. The Monte-Carlo checks are judged together once the
+    sweep has run them all, each within :func:`mc_z` of their count
+    standard errors.
     """
     cpa = dollars_to_micros(config.cpa_dollars)
     alpha = float(cpa)

@@ -60,6 +60,21 @@ def micros_to_dollars(micros: int) -> float:
     return micros / MICROS_PER_DOLLAR
 
 
+def ordered_sum(values) -> float:
+    """The left fold ``acc = 0.0; acc += x`` over the 1-D ``values``, bit
+    for bit.
+
+    ``np.add.accumulate`` adds one element at a time, in order; ``np.sum``
+    adds pairwise and Python 3.12's ``sum`` compensates, so both can
+    differ in the last bits. Adding 0.0 turns the ``-0.0`` of an all
+    ``-0.0`` input into the fold's 0.0.
+    """
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        return 0.0
+    return float(np.add.accumulate(values)[-1]) + 0.0
+
+
 def check_probability(value, name: str = "probability"):
     """Validate that ``value`` (a number or an array) holds probabilities;
     returns it unchanged."""

@@ -302,15 +302,17 @@ def _percentile_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def generate_population(config: WorldConfig) -> Population:
-    """Sample the world's users; deterministic for a given config and seed.
+def draw_action_rates(
+    config: WorldConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The world's ground truth (p, delta_p): the first draws of its
+    population stream ``rng``, so they equal :func:`generate_population`'s.
 
     Pairs violating the ground-truth invariants (p or the background
     rate outside [0, 1]) are rejection-sampled. A configuration that
     rejects more than half of its draws is treated as misconfigured.
     """
     n = config.n_users
-    rng = rng_for(config.seed, "population")
     p = np.empty(n)
     delta_p = np.empty(n)
 
@@ -339,7 +341,18 @@ def generate_population(config: WorldConfig) -> Population:
                 raise WorldConfigError(
                     "rejection rate above 50%: the configured distributions "
                     "rarely produce valid (p, delta_p) pairs")
+    return p, delta_p
 
+
+def generate_population(config: WorldConfig) -> Population:
+    """Sample the world's users; deterministic for a given config and seed.
+
+    The population stream draws :func:`draw_action_rates` first, then
+    the request rates, behavioral weights and demographics.
+    """
+    n = config.n_users
+    rng = rng_for(config.seed, "population")
+    p, delta_p = draw_action_rates(config, rng)
     rates = _draw_request_rates(config, rng, n)
 
     # Behavioral propensities: topic 0 tracks the lift percentile, topic 1

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftsim.attribution import (
     AccountingError, generalized_partition,
@@ -159,3 +160,28 @@ def test_dominance_after_equal_attribution_calibration():
     assert report.actions_dominance
     assert report.cost_dominance
     assert report.n_tied == 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(users=st.lists(st.tuples(st.floats(1e-6, 1.0), st.floats(0.0, 1.0),
+                                st.floats(1e-6, 1.0)),
+                      min_size=2, max_size=40),
+       beta_per_cpa=st.floats(1e-300, 1e290) | st.floats(0.5, 1e3),
+       cpa=st.integers(1, 10**12))
+def test_cost_dominance_holds_on_any_population_and_beta(users, beta_per_cpa,
+                                                          cpa):
+    """Every value-side user has beta * delta_p < cpa * p * a, so the value
+    side pays less than cpa per attributed action, at any beta. About a
+    third of the examples leave both sides non-empty."""
+    beta = beta_per_cpa * cpa
+    p = np.array([u[0] for u in users])
+    population = Population(p=p, delta_p=p * np.array([u[1] for u in users]))
+    a_values = [u[2] for u in users]
+    side = generalized_partition(population, a_values, cpa, beta)
+    if (side == 1).any() and (side == -1).any():
+        report = generalized_theorem_quantities(population, side, a_values,
+                                                cpa, beta)
+        assert report.cost_dominance
+    side = partition_users(population, cpa, beta)
+    if (side == 1).any() and (side == -1).any():
+        assert theorem_quantities(population, side, cpa, beta).cost_dominance

@@ -12,6 +12,7 @@ from liftsim.experiments import (
     run_abtest, run_worked_example, verify_theorems,
 )
 from liftsim.market import Population, dollars_to_micros
+from liftsim.world import WorldConfig, generate_population
 
 D = dollars_to_micros
 
@@ -35,6 +36,16 @@ def test_worked_example_symmetric_under_relabeling():
                              D(100.0))
     assert outcome.expected_actions == pytest.approx(0.041, rel=1e-12)
     assert outcome.won_users == ("b",)  # the high-rate user, renamed
+
+
+def test_sweep_world_is_its_seeds_action_rates():
+    """A record's seed gives its world's population, whose (p, delta_p)
+    are the sweep world's."""
+    for seed in (3, 99):
+        world = experiments._sweep_world(250, seed)
+        users = generate_population(WorldConfig(n_users=250, seed=seed))
+        assert world.p.tobytes() == users.p.tobytes()
+        assert world.delta_p.tobytes() == users.delta_p.tobytes()
 
 
 def test_metric_formulas_on_published_style_counts():

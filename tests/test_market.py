@@ -1,12 +1,16 @@
 """Second-price auction mechanics and core domain type invariants."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftsim.attribution import partition_users
 from liftsim.market import (
-    Campaign, Population, dollars_to_micros, micros_to_dollars, run_auction,
+    Campaign, Population, dollars_to_micros, micros_to_dollars, ordered_sum,
+    run_auction,
 )
 from liftsim.bidders import BidderConfig, price_bids
 
@@ -186,3 +190,46 @@ def test_campaign_invariants():
     with pytest.raises(ValueError):
         Campaign("adv1", cpa=D(100.0), budget=0, action_window_days=2.0)
 
+
+def _left_fold(values):
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
+# Signed zeros, subnormals, magnitudes from 1e-300 to 1e300 of either
+# sign, and any finite float: partial sums that cancel, round and overflow.
+SUMMANDS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-sys.float_info.min, sys.float_info.min),
+    st.builds(math.copysign, st.floats(1e-300, 1e300),
+              st.sampled_from([1.0, -1.0])),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(leading_zeros=st.integers(0, 3), values=st.lists(SUMMANDS, max_size=40),
+       as_array=st.booleans())
+def test_ordered_sum_is_the_left_fold_bit_for_bit(leading_zeros, values,
+                                                  as_array):
+    values = [-0.0] * leading_zeros + values
+    with np.errstate(over="ignore", invalid="ignore"):  # as the fold is
+        total = ordered_sum(np.array(values) if as_array else values)
+    assert type(total) is float
+    assert repr(total) == repr(_left_fold(values))  # also the sign of zero
+
+
+def test_ordered_sum_edge_cases_and_long_columns():
+    for empty in ([], np.array([])):
+        assert repr(ordered_sum(empty)) == "0.0"
+    for zeros in ([-0.0], [-0.0] * 5, np.full(3, -0.0)):
+        assert math.copysign(1.0, ordered_sum(zeros)) == 1.0
+    assert repr(ordered_sum([-0.0, -5e-324])) == repr(-5e-324)
+    rng = np.random.default_rng(4)
+    column = (rng.standard_normal(10_000)
+              * 10.0 ** rng.integers(-300, 300, 10_000))
+    assert repr(ordered_sum(column)) == repr(_left_fold(column.tolist()))
+    # numpy's pairwise sum rounds differently on this column.
+    assert float(np.sum(column)) != _left_fold(column.tolist())

@@ -16,11 +16,12 @@ from liftsim.events import (
     KIND_CODE,
 )
 from liftsim.market import Campaign, dollars_to_micros, may_win
+from liftsim.seeds import rng_for
 from liftsim.world import (
     CLICK_DELAY_SECS, SECONDS_PER_DAY, WorldConfig, WorldConfigError,
     _check_sortable, _time_order, _time_sorted, behavior_log,
-    generate_population, precedent_impression_fraction, run_market,
-    split_budget,
+    draw_action_rates, generate_population, precedent_impression_fraction,
+    run_market, split_budget,
 )
 from test_market import second_price
 
@@ -156,6 +157,39 @@ def test_overrejecting_distribution_is_a_config_error():
     )
     with pytest.raises(WorldConfigError, match="rejection"):
         generate_population(config)
+
+
+ACTION_RATE_SHAPES = {
+    "defaults": {},
+    # About a third of each draw has a ratio above 1 and is drawn again.
+    "rejection_heavy": {
+        "p_distribution": {"kind": "scaled_beta", "a": 0.7, "b": 1.5,
+                           "low": 0.01, "high": 0.6},
+        "delta_p_distribution": {"kind": "uniform_ratio", "low": 0.4,
+                                 "high": 1.3}},
+    "fixed": {
+        "p_distribution": {"kind": "fixed",
+                           "values": [0.01 + 0.002 * i for i in range(150)]},
+        "delta_p_distribution": {"kind": "uniform_ratio", "low": 0.1,
+                                 "high": 0.9}},
+    "point": {
+        "p_distribution": {"kind": "point", "value": 0.3},
+        "delta_p_distribution": {"kind": "uniform_ratio", "low": 0.5,
+                                 "high": 1.2}},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ACTION_RATE_SHAPES))
+def test_action_rates_are_the_populations_first_draws(shape):
+    """A verify record's seed replays its world: the (p, delta_p) drawn
+    alone are bit for bit those of the whole population."""
+    for seed in (0, 7, 21, 2**40 + 3):
+        config = WorldConfig(n_users=150, seed=seed,
+                             **ACTION_RATE_SHAPES[shape])
+        p, delta_p = draw_action_rates(config, rng_for(seed, "population"))
+        users = generate_population(config)
+        assert p.tobytes() == users.p.tobytes()
+        assert delta_p.tobytes() == users.delta_p.tobytes()
 
 
 def _unexposed_actions(config):
