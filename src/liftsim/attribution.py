@@ -70,7 +70,8 @@ def partition_users(population: Population, alpha: float, beta: float) -> np.nda
 
     The value side wins user i (1) iff ``alpha * p_i > beta * delta_p_i``,
     the lift side (-1) iff the inequality is reversed; offers equal to
-    within ``TIE_REL_TOL`` are ties (0).
+    within ``TIE_REL_TOL`` are ties (0). The a = 1 entry point, with
+    ``alpha`` as the CPA; the package no longer calls it.
     """
     return generalized_partition(population, np.ones(len(population)), alpha, beta)
 
@@ -100,7 +101,8 @@ def theorem_quantities(
     """All four accounting quantities for the value-vs-lift duel.
 
     The lift side's cost per attributed action is ``alpha`` exactly: it
-    pays ``alpha * p_k`` on wins attributed at rate ``p_k``.
+    pays ``alpha * p_k`` on wins attributed at rate ``p_k``. The a = 1
+    entry point; the package no longer calls it.
     """
     return generalized_theorem_quantities(
         population, side, np.ones(len(population)), alpha, beta,

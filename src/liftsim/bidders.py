@@ -31,6 +31,7 @@ VALUE = "value"
 LIFT = "lift"
 
 BIDDER_KINDS = (PASSIVE, VALUE, LIFT)
+DEFAULT_TOLERANCE = 1e-3  # largest residual of a converged calibration
 
 
 class CalibrationError(ValueError):
@@ -194,13 +195,14 @@ def _scan_equal_split(
 def calibrate_equal_attribution(
     population: Population,
     alpha: float,
-    tolerance: float = 1e-3,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> BetaCalibration:
     """Find a lift scale that splits attributed actions evenly.
 
     The value side holds users with ``alpha * p > beta * delta_p``, the
-    lift side the reverse. This is the weighted calibration with every
-    attribution probability 1 and ``alpha`` as the CPA.
+    lift side the reverse: the weighted calibration at every attribution
+    probability a = 1, with ``alpha`` as the CPA. The package no longer
+    calls this a = 1 entry point.
     """
     return calibrate_equal_attribution_weighted(
         population, np.ones(len(population)), alpha, tolerance)
@@ -210,7 +212,7 @@ def calibrate_equal_attribution_weighted(
     population: Population,
     a_values,
     cpa: int,
-    tolerance: float = 1e-3,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> BetaCalibration:
     """Equal-attribution calibration against a value bidder at cpa * p * a.
 

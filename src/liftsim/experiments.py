@@ -24,12 +24,14 @@ import numpy as np
 
 from .attribution import (
     TheoremReport, generalized_partition, generalized_theorem_quantities,
-    partition_users, theorem_quantities,
 )
+# Unused here; perfbench/tracer.py wraps them under this module by name.
+from .attribution import partition_users, theorem_quantities  # noqa: F401
 from .bidders import (
-    LIFT, VALUE, BidderConfig, calibrate_equal_attribution,
-    calibrate_equal_attribution_weighted, lineup, price_bids,
+    DEFAULT_TOLERANCE, BidderConfig, calibrate_equal_attribution_weighted,
+    lineup, price_bids,
 )
+from .bidders import calibrate_equal_attribution  # noqa: F401
 from .market import (
     DEFAULT_ACTION_WINDOW_DAYS, DEFAULT_ADVERTISER, DEFAULT_CPA_DOLLARS,
     Campaign, Population, check_integer, dollars_to_micros, ordered_sum,
@@ -140,12 +142,14 @@ MAX_MC_TRIALS = 10**6
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Random-population sweep for the dominance checks."""
+    """Random-population sweep for the dominance checks. The value side
+    bids ``cpa * p * a``: a = 1 in the simple mode, the plain value
+    bidder, and drawn per user in the generalized one."""
 
     n_instances: int = 100
     n_users: int = 1000
     master_seed: int = 0
-    tolerance: float = 1e-3
+    tolerance: float = DEFAULT_TOLERANCE
     cpa_dollars: float = DEFAULT_CPA_DOLLARS
     mode: str = "both"          # simple | generalized | both
     mc_instances: int = 10      # simple-mode instances to cross-check
@@ -210,15 +214,13 @@ class VerificationSweepReport:
         return [r["attribution_residual"] for r in self.records]
 
 
-def _sweep_world(n_users: int, seed: int) -> Population:
-    """A sweep world is its users' (p, delta_p): the calibration, the
-    accounting and the Monte-Carlo check read no other column, so the
-    request rates, behavioral weights and demographics that
-    ``generate_population`` draws after them are left out. (p, delta_p)
-    are the first draws of the world's population stream, so
-    ``generate_population(WorldConfig(n_users, seed=seed))`` replays them."""
-    config = WorldConfig(n_users=n_users, seed=seed)
-    p, delta_p = draw_action_rates(config, rng_for(seed, "population"))
+def _sweep_world(world: WorldConfig, seed: int) -> Population:
+    """A sweep world is its users' (p, delta_p), the only columns the
+    accounting reads: the first draws of the population stream of
+    ``seed``, which ``generate_population(WorldConfig(n_users, seed=seed))``
+    replays. ``world`` is the sweep's default world, built once for both
+    modes (a = 1 and drawn a); its own seed is not read."""
+    p, delta_p = draw_action_rates(world, rng_for(seed, "population"))
     return Population(p=p, delta_p=delta_p)
 
 
@@ -236,7 +238,7 @@ def _ratio_se(x: np.ndarray, y: np.ndarray) -> float:
 def _mc_cross_check(
     instance: int,
     population: Population,
-    alpha: float,
+    cpa: int,
     beta: float,
     report: TheoremReport,
     trials: int,
@@ -245,14 +247,15 @@ def _mc_cross_check(
     """Monte-Carlo estimate of the accounting ratios on the same market.
 
     Winners are decided by real second-price auctions over the two
-    micro-rounded bids, all users settled in one call that breaks ties
-    from one stream per instance; when both bids are 0 nobody wins.
+    micro-rounded bids, ``lineup``'s value bidder at ``cpa`` (a = 1) and
+    lift bidder at ``beta``, all users settled in one call that breaks
+    ties from one stream per instance; when both bids are 0 nobody wins.
     Action outcomes are Bernoulli draws at rate p for the winner's side
     and the background rate otherwise.
     """
     p, dp, bg = population.p, population.delta_p, population.background_rate
-    value_bids = price_bids(BidderConfig(VALUE, alpha=alpha), p, dp)
-    lift_bids = price_bids(BidderConfig(LIFT, beta=beta), p, dp)
+    _, value, lift = lineup(cpa, population, beta=beta)
+    value_bids, lift_bids = price_bids(value, p, dp), price_bids(lift, p, dp)
     value_side, _ = run_auction(value_bids, lift_bids, 0, rng_for(seed, "tie"))
     lift_side = ~value_side & (lift_bids > 0)
 
@@ -261,13 +264,9 @@ def _mc_cross_check(
     cost_value = ordered_sum(beta * dp[value_side])
 
     rng = rng_for(seed, "mc", instance)
-    total_1 = np.empty(trials)
-    attr_1 = np.empty(trials)
-    total_2 = np.empty(trials)
-    attr_2 = np.empty(trials)
+    total_1, attr_1, total_2, attr_2 = np.empty((4, trials))
     chunk = 2000
-    done = 0
-    while done < trials:
+    for done in range(0, trials, chunk):
         m = min(chunk, trials - done)
         hits_j_exposed = rng.random((m, len(p_j))) < p_j
         hits_k_bg = rng.random((m, len(p_k))) < bg_k
@@ -277,7 +276,6 @@ def _mc_cross_check(
         total_1[done:done + m] = attr_1[done:done + m] + hits_k_bg.sum(axis=1)
         attr_2[done:done + m] = hits_k_exposed.sum(axis=1)
         total_2[done:done + m] = attr_2[done:done + m] + hits_j_bg.sum(axis=1)
-        done += m
 
     c1_se = float(cost_value * np.std(attr_1, ddof=1)
                   / (attr_1.mean() ** 2 * np.sqrt(trials)))
@@ -297,19 +295,20 @@ def _mc_cross_check(
 def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
     """Run the dominance sweeps; returns reports keyed by mode.
 
-    Both modes share one procedure per attempt: draw a world's (p,
-    delta_p), the only columns the rest reads (see :func:`_sweep_world`),
-    calibrate beta for equal attribution, settle the duel for each user
-    and compute the exact accounting. The value side bids ``cpa * p *
-    a``: the simple mode takes a = 1 (``alpha * p`` at ``alpha = cpa``)
-    and adds the Monte-Carlo cross-check on its first ``mc_instances``
-    instances; the generalized mode draws random attribution
-    probabilities a. The Monte-Carlo checks are judged together once the
-    sweep has run them all, each within :func:`mc_z` of their count
-    standard errors.
+    Both modes run one procedure per attempt: draw a world's (p,
+    delta_p) (:func:`_sweep_world`), calibrate beta for equal
+    attribution, settle the duel for each user and compute the exact
+    accounting, against a value side that bids ``cpa * p * a``. The mode
+    chooses only a and the cross-check: the simple mode takes a = 1, the
+    industry-standard value bidder, and cross-checks its first
+    ``mc_instances`` instances by Monte Carlo; the generalized mode
+    draws random attribution probabilities a. The Monte-Carlo checks are
+    judged together once the sweep has run them all, each within
+    :func:`mc_z` of their count standard errors.
     """
     cpa = dollars_to_micros(config.cpa_dollars)
-    alpha = float(cpa)
+    world = WorldConfig(n_users=config.n_users)
+    ones = np.ones(config.n_users)
     out: dict[str, VerificationSweepReport] = {}
 
     modes = ["simple", "generalized"] if config.mode == "both" else [config.mode]
@@ -320,39 +319,26 @@ def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
         for i in range(config.n_instances):
             for attempt in range(MAX_ATTEMPTS_PER_INSTANCE):
                 seed = derive_seed(config.master_seed, "sweep", mode, i, attempt)
-                population = _sweep_world(config.n_users, seed)
-                if simple:
-                    cal = calibrate_equal_attribution(
-                        population, alpha, config.tolerance)
-                else:
-                    a_rng = rng_for(config.master_seed, "attr-probs", i, attempt)
-                    a_values = np.maximum(
-                        a_rng.uniform(0.0, 1.0, len(population)), 1e-9)
-                    cal = calibrate_equal_attribution_weighted(
-                        population, a_values, cpa, config.tolerance)
+                population = _sweep_world(world, seed)
+                a_values = ones if simple else np.maximum(
+                    rng_for(config.master_seed, "attr-probs", i, attempt)
+                    .uniform(0.0, 1.0, config.n_users), 1e-9)
+                cal = calibrate_equal_attribution_weighted(
+                    population, a_values, cpa, config.tolerance)
                 if not cal.converged:
                     report.n_skipped_calibration += 1
                     continue
-                if simple:
-                    side = partition_users(population, alpha, cal.beta)
-                else:
-                    side = generalized_partition(
-                        population, a_values, cpa, cal.beta)
+                side = generalized_partition(population, a_values, cpa, cal.beta)
                 if not (side == 1).any() or not (side == -1).any():
                     report.n_skipped_degenerate += 1
                     continue
-                if simple:
-                    quantities = theorem_quantities(
-                        population, side, alpha, cal.beta, cal.residual)
-                else:
-                    quantities = generalized_theorem_quantities(
-                        population, side, a_values, cpa, cal.beta,
-                        cal.residual)
+                quantities = generalized_theorem_quantities(
+                    population, side, a_values, cpa, cal.beta, cal.residual)
                 report.records.append({**vars(quantities), "instance": i,
                                        "beta": cal.beta, "seed": seed})
                 if simple and i < config.mc_instances:
                     report.mc_checks.extend(_mc_cross_check(
-                        i, population, alpha, cal.beta, quantities,
+                        i, population, cpa, cal.beta, quantities,
                         config.mc_trials,
                         derive_seed(config.master_seed, "mc", i)))
                 break

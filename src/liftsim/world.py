@@ -72,6 +72,7 @@ SECONDS_PER_DAY = 86_400
 CLICK_DELAY_SECS = 30  # a click's time after its impression's
 MARKET = "market"
 DEFAULT_HORIZON_DAYS = 28
+DEFAULT_POOL = 0.5  # a value_tracking competitor's weight on p, if unset
 
 
 class WorldConfigError(ValueError):
@@ -95,8 +96,9 @@ def _default_request_rate() -> dict:
             "low": 0.2, "high": 8.0}
 
 
-# Each distribution's kinds and their parameters: finite numbers >= 0,
-# "values" a list of one per user. Only "pool" may be left out.
+# Each distribution's kinds and their parameters, the only keys a spec
+# takes: finite numbers >= 0, "values" a list of one per user. Only
+# "pool" may be left out.
 _KIND_PARAMS = {
     "p_distribution": {"scaled_beta": ("a", "b", "low", "high"),
                        "fixed": ("values",), "point": ("value",)},
@@ -121,7 +123,7 @@ def _default_competitor_bids() -> dict:
     # mean. Tight noise makes paid prices reflect inventory composition
     # rather than luck in the price draw.
     return {"kind": "value_tracking", "scale_dollars": 100.0,
-            "pool": 0.5, "sigma": 0.15}
+            "pool": DEFAULT_POOL, "sigma": 0.15}
 
 
 def _default_behavior() -> dict:
@@ -135,8 +137,11 @@ MAX_SIGMA = 10.0
 # Behavior rates are Poisson means per user and day, times weights of at
 # most 1 (as the correlation is), far below numpy's limit of about 2**63.
 MAX_DAILY_RATE = 1e6
-_BEHAVIOR_HIGH = {"pv_rate": MAX_DAILY_RATE, "search_rate": MAX_DAILY_RATE,
-                  "app_rate": MAX_DAILY_RATE, "correlation": 1.0}
+# Upper bounds by key, of distribution parameters and behavior values
+# alike; keys ending in "dollars" stop at MAX_DOLLARS, any other at inf.
+_HIGH = {"sigma": MAX_SIGMA, "pool": 1.0, "pv_rate": MAX_DAILY_RATE,
+         "search_rate": MAX_DAILY_RATE, "app_rate": MAX_DAILY_RATE,
+         "click_rate": 1.0, "correlation": 1.0}
 
 
 @dataclass(frozen=True)
@@ -176,10 +181,13 @@ class WorldConfig:
             kind = spec.get("kind") if isinstance(spec, dict) else None
             if kind not in kinds:
                 raise WorldConfigError(f"unknown {section} kind {kind!r}")
+            unknown = sorted(set(spec) - {"kind", *kinds[kind]})
+            if unknown:
+                raise WorldConfigError(f"unknown {section} {kind} key(s) {unknown}")
             for name in kinds[kind]:
                 value = spec.get(name)
                 high = (MAX_DOLLARS if name.endswith("dollars")
-                        else MAX_SIGMA if name == "sigma" else math.inf)
+                        else _HIGH.get(name, math.inf))
                 if name == "values":
                     ok = (isinstance(value, (list, tuple))
                           and len(value) == self.n_users
@@ -213,7 +221,7 @@ class WorldConfig:
             if name == "enabled":
                 ok, what = isinstance(value, bool), "true or false"
             else:
-                high = _BEHAVIOR_HIGH.get(name, math.inf)
+                high = _HIGH.get(name, math.inf)
                 ok, what = _is_amount(value, high), f"a finite number in [0, {high:g}]"
             if not ok:
                 raise WorldConfigError(
@@ -853,7 +861,7 @@ def _competitor_bids(
         if kind == "lognormal":
             micros = spec["median_dollars"] * 1e6 * noise
         else:  # value_tracking
-            pool = float(spec.get("pool", 0.5))
+            pool = float(spec.get("pool", DEFAULT_POOL))
             base = pool * p[req_user[rows]] + (1.0 - pool) * float(p.mean())
             micros = spec["scale_dollars"] * 1e6 * base * noise
     micros = np.rint(micros)

@@ -18,8 +18,8 @@ import pytest
 from liftsim import config, world
 from liftsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main
 
-VALUES = [-1, 0, 0.5, math.nan, math.inf, -math.inf, 1e300, 2**70, True,
-          None, "x", [], {}]
+VALUES = [-1, 0, 0.5, 2, math.nan, math.inf, -math.inf, 1e300, 2**70,
+          True, None, "x", [], {}]
 PREFIX = {EXIT_CONFIG: "config error:", EXIT_DATA: "data error:",
           EXIT_VERIFY: "verification error:"}
 
@@ -168,3 +168,33 @@ def test_keys_that_restate_a_setting_are_config_errors(
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and err.count("\n") == 1
     assert dotted.rsplit(".", 1)[1] in err
+
+
+def _spec(section, kind, **extra):
+    return {"kind": kind, **SPECS[section, kind], **extra}
+
+
+@pytest.mark.parametrize("command, dotted, value, named", [
+    ("simulate", "world.behavior.click_rate", 2, "click_rate"),
+    ("simulate", "world.competitor_bids",
+     _spec("competitor_bids", "value_tracking", pool=2), "pool"),
+    ("simulate", "world.competitor_bids",
+     _spec("competitor_bids", "lognormal", sgima=3), "sgima"),
+    ("simulate", "world.p_distribution",
+     _spec("p_distribution", "scaled_beta", hihg=0.5), "hihg"),
+    ("simulate", "world.request_rate",
+     _spec("request_rate", "fixed", pool=0.5), "pool"),
+    ("abtest", "abtest.world_overrides.competitor_bids",
+     _spec("competitor_bids", "lognormal", sgima=3), "sgima"),
+    ("abtest", "abtest.world_overrides.p_distribution",
+     _spec("p_distribution", "scaled_beta", hihg=0.5), "hihg"),
+], ids=["click_rate", "pool", "competitor_bids-misspelled",
+        "p_distribution-misspelled", "request_rate-other-kinds-key",
+        "world_overrides.competitor_bids-misspelled",
+        "world_overrides.p_distribution-misspelled"])
+def test_out_of_range_and_unknown_distribution_keys_are_config_errors(
+        tmp_path, capsys, command, dotted, value, named):
+    code, err = _run(tmp_path, capsys, command, [(dotted, value)])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert named in err
