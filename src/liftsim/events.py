@@ -403,7 +403,8 @@ def _read_sidecar(path: Path, sha256: str) -> EventLog | None:
                      AttributeError, RuntimeError, MemoryError,
                      zipfile.BadZipFile, zlib.error)
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        # np.load leaves a file it opened unclosed when the zip is corrupt.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             columns, meta = npz["columns"], npz["meta"]
         meta = json.loads(meta.astype(np.uint8, casting="no").tobytes())
         if meta["sha256"] != sha256:

@@ -34,8 +34,8 @@ from .bidders import (
 from .bidders import calibrate_equal_attribution  # noqa: F401
 from .market import (
     DEFAULT_ACTION_WINDOW_DAYS, DEFAULT_ADVERTISER, DEFAULT_CPA_DOLLARS,
-    Campaign, Population, check_integer, dollars_to_micros, ordered_sum,
-    run_auction,
+    Campaign, Population, check_integer, check_real, dollars_to_micros,
+    ordered_sum, run_auction,
 )
 from .seeds import derive_seed, rng_for
 from .world import (
@@ -159,8 +159,7 @@ class SweepConfig:
         check_integer("n_instances", self.n_instances, 1)
         check_integer("mc_instances", self.mc_instances, 0)
         check_integer("mc_trials", self.mc_trials, 2, MAX_MC_TRIALS)
-        if not 0.0 <= self.tolerance <= 1.0:  # also NaN
-            raise ValueError("tolerance must lie in [0, 1]")
+        check_real("tolerance", self.tolerance, 0, 1)
         if dollars_to_micros(self.cpa_dollars) <= 0:
             raise ValueError("cpa_dollars must be a positive amount")
         if self.mode not in ("simple", "generalized", "both"):
@@ -410,6 +409,11 @@ class ABTestConfig:
         if restated:
             raise ValueError(f"world_overrides may not set {', '.join(restated)}: "
                              "abtest sets the world's seed, n_users and horizon_days")
+        self.world(0)  # the overrides make a valid world,
+        self.campaign()  # the money and window a valid campaign
+        if (self.beta_dollars is not None
+                and dollars_to_micros(self.beta_dollars) <= 0):
+            raise ValueError("beta_dollars must be positive")
 
     def world(self, rep: int) -> WorldConfig:
         """Replication ``rep``'s world: behavior off unless

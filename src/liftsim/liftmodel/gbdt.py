@@ -21,13 +21,12 @@ in tree order, so it is the same bits however many rows are scored.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
 
 import numpy as np
 
-from ..market import check_integer
+from ..market import check_integer, check_real
 from ..seeds import rng_for
 
 NODE = np.dtype([("feature", np.int32), ("threshold", np.float64),
@@ -59,13 +58,10 @@ class GBDTParams:
         for name in ("n_trees", "max_depth", "min_samples_leaf"):
             check_integer(name, getattr(self, name), 1)
         check_integer("max_bins", self.max_bins, 2, MAX_BINS)
-        if not 0 < self.learning_rate <= 1:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not 0 < self.subsample <= 1:
-            raise ValueError("subsample must be in (0, 1]")
-        if not (0 <= self.reg_lambda < math.inf
-                and 0 <= self.min_child_weight < math.inf):
-            raise ValueError("regularizers must be finite and non-negative")
+        for name in ("learning_rate", "subsample"):
+            check_real(name, getattr(self, name), 0, 1, "(]")
+        for name in ("reg_lambda", "min_child_weight"):
+            check_real(name, getattr(self, name))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..events import EventLog
 from ..fileio import atomic_write_text
-from ..market import Population
+from ..market import Population, check_real
 from ..seeds import rng_for
 from .features import (
     EventIndex, FeatureSchema, counterfactual_features, fold_context,
@@ -57,10 +57,8 @@ class ModelParams:
     holdout_fraction: float = 0.4
 
     def __post_init__(self) -> None:
-        if not 0 < self.neg_per_pos < math.inf:
-            raise ValueError("neg_per_pos must be positive and finite")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in (0, 1)")
+        check_real("neg_per_pos", self.neg_per_pos, 0, math.inf, "()")
+        check_real("holdout_fraction", self.holdout_fraction, 0, 1, "()")
 
 
 @dataclass

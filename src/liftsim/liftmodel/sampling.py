@@ -22,7 +22,7 @@ from numpy.rec import fromarrays
 
 from ..events import ACTION, AD_REQUEST, KIND_CODE, EventLog
 from ..fileio import atomic_write_text
-from ..market import INT64_MAX, Population, check_integer
+from ..market import INT64_MAX, Population, check_integer, check_real
 from ..seeds import rng_for
 from .features import FeatureSchema, window_features
 
@@ -45,11 +45,9 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.action_window_seconds <= 0:
-            raise ValueError("action window must be positive")
-        if not 0 < self.feature_window_seconds <= INT64_MAX:  # also NaN
-            raise ValueError(f"feature window must be in (0, 2**63 - 1] "
-                             f"seconds, got {self.feature_window_seconds!r}")
+        check_integer("action_window_seconds", self.action_window_seconds, 1)
+        check_real("feature_window_seconds", self.feature_window_seconds, 0,
+                   INT64_MAX, "(]")
         check_integer("target_positive_count", self.target_positive_count, 1,
                       MAX_TARGET_POSITIVES)
 

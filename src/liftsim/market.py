@@ -21,6 +21,7 @@ explicit seed or generator, so they are safe under concurrency.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -34,10 +35,10 @@ INT64_MAX = 2**63 - 1
 def dollars_to_micros(dollars: float) -> int:
     """Convert a dollar amount to integer micros (round-half-even).
 
-    Raises TypeError for a non-number and ValueError when the amount is
-    not finite or its micros do not fit in int64.
+    Raises TypeError for a non-number or a bool and ValueError when the
+    amount is not finite or its micros do not fit in int64.
     """
-    if not isinstance(dollars, numbers.Real):
+    if not isinstance(dollars, numbers.Real) or isinstance(dollars, bool):
         raise TypeError(f"{dollars!r} is not a dollar amount")
     micros = dollars * MICROS_PER_DOLLAR
     if not abs(micros) <= INT64_MAX:  # also NaN
@@ -54,6 +55,23 @@ def check_integer(name: str, value, least: int, most: int = INT64_MAX,
             or not least <= value <= most):
         raise error(
             f"{name} must be an integer in [{least}, {most}], got {value!r}")
+
+
+def check_real(name: str, value, low: float = 0.0, high: float = math.inf,
+               ends: str = "[]", error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an int or float, not a bool,
+    finite as a float and between ``low`` and ``high``, each end closed or
+    open as ``ends`` marks it. Only checks: ``value`` is compared as given,
+    exactly for an int, and an int too large for a float is not finite."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:  # math.isfinite raises OverflowError on an int past float64
+        ok = ok and math.isfinite(float(value))
+    except OverflowError:
+        ok = False
+    if not (ok and (low < value if ends[0] == "(" else low <= value)
+            and (value < high if ends[1] == ")" else value <= high)):
+        raise error(f"{name} must be a finite number in {ends[0]}{low:g}, "
+                    f"{high:g}{ends[1]}, got {value!r}")
 
 
 def micros_to_dollars(micros: int) -> float:
@@ -105,10 +123,8 @@ class Campaign:
         if not isinstance(self.advertiser_id, str) or not self.advertiser_id:
             raise ValueError(f"advertiser_id must be a non-empty string, "
                              f"got {self.advertiser_id!r}")
-        if self.cpa <= 0:
-            raise ValueError("cpa must be positive")
-        if self.budget < 0:
-            raise ValueError("budget must be non-negative")
+        check_integer("cpa", self.cpa, 1)
+        check_integer("budget", self.budget, 0)
         check_integer("action_window_days", self.action_window_days, 1)
         if self.cpa + self.budget > INT64_MAX:
             raise ValueError("cpa + budget must fit in int64 micros")

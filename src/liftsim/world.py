@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, field, asdict
 from typing import Protocol
 
@@ -64,7 +63,7 @@ from .events import (
 from .fileio import json_digest
 from .market import (
     INT64_MAX, MICROS_PER_DOLLAR, Campaign, Population, check_integer,
-    may_win, run_auction,
+    check_real, may_win, run_auction,
 )
 from .seeds import rng_for
 
@@ -97,8 +96,9 @@ def _default_request_rate() -> dict:
 
 
 # Each distribution's kinds and their parameters, the only keys a spec
-# takes: finite numbers >= 0, "values" a list of one per user. Only
-# "pool" may be left out.
+# takes: finite numbers >= 0 (a Beta shape > 0), "values" a list of one
+# per user. Only "pool" may be left out. A spec without "kind" edits the
+# field's default spec.
 _KIND_PARAMS = {
     "p_distribution": {"scaled_beta": ("a", "b", "low", "high"),
                        "fixed": ("values",), "point": ("value",)},
@@ -109,12 +109,6 @@ _KIND_PARAMS = {
     "competitor_bids": {"fixed": ("dollars",), "lognormal": ("median_dollars", "sigma"),
                         "value_tracking": ("scale_dollars", "sigma", "pool")},
 }
-
-
-def _is_amount(value, high: float = math.inf) -> bool:
-    """True for an int or float in [0, high], finite; False for a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 <= value <= high and value < math.inf)
 
 
 def _default_competitor_bids() -> dict:
@@ -178,6 +172,10 @@ class WorldConfig:
                           error=WorldConfigError)
         for section, kinds in _KIND_PARAMS.items():
             spec = getattr(self, section)
+            if isinstance(spec, dict) and "kind" not in spec:
+                default = type(self).__dataclass_fields__[section].default_factory
+                spec = {**default(), **spec}
+                object.__setattr__(self, section, spec)
             kind = spec.get("kind") if isinstance(spec, dict) else None
             if kind not in kinds:
                 raise WorldConfigError(f"unknown {section} kind {kind!r}")
@@ -186,28 +184,22 @@ class WorldConfig:
                 raise WorldConfigError(f"unknown {section} {kind} key(s) {unknown}")
             for name in kinds[kind]:
                 value = spec.get(name)
-                high = (MAX_DOLLARS if name.endswith("dollars")
-                        else _HIGH.get(name, math.inf))
                 if name == "values":
-                    ok = (isinstance(value, (list, tuple))
-                          and len(value) == self.n_users
-                          and all(map(_is_amount, value)))
-                else:
-                    ok = (_is_amount(value, high)
-                          or (name == "pool" and name not in spec))
-                if not ok:
-                    what = ("a list of n_users finite numbers >= 0" if name == "values"
-                            else f"a finite number in [0, {high:g}]")
-                    raise WorldConfigError(
-                        f"{section} {name} must be {what}, got {value!r}")
-        if self.p_distribution["kind"] == "scaled_beta":
-            for name in ("a", "b"):
-                value = self.p_distribution[name]
-                if not value > 0:
-                    raise WorldConfigError(
-                        f"p_distribution {name} must be > 0, got {value!r}")
-        if not -1.0 < self.p_lift_dependence < 1.0:
-            raise WorldConfigError("p_lift_dependence must lie in (-1, 1)")
+                    if not (isinstance(value, (list, tuple))
+                            and len(value) == self.n_users):
+                        raise WorldConfigError(f"{section} values must be a list of "
+                                               f"n_users numbers, got {value!r}")
+                    for i, entry in enumerate(value):
+                        check_real(f"{section} values[{i}]", entry,
+                                   error=WorldConfigError)
+                elif not (name == "pool" and name not in spec):
+                    check_real(f"{section} {name}", value, 0,
+                               MAX_DOLLARS if name.endswith("dollars")
+                               else _HIGH.get(name, math.inf),
+                               "(]" if name in ("a", "b") else "[]",
+                               error=WorldConfigError)
+        check_real("p_lift_dependence", self.p_lift_dependence, -1, 1, "()",
+                   error=WorldConfigError)
         if self.request_arrivals not in ("poisson", "deterministic"):
             raise WorldConfigError(
                 f"unknown request_arrivals {self.request_arrivals!r}")
@@ -218,14 +210,12 @@ class WorldConfig:
         if unknown:
             raise WorldConfigError(f"unknown behavior key(s) {unknown}")
         for name, value in self.behavior.items():
-            if name == "enabled":
-                ok, what = isinstance(value, bool), "true or false"
-            else:
-                high = _HIGH.get(name, math.inf)
-                ok, what = _is_amount(value, high), f"a finite number in [0, {high:g}]"
-            if not ok:
+            if name != "enabled":
+                check_real(f"behavior {name}", value, 0, _HIGH[name],
+                           error=WorldConfigError)
+            elif not isinstance(value, bool):
                 raise WorldConfigError(
-                    f"behavior {name} must be {what}, got {value!r}")
+                    f"behavior enabled must be true or false, got {value!r}")
 
     @property
     def behavior_settings(self) -> dict:

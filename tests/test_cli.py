@@ -124,6 +124,68 @@ def test_set_overrides_change_the_run(tmp_path):
     assert (out1 / "events.jsonl").read_bytes() != (out2 / "events.jsonl").read_bytes()
 
 
+def _outputs(out):
+    """Each file under ``out`` as bytes, less the digest of the config as
+    written, which names the config file's own text."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name in ("simulate_summary.json", "abtest_report.jsonl"):
+            data = re.sub(rb'"config_digest": ?"[0-9a-f]+",?', b"", data)
+        files[path.name] = data
+    return files
+
+
+@pytest.mark.parametrize("command, payload, dotted, key, value", [
+    ("simulate", TRAIN_WORLD, "world.competitor_bids", "pool", 0.7),
+    ("abtest", AB_SMALL, "abtest.world_overrides.request_rate", "sigma", 0.3),
+], ids=["simulate", "abtest"])
+def test_a_distribution_set_without_kind_edits_the_default_spec(
+        tmp_path, command, payload, dotted, key, value):
+    section = dotted.rsplit(".", 1)[1]
+    spec = {**getattr(liftsim.world.WorldConfig(n_users=1), section),
+            key: value}
+    config = write_config(tmp_path, payload)
+    edited, whole = tmp_path / "edited", tmp_path / "whole"
+    assert main([command, "--config", str(config), "--out-dir", str(edited),
+                 "--set", f"{dotted}.{key}={value}"]) == EXIT_OK
+    assert main([command, "--config", str(config), "--out-dir", str(whole),
+                 "--set", f"{dotted}={json.dumps(spec)}"]) == EXIT_OK
+    assert _outputs(edited) == _outputs(whole)
+    assert len(_outputs(whole)) >= 2
+
+
+@pytest.mark.parametrize("seed, code", [
+    (2**64 - 1, EXIT_OK), (2**64, EXIT_CONFIG), (2**64 + 5, EXIT_CONFIG),
+], ids=["2**64-1", "2**64", "2**64+5"])
+def test_master_seed_lies_in_64_bits(tmp_path, capsys, seed, code):
+    """Seeds derive from the master's 64 bits: 2**64 + 5 would rerun seed 5
+    under a header that names the other seed."""
+    config = write_config(tmp_path, {**VERIFY_SMALL, "master_seed": seed})
+    assert main(["verify", "--config", str(config),
+                 "--out-dir", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == EXIT_OK else
+                   f"config error: master_seed must be an integer in "
+                   f"[0, {2**64 - 1}], got {seed}\n")
+
+
+def test_an_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    """Python refuses to parse an integer of over 4300 digits with a
+    ValueError that is not a JSONDecodeError."""
+    digits = "1" * 5000
+    config = tmp_path / "config.json"
+    config.write_text('{"master_seed": %s}' % digits)
+    assert main(["verify", "--config", str(config),
+                 "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: config ")
+    # Given by --set, it is not JSON, so it is read as a string.
+    assert main(["verify", "--set", f"master_seed={digits}",
+                 "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: master_seed") and err.count("\n") == 1
+
+
 def test_train_end_to_end_and_determinism(tmp_path):
     config = write_config(tmp_path, TRAIN_WORLD)
     out = tmp_path / "out"
@@ -645,9 +707,9 @@ def test_the_cli_runs_without_scipy_and_imports_nothing_in_main(tmp_path):
 
 
 @pytest.mark.parametrize("shape, error", [
-    ({"a": 0}, "a must be > 0, got 0"),
-    ({"b": 0}, "b must be > 0, got 0"),
-    ({"b": float("inf")}, "b must be a finite number in [0, inf], got inf"),
+    ({"a": 0}, "a must be a finite number in (0, inf], got 0"),
+    ({"b": 0}, "b must be a finite number in (0, inf], got 0"),
+    ({"b": float("inf")}, "b must be a finite number in (0, inf], got inf"),
     ({"b": 2e6}, None),
     ({"a": 1e300, "b": 1e300}, None),
 ], ids=["a-0", "b-0", "b-inf", "b-2000000.0", "a-b-1e300"])

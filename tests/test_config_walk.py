@@ -1,9 +1,17 @@
-"""The exit-code contract, walked over the whole configuration schema.
+"""The exit-code contract, walked over the whole configuration schema and
+over damaged input files.
 
 Every leaf of ``config._SCHEMA`` and every distribution parameter of
 ``world._KIND_PARAMS`` is set in turn to each value of ``VALUES``. A run
 must end in exit 0, 2, 3 or 4, with nothing on stderr after exit 0 and
-exactly one line after any other exit: never a traceback.
+exactly one line after any other exit: never a traceback. A boolean is
+a number nowhere and a setting only at ``world.behavior.enabled``, and
+``HUGE`` fits no float64: each exits 2 at every other leaf.
+
+Each input file (``events.jsonl`` and ``events.npz`` read by ``train``,
+``model.json`` read by ``abtest --bids``) is cut short at, and has one bit
+flipped in, the byte at seeded offsets. A run must end in exit 0 with
+nothing on stderr or in exit 3 with one ``data error:`` line.
 
 Left out: in-range sizes whose only effect is a long run (a huge
 ``abtest.replications``, ``sweep.n_instances`` or ``model.n_trees``);
@@ -12,14 +20,17 @@ no value in ``VALUES`` is one.
 
 import json
 import math
+import random
+import shutil
 
 import pytest
 
 from liftsim import config, world
 from liftsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main
 
-VALUES = [-1, 0, 0.5, 2, math.nan, math.inf, -math.inf, 1e300, 2**70,
-          True, None, "x", [], {}]
+HUGE = 10**400  # valid JSON, and float(HUGE) raises OverflowError
+VALUES = [-1, 0, 0.5, 2, math.nan, math.inf, -math.inf, 1e300, 2**70, HUGE,
+          True, False, None, "x", [], {}]
 PREFIX = {EXIT_CONFIG: "config error:", EXIT_DATA: "data error:",
           EXIT_VERIFY: "verification error:"}
 
@@ -91,14 +102,23 @@ def _leaves():
 
 
 CASES = _leaves()
+
+
+def _must_be_config_error(leaf, value) -> bool:
+    if isinstance(value, bool):
+        return leaf != "world.behavior.enabled"
+    return type(value) is int and value == HUGE
+
+
 # A warning would reach the CLI's stderr as a second line.
 pytestmark = pytest.mark.filterwarnings("error")
 
 
-def _run(tmp_path, capsys, command, overrides):
+def _run(tmp_path, capsys, command, overrides, *extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(BASE[command]))
-    argv = [command, "--config", str(path), "--out-dir", str(tmp_path / "o")]
+    argv = [command, "--config", str(path), "--out-dir", str(tmp_path / "o"),
+            *extra]
     if command == "train":
         argv += ["--log", str(tmp_path / "log" / "events.jsonl")]
     for dotted, value in overrides:
@@ -133,14 +153,16 @@ def test_every_value_of_every_leaf_exits_by_the_contract(
     if leaf.count(".") == 3:  # world.<section>.<kind>.<param>: a whole spec
         dotted = leaf.rsplit(".", 2)[0]
     broken = []
-    for value in values:
+    for value, spec in zip(VALUES, values):
         try:
-            code, err = _run(tmp_path, capsys, command, [(dotted, value)])
+            code, err = _run(tmp_path, capsys, command, [(dotted, spec)])
         except Exception as exc:  # a traceback is the bug
             broken.append(f"{value!r}: {type(exc).__name__}: {exc}")
             continue
         lines = err.splitlines()
-        if code == EXIT_OK:
+        if _must_be_config_error(leaf, value) and code != EXIT_CONFIG:
+            ok = False
+        elif code == EXIT_OK:
             ok = not lines
         else:
             ok = (code in PREFIX and len(lines) == 1
@@ -188,13 +210,73 @@ def _spec(section, kind, **extra):
      _spec("competitor_bids", "lognormal", sgima=3), "sgima"),
     ("abtest", "abtest.world_overrides.p_distribution",
      _spec("p_distribution", "scaled_beta", hihg=0.5), "hihg"),
+    ("simulate", "world.p_distribution",
+     _spec("p_distribution", "fixed", values=[0.1] * (N_USERS - 1) + [HUGE]),
+     f"values[{N_USERS - 1}]"),
+    ("simulate", "world.delta_p_distribution",
+     _spec("delta_p_distribution", "fixed", values=[True] + [0.05] * (N_USERS - 1)),
+     "values[0]"),
 ], ids=["click_rate", "pool", "competitor_bids-misspelled",
         "p_distribution-misspelled", "request_rate-other-kinds-key",
         "world_overrides.competitor_bids-misspelled",
-        "world_overrides.p_distribution-misspelled"])
+        "world_overrides.p_distribution-misspelled",
+        "p_distribution.fixed.values-huge-entry",
+        "delta_p_distribution.fixed.values-bool-entry"])
 def test_out_of_range_and_unknown_distribution_keys_are_config_errors(
         tmp_path, capsys, command, dotted, value, named):
     code, err = _run(tmp_path, capsys, command, [(dotted, value)])
     assert code == EXIT_CONFIG
     assert err.startswith("config error:") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.fixture(scope="module")
+def train_model(tmp_path_factory, train_log):
+    out = tmp_path_factory.mktemp("train_model")
+    path = out / "config.json"
+    path.write_text(json.dumps(BASE["train"]))
+    assert main(["train", "--config", str(path), "--out-dir", str(out),
+                 "--log", str(train_log / "events.jsonl")]) == EXIT_OK
+    return out / "model.json"
+
+
+# Offsets per file, each giving a truncated and a bit-flipped copy.
+DAMAGE_OFFSETS = 12
+# The abtest world of the trained model's schema, with behavior events on.
+MODEL_WORLD = {"topics": WORLD["topics"], "apps": WORLD["apps"],
+               "behavior": {"enabled": True}}
+
+
+@pytest.mark.parametrize("name", ["events.jsonl", "events.npz", "model.json"])
+def test_damaged_input_files_exit_by_the_contract(
+        tmp_path, capsys, train_log, train_model, name):
+    if name == "model.json":
+        target = tmp_path / name
+        data = train_model.read_bytes()
+        command, overrides = "abtest", [("abtest.world_overrides", MODEL_WORLD)]
+        extra = ("--bids", str(target))
+    else:
+        shutil.copytree(train_log, tmp_path / "log")
+        target = tmp_path / "log" / name
+        data = target.read_bytes()
+        command, overrides, extra = "train", [], ()
+    rng = random.Random(name)
+    broken = []
+    for offset in sorted(rng.sample(range(len(data)), DAMAGE_OFFSETS)):
+        bit = rng.randrange(8)
+        flipped = bytearray(data)
+        flipped[offset] ^= 1 << bit
+        for how, damaged in ((f"cut at {offset}", data[:offset]),
+                             (f"bit {bit} of byte {offset} flipped", flipped)):
+            target.write_bytes(damaged)
+            try:
+                code, err = _run(tmp_path, capsys, command, overrides, *extra)
+            except Exception as exc:  # a traceback is the bug
+                broken.append(f"{how}: {type(exc).__name__}: {exc}")
+                continue
+            lines = err.splitlines()
+            if not (code == EXIT_OK and not lines
+                    or code == EXIT_DATA and len(lines) == 1
+                    and lines[0].startswith("data error:")):
+                broken.append(f"{how}: exit {code}, stderr {err!r}")
+    assert not broken, f"{name}:\n" + "\n".join(broken)
