@@ -40,7 +40,7 @@ from .market import (
 from .seeds import derive_seed, rng_for
 from .world import (
     DEFAULT_HORIZON_DAYS, GroupStats, WorldConfig, assign_groups, behavior_log,
-    draw_action_rates, generate_population, run_market,
+    draw_action_rates, generate_population, market_population, run_market,
 )
 
 DISCLAIMER = ("Synthetic-market results: only metric definitions and "
@@ -483,6 +483,7 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
     ``estimator_factory(population, advertiser, behavior)``, where
     ``behavior`` is the world's :func:`liftsim.world.behavior_log`; the
     market then tells the estimator only its own impressions and clicks.
+    Without one, a world is its :func:`liftsim.world.market_population`.
     """
     campaign = config.campaign()
     beta = (None if config.beta_dollars is None
@@ -491,7 +492,8 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
 
     for rep in range(config.replications):
         world = config.world(rep)
-        population = generate_population(world)
+        population = (market_population(world) if estimator_factory is None
+                      else generate_population(world))
         bidders = lineup(campaign.cpa, population, beta=beta)
         estimator = None
         if estimator_factory is not None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..events import EventLog
 from ..fileio import atomic_write_text
-from ..market import Population, check_real
+from ..market import INT64_MAX, Population, check_real
 from ..seeds import rng_for
 from .features import (
     EventIndex, FeatureSchema, counterfactual_features, fold_context,
@@ -69,7 +69,7 @@ class CalibratedModel:
     gbdt: GBDTModel
     isotonic: IsotonicMap
     prior_logit_shift: float
-    feature_window_seconds: int
+    feature_window_seconds: float  # as trained, an int unless fractional
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -118,12 +118,14 @@ class CalibratedModel:
             raise ModelFileError(
                 f"{path} is not a {MODEL_FORMAT} v{MODEL_VERSION} file")
         try:
+            window = data["feature_window_seconds"]  # as saved, even fractional
+            check_real("feature_window_seconds", window, 0, INT64_MAX, "(]")
             model = cls(
                 schema=FeatureSchema.from_dict(data["schema"]),
                 gbdt=GBDTModel.from_dict(data["gbdt"]),
                 isotonic=IsotonicMap.from_dict(data["isotonic"]),
                 prior_logit_shift=float(data["prior_logit_shift"]),
-                feature_window_seconds=int(data["feature_window_seconds"]),
+                feature_window_seconds=window,
                 metadata=data.get("metadata", {}),
             )
             stored_digest = data["schema_digest"]
@@ -177,7 +179,7 @@ def train_calibrated_model(
     params: ModelParams | None = None,
     seed: int = 0,
     *,
-    feature_window_seconds: int,
+    feature_window_seconds: float,
 ) -> tuple[CalibratedModel, CalibrationReport]:
     """Train, prior-correct and calibrate ``samples``, records as
     :func:`~.sampling.generate_samples` returns them; returns the model

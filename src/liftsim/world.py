@@ -342,16 +342,27 @@ def draw_action_rates(
     return p, delta_p
 
 
+def _market_columns(config: WorldConfig, rng: np.random.Generator) -> tuple:
+    """p, delta_p and request_rate: the population stream's first draws."""
+    p, delta_p = draw_action_rates(config, rng)
+    return p, delta_p, _draw_request_rates(config, rng, config.n_users)
+
+
+def market_population(config: WorldConfig) -> Population:
+    """The users with only the columns an oracle market reads, bit for bit
+    :func:`generate_population`'s; the others keep their defaults."""
+    return Population(*_market_columns(config, rng_for(config.seed, "population")))
+
+
 def generate_population(config: WorldConfig) -> Population:
     """Sample the world's users; deterministic for a given config and seed.
 
-    The population stream draws :func:`draw_action_rates` first, then
-    the request rates, behavioral weights and demographics.
+    The population stream draws :func:`market_population`'s columns
+    first, then the behavioral weights and demographics.
     """
     n = config.n_users
     rng = rng_for(config.seed, "population")
-    p, delta_p = draw_action_rates(config, rng)
-    rates = _draw_request_rates(config, rng, n)
+    p, delta_p, rates = _market_columns(config, rng)
 
     # Behavioral propensities: topic 0 tracks the lift percentile, topic 1
     # the background-rate percentile, remaining topics and apps are noise.
@@ -510,8 +521,10 @@ def run_market(
     Then each window:
 
     * While some bidder still bids, or when events are recorded, the
-      window's requests are put in time order. Once every active bidder
-      has stopped, a window without a log only draws and bills actions.
+      window's requests are built, their users and day starts each one
+      ``np.repeat`` by count, and put in time order. Once every active
+      bidder has stopped, a window without a log only draws and bills
+      actions.
     * While some bidder still bids, ``market`` draws one standard normal
       per request of the window, in time order, as one draw over the
       horizon would give them; only the requests whose group still bids
@@ -534,7 +547,8 @@ def run_market(
       and clicks are the same.
     * At the window's end, every user's action is drawn, actions with a
       same-window impression are attributed, and each group bills them
-      at ``cpa`` while its spend is under budget.
+      at ``cpa`` while its spend is under budget. A window without an
+      impression adds each group's background-rate sum, summed once.
 
     When events are recorded, the ``behavior`` stream draws the
     behavioral events of :func:`behavior_log` into the log.
@@ -594,12 +608,14 @@ def run_market(
             np.rint(rates).astype(np.int64)[:, None], (n, config.horizon_days))
     # One request per draw, in (day, user) cell order. Cells are day-major,
     # so window w's requests are the draws starts[w]:starts[w + 1], from
-    # its cells w * window_cells onward.
+    # its cells w * window_cells onward: window_users, day by day.
     per_cell = counts.T.reshape(-1)
     window_cells = aw_days * n
+    window_users = np.tile(np.arange(n), aw_days)
+    per_day = per_cell.reshape(config.horizon_days, n).sum(axis=1)
+    day_starts = np.arange(config.horizon_days) * SECONDS_PER_DAY
     starts = np.zeros(n_windows + 1, dtype=np.int64)
-    np.cumsum(per_cell.reshape(n_windows, window_cells).sum(axis=1),
-              out=starts[1:])
+    np.cumsum(per_day.reshape(n_windows, aw_days).sum(axis=1), out=starts[1:])
     time_of_day = req_rng.integers(0, SECONDS_PER_DAY, int(starts[-1]))
     # Topics are the stream's last draw: skipping them changes nothing else.
     topics = (req_rng.integers(0, config.topics, time_of_day.size)
@@ -616,14 +632,15 @@ def run_market(
         then draw, so any sort gives the stable order.
         """
         draws, first = slice(starts[w], starts[w + 1]), w * window_cells
-        cell = np.repeat(np.arange(first, first + window_cells),
-                         per_cell[first:first + window_cells])
-        ts = cell // n * SECONDS_PER_DAY + time_of_day[draws]
+        user = np.repeat(window_users, per_cell[first:first + window_cells])
+        days = slice(w * aw_days, (w + 1) * aw_days)
+        ts = np.repeat(day_starts[days], per_day[days]) + time_of_day[draws]
         order = _time_order(ts, horizon_secs)
-        return (ts, cell[order] % n,
+        return (ts, user[order],
                 None if topics is None else topics[draws][order])
 
-    action_uniforms = action_rng.random((n, n_windows))
+    # One row per window, so each window end reads contiguous uniforms.
+    action_uniforms = action_rng.random((n, n_windows)).T.copy()
 
     if estimator is None:  # each user's bid from its group's bidder
         oracle_bids = np.stack([price_bids(b, p, dp) for b in bidders])[
@@ -634,9 +651,9 @@ def run_market(
         call, then one price_bids call per group; no call without rows."""
         if not rows.size:
             return empty
-        user = req_user[rows]
-        p_hat, dp_hat = estimator.estimate(user, req_ts[rows], req_topic[rows])
-        group = assignment[user]
+        p_hat, dp_hat = estimator.estimate(req_user[rows], req_ts[rows],
+                                           req_topic[rows])
+        group = req_group[rows]
         bids = np.zeros(len(rows), dtype=np.int64)
         for g in np.flatnonzero(np.bincount(group)).tolist():
             mine = group == g
@@ -645,6 +662,7 @@ def run_market(
 
     group_sizes = np.bincount(assignment, minlength=n_bidders)
     group_masks = [assignment == g for g in range(n_bidders)]
+    background_sums = [float(bg[mask].sum()) for mask in group_masks]
     user_requests = counts.sum(axis=1)
     request_counts = [int(user_requests[mask].sum()) for mask in group_masks]
     budget = np.array(split_budget(bidders, campaign.budget), dtype=np.int64)
@@ -683,7 +701,8 @@ def run_market(
         if record_events:
             blocks.append(_event_block(req_ts, req_user, KIND_CODE[AD_REQUEST],
                                        topic=req_topic))
-        rows = np.flatnonzero(bidding[assignment[req_user]])
+        req_group = assignment[req_user]
+        rows = np.flatnonzero(bidding[req_group])
         comp = (_competitor_bids(config, market_rng, p, req_user, rows)
                 if any_bidding else empty)
         # Only an estimator re-prices after a win, so only its runs end at
@@ -743,15 +762,21 @@ def run_market(
         if (won & (price > our)).any():
             raise MarketInvariantError(
                 f"window {w}: a clearing price is above the winning bid")
-        user, ts = req_user[kept], req_ts[kept]
-        group = assignment[user]
-        win_user, win_ts, win_group = user[won], ts[won], group[won]
+        group = req_group[kept]
+        win = np.flatnonzero(won)
+        win_user, win_group = req_user[kept[win]], group[win]
+        win_price = price[win]
         window_exposed[win_user] = True
-        placed += np.bincount(group, minlength=n_bidders)
-        impressions += np.bincount(win_group, minlength=n_bidders)
+        # Per group, (lost, won) auctions.
+        outcomes = np.bincount(2 * group + won, minlength=2 * n_bidders
+                               ).reshape(n_bidders, 2)
+        placed += outcomes.sum(axis=1)
+        impressions += outcomes[:, 1]
         clicks += np.bincount(win_group[clicked], minlength=n_bidders)
-        np.add.at(inventory_cost, win_group, price[won])
+        np.add.at(inventory_cost, win_group, win_price)
         if record_events:
+            user, ts = req_user[kept], req_ts[kept]
+            win_ts = ts[win]
             # The auction's winner: our group, else the market when its
             # bid cleared the reserve, else nobody.
             winner = np.where(won, group,
@@ -762,7 +787,7 @@ def run_market(
                 _event_block(ts, user, KIND_CODE[AUCTION], adv=0,
                              bidder=winner, price=price),
                 _event_block(win_ts, win_user, KIND_CODE[IMPRESSION], adv=0,
-                             bidder=win_group, price=price[won]),
+                             bidder=win_group, price=win_price),
                 _event_block(win_ts[clicked] + CLICK_DELAY_SECS,
                              win_user[clicked],
                              KIND_CODE[CLICK], adv=0,
@@ -770,12 +795,16 @@ def run_market(
             ]
 
         # Window end: draw actions, attribute and bill them.
-        effective = np.where(window_exposed, p, bg)
-        hits = action_uniforms[:, w] < effective
+        if win.size:
+            effective = np.where(window_exposed, p, bg)
+            sums = [float(effective[mask].sum()) for mask in group_masks]
+        else:  # nobody was exposed
+            effective, sums = bg, background_sums
+        for g in range(n_bidders):
+            expected_actions[g] += sums[g]
+        hits = action_uniforms[w] < effective
         hit_users = np.flatnonzero(hits)
         end_ts = (w + 1) * aw_secs - 1
-        for g in range(n_bidders):
-            expected_actions[g] += float(effective[group_masks[g]].sum())
         actions += np.bincount(assignment[hit_users], minlength=n_bidders)
         if record_events:
             blocks.append(_event_block(np.full(hit_users.size, end_ts),

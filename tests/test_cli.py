@@ -203,6 +203,24 @@ def test_train_end_to_end_and_determinism(tmp_path):
     assert model["schema_digest"]
 
 
+@pytest.mark.parametrize("days", [1e-5, 7])
+def test_a_model_bids_with_the_feature_window_it_trained_on(tmp_path, days):
+    payload = {**TRAIN_WORLD, "world": {**TRAIN_WORLD["world"], "n_users": 60},
+               "sampling": {"feature_window_days": days,
+                            "target_positive_count": 50}}
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+    assert main(["train", "--config", str(config),
+                 "--log", str(out / "events.jsonl"),
+                 "--out-dir", str(out)]) == EXIT_OK
+    text = (out / "model.json").read_text()
+    model = CalibratedModel.load(out / "model.json")
+    assert model.feature_window_seconds == days * 86_400
+    assert type(model.feature_window_seconds) is type(days * 86_400)
+    assert json.dumps(model.to_dict()) + "\n" == text
+
+
 def test_train_exports_one_line_per_sample(tmp_path, capsys):
     config = write_config(tmp_path, TRAIN_WORLD)
     out = tmp_path / "out"
@@ -434,6 +452,23 @@ def test_abtest_malformed_model_is_a_data_error(tmp_path, capsys, content):
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("window", [True, "604800", float("nan"), -1.0, 0],
+                         ids=["bool", "string", "nan", "negative", "zero"])
+def test_a_model_with_a_malformed_feature_window_is_a_data_error(
+        tmp_path, capsys, window):
+    model = json.loads(one_split_model())
+    model["feature_window_seconds"] = window
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    config = write_config(tmp_path, model_abtest({"enabled": True}))
+    code = main(["abtest", "--config", str(config), "--bids", str(path),
+                 "--out-dir", str(tmp_path / "m")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "feature_window_seconds" in err
     assert err.count("\n") == 1
 
 

@@ -215,3 +215,27 @@ def test_abtest_zero_budget_yields_empty_campaign():
         assert rep.groups[kind]["spend"] == 0
     # Actions still happen at the background rate.
     assert rep.groups["passive"]["actions"] > 0
+
+
+def test_an_oracle_abtest_draws_only_the_market_population(monkeypatch):
+    """Without an estimator a world is its market_population, and the
+    report is the one the whole population gives."""
+    config = ABTestConfig(n_users=900, replications=2, master_seed=8,
+                          budget_per_bidder_dollars=3000.0)
+    drawn = []
+    market_population = experiments.market_population
+    monkeypatch.setattr(experiments, "market_population",
+                        lambda world: drawn.append(world) or
+                        market_population(world))
+    report = run_abtest(config)
+    assert drawn == [config.world(0), config.world(1)]
+    monkeypatch.setattr(experiments, "market_population",
+                        generate_population)
+    forced = run_abtest(config)
+    assert ([r.as_dict() for r in report.replications]
+            == [r.as_dict() for r in forced.replications])
+    n_windows = config.horizon_days // config.action_window_days
+    for rep in report.replications:  # both spend out mid-horizon
+        assert rep.all_spent_out
+        assert max(rep.groups[k]["stop_window"]
+                   for k in ("value", "lift")) < n_windows - 1

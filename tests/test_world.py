@@ -20,8 +20,8 @@ from liftsim.seeds import rng_for
 from liftsim.world import (
     CLICK_DELAY_SECS, SECONDS_PER_DAY, WorldConfig, WorldConfigError,
     _check_sortable, _time_order, _time_sorted, behavior_log,
-    draw_action_rates, generate_population, precedent_impression_fraction,
-    run_market, split_budget,
+    draw_action_rates, generate_population, market_population,
+    precedent_impression_fraction, run_market, split_budget,
 )
 from test_market import second_price
 
@@ -246,14 +246,15 @@ ABC_BIDDERS = [
 
 
 def _abc_run(config, budget_dollars=1e9, record_events=True,
-             estimator_factory=None):
-    population = generate_population(config)
+             estimator_factory=None, aw_days=2, population=None):
+    if population is None:
+        population = generate_population(config)
     assignment = np.arange(len(population)) % 3
     estimator = None
     if estimator_factory is not None:
         estimator = estimator_factory(population)
     return run_market(
-        population, ABC_BIDDERS, campaign(budget_dollars), config,
+        population, ABC_BIDDERS, campaign(budget_dollars, aw_days), config,
         assignment=assignment, record_events=record_events,
         estimator=estimator,
     )
@@ -587,6 +588,81 @@ def test_oracle_window_step_matches_the_per_request_path(case, record_events):
         assert (lift.stop_window, value.stop_window) == (0, 1)
     if case == "zero_lift":  # the lift group's requests all bid 0
         assert lift.requests > 0 and lift.bids_placed == 0
+
+
+@pytest.mark.parametrize("case", ENGINE_CASES)
+def test_an_oracle_market_on_the_market_population_is_the_full_ones(case):
+    """Without a log, the oracle market reads only p, delta_p and the
+    request rates: on market_population's users it gives
+    generate_population's results."""
+    config, budget = engine_world(case)
+    full, market = generate_population(config), market_population(config)
+    for name in ("p", "delta_p", "request_rate"):
+        assert getattr(market, name).tobytes() == getattr(full, name).tobytes()
+    runs = [_abc_run(config, budget, False, population=users)
+            for users in (full, market)]
+    assert [g.as_dict() for g in runs[0].groups] == \
+        [g.as_dict() for g in runs[1].groups]
+
+
+def _expected_requests(config):
+    """The world's ad requests rebuilt from the ``requests`` stream's
+    draws, counts per (user, day) then times of day then topics, each in
+    (day, user) cell order, and put in stable (ts, user) order: columns
+    (ts, user, topic) and the (user, day) counts."""
+    users = generate_population(config)
+    n, days = len(users), config.horizon_days
+    rng = rng_for(config.seed, "requests")
+    if config.request_arrivals == "poisson":
+        counts = rng.poisson(np.broadcast_to(users.request_rate[:, None],
+                                             (n, days)))
+    else:
+        counts = np.broadcast_to(
+            np.rint(users.request_rate).astype(np.int64)[:, None], (n, days))
+    day, user = np.divmod(np.repeat(np.arange(days * n), counts.T.reshape(-1)),
+                          n)
+    ts = day * SECONDS_PER_DAY + rng.integers(0, SECONDS_PER_DAY, day.size)
+    topic = rng.integers(0, config.topics, day.size)
+    order = np.lexsort((user, ts))
+    return np.stack([ts, user, topic])[:, order], counts
+
+
+@pytest.mark.parametrize("arrivals", ["poisson", "deterministic"])
+@pytest.mark.parametrize("aw_days", [1, 3])
+def test_market_windows_of_other_lengths(aw_days, arrivals):
+    """Windows of 1 and 3 days over a 6-day horizon: the estimator's runs
+    give the oracle's bytes, the log changes no aggregate, and the log's
+    requests are the ``requests`` stream's, in stable (ts, user) order."""
+    # Both bidders spend out before the last window, which the market
+    # then settles without bids.
+    config = WorldConfig(n_users=240, seed=33, horizon_days=6,
+                         p_distribution={"low": 0.05, "high": 0.3},
+                         request_arrivals=arrivals,
+                         behavior={"enabled": False})
+    budget = 200.0
+    oracle = _abc_run(config, budget, aw_days=aw_days)
+    truth = _abc_run(config, budget, estimator_factory=TruthEstimator,
+                     aw_days=aw_days)
+    assert oracle.n_windows == 6 // aw_days
+    assert oracle.log.dumps() == truth.log.dumps()
+    stats = [g.as_dict() for g in oracle.groups]
+    assert stats == [g.as_dict() for g in truth.groups]
+    for factory in (None, TruthEstimator):
+        without = _abc_run(config, budget, False, factory, aw_days=aw_days)
+        assert [g.as_dict() for g in without.groups] == stats
+    _, value, lift = oracle.groups
+    assert value.impressions > 0 and lift.impressions > 0
+    assert max(value.stop_window, lift.stop_window) < oracle.n_windows - 1
+
+    log = oracle.log
+    requests = rows_of(log, AD_REQUEST)
+    expected, counts = _expected_requests(config)
+    got = np.stack([log.ts[requests], log.user[requests], log.topic[requests]])
+    assert np.array_equal(got, expected)
+    per_cell = np.zeros_like(counts)
+    np.add.at(per_cell, (got[1], got[0] // SECONDS_PER_DAY), 1)
+    assert np.array_equal(per_cell, counts)
+    assert sum(g.requests for g in oracle.groups) == requests.size
 
 
 class RecordingEstimator(TruthEstimator):
