@@ -171,8 +171,8 @@ class MCCheck:
     instance: int
     quantity: str
     exact: float
-    estimate: float
-    stderr: float
+    estimate: float | None  # None when no trial attributed an action
+    stderr: float | None
     within: bool = False  # |exact - estimate| <= mc_z(checks run) * stderr
 
 
@@ -276,17 +276,26 @@ def _mc_cross_check(
         attr_2[done:done + m] = hits_k_exposed.sum(axis=1)
         total_2[done:done + m] = attr_2[done:done + m] + hits_j_bg.sum(axis=1)
 
-    c1_se = float(cost_value * np.std(attr_1, ddof=1)
-                  / (attr_1.mean() ** 2 * np.sqrt(trials)))
+    # A side with no attributed action in any trial gives nothing to
+    # estimate its ratios from: they stay null, and its checks fail.
+    estimates = {}
+    if attr_1.any():
+        estimates["actions_per_attr_value"] = (
+            float(total_1.mean() / attr_1.mean()), _ratio_se(total_1, attr_1))
+        estimates["cost_per_attr_value"] = (
+            float(cost_value / attr_1.mean()),
+            float(cost_value * np.std(attr_1, ddof=1)
+                  / (attr_1.mean() ** 2 * np.sqrt(trials))))
+    if attr_2.any():
+        estimates["actions_per_attr_lift"] = (
+            float(total_2.mean() / attr_2.mean()), _ratio_se(total_2, attr_2))
     return [
-        MCCheck(instance, quantity, exact, estimate, stderr)
-        for quantity, exact, estimate, stderr in (
-            ("actions_per_attr_value", report.actions_per_attr_value,
-             float(total_1.mean() / attr_1.mean()), _ratio_se(total_1, attr_1)),
-            ("actions_per_attr_lift", report.actions_per_attr_lift,
-             float(total_2.mean() / attr_2.mean()), _ratio_se(total_2, attr_2)),
-            ("cost_per_attr_value", report.cost_per_attr_value,
-             float(cost_value / attr_1.mean()), c1_se),
+        MCCheck(instance, quantity, exact,
+                *estimates.get(quantity, (None, None)))
+        for quantity, exact in (
+            ("actions_per_attr_value", report.actions_per_attr_value),
+            ("actions_per_attr_lift", report.actions_per_attr_lift),
+            ("cost_per_attr_value", report.cost_per_attr_value),
         )
     ]
 
@@ -346,7 +355,8 @@ def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
         if report.mc_checks:
             report.mc_z = mc_z(len(report.mc_checks))
             for check in report.mc_checks:
-                check.within = (abs(check.exact - check.estimate)
+                check.within = (check.estimate is not None
+                                and abs(check.exact - check.estimate)
                                 <= report.mc_z * check.stderr)
         out[mode] = report
     return out
@@ -482,8 +492,9 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
     when given, from the :class:`liftsim.world.BidEstimator` returned by
     ``estimator_factory(population, advertiser, behavior)``, where
     ``behavior`` is the world's :func:`liftsim.world.behavior_log`; the
-    market then tells the estimator only its own impressions and clicks.
-    Without one, a world is its :func:`liftsim.world.market_population`.
+    market then tells the estimator only its own impressions and clicks,
+    as each action window settles. Without one, a world is its
+    :func:`liftsim.world.market_population`.
     """
     campaign = config.campaign()
     beta = (None if config.beta_dollars is None

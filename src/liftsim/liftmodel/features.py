@@ -11,11 +11,12 @@ Every feature is computed strictly from events in the half-open window
 ``(ts - fw, ts]``; nothing after ``ts`` may leak in.
 
 :class:`EventIndex` states that rule once, in columns: it sorts a log's
-tracked events once, takes events observed later, and builds the rows of
-many (user, time) queries in one pass. :func:`window_features` builds a
-training matrix with it, and model-driven bidding
-(:class:`~.pipeline.ModelBidEstimator`) prices requests with it while
-the market tells it the bidder's own impressions and clicks.
+tracked events once, takes columns of events observed later, and builds
+the rows of many (user, time) queries in one pass. :func:`window_features`
+builds a training matrix with it. Model-driven bidding
+(:class:`~.pipeline.ModelBidEstimator`) prices each window's requests
+with it in one pass, after the market has told it the bidder's own
+impressions and clicks of the windows before.
 :func:`extract_from_history` states the same rule one row at a time over
 a :class:`UserHistory`; it is the reference the tests hold the columns to.
 """
@@ -222,8 +223,9 @@ class EventIndex:
 
     Each event is one int64 key (frequency column, user code, rank of its
     time), where the rank indexes a sorted time table. Observed events
-    keep a key array of their own, re-sorted at the next :meth:`rows`
-    after an :meth:`observe`, so the log's keys are never sorted again.
+    are (column, user, time) columns with a key array of their own,
+    re-sorted at the next :meth:`rows` after an :meth:`observe`, so the
+    log's keys are never sorted again.
     """
 
     def __init__(self, log: EventLog, schema: FeatureSchema) -> None:
@@ -241,9 +243,10 @@ class EventIndex:
             column[picked] = table[np.minimum(getattr(log, field)[picked],
                                               len(table) - 1)]
         self._logged = self._keys(column, log.user, log.ts)
-        # Observed (column, user, ts): as columns, and those not yet keyed.
+        # Observed (column, user, ts): the keyed columns, and blocks not yet
+        # keyed.
         self._told = np.zeros((3, 0), dtype=np.int64)
-        self._untold: list[tuple[int, int, int]] = []
+        self._untold: list[np.ndarray] = []
         self._observed = self._keys(*self._told)
 
     def _keys(self, column: np.ndarray, user: np.ndarray,
@@ -256,13 +259,19 @@ class EventIndex:
                       * (len(times) + 1) + np.searchsorted(times, stamps))
         return key, times
 
-    def observe(self, user: int, kind: str, ref: object, ts: int) -> None:
-        """Add one event of user code ``user``, in any time order."""
+    def observe(self, users: np.ndarray, kind: str, ref: object,
+                ts: np.ndarray) -> None:
+        """Add events of one kind and ref: user codes ``users`` at times
+        ``ts``, equal-length arrays in any time order."""
         tracked = _TRACKED.get(kind)
         column = (-1 if tracked is None
                   else self.schema._column_of.get((tracked[0], ref), -1))
-        if column >= 0:
-            self._untold.append((column, user, ts))
+        users, ts = np.asarray(users, np.int64), np.asarray(ts, np.int64)
+        if users.shape != ts.shape or users.ndim != 1:
+            raise ValueError("users and ts must be equal-length 1-d arrays")
+        if column >= 0 and users.size:
+            self._untold.append(np.stack([np.full_like(users, column),
+                                          users, ts]))
 
     def rows(self, users: np.ndarray, ts: np.ndarray, fw: int,
              demographics: np.ndarray) -> np.ndarray:
@@ -275,8 +284,7 @@ class EventIndex:
         order = np.lexsort((ts, users))
         users, ts = users[order], ts[order]
         if self._untold:
-            self._told = np.concatenate(
-                [self._told, np.array(self._untold, np.int64).T], axis=1)
+            self._told = np.concatenate([self._told, *self._untold], axis=1)
             self._untold.clear()
             self._observed = self._keys(*self._told)
         schema = self.schema

@@ -253,16 +253,16 @@ def train_calibrated_model(
 
 
 class ModelBidEstimator:
-    """Streaming (p, lift) estimates for model-driven bidding.
+    """Window-by-window (p, lift) estimates for model-driven bidding.
 
     Indexes the behavior events once (:class:`~.features.EventIndex`),
     learns the bidder's own impressions and clicks from the market as
-    they happen, and prices a batch of requests with one columnar
-    feature pass and one ensemble call: the calibrated action rate
-    assuming the impression is shown, and the counterfactual lift of
-    showing it. Features only read events at or before a request's time,
-    so holding later behavior events changes no bid, and a batch gives
-    each row the bits a one-row call would.
+    columns, once per settled window, and prices a window's requests with
+    one columnar feature pass and one ensemble call: the calibrated
+    action rate assuming the impression is shown, and the counterfactual
+    lift of showing it. Features only read events at or before a
+    request's time, so holding later behavior events changes no bid, and
+    a batch gives each row the bits a one-row call would.
     """
 
     def __init__(
@@ -279,7 +279,9 @@ class ModelBidEstimator:
         self._demographics = population.demographics
         self._events = EventIndex(behavior, model.schema)
 
-    def observe(self, user_index: int, kind: str, ref: object, ts: int) -> None:
+    def observe(self, user_index: ArrayLike, kind: str, ref: object,
+                ts: ArrayLike) -> None:
+        """Learn events of one kind: users ``user_index`` at times ``ts``."""
         self._events.observe(user_index, kind, ref, ts)
 
     def estimate(self, user_index: ArrayLike, ts: ArrayLike,

@@ -15,26 +15,24 @@ order of two correlated standard normals. Each marginal is exact, and
 the pair's rank correlation is that of the Gaussian copula of those
 normals.
 
-Budgets and attribution change only at the ends of action windows. A
-window's bids come from the ground truth priced by each group's bidder
-(oracle bids), or from a :class:`BidEstimator`, which prices from what a
-bidder can know: the behavior data it was built with, and the
-impressions and clicks of its own won auctions, each told before the
-same user's next bid. Either way the window settles in runs of
-requests, each in one :func:`~liftsim.market.run_auction` call, the
-package's one second-price settlement. A run ends at the first auction
-our bid may win (:func:`~liftsim.market.may_win`) when a win can
-re-price a later request, that is with an estimator; with oracle bids
-nothing re-prices, so the window is one run. Given the ground truth, an
-estimator's runs give the oracle's results.
+Budgets, attribution and a bidder's knowledge change only at the ends of
+action windows. A window's bids come from the ground truth priced by
+each group's bidder (oracle bids), or from one call to a
+:class:`BidEstimator`, which prices from what a bidder can know: the
+behavior data it was built with, and the impressions and clicks of its
+own won auctions in earlier windows. Either way the window's positive
+bids settle in one :func:`~liftsim.market.run_auction` call, the
+package's one second-price settlement, and only then is the estimator
+told the window's wins. Given the ground truth, an estimator gives the
+oracle's results.
 
 Randomness is split into independent streams (requests, market,
 behavior, clicks, actions, ties) derived from the world seed, so the
 action draws for a user do not depend on how the bidding went; exposure
 changes outcomes only through (p, delta_p). The tie and click streams
-are drawn in request order, one value per tie and per won auction,
-however a window splits into runs. The same configuration and seed
-reproduce the identical event log byte for byte.
+are drawn in request order, one value per tie and per won auction. The
+same configuration and seed reproduce the identical event log byte for
+byte.
 
 Request counts, times of day and topics are drawn up front, the last
 two in one ``integers`` call each over the horizon: numpy buffers 32-bit
@@ -63,7 +61,7 @@ from .events import (
 from .fileio import json_digest
 from .market import (
     INT64_MAX, MICROS_PER_DOLLAR, Campaign, Population, check_integer,
-    check_real, may_win, run_auction,
+    check_real, run_auction,
 )
 from .seeds import rng_for
 
@@ -391,12 +389,11 @@ class BidEstimator(Protocol):
 
     ``estimate`` takes equal-length arrays of user index, request time
     and topic, and returns arrays of p and delta_p, one per request; the
-    market calls it once per window, and again, in one call, for the
-    requests that wins have made stale, when its walk reaches the first
-    of them. ``observe`` is told the outcomes
-    of the bidder's own auctions: each impression it wins and each click
-    on one, per user in time order, before that user's next bid is
-    priced. ``ref`` is the campaign's advertiser id. Anything else an
+    market calls it once per window that has a bidding request, with all
+    of them. ``observe`` is told the outcomes of the bidder's own
+    auctions once the window has settled: one call with the users and
+    times of its won impressions, then one with those of the clicks on
+    them. ``ref`` is the campaign's advertiser id. Anything else an
     estimator knows, such as behavior data, it is built with.
     """
 
@@ -404,7 +401,8 @@ class BidEstimator(Protocol):
                  topic_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ...
 
-    def observe(self, user_index: int, kind: str, ref: object, ts: int) -> None:
+    def observe(self, user_index: np.ndarray, kind: str, ref: object,
+                ts: np.ndarray) -> None:
         ...
 
 
@@ -531,20 +529,13 @@ def run_market(
       become competitor bids. The requests whose group still bids are
       priced from the ground truth, or with one ``estimate`` call when
       there is an estimator.
-    * They settle in runs, in time order, each run's positive bids in one
-      :func:`~liftsim.market.run_auction` call, which draws one ``ties``
-      flip per tie; ``clicks`` then draws one uniform per win. With
-      oracle bids the window is one run. With an estimator a run ends at
-      the first auction our bid may win (the ones before it lose
-      outright). A win is observed as an impression, and its click, if
-      any, as a click; the estimator is told nothing else. That user's
-      later requests in the window become stale, and the walk stops at
-      the first stale request before it settles anything past it: one
-      ``estimate`` call prices every stale request again, and the walk
-      goes on from where it stopped. A user's history cannot change
-      before the walk reaches that user's next request, so each is
-      priced as it would be at once after the win, and the runs, ties
-      and clicks are the same.
+    * Their positive bids settle in one
+      :func:`~liftsim.market.run_auction` call, in time order, which
+      draws one ``ties`` flip per tie; ``clicks`` then draws one uniform
+      per win. Then an estimator is told the window's wins, in one
+      ``observe`` call for the impressions and one for the clicks, and
+      nothing else. So a request after its user's win in the same window
+      is priced without that win.
     * At the window's end, every user's action is drawn, actions with a
       same-window impression are attributed, and each group bills them
       at ``cpa`` while its spend is under budget. A window without an
@@ -646,20 +637,6 @@ def run_market(
         oracle_bids = np.stack([price_bids(b, p, dp) for b in bidders])[
             assignment, np.arange(n)]
 
-    def model_bids(rows: np.ndarray) -> np.ndarray:
-        """Bids for the current window's requests ``rows``: one estimate
-        call, then one price_bids call per group; no call without rows."""
-        if not rows.size:
-            return empty
-        p_hat, dp_hat = estimator.estimate(req_user[rows], req_ts[rows],
-                                           req_topic[rows])
-        group = req_group[rows]
-        bids = np.zeros(len(rows), dtype=np.int64)
-        for g in np.flatnonzero(np.bincount(group)).tolist():
-            mine = group == g
-            bids[mine] = price_bids(bidders[g], p_hat[mine], dp_hat[mine])
-        return bids
-
     group_sizes = np.bincount(assignment, minlength=n_bidders)
     group_masks = [assignment == g for g in range(n_bidders)]
     background_sums = [float(bg[mask].sum()) for mask in group_masks]
@@ -705,59 +682,24 @@ def run_market(
         rows = np.flatnonzero(bidding[req_group])
         comp = (_competitor_bids(config, market_rng, p, req_user, rows)
                 if any_bidding else empty)
-        # Only an estimator re-prices after a win, so only its runs end at
-        # an auction we may win; with oracle bids the window is one run.
-        # With an estimator the walk also stops at a stale request: one
-        # whose user has won since it was priced.
         if estimator is None:
             bids = oracle_bids[req_user[rows]]
-            stops = np.zeros(rows.size, dtype=bool)
+        elif rows.size:  # one estimate call, one price_bids call per group
+            p_hat, dp_hat = estimator.estimate(req_user[rows], req_ts[rows],
+                                               req_topic[rows])
+            bidder_of = req_group[rows]
+            bids = np.zeros(rows.size, dtype=np.int64)
+            for g in np.flatnonzero(np.bincount(bidder_of)).tolist():
+                mine = bidder_of == g
+                bids[mine] = price_bids(bidders[g], p_hat[mine], dp_hat[mine])
         else:
-            bids = model_bids(rows)
-            stops = may_win(bids, comp, reserve)
-            stale = np.zeros(rows.size, dtype=bool)
-        # (requests, bids, competitor bids, won, price, clicked) per run,
-        # after an empty one, so a window without auctions concatenates to
-        # empty arrays. A run is positions in rows, as are bids and comp.
-        runs = [(empty, empty, empty, empty > 0, empty, empty > 0)]
-        start = 0
-        while start < rows.size:
-            end = start + int(stops[start:].argmax()) + 1
-            if not stops[end - 1]:
-                end = rows.size
-            elif estimator is not None and stale[end - 1]:
-                # Price every stale request in one call, then walk again
-                # from the same start: no request before this one moved.
-                again = np.flatnonzero(stale)
-                bids[again] = model_bids(rows[again])
-                stops[again] = may_win(bids[again], comp[again], reserve)
-                stale[again] = False
-                continue
-            # A run settles its positive bids, as a slice (no copy) when all
-            # are. Re-pricing writes only after the run: its bids stay put.
-            positive = bids[start:end] > 0
-            run = (slice(start, end) if positive.all()
-                   else start + np.flatnonzero(positive))
-            start = end
-            kept, our, against = rows[run], bids[run], comp[run]
-            if not kept.size:
-                continue
-            won, price = run_auction(our, against, reserve, tie_rng)
-            clicked = click_rng.random(int(np.count_nonzero(won))) < click_rate
-            runs.append((kept, our, against, won, price, clicked))
-            if estimator is not None and won[-1]:
-                u, ts = int(req_user[kept[-1]]), int(req_ts[kept[-1]])
-                estimator.observe(u, IMPRESSION, adv, ts)
-                if clicked[0]:
-                    estimator.observe(u, CLICK, adv, ts + CLICK_DELAY_SECS)
-                # That user's later requests in the window are stale. Their
-                # history cannot change again before the walk reaches the
-                # first of them, so pricing them there prices them as now.
-                later = end + np.flatnonzero(req_user[rows[end:]] == u)
-                stale[later] = stops[later] = True
-        kept, our, against, won, price, clicked = (
-            runs[1] if len(runs) == 2  # one run: no copy
-            else (np.concatenate(part) for part in zip(*runs)))
+            bids = empty
+        # The positive bids settle, as a slice (no copy) when all are.
+        positive = bids > 0
+        run = slice(None) if positive.all() else np.flatnonzero(positive)
+        kept, our, against = rows[run], bids[run], comp[run]
+        won, price = run_auction(our, against, reserve, tie_rng)
+        clicked = click_rng.random(int(np.count_nonzero(won))) < click_rate
 
         if (won & (price > our)).any():
             raise MarketInvariantError(
@@ -767,6 +709,11 @@ def run_market(
         win_user, win_group = req_user[kept[win]], group[win]
         win_price = price[win]
         window_exposed[win_user] = True
+        if estimator is not None and win.size:  # the bidder learns its wins
+            win_ts = req_ts[kept[win]]
+            estimator.observe(win_user, IMPRESSION, adv, win_ts)
+            estimator.observe(win_user[clicked], CLICK, adv,
+                              win_ts[clicked] + CLICK_DELAY_SECS)
         # Per group, (lost, won) auctions.
         outcomes = np.bincount(2 * group + won, minlength=2 * n_bidders
                                ).reshape(n_bidders, 2)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,32 @@ def test_verify_small_sweep_passes_and_is_deterministic(tmp_path):
         (out2 / "verify_report.jsonl").read_bytes()
     assert (out1 / "verify_report.txt").read_bytes() == \
         (out2 / "verify_report.txt").read_bytes()
+
+
+def test_a_monte_carlo_side_without_attributed_actions_fails_verify(
+        tmp_path, capsys):
+    # 30 users and 2 trials: on this seed one instance's lift side sees no
+    # attributed action in either trial, so its ratio has no estimate.
+    config = write_config(tmp_path, {})
+    sets = ["sweep.n_users=30", "sweep.n_instances=3", "sweep.mc_instances=3",
+            "sweep.mc_trials=2"]
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", "--config", str(config), "--out-dir", str(out),
+                     *(arg for s in sets for arg in ("--set", s))]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("verification error:") and err.count("\n") == 1
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    lines = (out / "verify_report.jsonl").read_text().splitlines()
+    checks = [json.loads(line, parse_constant=no_constant).get("mc_check")
+              for line in lines]
+    unseen = [c for c in checks if c and c["estimate"] is None]
+    assert unseen
+    assert all(c["stderr"] is None and c["within"] is False for c in unseen)
 
 
 def test_verify_rejects_zero_instances(tmp_path, capsys):

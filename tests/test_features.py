@@ -309,10 +309,17 @@ def test_event_index_with_observed_events_matches_the_reference(data, fw):
     samples += [(user, ts + late) for user, ts in requests for late in (0, 30)]
 
     index = EventIndex(log, schema())
-    for i, event in enumerate(observed):
-        index.observe(*event)
-        if i == len(observed) // 2:  # rows in between re-key what follows
-            index.rows([0], [DAY], fw, np.zeros((1, 3)))
+    index.observe([], IMPRESSION, "adv1", [])  # no events: no change
+    half = len(observed) // 2 + 1
+    for part in (observed[:half], observed[half:]):
+        # One call per (kind, ref), with its users and times as columns.
+        for kind, ref in dict.fromkeys((kind, ref) for _, kind, ref, _ in part):
+            picked = [(user, ts) for user, k, r, ts in part
+                      if (k, r) == (kind, ref)]
+            index.observe([user for user, _ in picked], kind, ref,
+                          [ts for _, ts in picked])
+        # Rows in between re-key what follows.
+        index.rows([0], [DAY], fw, np.zeros((1, 3)))
     population = distinct_users()
     users = np.array([code[user] for user, _ in samples])
     got = index.rows(users, [ts for _, ts in samples], fw,

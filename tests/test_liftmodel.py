@@ -175,7 +175,9 @@ def test_streaming_estimator_matches_offline_extraction():
         ModelBidEstimator(model, population, "adv1", views)
     behavior = replace(views, users=population.user_ids)  # uid is code 0
     estimator = ModelBidEstimator(model, population, "adv1", behavior)
-    estimator.observe(0, IMPRESSION, "adv1", 2 * DAY)
+    estimator.observe([0], IMPRESSION, "adv1", [2 * DAY])
+    with pytest.raises(ValueError):  # one time per user
+        estimator.observe([0, 0], CLICK, "adv1", [2 * DAY])
     ts = 3 * DAY + 1000
     (p_hat,), (lift_hat,) = estimator.estimate([0], [ts], [1])
 
@@ -207,8 +209,9 @@ def estimator_with_wins():
     for u in told.tolist():  # a win and its click after the log ends
         observed += [(u, IMPRESSION, "adv1", 16 * DAY + u),
                      (u, CLICK, "adv1", 16 * DAY + u + 30)]
-    for event in observed:
-        estimator.observe(*event)
+    # As the market tells a window's wins: one call per kind.
+    estimator.observe(told, IMPRESSION, "adv1", 16 * DAY + told)
+    estimator.observe(told, CLICK, "adv1", 16 * DAY + told + 30)
     seen = log.kind == KIND_CODE[IMPRESSION]
     users = np.concatenate([np.repeat(log.user[seen][:30], 2),
                             np.repeat(told, 2),

@@ -76,7 +76,7 @@ DIGESTS = {
     "out/abtest_report.jsonl":
         "dd6cb82deaea0d36d0be62fc2ef52d7ddc47d40b71c54b019e7aa28420bc2294",
     "model_ab/abtest_report.jsonl":
-        "da520517e80b2d87af61b7e3317c7fac44e0bc8a70bc4f34ac37f0fb0b70835b",
+        "f31d0301c4c37c0d08e1098c103c9efd9e742e1365837b33ce15afff034016d1",
 }
 
 

@@ -10,16 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import liftsim.world
-from liftsim.bidders import BidderConfig, price_bids
+from liftsim.bidders import BidderConfig, lineup, price_bids
 from liftsim.events import (
-    ACTION, AD_REQUEST, AUCTION, BID, CLICK, EVENT_KINDS, IMPRESSION,
+    ACTION, AD_REQUEST, AUCTION, BID, CLICK, EVENT_KINDS, FIELDS, IMPRESSION,
     KIND_CODE,
 )
-from liftsim.market import Campaign, dollars_to_micros, may_win
+from liftsim.market import Campaign, dollars_to_micros
 from liftsim.seeds import rng_for
 from liftsim.world import (
     CLICK_DELAY_SECS, SECONDS_PER_DAY, WorldConfig, WorldConfigError,
-    _check_sortable, _time_order, _time_sorted, behavior_log,
+    _check_sortable, _time_order, _time_sorted, assign_groups, behavior_log,
     draw_action_rates, generate_population, market_population,
     precedent_impression_fraction, run_market, split_budget,
 )
@@ -563,9 +563,9 @@ def engine_world(case):
 
 @pytest.mark.parametrize("record_events", [True, False], ids=["log", "no-log"])
 @pytest.mark.parametrize("case", ENGINE_CASES)
-def test_oracle_window_step_matches_the_per_request_path(case, record_events):
-    """Truth estimates split each window into runs that end at an auction
-    we may win; they must give the oracle's one run per window's bytes."""
+def test_truth_estimates_give_the_oracles_bytes(case, record_events):
+    """Bids priced by one estimate call per window, from the ground
+    truth, settle as oracle bids do: the same results and log bytes."""
     config, budget = engine_world(case)
     oracle = _abc_run(config, budget, record_events)
     truth = _abc_run(config, budget, record_events,
@@ -588,6 +588,70 @@ def test_oracle_window_step_matches_the_per_request_path(case, record_events):
         assert (lift.stop_window, value.stop_window) == (0, 1)
     if case == "zero_lift":  # the lift group's requests all bid 0
         assert lift.requests > 0 and lift.bids_placed == 0
+
+
+# Null worlds at ENGINE_CASES size: lift is a fixed ratio of p, so the
+# calibrated lift bid beta * delta_p equals the value bid cpa * p. Each
+# variant's overrides and the campaign budget in dollars.
+NULL_VARIANTS = {
+    "base": ({}, 1e9),
+    "reserve": ({"reserve_micros": D(3.0)}, 1e9),
+    "lognormal": ({"competitor_bids": {"kind": "lognormal",
+                                       "median_dollars": 2.0, "sigma": 0.5}},
+                  1e9),
+    "deterministic": ({"request_arrivals": "deterministic"}, 1e9),
+    "spend_out": ({}, 200.0),
+}
+
+
+def _without_labels(group):
+    return {k: v for k, v in group.as_dict().items()
+            if k not in ("bidder", "kind")}
+
+
+@pytest.mark.parametrize("factory", [None, TruthEstimator],
+                         ids=["oracle", "truth"])
+@pytest.mark.parametrize("variant", NULL_VARIANTS)
+@pytest.mark.parametrize("ratio", [0.5, 0.3])
+def test_a_null_world_swaps_value_and_lift_stats_with_their_labels(
+        ratio, variant, factory):
+    """With equal bids the value and lift groups are exchangeable:
+    swapping their labels in ``assignment`` swaps their GroupStats and
+    their event log rows exactly, and leaves the passive group's as is."""
+    overrides, budget = NULL_VARIANTS[variant]
+    config = WorldConfig(n_users=240, seed=31, horizon_days=6,
+                         delta_p_distribution={"kind": "point_ratio",
+                                               "value": ratio},
+                         **overrides)
+    population = generate_population(config)
+    bidders = lineup(D(100.0), population)
+    _, value, lift = bidders
+    assert price_bids(value, population.p, population.delta_p).tobytes() == \
+        price_bids(lift, population.p, population.delta_p).tobytes()
+    assignment = assign_groups(config, 3)
+    swap = np.array([0, 2, 1])  # value <-> lift, as group indices
+    for record_events in (True, False):
+        one, two = (
+            run_market(population, bidders, campaign(budget), config, groups,
+                       estimator=factory and factory(population),
+                       record_events=record_events)
+            for groups in (assignment, swap[assignment]))
+        assert [_without_labels(one.groups[g]) for g in swap] == \
+            [_without_labels(g) for g in two.groups]
+        if record_events:
+            # The market's code (3) and no bidder (-1) stay as they are.
+            codes = np.array([0, 2, 1, 3, -1])
+            for name in FIELDS:
+                column = getattr(two.log, name)
+                if name == "bidder":
+                    column = codes[column]
+                assert column.tobytes() == getattr(one.log, name).tobytes()
+    _, value_stats, lift_stats = one.groups
+    assert value_stats.impressions > 0
+    if variant == "reserve":
+        assert value_stats.bids_placed > value_stats.impressions
+    if variant == "spend_out":
+        assert value_stats.spent_out and lift_stats.spent_out
 
 
 @pytest.mark.parametrize("case", ENGINE_CASES)
@@ -630,7 +694,7 @@ def _expected_requests(config):
 @pytest.mark.parametrize("arrivals", ["poisson", "deterministic"])
 @pytest.mark.parametrize("aw_days", [1, 3])
 def test_market_windows_of_other_lengths(aw_days, arrivals):
-    """Windows of 1 and 3 days over a 6-day horizon: the estimator's runs
+    """Windows of 1 and 3 days over a 6-day horizon: truth estimates
     give the oracle's bytes, the log changes no aggregate, and the log's
     requests are the ``requests`` stream's, in stable (ts, user) order."""
     # Both bidders spend out before the last window, which the market
@@ -666,26 +730,51 @@ def test_market_windows_of_other_lengths(aw_days, arrivals):
 
 
 class RecordingEstimator(TruthEstimator):
-    """Truth estimates that record everything the market tells them."""
+    """Truth estimates that record every call the market makes, in
+    order: ("estimate", times) and ("observe", users, kind, ref, times)."""
 
     def __init__(self, population):
         super().__init__(population)
-        self.seen = []
+        self.calls = []
+
+    def estimate(self, user_index, ts, topic_id):
+        self.calls.append(("estimate", ts.copy()))
+        return super().estimate(user_index, ts, topic_id)
 
     def observe(self, user_index, kind, ref, ts):
-        self.seen.append((user_index, kind, ref, ts))
+        self.calls.append(("observe", user_index.copy(), kind, ref, ts.copy()))
+
+    def estimates(self):
+        return [ts for name, ts, *_ in self.calls if name == "estimate"]
+
+    def observed(self):
+        """Every told event as (user, kind, ref, ts), in the order told."""
+        events = []
+        for name, *call in self.calls:
+            if name == "observe":
+                users, kind, ref, ts = call
+                events += [(u, kind, ref, t)
+                           for u, t in zip(users.tolist(), ts.tolist())]
+        return events
 
 
-def test_the_market_tells_an_estimator_only_its_own_wins_and_clicks():
-    config = small_world(seed=27, n_users=240, horizon_days=6, behavior=True)
+def _recording_run(config, budget_dollars=1e9, record_events=True):
+    """The ABC market on ``config`` with a RecordingEstimator: (run, it)."""
     recorders = []
 
     def recorder(population):
         recorders.append(RecordingEstimator(population))
         return recorders[-1]
 
-    run = _abc_run(config, estimator_factory=recorder)
-    log, seen = run.log, recorders[0].seen
+    run = _abc_run(config, budget_dollars, record_events,
+                   estimator_factory=recorder)
+    return run, recorders[0]
+
+
+def test_the_market_tells_an_estimator_only_its_own_wins_and_clicks():
+    config = small_world(seed=27, n_users=240, horizon_days=6, behavior=True)
+    run, recorder = _recording_run(config)
+    log, seen = run.log, recorder.observed()
     assert {kind for _, kind, _, _ in seen} == {IMPRESSION, CLICK}
     assert {ref for _, _, ref, _ in seen} == {"adv1"}
     # Every impression and click in the log is one of our groups' wins.
@@ -695,8 +784,8 @@ def test_the_market_tells_an_estimator_only_its_own_wins_and_clicks():
     assert sorted(seen) == sorted(
         (int(log.user[i]), EVENT_KINDS[log.kind[i]], log.advertisers[log.adv[i]],
          int(log.ts[i])) for i in rows)
-    for user in {u for u, _, _, _ in seen}:
-        times = [ts for u, _, _, ts in seen if u == user]
+    for user, kind in {(u, k) for u, k, _, _ in seen}:
+        times = [ts for u, k, _, ts in seen if (u, k) == (user, kind)]
         assert times == sorted(times)
 
 
@@ -725,7 +814,8 @@ class WinCountingEstimator(TruthEstimator):
         self.told = {}  # user -> [(kind, ts)]
 
     def observe(self, user_index, kind, ref, ts):
-        self.told.setdefault(user_index, []).append((kind, ts))
+        for user, at in zip(user_index.tolist(), ts.tolist()):
+            self.told.setdefault(user, []).append((kind, at))
 
     def estimate(self, user_index, ts, topic_id):
         kinds = [[kind for kind, t in self.told.get(u, ()) if t <= at]
@@ -736,30 +826,34 @@ class WinCountingEstimator(TruthEstimator):
         return p * weight, delta_p * weight
 
 
+def _wins_before(log, kind, user, ts, since, until):
+    """Per request i, the log's ``kind`` events of user ``user[i]`` at or
+    before ``ts[i]`` whose win lies in ``[since[i], until[i])``; a click's
+    win is CLICK_DELAY_SECS before it."""
+    rows = rows_of(log, kind)
+    at = log.ts[rows]
+    won = at - (CLICK_DELAY_SECS if kind == CLICK else 0)
+    return np.count_nonzero(
+        (log.user[rows] == user[:, None]) & (at <= ts[:, None])
+        & (won >= np.reshape(since, (-1, 1)))
+        & (won < np.reshape(until, (-1, 1))), axis=1)
+
+
 @pytest.mark.parametrize("rule", WEIGHT_RULES)
-def test_no_bid_is_priced_from_a_stale_history(rule):
-    """Every bid equals the bid priced from the user's impressions before
-    it and clicks at or before it, as the log records them; a request
-    priced at 0 logs no bid."""
+def test_every_model_bid_is_priced_from_earlier_windows(rule):
+    """Every bid equals the bid priced from its user's impressions and
+    clicks of earlier windows, as the log records them; a win in the
+    bid's own window does not count. A request priced at 0 logs no bid."""
     weight_of = WEIGHT_RULES[rule]
     config = small_world(seed=41, n_users=240, horizon_days=6, behavior=True)
     run = _abc_run(config, estimator_factory=lambda population:
                    WinCountingEstimator(population, weight_of))
     log, population = run.log, generate_population(config)
+    aw = 2 * SECONDS_PER_DAY
     bids = rows_of(log, BID)
     user, ts = log.user[bids], log.ts[bids]
-    # No user bids twice in one second, so an impression at a bid's own
-    # (user, ts) is that bid's win, which its price cannot know of.
-    assert np.unique(np.stack([user, ts]), axis=1).shape[1] == bids.size
-
-    def told_before(kind, side, user, ts, since=0):
-        key = log.user * 2**40 + log.ts
-        told = np.sort(key[rows_of(log, kind)])
-        return (np.searchsorted(told, user * 2**40 + ts, side)
-                - np.searchsorted(told, user * 2**40 + since))
-
-    impressions = told_before(IMPRESSION, "left", user, ts)
-    clicks = told_before(CLICK, "right", user, ts)
+    impressions = _wins_before(log, IMPRESSION, user, ts, 0, ts - ts % aw)
+    clicks = _wins_before(log, CLICK, user, ts, 0, ts - ts % aw)
     weight = weight_of(impressions, clicks)
     p, delta_p = population.p[user] * weight, population.delta_p[user] * weight
     expected = np.zeros(bids.size, dtype=np.int64)
@@ -768,63 +862,80 @@ def test_no_bid_is_priced_from_a_stale_history(rule):
         expected[mine] = price_bids(bidder, p[mine], delta_p[mine])
     assert np.array_equal(log.price[bids], expected)
     assert (expected > 0).all()
+    # Some bids follow a win of their user in the same window.
+    same_window = _wins_before(log, IMPRESSION, user, ts, ts - ts % aw, ts)
+    assert (same_window > 0).sum() > 10
     if rule == "fewer-per-win":
         # Some bids follow their user's impressions and clicks.
         assert (impressions > 0).any() and (clicks > 0).any()
     else:
-        # An active group's request after its user's first win bids 0:
-        # it has no bid row, also where that win is in the same window.
+        # An active group's request after its user's win in an earlier
+        # window bids 0: it has no bid row.
         requests = rows_of(log, AD_REQUEST)
         requests = requests[log.user[requests] % 3 != 0]
         r_user, r_ts = log.user[requests], log.ts[requests]
-        after_a_win = told_before(IMPRESSION, "left", r_user, r_ts) > 0
-        window_start = r_ts - r_ts % (2 * SECONDS_PER_DAY)
-        same_window = told_before(IMPRESSION, "left", r_user, r_ts,
-                                  since=window_start) > 0
-        assert same_window.sum() > 10
-        bid_keys = set(zip(user.tolist(), ts.tolist()))
-        assert bid_keys == set(zip(r_user[~after_a_win].tolist(),
-                                   r_ts[~after_a_win].tolist()))
+        earlier = _wins_before(log, IMPRESSION, r_user, r_ts, 0,
+                               r_ts - r_ts % aw) > 0
+        assert earlier.sum() > 10
+        assert set(zip(user.tolist(), ts.tolist())) == set(zip(
+            r_user[~earlier].tolist(), r_ts[~earlier].tolist()))
 
 
-class PricingCounter(WinCountingEstimator):
-    """Win-counting estimates that record the rows of each call."""
+def test_estimate_is_called_once_per_window_with_a_bidding_request(
+        monkeypatch):
+    """One estimate call prices every bidding request of a window, and a
+    window without one has no call. Oracle and estimated bids alike
+    settle each window in one run_auction call."""
+    settle = liftsim.world.run_auction
+    settled = []
 
-    def __init__(self, population, weight=_fewer_per_win):
-        super().__init__(population, weight)
-        self.calls = []
+    def counting(*args):
+        settled.append(len(args[0]))
+        return settle(*args)
 
-    def estimate(self, user_index, ts, topic_id):
-        self.calls.append(len(user_index))
-        return super().estimate(user_index, ts, topic_id)
-
-
-def test_stale_requests_are_priced_in_one_call_per_stop():
-    """Re-pricing waits for the walk to reach a stale request and then
-    prices every stale one: each (win, later request of its user in the
-    window) is priced once, as pricing at once after each win would, in
-    fewer calls than that scheme's windows plus wins with a later
-    request."""
-    config = small_world(seed=41, n_users=240, horizon_days=6, behavior=True)
-    counters = []
-    run = _abc_run(config, estimator_factory=lambda population:
-                   counters.append(PricingCounter(population)) or counters[-1])
-    log, calls = run.log, counters[0].calls
+    monkeypatch.setattr(liftsim.world, "run_auction", counting)
+    config, budget = engine_world("staggered_spend_out")
+    run, recorder = _recording_run(config, budget)
+    assert len(settled) == run.n_windows
+    (_, value, lift), log = run.groups, run.log
+    assert (lift.stop_window, value.stop_window) == (0, 1)
+    # The requests of groups still bidding, by window.
     requests = rows_of(log, AD_REQUEST)
-    requests = requests[log.user[requests] % 3 != 0]  # the bidding groups
-    r_key = log.user[requests] * 2**40 + log.ts[requests]
-    assert np.unique(r_key).size == r_key.size  # one request per second
-    # Per win, the same user's requests after it in the window.
-    wins = rows_of(log, IMPRESSION)
-    w_user, w_ts = log.user[wins], log.ts[wins]
-    window_end = (w_ts // (2 * SECONDS_PER_DAY) + 1) * 2 * SECONDS_PER_DAY
-    r_key.sort()
-    later = (np.searchsorted(r_key, w_user * 2**40 + window_end)
-             - np.searchsorted(r_key, w_user * 2**40 + w_ts, "right"))
-    assert (later > 0).sum() > 10
-    assert 0 not in calls
-    assert sum(calls) == requests.size + later.sum()
-    assert len(calls) < run.n_windows + (later > 0).sum()
+    r_window = log.ts[requests] // (2 * SECONDS_PER_DAY)
+    r_group = log.user[requests] % 3
+    bidding = (((r_group == 1) & (r_window <= value.stop_window))
+               | ((r_group == 2) & (r_window <= lift.stop_window)))
+    per_window = np.bincount(r_window[bidding], minlength=run.n_windows)
+    calls = recorder.estimates()
+    assert [ts.size for ts in calls] == per_window[per_window > 0].tolist()
+    assert [np.unique(ts // (2 * SECONDS_PER_DAY)).tolist() for ts in calls] \
+        == [[w] for w in np.flatnonzero(per_window).tolist()]
+    assert per_window[-1] == 0  # the last window has no call
+    settled.clear()
+    _abc_run(config, budget, record_events=False)
+    assert len(settled) == run.n_windows
+
+
+def test_no_window_is_told_its_wins_before_it_is_priced():
+    """The market tells a window's wins after that window's estimate
+    call and before the next window's: one call for the impressions,
+    then one for their clicks."""
+    config = small_world(seed=41, n_users=240, horizon_days=6, behavior=True)
+    run, recorder = _recording_run(config)
+    aw = 2 * SECONDS_PER_DAY
+    # Each call as (name, window): priced, or of the wins told.
+    sequence = []
+    for name, *rest in recorder.calls:
+        if name == "estimate":
+            windows = rest[0] // aw
+        else:
+            _, kind, _, ts = rest
+            windows = (ts - (CLICK_DELAY_SECS if kind == CLICK else 0)) // aw
+            name = kind
+        assert np.unique(windows).size == 1
+        sequence.append((name, int(windows[0])))
+    assert sequence == [call for w in range(run.n_windows) for call in
+                        (("estimate", w), (IMPRESSION, w), (CLICK, w))]
 
 
 def test_no_estimate_call_after_every_bidder_stops():
@@ -832,39 +943,14 @@ def test_no_estimate_call_after_every_bidder_stops():
     nothing, and truth estimates keep the oracle's outputs."""
     config = WorldConfig(n_users=240, seed=31, horizon_days=12)
     oracle = _abc_run(config, 300.0)
-    counters = []
-    truth = _abc_run(config, 300.0, estimator_factory=lambda population:
-                     counters.append(PricingCounter(
-                         population, lambda i, c: np.ones(i.shape)))
-                     or counters[-1])
-    (_, value, lift), calls = truth.groups, counters[0].calls
-    assert max(value.stop_window, lift.stop_window) < truth.n_windows - 1
-    assert calls and 0 not in calls
+    truth, recorder = _recording_run(config, 300.0)
+    (_, value, lift), calls = truth.groups, recorder.estimates()
+    last = max(value.stop_window, lift.stop_window)
+    assert last < truth.n_windows - 1
+    assert len(calls) == last + 1 and all(ts.size for ts in calls)
     assert [g.as_dict() for g in oracle.groups] == \
         [g.as_dict() for g in truth.groups]
     assert oracle.log.dumps() == truth.log.dumps()
-
-
-
-def test_an_estimator_settles_a_window_in_runs(monkeypatch):
-    """Each run_auction call settles a run: no auction we may win but
-    its last. So there are fewer calls than bids, and none is empty."""
-    settle = liftsim.world.run_auction
-    runs = []
-
-    def recording(our, comp, reserve, tie_rng):
-        runs.append((our, comp, reserve))
-        return settle(our, comp, reserve, tie_rng)
-
-    monkeypatch.setattr(liftsim.world, "run_auction", recording)
-    config = small_world(seed=41, n_users=240, horizon_days=6, behavior=True)
-    run = _abc_run(config, estimator_factory=WinCountingEstimator)
-    placed = sum(g.bids_placed for g in run.groups)
-    assert 0 < len(runs) < placed
-    assert sum(len(our) for our, _, _ in runs) == placed
-    for our, comp, reserve in runs:
-        assert len(our) > 0
-        assert not may_win(our[:-1], comp[:-1], reserve).any()
 
 
 def test_exposure_changes_only_action_probability():
