@@ -366,25 +366,14 @@ def verify_theorems(config: SweepConfig) -> dict[str, VerificationSweepReport]:
 # Blind A/B protocol
 # ---------------------------------------------------------------------------
 
-def action_lift(active_actions: float, passive_actions: float) -> float:
-    """Relative action lift of an active group over the passive group."""
-    if passive_actions <= 0:
-        raise ValueError("passive group produced no actions")
-    return (active_actions - passive_actions) / passive_actions
-
-
-def lift_over_lift(value_lift: float, lift_lift: float) -> float:
-    """How much larger the lift bidder's action lift is than the value
-    bidder's, both measured against the passive baseline."""
-    if value_lift <= 0:
-        raise ValueError("value-side action lift must be positive")
-    return (lift_lift - value_lift) / value_lift
-
-
-def relative_diff(lift_side: float, value_side: float) -> float:
-    if value_side == 0:
-        raise ValueError("reference quantity is zero")
-    return (lift_side - value_side) / value_side
+def relative_change(x: float | None, ref: float | None) -> float | None:
+    """``(x - ref) / ref``: an active group's action lift over the
+    passive group's actions, the lift bidder's lift over the value
+    bidder's, or a cost difference. None when either side is None or
+    ``ref <= 0``, where no change relative to ``ref`` is defined."""
+    if x is None or ref is None or ref <= 0:
+        return None
+    return (x - ref) / ref
 
 
 @dataclass(frozen=True)
@@ -476,13 +465,6 @@ class ABTestReport:
         }
 
 
-def _metric_or_none(fn, *args) -> float | None:
-    try:
-        return fn(*args)
-    except ValueError:
-        return None
-
-
 def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
     """Run the three-group protocol over seeded replications.
 
@@ -516,25 +498,21 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
         groups: dict[str, GroupStats] = {g.kind: g for g in run.groups}
         passive, value, lift = groups["passive"], groups["value"], groups["lift"]
 
-        lift_v = _metric_or_none(action_lift, value.actions, passive.actions)
-        lift_l = _metric_or_none(action_lift, lift.actions, passive.actions)
-        lol = (_metric_or_none(lift_over_lift, lift_v, lift_l)
-               if lift_v is not None and lift_l is not None else None)
-        cost_diff = (_metric_or_none(relative_diff, lift.inventory_cost,
-                                     value.inventory_cost))
-        cpi_v = value.inventory_cost / value.impressions if value.impressions else None
-        cpi_l = lift.inventory_cost / lift.impressions if lift.impressions else None
-        cpi_diff = (_metric_or_none(relative_diff, cpi_l, cpi_v)
-                    if cpi_v and cpi_l else None)
+        lift_v = relative_change(value.actions, passive.actions)
+        lift_l = relative_change(lift.actions, passive.actions)
+        # A group that paid nothing has no cost per impression.
+        cpi_v, cpi_l = (g.inventory_cost / g.impressions
+                        if g.inventory_cost else None for g in (value, lift))
         report.replications.append(ReplicationResult(
             replication=rep,
             seed=world.seed,
             groups={k: g.as_dict() for k, g in groups.items()},
             action_lift_value=lift_v,
             action_lift_lift=lift_l,
-            lift_over_lift=lol,
-            inventory_cost_diff=cost_diff,
-            cost_per_imp_diff=cpi_diff,
+            lift_over_lift=relative_change(lift_l, lift_v),
+            inventory_cost_diff=relative_change(lift.inventory_cost,
+                                                value.inventory_cost),
+            cost_per_imp_diff=relative_change(cpi_l, cpi_v),
             all_spent_out=value.spent_out and lift.spent_out,
         ))
     return report

@@ -215,6 +215,27 @@ def histories(log: EventLog) -> list[UserHistory]:
     return out
 
 
+def rank_keys(cells: np.ndarray,
+              stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted keys, sorted times) of events in non-negative int64
+    ``cells`` at times ``stamps``: each event is one key (cell, rank of
+    its time in the sorted times), so no key grows with a timestamp."""
+    times = np.sort(stamps)
+    return (np.sort(cells * (len(times) + 1) + np.searchsorted(times, stamps)),
+            times)
+
+
+def rank_search(key: np.ndarray, times: np.ndarray, cells: np.ndarray,
+                t: np.ndarray) -> np.ndarray:
+    """Per query, the position in ``key`` after the events of lower cells
+    and those of ``cells`` at times <= ``t``: the difference of two such
+    positions counts a cell's events in ``(t0, t1]``."""
+    # ``times[rank]`` is an event's time, and it is at most t iff its
+    # rank is below ``searchsorted(times, t, "right")``.
+    return np.searchsorted(key, cells * (len(times) + 1)
+                           + np.searchsorted(times, t, "right"))
+
+
 class EventIndex:
     """The tracked events of ``log``, sorted once, plus tracked events
     observed later: the feature rows of any (user code, time) in one
@@ -251,13 +272,10 @@ class EventIndex:
 
     def _keys(self, column: np.ndarray, user: np.ndarray,
               stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sorted keys, sorted times) of the events in ``column`` >= 0."""
+        """:func:`rank_keys` of the events in ``column`` >= 0."""
         tracked = column >= 0
-        stamps = stamps[tracked]
-        times = np.sort(stamps)
-        key = np.sort((column[tracked] * self._n_users + user[tracked])
-                      * (len(times) + 1) + np.searchsorted(times, stamps))
-        return key, times
+        return rank_keys(column[tracked] * self._n_users + user[tracked],
+                         stamps[tracked])
 
     def observe(self, users: np.ndarray, kind: str, ref: object,
                 ts: np.ndarray) -> None:
@@ -295,17 +313,12 @@ class EventIndex:
         for key, times in (self._logged, self._observed):
             if not key.size:
                 continue
-            # ``times[rank]`` is an event's time, and it is at most t iff
-            # its rank is below ``searchsorted(times, t, "right")``.
-            span = len(times) + 1
-            hi = np.searchsorted(key, cell * span
-                                 + np.searchsorted(times, ts, "right"))
-            lo = np.searchsorted(key, cell * span
-                                 + np.searchsorted(times, ts - fw, "right"))
+            hi = rank_search(key, times, cell, ts)
+            lo = rank_search(key, times, cell, ts - fw)
             seen = hi > lo
             count += hi - lo
-            latest[seen] = np.maximum(latest[seen],
-                                      times[key[hi[seen] - 1] % span])
+            latest[seen] = np.maximum(
+                latest[seen], times[key[hi[seen] - 1] % (len(times) + 1)])
         seen = count > 0
         age = np.broadcast_to(ts, cell.shape)[seen] - latest[seen]
         recency = np.full(cell.shape, NEVER_BUCKET)

@@ -5,15 +5,18 @@ impression or click events: a user is drawn with probability
 proportional to its ad-request frequency, a timestamp is drawn
 uniformly on the timeline span, and the sample is labeled positive iff
 the user has at least one action inside the action window
-``(ts, ts + aw]``. Drawing stops once the positive count is sufficient
-or every action event has appeared in at least one sample window.
+``(ts, ts + aw]``. The draws come in batches of 1,024, each labeled by
+one sorted search over the log's actions, and drawing stops at the draw
+that reaches ``target_positive_count``. A log without ad requests or
+without actions raises :class:`SamplingError`, and so does one that has
+not reached the target after ``DRAWS_PER_POSITIVE`` draws per targeted
+positive.
 
 Then one columnar pass, :func:`~.features.window_features`, builds every
 sample's features from the feature window ``(ts - fw, ts]`` only.
 """
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass
 
@@ -24,7 +27,7 @@ from ..events import ACTION, AD_REQUEST, KIND_CODE, EventLog
 from ..fileio import atomic_write_text
 from ..market import INT64_MAX, Population, check_integer, check_real
 from ..seeds import rng_for
-from .features import FeatureSchema, window_features
+from .features import FeatureSchema, rank_keys, rank_search, window_features
 
 
 # Draws allowed per targeted positive before sampling gives up. Every
@@ -75,15 +78,13 @@ def generate_samples(
     if not request_counts.any():
         raise SamplingError("log contains no ad requests to weight users by")
 
-    action_times: dict[str, list[int]] = {}
     actions = log.kind == KIND_CODE[ACTION]
-    for user, ts in zip(log.user[actions].tolist(), log.ts[actions].tolist()):
-        action_times.setdefault(log.users[user], []).append(ts)
-    action_ids = {(user_id, ts) for user_id, times in action_times.items()
-                  for ts in times}
+    if not actions.any():
+        raise SamplingError("log contains no actions to label samples by")
+    key, times = rank_keys(log.user[actions], log.ts[actions])
 
-    codes = sorted(np.flatnonzero(request_counts).tolist(),
-                   key=log.users.__getitem__)
+    codes = np.array(sorted(np.flatnonzero(request_counts).tolist(),
+                            key=log.users.__getitem__), dtype=np.int64)
     weights = request_counts[codes].astype(float)
     weights /= weights.sum()
 
@@ -95,41 +96,33 @@ def generate_samples(
 
     rng = rng_for(config.seed, "samples")
     aw = config.action_window_seconds
-    draw_budget = DRAWS_PER_POSITIVE * config.target_positive_count
+    target = config.target_positive_count
+    draw_budget = DRAWS_PER_POSITIVE * target
 
-    drawn: list[tuple[int, int, bool]] = []  # (user code, ts, label)
-    covered: set[tuple[str, int]] = set()
+    drawn: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     positives = 0
     draws = 0
     batch = 1024
-    # Stop at the positive target, or once every action is in a window
-    # (at once when there are no actions).
-    while positives < config.target_positive_count and not covered >= action_ids:
+    while positives < target:
         if draws >= draw_budget:
             raise SamplingError(
                 f"draw budget exhausted after {draws} draws with "
                 f"{positives} positives; lower target_positive_count or "
                 "enlarge the world")
-        picks = rng.choice(len(codes), size=batch, p=weights)
+        users = codes[rng.choice(len(codes), size=batch, p=weights)]
         stamps = rng.integers(span_lo, ts_hi + 1, size=batch)
-        for pick, ts in zip(picks.tolist(), stamps.tolist()):
-            draws += 1
-            user_id = log.users[codes[pick]]
-            times = action_times.get(user_id, ())
-            lo = bisect.bisect_right(times, ts)
-            hi = bisect.bisect_right(times, ts + aw)
-            label = hi > lo
-            if label:
-                positives += 1
-                for t in times[lo:hi]:
-                    covered.add((user_id, t))
-            drawn.append((codes[pick], ts, label))
-            if positives >= config.target_positive_count or covered >= action_ids:
-                break
-    user_codes, sample_ts, labels = zip(*drawn) if drawn else ((), (), ())
+        label = (rank_search(key, times, users, stamps + aw)
+                 > rank_search(key, times, users, stamps))
+        # Keep the draws up to the one that reaches the target.
+        cut = int(np.searchsorted(np.cumsum(label), target - positives)) + 1
+        users, stamps, label = users[:cut], stamps[:cut], label[:cut]
+        drawn.append((users, stamps, label))
+        draws += len(label)
+        positives += int(np.count_nonzero(label))
+    user_codes, sample_ts, labels = map(np.concatenate, zip(*drawn))
     X = window_features(log, population, schema, user_codes, sample_ts,
                         config.feature_window_seconds)
-    user_ids = np.asarray(log.users)[np.asarray(user_codes, dtype=np.intp)]
+    user_ids = np.asarray(log.users)[user_codes]
     return sample_records(user_ids, sample_ts, labels, X)
 
 

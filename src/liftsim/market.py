@@ -200,12 +200,6 @@ class Population:
         return np.column_stack((self.age_group, self.gender, self.geo_area))
 
 
-def may_win(our: np.ndarray, comp: np.ndarray, reserve: int) -> np.ndarray:
-    """Where our bid can win: at or above the competitor's and above the
-    reserve. Elsewhere we lose outright, and no tie flip is drawn."""
-    return (our >= comp) & (our > reserve)
-
-
 def run_auction(
     our: np.ndarray, comp: np.ndarray, reserve: int,
     tie_rng: np.random.Generator,
@@ -227,7 +221,9 @@ def run_auction(
     if reserve < 0 or (lower < 0).any():
         raise ValueError("bids and the reserve must be non-negative")
     live = (our > reserve) | (comp > reserve)
-    contested = may_win(our, comp, reserve)
+    # Where our bid can win: at or above the competitor's and above the
+    # reserve. Elsewhere we lose outright, and no tie flip is drawn.
+    contested = (our >= comp) & (our > reserve)
     won = contested & (our > comp)
     tie = contested & (our == comp)
     won[tie] = tie_rng.integers(2, size=int(np.count_nonzero(tie))) == 1

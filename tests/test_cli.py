@@ -269,6 +269,22 @@ def test_train_on_a_log_with_an_unknown_user_is_a_data_error(tmp_path,
     assert err.count("\n") == 1
 
 
+def test_train_on_a_log_without_actions_is_a_data_error(tmp_path, capsys):
+    payload = {**TRAIN_WORLD, "world": {
+        **TRAIN_WORLD["world"], "n_users": 60,
+        "p_distribution": {"kind": "point", "value": 1e-9}}}
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out-dir", str(out)]) == EXIT_OK
+    assert '"action"' not in (out / "events.jsonl").read_text()
+    capsys.readouterr()
+    assert main(["train", "--config", str(config),
+                 "--log", str(out / "events.jsonl"),
+                 "--out-dir", str(tmp_path / "t")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == "data error: log contains no actions to label samples by\n"
+
+
 def test_market_invariant_violation_is_a_verification_failure(
         tmp_path, capsys, monkeypatch):
     settle = liftsim.world.run_auction

@@ -8,8 +8,7 @@ import pytest
 import liftsim.experiments as experiments
 from liftsim.experiments import (
     MC_FAMILY_ALPHA, ABTestConfig, SweepConfig, _play_strategy,
-    action_lift, lift_over_lift, mc_z, relative_diff,
-    run_abtest, run_worked_example, verify_theorems,
+    mc_z, relative_change, run_abtest, run_worked_example, verify_theorems,
 )
 from liftsim.market import Population, dollars_to_micros
 from liftsim.world import WorldConfig, generate_population
@@ -59,21 +58,21 @@ def test_metric_formulas_on_published_style_counts():
         (5610, 6708, 8291, 144),
     ]
     for passive, value, lift, printed in table:
-        lv = action_lift(value, passive)
-        ll = action_lift(lift, passive)
-        assert round(lift_over_lift(lv, ll) * 100) == printed
+        lv = relative_change(value, passive)
+        ll = relative_change(lift, passive)
+        assert round(relative_change(ll, lv) * 100) == printed
     # The rounded-lift arithmetic for the first row agrees too.
-    assert round(lift_over_lift(0.112, 0.287) * 100) == 156
+    assert round(relative_change(0.287, 0.112) * 100) == 156
 
 
 def test_metric_guards():
-    with pytest.raises(ValueError):
-        action_lift(10, 0)
-    with pytest.raises(ValueError):
-        lift_over_lift(0.0, 0.5)
-    with pytest.raises(ValueError):
-        relative_diff(1.0, 0.0)
-    assert relative_diff(3.0, 2.0) == pytest.approx(0.5)
+    assert relative_change(10, 0) is None
+    assert relative_change(0.5, 0.0) is None
+    assert relative_change(0.5, -0.1) is None
+    assert relative_change(1.0, 0.0) is None
+    assert relative_change(None, 2.0) is None
+    assert relative_change(3.0, None) is None
+    assert relative_change(3.0, 2.0) == pytest.approx(0.5)
 
 
 def test_simple_sweep_passes_with_mc_checks():
@@ -215,6 +214,33 @@ def test_abtest_zero_budget_yields_empty_campaign():
         assert rep.groups[kind]["spend"] == 0
     # Actions still happen at the background rate.
     assert rep.groups["passive"]["actions"] > 0
+    # Neither group paid, so no cost comparison is defined.
+    assert rep.inventory_cost_diff is None and rep.cost_per_imp_diff is None
+
+
+def test_the_ground_truth_gap_falls_as_p_and_lift_align():
+    """The lift bidder's edge in expected actions (lift - value) grows as
+    the action rate p and the lift disagree. At each step of the p-lift
+    dependence over (-0.9, 0, 0.9) it falls by more than 2 standard
+    errors of the per-replication step; in the null world, where lift is
+    proportional to p, it lies within 3 standard errors of 0."""
+    def gaps(**overrides):
+        report = run_abtest(ABTestConfig(
+            n_users=5000, replications=10, budget_per_bidder_dollars=17_500.0,
+            world_overrides=overrides))
+        return np.array([r.groups["lift"]["expected_actions"]
+                         - r.groups["value"]["expected_actions"]
+                         for r in report.replications])
+
+    def stderr(d):
+        return d.std(ddof=1) / np.sqrt(len(d))
+
+    by_rho = [gaps(p_lift_dependence=rho) for rho in (-0.9, 0.0, 0.9)]
+    for higher, lower in zip(by_rho, by_rho[1:]):
+        step = higher - lower  # paired: replication r has one seed
+        assert step.mean() > 2 * stderr(step)
+    null = gaps(delta_p_distribution={"kind": "point_ratio", "value": 0.5})
+    assert abs(null.mean()) <= 3 * stderr(null)
 
 
 def test_an_oracle_abtest_draws_only_the_market_population(monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from liftsim.bidders import BidderConfig
@@ -14,6 +15,7 @@ from liftsim.liftmodel.sampling import (
     SamplingConfig, SamplingError, generate_samples,
 )
 from liftsim.market import Campaign, Population, dollars_to_micros
+from liftsim.seeds import rng_for
 from liftsim.world import WorldConfig, generate_population, run_market
 
 DAY = 86_400
@@ -71,8 +73,7 @@ def test_window_boundaries_open_left_closed_right():
         {"ts": 0, "user": U0, "kind": AD_REQUEST, "topic": 0},
         {"ts": 300, "user": U0, "kind": AD_REQUEST, "topic": 0},
         {"ts": action_ts, "user": U0, "kind": ACTION, "adv": "adv1"},
-        # An action at the span start can never fall inside (ts, ts+aw],
-        # so coverage never completes and generation runs to the target.
+        # An action at the span start lies in no window (ts, ts+aw].
         {"ts": 0, "user": U0, "kind": ACTION, "adv": "adv1"},
     ])
     config = SamplingConfig(action_window_seconds=aw,
@@ -88,11 +89,9 @@ def test_window_boundaries_open_left_closed_right():
 
 def test_user_marginal_follows_request_counts():
     counts = {f"u{i:06d}": c for i, c in enumerate([16, 32, 64, 128])}
-    # Dense actions make nearly every draw positive, and the span-start
-    # action is uncoverable, so the generator runs to the positive target
-    # and yields a large marginal sample.
+    # Dense actions make nearly every draw positive, so the 2,000
+    # positives take a large marginal sample.
     actions = {uid: [d * DAY + 3600 for d in range(1, 10)] for uid in counts}
-    actions[U0] = actions[U0] + [0]
     log = synthetic_log(counts, actions)
     config = SamplingConfig(action_window_seconds=2 * DAY,
                             target_positive_count=2_000, seed=3)
@@ -110,28 +109,99 @@ def test_user_marginal_follows_request_counts():
 
 
 def test_termination_by_positive_target():
+    """Drawing stops at the draw that reaches the target, also when the
+    draws run over more than one batch of 1,024."""
     actions = {U0: [d * DAY for d in range(1, 10)]}
     log = synthetic_log({U0: 5, U1: 5}, actions)
-    config = SamplingConfig(action_window_seconds=3 * DAY,
-                            target_positive_count=4, seed=4)
-    samples = generate_samples(log, users_for(2), config,
+    for target in (4, 1500):
+        config = SamplingConfig(action_window_seconds=3 * DAY,
+                                target_positive_count=target, seed=4)
+        samples = generate_samples(log, users_for(2), config,
+                                   tiny_schema())
+        assert samples.label.sum() == target and samples.label[-1]
+
+
+def test_a_positive_target_out_of_reach_exhausts_the_draw_budget():
+    """Only a draw at ts 499 is positive, so 10 positives want about
+    10,000 draws; the budget of 400 per positive stops the draws at the
+    first batch boundary past 4,000, and the error counts what was
+    drawn."""
+    log = parse_log([
+        {"ts": 0, "user": U0, "kind": AD_REQUEST, "topic": 0},
+        {"ts": 1000, "user": U0, "kind": AD_REQUEST, "topic": 0},
+        {"ts": 500, "user": U0, "kind": ACTION, "adv": "adv1"},
+    ])
+    config = SamplingConfig(action_window_seconds=1,
+                            target_positive_count=10, seed=8)
+    rng = rng_for(config.seed, "samples")
+    positives = 0
+    for _ in range(4):  # the draws in sampling's order
+        rng.choice(1, size=1024, p=[1.0])
+        positives += int(np.count_nonzero(
+            rng.integers(0, 1000, size=1024) == 499))
+    assert 0 < positives < 10
+    with pytest.raises(SamplingError, match=(
+            f"^draw budget exhausted after 4096 draws with {positives} "
+            "positives;")):
+        generate_samples(log, users_for(1), config, tiny_schema())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), base=st.sampled_from([0, 10**9, 2**62 - 1]),
+       aw=st.integers(1, 40), extra=st.integers(1, 120),
+       n_users=st.integers(1, 4), target=st.integers(1, 3))
+def test_every_label_is_the_direct_window_rule(data, base, aw, extra,
+                                               n_users, target):
+    """Hand-built logs with duplicate action times, actions at the span's
+    ends, users without actions and timestamps near 2**62: each label is
+    whether the user has an action in (ts, ts + aw]."""
+    span = aw + extra
+    offsets = st.integers(0, span)
+    users = [f"u{i:06d}" for i in range(n_users)]
+    requests = [(users[0], 0), (users[0], span)] + data.draw(st.lists(
+        st.tuples(st.sampled_from(users), offsets), max_size=8))
+    actions = data.draw(st.lists(
+        st.tuples(st.sampled_from(users), offsets | st.sampled_from([0, span])),
+        min_size=1, max_size=10))
+    # Keep logs where a draw is positive often enough that the target
+    # is met long before the draw budget runs out.
+    positive = [np.mean([any(u == user and t < a <= t + aw
+                             for u, a in actions)
+                         for t in range(span - aw + 1)])
+                for user, _ in requests]
+    assume(np.mean(positive) >= 0.05)
+
+    log = parse_log(
+        [{"ts": base + t, "user": u, "kind": AD_REQUEST, "topic": 0}
+         for u, t in requests]
+        + [{"ts": base + t, "user": u, "kind": ACTION, "adv": "adv1"}
+           for u, t in actions])
+    config = SamplingConfig(action_window_seconds=aw,
+                            feature_window_seconds=50,
+                            target_positive_count=target, seed=3)
+    samples = generate_samples(log, users_for(n_users), config,
                                tiny_schema())
-    assert sum(s.label for s in samples) == 4
-
-
-def test_termination_by_covering_all_actions():
-    log = synthetic_log({U0: 5}, {U0: [5 * DAY]})
-    config = SamplingConfig(action_window_seconds=2 * DAY,
-                            target_positive_count=10_000, seed=5)
-    samples = generate_samples(log, users_for(1), config, tiny_schema())
-    assert any(s.label for s in samples)
-    assert sum(s.label for s in samples) < 10_000
+    for user, ts, label in zip(samples.user_id.tolist(),
+                               samples.ts.tolist(), samples.label.tolist()):
+        assert base <= ts <= base + span - aw
+        assert label == any(u == user and ts < base + a <= ts + aw
+                            for u, a in actions)
+    assert samples.label.sum() == target and samples.label[-1]
 
 
 def test_no_requests_is_an_error():
     log = synthetic_log({}, {U0: [DAY]})
     with pytest.raises(SamplingError):
         generate_samples(log, users_for(1),
+                         SamplingConfig(action_window_seconds=2 * DAY,
+                                        target_positive_count=1),
+                         tiny_schema())
+
+
+def test_no_actions_is_an_error():
+    log = synthetic_log({U0: 3, U1: 2}, {})
+    with pytest.raises(SamplingError, match="no actions"):
+        generate_samples(log, users_for(2),
                          SamplingConfig(action_window_seconds=2 * DAY,
                                         target_positive_count=1),
                          tiny_schema())
