@@ -71,21 +71,10 @@ def fit_isotonic(scores: np.ndarray, labels: np.ndarray) -> IsotonicMap:
     y = labels[order]
 
     # Aggregate ties in score into single points weighted by their count.
-    xs: list[float] = []
-    ys: list[float] = []
-    ws: list[float] = []
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        ysum = 0.0
-        while j < n and s[j] == s[i]:
-            ysum += y[j]
-            j += 1
-        xs.append(float(s[i]))
-        ys.append(ysum / (j - i))
-        ws.append(float(j - i))
-        i = j
+    unique, first, counts = np.unique(s, return_index=True, return_counts=True)
+    xs = unique.tolist()
+    ys = (np.add.reduceat(y, first) / counts).tolist()
+    ws = counts.astype(float).tolist()
 
     # Pool adjacent violators: maintain a stack of blocks with
     # non-decreasing means, merging backwards whenever a new block

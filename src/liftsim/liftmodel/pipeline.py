@@ -2,11 +2,11 @@
 
 Training splits samples by user into a fit set and a holdout, trains
 the boosted ensemble on the fit set with negatives downsampled to a
-configured ratio, corrects the score back to the full prior, and fits
-the isotonic calibration on the untouched holdout. The calibrated
-model predicts an action rate for any feature vector; the lift estimate
-for an ad is the predicted rate with one extra impression folded in
-minus the predicted rate as-is.
+configured ratio, and fits the isotonic map from raw ensemble score to
+action rate on the untouched holdout; the map reads only the scores'
+order, so no prior correction or sigmoid goes before it. The lift
+estimate for an ad is the predicted rate with one extra impression
+folded in minus the predicted rate as-is.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # importing numpy.typing takes about 0.7 ms
     from numpy.typing import ArrayLike
 
 MODEL_FORMAT = "liftsim.model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # v2: breakpoints in raw-score units
 # A calibration bin is within bounds when its error is at most REL of its
 # action rate plus SE_MULT binomial standard errors.
 CALIBRATION_BINS = 10
@@ -63,12 +63,12 @@ class ModelParams:
 
 @dataclass
 class CalibratedModel:
-    """Tree ensemble plus isotonic map plus training provenance."""
+    """Tree ensemble plus isotonic map plus training provenance; a row's
+    action rate is ``isotonic.apply(gbdt.raw_score(row))``."""
 
     schema: FeatureSchema
     gbdt: GBDTModel
     isotonic: IsotonicMap
-    prior_logit_shift: float
     feature_window_seconds: float  # as trained, an int unless fractional
     metadata: dict = field(default_factory=dict)
 
@@ -87,9 +87,7 @@ class CalibratedModel:
     def predict_ar(self, X: np.ndarray) -> np.ndarray:
         """Calibrated action-rate predictions in [0, 1]."""
         X = self._check(X)
-        raw = self.gbdt.raw_score(X) + self.prior_logit_shift
-        prob = 1.0 / (1.0 + np.exp(-raw))
-        return np.asarray(self.isotonic.apply(prob))
+        return np.asarray(self.isotonic.apply(self.gbdt.raw_score(X)))
 
     def to_dict(self) -> dict:
         return {
@@ -98,7 +96,6 @@ class CalibratedModel:
             "schema": self.schema.to_dict(),
             "schema_digest": self.schema_digest,
             "feature_window_seconds": self.feature_window_seconds,
-            "prior_logit_shift": self.prior_logit_shift,
             "gbdt": self.gbdt.to_dict(),
             "isotonic": self.isotonic.to_dict(),
             "metadata": self.metadata,
@@ -110,7 +107,10 @@ class CalibratedModel:
     @classmethod
     def load(cls, path: str | Path) -> "CalibratedModel":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8"),
+                              object_pairs_hook=_finite_object)
+        except ModelFileError as exc:
+            raise ModelFileError(f"{path} is malformed: {exc}") from exc
         except ValueError as exc:  # also undecodable bytes
             raise ModelFileError(f"{path} is not JSON: {exc}") from exc
         if (not isinstance(data, dict) or data.get("format") != MODEL_FORMAT
@@ -124,7 +124,6 @@ class CalibratedModel:
                 schema=FeatureSchema.from_dict(data["schema"]),
                 gbdt=GBDTModel.from_dict(data["gbdt"]),
                 isotonic=IsotonicMap.from_dict(data["isotonic"]),
-                prior_logit_shift=float(data["prior_logit_shift"]),
                 feature_window_seconds=window,
                 metadata=data.get("metadata", {}),
             )
@@ -135,7 +134,20 @@ class CalibratedModel:
             raise ModelFileError(f"{path} is malformed: {exc}") from exc
         if model.schema_digest != stored_digest:
             raise SchemaMismatch("stored schema digest does not match schema")
+        if model.gbdt.n_features != model.schema.n_features:
+            raise ModelFileError(f"{path} is malformed: its ensemble's feature "
+                                 "count is not its schema's")
         return model
+
+
+def _finite_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object whose numbers, and the numbers of its lists, are
+    finite: ``json`` reads ``NaN``, ``Infinity`` and ``1e999`` as floats."""
+    for key, value in pairs:
+        for item in value if isinstance(value, list) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ModelFileError(f"{key} holds the non-finite number {item}")
+    return dict(pairs)
 
 
 @dataclass
@@ -181,7 +193,7 @@ def train_calibrated_model(
     *,
     feature_window_seconds: float,
 ) -> tuple[CalibratedModel, CalibrationReport]:
-    """Train, prior-correct and calibrate ``samples``, records as
+    """Train and calibrate ``samples``, records as
     :func:`~.sampling.generate_samples` returns them; returns the model
     and its report.
 
@@ -216,22 +228,16 @@ def train_calibrated_model(
     ds_rng = rng_for(seed, "model-downsample")
     kept_neg = np.sort(ds_rng.choice(neg_idx, size=keep_neg, replace=False))
     rows = np.sort(np.concatenate([pos_idx, kept_neg]))
-    # Correcting the downsampled prior back to the full one is a constant
-    # logit shift of log(kept / all) on the negatives' side.
-    prior_shift = float(np.log(keep_neg / neg_idx.size)) if keep_neg < neg_idx.size else 0.0
-
     gbdt = train_gbdt(X_fit[rows], y_fit[rows], params.gbdt, seed=seed)
 
     X_cal, y_cal = X[holdout], y[holdout]
-    raw = gbdt.raw_score(X_cal) + prior_shift
-    prob = 1.0 / (1.0 + np.exp(-raw))
-    isotonic = fit_isotonic(prob, y_cal)
+    raw = gbdt.raw_score(X_cal)
+    isotonic = fit_isotonic(raw, y_cal)
 
     model = CalibratedModel(
         schema=schema,
         gbdt=gbdt,
         isotonic=isotonic,
-        prior_logit_shift=prior_shift,
         feature_window_seconds=feature_window_seconds,
         metadata={
             "seed": seed,
@@ -245,9 +251,9 @@ def train_calibrated_model(
             "gbdt_params": params.gbdt.to_dict(),
         },
     )
-    # ``isotonic.apply(prob)`` is ``model.predict_ar(X_cal)``, without a
+    # ``isotonic.apply(raw)`` is ``model.predict_ar(X_cal)``, without a
     # second pass of the ensemble over the holdout.
-    report = build_calibration_report(isotonic.apply(prob), y_cal)
+    report = build_calibration_report(isotonic.apply(raw), y_cal)
     report.isotonic_degenerate = isotonic.degenerate
     return model, report
 

@@ -9,8 +9,8 @@ the user has at least one action inside the action window
 one sorted search over the log's actions, and drawing stops at the draw
 that reaches ``target_positive_count``. A log without ad requests or
 without actions raises :class:`SamplingError`, and so does one that has
-not reached the target after ``DRAWS_PER_POSITIVE`` draws per targeted
-positive.
+not reached the target after exactly ``DRAWS_PER_POSITIVE`` draws per
+targeted positive: the last batch draws only what that budget has left.
 
 Then one columnar pass, :func:`~.features.window_features`, builds every
 sample's features from the feature window ``(ts - fw, ts]`` only.
@@ -102,13 +102,13 @@ def generate_samples(
     drawn: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     positives = 0
     draws = 0
-    batch = 1024
     while positives < target:
         if draws >= draw_budget:
             raise SamplingError(
                 f"draw budget exhausted after {draws} draws with "
                 f"{positives} positives; lower target_positive_count or "
                 "enlarge the world")
+        batch = min(1024, draw_budget - draws)
         users = codes[rng.choice(len(codes), size=batch, p=weights)]
         stamps = rng.integers(span_lo, ts_hi + 1, size=batch)
         label = (rank_search(key, times, users, stamps + aw)

@@ -63,7 +63,7 @@ def one_split_model(**tree):
     schema = FeatureSchema(("adv1",), topics=3, apps=3)
     model = CalibratedModel(
         schema=schema, gbdt=GBDTModel(-3.0, n_features=schema.n_features),
-        isotonic=IsotonicMap((0.0, 0.05), (0.02, 0.08)), prior_logit_shift=0.0,
+        isotonic=IsotonicMap((-5.0, -3.0), (0.02, 0.08)),
         feature_window_seconds=7 * 86_400).to_dict()
     model["gbdt"]["trees"] = [{
         "feature": [0, -1, -1], "threshold": [0.0, 0.0, 0.0],
@@ -481,11 +481,33 @@ def test_abtest_malformed_tree_is_a_data_error(tmp_path, capsys, tree):
     assert err.count("\n") == 1
 
 
+def edited_model(edit):
+    """``one_split_model()``'s text after ``edit`` changed its dict."""
+    model = json.loads(one_split_model())
+    edit(model)
+    return json.dumps(model)
+
+
+def as_v1(model):
+    model.update(version=1, prior_logit_shift=0.0)
+
+
+# A v1 file's breakpoints are probabilities, not raw scores; a width that
+# is not the schema's, or a number json reads as NaN or infinity, cannot
+# score a row.
 @pytest.mark.parametrize("content", [
     "not json",
     '{"format": "other"}',
-    '{"format": "liftsim.model", "version": 1}',
-], ids=["not-json", "wrong-format", "missing-keys"])
+    '{"format": "liftsim.model", "version": 2}',
+    edited_model(as_v1),
+    edited_model(lambda m: m["gbdt"].update(
+        n_features=m["gbdt"]["n_features"] + 10)),
+    edited_model(lambda m: m["isotonic"].update(values=[float("nan"), 0.08])),
+    edited_model(lambda m: m["gbdt"]["trees"][0].update(
+        value=[0.0, -1.0, float("inf")])),
+    one_split_model().replace('"base_score": -3.0', '"base_score": 1e999'),
+], ids=["not-json", "wrong-format", "missing-keys", "version-1",
+        "n-features-off", "nan-isotonic-value", "infinite-leaf", "1e999"])
 def test_abtest_malformed_model_is_a_data_error(tmp_path, capsys, content):
     model = tmp_path / "model.json"
     model.write_text(content)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftsim.liftmodel.isotonic import IsotonicMap, fit_isotonic
 
@@ -108,3 +109,36 @@ def test_serialization_round_trip():
     iso = IsotonicMap(breakpoints=(0.1, 0.6), values=(0.25, 0.75))
     clone = IsotonicMap.from_dict(iso.to_dict())
     assert clone == iso
+
+
+def _logistic(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+# Scores and queries on a grid of step 1/64 in [-10, 10]: each transform
+# below keeps distinct grid points distinct, so it keeps their order
+# exactly and adds no tie.
+GRID_POINTS = np.arange(-640, 641) / 64
+GRID = st.integers(-640, 640).map(lambda k: k / 64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(st.tuples(GRID, st.booleans()), min_size=1,
+                       max_size=60),
+       queries=st.lists(GRID, min_size=1, max_size=30),
+       slope=st.floats(1e-3, 1e3), offset=st.floats(-1e3, 1e3))
+def test_a_strictly_increasing_transform_moves_no_prediction(
+        points, queries, slope, offset):
+    """An isotonic fit reads only the order of its scores, so fitting on
+    f(scores) for a strictly increasing f (an affine map with positive
+    slope, or the logistic) gives the same values, and the map applied to
+    f(q) gives what the raw map gives at q."""
+    scores, labels = (np.array(column, dtype=float) for column in zip(*points))
+    q = np.array(queries)
+    raw = fit_isotonic(scores, labels)
+    for f in (lambda x: slope * x + offset, _logistic):
+        assert np.all(np.diff(f(GRID_POINTS)) > 0)  # no two images collide
+        moved = fit_isotonic(f(scores), labels)
+        assert moved.values == raw.values
+        assert moved.degenerate == raw.degenerate
+        assert np.array_equal(moved.apply(f(q)), raw.apply(q))

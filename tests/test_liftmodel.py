@@ -38,7 +38,6 @@ def constant_model(schema, value=0.02):
                      n_features=schema.n_features)
     iso = IsotonicMap(breakpoints=(0.0,), values=(value,), degenerate=True)
     return CalibratedModel(schema=schema, gbdt=gbdt, isotonic=iso,
-                           prior_logit_shift=0.0,
                            feature_window_seconds=7 * DAY)
 
 

@@ -68,7 +68,7 @@ DIGESTS = {
     "out/simulate_summary.json":
         "19b256da45a01537cf52fc39612bc394e3460a7e434279a9db06e03dd00d4bd0",
     "out/model.json":
-        "76acc2fd527f82b5faae700c4eab5aae9b6728109bb69ec4bd80789e0e60fd8e",
+        "8544c6e8a47bc5ccdb13430e7458fe13391c620e5ecc7ce9345a1d8cae649e7e",
     "out/calibration.jsonl":
         "a35c2e5961f2783eab075a5f0aaeab04248d6845391423e67c378c3ee056dd1b",
     "out/verify_report.jsonl":

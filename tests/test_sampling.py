@@ -123,9 +123,9 @@ def test_termination_by_positive_target():
 
 def test_a_positive_target_out_of_reach_exhausts_the_draw_budget():
     """Only a draw at ts 499 is positive, so 10 positives want about
-    10,000 draws; the budget of 400 per positive stops the draws at the
-    first batch boundary past 4,000, and the error counts what was
-    drawn."""
+    10,000 draws; the budget of 400 per positive stops the draws at
+    exactly 4,000 (three batches of 1,024 and one of the 928 left), and
+    the error counts what was drawn."""
     log = parse_log([
         {"ts": 0, "user": U0, "kind": AD_REQUEST, "topic": 0},
         {"ts": 1000, "user": U0, "kind": AD_REQUEST, "topic": 0},
@@ -135,13 +135,13 @@ def test_a_positive_target_out_of_reach_exhausts_the_draw_budget():
                             target_positive_count=10, seed=8)
     rng = rng_for(config.seed, "samples")
     positives = 0
-    for _ in range(4):  # the draws in sampling's order
-        rng.choice(1, size=1024, p=[1.0])
+    for batch in (1024, 1024, 1024, 928):  # the draws in sampling's order
+        rng.choice(1, size=batch, p=[1.0])
         positives += int(np.count_nonzero(
-            rng.integers(0, 1000, size=1024) == 499))
+            rng.integers(0, 1000, size=batch) == 499))
     assert 0 < positives < 10
     with pytest.raises(SamplingError, match=(
-            f"^draw budget exhausted after 4096 draws with {positives} "
+            f"^draw budget exhausted after 4000 draws with {positives} "
             "positives;")):
         generate_samples(log, users_for(1), config, tiny_schema())
 
