@@ -369,6 +369,10 @@ def main(argv: list[str] | None = None) -> int:
     except (cfgmod.ConfigError, WorldConfigError, CalibrationError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
+    except MemoryError as exc:  # until worlds have a size rule
+        sys.stderr.write(f"config error: too large for memory: "
+                         f"{exc or 'an allocation failed'}\n")
+        return EXIT_CONFIG
     except (EventLogError, SamplingError, TrainingError, SchemaMismatch,
             ModelFileError, AccountingError, OSError,
             UnicodeDecodeError) as exc:

@@ -39,8 +39,9 @@ from .market import (
 )
 from .seeds import derive_seed, rng_for
 from .world import (
-    DEFAULT_HORIZON_DAYS, GroupStats, WorldConfig, assign_groups, behavior_log,
-    draw_action_rates, generate_population, market_population, run_market,
+    DEFAULT_HORIZON_DAYS, GroupStats, WorldConfig, assign_groups,
+    behavior_events, draw_action_rates, generate_population,
+    market_population, run_market,
 )
 
 DISCLAIMER = ("Synthetic-market results: only metric definitions and "
@@ -473,10 +474,10 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
     and bid until spend-out. Bids come from the ground-truth oracle or,
     when given, from the :class:`liftsim.world.BidEstimator` returned by
     ``estimator_factory(population, advertiser, behavior)``, where
-    ``behavior`` is the world's :func:`liftsim.world.behavior_log`; the
-    market then tells the estimator only its own impressions and clicks,
-    as each action window settles. Without one, a world is its
-    :func:`liftsim.world.market_population`.
+    ``behavior`` is the world's :func:`liftsim.world.behavior_events`
+    block; the market then gives the estimator only its own impressions
+    and clicks, one event block per settled action window. Without one,
+    a world is its :func:`liftsim.world.market_population`.
     """
     campaign = config.campaign()
     beta = (None if config.beta_dollars is None
@@ -491,7 +492,7 @@ def run_abtest(config: ABTestConfig, estimator_factory=None) -> ABTestReport:
         estimator = None
         if estimator_factory is not None:
             estimator = estimator_factory(population, config.advertiser,
-                                          behavior_log(population, world))
+                                          behavior_events(population, world))
         run = run_market(population, bidders, campaign, world,
                          assignment=assign_groups(world, len(bidders)),
                          estimator=estimator, record_events=False)

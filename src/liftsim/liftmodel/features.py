@@ -10,13 +10,16 @@ feature window; recencies are bucketed ordinals with an explicit
 Every feature is computed strictly from events in the half-open window
 ``(ts - fw, ts]``; nothing after ``ts`` may leak in.
 
-:class:`EventIndex` states that rule once, in columns: it sorts a log's
-tracked events once, takes columns of events observed later, and builds
-the rows of many (user, time) queries in one pass. :func:`window_features`
-builds a training matrix with it. Model-driven bidding
-(:class:`~.pipeline.ModelBidEstimator`) prices each window's requests
-with it in one pass, after the market has told it the bidder's own
-impressions and clicks of the windows before.
+:class:`EventIndex` states that rule once, in columns. Events reach it
+in one form, eight int64 columns in :data:`~liftsim.events.FIELDS`
+order, and one function maps their kinds and refs to feature columns. It
+keys its first events once, takes blocks of events observed later, and
+builds the rows of many (user, time) queries in one pass.
+:func:`window_features` builds a training matrix from a log's columns.
+Model-driven bidding (:class:`~.pipeline.ModelBidEstimator`) builds it
+from the world's behavior block and prices each window's requests with
+it in one pass, after the market has given it, once per window, the
+impression and click block its log records for the bidder's wins.
 :func:`extract_from_history` states the same rule one row at a time over
 a :class:`UserHistory`; it is the reference the tests hold the columns to.
 """
@@ -29,8 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from ..events import (
-    APP_INSTALL, APP_USE, CLICK, IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH,
-    EventLog,
+    APP_INSTALL, APP_USE, CLICK, FIELDS, IMPRESSION, KIND_CODE, PAGE_VIEW,
+    SEARCH, EventLog,
 )
 from ..fileio import json_digest
 from ..market import Population
@@ -237,59 +240,55 @@ def rank_search(key: np.ndarray, times: np.ndarray, cells: np.ndarray,
 
 
 class EventIndex:
-    """The tracked events of ``log``, sorted once, plus tracked events
-    observed later: the feature rows of any (user code, time) in one
-    columnar pass, equal bit for bit to :func:`extract_from_history` over
-    :func:`histories` of ``log`` with the same events observed.
+    """Tracked events, keyed once, plus tracked events observed later: the
+    feature rows of any (user code, time) in one columnar pass, equal bit
+    for bit to :func:`extract_from_history` over the same events.
 
-    Each event is one int64 key (frequency column, user code, rank of its
-    time), where the rank indexes a sorted time table. Observed events
-    are (column, user, time) columns with a key array of their own,
-    re-sorted at the next :meth:`rows` after an :meth:`observe`, so the
-    log's keys are never sorted again.
+    Events come as eight columns in :data:`~liftsim.events.FIELDS` order,
+    such as an (8, n) int64 event block or a log's columns: user codes
+    below ``n_users``, ``adv`` codes indexing ``advertisers``. Each event
+    is one int64 key (frequency column, user code, rank of its time),
+    where the rank indexes a sorted time table, so the rows do not depend
+    on the order of the events. Observed events have keys of their own,
+    re-sorted at each :meth:`observe`, so the first events' keys are never
+    sorted again.
     """
 
-    def __init__(self, log: EventLog, schema: FeatureSchema) -> None:
+    def __init__(self, events, advertisers: tuple[str, ...], n_users: int,
+                 schema: FeatureSchema) -> None:
         self.schema = schema
-        self._n_users = len(log.users)
+        self._n_users = n_users
+        self._logged = rank_keys(*self._cells(events, advertisers))
+        self._told = (np.zeros(0, np.int64),) * 2
+        self._observed = rank_keys(*self._told)
+
+    def _cells(self, events, advertisers: tuple[str, ...]
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """(frequency column * n_users + user, time) of the tracked events
+        in the columns ``events``; the package's one map from an event's
+        kind and ref to its feature column."""
+        event = dict(zip(FIELDS, events))
         # Refs the schema lacks, and absent ones (code -1), read the
         # table's trailing -1 and drop out.
-        column = np.full(len(log), -1)
+        column = np.full(len(event["ts"]), -1)
         for kind, (prefix, field) in _TRACKED.items():
-            picked = np.flatnonzero(log.kind == KIND_CODE[kind])
-            refs = (log.advertisers if field == "adv"
-                    else range(getattr(schema, f"{field}s")))
-            table = np.array([schema._column_of.get((prefix, ref), -1)
+            picked = np.flatnonzero(event["kind"] == KIND_CODE[kind])
+            refs = (advertisers if field == "adv"
+                    else range(getattr(self.schema, f"{field}s")))
+            table = np.array([self.schema._column_of.get((prefix, ref), -1)
                               for ref in refs] + [-1])
-            column[picked] = table[np.minimum(getattr(log, field)[picked],
+            column[picked] = table[np.minimum(event[field][picked],
                                               len(table) - 1)]
-        self._logged = self._keys(column, log.user, log.ts)
-        # Observed (column, user, ts): the keyed columns, and blocks not yet
-        # keyed.
-        self._told = np.zeros((3, 0), dtype=np.int64)
-        self._untold: list[np.ndarray] = []
-        self._observed = self._keys(*self._told)
+        tracked = np.flatnonzero(column >= 0)
+        return (column[tracked] * self._n_users + event["user"][tracked],
+                event["ts"][tracked])
 
-    def _keys(self, column: np.ndarray, user: np.ndarray,
-              stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`rank_keys` of the events in ``column`` >= 0."""
-        tracked = column >= 0
-        return rank_keys(column[tracked] * self._n_users + user[tracked],
-                         stamps[tracked])
-
-    def observe(self, users: np.ndarray, kind: str, ref: object,
-                ts: np.ndarray) -> None:
-        """Add events of one kind and ref: user codes ``users`` at times
-        ``ts``, equal-length arrays in any time order."""
-        tracked = _TRACKED.get(kind)
-        column = (-1 if tracked is None
-                  else self.schema._column_of.get((tracked[0], ref), -1))
-        users, ts = np.asarray(users, np.int64), np.asarray(ts, np.int64)
-        if users.shape != ts.shape or users.ndim != 1:
-            raise ValueError("users and ts must be equal-length 1-d arrays")
-        if column >= 0 and users.size:
-            self._untold.append(np.stack([np.full_like(users, column),
-                                          users, ts]))
+    def observe(self, events, advertisers: tuple[str, ...]) -> None:
+        """Add the tracked events of the columns ``events``, in any order,
+        whose ``adv`` codes index ``advertisers``."""
+        self._told = tuple(map(np.concatenate, zip(
+            self._told, self._cells(events, advertisers))))
+        self._observed = rank_keys(*self._told)
 
     def rows(self, users: np.ndarray, ts: np.ndarray, fw: int,
              demographics: np.ndarray) -> np.ndarray:
@@ -301,10 +300,6 @@ class EventIndex:
         # scattered one.
         order = np.lexsort((ts, users))
         users, ts = users[order], ts[order]
-        if self._untold:
-            self._told = np.concatenate([self._told, *self._untold], axis=1)
-            self._untold.clear()
-            self._observed = self._keys(*self._told)
         schema = self.schema
         freq = schema._freq_columns
         cell = freq[:, None] * self._n_users + users
@@ -344,8 +339,9 @@ def window_features(log: EventLog, population: Population,
                     dtype=np.int64)[users]
     if (rows < 0).any():
         raise KeyError(f"unknown user {log.users[users[rows < 0][0]]!r}")
-    return EventIndex(log, schema).rows(users, ts, fw,
-                                        population.demographics[rows])
+    index = EventIndex([getattr(log, name) for name in FIELDS],
+                       log.advertisers, len(log.users), schema)
+    return index.rows(users, ts, fw, population.demographics[rows])
 
 
 def fold_context(

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..events import EventLog
 from ..fileio import atomic_write_text
 from ..market import INT64_MAX, Population, check_real
 from ..seeds import rng_for
@@ -261,14 +260,16 @@ def train_calibrated_model(
 class ModelBidEstimator:
     """Window-by-window (p, lift) estimates for model-driven bidding.
 
-    Indexes the behavior events once (:class:`~.features.EventIndex`),
-    learns the bidder's own impressions and clicks from the market as
-    columns, once per settled window, and prices a window's requests with
-    one columnar feature pass and one ensemble call: the calibrated
-    action rate assuming the impression is shown, and the counterfactual
-    lift of showing it. Features only read events at or before a
-    request's time, so holding later behavior events changes no bid, and
-    a batch gives each row the bits a one-row call would.
+    Indexes the world's behavior block once (:class:`~.features.EventIndex`;
+    its user codes are population rows), learns the bidder's own
+    impressions and clicks from the market as one event block per settled
+    window, and prices a window's requests with one columnar feature pass
+    and one ensemble call: the calibrated action rate assuming the
+    impression is shown, and the counterfactual lift of showing it. In
+    every block, ``adv`` code 0 is ``advertiser``. Features only read
+    events at or before a request's time, so holding later behavior
+    events changes no bid, and a batch gives each row the bits a one-row
+    call would.
     """
 
     def __init__(
@@ -276,19 +277,18 @@ class ModelBidEstimator:
         model: CalibratedModel,
         population: Population,
         advertiser: str,
-        behavior: EventLog,
+        behavior: np.ndarray,
     ) -> None:
-        if behavior.users != population.user_ids:
-            raise ValueError("the behavior log's users are not the population's")
         self.model = model
         self.advertiser = advertiser
         self._demographics = population.demographics
-        self._events = EventIndex(behavior, model.schema)
+        self._events = EventIndex(behavior, (advertiser,), len(population),
+                                  model.schema)
 
-    def observe(self, user_index: ArrayLike, kind: str, ref: object,
-                ts: ArrayLike) -> None:
-        """Learn events of one kind: users ``user_index`` at times ``ts``."""
-        self._events.observe(user_index, kind, ref, ts)
+    def observe(self, events: np.ndarray) -> None:
+        """Learn the event block ``events``, in :data:`~liftsim.events.FIELDS`
+        order."""
+        self._events.observe(events, (self.advertiser,))
 
     def estimate(self, user_index: ArrayLike, ts: ArrayLike,
                  topic_id: ArrayLike) -> tuple[np.ndarray, np.ndarray]:

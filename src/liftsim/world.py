@@ -19,12 +19,14 @@ Budgets, attribution and a bidder's knowledge change only at the ends of
 action windows. A window's bids come from the ground truth priced by
 each group's bidder (oracle bids), or from one call to a
 :class:`BidEstimator`, which prices from what a bidder can know: the
-behavior data it was built with, and the impressions and clicks of its
-own won auctions in earlier windows. Either way the window's positive
+behavior events it was built with, and the impressions and clicks of
+its own won auctions in earlier windows. Either way the window's positive
 bids settle in one :func:`~liftsim.market.run_auction` call, the
 package's one second-price settlement, and only then is the estimator
-told the window's wins. Given the ground truth, an estimator gives the
-oracle's results.
+given the window's impression and click events, the block the log
+records for its wins. Given the ground truth, an estimator gives the
+oracle's results. Events cross this boundary in one form: an (8, n)
+int64 event block, one row per field of :data:`~liftsim.events.FIELDS`.
 
 Randomness is split into independent streams (requests, market,
 behavior, clicks, actions, ties) derived from the world seed, so the
@@ -59,6 +61,7 @@ from .events import (
     EVENT_KINDS, FIELDS, IMPRESSION, KIND_CODE, PAGE_VIEW, SEARCH, EventLog,
 )
 from .fileio import json_digest
+from .liftmodel.features import rank_keys, rank_search
 from .market import (
     INT64_MAX, MICROS_PER_DOLLAR, Campaign, Population, check_integer,
     check_real, run_auction,
@@ -391,18 +394,19 @@ class BidEstimator(Protocol):
     and topic, and returns arrays of p and delta_p, one per request; the
     market calls it once per window that has a bidding request, with all
     of them. ``observe`` is told the outcomes of the bidder's own
-    auctions once the window has settled: one call with the users and
-    times of its won impressions, then one with those of the clicks on
-    them. ``ref`` is the campaign's advertiser id. Anything else an
-    estimator knows, such as behavior data, it is built with.
+    auctions once a window with a win has settled, in one call: the
+    event block of its won impressions and the clicks on them, the rows
+    the log records for them. User codes are population rows, and
+    ``adv`` code 0 is the campaign's advertiser, as in the log. Anything
+    else an estimator knows, such as the :func:`behavior_events` block,
+    it is built with.
     """
 
     def estimate(self, user_index: np.ndarray, ts: np.ndarray,
                  topic_id: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ...
 
-    def observe(self, user_index: np.ndarray, kind: str, ref: object,
-                ts: np.ndarray) -> None:
+    def observe(self, events: np.ndarray) -> None:
         ...
 
 
@@ -479,18 +483,6 @@ def assign_groups(config: WorldConfig, n_bidders: int) -> np.ndarray:
         np.arange(config.n_users) % n_bidders)
 
 
-def behavior_log(population: Population, config: WorldConfig) -> EventLog | None:
-    """The world's behavior events, time-sorted, as an event log whose user
-    codes are population rows; None when behavior is off."""
-    if not config.behavior_settings["enabled"]:
-        return None
-    _check_sortable(len(population), config.horizon_days * SECONDS_PER_DAY)
-    return EventLog(*_time_sorted(_behavior_events(population, config),
-                                  len(population)),
-                    users=population.user_ids, advertisers=(), bidders=(),
-                    seed=config.seed)
-
-
 def run_market(
     population: Population,
     bidders: list[BidderConfig],
@@ -532,17 +524,18 @@ def run_market(
     * Their positive bids settle in one
       :func:`~liftsim.market.run_auction` call, in time order, which
       draws one ``ties`` flip per tie; ``clicks`` then draws one uniform
-      per win. Then an estimator is told the window's wins, in one
-      ``observe`` call for the impressions and one for the clicks, and
-      nothing else. So a request after its user's win in the same window
-      is priced without that win.
+      per win. The window's won impressions and their clicks are built
+      as one event block when an estimator or the log reads them: the
+      log records it, and an estimator is told it in one ``observe``
+      call, when it has a row, and nothing else. So a request after its
+      user's win in the same window is priced without that win.
     * At the window's end, every user's action is drawn, actions with a
       same-window impression are attributed, and each group bills them
       at ``cpa`` while its spend is under budget. A window without an
       impression adds each group's background-rate sum, summed once.
 
     When events are recorded, the ``behavior`` stream draws the
-    behavioral events of :func:`behavior_log` into the log.
+    :func:`behavior_events` block into the log.
 
     Raises :class:`WorldConfigError` before the draw when the expected
     request count, or with events recorded the user count times the
@@ -709,11 +702,17 @@ def run_market(
         win_user, win_group = req_user[kept[win]], group[win]
         win_price = price[win]
         window_exposed[win_user] = True
-        if estimator is not None and win.size:  # the bidder learns its wins
+        if estimator is not None or record_events:
             win_ts = req_ts[kept[win]]
-            estimator.observe(win_user, IMPRESSION, adv, win_ts)
-            estimator.observe(win_user[clicked], CLICK, adv,
-                              win_ts[clicked] + CLICK_DELAY_SECS)
+            wins = np.concatenate([
+                _event_block(win_ts, win_user, KIND_CODE[IMPRESSION], adv=0,
+                             bidder=win_group, price=win_price),
+                _event_block(win_ts[clicked] + CLICK_DELAY_SECS,
+                             win_user[clicked], KIND_CODE[CLICK], adv=0,
+                             bidder=win_group[clicked]),
+            ], axis=1)
+            if estimator is not None and win.size:  # the bidder learns them
+                estimator.observe(wins)
         # Per group, (lost, won) auctions.
         outcomes = np.bincount(2 * group + won, minlength=2 * n_bidders
                                ).reshape(n_bidders, 2)
@@ -723,7 +722,6 @@ def run_market(
         np.add.at(inventory_cost, win_group, win_price)
         if record_events:
             user, ts = req_user[kept], req_ts[kept]
-            win_ts = ts[win]
             # The auction's winner: our group, else the market when its
             # bid cleared the reserve, else nobody.
             winner = np.where(won, group,
@@ -733,12 +731,7 @@ def run_market(
                              price=our),
                 _event_block(ts, user, KIND_CODE[AUCTION], adv=0,
                              bidder=winner, price=price),
-                _event_block(win_ts, win_user, KIND_CODE[IMPRESSION], adv=0,
-                             bidder=win_group, price=win_price),
-                _event_block(win_ts[clicked] + CLICK_DELAY_SECS,
-                             win_user[clicked],
-                             KIND_CODE[CLICK], adv=0,
-                             bidder=win_group[clicked]),
+                wins,
             ]
 
         # Window end: draw actions, attribute and bill them.
@@ -792,8 +785,7 @@ def run_market(
     log = None
     if record_events:
         # Behavior comes from its own stream and never depends on bidding.
-        if config.behavior_settings["enabled"]:
-            blocks.append(_behavior_events(population, config))
+        blocks.append(behavior_events(population, config))
         data = _time_sorted(np.concatenate(blocks, axis=1), n)
         log = EventLog(*data, users=population.user_ids, advertisers=(adv,),
                        bidders=(*kinds, MARKET), seed=config.seed,
@@ -897,10 +889,14 @@ def _time_sorted(block: np.ndarray, n_users: int) -> np.ndarray:
     return block[:, np.argsort(key, kind="stable")]
 
 
-def _behavior_events(population: Population, config: WorldConfig) -> np.ndarray:
+def behavior_events(population: Population, config: WorldConfig) -> np.ndarray:
     """Page views, searches and app events drawn from per-user
-    propensities, as an event block in draw order."""
+    propensities, as an event block in draw order whose user codes are
+    population rows; an empty block, drawing nothing, when behavior is
+    off."""
     bcfg = config.behavior_settings
+    if not bcfg["enabled"]:
+        return np.zeros((len(FIELDS), 0), dtype=np.int64)
     n = len(population)
     days = config.horizon_days
     rng = rng_for(config.seed, "behavior")
@@ -956,11 +952,10 @@ def precedent_impression_fraction(
     acts = ours & (log.kind == KIND_CODE[ACTION])
     if not acts.any():
         raise ValueError("log contains no actions for this advertiser")
-    # One sorted key per impression, (user, ts) in one int64; each action
-    # looks for a key in [(user, ts - lookback), (user, ts)].
-    stride = int(log.ts.max()) + 1
-    keys = np.sort(log.user[imps] * stride + log.ts[imps])
-    act_keys = log.user[acts] * stride + log.ts[acts]
-    lo = np.searchsorted(keys, act_keys - np.minimum(log.ts[acts], lookback))
-    hi = np.searchsorted(keys, act_keys, side="right")
-    return int(np.count_nonzero(hi > lo)) / int(acts.sum())
+    # A user's impressions in [ts - lookback, ts] are those at or before
+    # ts less those at or before ts - lookback - 1.
+    key, times = rank_keys(log.user[imps], log.ts[imps])
+    user, ts = log.user[acts], log.ts[acts]
+    hits = (rank_search(key, times, user, ts)
+            > rank_search(key, times, user, ts - lookback - 1))
+    return int(np.count_nonzero(hits)) / int(acts.sum())

@@ -827,3 +827,26 @@ def test_beta_shape_must_be_positive_and_bounded(tmp_path, capsys, shape,
         assert code == EXIT_CONFIG
         assert err == (f"config error: invalid world section: p_distribution "
                        f"{error}\n")
+
+
+def test_a_world_too_large_for_memory_is_a_config_error(tmp_path):
+    """A world whose draw cannot be allocated under an address-space limit,
+    set in the child process only, exits 2 with one config error line that
+    names the allocation, not a traceback."""
+    world = {**TRAIN_WORLD["world"], "n_users": 60, "topics": 10**7}
+    config = write_config(tmp_path, {**TRAIN_WORLD, "world": world})
+    script = (
+        "import resource, sys\n"
+        "limit = 1536 << 20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "from liftsim.cli import main\n"
+        f"sys.exit(main(['simulate', '--config', {str(config)!r}]))\n")
+    src = Path(liftsim.world.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == EXIT_CONFIG, result.stderr
+    assert result.stderr.startswith("config error: too large for memory: ")
+    assert result.stderr.count("\n") == 1
+    assert "(60, 10000000)" in result.stderr
+    assert not (tmp_path / "events.jsonl").exists()

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from event_records import parse_log
 from liftsim.events import (
-    ACTION, AD_REQUEST, APP_INSTALL, APP_USE, CLICK, IMPRESSION, PAGE_VIEW,
-    SEARCH,
+    ACTION, AD_REQUEST, APP_INSTALL, APP_USE, CLICK, FIELDS, IMPRESSION,
+    KIND_CODE, PAGE_VIEW, SEARCH,
 )
 from liftsim.liftmodel.features import (
     MOST_RECENT_BUCKET, NEVER_BUCKET, RECENCY_EDGES, EventIndex, FeatureSchema,
@@ -265,21 +265,44 @@ def observed_histories(log, observed):
     return per_user
 
 
-# Observed kinds and refs, tracked or not and in the schema or not: adv3
-# and topic 3 are not in ``schema()``, and a topic given as "1" is no
-# topic.
-OBSERVED_KINDS = [IMPRESSION, CLICK, PAGE_VIEW, SEARCH, APP_USE, AD_REQUEST,
-                  ACTION]
-OBSERVED_REFS = ["adv1", "adv2", "adv3", None, 0, 1, 3, "1"]
+# Observed kinds, tracked or not, with the field their ref code is in and
+# the codes drawn. The codes index OBSERVED_ADVERTISERS, whose adv3
+# ``schema()`` lacks, or are topics or apps, 3 and 2 outside the schema;
+# -1 leaves the ref out.
+OBSERVED = {IMPRESSION: ("adv", [-1, 0, 1, 2]), CLICK: ("adv", [-1, 0, 1, 2]),
+            PAGE_VIEW: ("topic", [-1, 0, 1, 2, 3]),
+            SEARCH: ("topic", [-1, 0, 1, 2, 3]),
+            APP_USE: ("app", [-1, 0, 1, 2]), AD_REQUEST: ("topic", [0, 1]),
+            ACTION: ("adv", [0, 1])}
+OBSERVED_ADVERTISERS = ("adv2", "adv1", "adv3")
+observed_refs = st.sampled_from(list(OBSERVED)).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.sampled_from(OBSERVED[kind][1])))
+
+
+def event_block(events):
+    """The (user code, kind, ref code, ts) ``events`` as an (8, n) int64
+    event block, each ref code in its kind's field."""
+    block = np.full((len(FIELDS), len(events)), -1, dtype=np.int64)
+    for i, (user, kind, code, ts) in enumerate(events):
+        block[:3, i] = ts, user, KIND_CODE[kind]
+        block[FIELDS.index(OBSERVED[kind][0]), i] = code
+    return block
+
+
+def reference_ref(kind, code):
+    """The id that ``UserHistory`` keys an observed ref code by."""
+    if code < 0:
+        return None
+    return OBSERVED_ADVERTISERS[code] if OBSERVED[kind][0] == "adv" else code
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), fw=st.sampled_from([DAY, 7 * DAY, 8 * DAY]))
 def test_event_index_with_observed_events_matches_the_reference(data, fw):
     """The rows ``ModelBidEstimator`` prices from: a log that holds
-    impressions and clicks, plus events observed in any time order, among
-    them a click 30 s after a request, queried at the window edges, before
-    ``fw`` and for user 3, who has no events."""
+    impressions and clicks, plus event blocks observed in any time order,
+    among them a click 30 s after a request, queried at the window edges,
+    before ``fw`` and for user 3, who has no events."""
     anchors = data.draw(st.lists(st.integers(0, DAY) | st.integers(9 * DAY,
                                                                    10 * DAY),
                                  min_size=1, max_size=3))
@@ -293,44 +316,73 @@ def test_event_index_with_observed_events_matches_the_reference(data, fw):
     log = world_log([(user, kind, field, refs[i % len(refs)], ts)
                      for user, (kind, field, refs), i, ts in events])
     code = [log.users.index(f"u{row:06d}") for row in range(4)]
-    observed = [(code[user], kind, ref, ts) for user, kind, ref, ts in
-                data.draw(st.lists(st.tuples(
-                    st.integers(0, 2), st.sampled_from(OBSERVED_KINDS),
-                    st.sampled_from(OBSERVED_REFS), times), max_size=12))]
+    observed = [(code[user], kind, ref, ts) for user, (kind, ref), ts in
+                data.draw(st.lists(st.tuples(st.integers(0, 2), observed_refs,
+                                             times), max_size=12))]
     # A request won at t, its click at t + 30; both times are queried.
     requests = data.draw(st.lists(st.tuples(st.integers(0, 2), times),
                                   max_size=3))
     for user, ts in requests:
-        observed += [(code[user], IMPRESSION, "adv1", ts),
-                     (code[user], CLICK, "adv1", ts + 30)]
+        observed += [(code[user], IMPRESSION, 1, ts),
+                     (code[user], CLICK, 1, ts + 30)]
     samples = data.draw(st.lists(st.tuples(
         st.integers(0, 3), st.sampled_from(anchors) | times
         | st.integers(0, fw - 1)), min_size=1, max_size=8))
     samples += [(user, ts + late) for user, ts in requests for late in (0, 30)]
 
-    index = EventIndex(log, schema())
-    index.observe([], IMPRESSION, "adv1", [])  # no events: no change
+    index = EventIndex([getattr(log, name) for name in FIELDS],
+                       log.advertisers, len(log.users), schema())
+    index.observe(event_block([]), OBSERVED_ADVERTISERS)  # no change
     half = len(observed) // 2 + 1
     for part in (observed[:half], observed[half:]):
-        # One call per (kind, ref), with its users and times as columns.
-        for kind, ref in dict.fromkeys((kind, ref) for _, kind, ref, _ in part):
-            picked = [(user, ts) for user, k, r, ts in part
-                      if (k, r) == (kind, ref)]
-            index.observe([user for user, _ in picked], kind, ref,
-                          [ts for _, ts in picked])
-        # Rows in between re-key what follows.
-        index.rows([0], [DAY], fw, np.zeros((1, 3)))
+        index.observe(event_block(part), OBSERVED_ADVERTISERS)
+        index.rows([0], [DAY], fw, np.zeros((1, 3)))  # rows in between
     population = distinct_users()
     users = np.array([code[user] for user, _ in samples])
     got = index.rows(users, [ts for _, ts in samples], fw,
                      population.demographics[[user for user, _ in samples]])
-    per_user = observed_histories(log, observed)
+    per_user = observed_histories(log, [
+        (user, kind, reference_ref(kind, ref), ts)
+        for user, kind, ref, ts in observed])
     for (user, ts), history, row in zip(samples, (per_user[u] for u in users),
                                         got):
         want = extract_from_history(history,
                                     population.demographics[user].tolist(),
                                     ts, fw, schema())
         assert row.tobytes() == want.tobytes(), (user, ts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), fw=st.sampled_from([DAY, 7 * DAY]))
+def test_event_index_rows_do_not_depend_on_event_order_or_observe_calls(
+        data, fw):
+    """Rows are bit-equal under any permutation of the first events and
+    of the observed ones, and with the observed events split across
+    several ``observe`` calls. Times tie often, so ranks tie too."""
+    times = st.sampled_from([0, 1, HOUR, DAY - 1, DAY, 2 * DAY, 7 * DAY])
+    events = st.lists(st.tuples(st.integers(0, 3), observed_refs, times),
+                      max_size=30).map(lambda drawn: [
+                          (user, kind, ref, ts)
+                          for user, (kind, ref), ts in drawn])
+    first, told = data.draw(events), data.draw(events)
+    queries = data.draw(st.lists(st.tuples(st.integers(0, 3), times
+                                           | st.integers(0, 8 * DAY)),
+                                 min_size=1, max_size=8))
+    users, ts = np.array(queries).T
+    demographics = distinct_users().demographics[users]
+
+    def rows(first, parts):
+        index = EventIndex(event_block(first), OBSERVED_ADVERTISERS, 4,
+                           schema())
+        for part in parts:
+            index.observe(event_block(part), OBSERVED_ADVERTISERS)
+        return index.rows(users, ts, fw, demographics).tobytes()
+
+    want = rows(first, [told])
+    shuffled = data.draw(st.permutations(told))
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(told)), max_size=3)))
+    parts = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(told)])]
+    assert rows(data.draw(st.permutations(first)), parts) == want
 
 
 def test_fold_context_sets_topic_recency():

@@ -1,14 +1,13 @@
 """Calibrated-model pipeline: training, prediction, serialization, streaming."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from liftsim.bidders import BidderConfig
 from event_records import parse_log
-from liftsim.events import CLICK, IMPRESSION, KIND_CODE, PAGE_VIEW
+from liftsim.events import CLICK, FIELDS, IMPRESSION, KIND_CODE, PAGE_VIEW
 from liftsim.liftmodel.features import (
     FeatureSchema, UserHistory, counterfactual_features, extract_from_history,
     fold_context, histories, window_features,
@@ -166,17 +165,13 @@ def test_streaming_estimator_matches_offline_extraction():
     computed from a log-built extractor at the same timestamp."""
     model, _, _, population, schema, _ = trained_world_model()
     uid = population.user_ids[0]
-    views = parse_log([
-        {"ts": 1 * DAY, "user": uid, "kind": PAGE_VIEW, "topic": 1},
-        {"ts": 3 * DAY, "user": uid, "kind": PAGE_VIEW, "topic": 0},
-    ])
-    with pytest.raises(ValueError):  # the log's users must be the population's
-        ModelBidEstimator(model, population, "adv1", views)
-    behavior = replace(views, users=population.user_ids)  # uid is code 0
-    estimator = ModelBidEstimator(model, population, "adv1", behavior)
-    estimator.observe([0], IMPRESSION, "adv1", [2 * DAY])
-    with pytest.raises(ValueError):  # one time per user
-        estimator.observe([0, 0], CLICK, "adv1", [2 * DAY])
+    views = np.full((len(FIELDS), 2), -1)  # two page views of user row 0
+    views[:3] = [[1 * DAY, 3 * DAY], [0, 0], [KIND_CODE[PAGE_VIEW]] * 2]
+    views[FIELDS.index("topic")] = [1, 0]
+    estimator = ModelBidEstimator(model, population, "adv1", views)
+    win = np.array([[2 * DAY], [0], [KIND_CODE[IMPRESSION]], [0], [-1], [-1],
+                    [1], [100]])
+    estimator.observe(win)
     ts = 3 * DAY + 1000
     (p_hat,), (lift_hat,) = estimator.estimate([0], [ts], [1])
 
@@ -202,15 +197,21 @@ def estimator_with_wins():
     impressions and 30 s after it, at each told win and 30 s after it,
     and at fixed days, each on every topic."""
     model, _, log, population, schema, _ = trained_world_model()
-    estimator = ModelBidEstimator(model, population, "adv1", log)
+    # The log's user codes are population rows, and its adv code 0 adv1.
+    estimator = ModelBidEstimator(model, population, "adv1",
+                                  [getattr(log, name) for name in FIELDS])
     told = np.arange(0, 40, 4)
     observed = []
     for u in told.tolist():  # a win and its click after the log ends
         observed += [(u, IMPRESSION, "adv1", 16 * DAY + u),
                      (u, CLICK, "adv1", 16 * DAY + u + 30)]
-    # As the market tells a window's wins: one call per kind.
-    estimator.observe(told, IMPRESSION, "adv1", 16 * DAY + told)
-    estimator.observe(told, CLICK, "adv1", 16 * DAY + told + 30)
+    # As the market tells a window's wins: one block, clicks after wins.
+    wins = np.full((len(FIELDS), 2 * told.size), -1)
+    wins[0] = np.concatenate([16 * DAY + told, 16 * DAY + told + 30])
+    wins[1] = np.tile(told, 2)
+    wins[2] = np.repeat([KIND_CODE[IMPRESSION], KIND_CODE[CLICK]], told.size)
+    wins[FIELDS.index("adv")] = 0
+    estimator.observe(wins)
     seen = log.kind == KIND_CODE[IMPRESSION]
     users = np.concatenate([np.repeat(log.user[seen][:30], 2),
                             np.repeat(told, 2),

@@ -19,10 +19,11 @@ from liftsim.market import Campaign, dollars_to_micros
 from liftsim.seeds import rng_for
 from liftsim.world import (
     CLICK_DELAY_SECS, SECONDS_PER_DAY, WorldConfig, WorldConfigError,
-    _check_sortable, _time_order, _time_sorted, assign_groups, behavior_log,
+    _check_sortable, _time_order, _time_sorted, assign_groups,
     draw_action_rates, generate_population, market_population,
     precedent_impression_fraction, run_market, split_budget,
 )
+from event_records import parse_log
 from test_market import second_price
 
 D = dollars_to_micros
@@ -475,7 +476,7 @@ def test_sort_keys_are_bounded_at_63_bits():
 
 def test_event_sort_keys_are_bounded_before_the_draw(monkeypatch):
     # With 2**60 kinds no world's keys fit in 63 bits; no stream may draw
-    # before run_market or behavior_log refuses it.
+    # before run_market refuses it.
     config = small_world(n_users=20, horizon_days=2, behavior=True)
     population = generate_population(config)
 
@@ -488,8 +489,6 @@ def test_event_sort_keys_are_bounded_before_the_draw(monkeypatch):
     with pytest.raises(WorldConfigError, match="63 bits"):
         run_market(population, [BidderConfig(kind="passive")], campaign(),
                    config, assignment=np.zeros(20, dtype=int))
-    with pytest.raises(WorldConfigError, match="63 bits"):
-        behavior_log(population, config)
 
 
 def test_two_bidders_of_one_kind_are_refused():
@@ -530,7 +529,7 @@ class TruthEstimator:
     def estimate(self, user_index, ts, topic_id):
         return self.p[user_index], self.delta_p[user_index]
 
-    def observe(self, user_index, kind, ref, ts):
+    def observe(self, events):
         pass
 
 
@@ -731,7 +730,7 @@ def test_market_windows_of_other_lengths(aw_days, arrivals):
 
 class RecordingEstimator(TruthEstimator):
     """Truth estimates that record every call the market makes, in
-    order: ("estimate", times) and ("observe", users, kind, ref, times)."""
+    order: ("estimate", times) and ("observe", event block)."""
 
     def __init__(self, population):
         super().__init__(population)
@@ -741,21 +740,17 @@ class RecordingEstimator(TruthEstimator):
         self.calls.append(("estimate", ts.copy()))
         return super().estimate(user_index, ts, topic_id)
 
-    def observe(self, user_index, kind, ref, ts):
-        self.calls.append(("observe", user_index.copy(), kind, ref, ts.copy()))
+    def observe(self, events):
+        self.calls.append(("observe", events.copy()))
 
     def estimates(self):
-        return [ts for name, ts, *_ in self.calls if name == "estimate"]
+        return [ts for name, ts in self.calls if name == "estimate"]
 
     def observed(self):
-        """Every told event as (user, kind, ref, ts), in the order told."""
-        events = []
-        for name, *call in self.calls:
-            if name == "observe":
-                users, kind, ref, ts = call
-                events += [(u, kind, ref, t)
-                           for u, t in zip(users.tolist(), ts.tolist())]
-        return events
+        """The blocks told, as one block in the order told."""
+        return np.concatenate([np.zeros((len(FIELDS), 0), dtype=np.int64)]
+                              + [block for name, block in self.calls
+                                 if name == "observe"], axis=1)
 
 
 def _recording_run(config, budget_dollars=1e9, record_events=True):
@@ -772,21 +767,18 @@ def _recording_run(config, budget_dollars=1e9, record_events=True):
 
 
 def test_the_market_tells_an_estimator_only_its_own_wins_and_clicks():
+    """Put together, the blocks the market tells an estimator over a run
+    are the log's impression and click rows, every field of them."""
     config = small_world(seed=27, n_users=240, horizon_days=6, behavior=True)
     run, recorder = _recording_run(config)
-    log, seen = run.log, recorder.observed()
-    assert {kind for _, kind, _, _ in seen} == {IMPRESSION, CLICK}
-    assert {ref for _, _, ref, _ in seen} == {"adv1"}
-    # Every impression and click in the log is one of our groups' wins.
+    log = run.log
     rows = np.flatnonzero(np.isin(log.kind, [KIND_CODE[IMPRESSION],
                                              KIND_CODE[CLICK]]))
-    assert (log.bidder[rows] < len(run.groups)).all()
-    assert sorted(seen) == sorted(
-        (int(log.user[i]), EVENT_KINDS[log.kind[i]], log.advertisers[log.adv[i]],
-         int(log.ts[i])) for i in rows)
-    for user, kind in {(u, k) for u, k, _, _ in seen}:
-        times = [ts for u, k, _, ts in seen if (u, k) == (user, kind)]
-        assert times == sorted(times)
+    logged = np.stack([getattr(log, name)[rows] for name in FIELDS])
+    assert set(logged[FIELDS.index("bidder")].tolist()) == {1, 2}
+    assert (logged[FIELDS.index("kind")] == KIND_CODE[CLICK]).any()
+    told = _time_sorted(recorder.observed(), len(log.users))
+    assert told.tobytes() == logged.tobytes()
 
 
 def _fewer_per_win(impressions, clicks):
@@ -813,9 +805,10 @@ class WinCountingEstimator(TruthEstimator):
         self.weight = weight
         self.told = {}  # user -> [(kind, ts)]
 
-    def observe(self, user_index, kind, ref, ts):
-        for user, at in zip(user_index.tolist(), ts.tolist()):
-            self.told.setdefault(user, []).append((kind, at))
+    def observe(self, events):
+        ts, user, kind = events[:3].tolist()
+        for user, kind, at in zip(user, kind, ts):
+            self.told.setdefault(user, []).append((EVENT_KINDS[kind], at))
 
     def estimate(self, user_index, ts, topic_id):
         kinds = [[kind for kind, t in self.told.get(u, ()) if t <= at]
@@ -918,24 +911,24 @@ def test_estimate_is_called_once_per_window_with_a_bidding_request(
 
 def test_no_window_is_told_its_wins_before_it_is_priced():
     """The market tells a window's wins after that window's estimate
-    call and before the next window's: one call for the impressions,
-    then one for their clicks."""
+    call and before the next window's, in one call with the impressions
+    and their clicks."""
     config = small_world(seed=41, n_users=240, horizon_days=6, behavior=True)
     run, recorder = _recording_run(config)
     aw = 2 * SECONDS_PER_DAY
     # Each call as (name, window): priced, or of the wins told.
     sequence = []
-    for name, *rest in recorder.calls:
+    for name, data in recorder.calls:
         if name == "estimate":
-            windows = rest[0] // aw
+            windows = data // aw
         else:
-            _, kind, _, ts = rest
-            windows = (ts - (CLICK_DELAY_SECS if kind == CLICK else 0)) // aw
-            name = kind
+            clicks = data[FIELDS.index("kind")] == KIND_CODE[CLICK]
+            windows = (data[0] - CLICK_DELAY_SECS * clicks) // aw
+            assert clicks.any() and not clicks.all()
         assert np.unique(windows).size == 1
         sequence.append((name, int(windows[0])))
     assert sequence == [call for w in range(run.n_windows) for call in
-                        (("estimate", w), (IMPRESSION, w), (CLICK, w))]
+                        (("estimate", w), ("observe", w))]
 
 
 def test_no_estimate_call_after_every_bidder_stops():
@@ -1039,6 +1032,22 @@ def test_precedent_impression_fraction_counts():
         if any(u == user and ts - 2 * 86_400 <= t <= ts for u, t in imps):
             hits += 1
     assert frac == pytest.approx(hits / len(actions))
+
+
+@pytest.mark.parametrize("lookback_days", [0, 2])
+def test_precedent_fraction_counts_the_closed_lookback_span(lookback_days):
+    """An impression at exactly ts - lookback and one at ts precede an
+    action at ts; one a second before ts - lookback does not."""
+    ts, lookback = 10 * SECONDS_PER_DAY, lookback_days * SECONDS_PER_DAY
+    for at, counts in ((ts - lookback, True), (ts - lookback - 1, False),
+                       (ts, True)):
+        log = parse_log([
+            {"ts": at, "user": "u0", "kind": IMPRESSION, "adv": "adv1",
+             "bidder": "value", "price": 1},
+            {"ts": ts, "user": "u0", "kind": ACTION, "adv": "adv1"},
+            {"ts": ts, "user": "u1", "kind": ACTION, "adv": "adv1"}])
+        frac = precedent_impression_fraction(log, "adv1", lookback_days)
+        assert frac == (0.5 if counts else 0.0), at
 
 
 def test_precedent_fraction_is_zero_for_passive_world():
