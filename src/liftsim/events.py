@@ -29,26 +29,32 @@ tables, the header's seed and config digest, and the SHA-256 of the
 JSONL bytes. Columns and tables are stored as :meth:`EventLog.parse`
 returns them for those bytes: ids in order of first appearance, and only
 the ids that appear. :meth:`EventLog.read` uses the sidecar only when
-its hash is that of the bytes it read and its columns pass the checks
+its hash is that of the file's bytes and its columns pass the checks
 ``parse`` makes (dtype and shape, time order, ranges, codes inside their
 tables, string ids). Any other sidecar, a missing one included, is
 ignored and the JSONL is parsed.
+
+Neither writing nor reading holds the text. ``write`` sends it to the
+file and its hash one encoded block (at most :data:`_BLOCK_BYTES`) at a
+time, then writes the sidecar, the zip that ``np.savez`` writes, one
+column at a time. ``read`` hashes the file as it reads it, and parses
+the file, a block of lines at a time, only when the sidecar does not
+match.
 """
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import zlib
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .fileio import atomic_write_bytes
+from .fileio import atomic_write
 
 FORMAT_NAME = "liftsim.events"
 FORMAT_VERSION = 1
@@ -120,6 +126,12 @@ class EventLog:
         Raises :class:`EventLogError` unless the columns are a log over
         the id tables (see :func:`_column_problem`); a code outside its
         table would otherwise write some other id or none.
+        """
+        return b"".join(self._encoded()).decode("ascii")
+
+    def _encoded(self) -> Iterator[bytes]:
+        """The ASCII bytes of :meth:`dumps`: the header line, then one
+        block of lines at a time; the column check raises on the first.
 
         Events are encoded in blocks of at most :data:`_BLOCK_BYTES`, each
         a NUL-padded uint32 matrix with one row per line and a column per
@@ -154,7 +166,6 @@ class EventLog:
                 segments.append((column, _words([key])[0], None))
         digits = _digit_words()
         end = _words(["}\n"])[0]
-        lines = [json.dumps(self.header(), separators=(",", ":")) + "\n"]
 
         def layout(block: list[np.ndarray]) -> list[int]:
             """Each field's words per row in the matrix of ``block``."""
@@ -168,7 +179,7 @@ class EventLog:
                                   if top >= 0 else 0)
             return result
 
-        def encode(block: list[np.ndarray], widths: list[int]) -> str:
+        def encode(block: list[np.ndarray], widths: list[int]) -> bytes:
             """The lines of ``block``, from a matrix of these widths."""
             out = np.empty((len(block[0]), sum(widths) + 1), dtype=np.uint32)
             at = 0
@@ -192,8 +203,9 @@ class EventLog:
                         q = high
                 at += w
             out[:, at] = end
-            return out.tobytes().translate(None, b"\0").decode("ascii")
+            return out.tobytes().translate(None, b"\0")
 
+        yield json.dumps(self.header(), separators=(",", ":")).encode() + b"\n"
         # A block has the rows that fill the block size at the last block's
         # width (the first block's are a guess), halved while a long id
         # makes them wider than that.
@@ -208,42 +220,63 @@ class EventLog:
                         stop == start + 1):
                     break
                 stop = (start + stop) // 2
-            lines.append(encode(block, widths))
+            yield encode(block, widths)
             start, rows = stop, max(1, _BLOCK_BYTES // row_bytes)
-        return "".join(lines)
 
     def write(self, path: str | Path) -> None:
         """The log as JSONL v1 at ``path``, then its sidecar; each file is
-        written atomically. The JSONL bytes are dropped before the sidecar
-        is built, so the two are never held together."""
-        data = self.dumps().encode("utf-8")
-        atomic_write_bytes(path, data)
-        sha256 = hashlib.sha256(data).hexdigest()
-        del data
-        user, users = _first_seen(self.users, self.user)
-        adv, advertisers = _first_seen(self.advertisers, self.adv)
-        bidder, bidders = _first_seen(self.bidders, self.bidder)
-        meta = {"sha256": sha256, "seed": self.seed,
-                "config_digest": self.config_digest, "users": users,
-                "advertisers": advertisers, "bidders": bidders}
-        columns = np.stack([self.ts, user, self.kind, adv, self.topic,
-                            self.app, bidder, self.price], dtype=np.int64)
-        buffer = io.BytesIO()
-        np.savez(buffer, columns=columns, meta=np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8))
-        atomic_write_bytes(_sidecar_path(path), buffer.getbuffer())
+        written atomically. The text goes to the file and its SHA-256 one
+        encoded block at a time, and the sidecar's columns one row at a
+        time, so neither file is ever held whole in memory."""
+        sha256 = hashlib.sha256()
+
+        def write_jsonl(fh) -> None:
+            for chunk in self._encoded():
+                fh.write(chunk)
+                sha256.update(chunk)
+
+        atomic_write(path, write_jsonl)
+        atomic_write(_sidecar_path(path), lambda fh: self._write_sidecar(
+            fh, sha256.hexdigest()))
+
+    def _write_sidecar(self, fh, sha256: str) -> None:
+        """The sidecar of the JSONL bytes whose SHA-256 is ``sha256``, as
+        the stored zip that ``np.savez`` writes: an (8, n) int64
+        ``columns`` array, then ``meta``, the JSON bytes as uint8."""
+        import zipfile  # imported late for the reason _read_sidecar gives
+
+        fmt = np.lib.format
+        tables = {"user": self.users, "adv": self.advertisers,
+                  "bidder": self.bidders}
+        with zipfile.ZipFile(fh, "w") as zf:
+            with zf.open("columns.npy", "w", force_zip64=True) as fid:
+                fmt.write_array_header_1_0(fid, fmt.header_data_from_array_1_0(
+                    np.broadcast_to(np.int64(0), (len(FIELDS), len(self)))))
+                for name in FIELDS:
+                    values = getattr(self, name)
+                    if name in tables:
+                        values, tables[name] = _first_seen(tables[name], values)
+                    fid.write(np.ascontiguousarray(values, dtype=np.int64))
+            meta = {"sha256": sha256, "seed": self.seed,
+                    "config_digest": self.config_digest,
+                    "users": tables["user"], "advertisers": tables["adv"],
+                    "bidders": tables["bidder"]}
+            with zf.open("meta.npy", "w", force_zip64=True) as fid:
+                fmt.write_array(fid, np.frombuffer(json.dumps(meta).encode(),
+                                                   dtype=np.uint8))
 
     @classmethod
     def read(cls, path: str | Path) -> "EventLog":
-        """The log at ``path``, from its sidecar when that holds these
-        bytes' columns, else parsed."""
-        data = Path(path).read_bytes()
-        log = _read_sidecar(_sidecar_path(path),
-                            hashlib.sha256(data).hexdigest())
+        """The log at ``path``, from its sidecar when that holds the
+        columns of the file's bytes, else parsed from the file opened as
+        text. The file is hashed as it is read, so its bytes are never
+        held whole."""
+        with open(path, "rb") as fh:
+            sha256 = hashlib.file_digest(fh, "sha256").hexdigest()
+        log = _read_sidecar(_sidecar_path(path), sha256)
         if log is None:
-            # Split and decode lines as iterating over an open text file does.
-            log = cls.parse(io.TextIOWrapper(io.BytesIO(data),
-                                             encoding="utf-8"))
+            with open(path, encoding="utf-8") as fh:
+                log = cls.parse(fh)
         return log
 
     @classmethod

@@ -9,14 +9,19 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 
-def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
+def atomic_write(path: str | Path,
+                 write: Callable[[BinaryIO], object]) -> None:
+    """Call ``write`` on a binary file open at a temporary sibling of
+    ``path``, then rename it to ``path``; if anything fails, remove it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -24,7 +29,7 @@ def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def json_digest(payload) -> str:

@@ -14,7 +14,8 @@ Every feature is computed strictly from events in the half-open window
 in one form, eight int64 columns in :data:`~liftsim.events.FIELDS`
 order, and one function maps their kinds and refs to feature columns. It
 keys its first events once, takes blocks of events observed later, and
-builds the rows of many (user, time) queries in one pass.
+builds the rows of many (user, time) queries in columnar passes of
+:data:`QUERY_CHUNK_ROWS` queries each.
 :func:`window_features` builds a training matrix from a log's columns.
 Model-driven bidding (:class:`~.pipeline.ModelBidEstimator`) builds it
 from the world's behavior block and prices each window's requests with
@@ -44,6 +45,9 @@ from ..market import Population
 RECENCY_EDGES = (3_600, 21_600, 86_400, 172_800, 604_800)
 NEVER_BUCKET = len(RECENCY_EDGES)
 MOST_RECENT_BUCKET = 0
+# Queries per pass of EventIndex.rows, as GBDTModel.raw_score scores
+# rows in chunks: each pass holds (frequency columns x queries) arrays.
+QUERY_CHUNK_ROWS = 4096
 
 
 def recency_bucket(age_seconds: int) -> int:
@@ -241,7 +245,7 @@ def rank_search(key: np.ndarray, times: np.ndarray, cells: np.ndarray,
 
 class EventIndex:
     """Tracked events, keyed once, plus tracked events observed later: the
-    feature rows of any (user code, time) in one columnar pass, equal bit
+    feature rows of any (user code, time) in columnar passes, equal bit
     for bit to :func:`extract_from_history` over the same events.
 
     Events come as eight columns in :data:`~liftsim.events.FIELDS` order,
@@ -293,35 +297,39 @@ class EventIndex:
     def rows(self, users: np.ndarray, ts: np.ndarray, fw: int,
              demographics: np.ndarray) -> np.ndarray:
         """(rows, features) matrix: row i is user code ``users[i]`` at
-        time ``ts[i]`` over ``(ts - fw, ts]``, with ``demographics[i]``."""
+        time ``ts[i]`` over ``(ts - fw, ts]``, with ``demographics[i]``.
+
+        Queries are answered :data:`QUERY_CHUNK_ROWS` at a time, so the
+        (frequency columns x queries) temporaries stay that small."""
         users, ts = np.asarray(users, np.int64), np.asarray(ts, np.int64)
         # Queries in (column, user, ts) order, so they are sorted as the
         # keys are: a sorted search is several times faster than a
         # scattered one.
         order = np.lexsort((ts, users))
-        users, ts = users[order], ts[order]
         schema = self.schema
         freq = schema._freq_columns
-        cell = freq[:, None] * self._n_users + users
-        count = np.zeros(cell.shape, dtype=np.int64)
-        latest = np.full(cell.shape, np.iinfo(np.int64).min)
-        for key, times in (self._logged, self._observed):
-            if not key.size:
-                continue
-            hi = rank_search(key, times, cell, ts)
-            lo = rank_search(key, times, cell, ts - fw)
-            seen = hi > lo
-            count += hi - lo
-            latest[seen] = np.maximum(
-                latest[seen], times[key[hi[seen] - 1] % (len(times) + 1)])
-        seen = count > 0
-        age = np.broadcast_to(ts, cell.shape)[seen] - latest[seen]
-        recency = np.full(cell.shape, NEVER_BUCKET)
-        recency[seen] = np.searchsorted(RECENCY_EDGES, age, side="left")
-
         out = np.zeros((len(ts), schema.n_features))
-        out[order[:, None], freq] = count.T
-        out[order[:, None], freq + 1] = recency.T
+        for start in range(0, len(order), QUERY_CHUNK_ROWS):
+            chunk = order[start:start + QUERY_CHUNK_ROWS]
+            t = ts[chunk]
+            cell = freq[:, None] * self._n_users + users[chunk]
+            count = np.zeros(cell.shape, dtype=np.int64)
+            latest = np.full(cell.shape, np.iinfo(np.int64).min)
+            for key, times in (self._logged, self._observed):
+                if not key.size:
+                    continue
+                hi = rank_search(key, times, cell, t)
+                lo = rank_search(key, times, cell, t - fw)
+                seen = hi > lo
+                count += hi - lo
+                latest[seen] = np.maximum(
+                    latest[seen], times[key[hi[seen] - 1] % (len(times) + 1)])
+            seen = count > 0
+            age = np.broadcast_to(t, cell.shape)[seen] - latest[seen]
+            recency = np.full(cell.shape, NEVER_BUCKET)
+            recency[seen] = np.searchsorted(RECENCY_EDGES, age, side="left")
+            out[chunk[:, None], freq] = count.T
+            out[chunk[:, None], freq + 1] = recency.T
         demo = schema.index("age_group")
         out[:, demo:demo + 3] = demographics
         return out

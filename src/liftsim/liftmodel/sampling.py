@@ -12,7 +12,7 @@ without actions raises :class:`SamplingError`, and so does one that has
 not reached the target after exactly ``DRAWS_PER_POSITIVE`` draws per
 targeted positive: the last batch draws only what that budget has left.
 
-Then one columnar pass, :func:`~.features.window_features`, builds every
+Then columnar passes, :func:`~.features.window_features`, build every
 sample's features from the feature window ``(ts - fw, ts]`` only.
 """
 from __future__ import annotations
@@ -24,10 +24,12 @@ import numpy as np
 from numpy.rec import fromarrays
 
 from ..events import ACTION, AD_REQUEST, KIND_CODE, EventLog
-from ..fileio import atomic_write_text
+from ..fileio import atomic_write
 from ..market import INT64_MAX, Population, check_integer, check_real
 from ..seeds import rng_for
-from .features import FeatureSchema, rank_keys, rank_search, window_features
+from .features import (
+    QUERY_CHUNK_ROWS, FeatureSchema, rank_keys, rank_search, window_features,
+)
 
 
 # Draws allowed per targeted positive before sampling gives up. Every
@@ -127,10 +129,19 @@ def generate_samples(
 
 
 def export_samples(samples: np.recarray, path) -> None:
-    """Write samples as line-delimited JSON records."""
-    lines = [json.dumps({"user": user, "ts": ts, "label": int(label),
-                         "features": features}, separators=(",", ":"))
-             for user, ts, label, features in zip(
-                 samples.user_id.tolist(), samples.ts.tolist(),
-                 samples.label.tolist(), samples.features.tolist())]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write samples as line-delimited JSON records, one chunk of
+    :data:`~.features.QUERY_CHUNK_ROWS` samples at a time; no samples
+    is one empty line."""
+    def write(fh) -> None:
+        for start in range(0, len(samples), QUERY_CHUNK_ROWS):
+            chunk = samples[start:start + QUERY_CHUNK_ROWS]
+            fh.writelines(json.dumps(
+                {"user": user, "ts": ts, "label": int(label),
+                 "features": features}, separators=(",", ":")).encode() + b"\n"
+                for user, ts, label, features in zip(
+                    chunk.user_id.tolist(), chunk.ts.tolist(),
+                    chunk.label.tolist(), chunk.features.tolist()))
+        if not len(samples):
+            fh.write(b"\n")
+
+    atomic_write(path, write)

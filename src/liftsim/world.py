@@ -786,8 +786,9 @@ def run_market(
     if record_events:
         # Behavior comes from its own stream and never depends on bidding.
         blocks.append(behavior_events(population, config))
-        data = _time_sorted(np.concatenate(blocks, axis=1), n)
-        log = EventLog(*data, users=population.user_ids, advertisers=(adv,),
+        data = np.concatenate(blocks, axis=1)
+        blocks.clear()  # so that the sort holds one copy of the events
+        log = EventLog(*_time_sorted(data, n), users=population.user_ids, advertisers=(adv,),
                        bidders=(*kinds, MARKET), seed=config.seed,
                        config_digest=market_run_digest(
                            config, campaign, bidders, assignment))
@@ -879,14 +880,19 @@ def _check_sortable(n_users: int, horizon_secs: int) -> None:
 
 
 def _time_sorted(block: np.ndarray, n_users: int) -> np.ndarray:
-    """Events sorted stably by (ts, user, kind); user codes are rows, whose
-    ids share one zero-padded width, so they sort as the ids do.
+    """``block``'s events sorted stably by (ts, user, kind) in place, and
+    returned; user codes are rows, whose ids share one zero-padded width,
+    so they sort as the ids do.
 
     One stable argsort of the int64 key (ts * n_users + user) * kinds +
-    kind; :func:`_check_sortable` bounds it below 2**63.
+    kind, which :func:`_check_sortable` bounds below 2**63; its order is
+    applied one row at a time, so the sort holds one row's copy.
     """
-    key = (block[0] * n_users + block[1]) * len(EVENT_KINDS) + block[2]
-    return block[:, np.argsort(key, kind="stable")]
+    order = np.argsort((block[0] * n_users + block[1]) * len(EVENT_KINDS)
+                       + block[2], kind="stable")
+    for row in block:
+        row[:] = row[order]
+    return block
 
 
 def behavior_events(population: Population, config: WorldConfig) -> np.ndarray:

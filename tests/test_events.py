@@ -1,5 +1,7 @@
 """Event-log serialization: round trips, headers, byte stability, parse checks."""
 
+import hashlib
+import io
 import json
 import random
 import tempfile
@@ -9,13 +11,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import liftsim.events
 from event_records import parse_log
 from liftsim.events import (
     ACTION, AD_REQUEST, EVENT_KINDS, FIELDS, IMPRESSION, PAGE_VIEW,
-    EventLog, EventLogError,
+    EventLog, EventLogError, _first_seen,
 )
 from liftsim.fileio import atomic_write_text
 
@@ -271,10 +273,14 @@ BAD_COLUMNS = {
 
 @pytest.mark.parametrize("columns", BAD_COLUMNS.values(),
                          ids=BAD_COLUMNS.keys())
-def test_dumps_refuses_columns_that_are_not_a_log(columns):
+def test_dumps_refuses_columns_that_are_not_a_log(tmp_path, columns):
     log = make_log(1, users=("a", "b"), **columns)
     with pytest.raises(EventLogError):
         log.dumps()
+    # write refuses them too, and leaves no file, whole or partial.
+    with pytest.raises(EventLogError):
+        log.write(tmp_path / "events.jsonl")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dumps_refuses_events_out_of_time_order():
@@ -291,16 +297,16 @@ def test_dumps_refuses_a_code_below_absent_over_a_table():
         log.dumps()
 
 
-def traced_dumps(log):
-    """``log.dumps()``, and the bytes tracemalloc saw held after it and at
-    its peak."""
+def traced(call):
+    """``call()``, and the bytes tracemalloc saw held after it and at its
+    peak."""
     tracemalloc.start()
     try:
-        text = log.dumps()
+        result = call()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return text, held, peak
+    return result, held, peak
 
 
 def test_a_long_id_widens_only_the_block_it_is_in():
@@ -308,19 +314,19 @@ def test_a_long_id_widens_only_the_block_it_is_in():
     n = 60_000
     log = make_log(n, users=("u", "x" * 20_000),
                    user=(np.arange(n) == 10).astype(np.int64))
-    text, _, peak = traced_dumps(log)
+    text, _, peak = traced(log.dumps)
     assert text == reference_text(log)
     assert peak <= 3.5 * len(text), peak / len(text)
 
 
-def test_dumps_peak_memory_is_a_small_multiple_of_its_text():
-    # A simulator-shaped log: 120k events of 2,000 users, a third of them
-    # market events with an advertiser, bidder and price.
+def simulator_shaped_log():
+    """120k events of 2,000 users, a third of them market events with an
+    advertiser, bidder and price."""
     rng = np.random.default_rng(5)
     n = 120_000
     kind = rng.integers(0, len(EVENT_KINDS), n)
     market = kind < 4
-    log = make_log(
+    return make_log(
         n, users=tuple(f"u{i:06d}" for i in range(2000)),
         bidders=("passive", "value", "lift", "market"),
         ts=np.sort(rng.integers(0, 28 * 86_400, n)),
@@ -329,12 +335,41 @@ def test_dumps_peak_memory_is_a_small_multiple_of_its_text():
         topic=np.where(market, -1, rng.integers(0, 8, n)),
         bidder=np.where(market, rng.integers(0, 4, n), -1),
         price=np.where(market, rng.integers(0, 10**7, n), -1))
-    text, held, peak = traced_dumps(log)
+
+
+def test_dumps_peak_memory_is_a_small_multiple_of_its_text():
+    text, held, peak = traced(simulator_shaped_log().dumps)
     assert len(text) > 6_000_000
     assert peak <= 3.5 * len(text), peak / len(text)
     # Once it returns, dumps holds nothing but its text: a reference cycle
     # would keep its blocks' lines until the next garbage collection.
     assert held <= 1.1 * len(text), held / len(text)
+
+
+def test_write_holds_neither_the_text_nor_the_stacked_columns(tmp_path):
+    # The text goes out one encoded block at a time and the sidecar one
+    # column at a time; holding the text once would be 1x by itself.
+    log, path = simulator_shaped_log(), tmp_path / "events.jsonl"
+    _, _, peak = traced(lambda: log.write(path))
+    assert peak <= 0.6 * path.stat().st_size, peak / path.stat().st_size
+
+
+def test_read_from_the_sidecar_holds_the_columns_alone(tmp_path):
+    path = tmp_path / "events.jsonl"
+    simulator_shaped_log().write(path)
+    log, _, peak = traced(lambda: EventLog.read(path))
+    columns = sum(getattr(log, name).nbytes for name in FIELDS)
+    assert peak <= 1.25 * columns, peak / columns
+
+
+def test_read_without_a_sidecar_never_holds_the_text(tmp_path):
+    # The parse reads the file a block of lines at a time; its blocks and
+    # their concatenation are about 1.7 times the text.
+    path = tmp_path / "events.jsonl"
+    simulator_shaped_log().write(path)
+    path.with_suffix(".npz").unlink()
+    _, _, peak = traced(lambda: EventLog.read(path))
+    assert peak <= 2.2 * path.stat().st_size, peak / path.stat().st_size
 
 
 def assert_same_log(got, want):
@@ -400,6 +435,59 @@ def test_the_sidecar_merges_equal_ids_as_parse_does(tmp_path):
         read = EventLog.read(tmp_path / "events.jsonl")
     assert read.users == ("a", "b")
     assert read.user.tolist() == [0, 1, 0]
+
+
+def reference_sidecar(log, sha256):
+    """The sidecar of ``log``'s JSONL bytes whose SHA-256 is ``sha256``,
+    as ``np.savez`` writes it from the stacked first-seen columns."""
+    user, users = _first_seen(log.users, log.user)
+    adv, advertisers = _first_seen(log.advertisers, log.adv)
+    bidder, bidders = _first_seen(log.bidders, log.bidder)
+    meta = {"sha256": sha256, "seed": log.seed,
+            "config_digest": log.config_digest, "users": users,
+            "advertisers": advertisers, "bidders": bidders}
+    columns = np.stack([log.ts, user, log.kind, adv, log.topic, log.app,
+                        bidder, log.price], dtype=np.int64)
+    buffer = io.BytesIO()
+    np.savez(buffer, columns=columns, meta=np.frombuffer(
+        json.dumps(meta).encode(), dtype=np.uint8))
+    return buffer.getvalue()
+
+
+# Small id tables whose equal ids _first_seen merges; an empty one too.
+TABLES = st.lists(st.sampled_from(["a", "b", "c\x00", "\u00e9"]), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 3000), users=TABLES, advertisers=TABLES,
+       bidders=TABLES, seed=st.integers(0, 2**32 - 1))
+@example(n=0, users=[], advertisers=[], bidders=[], seed=0)
+@example(n=1, users=["a"], advertisers=[], bidders=["b"], seed=0)
+@example(n=2000, users=["a", "b", "a"], advertisers=["a", "a"],
+         bidders=["b", "a", "b"], seed=1)
+def test_the_streamed_sidecar_is_the_one_np_savez_writes(
+        n, users, advertisers, bidders, seed):
+    if not users:
+        n = 0
+    rng = np.random.default_rng(seed)
+
+    def optional(high):  # -1 is absent
+        return rng.integers(-1, high, n)
+
+    log = make_log(n, users=tuple(users), advertisers=tuple(advertisers),
+                   bidders=tuple(bidders), seed=seed,
+                   ts=np.sort(rng.integers(0, 10**6, n)),
+                   user=rng.integers(0, max(len(users), 1), n),
+                   kind=rng.integers(0, len(EVENT_KINDS), n),
+                   adv=optional(len(advertisers)), topic=optional(9),
+                   app=optional(10**12), bidder=optional(len(bidders)),
+                   price=optional(2**62))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "events.jsonl")
+        log.write(path)
+        sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+        sidecar = path.with_suffix(".npz").read_bytes()
+    assert sidecar == reference_sidecar(log, sha256)
 
 
 def rewrite_sidecar(path, edit):

@@ -10,9 +10,10 @@ from liftsim.events import (
     KIND_CODE, PAGE_VIEW, SEARCH,
 )
 from liftsim.liftmodel.features import (
-    MOST_RECENT_BUCKET, NEVER_BUCKET, RECENCY_EDGES, EventIndex, FeatureSchema,
-    counterfactual_features, extract_from_history, fold_context, histories,
-    recency_bucket, window_features,
+    MOST_RECENT_BUCKET, NEVER_BUCKET, QUERY_CHUNK_ROWS, RECENCY_EDGES,
+    EventIndex, FeatureSchema, UserHistory, counterfactual_features,
+    extract_from_history, fold_context, histories, recency_bucket,
+    window_features,
 )
 from liftsim.market import Population
 
@@ -383,6 +384,41 @@ def test_event_index_rows_do_not_depend_on_event_order_or_observe_calls(
     cuts = sorted(data.draw(st.lists(st.integers(0, len(told)), max_size=3)))
     parts = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(told)])]
     assert rows(data.draw(st.permutations(first)), parts) == want
+
+
+@pytest.mark.parametrize("n", [QUERY_CHUNK_ROWS - 1, QUERY_CHUNK_ROWS,
+                               QUERY_CHUNK_ROWS + 1, 2 * QUERY_CHUNK_ROWS + 1])
+def test_event_index_rows_across_query_chunks(n):
+    """Queries in more than one of ``rows``' chunks, users repeated and
+    times unsorted, give the reference's rows bit for bit, each in its
+    query's place."""
+    rng = np.random.default_rng(n)
+    n_users, fw = 40, 7 * DAY
+    kinds = list(OBSERVED)
+
+    def draw(count):
+        return [(int(rng.integers(n_users)), str(kind),
+                 int(rng.choice(OBSERVED[kind][1])),
+                 int(rng.integers(0, 10 * DAY)))
+                for kind in rng.choice(kinds, count)]
+
+    first, told = draw(600), draw(200)
+    index = EventIndex(event_block(first), OBSERVED_ADVERTISERS, n_users,
+                       schema())
+    index.observe(event_block(told), OBSERVED_ADVERTISERS)
+    users = rng.integers(0, n_users, n)
+    ts = rng.integers(0, 11 * DAY, n)
+    demographics = distinct_users(n_users).demographics
+    got = index.rows(users, ts, fw, demographics[users])
+
+    per_user = [UserHistory() for _ in range(n_users)]
+    for user, kind, code, t in sorted(first + told, key=lambda e: e[3]):
+        per_user[user].observe(kind, reference_ref(kind, code), t)
+    want = np.array([
+        extract_from_history(per_user[u], demographics[u].tolist(), t, fw,
+                             schema())
+        for u, t in zip(users.tolist(), ts.tolist())])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_fold_context_sets_topic_recency():

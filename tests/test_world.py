@@ -462,7 +462,9 @@ def test_time_sorted_is_the_stable_lexsort(n_users, size, horizon, seed):
     block[1] = rng.integers(0, n_users, size)
     block[2] = rng.integers(0, len(EVENT_KINDS), size)
     expected = block[:, np.lexsort((block[2], block[1], block[0]))]
-    assert np.array_equal(_time_sorted(block, n_users), expected)
+    # Sorted in place: the market's sort holds no second copy of its log.
+    assert _time_sorted(block, n_users) is block
+    assert np.array_equal(block, expected)
 
 
 def test_sort_keys_are_bounded_at_63_bits():
