@@ -1,4 +1,5 @@
-"""Pinned SHA-256 digests of the CLI's output files on small fixed configs.
+"""Pinned SHA-256 digests of the CLI's output files on small fixed configs,
+and of the market engine's runs on every ``ENGINE_CASES`` world.
 
 The same config and seed must give byte-identical outputs, also across
 refactors of the code that produces them. The digests below were
@@ -14,6 +15,7 @@ import numpy
 import pytest
 
 from liftsim.cli import EXIT_OK, main
+from test_world import ENGINE_CASES, _abc_run, engine_world
 
 RECORDED_WITH = {"numpy": "2.4.6"}
 
@@ -130,3 +132,81 @@ def test_train_outputs_do_not_depend_on_the_sidecar(tmp_path, monkeypatch):
     for name in ("model.json", "calibration.jsonl"):
         assert (Path("with", name).read_bytes()
                 == Path("without", name).read_bytes()), name
+
+
+# One digest per ENGINE_CASES world (tests/test_world.py) and action
+# window of 1, 2 and 3 days: the logged oracle run's log text, then the
+# GroupStats of the logged and of the unlogged run, as JSON.
+ENGINE_DIGESTS = {
+    "default/1":
+        "0125675f72ea6a6f6b2df59bb79ca79130760b4648049d564398cb1ca71af556",
+    "default/2":
+        "ea6004188f42c25a621965ec20e045f1c5112db2dedb23e0ce2996e8784f10fd",
+    "default/3":
+        "8539a2291ec365a080adb6ed46213d6edb1181427505cd84e1f14a38bfa3505d",
+    "reserve/1":
+        "3b2fd2eff43dd951fac5bfe7b3c00e1c02e9fcdb429ce80ec9a3ab5910f760bb",
+    "reserve/2":
+        "73a9613cba3b86ea95eb066b70554f2ea941b24cd8ef4285c4d1c5f4d54b5b03",
+    "reserve/3":
+        "6248e837f6cf7dd4ec5726a4754a44e3297539edcd26a0fcce5e64f3d501aeaf",
+    "ties/1":
+        "4a5e88ad9856769821e92a9b552a26c3f71eebe282d4f766ff49a15b46131e5b",
+    "ties/2":
+        "fc18cb309cd7a38f93c346bcf7ad884ad08e20a132369e07c28a5d008e08b87c",
+    "ties/3":
+        "8be6fe63d6ebd8147ee597e241ff9e3ce5508ac509a15ca648c353032b14be3b",
+    "deterministic/1":
+        "88a71118adc1b303116a414e37199e694f62b69ef9c0901b8b8de7d152fc629b",
+    "deterministic/2":
+        "4f4e7636aa766ea0867e376cfd28f9b42ca307b58a15524487c2fc1de078e180",
+    "deterministic/3":
+        "c977b5468ec8d7b83bb0133dcc6355a7eac31c2c9597b6f1f3677520ca98f0bb",
+    "spend_out/1":
+        "0b4217030e2af9c184785cf714e92e1e2112b4d4ae0a8f25044bcb7870e11441",
+    "spend_out/2":
+        "5047e561053882ac7c683f0dd31cc7fe2ac2c0edbe1fdca91ae3fa954889d139",
+    "spend_out/3":
+        "aea8f6a6f8570842ad08bb598a6a69e8a14f3ba7a4b3390f534c7560d0390c65",
+    "staggered_spend_out/1":
+        "393fecdc9268ed3360fef4c95dca8d1bd05d3ae6daa83d531dcb98c284a50aba",
+    "staggered_spend_out/2":
+        "46f8a49b5f87f53a750141b889b49e238f9a91aee25edaad7cb684c23bee5dac",
+    "staggered_spend_out/3":
+        "b812f728b3f21dab934cd183bbb9e9483d2f6591ed60d24683703f7f9734f437",
+    "zero_lift/1":
+        "4f2a22ed17ebd54744c32aa92386e9e067440b455ac91a879815b0bbe184fd1b",
+    "zero_lift/2":
+        "64b8ce07ccb195e515d1b6fc04444ba74fa472178a98d1f61a00fcba64b8b05e",
+    "zero_lift/3":
+        "279ed9d4219d37683da3a01359085192db56874c6745779ae0a9e2bb415a887a",
+    "lognormal/1":
+        "c7df4bb4c1492e90b16bfdf88c2adf54243d9bf3e75b2ad915af60fb6dae6837",
+    "lognormal/2":
+        "85b8db62ba37c35402366c7a8afc986d4a54c4bc9e677ad32a14d71d4afb280e",
+    "lognormal/3":
+        "87154ab9262bd874d2ea9c7350b025418133af82aaa289fca8cd73b616371905",
+}
+
+
+def engine_digest(case: str, aw_days: int) -> str:
+    config, budget = engine_world(case)
+    logged = _abc_run(config, budget, True, aw_days=aw_days)
+    unlogged = _abc_run(config, budget, False, aw_days=aw_days)
+    digest = hashlib.sha256(logged.log.dumps().encode("ascii"))
+    for run in (logged, unlogged):
+        digest.update(json.dumps([g.as_dict() for g in run.groups])
+                      .encode("ascii"))
+    return digest.hexdigest()
+
+
+@pytest.mark.skipif(
+    numpy.__version__ != RECORDED_WITH["numpy"],
+    reason=f"digests were recorded with numpy {RECORDED_WITH['numpy']}")
+@pytest.mark.parametrize("aw_days", [1, 2, 3])
+@pytest.mark.parametrize("case", ENGINE_CASES)
+def test_engine_runs_match_pinned_digests(case, aw_days):
+    """Every market path an ENGINE_CASES world reaches (reserve winner
+    codes, ties, deterministic arrivals, spend-outs, windows of 1 to 3
+    days, with and without a log) keeps its bytes."""
+    assert engine_digest(case, aw_days) == ENGINE_DIGESTS[f"{case}/{aw_days}"]
