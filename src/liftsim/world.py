@@ -16,41 +16,35 @@ the pair's rank correlation is that of the Gaussian copula of those
 normals.
 
 Budgets, attribution and a bidder's knowledge change only at the ends of
-action windows. A window's bids come from the ground truth priced by
-each group's bidder (oracle bids), or from one call to a
+action windows, and :func:`run_market` runs each window in three steps.
+:class:`_Requests` builds the window's requests from draws made up
+front. :func:`_settle` settles a bid vector against its competitor bids
+in one :func:`~liftsim.market.run_auction` call, the package's one
+second-price settlement, and builds the block of its wins.
+:func:`_close_window` draws, attributes and bills the window's actions
+and stops groups that spent their budget. The bids come from the ground
+truth priced by each group's bidder (oracle bids), or from one call to a
 :class:`BidEstimator`, which prices from what a bidder can know: the
-behavior events it was built with, and the impressions and clicks of
-its own won auctions in earlier windows. Either way the window's positive
-bids settle in one :func:`~liftsim.market.run_auction` call, the
-package's one second-price settlement, and only then is the estimator
-given the window's impression and click events, the block the log
-records for its wins. Given the ground truth, an estimator gives the
-oracle's results. Events cross this boundary in one form: an (8, n)
-int64 event block, one row per field of :data:`~liftsim.events.FIELDS`.
+behavior events it was built with, and the impressions and clicks of its
+own won auctions in windows that have settled. Given the ground truth,
+an estimator gives the oracle's results. Events cross this boundary in
+one form: an (8, n) int64 event block, one row per field of
+:data:`~liftsim.events.FIELDS`.
 
 Randomness is split into independent streams (requests, market,
 behavior, clicks, actions, ties) derived from the world seed, so the
 action draws for a user do not depend on how the bidding went; exposure
-changes outcomes only through (p, delta_p). The tie and click streams
-are drawn in request order, one value per tie and per won auction. The
-same configuration and seed reproduce the identical event log byte for
-byte.
-
-Request counts, times of day and topics are drawn up front, the last
-two in one ``integers`` call each over the horizon: numpy buffers 32-bit
-draws within a call, so draws in pieces would differ. The rest of a
-request is built when its window settles: the window's requests are one
-slice of the draw order, put in time order there, and the market stream
-draws that window's competitor normals, which pieces give as one draw
-would. A window in which no bidder is left draws no competitor bids,
-and without an event log its requests are never built: in an A/B test
-whose bidders spend out early, most of the horizon only draws actions.
+changes outcomes only through (p, delta_p). The same configuration and
+seed reproduce the identical event log byte for byte. A window in which
+no bidder is left draws no competitor bids, and without an event log its
+requests are never built: in an A/B test whose bidders spend out early,
+most of the horizon only draws actions.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Protocol
 
 import numpy as np
@@ -483,67 +477,25 @@ def assign_groups(config: WorldConfig, n_bidders: int) -> np.ndarray:
         np.arange(config.n_users) % n_bidders)
 
 
-def run_market(
-    population: Population,
-    bidders: list[BidderConfig],
-    campaign: Campaign,
-    config: WorldConfig,
-    assignment: np.ndarray | list[int],
-    estimator: BidEstimator | None = None,
-    record_events: bool = True,
-) -> MarketRun:
+def run_market(population: Population, bidders: list[BidderConfig],
+               campaign: Campaign, config: WorldConfig,
+               assignment: np.ndarray | list[int],
+               estimator: BidEstimator | None = None,
+               record_events: bool = True) -> MarketRun:
     """Simulate the market over the horizon and aggregate per-group outcomes.
 
     User i belongs to bidder ``assignment[i]``'s group, labeled with its
-    bidder's own kind. Requests arrive at the user's rate; the group
-    bidder prices each request and faces one sampled competitor bid in a
-    second-price auction. Actions are drawn once per action window per
-    user, at rate p when at least one of the advertiser's impressions
-    landed within the window and at the background rate otherwise. A
-    bidder stops once its billed attributed actions have spent its
-    :func:`split_budget` share of the budget (checked at window ends).
+    bidder's own kind, and the bidder's budget is its :func:`split_budget`
+    share. Up front, ``actions`` draws one uniform per user and window. In
+    each window where a bidder still bids, ``market`` draws the competitor
+    bids (:func:`_competitor_bids`), in pieces as one draw would give them,
+    and the requests of groups still bidding are priced, in one
+    ``estimate`` call when there is an estimator. With events recorded,
+    ``behavior`` draws the :func:`behavior_events` block into the log.
 
-    Up front, the ``requests`` stream draws every request's count (per
-    user and day) and time of day, then, when an estimator or the log
-    reads them, every topic; ``actions`` draws one uniform per user and
-    window. Each is one call over the whole horizon: numpy's ``integers``
-    buffers 32-bit draws within a call, so draws in pieces would differ.
-    Then each window:
-
-    * While some bidder still bids, or when events are recorded, the
-      window's requests are built, their users and day starts each one
-      ``np.repeat`` by count, and put in time order. Once every active
-      bidder has stopped, a window without a log only draws and bills
-      actions.
-    * While some bidder still bids, ``market`` draws one standard normal
-      per request of the window, in time order, as one draw over the
-      horizon would give them; only the requests whose group still bids
-      become competitor bids. The requests whose group still bids are
-      priced from the ground truth, or with one ``estimate`` call when
-      there is an estimator.
-    * Their positive bids settle in one
-      :func:`~liftsim.market.run_auction` call, in time order, which
-      draws one ``ties`` flip per tie; ``clicks`` then draws one uniform
-      per win. The window's won impressions and their clicks are built
-      as one event block when an estimator or the log reads them: the
-      log records it, and an estimator is told it in one ``observe``
-      call, when it has a row, and nothing else. So a request after its
-      user's win in the same window is priced without that win.
-    * At the window's end, every user's action is drawn, actions with a
-      same-window impression are attributed, and each group bills them
-      at ``cpa`` while its spend is under budget. A window without an
-      impression adds each group's background-rate sum, summed once.
-
-    When events are recorded, the ``behavior`` stream draws the
-    :func:`behavior_events` block into the log.
-
-    Raises :class:`WorldConfigError` before the draw when the expected
-    request count, or with events recorded the user count times the
-    horizon, is too large to order, and when a competitor bid the market
-    draws (one per request whose group still bids) is past int64 micros.
-    Raises :class:`MarketInvariantError` when a clearing price exceeds the
-    winning bid, or at a window end when a group's spend exceeds
-    budget + cpa or billed <= attributed <= actions fails.
+    Raises what the steps and :func:`_competitor_bids` raise, and
+    :class:`WorldConfigError` on an inconsistent campaign, bidder list or
+    assignment.
     """
     if config.horizon_days % campaign.action_window_days != 0:
         raise WorldConfigError(
@@ -552,8 +504,7 @@ def run_market(
     kinds = [b.kind for b in bidders]
     if len(set(kinds)) < len(kinds):
         raise WorldConfigError(f"each bidder needs a kind of its own: {kinds}")
-    n = len(population)
-    n_bidders = len(bidders)
+    n, n_bidders = len(population), len(bidders)
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (n,):
         raise WorldConfigError("assignment must give one bidder index per user")
@@ -561,238 +512,280 @@ def run_market(
         raise WorldConfigError("assignment index out of range")
 
     aw_days = campaign.action_window_days
-    aw_secs = aw_days * SECONDS_PER_DAY
     n_windows = config.horizon_days // aw_days
-    adv = campaign.advertiser_id
-    reserve = config.reserve_micros
-
     p, dp, bg = population.p, population.delta_p, population.background_rate
-    rates = population.request_rate
-    click_rate = float(config.behavior_settings["click_rate"])
-
-    # Independent streams: request counts and times never depend on how
-    # the auctions played out, and action draws never depend on anything
-    # except (user, window). Exposure therefore changes outcomes only
-    # through the ground-truth rates.
-    req_rng = rng_for(config.seed, "requests")
-    market_rng = rng_for(config.seed, "market")
-    action_rng = rng_for(config.seed, "actions")
-    tie_rng = rng_for(config.seed, "ties")
-    click_rng = rng_for(config.seed, "clicks")
-
-    horizon_secs = config.horizon_days * SECONDS_PER_DAY
-    _check_orderable(float(rates.sum()) * config.horizon_days, horizon_secs)
-    if record_events:
-        _check_sortable(n, horizon_secs)
-    if config.request_arrivals == "poisson":
-        counts = req_rng.poisson(np.broadcast_to(
-            rates[:, None], (n, config.horizon_days)))
-    else:
-        counts = np.broadcast_to(
-            np.rint(rates).astype(np.int64)[:, None], (n, config.horizon_days))
-    # One request per draw, in (day, user) cell order. Cells are day-major,
-    # so window w's requests are the draws starts[w]:starts[w + 1], from
-    # its cells w * window_cells onward: window_users, day by day.
-    per_cell = counts.T.reshape(-1)
-    window_cells = aw_days * n
-    window_users = np.tile(np.arange(n), aw_days)
-    per_day = per_cell.reshape(config.horizon_days, n).sum(axis=1)
-    day_starts = np.arange(config.horizon_days) * SECONDS_PER_DAY
-    starts = np.zeros(n_windows + 1, dtype=np.int64)
-    np.cumsum(per_day.reshape(n_windows, aw_days).sum(axis=1), out=starts[1:])
-    time_of_day = req_rng.integers(0, SECONDS_PER_DAY, int(starts[-1]))
-    # Topics are the stream's last draw: skipping them changes nothing else.
-    topics = (req_rng.integers(0, config.topics, time_of_day.size)
-              if estimator is not None or record_events else None)
-
-    def window_requests(w: int):
-        """Window w's requests in time order, stably: (times, users,
-        topics), topics None when nothing reads them.
-
-        A time fixes the day, so requests that tie on time are already in
-        user order, then draw order: the stable order keeps both.
-        _time_order sorts the keys (time << b) | draw, b the bit length of
-        the window's request count. They are unique and order by time,
-        then draw, so any sort gives the stable order.
-        """
-        draws, first = slice(starts[w], starts[w + 1]), w * window_cells
-        user = np.repeat(window_users, per_cell[first:first + window_cells])
-        days = slice(w * aw_days, (w + 1) * aw_days)
-        ts = np.repeat(day_starts[days], per_day[days]) + time_of_day[draws]
-        order = _time_order(ts, horizon_secs)
-        return (ts, user[order],
-                None if topics is None else topics[draws][order])
-
+    market_rng, action_rng, tie_rng, click_rng = (
+        rng_for(config.seed, s) for s in ("market", "actions", "ties", "clicks"))
+    requests = _Requests(config, population.request_rate, aw_days,
+                         estimator is not None or record_events, record_events)
     # One row per window, so each window end reads contiguous uniforms.
     action_uniforms = action_rng.random((n, n_windows)).T.copy()
 
     if estimator is None:  # each user's bid from its group's bidder
         oracle_bids = np.stack([price_bids(b, p, dp) for b in bidders])[
             assignment, np.arange(n)]
-
-    group_sizes = np.bincount(assignment, minlength=n_bidders)
-    group_masks = [assignment == g for g in range(n_bidders)]
-    background_sums = [float(bg[mask].sum()) for mask in group_masks]
-    user_requests = counts.sum(axis=1)
-    request_counts = [int(user_requests[mask].sum()) for mask in group_masks]
-    budget = np.array(split_budget(bidders, campaign.budget), dtype=np.int64)
-    cpa = campaign.cpa
-
-    # Per-group running totals, in int64 micros and counts.
-    placed, impressions, clicks, inventory_cost = (
-        np.zeros(n_bidders, dtype=np.int64) for _ in range(4))
-    actions, attributed, billed, spend = (
-        np.zeros(n_bidders, dtype=np.int64) for _ in range(4))
-    expected_actions = [0.0] * n_bidders
-    stop_window: list[int | None] = [None] * n_bidders
-
-    # A passive bidder is never "stopped"; it just never bids. An active
-    # bidder with no budget never starts.
-    active = np.array([b.kind != PASSIVE for b in bidders])
-    stopped = active & (budget <= 0)
-
-    # Event blocks in emission order; the final sort is stable, and rows
-    # with equal (ts, user, kind) always come from one block (a time fixes
-    # the window), in request order, so the blocks sort as row-by-row
-    # emission.
-    blocks: list[np.ndarray] = []
-
+    masks = [assignment == g for g in range(n_bidders)]
+    groups = assignment, masks, [float(bg[mask].sum()) for mask in masks]
+    # Per-group totals by GroupStats field, in int64 micros and counts. A
+    # passive bidder never bids; an active one with no budget never starts.
+    totals = {f.name: np.full(n_bidders, f.default)
+              for f in fields(GroupStats)[2:]}
+    totals.update(
+        n_users=np.bincount(assignment, minlength=n_bidders),
+        requests=np.array([requests.per_user[m].sum() for m in masks]),
+        budget=np.array(split_budget(bidders, campaign.budget), dtype=np.int64))
+    blocks: list[np.ndarray] | None = [] if record_events else None
     empty = np.zeros(0, dtype=np.int64)
 
-    window_exposed = np.zeros(n, dtype=bool)
     for w in range(n_windows):
-        window_exposed[:] = False
-        bidding = active & ~stopped
+        bidding = (totals["budget"] > 0) & ~totals["spent_out"]
         any_bidding = bool(bidding.any())
-        if any_bidding or record_events:
-            req_ts, req_user, req_topic = window_requests(w)
-        else:  # no bidder is left and nothing is logged: only bill actions
-            req_ts = req_user = req_topic = empty
-        if record_events:
-            blocks.append(_event_block(req_ts, req_user, KIND_CODE[AD_REQUEST],
-                                       topic=req_topic))
-        req_group = assignment[req_user]
-        rows = np.flatnonzero(bidding[req_group])
-        comp = (_competitor_bids(config, market_rng, p, req_user, rows)
+        ts, user, topic = (requests.window(w, blocks)
+                           if any_bidding or record_events else (empty,) * 3)
+        group = assignment[user]
+        rows = np.flatnonzero(bidding[group])
+        comp = (_competitor_bids(config, market_rng, p, user, rows)
                 if any_bidding else empty)
         if estimator is None:
-            bids = oracle_bids[req_user[rows]]
+            bids = oracle_bids[user[rows]]
         elif rows.size:  # one estimate call, one price_bids call per group
-            p_hat, dp_hat = estimator.estimate(req_user[rows], req_ts[rows],
-                                               req_topic[rows])
-            bidder_of = req_group[rows]
+            p_hat, dp_hat = estimator.estimate(user[rows], ts[rows], topic[rows])
+            bidder_of = group[rows]
             bids = np.zeros(rows.size, dtype=np.int64)
             for g in np.flatnonzero(np.bincount(bidder_of)).tolist():
                 mine = bidder_of == g
                 bids[mine] = price_bids(bidders[g], p_hat[mine], dp_hat[mine])
         else:
             bids = empty
-        # The positive bids settle, as a slice (no copy) when all are.
-        positive = bids > 0
-        run = slice(None) if positive.all() else np.flatnonzero(positive)
-        kept, our, against = rows[run], bids[run], comp[run]
-        won, price = run_auction(our, against, reserve, tie_rng)
-        clicked = click_rng.random(int(np.count_nonzero(won))) < click_rate
+        win_user = _settle(
+            w, (ts, user, group), rows, bids, comp, config.reserve_micros,
+            tie_rng, click_rng, float(config.behavior_settings["click_rate"]),
+            totals, blocks, None if estimator is None else estimator.observe)
+        _close_window(w, win_user, action_uniforms[w], (p, bg), groups,
+                      campaign.cpa, (w + 1) * aw_days * SECONDS_PER_DAY - 1,
+                      totals, blocks)
 
-        if (won & (price > our)).any():
-            raise MarketInvariantError(
-                f"window {w}: a clearing price is above the winning bid")
-        group = req_group[kept]
-        win = np.flatnonzero(won)
-        win_user, win_group = req_user[kept[win]], group[win]
-        win_price = price[win]
-        window_exposed[win_user] = True
-        if estimator is not None or record_events:
-            win_ts = req_ts[kept[win]]
-            wins = np.concatenate([
-                _event_block(win_ts, win_user, KIND_CODE[IMPRESSION], adv=0,
-                             bidder=win_group, price=win_price),
-                _event_block(win_ts[clicked] + CLICK_DELAY_SECS,
-                             win_user[clicked], KIND_CODE[CLICK], adv=0,
-                             bidder=win_group[clicked]),
-            ], axis=1)
-            if estimator is not None and win.size:  # the bidder learns them
-                estimator.observe(wins)
-        # Per group, (lost, won) auctions.
-        outcomes = np.bincount(2 * group + won, minlength=2 * n_bidders
-                               ).reshape(n_bidders, 2)
-        placed += outcomes.sum(axis=1)
-        impressions += outcomes[:, 1]
-        clicks += np.bincount(win_group[clicked], minlength=n_bidders)
-        np.add.at(inventory_cost, win_group, win_price)
-        if record_events:
-            user, ts = req_user[kept], req_ts[kept]
-            # The auction's winner: our group, else the market when its
-            # bid cleared the reserve, else nobody.
-            winner = np.where(won, group,
-                              np.where(against > reserve, n_bidders, -1))
-            blocks += [
-                _event_block(ts, user, KIND_CODE[BID], adv=0, bidder=group,
-                             price=our),
-                _event_block(ts, user, KIND_CODE[AUCTION], adv=0,
-                             bidder=winner, price=price),
-                wins,
-            ]
-
-        # Window end: draw actions, attribute and bill them.
-        if win.size:
-            effective = np.where(window_exposed, p, bg)
-            sums = [float(effective[mask].sum()) for mask in group_masks]
-        else:  # nobody was exposed
-            effective, sums = bg, background_sums
-        for g in range(n_bidders):
-            expected_actions[g] += sums[g]
-        hits = action_uniforms[w] < effective
-        hit_users = np.flatnonzero(hits)
-        end_ts = (w + 1) * aw_secs - 1
-        actions += np.bincount(assignment[hit_users], minlength=n_bidders)
-        if record_events:
-            blocks.append(_event_block(np.full(hit_users.size, end_ts),
-                                       hit_users, KIND_CODE[ACTION], adv=0))
-        # Each billed action adds cpa, and billing goes on while spend is
-        # under budget: a group bills ceil((budget - spend) / cpa) more.
-        new_attributed = np.bincount(assignment[hits & window_exposed],
-                                     minlength=n_bidders)
-        billable = np.where(spend < budget, -((spend - budget) // cpa), 0)
-        new_billed = np.minimum(new_attributed, billable)
-        attributed += new_attributed
-        billed += new_billed
-        spend += new_billed * cpa
-        if ((spend > budget + cpa) | (billed > attributed)
-                | (attributed > actions)).any():
-            raise MarketInvariantError(
-                f"window {w}: per group, need spend <= budget + cpa and "
-                f"billed <= attributed <= actions; got spend "
-                f"{spend.tolist()}, budget {budget.tolist()}, billed "
-                f"{billed.tolist()}, attributed {attributed.tolist()}, "
-                f"actions {actions.tolist()}")
-        for g in np.flatnonzero(~stopped & (budget > 0) & (spend >= budget)):
-            stopped[g] = True
-            stop_window[g] = w
-
-    stats = [
-        GroupStats(
-            bidder=kinds[g], kind=kinds[g], n_users=int(group_sizes[g]),
-            requests=int(request_counts[g]), bids_placed=int(placed[g]),
-            impressions=int(impressions[g]), clicks=int(clicks[g]),
-            inventory_cost=int(inventory_cost[g]), actions=int(actions[g]),
-            expected_actions=expected_actions[g],
-            attributed=int(attributed[g]), attributed_billed=int(billed[g]),
-            spend=int(spend[g]), budget=int(budget[g]),
-            spent_out=stop_window[g] is not None, stop_window=stop_window[g])
-        for g in range(n_bidders)
-    ]
+    columns = {name: column.tolist() for name, column in totals.items()}
+    stats = [GroupStats(kind, kind, **{k: v[g] for k, v in columns.items()})
+             for g, kind in enumerate(kinds)]
     log = None
-    if record_events:
-        # Behavior comes from its own stream and never depends on bidding.
+    if blocks is not None:
+        # Rows with equal (ts, user, kind) come from one block (a time fixes
+        # the window), so the blocks sort stably as row-by-row emission.
         blocks.append(behavior_events(population, config))
         data = np.concatenate(blocks, axis=1)
         blocks.clear()  # so that the sort holds one copy of the events
-        log = EventLog(*_time_sorted(data, n), users=population.user_ids, advertisers=(adv,),
+        log = EventLog(*_time_sorted(data, n), users=population.user_ids,
+                       advertisers=(campaign.advertiser_id,),
                        bidders=(*kinds, MARKET), seed=config.seed,
                        config_digest=market_run_digest(
                            config, campaign, bidders, assignment))
     return MarketRun(log=log, groups=stats, n_windows=n_windows)
+
+
+class _Requests:
+    """A market's ad requests, drawn up front and built one window at a
+    time.
+
+    Built once, it raises :class:`WorldConfigError`, before any draw,
+    when the expected request count, or with ``sortable`` the user count
+    times the horizon, is too large to order (:func:`_check_orderable`,
+    :func:`_check_sortable`). Then the ``requests`` stream draws every
+    request's count per user and day, then every time of day, then, with
+    ``topics``, every topic: each one call over the horizon, as numpy's
+    ``integers`` buffers 32-bit draws within a call, so draws in pieces
+    would differ. Topics are the stream's last draw, so skipping them
+    changes nothing else. Of the (users x days) counts only the per-cell,
+    per-day and per-user counts and the window starts stay.
+    """
+
+    def __init__(self, config: WorldConfig, rates: np.ndarray, aw_days: int,
+                 topics: bool, sortable: bool) -> None:
+        n, days = rates.size, config.horizon_days
+        self.horizon_secs = days * SECONDS_PER_DAY
+        _check_orderable(float(rates.sum()) * days, self.horizon_secs)
+        if sortable:
+            _check_sortable(n, self.horizon_secs)
+        rng = rng_for(config.seed, "requests")
+        if config.request_arrivals == "poisson":
+            counts = rng.poisson(np.broadcast_to(rates[:, None], (n, days)))
+        else:
+            counts = np.broadcast_to(
+                np.rint(rates).astype(np.int64)[:, None], (n, days))
+        self.per_user = counts.sum(axis=1)
+        # One request per draw, in (day, user) cell order. Cells are
+        # day-major, so window w's requests are draws starts[w]:starts[w+1],
+        # and its cells the w-th run of window_users: its users, day by day.
+        self.per_cell = counts.T.reshape(-1)
+        self.per_day = self.per_cell.reshape(days, n).sum(axis=1)
+        self.aw_days = aw_days
+        self.window_users = np.tile(np.arange(n), aw_days)
+        self.starts = np.zeros(days // aw_days + 1, dtype=np.int64)
+        np.cumsum(self.per_day.reshape(-1, aw_days).sum(axis=1),
+                  out=self.starts[1:])
+        self.time_of_day = rng.integers(0, SECONDS_PER_DAY, int(self.starts[-1]))
+        self.topics = (rng.integers(0, config.topics, self.time_of_day.size)
+                       if topics else None)
+
+    def window(self, w: int, blocks: list | None = None) -> tuple:
+        """Window w's requests in time order, stably: (times, users,
+        topics), topics None when they were not drawn; their users and day
+        starts each one ``np.repeat`` by count. ``blocks``, when given,
+        gets their ad request events.
+
+        A time fixes the day, so requests that tie on time are already in
+        user order, then draw order: the stable order keeps both.
+        :func:`_time_order` sorts unique keys that order by time, then
+        draw, so any sort gives the stable order.
+        """
+        draws = slice(self.starts[w], self.starts[w + 1])
+        cells = self.window_users.size
+        user = np.repeat(self.window_users,
+                         self.per_cell[w * cells:(w + 1) * cells])
+        days = slice(w * self.aw_days, (w + 1) * self.aw_days)
+        ts = (np.repeat(np.arange(days.start, days.stop) * SECONDS_PER_DAY,
+                        self.per_day[days]) + self.time_of_day[draws])
+        order = _time_order(ts, self.horizon_secs)
+        user = user[order]
+        topic = None if self.topics is None else self.topics[draws][order]
+        if blocks is not None:
+            blocks.append(_event_block(ts, user, KIND_CODE[AD_REQUEST],
+                                       topic=topic))
+        return ts, user, topic
+
+
+def _settle(w: int, requests: tuple, rows: np.ndarray, bids: np.ndarray,
+            comp: np.ndarray, reserve: int, tie_rng: np.random.Generator,
+            click_rng: np.random.Generator, click_rate: float, totals: dict,
+            blocks: list | None = None, observe=None) -> np.ndarray:
+    """Settle window w's bids and return the users of its won auctions.
+
+    ``requests`` is the window's (times, users, groups) in time order,
+    and requests ``rows`` of it bid ``bids`` against competitor bids
+    ``comp``. The positive bids settle in one
+    :func:`~liftsim.market.run_auction` call, in time order, which draws
+    one ``tie_rng`` flip per tie; ``click_rng`` then draws one uniform per
+    win, a click when below ``click_rate``. Each group's bids,
+    impressions, clicks and inventory cost are added to ``totals``.
+
+    The won impressions and their clicks are one event block, built only
+    when ``blocks`` (the log's event blocks) or ``observe`` reads it:
+    ``blocks`` gets the bid, auction and win blocks, and ``observe`` is
+    called once with the win block when it has a row. So a request after
+    its user's win in the same window is priced without that win.
+
+    Raises :class:`MarketInvariantError` when a clearing price exceeds
+    its winning bid.
+    """
+    ts, user, group_of = requests
+    n_bidders = totals["n_users"].size
+    # The positive bids settle, as a slice (no copy) when all are.
+    positive = bids > 0
+    run = slice(None) if positive.all() else np.flatnonzero(positive)
+    kept, our, against = rows[run], bids[run], comp[run]
+    won, price = run_auction(our, against, reserve, tie_rng)
+    clicked = click_rng.random(int(np.count_nonzero(won))) < click_rate
+    if (won & (price > our)).any():
+        raise MarketInvariantError(
+            f"window {w}: a clearing price is above the winning bid")
+    group = group_of[kept]
+    win = np.flatnonzero(won)
+    win_user, win_group, win_price = user[kept[win]], group[win], price[win]
+    # Per group, (lost, won) auctions.
+    outcomes = np.bincount(2 * group + won, minlength=2 * n_bidders
+                           ).reshape(n_bidders, 2)
+    totals["bids_placed"] += outcomes.sum(axis=1)
+    totals["impressions"] += outcomes[:, 1]
+    totals["clicks"] += np.bincount(win_group[clicked], minlength=n_bidders)
+    np.add.at(totals["inventory_cost"], win_group, win_price)
+    if blocks is None and observe is None:
+        return win_user
+    win_ts = ts[kept[win]]
+    wins = np.concatenate([
+        _event_block(win_ts, win_user, KIND_CODE[IMPRESSION], adv=0,
+                     bidder=win_group, price=win_price),
+        _event_block(win_ts[clicked] + CLICK_DELAY_SECS, win_user[clicked],
+                     KIND_CODE[CLICK], adv=0, bidder=win_group[clicked]),
+    ], axis=1)
+    if observe is not None and win.size:  # the bidder learns them
+        observe(wins)
+    if blocks is not None:
+        # The auction's winner: our group, else the market when its bid
+        # cleared the reserve, else nobody.
+        winner = np.where(won, group,
+                          np.where(against > reserve, n_bidders, -1))
+        ts, user = ts[kept], user[kept]
+        blocks += [
+            _event_block(ts, user, KIND_CODE[BID], adv=0, bidder=group,
+                         price=our),
+            _event_block(ts, user, KIND_CODE[AUCTION], adv=0, bidder=winner,
+                         price=price),
+            wins,
+        ]
+    return win_user
+
+
+def _close_window(w: int, win_user: np.ndarray, uniforms: np.ndarray,
+                  rates: tuple, groups: tuple, cpa: int, end_ts: int,
+                  totals: dict, blocks: list | None = None) -> None:
+    """Close window w: draw, attribute and bill its actions, and stop the
+    groups that spent their budget.
+
+    Every user acts when its ``uniforms`` draw (the ``actions`` stream's
+    row for the window) is below its rate of ``rates`` = (p, background
+    rate): p once one of ``win_user``'s wins landed on it, the background
+    rate otherwise. ``groups`` is (each user's group, each group's mask,
+    each group's background-rate sum); a window without an impression
+    adds those sums to the expected actions, summed once. Actions with a
+    same-window impression are attributed, and each group bills them at
+    ``cpa`` while its spend is under budget. A group with a budget stops
+    at the first window end where its spend reaches it. ``totals`` gets
+    all of it, and ``blocks``, when given, the action events at
+    ``end_ts``.
+
+    Raises :class:`MarketInvariantError` when a group's spend exceeds
+    budget + cpa or billed <= attributed <= actions fails.
+    """
+    assignment, masks, background = groups
+    p, bg = rates
+    n_bidders = len(masks)
+    exposed = np.zeros(assignment.size, dtype=bool)
+    exposed[win_user] = True
+    if win_user.size:
+        effective = np.where(exposed, p, bg)
+        sums = [float(effective[mask].sum()) for mask in masks]
+    else:  # nobody was exposed
+        effective, sums = bg, background
+    totals["expected_actions"] += sums
+    hits = uniforms < effective
+    hit_users = np.flatnonzero(hits)
+    totals["actions"] += np.bincount(assignment[hit_users], minlength=n_bidders)
+    if blocks is not None:
+        blocks.append(_event_block(np.full(hit_users.size, end_ts), hit_users,
+                                   KIND_CODE[ACTION], adv=0))
+    # Each billed action adds cpa, and billing goes on while spend is
+    # under budget: a group bills ceil((budget - spend) / cpa) more.
+    spend, budget = totals["spend"], totals["budget"]
+    new_attributed = np.bincount(assignment[hits & exposed],
+                                 minlength=n_bidders)
+    new_billed = np.minimum(
+        new_attributed, np.where(spend < budget, -((spend - budget) // cpa), 0))
+    totals["attributed"] += new_attributed
+    totals["attributed_billed"] += new_billed
+    spend += new_billed * cpa
+    billed, attributed, actions = (totals[name] for name in (
+        "attributed_billed", "attributed", "actions"))
+    if ((spend > budget + cpa) | (billed > attributed)
+            | (attributed > actions)).any():
+        raise MarketInvariantError(
+            f"window {w}: per group, need spend <= budget + cpa and "
+            f"billed <= attributed <= actions; got spend "
+            f"{spend.tolist()}, budget {budget.tolist()}, billed "
+            f"{billed.tolist()}, attributed {attributed.tolist()}, "
+            f"actions {actions.tolist()}")
+    stop = ~totals["spent_out"] & (budget > 0) & (spend >= budget)
+    totals["spent_out"] |= stop
+    totals["stop_window"][stop] = w
 
 
 def _competitor_bids(

@@ -71,13 +71,13 @@ def test_model_pipeline_runs_under_the_benchmark_hooks(tmp_path, traced):
     assert result.returncode == 0, result.stderr
 
 
-VERIFY_SCRIPT = """
+TRACED_SCRIPT = """
 import json, os, sys
 sys.path[:0] = [os.path.join({root!r}, "perfbench"), os.path.join({root!r}, "src")]
 import liftsim.cli as cli
 import tracer
 import workloads
-workload = workloads.build("verify_sweep", 3, "smoke")
+workload = workloads.build({name!r}, 3, "smoke")
 for name, payload in workload.configs.items():
     with open(name, "w") as fh:
         json.dump(payload, fh)
@@ -86,16 +86,35 @@ tracer.install(recorder)
 for argv in workload.calls:
     assert cli.main(argv) == 0, argv
 names = {{span[2] for span in recorder.spans}}
-expected = {{"market.run_auction", "bidders.calibrate", "attribution.partition"}}
-assert expected <= names, sorted(names)
+assert {spans!r} <= names, sorted(names)
+for name in {counts!r}:
+    assert recorder.counts[name] > 0, (name, dict(recorder.counts))
 """
+
+
+def _run_traced(tmp_path, name, spans, counts=()):
+    """Run workload ``name`` at the benchmark's smoke size in its own
+    process under the traced run's wrappers, and check that it recorded
+    ``spans`` and non-zero ``counts``."""
+    script = TRACED_SCRIPT.format(root=str(ROOT), name=name, spans=set(spans),
+                                  counts=tuple(counts))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_verify_sweep_runs_under_the_tracer(tmp_path):
     """``verify`` at the benchmark's smoke size under the traced run's
     wrappers: the worked example's auctions, the calibrations and the
     partitions each record spans."""
-    script = VERIFY_SCRIPT.format(root=str(ROOT))
-    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                            capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
+    _run_traced(tmp_path, "verify_sweep", {
+        "market.run_auction", "bidders.calibrate", "attribution.partition"})
+
+
+def test_market_oracle_runs_under_the_tracer(tmp_path):
+    """``abtest`` with oracle bids under the traced run's wrappers: the
+    tracer finds ``run_market`` where ``abtest`` calls it, and counts its
+    requests, bids and impressions."""
+    _run_traced(tmp_path, "market_oracle", {"world.run_market"}, (
+        "world.run_market.requests", "world.run_market.bids",
+        "world.run_market.impressions"))

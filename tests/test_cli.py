@@ -8,7 +8,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import liftsim.world
@@ -18,6 +17,7 @@ from liftsim.liftmodel.features import FeatureSchema
 from liftsim.liftmodel.gbdt import GBDTModel
 from liftsim.liftmodel.isotonic import IsotonicMap
 from liftsim.liftmodel.pipeline import CalibratedModel
+from test_world import overcharging_one_win
 
 TRAIN_WORLD = {
     "master_seed": 42,
@@ -287,13 +287,8 @@ def test_train_on_a_log_without_actions_is_a_data_error(tmp_path, capsys):
 
 def test_market_invariant_violation_is_a_verification_failure(
         tmp_path, capsys, monkeypatch):
-    settle = liftsim.world.run_auction
-
-    def overcharging(our, comp, reserve, tie_rng):
-        won, price = settle(our, comp, reserve, tie_rng)
-        return won, np.where(won, our + 1, price)
-
-    monkeypatch.setattr(liftsim.world, "run_auction", overcharging)
+    monkeypatch.setattr(liftsim.world, "run_auction",
+                        overcharging_one_win(liftsim.world.run_auction))
     config = write_config(tmp_path, AB_SMALL)
     assert main(["abtest", "--config", str(config),
                  "--out-dir", str(tmp_path / "o")]) == EXIT_VERIFY
@@ -301,6 +296,21 @@ def test_market_invariant_violation_is_a_verification_failure(
     assert err.startswith("verification error:") and "winning bid" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_an_overcharged_win_in_simulate_is_a_verification_failure(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(liftsim.world, "run_auction",
+                        overcharging_one_win(liftsim.world.run_auction))
+    config = write_config(tmp_path, TRAIN_WORLD)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config),
+                 "--out-dir", str(out)]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert err.startswith("verification error: window 0: a clearing price")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.rglob("events.jsonl"))
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_verify_small_sweep_passes_and_is_deterministic(tmp_path):

@@ -18,8 +18,9 @@ from liftsim.events import (
 from liftsim.market import Campaign, dollars_to_micros
 from liftsim.seeds import rng_for
 from liftsim.world import (
-    CLICK_DELAY_SECS, SECONDS_PER_DAY, WorldConfig, WorldConfigError,
-    _check_sortable, _time_order, _time_sorted, assign_groups,
+    CLICK_DELAY_SECS, SECONDS_PER_DAY, GroupStats, MarketInvariantError,
+    WorldConfig, WorldConfigError, _check_sortable, _close_window,
+    _time_order, _time_sorted, assign_groups,
     draw_action_rates, generate_population, market_population,
     precedent_impression_fraction, run_market, split_budget,
 )
@@ -501,6 +502,60 @@ def test_two_bidders_of_one_kind_are_refused():
     with pytest.raises(WorldConfigError, match="kind of its own"):
         run_market(population, twins, campaign(), config,
                    assignment=np.arange(10) % 2)
+
+
+def overcharging_one_win(settle):
+    """``settle`` with the clearing price of each call's first win one
+    micro above its bid."""
+    def overcharging(our, comp, reserve, tie_rng):
+        won, price = settle(our, comp, reserve, tie_rng)
+        first = np.flatnonzero(won)[:1]
+        price = price.copy()
+        price[first] = our[first] + 1
+        return won, price
+    return overcharging
+
+
+@pytest.mark.parametrize("record_events", [True, False], ids=["log", "no-log"])
+def test_a_clearing_price_above_its_bid_is_refused(monkeypatch, record_events):
+    monkeypatch.setattr(liftsim.world, "run_auction",
+                        overcharging_one_win(liftsim.world.run_auction))
+    config, budget = engine_world("default")
+    with pytest.raises(MarketInvariantError,
+                       match="window 0: a clearing price is above"):
+        _abc_run(config, budget, record_events)
+
+
+@pytest.mark.parametrize("broken", [None, "spend", "billed"])
+def test_a_window_end_checks_spend_and_billing(broken):
+    """The close step bills the window's attributed actions and stops a
+    group at its budget; totals whose spend exceeds budget + cpa, or
+    whose billed actions exceed the attributed ones, are refused."""
+    cpa = D(100.0)
+    assignment = np.array([0, 1, 0, 1])
+    masks = [assignment == g for g in range(2)]
+    totals = {f.name: np.full(2, f.default) for f in fields(GroupStats)[2:]}
+    totals["budget"][:] = 10 * cpa
+    totals["spend"][0] = 9 * cpa
+    if broken == "spend":
+        totals["spend"][1] = 12 * cpa
+    if broken == "billed":
+        totals["attributed_billed"][1] = 5
+    # Users 0 and 1 won, and act at p = 0.5; users 2 and 3 do not act.
+    close = (3, np.array([0, 1]), np.array([0.1, 0.1, 0.9, 0.9]),
+             (np.full(4, 0.5), np.full(4, 0.25)), (assignment, masks, [0.5, 0.5]),
+             cpa, 100, totals)
+    if broken:
+        with pytest.raises(MarketInvariantError, match="window 3"):
+            _close_window(*close)
+        return
+    _close_window(*close)
+    assert totals["actions"].tolist() == totals["attributed"].tolist() == [1, 1]
+    assert totals["attributed_billed"].tolist() == [1, 1]
+    assert totals["spend"].tolist() == [10 * cpa, cpa]
+    assert totals["expected_actions"].tolist() == [0.75, 0.75]
+    assert totals["spent_out"].tolist() == [True, False]
+    assert totals["stop_window"].tolist() == [3, None]
 
 
 def test_engine_settlement_matches_run_auction():
