@@ -130,11 +130,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise EventLogError(
             f"log digest {log.config_digest} does not match the config's "
             f"market digest {digest}")
-    unknown = [uid for uid in log.users if uid not in population.row_of]
-    if unknown:
-        raise EventLogError(
-            f"the log names {len(unknown)} user(s) missing from the config's "
-            f"population, first {unknown[0]!r}")
 
     schema = FeatureSchema((campaign.advertiser_id,), world.topics, world.apps)
     sampling = cfgmod.build_sampling(cfg, seed, campaign)

@@ -38,8 +38,8 @@ Neither writing nor reading holds the text. ``write`` sends it to the
 file and its hash one encoded block (at most :data:`_BLOCK_BYTES`) at a
 time, then writes the sidecar, the zip that ``np.savez`` writes, one
 column at a time. ``read`` hashes the file as it reads it, and parses
-the file, a block of lines at a time, only when the sidecar does not
-match.
+the file, a block of lines at a time into columns that grow once, only
+when the sidecar does not match.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ FIELDS = ("ts", "user", "kind", "adv", "topic", "app", "bidder", "price")
 
 # Lines per json.loads call in EventLog.parse: few enough that a block's
 # records stay small next to the columns, many enough to amortize a call.
-_BLOCK_LINES = 8_192
+_BLOCK_LINES = 2_048
 # Bytes in one matrix of EventLog.dumps: small enough to stay in cache,
 # large enough to amortize a block's numpy calls.
 _BLOCK_BYTES = 1 << 19
@@ -299,11 +299,14 @@ class EventLog:
         # Code tables in order of first appearance; None (absent) is -1.
         tables = ({None: -1}, {None: -1}, {None: -1})
         stripped = (line for line in map(str.strip, it) if line)
-        blocks = [np.empty((len(FIELDS), 0), dtype=np.int64)]
+        # One growing buffer of int64 bytes per field, so the columns are
+        # held once.
+        grown = [bytearray() for _ in FIELDS]
         while block := list(islice(stripped, _BLOCK_LINES)):
-            before = sum(b.shape[1] for b in blocks)
-            blocks.append(_parse_block(block, before, tables))
-        data = np.concatenate(blocks, axis=1)
+            parsed = _parse_block(block, len(grown[0]) // 8, tables)
+            for column, row in zip(grown, parsed):
+                column.extend(row)
+        data = [np.frombuffer(column, dtype=np.int64) for column in grown]
         ids = [tuple(table)[1:] for table in tables]
         if problem := _column_problem(data, *ids):
             raise EventLogError(problem)

@@ -17,6 +17,7 @@ definitions and directional signs carry over to any real market.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -154,7 +155,7 @@ class SweepConfig:
     cpa_dollars: float = DEFAULT_CPA_DOLLARS
     mode: str = "both"          # simple | generalized | both
     mc_instances: int = 10      # simple-mode instances to cross-check
-    mc_trials: int = 10_000     # >= 2: the standard errors use ddof=1
+    mc_trials: int = 10_000     # >= 2; the SEs use exact moments
 
     def __post_init__(self) -> None:
         check_integer("n_instances", self.n_instances, 1)
@@ -224,15 +225,19 @@ def _sweep_world(world: WorldConfig, seed: int) -> Population:
     return Population(p=p, delta_p=delta_p)
 
 
-def _ratio_se(x: np.ndarray, y: np.ndarray) -> float:
-    """Delta-method standard error of mean(x)/mean(y)."""
-    n = len(x)
-    mx, my = float(x.mean()), float(y.mean())
-    vx = float(x.var(ddof=1))
-    vy = float(y.var(ddof=1))
-    cxy = float(np.cov(x, y, ddof=1)[0, 1])
-    var = (vx / my ** 2 + mx ** 2 * vy / my ** 4 - 2 * mx * cxy / my ** 3) / n
-    return float(np.sqrt(max(var, 0.0)))
+def _bernoulli_var(rates: np.ndarray) -> float:
+    """The variance of a sum of independent Bernoulli draws at ``rates``."""
+    return float((rates * (1 - rates)).sum())
+
+
+def _ratio_se(attr: np.ndarray, other: np.ndarray, trials: int) -> float:
+    """Delta-method standard error of mean(total)/mean(attr) over
+    ``trials`` trials, from exact moments: attr sums Bernoulli draws at
+    the rates ``attr``, and total adds draws at the rates ``other``, so
+    Var(total) = Var(attr) + Var(other) and Cov(total, attr) = Var(attr)."""
+    m, m_other = float(attr.sum()), float(other.sum())
+    return math.sqrt((_bernoulli_var(other) + (m_other / m) ** 2
+                      * _bernoulli_var(attr)) / trials) / m
 
 
 def _mc_cross_check(
@@ -278,18 +283,18 @@ def _mc_cross_check(
         total_2[done:done + m] = attr_2[done:done + m] + hits_j_bg.sum(axis=1)
 
     # A side with no attributed action in any trial gives nothing to
-    # estimate its ratios from: they stay null, and its checks fail.
+    # estimate its ratios from: they stay null, and its checks fail. The
+    # standard errors read the rates, not the draws.
     estimates = {}
     if attr_1.any():
         estimates["actions_per_attr_value"] = (
-            float(total_1.mean() / attr_1.mean()), _ratio_se(total_1, attr_1))
+            float(total_1.mean() / attr_1.mean()), _ratio_se(p_j, bg_k, trials))
         estimates["cost_per_attr_value"] = (
-            float(cost_value / attr_1.mean()),
-            float(cost_value * np.std(attr_1, ddof=1)
-                  / (attr_1.mean() ** 2 * np.sqrt(trials))))
+            float(cost_value / attr_1.mean()), cost_value * math.sqrt(
+                _bernoulli_var(p_j) / trials) / float(p_j.sum()) ** 2)
     if attr_2.any():
         estimates["actions_per_attr_lift"] = (
-            float(total_2.mean() / attr_2.mean()), _ratio_se(total_2, attr_2))
+            float(total_2.mean() / attr_2.mean()), _ratio_se(p_k, bg_j, trials))
     return [
         MCCheck(instance, quantity, exact,
                 *estimates.get(quantity, (None, None)))

@@ -5,7 +5,7 @@ impression and click frequency/recency per advertiser, page-view and
 search frequency/recency per topic, demographics, and app install/use
 frequency/recency per app. Frequencies are raw counts within the
 feature window; recencies are bucketed ordinals with an explicit
-"never" bucket so run-time context folding has a well-defined target.
+"never" bucket.
 
 Every feature is computed strictly from events in the half-open window
 ``(ts - fw, ts]``; nothing after ``ts`` may leak in.
@@ -15,12 +15,11 @@ in one form, eight int64 columns in :data:`~liftsim.events.FIELDS`
 order, and one function maps their kinds and refs to feature columns. It
 keys its first events once, takes blocks of events observed later, and
 builds the rows of many (user, time) queries in columnar passes of
-:data:`QUERY_CHUNK_ROWS` queries each.
-:func:`window_features` builds a training matrix from a log's columns.
-Model-driven bidding (:class:`~.pipeline.ModelBidEstimator`) builds it
-from the world's behavior block and prices each window's requests with
-it in one pass, after the market has given it, once per window, the
-impression and click block its log records for the bidder's wins.
+:data:`QUERY_CHUNK_ROWS` queries each. Training and bidding make the
+same call, ``rows(codes, ts, fw, demographics)``: sampling over a log's
+columns, and model-driven bidding (:class:`~.pipeline.ModelBidEstimator`)
+over the world's behavior block and the bidder's won impressions and
+clicks. No request context, such as its topic, enters a row.
 :func:`extract_from_history` states the same rule one row at a time over
 a :class:`UserHistory`; it is the reference the tests hold the columns to.
 """
@@ -37,7 +36,6 @@ from ..events import (
     SEARCH, EventLog,
 )
 from ..fileio import json_digest
-from ..market import Population
 
 # Bucket edges in seconds: <=1h, <=6h, <=1d, <=2d, <=7d; anything older
 # (or absent) falls into the trailing "never" bucket. The 2-day edge
@@ -100,11 +98,6 @@ class FeatureSchema:
     def _freq_columns(self) -> np.ndarray:
         return np.array([i for i, name in enumerate(self.names)
                          if "_freq_" in name.partition(":")[0]])
-
-    @cached_property
-    def _topic_recency(self) -> np.ndarray:
-        return np.array([self._name_index[f"pv_rncy_topic:{t}"]
-                         for t in range(self.topics)])
 
     @property
     def n_features(self) -> int:
@@ -333,43 +326,6 @@ class EventIndex:
         demo = schema.index("age_group")
         out[:, demo:demo + 3] = demographics
         return out
-
-
-def window_features(log: EventLog, population: Population,
-                    schema: FeatureSchema, users: np.ndarray, ts: np.ndarray,
-                    fw: int) -> np.ndarray:
-    """(samples, features) matrix: row i is user code ``users[i]`` of
-    ``log`` at time ``ts[i]`` with feature window ``fw > 0``, equal bit
-    for bit to :func:`extract_from_history` over :func:`histories` of
-    ``log``. Raises KeyError for a sampled user the population lacks."""
-    users, ts = np.asarray(users, np.int64), np.asarray(ts, np.int64)
-    rows = np.array([population.row_of.get(u, -1) for u in log.users],
-                    dtype=np.int64)[users]
-    if (rows < 0).any():
-        raise KeyError(f"unknown user {log.users[users[rows < 0][0]]!r}")
-    index = EventIndex([getattr(log, name) for name in FIELDS],
-                       log.advertisers, len(log.users), schema)
-    return index.rows(users, ts, fw, population.demographics[rows])
-
-
-def fold_context(
-    features: np.ndarray, topic_id: int | np.ndarray, schema: FeatureSchema
-) -> np.ndarray:
-    """Fold bid requests' topics into feature vectors.
-
-    ``features`` is one vector or a (rows, features) matrix, and
-    ``topic_id`` one topic or one per row. A request's topic marks that
-    topic's page-view recency as most recent. Returns a new array;
-    folding twice is a no-op.
-    """
-    out = features.copy()
-    topics = np.atleast_1d(topic_id)
-    outside = (topics < 0) | (topics >= schema.topics)
-    if outside.any():
-        raise KeyError(f"unknown feature 'pv_rncy_topic:{topics[outside][0]}'")
-    rows = np.atleast_2d(out)
-    rows[np.arange(len(rows)), schema._topic_recency[topics]] = MOST_RECENT_BUCKET
-    return out
 
 
 def counterfactual_features(

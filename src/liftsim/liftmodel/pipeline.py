@@ -5,8 +5,8 @@ the boosted ensemble on the fit set with negatives downsampled to a
 configured ratio, and fits the isotonic map from raw ensemble score to
 action rate on the untouched holdout; the map reads only the scores'
 order, so no prior correction or sigmoid goes before it. The lift
-estimate for an ad is the predicted rate with one extra impression
-folded in minus the predicted rate as-is.
+estimate for an ad is the predicted rate with one more impression of it
+minus the predicted rate as-is, on the rows that training builds.
 """
 from __future__ import annotations
 
@@ -21,9 +21,7 @@ import numpy as np
 from ..fileio import atomic_write_text
 from ..market import INT64_MAX, Population, check_real
 from ..seeds import rng_for
-from .features import (
-    EventIndex, FeatureSchema, counterfactual_features, fold_context,
-)
+from .features import EventIndex, FeatureSchema, counterfactual_features
 # Unused here; perfbench/tracer.py wraps it under this module by name.
 from .features import extract_from_history  # noqa: F401
 from .gbdt import GBDTModel, GBDTParams, TrainingError, train_gbdt
@@ -293,18 +291,19 @@ class ModelBidEstimator:
     def estimate(self, user_index: ArrayLike, ts: ArrayLike,
                  topic_id: ArrayLike) -> tuple[np.ndarray, np.ndarray]:
         """(p_hat, lift_hat) arrays for requests given as equal-length
-        arrays of user index, time and topic, with one ensemble call."""
+        arrays of user index, time and topic, with one ensemble call. The
+        model's rows do not read the topic: a request is priced on the
+        row a training sample of its user and time would have."""
         user_index, ts, topic_id = (np.asarray(a, dtype=np.int64)
                                     for a in (user_index, ts, topic_id))
         if not (ts.ndim == 1 and user_index.shape == ts.shape == topic_id.shape):
             raise ValueError("user_index, ts and topic_id must be equal-length "
                              "1-d arrays")
-        schema = self.model.schema
         features = self._events.rows(user_index, ts,
                                      self.model.feature_window_seconds,
                                      self._demographics[user_index])
-        folded = fold_context(features, topic_id, schema)
-        shown = counterfactual_features(folded, self.advertiser, schema)
-        pred = self.model.predict_ar(np.concatenate([shown, folded]))
+        shown = counterfactual_features(features, self.advertiser,
+                                        self.model.schema)
+        pred = self.model.predict_ar(np.concatenate([shown, features]))
         p_hat = pred[:len(ts)]
         return p_hat, p_hat - pred[len(ts):]

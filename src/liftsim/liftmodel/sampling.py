@@ -12,8 +12,9 @@ without actions raises :class:`SamplingError`, and so does one that has
 not reached the target after exactly ``DRAWS_PER_POSITIVE`` draws per
 targeted positive: the last batch draws only what that budget has left.
 
-Then columnar passes, :func:`~.features.window_features`, build every
-sample's features from the feature window ``(ts - fw, ts]`` only.
+Then the rows, from the feature window ``(ts - fw, ts]`` only: one
+:class:`~.features.EventIndex` over the log's columns, as bidding builds
+them, with the demographics of each user's population row.
 """
 from __future__ import annotations
 
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.rec import fromarrays
 
-from ..events import ACTION, AD_REQUEST, KIND_CODE, EventLog
+from ..events import ACTION, AD_REQUEST, FIELDS, KIND_CODE, EventLog
 from ..fileio import atomic_write
 from ..market import INT64_MAX, Population, check_integer, check_real
 from ..seeds import rng_for
 from .features import (
-    QUERY_CHUNK_ROWS, FeatureSchema, rank_keys, rank_search, window_features,
+    QUERY_CHUNK_ROWS, EventIndex, FeatureSchema, rank_keys, rank_search,
 )
 
 
@@ -74,7 +75,16 @@ def generate_samples(
     schema: FeatureSchema,
 ) -> np.recarray:
     """Draw labeled samples from the log, as :func:`sample_records` in
-    draw order; deterministic per config seed."""
+    draw order; deterministic per config seed, whatever the order of the
+    log's user table. Raises :class:`SamplingError` if the population
+    lacks a user of the log."""
+    rows = np.array([population.row_of.get(uid, -1) for uid in log.users],
+                    dtype=np.int64)
+    unknown = np.flatnonzero(rows < 0)
+    if unknown.size:
+        raise SamplingError(
+            f"the log names {unknown.size} user(s) missing from the config's "
+            f"population, first {log.users[unknown[0]]!r}")
     request_counts = np.bincount(log.user[log.kind == KIND_CODE[AD_REQUEST]],
                                  minlength=len(log.users))
     if not request_counts.any():
@@ -85,8 +95,8 @@ def generate_samples(
         raise SamplingError("log contains no actions to label samples by")
     key, times = rank_keys(log.user[actions], log.ts[actions])
 
-    codes = np.array(sorted(np.flatnonzero(request_counts).tolist(),
-                            key=log.users.__getitem__), dtype=np.int64)
+    codes = np.flatnonzero(request_counts)
+    codes = codes[np.argsort(rows[codes], kind="stable")]
     weights = request_counts[codes].astype(float)
     weights /= weights.sum()
 
@@ -122,8 +132,10 @@ def generate_samples(
         draws += len(label)
         positives += int(np.count_nonzero(label))
     user_codes, sample_ts, labels = map(np.concatenate, zip(*drawn))
-    X = window_features(log, population, schema, user_codes, sample_ts,
-                        config.feature_window_seconds)
+    index = EventIndex([getattr(log, name) for name in FIELDS],
+                       log.advertisers, len(log.users), schema)
+    X = index.rows(user_codes, sample_ts, config.feature_window_seconds,
+                   population.demographics[rows[user_codes]])
     user_ids = np.asarray(log.users)[user_codes]
     return sample_records(user_ids, sample_ts, labels, X)
 

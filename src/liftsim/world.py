@@ -385,15 +385,15 @@ class BidEstimator(Protocol):
     """Source of (p, delta_p) estimates used to price bids at request time.
 
     ``estimate`` takes equal-length arrays of user index, request time
-    and topic, and returns arrays of p and delta_p, one per request; the
-    market calls it once per window that has a bidding request, with all
-    of them. ``observe`` is told the outcomes of the bidder's own
-    auctions once a window with a win has settled, in one call: the
-    event block of its won impressions and the clicks on them, the rows
-    the log records for them. User codes are population rows, and
-    ``adv`` code 0 is the campaign's advertiser, as in the log. Anything
-    else an estimator knows, such as the :func:`behavior_events` block,
-    it is built with.
+    and topic (the model's rows do not read it), and returns arrays of p
+    and delta_p, one per request; the market calls it once per window
+    that has a bidding request, with all of them. ``observe`` is told
+    the outcomes of the bidder's own auctions once a window with a win
+    has settled, in one call: the event block of its won impressions and
+    the clicks on them, the rows the log records for them. User codes are
+    population rows, and ``adv`` code 0 is the campaign's advertiser, as
+    in the log. Anything else an estimator knows, such as the
+    :func:`behavior_events` block, it is built with.
     """
 
     def estimate(self, user_index: np.ndarray, ts: np.ndarray,

@@ -262,11 +262,18 @@ def test_train_on_a_log_with_an_unknown_user_is_a_data_error(tmp_path,
     renamed = [line.replace('"u000001"', '"u999999"') for line in events]
     log = tmp_path / "renamed.jsonl"
     log.write_text("\n".join([header, *renamed]) + "\n")
+    capsys.readouterr()
     assert main(["train", "--config", str(config), "--log", str(log),
                  "--out-dir", str(tmp_path / "t")]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("data error:") and "u999999" in err
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == (
+        "data error: the log names 1 user(s) missing from the config's "
+        "population, first 'u999999'\n")
+    assert not (tmp_path / "t").exists()
+    # The sampling and model sections are read before the log's users.
+    assert main(["train", "--config", str(config), "--log", str(log),
+                 "--set", "sampling.target_positive_count=0",
+                 "--out-dir", str(tmp_path / "t")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_train_on_a_log_without_actions_is_a_data_error(tmp_path, capsys):

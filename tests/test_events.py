@@ -363,13 +363,16 @@ def test_read_from_the_sidecar_holds_the_columns_alone(tmp_path):
 
 
 def test_read_without_a_sidecar_never_holds_the_text(tmp_path):
-    # The parse reads the file a block of lines at a time; its blocks and
-    # their concatenation are about 1.7 times the text.
+    # The parse reads the file a block of lines at a time into columns
+    # grown once. The columns are 0.87 times the text, and the measured
+    # peak 1.19 times (numpy 2.4.6, Python 3.11.7); the bound leaves 0.21
+    # for other interpreters' object sizes. Holding the columns twice
+    # would be 1.74 by itself.
     path = tmp_path / "events.jsonl"
     simulator_shaped_log().write(path)
     path.with_suffix(".npz").unlink()
     _, _, peak = traced(lambda: EventLog.read(path))
-    assert peak <= 2.2 * path.stat().st_size, peak / path.stat().st_size
+    assert peak <= 1.4 * path.stat().st_size, peak / path.stat().st_size
 
 
 def assert_same_log(got, want):

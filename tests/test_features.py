@@ -1,10 +1,10 @@
-"""Feature extraction, context folding, and the counterfactual bump."""
+"""Feature extraction and the counterfactual bump."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from event_records import parse_log
+from event_records import log_rows, parse_log
 from liftsim.events import (
     ACTION, AD_REQUEST, APP_INSTALL, APP_USE, CLICK, FIELDS, IMPRESSION,
     KIND_CODE, PAGE_VIEW, SEARCH,
@@ -12,8 +12,7 @@ from liftsim.events import (
 from liftsim.liftmodel.features import (
     MOST_RECENT_BUCKET, NEVER_BUCKET, QUERY_CHUNK_ROWS, RECENCY_EDGES,
     EventIndex, FeatureSchema, UserHistory, counterfactual_features,
-    extract_from_history, fold_context, histories, recency_bucket,
-    window_features,
+    extract_from_history, histories, recency_bucket,
 )
 from liftsim.market import Population
 
@@ -36,9 +35,8 @@ def users(n=1, age=4, gender=1, geo=7):
 
 
 def features_at(log, population, s, uid, ts, fw):
-    """The ``window_features`` row of one (user, ts) sample."""
-    return window_features(log, population, s, [log.users.index(uid)], [ts],
-                           fw)[0]
+    """The row of one (user, ts) sample."""
+    return log_rows(log, population, s, [log.users.index(uid)], [ts], fw)[0]
 
 
 def test_schema_layout_and_digest():
@@ -94,12 +92,6 @@ def test_window_boundaries_are_half_open():
     assert f[s.index("srch_rncy_topic:2")] == MOST_RECENT_BUCKET
 
 
-def test_unknown_user_raises():
-    log = parse_log([{"ts": 0, "user": "ghost", "kind": PAGE_VIEW, "topic": 0}])
-    with pytest.raises(KeyError):
-        window_features(log, users(), schema(), [0], [DAY], DAY)
-
-
 def test_features_match_brute_force_scan():
     rng = np.random.default_rng(7)
     s = schema()
@@ -125,9 +117,9 @@ def test_features_match_brute_force_scan():
     fw = 7 * DAY
     probes = [(population.user_ids[rng.integers(5)],
                int(rng.integers(DAY, 14 * DAY))) for _ in range(50)]
-    rows = window_features(log, population, s,
-                           [log.users.index(uid) for uid, _ in probes],
-                           [ts for _, ts in probes], fw)
+    rows = log_rows(log, population, s,
+                    [log.users.index(uid) for uid, _ in probes],
+                    [ts for _, ts in probes], fw)
     for (uid, ts), got in zip(probes, rows):
         for kind, fieldname, refs, prefix in kinds:
             for ref in refs:
@@ -172,11 +164,11 @@ def world_log(events, n_users=4):
 
 
 def assert_rows_match_reference(log, population, s, samples, fw):
-    """``window_features`` equals ``extract_from_history`` over
-    ``histories(log)``, row by row and bit for bit."""
+    """Rows built as ``generate_samples`` builds them equal
+    ``extract_from_history`` over ``histories(log)``, row by row and bit
+    for bit."""
     codes = [log.users.index(uid) for uid, _ in samples]
-    got = window_features(log, population, s, codes, [ts for _, ts in samples],
-                          fw)
+    got = log_rows(log, population, s, codes, [ts for _, ts in samples], fw)
     assert got.shape == (len(samples), s.n_features)
     per_user = histories(log)
     for (uid, ts), code, row in zip(samples, codes, got):
@@ -192,7 +184,7 @@ def distinct_users(n=4):
                       geo_area=np.arange(n) * 3)
 
 
-def test_window_features_edge_cases_match_the_reference():
+def test_log_rows_edge_cases_match_the_reference():
     s = schema()
     population = distinct_users(7)
     ts, fw = 10 * DAY, 8 * DAY
@@ -234,7 +226,7 @@ def test_window_features_edge_cases_match_the_reference():
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), fw=st.sampled_from([DAY, 7 * DAY, 8 * DAY]))
-def test_window_features_match_the_per_user_reference(data, fw):
+def test_log_rows_match_the_per_user_reference(data, fw):
     """Random small logs whose event ages cluster on the window edges and
     the recency edges; users 0-2 have tracked events, user 3 none."""
     anchors = data.draw(st.lists(st.integers(9 * DAY, 10 * DAY), min_size=1,
@@ -419,21 +411,6 @@ def test_event_index_rows_across_query_chunks(n):
                              schema())
         for u, t in zip(users.tolist(), ts.tolist())])
     assert got.tobytes() == want.tobytes()
-
-
-def test_fold_context_sets_topic_recency():
-    s = schema()
-    log = parse_log([{"ts": 0, "user": U0, "kind": AD_REQUEST, "topic": 0}])
-    f = features_at(log, users(), s, U0, DAY, DAY)
-    folded = fold_context(f, 2, s)
-    assert folded[s.index("pv_rncy_topic:2")] == MOST_RECENT_BUCKET
-    assert np.flatnonzero(folded != f).tolist() == [s.index("pv_rncy_topic:2")]
-    assert f[s.index("pv_rncy_topic:2")] == NEVER_BUCKET  # original untouched
-    again = fold_context(folded, 2, s)
-    assert np.array_equal(folded, again)  # idempotent
-    for topic in (-1, 3):  # no topic of the schema
-        with pytest.raises(KeyError):
-            fold_context(np.stack([f, f]), [0, topic], s)
 
 
 def test_counterfactual_changes_exactly_two_coordinates():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from liftsim.bidders import BidderConfig
-from event_records import parse_log
+from event_records import log_rows, parse_log
 from liftsim.events import CLICK, FIELDS, IMPRESSION, KIND_CODE, PAGE_VIEW
 from liftsim.liftmodel.features import (
     FeatureSchema, UserHistory, counterfactual_features, extract_from_history,
-    fold_context, histories, window_features,
+    histories,
 )
 from liftsim.liftmodel.gbdt import GBDTModel, GBDTParams, TrainingError
 from liftsim.liftmodel.isotonic import IsotonicMap
@@ -101,8 +101,8 @@ def test_predict_lift_is_the_definitional_difference():
 def test_trained_model_sees_positive_mean_lift():
     model, report, log, population, schema, _ = trained_world_model()
     codes = [log.users.index(uid) for uid in population.user_ids[:150]]
-    rows = window_features(log, population, schema, codes,
-                           [12 * DAY] * len(codes), 7 * DAY)
+    rows = log_rows(log, population, schema, codes, [12 * DAY] * len(codes),
+                    7 * DAY)
     lifts = [predict_lift(model, f, "adv1") for f in rows]
     assert np.mean(lifts) > 0
     assert not report.isotonic_degenerate
@@ -161,8 +161,8 @@ def test_training_requires_samples():
 
 
 def test_streaming_estimator_matches_offline_extraction():
-    """The rolling-history estimate equals fold+counterfactual predictions
-    computed from a log-built extractor at the same timestamp."""
+    """The estimator scores the row that training builds from a log of
+    the same events, and its counterfactual, whatever the topic."""
     model, _, _, population, schema, _ = trained_world_model()
     uid = population.user_ids[0]
     views = np.full((len(FIELDS), 2), -1)  # two page views of user row 0
@@ -173,7 +173,12 @@ def test_streaming_estimator_matches_offline_extraction():
                     [1], [100]])
     estimator.observe(win)
     ts = 3 * DAY + 1000
-    (p_hat,), (lift_hat,) = estimator.estimate([0], [ts], [1])
+    # One request per topic: the row, and so the estimate, ignores it.
+    p_hats, lift_hats = estimator.estimate([0] * schema.topics,
+                                           [ts] * schema.topics,
+                                           range(schema.topics))
+    p_hat, lift_hat = p_hats[0], lift_hats[0]
+    assert (p_hats == p_hat).all() and (lift_hats == lift_hat).all()
 
     log = parse_log([
         {"ts": 1 * DAY, "user": uid, "kind": PAGE_VIEW, "topic": 1},
@@ -181,13 +186,12 @@ def test_streaming_estimator_matches_offline_extraction():
          "bidder": "value", "price": 100},
         {"ts": 3 * DAY, "user": uid, "kind": PAGE_VIEW, "topic": 0},
     ])
-    f = window_features(log, population, schema, [0], [ts],
-                        model.feature_window_seconds)[0]
-    folded = fold_context(f, 1, schema)
-    shown = counterfactual_features(folded, "adv1", schema)
+    f = log_rows(log, population, schema, [0], [ts],
+                 model.feature_window_seconds)[0]
+    shown = counterfactual_features(f, "adv1", schema)
     assert p_hat == pytest.approx(model.predict_ar(shown)[0], abs=0)
     assert lift_hat == pytest.approx(
-        model.predict_ar(shown)[0] - model.predict_ar(folded)[0], abs=0)
+        model.predict_ar(shown)[0] - model.predict_ar(f)[0], abs=0)
 
 
 def estimator_with_wins():
@@ -263,10 +267,9 @@ def test_estimates_are_the_reference_rows_predictions():
     logged = rows[ts < 16 * DAY]  # before any told win
     assert (logged[:, schema.index("imp_freq_adv:adv1")] > 0).sum() > 30
     assert (logged[:, schema.index("clk_freq_adv:adv1")] > 0).any()
-    folded = fold_context(rows, topic, schema)
-    shown = model.predict_ar(counterfactual_features(folded, "adv1", schema))
+    shown = model.predict_ar(counterfactual_features(rows, "adv1", schema))
     assert p_hat.tobytes() == shown.tobytes()
-    assert lift_hat.tobytes() == (shown - model.predict_ar(folded)).tobytes()
+    assert lift_hat.tobytes() == (shown - model.predict_ar(rows)).tobytes()
 
 
 def test_user_history_window_stats():

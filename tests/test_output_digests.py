@@ -74,11 +74,11 @@ DIGESTS = {
     "out/calibration.jsonl":
         "a35c2e5961f2783eab075a5f0aaeab04248d6845391423e67c378c3ee056dd1b",
     "out/verify_report.jsonl":
-        "d33754461eeab9d1d276894d48dd8b68e59d61a919ae98d6611dabbaf66e32de",
+        "8dbb01d5dd11f586e89b36f29a186e38f1f97b5d5f54df119371c17e45c79032",
     "out/abtest_report.jsonl":
         "dd6cb82deaea0d36d0be62fc2ef52d7ddc47d40b71c54b019e7aa28420bc2294",
     "model_ab/abtest_report.jsonl":
-        "f31d0301c4c37c0d08e1098c103c9efd9e742e1365837b33ce15afff034016d1",
+        "b32c8328e1fa694ed90065f66cce0354c898b54b38b672e9f1169975737629e4",
 }
 
 

@@ -238,9 +238,9 @@ def test_samples_are_one_record_array_in_draw_order():
     assert np.array_equal(samples.features, [s.features for s in samples])
 
 
-def test_leakage_freedom_on_simulated_world():
-    """Sample rows, which ``window_features`` builds from the whole log,
-    equal the per-user reference on the log truncated at each sample's ts."""
+def simulated_world():
+    """The log, population, schema and sampling config of a 60-user
+    simulated world with behavior events."""
     config = WorldConfig(n_users=60, seed=9, horizon_days=8,
                          behavior={"enabled": True, "correlation": 0.8})
     population = generate_population(config)
@@ -248,12 +248,41 @@ def test_leakage_freedom_on_simulated_world():
         population, [BidderConfig(kind="value", alpha=D(100.0))],
         Campaign("adv1", cpa=D(100.0), budget=D(1e9), action_window_days=2),
         config, assignment=np.zeros(len(population), dtype=int))
-    log = run.log
     schema = FeatureSchema(advertisers=("adv1",), topics=config.topics,
                            apps=config.apps)
     samp_config = SamplingConfig(action_window_seconds=2 * DAY,
                                  feature_window_seconds=7 * DAY,
                                  target_positive_count=40, seed=10)
+    return run.log, population, schema, samp_config
+
+
+def test_samples_do_not_depend_on_the_log_user_order():
+    """A parsed log numbers its users in order of first appearance, and
+    the simulator's log in population order: both give the same records,
+    byte for byte."""
+    log, population, schema, samp_config = simulated_world()
+    parsed = EventLog.parse(log.dumps().splitlines())
+    assert parsed.users != log.users
+    assert sorted(parsed.users) == sorted(log.users)
+    want = generate_samples(log, population, samp_config, schema)
+    got = generate_samples(parsed, population, samp_config, schema)
+    assert len(got) > 1000 and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_user_the_population_lacks_is_an_error():
+    log = synthetic_log({U0: 3, "ghost": 2, "u000007": 1}, {U0: [5 * DAY]})
+    config = SamplingConfig(action_window_seconds=DAY, seed=1)
+    with pytest.raises(SamplingError, match=(
+            r"^the log names 2 user\(s\) missing from the config's "
+            r"population, first 'ghost'$")):
+        generate_samples(log, users_for(2), config, tiny_schema())
+
+
+def test_leakage_freedom_on_simulated_world():
+    """Sample rows, which one ``EventIndex`` builds from the whole log,
+    equal the per-user reference on the log truncated at each sample's ts."""
+    log, population, schema, samp_config = simulated_world()
     samples = generate_samples(log, population, samp_config, schema)
     assert len(samples)
 
