@@ -222,7 +222,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"{mode} sweep: {len(rep.records)}/{rep.n_instances} instances, "
             f"actions dominance {rep.n_actions_pass}/{rep.n_instances}, "
             f"cost dominance {rep.n_cost_pass}/{rep.n_instances}, "
-            f"calibration regenerations {rep.n_skipped_calibration}")
+            f"calibration regenerations {rep.n_skipped_calibration}, "
+            f"degenerate draws {rep.n_skipped_degenerate}")
         if rep.mc_checks:
             ok = sum(c.within for c in rep.mc_checks)
             lines.append(f"  monte-carlo cross-checks within {rep.mc_z:.2f} se "

@@ -22,30 +22,30 @@ is sound because no byte of a line is NUL: keys and digits are ASCII,
 and ids are JSON-escaped to ASCII, a NUL in an id becoming ``\\u0000``.
 
 The JSONL file is the canonical log. :meth:`EventLog.write` also writes
-a sidecar beside it, the same name with the suffix ``.npz``, so that
-reading the log back need not parse it. The sidecar holds the eight
-columns as one (8, n) int64 array and, as JSON text, the three id
-tables, the header's seed and config digest, and the SHA-256 of the
-JSONL bytes. Columns and tables are stored as :meth:`EventLog.parse`
-returns them for those bytes: ids in order of first appearance, and only
-the ids that appear. :meth:`EventLog.read` uses the sidecar only when
-its hash is that of the file's bytes and its columns pass the checks
-``parse`` makes (dtype and shape, time order, ranges, codes inside their
-tables, string ids). Any other sidecar, a missing one included, is
-ignored and the JSONL is parsed.
+a sidecar beside it, the same name with the suffix ``.cols``, so that
+reading the log back need not parse it. The sidecar is one JSON line,
+then the eight columns as little-endian int64, in :data:`FIELDS` order.
+The line holds ``events`` (the event count), the SHA-256 of the JSONL
+bytes, the header's seed and config digest, and the log's own three id
+tables; a log read from it keeps those tables, which may differ from
+the first-appearance tables that :meth:`EventLog.parse` builds, but
+decodes to the same events. :meth:`EventLog.read` uses the sidecar only
+when its hash is that of the file's bytes, exactly ``64 * events`` bytes
+follow its line, and its columns pass the checks ``parse`` makes (time
+order, ranges, codes inside their tables, string ids). Any other
+sidecar, a missing one included, is ignored and the JSONL is parsed.
 
 Neither writing nor reading holds the text. ``write`` sends it to the
 file and its hash one encoded block (at most :data:`_BLOCK_BYTES`) at a
-time, then writes the sidecar, the zip that ``np.savez`` writes, one
-column at a time. ``read`` hashes the file as it reads it, and parses
-the file, a block of lines at a time into columns that grow once, only
-when the sidecar does not match.
+time, then writes the sidecar one column at a time. ``read`` hashes the
+file as it reads it, and parses the file, a block of lines at a time
+into columns that grow once, only when the sidecar does not match.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import zlib
+import os
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -135,56 +135,54 @@ class EventLog:
 
         Events are encoded in blocks of at most :data:`_BLOCK_BYTES`, each
         a NUL-padded uint32 matrix with one row per line and a column per
-        four bytes. An id field's columns are gathered by code, in one
-        call, from its table's fragment words; a number's are its key and
-        its digits, four to a word from a 30,000-word table; an absent
-        field's are NUL. Only a block that holds a long id is wide: it is
-        halved until it fits. Dropping the NUL bytes leaves the lines. No
-        real byte is NUL: keys, digits and ``}\\n`` are ASCII, and ids are
-        written as ``json.dumps`` writes them with ``ensure_ascii``, so a
-        NUL in an id is the six bytes ``\\u0000``.
+        four bytes. All blocks share one layout, each field as wide as its
+        widest value in the log, so one long id widens every row and makes
+        the blocks shorter. An id field's columns are gathered by code, in
+        one call, from its table's fragment words; a number's are its key
+        and its digits, four to a word from a 30,000-word table; an absent
+        field's are NUL. Dropping the NUL bytes leaves the lines. No real byte is NUL: keys, digits and ``}\\n`` are ASCII,
+        and ids are written as ``json.dumps`` writes them with
+        ``ensure_ascii``, so a NUL in an id is the six bytes ``\\u0000``.
         """
         columns = [getattr(self, name) for name in FIELDS]
         if problem := _column_problem(columns, self.users, self.advertisers,
                                       self.bidders):
             raise EventLogError(problem)
+        yield json.dumps(self.header(), separators=(",", ":")).encode() + b"\n"
+        if not len(self):
+            return
         tables = {"user": self.users, "kind": EVENT_KINDS,
                   "adv": self.advertisers, "bidder": self.bidders}
         # Per field: its column, its words (an id field's fragments, one
         # word per row and one fragment per column, the last fragment, for
-        # -1, empty; a number's key) and, for id fields, each fragment's
-        # length in words.
+        # -1, empty; a number's key) and its width in words: an id field's
+        # longest fragment in use, a number's key and widest digits, or 0
+        # when it is absent throughout.
         segments = []
         for name, column in zip(FIELDS, columns):
             if name in tables:
                 texts = [f',"{name}":{encode_basestring_ascii(s)}'
                          for s in tables[name]] + [""]
+                lengths = -(-np.array([len(t) for t in texts]) // 4)
                 segments.append((column, _words(texts).T.copy(),
-                                 -(-np.array([len(t) for t in texts]) // 4)))
+                                 int(lengths[column].max())))
             else:
                 key = '{"ts":' if name == "ts" else f',"{name}":'
-                segments.append((column, _words([key])[0], None))
+                top = int(column.max())
+                words = _words([key])[0]
+                segments.append((column, words, len(words) + (
+                    len(str(top)) + 3) // 4 if top >= 0 else 0))
         digits = _digit_words()
         end = _words(["}\n"])[0]
-
-        def layout(block: list[np.ndarray]) -> list[int]:
-            """Each field's words per row in the matrix of ``block``."""
-            result = []
-            for values, (_, words, lengths) in zip(block, segments):
-                if lengths is not None:
-                    result.append(int(lengths[values].max()))
-                else:
-                    top = int(values.max())
-                    result.append(len(words) + (len(str(top)) + 3) // 4
-                                  if top >= 0 else 0)
-            return result
-
-        def encode(block: list[np.ndarray], widths: list[int]) -> bytes:
-            """The lines of ``block``, from a matrix of these widths."""
-            out = np.empty((len(block[0]), sum(widths) + 1), dtype=np.uint32)
+        width = sum(w for _, _, w in segments) + 1
+        rows = max(1, _BLOCK_BYTES // (4 * width))
+        for start in range(0, len(self), rows):
+            out = np.empty((min(rows, len(self) - start), width),
+                           dtype=np.uint32)
             at = 0
-            for values, (_, words, lengths), w in zip(block, segments, widths):
-                if lengths is not None:  # words[:w] is contiguous
+            for name, (column, words, w) in zip(FIELDS, segments):
+                values = column[start:start + rows]
+                if name in tables:  # words[:w] is contiguous
                     out[:, at:at + w] = np.take(words[:w], values, axis=1).T
                 elif w:
                     present = values >= 0
@@ -203,31 +201,13 @@ class EventLog:
                         q = high
                 at += w
             out[:, at] = end
-            return out.tobytes().translate(None, b"\0")
-
-        yield json.dumps(self.header(), separators=(",", ":")).encode() + b"\n"
-        # A block has the rows that fill the block size at the last block's
-        # width (the first block's are a guess), halved while a long id
-        # makes them wider than that.
-        start, rows = 0, 1 << 10
-        while start < len(self):
-            stop = min(start + rows, len(self))
-            while True:
-                block = [column[start:stop] for column, _, _ in segments]
-                widths = layout(block)
-                row_bytes = 4 * (sum(widths) + 1)
-                if (stop - start) * row_bytes <= _BLOCK_BYTES or (
-                        stop == start + 1):
-                    break
-                stop = (start + stop) // 2
-            yield encode(block, widths)
-            start, rows = stop, max(1, _BLOCK_BYTES // row_bytes)
+            yield out.tobytes().translate(None, b"\0")
 
     def write(self, path: str | Path) -> None:
-        """The log as JSONL v1 at ``path``, then its sidecar; each file is
-        written atomically. The text goes to the file and its SHA-256 one
-        encoded block at a time, and the sidecar's columns one row at a
-        time, so neither file is ever held whole in memory."""
+        """The log as JSONL v1 at ``path``, then its ``.cols`` sidecar;
+        each file is written atomically. The text goes to the file and its
+        SHA-256 one encoded block at a time, and the sidecar's columns one
+        column at a time, so neither file is ever held whole in memory."""
         sha256 = hashlib.sha256()
 
         def write_jsonl(fh) -> None:
@@ -240,36 +220,21 @@ class EventLog:
             fh, sha256.hexdigest()))
 
     def _write_sidecar(self, fh, sha256: str) -> None:
-        """The sidecar of the JSONL bytes whose SHA-256 is ``sha256``, as
-        the stored zip that ``np.savez`` writes: an (8, n) int64
-        ``columns`` array, then ``meta``, the JSON bytes as uint8."""
-        import zipfile  # imported late for the reason _read_sidecar gives
-
-        fmt = np.lib.format
-        tables = {"user": self.users, "adv": self.advertisers,
-                  "bidder": self.bidders}
-        with zipfile.ZipFile(fh, "w") as zf:
-            with zf.open("columns.npy", "w", force_zip64=True) as fid:
-                fmt.write_array_header_1_0(fid, fmt.header_data_from_array_1_0(
-                    np.broadcast_to(np.int64(0), (len(FIELDS), len(self)))))
-                for name in FIELDS:
-                    values = getattr(self, name)
-                    if name in tables:
-                        values, tables[name] = _first_seen(tables[name], values)
-                    fid.write(np.ascontiguousarray(values, dtype=np.int64))
-            meta = {"sha256": sha256, "seed": self.seed,
-                    "config_digest": self.config_digest,
-                    "users": tables["user"], "advertisers": tables["adv"],
-                    "bidders": tables["bidder"]}
-            with zf.open("meta.npy", "w", force_zip64=True) as fid:
-                fmt.write_array(fid, np.frombuffer(json.dumps(meta).encode(),
-                                                   dtype=np.uint8))
+        """The sidecar of the JSONL bytes whose SHA-256 is ``sha256``: one
+        JSON line (``events``, ``sha256``, ``seed``, ``config_digest`` and
+        the id tables as they are), then each column as ``<i8``."""
+        meta = {"events": len(self), "sha256": sha256, "seed": self.seed,
+                "config_digest": self.config_digest, "users": self.users,
+                "advertisers": self.advertisers, "bidders": self.bidders}
+        fh.write(json.dumps(meta).encode() + b"\n")
+        for name in FIELDS:
+            fh.write(np.ascontiguousarray(getattr(self, name), dtype="<i8"))
 
     @classmethod
     def read(cls, path: str | Path) -> "EventLog":
-        """The log at ``path``, from its sidecar when that holds the
-        columns of the file's bytes, else parsed from the file opened as
-        text. The file is hashed as it is read, so its bytes are never
+        """The log at ``path``, from its ``.cols`` sidecar when that holds
+        the columns of the file's bytes, else parsed from the file opened
+        as text. The file is hashed as it is read, so its bytes are never
         held whole."""
         with open(path, "rb") as fh:
             sha256 = hashlib.file_digest(fh, "sha256").hexdigest()
@@ -405,54 +370,33 @@ def _digit_words() -> np.ndarray:
 
 
 def _sidecar_path(path: str | Path) -> Path:
-    return Path(path).with_suffix(".npz")
-
-
-def _first_seen(table: tuple[str, ...], codes: np.ndarray):
-    """``codes`` and ``table`` as :meth:`EventLog.parse` reads them back:
-    equal ids merged, and only the ids that appear, in order of first
-    appearance."""
-    merged: dict[str, int] = {}
-    # Code -1 (absent) picks the trailing slot of each lookup below.
-    codes = np.array([merged.setdefault(s, len(merged)) for s in table]
-                     + [-1], dtype=np.int64)[codes]
-    first = np.full(len(merged) + 1, len(codes))
-    np.minimum.at(first, codes, np.arange(len(codes)))
-    seen = np.flatnonzero(first[:-1] < len(codes))
-    order = seen[np.argsort(first[seen])]
-    renumber = np.full(len(merged) + 1, -1, dtype=np.int64)
-    renumber[order] = np.arange(len(order))
-    ids = list(merged)
-    return renumber[codes], [ids[i] for i in order]
+    return Path(path).with_suffix(".cols")
 
 
 def _read_sidecar(path: Path, sha256: str) -> EventLog | None:
     """The log in the sidecar at ``path`` if it was written for the bytes
     whose SHA-256 is ``sha256`` and passes the checks ``parse`` makes,
-    else None."""
-    import zipfile  # as np.load does, so that commands that read no log skip it
-
-    # What a file that is not a sidecar of this log may raise, from np.load
-    # (a missing, truncated, foreign or corrupt zip, a plain .npy file) or
-    # from decoding its JSON. Any of it means: parse the JSONL instead.
-    not_a_sidecar = (OSError, EOFError, ValueError, LookupError, TypeError,
-                     AttributeError, RuntimeError, MemoryError,
-                     zipfile.BadZipFile, zlib.error)
+    else None. The columns are read only once the file's size is known to
+    be theirs, so a wrong event count allocates nothing."""
+    # What a file that is not a sidecar of this log may raise: a missing
+    # or unreadable file, a first line that is not a JSON object with the
+    # keys below, JSON nested too deep, or an event count that is not an
+    # int (reshape refuses a bool). Any of it means: parse the JSONL
+    # instead.
     try:
-        # np.load leaves a file it opened unclosed when the zip is corrupt.
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            columns, meta = npz["columns"], npz["meta"]
-        meta = json.loads(meta.astype(np.uint8, casting="no").tobytes())
-        if meta["sha256"] != sha256:
-            return None
+        with open(path, "rb") as fh:
+            meta = json.loads(fh.readline())
+            n = meta["events"]
+            if (meta["sha256"] != sha256 or os.fstat(fh.fileno()).st_size
+                    - fh.tell() != 8 * len(FIELDS) * n):
+                return None
+            columns = np.fromfile(fh, "<i8").reshape(len(FIELDS), n)
         tables = [meta[key] for key in ("users", "advertisers", "bidders")]
         seed, config_digest = meta["seed"], meta["config_digest"]
-    except not_a_sidecar:
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
         return None
-    if not (columns.dtype == np.int64 and columns.ndim == 2
-            and len(columns) == len(FIELDS)
-            and all(type(table) is list and all(type(s) is str for s in table)
-                    for table in tables)) or _column_problem(columns, *tables):
+    if not all(type(table) is list and all(type(s) is str for s in table)
+               for table in tables) or _column_problem(columns, *tables):
         return None
     return EventLog(*columns, *map(tuple, tables), seed=seed,
                     config_digest=config_digest)

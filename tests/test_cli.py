@@ -13,6 +13,7 @@ import pytest
 import liftsim.world
 from liftsim.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_VERIFY, main
 from liftsim.events import EventLog
+from liftsim.experiments import MAX_ATTEMPTS_PER_INSTANCE
 from liftsim.liftmodel.features import FeatureSchema
 from liftsim.liftmodel.gbdt import GBDTModel
 from liftsim.liftmodel.isotonic import IsotonicMap
@@ -357,6 +358,22 @@ def test_a_monte_carlo_side_without_attributed_actions_fails_verify(
     assert all(c["stderr"] is None and c["within"] is False for c in unseen)
 
 
+def test_verify_states_the_degenerate_draws_it_threw_away(tmp_path, capsys):
+    # One user is on one side of every partition, so each of an instance's
+    # draws is degenerate and no instance runs; the sweep lines say why.
+    sets = ["sweep.n_users=1", "sweep.tolerance=1", "sweep.n_instances=2",
+            "sweep.mc_instances=0"]
+    out = tmp_path / "o"
+    assert main(["verify", "--out-dir", str(out),
+                 *(arg for s in sets for arg in ("--set", s))]) == EXIT_VERIFY
+    text = (out / "verify_report.txt").read_text()
+    assert text in capsys.readouterr().out
+    for mode in ("simple", "generalized"):
+        assert (f"{mode} sweep: 0/2 instances, actions dominance 0/2, "
+                "cost dominance 0/2, calibration regenerations 0, degenerate "
+                f"draws {MAX_ATTEMPTS_PER_INSTANCE}\n") in text
+
+
 def test_verify_rejects_zero_instances(tmp_path, capsys):
     payload = {"master_seed": 1, "sweep": {"n_instances": 0}}
     config = write_config(tmp_path, payload)
@@ -616,7 +633,7 @@ def test_train_on_a_malformed_log_with_a_stale_sidecar_is_a_data_error(
     header, *events = log.read_text().splitlines()
     log.write_text("\n".join([header, events[0] + "," + events[1],
                               *events[2:]]) + "\n")
-    assert (out / "events.npz").exists()
+    assert (out / "events.cols").exists()
     capsys.readouterr()
     assert main(["train", "--config", str(config), "--log", str(log),
                  "--out-dir", str(tmp_path / "t")]) == EXIT_DATA

@@ -8,7 +8,7 @@ exactly one line after any other exit: never a traceback. A boolean is
 a number nowhere and a setting only at ``world.behavior.enabled``, and
 ``HUGE`` fits no float64: each exits 2 at every other leaf.
 
-Each input file (``events.jsonl`` and ``events.npz`` read by ``train``,
+Each input file (``events.jsonl`` and ``events.cols`` read by ``train``,
 ``model.json`` read by ``abtest --bids``) is cut short at, and has one bit
 flipped in, the byte at seeded offsets. A run must end in exit 0 with
 nothing on stderr or in exit 3 with one ``data error:`` line.
@@ -247,7 +247,7 @@ MODEL_WORLD = {"topics": WORLD["topics"], "apps": WORLD["apps"],
                "behavior": {"enabled": True}}
 
 
-@pytest.mark.parametrize("name", ["events.jsonl", "events.npz", "model.json"])
+@pytest.mark.parametrize("name", ["events.jsonl", "events.cols", "model.json"])
 def test_damaged_input_files_exit_by_the_contract(
         tmp_path, capsys, train_log, train_model, name):
     if name == "model.json":

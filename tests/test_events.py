@@ -1,7 +1,6 @@
 """Event-log serialization: round trips, headers, byte stability, parse checks."""
 
 import hashlib
-import io
 import json
 import random
 import tempfile
@@ -17,7 +16,7 @@ import liftsim.events
 from event_records import parse_log
 from liftsim.events import (
     ACTION, AD_REQUEST, EVENT_KINDS, FIELDS, IMPRESSION, PAGE_VIEW,
-    EventLog, EventLogError, _first_seen,
+    EventLog, EventLogError,
 )
 from liftsim.fileio import atomic_write_text
 
@@ -213,7 +212,7 @@ def test_dumps_writes_only_the_header_of_an_empty_log():
 
 # Each line of make_log(n) for n <= 9999 is 16 words of the encoder's
 # matrix: {"ts": 2, ts 1, user 3, kind 5, topic 3 + 1, the line end 1. This
-# block size makes a block 1024 lines, the size of the first block.
+# block size makes a block 1024 lines.
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
 def test_dumps_across_block_boundaries(monkeypatch, n):
     monkeypatch.setattr(liftsim.events, "_BLOCK_BYTES", 4 * 16 * 1024)
@@ -237,8 +236,8 @@ def test_dumps_writes_every_digit_count(field):
 
 
 def test_dumps_writes_empty_and_very_long_ids(monkeypatch):
-    # The long id's line is wider than a block, so its block is halved
-    # down to that line alone.
+    # The long id sets every line's width in the matrix, which is wider
+    # than a block, so each block is one line.
     monkeypatch.setattr(liftsim.events, "_BLOCK_BYTES", 1 << 12)
     long = "l\u00e9\x00" * 3000
     n = 500
@@ -309,14 +308,19 @@ def traced(call):
     return result, held, peak
 
 
-def test_a_long_id_widens_only_the_block_it_is_in():
-    # Unhalved, the first block would be 1,024 lines of 20 kB each.
+def test_a_long_id_shrinks_the_blocks_not_their_bytes():
+    # One event's 20 kB id makes every line 20 kB wide in the matrix, so
+    # a block holds 26 lines: the matrices stay within the block size.
     n = 60_000
     log = make_log(n, users=("u", "x" * 20_000),
                    user=(np.arange(n) == 10).astype(np.int64))
     text, _, peak = traced(log.dumps)
     assert text == reference_text(log)
     assert peak <= 3.5 * len(text), peak / len(text)
+    with mock.patch.object(np, "empty", wraps=np.empty) as empty:
+        log.dumps()
+    assert max(4 * np.prod(call.args[0]) for call in empty.call_args_list
+               ) <= liftsim.events._BLOCK_BYTES
 
 
 def simulator_shaped_log():
@@ -370,7 +374,7 @@ def test_read_without_a_sidecar_never_holds_the_text(tmp_path):
     # would be 1.74 by itself.
     path = tmp_path / "events.jsonl"
     simulator_shaped_log().write(path)
-    path.with_suffix(".npz").unlink()
+    path.with_suffix(".cols").unlink()
     _, _, peak = traced(lambda: EventLog.read(path))
     assert peak <= 1.4 * path.stat().st_size, peak / path.stat().st_size
 
@@ -407,11 +411,27 @@ def scrambled(log, unused, rnd):
     return EventLog(**columns, seed=log.seed, config_digest=log.config_digest)
 
 
+def decoded(log):
+    """``log``'s provenance and events, each event's ids in place of its
+    codes and None in place of -1."""
+    tables = {"user": log.users, "kind": EVENT_KINDS,
+              "adv": log.advertisers, "bidder": log.bidders}
+    columns = []
+    for name in FIELDS:
+        values = getattr(log, name).tolist()
+        if name in tables:
+            values = [tables[name][v] if v >= 0 else None for v in values]
+        columns.append(values)
+    return log.seed, log.config_digest, list(zip(*columns))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(records(), max_size=30), st.integers(0, 2**40), IDS,
        st.lists(IDS, max_size=3), st.randoms(use_true_random=False))
-def test_the_sidecar_reads_back_what_parse_reads(events, seed, digest, unused,
-                                                 rnd):
+def test_the_sidecar_reads_back_the_written_log(events, seed, digest, unused,
+                                                rnd):
+    # The sidecar keeps the writer's tables, here shuffled and with unused
+    # ids; parse builds its own, but both decode to the same events.
     events.sort(key=lambda r: r["ts"])
     header = json.dumps({"format": "liftsim.events", "version": 1,
                          "seed": seed, "config_digest": digest})
@@ -424,40 +444,27 @@ def test_the_sidecar_reads_back_what_parse_reads(events, seed, digest, unused,
         with mock.patch.object(EventLog, "parse",
                                side_effect=AssertionError("parsed")):
             from_sidecar = EventLog.read(path)
-        assert_same_log(from_sidecar, parse_file(path))
-    assert_same_log(from_sidecar, parsed)
+        assert decoded(from_sidecar) == decoded(parse_file(path))
+    assert_same_log(from_sidecar, log)
+    assert decoded(from_sidecar) == decoded(parsed)
 
 
-def test_the_sidecar_merges_equal_ids_as_parse_does(tmp_path):
+def test_the_sidecar_keeps_equal_ids_that_parse_merges(tmp_path):
     log = EventLog(*np.array([[1, 2, 3], [2, 1, 0], [5, 5, 5], [-1, -1, -1],
                               [-1, -1, -1], [-1, -1, -1], [-1, -1, -1],
                               [-1, -1, -1]]),
                    users=("a", "b", "a"), advertisers=(), bidders=())
-    log.write(tmp_path / "events.jsonl")
+    path = tmp_path / "events.jsonl"
+    log.write(path)
     with mock.patch.object(EventLog, "parse", side_effect=AssertionError):
-        read = EventLog.read(tmp_path / "events.jsonl")
-    assert read.users == ("a", "b")
-    assert read.user.tolist() == [0, 1, 0]
+        read = EventLog.read(path)
+    assert_same_log(read, log)
+    parsed = parse_file(path)
+    assert (parsed.users, parsed.user.tolist()) == (("a", "b"), [0, 1, 0])
+    assert decoded(read) == decoded(parsed)
 
 
-def reference_sidecar(log, sha256):
-    """The sidecar of ``log``'s JSONL bytes whose SHA-256 is ``sha256``,
-    as ``np.savez`` writes it from the stacked first-seen columns."""
-    user, users = _first_seen(log.users, log.user)
-    adv, advertisers = _first_seen(log.advertisers, log.adv)
-    bidder, bidders = _first_seen(log.bidders, log.bidder)
-    meta = {"sha256": sha256, "seed": log.seed,
-            "config_digest": log.config_digest, "users": users,
-            "advertisers": advertisers, "bidders": bidders}
-    columns = np.stack([log.ts, user, log.kind, adv, log.topic, log.app,
-                        bidder, log.price], dtype=np.int64)
-    buffer = io.BytesIO()
-    np.savez(buffer, columns=columns, meta=np.frombuffer(
-        json.dumps(meta).encode(), dtype=np.uint8))
-    return buffer.getvalue()
-
-
-# Small id tables whose equal ids _first_seen merges; an empty one too.
+# Small id tables, with equal ids and empty ones among them.
 TABLES = st.lists(st.sampled_from(["a", "b", "c\x00", "\u00e9"]), max_size=4)
 
 
@@ -468,7 +475,7 @@ TABLES = st.lists(st.sampled_from(["a", "b", "c\x00", "\u00e9"]), max_size=4)
 @example(n=1, users=["a"], advertisers=[], bidders=["b"], seed=0)
 @example(n=2000, users=["a", "b", "a"], advertisers=["a", "a"],
          bidders=["b", "a", "b"], seed=1)
-def test_the_streamed_sidecar_is_the_one_np_savez_writes(
+def test_the_sidecar_is_a_json_line_then_the_columns(
         n, users, advertisers, bidders, seed):
     if not users:
         n = 0
@@ -489,19 +496,29 @@ def test_the_streamed_sidecar_is_the_one_np_savez_writes(
         path = Path(tmp, "events.jsonl")
         log.write(path)
         sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
-        sidecar = path.with_suffix(".npz").read_bytes()
-    assert sidecar == reference_sidecar(log, sha256)
+        line, newline, columns = path.with_suffix(".cols").read_bytes(
+            ).partition(b"\n")
+    assert newline and line.isascii()
+    assert json.loads(line) == {
+        "events": n, "sha256": sha256, "seed": seed, "config_digest": "edge",
+        "users": users, "advertisers": advertisers, "bidders": bidders}
+    assert columns == b"".join(
+        getattr(log, name).astype("<i8").tobytes() for name in FIELDS)
+
+
+def sidecar_path(path):
+    return Path(path).with_suffix(".cols")
 
 
 def rewrite_sidecar(path, edit):
-    """Load the sidecar beside ``path``, let ``edit(columns, meta)``
-    change them in place, and save it again."""
-    sidecar = Path(path).with_suffix(".npz")
-    with np.load(sidecar) as npz:
-        columns, meta = npz["columns"], json.loads(npz["meta"].tobytes())
+    """Read the sidecar beside ``path``, let ``edit(columns, meta)``
+    change them in place, and write it again."""
+    line, _, data = sidecar_path(path).read_bytes().partition(b"\n")
+    meta = json.loads(line)
+    columns = np.frombuffer(data, "<i8").reshape(len(FIELDS), -1).copy()
     columns = edit(columns, meta)
-    np.savez(sidecar, columns=columns,
-             meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+    sidecar_path(path).write_bytes(json.dumps(meta).encode() + b"\n"
+                                   + columns.tobytes())
 
 
 def _set(field, index, value):
@@ -511,10 +528,11 @@ def _set(field, index, value):
     return edit
 
 
-def _meta(key, value):
+def _meta(key, value, keep=None):
+    """Set ``key`` in the line, keeping the first ``keep`` events."""
     def edit(columns, meta):
         meta[key] = value
-        return columns
+        return columns[:, :keep]
     return edit
 
 
@@ -530,30 +548,34 @@ def _stale(path):
     atomic_write_text(path, path.read_text().replace('"ts":99', '"ts":98'))
 
 
-def _truncated(path):
-    sidecar = path.with_suffix(".npz")
-    sidecar.write_bytes(sidecar.read_bytes()[:300])
+def _resized(by):
+    def fault(path):
+        data = sidecar_path(path).read_bytes()
+        sidecar_path(path).write_bytes(data[:by] if by < 0
+                                       else data + bytes(by))
+    return fault
 
 
-def _npy_file(path):
-    with path.with_suffix(".npz").open("wb") as fh:
-        np.save(fh, np.zeros(3))
+def _not_json(path):
+    _, _, data = sidecar_path(path).read_bytes().partition(b"\n")
+    sidecar_path(path).write_bytes(b"PK\x03\x04 not json\n" + data)
 
 
 SIDECAR_FAULTS = {
-    "missing": lambda path: path.with_suffix(".npz").unlink(),
+    "missing": lambda path: sidecar_path(path).unlink(),
     "stale": _stale,
-    "truncated": _truncated,
-    "not-a-zip": lambda path: path.with_suffix(".npz").write_text("{}"),
-    "npy-file": _npy_file,
-    "a-directory": lambda path: (path.with_suffix(".npz").unlink(),
-                                 path.with_suffix(".npz").mkdir()),
-    "int32": lambda path: rewrite_sidecar(
-        path, lambda columns, meta: columns.astype(np.int32)),
-    "big-endian": lambda path: rewrite_sidecar(
-        path, lambda columns, meta: columns.astype(">i8")),
-    "7-columns": lambda path: rewrite_sidecar(
-        path, lambda columns, meta: columns[:7]),
+    "not-json": _not_json,
+    "one-byte-short": _resized(-1),
+    "one-event-short": _resized(-64),
+    "one-event-long": _resized(64),
+    "a-directory": lambda path: (sidecar_path(path).unlink(),
+                                 sidecar_path(path).mkdir()),
+    # With one event kept, a bool count would match the file's size.
+    "events-bool": lambda path: rewrite_sidecar(path, _meta("events", True, 1)),
+    "events-negative": lambda path: rewrite_sidecar(path, _meta("events", -4)),
+    # Taken as it stands, this count asks for 64 PB.
+    "events-huge": lambda path: rewrite_sidecar(path, _meta("events", 10**15)),
+    "no-events": lambda path: rewrite_sidecar(path, _without("events")),
     "hash-mismatch": lambda path: rewrite_sidecar(path, _meta("sha256", "0")),
     "no-seed": lambda path: rewrite_sidecar(path, _without("seed")),
     "ts-decreasing": lambda path: rewrite_sidecar(path, _set("ts", 0, 60)),
@@ -582,8 +604,11 @@ def test_a_faulty_sidecar_falls_back_to_the_parser(tmp_path, monkeypatch,
     parse, calls = EventLog.parse, []
     monkeypatch.setattr(EventLog, "parse", classmethod(
         lambda cls, lines: calls.append(1) or parse(lines)))
-    log = EventLog.read(path)
+    # Reading a few hundred bytes of sidecar allocates no more than that,
+    # whatever event count its line states.
+    log, _, peak = traced(lambda: EventLog.read(path))
     assert calls == [1]
+    assert peak < 1 << 20, peak
     assert_same_log(log, parse_file(path))
 
 
@@ -591,7 +616,7 @@ def test_a_written_log_is_read_from_its_sidecar(tmp_path):
     path = tmp_path / "events.jsonl"
     _sample_log().write(path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "events.jsonl", "events.npz"]
+        "events.cols", "events.jsonl"]
     with mock.patch.object(EventLog, "parse", side_effect=AssertionError):
         log = EventLog.read(path)
     assert_same_log(log, _sample_log())
