@@ -26,20 +26,24 @@ a sidecar beside it, the same name with the suffix ``.cols``, so that
 reading the log back need not parse it. The sidecar is one JSON line,
 then the eight columns as little-endian int64, in :data:`FIELDS` order.
 The line holds ``events`` (the event count), the SHA-256 of the JSONL
-bytes, the header's seed and config digest, and the log's own three id
-tables; a log read from it keeps those tables, which may differ from
-the first-appearance tables that :meth:`EventLog.parse` builds, but
-decodes to the same events. :meth:`EventLog.read` uses the sidecar only
-when its hash is that of the file's bytes, exactly ``64 * events`` bytes
-follow its line, and its columns pass the checks ``parse`` makes (time
-order, ranges, codes inside their tables, string ids). Any other
-sidecar, a missing one included, is ignored and the JSONL is parsed.
+bytes, the header's seed and config digest, the log's own three id
+tables, and last ``sidecar_sha256``, the SHA-256 of the line without
+that key and then of the columns. A log read from it keeps its tables,
+which may differ from the first-appearance tables that
+:meth:`EventLog.parse` builds, but decodes to the same events.
+:meth:`EventLog.read` uses the sidecar only when its JSONL hash is that
+of the file's bytes, exactly ``64 * events`` bytes follow its line, its
+own hash matches (a flipped bit anywhere in it does not), and its
+columns pass the checks ``parse`` makes (time order, ranges, codes
+inside their tables, string ids). Any other sidecar, a missing one
+included, is ignored and the JSONL is parsed.
 
 Neither writing nor reading holds the text. ``write`` sends it to the
 file and its hash one encoded block (at most :data:`_BLOCK_BYTES`) at a
-time, then writes the sidecar one column at a time. ``read`` hashes the
-file as it reads it, and parses the file, a block of lines at a time
-into columns that grow once, only when the sidecar does not match.
+time, then hashes and writes the sidecar one column at a time. ``read``
+hashes the file as it reads it, and parses the file, a block of lines
+at a time into columns that grow once, only when the sidecar does not
+match.
 """
 from __future__ import annotations
 
@@ -140,9 +144,10 @@ class EventLog:
         the blocks shorter. An id field's columns are gathered by code, in
         one call, from its table's fragment words; a number's are its key
         and its digits, four to a word from a 30,000-word table; an absent
-        field's are NUL. Dropping the NUL bytes leaves the lines. No real byte is NUL: keys, digits and ``}\\n`` are ASCII,
-        and ids are written as ``json.dumps`` writes them with
-        ``ensure_ascii``, so a NUL in an id is the six bytes ``\\u0000``.
+        field's are NUL. Dropping the NUL bytes leaves the lines. No real
+        byte is NUL: keys, digits and ``}\\n`` are ASCII, and ids are
+        written as ``json.dumps`` writes them with ``ensure_ascii``, so a
+        NUL in an id is the six bytes ``\\u0000``.
         """
         columns = [getattr(self, name) for name in FIELDS]
         if problem := _column_problem(columns, self.users, self.advertisers,
@@ -221,11 +226,14 @@ class EventLog:
 
     def _write_sidecar(self, fh, sha256: str) -> None:
         """The sidecar of the JSONL bytes whose SHA-256 is ``sha256``: one
-        JSON line (``events``, ``sha256``, ``seed``, ``config_digest`` and
-        the id tables as they are), then each column as ``<i8``."""
+        JSON line (``events``, ``sha256``, ``seed``, ``config_digest``, the
+        id tables as they are and ``sidecar_sha256``), then each column as
+        ``<i8``, hashed and then written one at a time."""
         meta = {"events": len(self), "sha256": sha256, "seed": self.seed,
                 "config_digest": self.config_digest, "users": self.users,
                 "advertisers": self.advertisers, "bidders": self.bidders}
+        meta["sidecar_sha256"] = _own_sha256(
+            meta, (getattr(self, name) for name in FIELDS))
         fh.write(json.dumps(meta).encode() + b"\n")
         for name in FIELDS:
             fh.write(np.ascontiguousarray(getattr(self, name), dtype="<i8"))
@@ -373,11 +381,21 @@ def _sidecar_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".cols")
 
 
+def _own_sha256(meta: dict, columns: Iterable[np.ndarray]) -> str:
+    """A sidecar's own hash: the SHA-256 of its line as ``json.dumps``
+    writes ``meta``, then of its ``columns`` as ``<i8``."""
+    own = hashlib.sha256(json.dumps(meta).encode())
+    for column in columns:
+        own.update(np.ascontiguousarray(column, dtype="<i8"))
+    return own.hexdigest()
+
+
 def _read_sidecar(path: Path, sha256: str) -> EventLog | None:
     """The log in the sidecar at ``path`` if it was written for the bytes
-    whose SHA-256 is ``sha256`` and passes the checks ``parse`` makes,
-    else None. The columns are read only once the file's size is known to
-    be theirs, so a wrong event count allocates nothing."""
+    whose SHA-256 is ``sha256``, its own hash matches and it passes the
+    checks ``parse`` makes, else None. The columns are read only once the
+    file's size is known to be theirs, so a wrong event count allocates
+    nothing."""
     # What a file that is not a sidecar of this log may raise: a missing
     # or unreadable file, a first line that is not a JSON object with the
     # keys below, JSON nested too deep, or an event count that is not an
@@ -386,11 +404,13 @@ def _read_sidecar(path: Path, sha256: str) -> EventLog | None:
     try:
         with open(path, "rb") as fh:
             meta = json.loads(fh.readline())
-            n = meta["events"]
+            n, own = meta["events"], meta.pop("sidecar_sha256")
             if (meta["sha256"] != sha256 or os.fstat(fh.fileno()).st_size
                     - fh.tell() != 8 * len(FIELDS) * n):
                 return None
             columns = np.fromfile(fh, "<i8").reshape(len(FIELDS), n)
+        if _own_sha256(meta, columns) != own:
+            return None
         tables = [meta[key] for key in ("users", "advertisers", "bidders")]
         seed, config_digest = meta["seed"], meta["config_digest"]
     except (OSError, ValueError, LookupError, TypeError, RecursionError):

@@ -499,9 +499,11 @@ def test_the_sidecar_is_a_json_line_then_the_columns(
         line, newline, columns = path.with_suffix(".cols").read_bytes(
             ).partition(b"\n")
     assert newline and line.isascii()
-    assert json.loads(line) == {
-        "events": n, "sha256": sha256, "seed": seed, "config_digest": "edge",
-        "users": users, "advertisers": advertisers, "bidders": bidders}
+    meta = {"events": n, "sha256": sha256, "seed": seed,
+            "config_digest": "edge", "users": users,
+            "advertisers": advertisers, "bidders": bidders}
+    own = hashlib.sha256(json.dumps(meta).encode() + columns).hexdigest()
+    assert json.loads(line) == {**meta, "sidecar_sha256": own}
     assert columns == b"".join(
         getattr(log, name).astype("<i8").tobytes() for name in FIELDS)
 
@@ -510,13 +512,19 @@ def sidecar_path(path):
     return Path(path).with_suffix(".cols")
 
 
-def rewrite_sidecar(path, edit):
+def rewrite_sidecar(path, edit, sign=True):
     """Read the sidecar beside ``path``, let ``edit(columns, meta)``
-    change them in place, and write it again."""
+    change them in place, and write it again: with its own hash made
+    anew unless ``sign`` is false, so that the fault tested is the edit
+    and not the hash."""
     line, _, data = sidecar_path(path).read_bytes().partition(b"\n")
     meta = json.loads(line)
     columns = np.frombuffer(data, "<i8").reshape(len(FIELDS), -1).copy()
     columns = edit(columns, meta)
+    if sign:
+        del meta["sidecar_sha256"]
+        meta["sidecar_sha256"] = hashlib.sha256(
+            json.dumps(meta).encode() + columns.tobytes()).hexdigest()
     sidecar_path(path).write_bytes(json.dumps(meta).encode() + b"\n"
                                    + columns.tobytes())
 
@@ -556,6 +564,16 @@ def _resized(by):
     return fault
 
 
+def _flip_first_user_code(path):
+    # Code 0 becomes 1, still inside the users table and in time order:
+    # only the sidecar's own hash tells it from a sound one.
+    data = bytearray(sidecar_path(path).read_bytes())
+    at = data.index(b"\n") + 1 + 8 * len(_sample_log()) * FIELDS.index("user")
+    assert data[at] == 0
+    data[at] ^= 1
+    sidecar_path(path).write_bytes(data)
+
+
 def _not_json(path):
     _, _, data = sidecar_path(path).read_bytes().partition(b"\n")
     sidecar_path(path).write_bytes(b"PK\x03\x04 not json\n" + data)
@@ -578,6 +596,11 @@ SIDECAR_FAULTS = {
     "no-events": lambda path: rewrite_sidecar(path, _without("events")),
     "hash-mismatch": lambda path: rewrite_sidecar(path, _meta("sha256", "0")),
     "no-seed": lambda path: rewrite_sidecar(path, _without("seed")),
+    "user-code-bit-flipped": _flip_first_user_code,
+    "seed-edited": lambda path: rewrite_sidecar(path, _meta("seed", 43),
+                                                sign=False),
+    "no-own-hash": lambda path: rewrite_sidecar(
+        path, _without("sidecar_sha256"), sign=False),
     "ts-decreasing": lambda path: rewrite_sidecar(path, _set("ts", 0, 60)),
     "user-absent": lambda path: rewrite_sidecar(path, _set("user", 0, -1)),
     "topic-below-absent": lambda path: rewrite_sidecar(

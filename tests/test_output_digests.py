@@ -66,7 +66,7 @@ DIGESTS = {
     "out/events.jsonl":
         "899374f2d5e2be3f7dd02bc43e7002425cea4c2ae325696b7114e7db5ad332a9",
     "out/events.cols":
-        "8e294d012c5237349ef158396e9572395bbe12b2d94dcc43cad85c1757b6c228",
+        "192baa7d7fe61a29bd888b8a51d388695ecdd2ff617ffdc226f8d03a9d402704",
     "out/simulate_summary.json":
         "19b256da45a01537cf52fc39612bc394e3460a7e434279a9db06e03dd00d4bd0",
     "out/model.json":
