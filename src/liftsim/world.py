@@ -39,6 +39,13 @@ seed reproduce the identical event log byte for byte. A window in which
 no bidder is left draws no competitor bids, and without an event log its
 requests are never built: in an A/B test whose bidders spend out early,
 most of the horizon only draws actions.
+
+The market holds its requests at the width their values need: the times
+of day and the per-(day, user) counts as int32, the request times it
+builds from them as int64. So a market holds fewer than 2**31 requests
+(:data:`MAX_REQUESTS`): a world whose expected count (the request rates'
+sum times ``horizon_days``) or drawn count reaches it raises
+:class:`WorldConfigError` before the times of day are drawn.
 """
 from __future__ import annotations
 
@@ -67,6 +74,7 @@ CLICK_DELAY_SECS = 30  # a click's time after its impression's
 MARKET = "market"
 DEFAULT_HORIZON_DAYS = 28
 DEFAULT_POOL = 0.5  # a value_tracking competitor's weight on p, if unset
+MAX_REQUESTS = 1 << 31  # a market holds fewer, so its counts fit int32
 
 
 class WorldConfigError(ValueError):
@@ -585,25 +593,32 @@ def run_market(population: Population, bidders: list[BidderConfig],
 
 class _Requests:
     """A market's ad requests, drawn up front and built one window at a
-    time.
+    time. The times of day and the per-cell counts are int32; the
+    per-day and per-user counts and the window starts int64.
 
     Built once, it raises :class:`WorldConfigError`, before any draw,
-    when the expected request count, or with ``sortable`` the user count
-    times the horizon, is too large to order (:func:`_check_orderable`,
+    when the expected request count reaches :data:`MAX_REQUESTS` or is
+    too large to order, or with ``sortable`` the user count times the
+    horizon is (:func:`_check_request_count`, :func:`_check_orderable`,
     :func:`_check_sortable`). Then the ``requests`` stream draws every
-    request's count per user and day, then every time of day, then, with
-    ``topics``, every topic: each one call over the horizon, as numpy's
-    ``integers`` buffers 32-bit draws within a call, so draws in pieces
-    would differ. Topics are the stream's last draw, so skipping them
-    changes nothing else. Of the (users x days) counts only the per-cell,
-    per-day and per-user counts and the window starts stay.
+    request's count per user and day; a drawn total that reaches
+    :data:`MAX_REQUESTS` raises, so each count casts to int32 exactly.
+    Then it draws every time of day, then, with ``topics``, every topic:
+    each one call over the horizon, as numpy's ``integers`` buffers
+    32-bit draws within a call, so draws in pieces would differ. The
+    int32 draw of the times is the int64 draw, and leaves the stream
+    where that would. Topics are the stream's last draw, so skipping
+    them changes nothing else. Of the (users x days) counts only the
+    per-cell, per-day and per-user counts and the window starts stay.
     """
 
     def __init__(self, config: WorldConfig, rates: np.ndarray, aw_days: int,
                  topics: bool, sortable: bool) -> None:
         n, days = rates.size, config.horizon_days
         self.horizon_secs = days * SECONDS_PER_DAY
-        _check_orderable(float(rates.sum()) * days, self.horizon_secs)
+        expected = float(rates.sum()) * days
+        _check_request_count(expected, "expected")
+        _check_orderable(expected, self.horizon_secs)
         if sortable:
             _check_sortable(n, self.horizon_secs)
         rng = rng_for(config.seed, "requests")
@@ -613,17 +628,20 @@ class _Requests:
             counts = np.broadcast_to(
                 np.rint(rates).astype(np.int64)[:, None], (n, days))
         self.per_user = counts.sum(axis=1)
+        _check_request_count(int(self.per_user.sum()), "drawn")
         # One request per draw, in (day, user) cell order. Cells are
         # day-major, so window w's requests are draws starts[w]:starts[w+1],
         # and its cells the w-th run of window_users: its users, day by day.
-        self.per_cell = counts.T.reshape(-1)
+        self.per_cell = counts.T.astype(np.int32, order="C").reshape(-1)
+        del counts  # so the times of day are drawn without the int64 counts
         self.per_day = self.per_cell.reshape(days, n).sum(axis=1)
         self.aw_days = aw_days
         self.window_users = np.tile(np.arange(n), aw_days)
         self.starts = np.zeros(days // aw_days + 1, dtype=np.int64)
         np.cumsum(self.per_day.reshape(-1, aw_days).sum(axis=1),
                   out=self.starts[1:])
-        self.time_of_day = rng.integers(0, SECONDS_PER_DAY, int(self.starts[-1]))
+        self.time_of_day = rng.integers(
+            0, SECONDS_PER_DAY, int(self.starts[-1]), dtype=np.int32)
         self.topics = (rng.integers(0, config.topics, self.time_of_day.size)
                        if topics else None)
 
@@ -830,6 +848,14 @@ def _event_block(ts, user, kind, **optional) -> np.ndarray:
     for name, values in optional.items():
         block[FIELDS.index(name)] = values
     return block
+
+
+def _check_request_count(count: float, what: str) -> None:
+    """Raise :class:`WorldConfigError` when ``count`` requests (``what``:
+    expected or drawn) reach :data:`MAX_REQUESTS`."""
+    if not count < MAX_REQUESTS:  # also NaN
+        raise WorldConfigError(
+            f"{count:.6g} requests {what}; a market holds fewer than 2**31")
 
 
 def _check_orderable(count: float, bound: int) -> None:

@@ -219,12 +219,15 @@ def _spec(section, kind, **extra):
     ("simulate", "world.delta_p_distribution",
      _spec("delta_p_distribution", "fixed", values=[True] + [0.05] * (N_USERS - 1)),
      "values[0]"),
+    ("simulate", "world.request_rate",
+     _spec("request_rate", "fixed", value=2**31), "2**31"),
 ], ids=["click_rate", "pool", "competitor_bids-misspelled",
         "p_distribution-misspelled", "request_rate-other-kinds-key",
         "world_overrides.competitor_bids-misspelled",
         "world_overrides.p_distribution-misspelled",
         "p_distribution.fixed.values-huge-entry",
-        "delta_p_distribution.fixed.values-bool-entry"])
+        "delta_p_distribution.fixed.values-bool-entry",
+        "request_rate.fixed.value-past-2**31-requests"])
 def test_out_of_range_and_unknown_distribution_keys_are_config_errors(
         tmp_path, capsys, command, dotted, value, named):
     code, err = _run(tmp_path, capsys, command, [(dotted, value)])

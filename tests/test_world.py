@@ -15,6 +15,7 @@ from liftsim.events import (
     ACTION, AD_REQUEST, AUCTION, BID, CLICK, EVENT_KINDS, FIELDS, IMPRESSION,
     KIND_CODE,
 )
+from liftsim.experiments import ABTestConfig
 from liftsim.market import Campaign, dollars_to_micros
 from liftsim.seeds import rng_for
 from liftsim.world import (
@@ -25,6 +26,7 @@ from liftsim.world import (
     precedent_impression_fraction, run_market, split_budget,
 )
 from event_records import parse_log
+from test_events import traced
 from test_market import second_price
 
 D = dollars_to_micros
@@ -361,25 +363,111 @@ def test_time_order_needs_keys_of_at_most_63_bits():
         _time_order(ts.copy(), 2**61)
 
 
+class NoDraws:
+    """A stream that refuses every draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the requests stream drew ({name})")
+
+
+def one_cell_world(rate, arrivals):
+    """One user over one day at a fixed request rate."""
+    return WorldConfig(n_users=1, seed=0, horizon_days=1,
+                       request_rate={"kind": "fixed", "value": rate},
+                       request_arrivals=arrivals, behavior={"enabled": False})
+
+
+def run_passive(monkeypatch, config, requests_stream):
+    """A passive market of ``config``'s world, its ``requests`` stream
+    replaced by ``requests_stream``."""
+    stream = liftsim.world.rng_for
+    monkeypatch.setattr(
+        liftsim.world, "rng_for",
+        lambda seed, *tags: requests_stream if tags == ("requests",)
+        else stream(seed, *tags))
+    run_market(market_population(config), [BidderConfig(kind="passive")],
+               campaign(aw_days=1), config,
+               assignment=np.zeros(config.n_users, dtype=int),
+               record_events=False)
+
+
 def test_request_count_is_bounded_before_the_draw(monkeypatch):
     # 60 users at the default rates expect about 145M requests over a
     # million days, more than 63-bit keys can order there; the requests
     # stream must not draw them before the refusal.
-    stream = liftsim.world.rng_for
-
-    class NoDraws:
-        def __getattr__(self, name):
-            raise AssertionError(f"the requests stream drew ({name})")
-
-    monkeypatch.setattr(
-        liftsim.world, "rng_for",
-        lambda seed, *tags: NoDraws() if tags == ("requests",)
-        else stream(seed, *tags))
     config = small_world(n_users=60, horizon_days=1_000_000)
-    population = generate_population(config)
     with pytest.raises(WorldConfigError, match="63 bits"):
-        run_market(population, [BidderConfig(kind="passive")], campaign(),
-                   config, assignment=np.zeros(60, dtype=int))
+        run_passive(monkeypatch, config, NoDraws())
+
+
+def test_an_expected_2_31_requests_are_refused_before_the_draw(monkeypatch):
+    # One user, one day, 2**31 requests at a deterministic rate: the
+    # request store's int32 counts cannot hold them.
+    config = one_cell_world(2**31, "deterministic")
+    with pytest.raises(WorldConfigError,
+                       match=r"2\.14748e\+09 requests expected; .* 2\*\*31"):
+        run_passive(monkeypatch, config, NoDraws())
+
+
+def test_a_drawn_2_31_requests_are_refused_before_the_times(monkeypatch):
+    # The expected count is 2, but the count draw gives 2**31: the
+    # times of day are never drawn.
+    class PastTheLimit(NoDraws):
+        def poisson(self, lam):
+            return np.full(lam.shape, 2**31, dtype=np.int64)
+
+    with pytest.raises(WorldConfigError,
+                       match=r"2\.14748e\+09 requests drawn; .* 2\*\*31"):
+        run_passive(monkeypatch, one_cell_world(2.0, "poisson"),
+                    PastTheLimit())
+
+
+def test_a_market_holds_up_to_2_31_minus_1_requests(monkeypatch):
+    # The largest count the rule lets through reaches the time draw.
+    class OneShort(NoDraws):
+        def poisson(self, lam):
+            return np.full(lam.shape, 2**31 - 1, dtype=np.int64)
+
+    with pytest.raises(AssertionError, match=r"drew \(integers\)"):
+        run_passive(monkeypatch, one_cell_world(2.0, "poisson"), OneShort())
+
+
+# The times-of-day draw sizes: none, the smallest, 1,001, the first
+# window of a 10k-user oracle market (abtest's default world, two-day
+# windows) and that market's whole draw over 28 days.
+TIME_DRAW_SIZES = [0, 1, 2, 3, 1001, 45_849, 634_487]
+
+
+@pytest.mark.parametrize("size", TIME_DRAW_SIZES)
+def test_int32_times_of_day_are_the_int64_draw(size):
+    for seed in range(5):
+        narrow, wide = rng_for(seed, "requests"), rng_for(seed, "requests")
+        times = narrow.integers(0, SECONDS_PER_DAY, size, dtype=np.int32)
+        reference = wide.integers(0, SECONDS_PER_DAY, size)
+        assert times.dtype == np.int32
+        assert np.array_equal(times, reference), (
+            "this numpy draws bounded int32 and int64 integers differently; "
+            "the market's request times, and every digest, would move")
+        assert narrow.bit_generator.state == wide.bit_generator.state, (
+            "this numpy leaves the stream elsewhere after an int32 draw than "
+            "after an int64 one; the draws after the request times would move")
+        assert np.array_equal(narrow.integers(0, 6, 7), wide.integers(0, 6, 7))
+
+
+def test_an_oracle_market_holds_its_requests_narrow():
+    # abtest's default world, one replication: 10k users over 28 days and
+    # about 634k requests. Its run_market peaked at 8.33 MiB of traced
+    # memory with numpy 2.4.6; the bound leaves 0.67 MiB for numpy's own
+    # temporaries to differ between releases. The times of day as int64
+    # (+2.4 MiB) or the per-cell counts as int64 (+1.1 MiB) cross it.
+    config = ABTestConfig(replications=1)
+    world, market = config.world(0), config.campaign()
+    population = market_population(world)
+    bidders = lineup(market.cpa, population)
+    assignment = assign_groups(world, len(bidders))
+    _, _, peak = traced(lambda: run_market(
+        population, bidders, market, world, assignment, record_events=False))
+    assert peak <= 9.0 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 class NormalCounter:
